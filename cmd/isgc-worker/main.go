@@ -236,6 +236,6 @@ func run(addr string, id int, spec cliconfig.SchemeSpec, dspec cliconfig.DataSpe
 	if err != nil {
 		return err
 	}
-	fmt.Printf("worker %d: served %d steps\n", id, steps)
+	fmt.Printf("worker %d: served %d steps, abandoned %d superseded\n", id, steps, w.Health().Abandoned)
 	return nil
 }

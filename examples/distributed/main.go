@@ -9,7 +9,10 @@
 // two fastest uploads per step (the paper's ray.wait(w) gather), decodes
 // with IS-GC over CR(4, 2), notices the death through its liveness layer,
 // and keeps training on the survivors — CR(4, 2) tolerates the loss
-// because every partition still has a live replica.
+// because every partition still has a live replica. The ignored workers in
+// turn ignore what the master has moved past: each treats the next
+// broadcast as the cancel signal for the step it is still sleeping on, so
+// the example ends with a served/abandoned count per worker.
 //
 // The master also exposes its observability endpoint (Prometheus /metrics,
 // JSON /healthz, /debug/pprof) on a loopback port; the example prints the
@@ -32,6 +35,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"isgc/internal/admin"
@@ -209,6 +213,7 @@ func main() {
 	}
 
 	var wg sync.WaitGroup
+	var served, abandoned atomic.Int64
 	for i := 0; i < n; i++ {
 		i := i
 		wg.Add(1)
@@ -257,11 +262,14 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
+			h := worker.Health()
+			served.Add(h.StepsServed)
+			abandoned.Add(h.Abandoned)
 			if i == 3 {
-				fmt.Printf("worker %d crashed after %d steps\n", i, steps)
+				fmt.Printf("worker %d crashed after %d steps (served/abandoned %d/%d)\n", i, steps, h.StepsServed, h.Abandoned)
 				return
 			}
-			fmt.Printf("worker %d served %d steps\n", i, steps)
+			fmt.Printf("worker %d served/abandoned %d/%d steps\n", i, h.StepsServed, h.Abandoned)
 		}()
 	}
 
@@ -291,6 +299,7 @@ func main() {
 	fmt.Printf("\ntrained %d steps in %v (converged=%v, final loss %.4f, degraded steps %d)\n",
 		res.Run.Steps(), res.Run.TotalTime().Round(time.Millisecond),
 		res.Converged, res.Run.FinalLoss(), res.Run.DegradedSteps())
+	fmt.Printf("fleet: served %d steps, abandoned %d superseded ones before upload\n", served.Load(), abandoned.Load())
 	fmt.Println("the master never waited for the slow workers 0 and 1, and kept")
 	fmt.Printf("training after worker 3 died at step %d — arbitrary straggler\n", crashStep)
 	fmt.Println("ignorance covers crashes, not just slowness.")

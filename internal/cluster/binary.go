@@ -163,8 +163,8 @@ func AppendFrame(dst []byte, e *Envelope) ([]byte, error) {
 	if e.Wire != "" {
 		return nil, fmt.Errorf("cluster: %s frame cannot carry wire negotiation %q", e.Kind, e.Wire)
 	}
-	if e.Shards != 0 || e.Shard != 0 {
-		return nil, fmt.Errorf("cluster: %s frame cannot carry lane negotiation", e.Kind)
+	if e.Shards != 0 || e.Shard != 0 || e.Staleness != 0 {
+		return nil, fmt.Errorf("cluster: %s frame cannot carry lane or staleness negotiation", e.Kind)
 	}
 	if e.Offset != 0 || e.Total != 0 {
 		return nil, fmt.Errorf("cluster: v1 %s frame cannot carry sub-frame geometry (%d, %d)", e.Kind, e.Offset, e.Total)

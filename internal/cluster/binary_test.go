@@ -159,6 +159,7 @@ func TestAppendFrameRejections(t *testing.T) {
 	cases := map[string]*Envelope{
 		"unknown kind":          {Kind: "pwn"},
 		"negotiation field":     {Kind: MsgHello, Worker: 1, Wire: WireBinary},
+		"staleness field":       {Kind: MsgHello, Worker: 1, Staleness: 2},
 		"worker over limit":     {Kind: MsgHeartbeat, Worker: maxFrameID + 1},
 		"step over limit":       {Kind: MsgStep, Step: maxFrameID + 1},
 		"payload on hello":      {Kind: MsgHello, Params: []float64{1}},

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,6 +46,7 @@ func launchCluster(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl 
 	}
 
 	var wg sync.WaitGroup
+	var abandoned atomic.Int64
 	workerErrs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -84,6 +86,7 @@ func launchCluster(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl 
 			if _, err := wk.Run(); err != nil {
 				workerErrs <- err
 			}
+			abandoned.Add(wk.Health().Abandoned)
 		}()
 	}
 
@@ -92,6 +95,11 @@ func launchCluster(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl 
 		t.Fatalf("master: %v", err)
 	}
 	wg.Wait()
+	// A wait-all master broadcasts step t+1 only after every worker's
+	// step-t upload, so no step is ever superseded.
+	if got := abandoned.Load(); st.WaitFor(w) == n && got != 0 {
+		t.Errorf("wait-all run abandoned %d steps, want 0", got)
+	}
 	close(workerErrs)
 	for err := range workerErrs {
 		t.Fatalf("worker: %v", err)

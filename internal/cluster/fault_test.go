@@ -147,7 +147,13 @@ func TestClusterSurvivesCrashesWithinSlack(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		faults[i] = straggler.CrashAt{Step: 5}
 	}
-	_, res, err := runFaultyCluster(t, st, faultyOpts{w: 8, maxSteps: 15, faults: faults})
+	// A few ms per step, so the run outlasts the scheduling noise between a
+	// crash and the master noticing the closed socket.
+	delays := make([]straggler.Model, 12)
+	for i := range delays {
+		delays[i] = straggler.Constant{D: 3 * time.Millisecond}
+	}
+	_, res, err := runFaultyCluster(t, st, faultyOpts{w: 8, maxSteps: 15, faults: faults, delays: delays})
 	if err != nil {
 		t.Fatalf("master: %v", err)
 	}

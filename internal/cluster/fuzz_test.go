@@ -216,6 +216,7 @@ func TestDecodeMessageRejectsMalformed(t *testing.T) {
 		"negative step":             {Kind: MsgStep, Step: -1},
 		"negative compute start":    {Kind: MsgGradient, Worker: 1, ComputeStartUnixNano: -5},
 		"negative compute duration": {Kind: MsgGradient, Worker: 1, ComputeDurNanos: -1},
+		"negative staleness":        {Kind: MsgHello, Worker: 1, Staleness: -1},
 	}
 	for name, e := range cases {
 		data, err := EncodeMessage(e)

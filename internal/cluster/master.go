@@ -668,8 +668,9 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 		masterGen := m.generation
 		m.mu.Unlock()
 		// The ack carries the master's run generation so a resuming worker
-		// learns it is talking to a restored (or failed-over) master.
-		ack := &Envelope{Kind: MsgHello, Worker: id, Wire: wire, Gen: masterGen}
+		// learns it is talking to a restored (or failed-over) master, and the
+		// staleness window so the worker knows how long a step stays usable.
+		ack := &Envelope{Kind: MsgHello, Worker: id, Wire: wire, Gen: masterGen, Staleness: m.cfg.Staleness}
 		if wire == WireBinary2 {
 			ack.Shards = shards
 		}

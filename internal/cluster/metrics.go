@@ -272,6 +272,11 @@ type WorkerMetrics struct {
 	ComputeTime *metrics.Histogram
 	// Steps counts steps served (computed, whether or not uploaded).
 	Steps *metrics.Counter
+	// StepsAbandoned counts steps given up before their upload started
+	// because a newer broadcast (or stop) made them moot, by the point of
+	// abandonment: "queued" (never computed), "delay" (injected delay cut
+	// short) or "presend" (computed, not uploaded).
+	StepsAbandoned *metrics.CounterVec
 	// SentBytes counts every byte written to the master connection —
 	// dominated by gradient uploads.
 	SentBytes *metrics.Counter
@@ -327,6 +332,8 @@ func NewWorkerMetrics(reg *metrics.Registry) *WorkerMetrics {
 			"Per-step local gradient computation time.", metrics.DefBuckets),
 		Steps: reg.NewCounter("isgc_worker_steps_total",
 			"Steps served (gradient computed)."),
+		StepsAbandoned: reg.NewCounterVec("isgc_worker_steps_abandoned_total",
+			"Steps abandoned before upload because a newer broadcast or stop superseded them.", "phase"),
 		SentBytes: reg.NewCounter("isgc_worker_sent_bytes_total",
 			"Bytes written to the master connection (uploads dominate)."),
 		ReconnectAttempts: reg.NewCounter("isgc_worker_reconnect_attempts_total",
@@ -381,6 +388,12 @@ func (wm *WorkerMetrics) observeCompute(elapsed time.Duration) {
 func (wm *WorkerMetrics) markStep() {
 	if wm != nil {
 		wm.Steps.Inc()
+	}
+}
+
+func (wm *WorkerMetrics) markAbandoned(phase string) {
+	if wm != nil {
+		wm.StepsAbandoned.With(phase).Inc()
 	}
 }
 
@@ -497,5 +510,8 @@ type WorkerHealth struct {
 	ID          int   `json:"id"`
 	Connected   bool  `json:"connected"`
 	StepsServed int64 `json:"steps_served"`
-	Reconnects  int64 `json:"reconnects"`
+	// Abandoned counts steps given up before upload because a newer
+	// broadcast or stop superseded them.
+	Abandoned  int64 `json:"steps_abandoned"`
+	Reconnects int64 `json:"reconnects"`
 }

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,6 +62,7 @@ func runStrategyCluster(t *testing.T, st engine.Strategy, shapeMaster func(*Mast
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
+	var abandoned atomic.Int64
 	for i := 0; i < 4; i++ {
 		i := i
 		wg.Add(1)
@@ -91,6 +94,7 @@ func runStrategyCluster(t *testing.T, st engine.Strategy, shapeMaster func(*Mast
 			if _, err := wk.Run(); err != nil {
 				t.Error(err)
 			}
+			abandoned.Add(wk.Health().Abandoned)
 		}()
 	}
 	res, err := master.Run()
@@ -98,6 +102,12 @@ func runStrategyCluster(t *testing.T, st engine.Strategy, shapeMaster func(*Mast
 		t.Fatalf("master: %v", err)
 	}
 	wg.Wait()
+	// The equivalence suites run wait-all: step t+1 is broadcast only after
+	// every worker's step-t upload, so no step is ever superseded.
+	waitAll := st.WaitFor(mcfg.W) == st.N() && mcfg.Staleness == 0 && mcfg.Deadline == 0
+	if got := abandoned.Load(); waitAll && got != 0 {
+		t.Errorf("wait-all run abandoned %d steps, want 0", got)
+	}
 	return res, mm
 }
 
@@ -234,41 +244,52 @@ func TestMasterGatherShardsCapNegotiatesDown(t *testing.T) {
 // fold the straggler's late gradients in as corrections, and keep the loss
 // moving.
 func TestPipelinedStalenessFoldsLateGradients(t *testing.T) {
-	st, err := engine.NewISSGD(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, mm := runStrategyCluster(t, st,
-		func(c *MasterConfig) {
-			c.Staleness = 1
-			c.MaxSteps = 12
-		},
-		func(i int, c *WorkerConfig) {
-			// Everyone sleeps 40ms; worker 3 sleeps 60ms. Each gather lasts
-			// ~40ms and worker 3 arrives ~20ms into the following one — well
-			// inside the fold window on any reasonable scheduler.
-			d := 40 * time.Millisecond
-			if i == 3 {
-				d = 60 * time.Millisecond
+	for _, k := range []int{1, 2} {
+		k := k
+		t.Run(fmt.Sprintf("staleness=%d", k), func(t *testing.T) {
+			st, err := engine.NewISSGD(4)
+			if err != nil {
+				t.Fatal(err)
 			}
-			c.Delay = straggler.Constant{D: d}
+			res, mm := runStrategyCluster(t, st,
+				func(c *MasterConfig) {
+					c.Staleness = k
+					c.MaxSteps = 12
+				},
+				func(i int, c *WorkerConfig) {
+					// Everyone sleeps 40ms; worker 3 sleeps 60ms. Each gather
+					// lasts ~40ms and worker 3 arrives ~20ms into the following
+					// one — well inside the fold window on any reasonable
+					// scheduler, and the worker, told the window in its hello
+					// ack, does not give the step up when the next broadcast
+					// arrives.
+					d := 40 * time.Millisecond
+					if i == 3 {
+						d = 60 * time.Millisecond
+					}
+					c.Delay = straggler.Constant{D: d}
+				})
+			if res.Run.Steps() != 12 {
+				t.Fatalf("steps = %d, want 12", res.Run.Steps())
+			}
+			for _, rec := range res.Run.Records {
+				if rec.Available != 4-k {
+					t.Fatalf("step %d waited for %d workers, want %d (W=4, staleness=%d)", rec.Step, rec.Available, 4-k, k)
+				}
+			}
+			if folded := res.Run.TotalFolded(); folded == 0 {
+				t.Fatal("no late gradients folded; the straggler's uploads should land mid-gather")
+			} else if got := mm.FoldedGradients.Value(); got != uint64(folded) {
+				t.Fatalf("folded counter = %d, records say %d", got, folded)
+			}
+			// With k = 2 the master waits for half the fleet and the loss of
+			// this nearly fitted model hovers around 3e-3 instead of falling
+			// monotonically; the descent check stays with k = 1.
+			first, last := res.Run.Records[0].Loss, res.Run.FinalLoss()
+			if k == 1 && !(last < first) {
+				t.Fatalf("loss %v → %v, expected decrease", first, last)
+			}
 		})
-	if res.Run.Steps() != 12 {
-		t.Fatalf("steps = %d, want 12", res.Run.Steps())
-	}
-	for _, rec := range res.Run.Records {
-		if rec.Available != 3 {
-			t.Fatalf("step %d waited for %d workers, want 3 (W=4, staleness=1)", rec.Step, rec.Available)
-		}
-	}
-	if folded := res.Run.TotalFolded(); folded == 0 {
-		t.Fatal("no late gradients folded; the straggler's uploads should land mid-gather")
-	} else if got := mm.FoldedGradients.Value(); got != uint64(folded) {
-		t.Fatalf("folded counter = %d, records say %d", got, folded)
-	}
-	first, last := res.Run.Records[0].Loss, res.Run.FinalLoss()
-	if !(last < first) {
-		t.Fatalf("loss %v → %v, expected decrease", first, last)
 	}
 }
 
@@ -286,6 +307,9 @@ func TestPipelinedCrashMidOverlap(t *testing.T) {
 		},
 		func(i int, c *WorkerConfig) {
 			c.GatherShards = 2
+			// A few ms per step, so the run outlasts the scheduling noise
+			// between the crash and the master noticing the closed socket.
+			c.Delay = straggler.Constant{D: 3 * time.Millisecond}
 			if i == 3 {
 				// Crash exactly at the overlap boundary: the fault fires
 				// when the worker starts step 6, i.e. after its step-5

@@ -36,7 +36,10 @@ func freshISGC(t *testing.T, n, c int, seed int64) engine.Strategy {
 
 // startFleet launches the full worker fleet against addr and returns its
 // WaitGroup. With a positive reconnect budget the fleet survives master
-// restarts — the failover path the durable tests exercise.
+// restarts — the failover path the durable tests exercise. Every caller
+// runs a wait-all master, so the fleet must never abandon a step: a master
+// life that ends mid-step interrupts it (the successor re-delivers), which
+// is not an abandonment.
 func startFleet(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl model.Model,
 	addr string, reconnect time.Duration, delay straggler.Model) *sync.WaitGroup {
 	t.Helper()
@@ -72,6 +75,9 @@ func startFleet(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl mod
 			}
 			if _, err := wk.Run(); err != nil {
 				t.Error(err)
+			}
+			if got := wk.Health().Abandoned; got != 0 {
+				t.Errorf("worker %d abandoned %d steps under a wait-all master, want 0", i, got)
 			}
 		}()
 	}

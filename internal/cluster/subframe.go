@@ -79,8 +79,8 @@ func AppendSubFrame(dst []byte, e *Envelope) ([]byte, error) {
 	if e.Wire != "" {
 		return nil, fmt.Errorf("cluster: %s frame cannot carry wire negotiation %q", e.Kind, e.Wire)
 	}
-	if e.Shards != 0 || e.Shard != 0 {
-		return nil, fmt.Errorf("cluster: %s frame cannot carry lane negotiation", e.Kind)
+	if e.Shards != 0 || e.Shard != 0 || e.Staleness != 0 {
+		return nil, fmt.Errorf("cluster: %s frame cannot carry lane or staleness negotiation", e.Kind)
 	}
 	t := frameTypeOf(e.Kind)
 	if t == 0 {

@@ -135,6 +135,7 @@ func TestAppendSubFrameRejections(t *testing.T) {
 		"negotiation field":   {Kind: MsgHello, Worker: 1, Wire: WireBinary2},
 		"lane count field":    {Kind: MsgHello, Worker: 1, Shards: 2},
 		"lane index field":    {Kind: MsgHello, Worker: 1, Shard: 1},
+		"staleness field":     {Kind: MsgHello, Worker: 1, Staleness: 2},
 		"worker over limit":   {Kind: MsgHeartbeat, Worker: maxFrameID + 1},
 		"gradient zero total": {Kind: MsgGradient, Worker: 1, Coded: []float64{1}},
 		"geometry on hello":   {Kind: MsgHello, Worker: 1, Total: 4},

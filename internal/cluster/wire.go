@@ -159,6 +159,12 @@ type Envelope struct {
 	// master's ack it names the granted count. Rides only in gob hello
 	// messages, like Wire.
 	Shards int
+	// Staleness is the master's bounded-staleness window k on a MsgHello
+	// ack (0 in sync mode and from masters that predate the field): a
+	// gradient for step t can still be used until step t+k+1 is broadcast,
+	// so a worker abandons step t only once a step newer than t+k arrives.
+	// Rides only in gob hello messages, like Wire.
+	Staleness int
 	// Shard tags a lane-attach MsgHello with the lane index (1..Shards-1)
 	// it registers; the primary connection is lane 0 and never sets it.
 	// Rides only in gob hello messages.
@@ -209,6 +215,9 @@ func validateEnvelope(e *Envelope) error {
 	}
 	if e.Shards < 0 || e.Shards > maxGatherShards {
 		return fmt.Errorf("cluster: shard count %d outside [0, %d] in %s", e.Shards, maxGatherShards, e.Kind)
+	}
+	if e.Staleness < 0 {
+		return fmt.Errorf("cluster: negative staleness %d in %s", e.Staleness, e.Kind)
 	}
 	if e.Shard < 0 || e.Shard >= maxGatherShards {
 		return fmt.Errorf("cluster: lane index %d outside [0, %d) in %s", e.Shard, maxGatherShards, e.Kind)

@@ -164,6 +164,9 @@ func BenchmarkSubFrameSend(b *testing.B) {
 // (not 0) only because a concurrently triggered GC may clear the pool
 // mid-measurement.
 func TestSubFrameSendSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
 	subs := subFrameEnvelopes(benchGradient(), 4)
 	c := &conn{w: io.Discard}
 	send := func() {

@@ -116,6 +116,11 @@ type Worker struct {
 	c      *conn
 	lanes  []*conn
 	shards int
+	// staleness is the master's fold window from the current connection's
+	// hello ack (0 in sync mode, from old masters and on gob-pinned
+	// connections): a step stays live until a step more than staleness
+	// newer arrives.
+	staleness int
 	// delaySrc/faultSrc are the counting sources behind rng/frng, kept so
 	// Stop can serialize the stream positions and a restored worker can
 	// land on the very next delay/fault draw.
@@ -138,11 +143,14 @@ type Worker struct {
 	// the master; re-rolling the fault on that re-delivery would make
 	// DisconnectAt tear the fresh connection down again immediately — a
 	// rejoin storm that lasts until the master advances past the step.
+	// Like frng it belongs to the current connection's reader goroutine
+	// while one runs; Run joins the reader before anyone else looks.
 	faultedThrough int
 
-	// steps, reconnects, and connected are atomics because the admin
-	// server's Health snapshot reads them while Run mutates.
+	// steps, abandoned, reconnects, and connected are atomics because the
+	// admin server's Health snapshot reads them while Run mutates.
 	steps      atomic.Int64
+	abandoned  atomic.Int64
 	reconnects atomic.Int64
 	connected  atomic.Bool
 	// jobGone latches a MsgJobGone terminal reject: the job this worker
@@ -164,6 +172,7 @@ func (w *Worker) Health() WorkerHealth {
 		ID:          w.cfg.ID,
 		Connected:   w.connected.Load(),
 		StepsServed: w.steps.Load(),
+		Abandoned:   w.abandoned.Load(),
 		Reconnects:  w.reconnects.Load(),
 	}
 }
@@ -241,6 +250,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		c:              c,
 		lanes:          lanes,
 		shards:         shards,
+		staleness:      ackStaleness(ack),
 		delaySrc:       randsrc.New(cfg.DelaySeed),
 		faultSrc:       randsrc.New(cfg.FaultSeed),
 		faultedThrough: -1,
@@ -307,6 +317,15 @@ func dialLanes(wire string, ack *Envelope, cfg WorkerConfig) ([]*conn, int, erro
 	return lanes, shards, nil
 }
 
+// ackStaleness is the fold window a hello ack carries; a gob-pinned
+// connection has no ack and runs with 0.
+func ackStaleness(ack *Envelope) int {
+	if ack == nil {
+		return 0
+	}
+	return ack.Staleness
+}
+
 // closeConns closes every connection in cs, tolerating nils.
 func closeConns(cs []*conn) {
 	for _, c := range cs {
@@ -368,7 +387,16 @@ func (w *Worker) setConnected(up bool) {
 // Run processes step requests until the master stops the worker or the
 // connection drops (and, with ReconnectTimeout set, cannot be re-dialed).
 // It returns the number of steps served.
+//
+// A reader goroutine per connection drains the socket into a mailbox (see
+// mailbox.go) while this goroutine computes, so the master's next broadcast
+// is the cancel signal for everything older. A step can be abandoned at
+// three points, all before its upload starts — in the mailbox, during the
+// injected delay, and just before sendGradient — never mid-upload. That is
+// always safe: a gradient that never arrives is just a straggler, which
+// every gather policy already tolerates.
 func (w *Worker) Run() (int, error) {
+	mb := w.startReader()
 	defer func() {
 		w.stopHeartbeat()
 		w.connMu.Lock()
@@ -376,6 +404,7 @@ func (w *Worker) Run() (int, error) {
 		w.connMu.Unlock()
 		_ = c.close()
 		closeConns(lanes)
+		<-mb.done
 		w.setConnected(false)
 		w.pool.Close()
 		if w.stopping.Load() {
@@ -384,20 +413,20 @@ func (w *Worker) Run() (int, error) {
 		}
 	}()
 	for {
-		e, err := w.c.recv()
-		if err != nil {
-			// Stop() closed the connection under us, the master tore it
-			// down after MsgStop raced us, or a genuine failure; try to
-			// rejoin, else we are done.
-			if w.reconnect() {
+		st, end, endStep := mb.next()
+		switch end {
+		case endNone:
+			linkUp, err := w.serve(mb, st)
+			if err != nil {
+				return int(w.steps.Load()), err
+			}
+			if linkUp {
 				continue
 			}
+			// The upload failed: the master is gone or the link dropped.
+		case endStop:
 			return int(w.steps.Load()), nil
-		}
-		switch e.Kind {
-		case MsgStop:
-			return int(w.steps.Load()), nil
-		case MsgJobGone:
+		case endJobGone:
 			// Terminal reject from a done master (a gob-pinned worker gets
 			// it as a regular message rather than a hello-ack): the job is
 			// gone for good, so leave without redialing.
@@ -405,60 +434,145 @@ func (w *Worker) Run() (int, error) {
 			w.cfg.Events.Info("worker.job_gone", "master rejected registration: job no longer exists",
 				events.NoStep, w.cfg.ID, nil)
 			return int(w.steps.Load()), nil
-		case MsgStep:
-			action := straggler.FaultNone
-			if w.cfg.Fault != nil && e.Step > w.faultedThrough {
-				action = w.cfg.Fault.At(e.Step, w.frng)
-				w.faultedThrough = e.Step
+		case endCrash:
+			// Die abruptly — no farewell message, exactly like a killed
+			// process; the master learns via the closed socket.
+			w.cfg.Events.Warn("worker.crash_injected", "injected crash; dying without farewell",
+				endStep, w.cfg.ID, nil)
+			return int(w.steps.Load()), nil
+		case endDisconnect:
+			w.cfg.Events.Warn("worker.disconnect_injected", "injected disconnect; will redial",
+				endStep, w.cfg.ID, nil)
+		case endConnLost:
+			// Stop() closed the connection under us, the master tore it
+			// down after MsgStop raced us, or a genuine failure.
+		}
+		// Try to rejoin, else we are done. reconnect closes the old
+		// connection first, which is what ends the old reader.
+		if !w.reconnect() {
+			return int(w.steps.Load()), nil
+		}
+		<-mb.done
+		mb = w.startReader()
+	}
+}
+
+// startReader launches the reader goroutine for the current connection and
+// returns its mailbox. The reader decodes every message the moment it
+// arrives — so a sleeping or computing worker never leaves broadcast bytes
+// in its kernel buffer for the master's send to block on — rolls the seeded
+// fault schedule for every received step in order (served or skipped), and
+// exits on stop, job-gone, an injected crash or disconnect, or a failed
+// recv; mb.done closes when it has.
+func (w *Worker) startReader() *mailbox {
+	c := w.c
+	mb := newMailbox(w.staleness, c.reuseVecs)
+	go func() {
+		defer close(mb.done)
+		for {
+			if mb.reuse && c.vecScratch == nil {
+				c.vecScratch = mb.takeFree()
 			}
-			if action == straggler.FaultCrash {
-				// Die abruptly — no farewell message, exactly like a
-				// killed process; the master learns via the closed socket.
-				w.cfg.Events.Warn("worker.crash_injected", "injected crash; dying without farewell",
-					e.Step, w.cfg.ID, nil)
-				return int(w.steps.Load()), nil
-			}
-			if action == straggler.FaultDisconnect {
-				w.cfg.Events.Warn("worker.disconnect_injected", "injected disconnect; will redial",
-					e.Step, w.cfg.ID, nil)
-				w.stopHeartbeat()
-				_ = w.c.close()
-				w.setConnected(false)
-				if w.reconnect() {
-					continue
-				}
-				return int(w.steps.Load()), nil
-			}
-			coded, computeStart, computeDur, err := w.computeStep(e.Step, e.Params)
+			e, err := c.recv()
 			if err != nil {
-				return int(w.steps.Load()), err
+				mb.finish(endConnLost, events.NoStep)
+				return
 			}
-			w.cfg.Timeline.Add(events.Span{Name: "compute", Cat: "compute", TID: w.cfg.ID + 1,
-				Start: computeStart, Dur: computeDur, Args: map[string]any{"step": e.Step}})
-			if w.cfg.Delay != nil {
-				delayStart := time.Now()
-				time.Sleep(w.cfg.Delay.Sample(w.rng))
-				w.cfg.Timeline.Add(events.Span{Name: "delay", Cat: "delay", TID: w.cfg.ID + 1,
-					Start: delayStart, Dur: time.Since(delayStart), Args: map[string]any{"step": e.Step}})
-			}
-			if action == straggler.FaultDrop {
-				w.steps.Add(1) // computed, but the upload is lost
-				w.cfg.Metrics.markStep()
-				w.cfg.Metrics.markDrop()
-				w.cfg.Events.Warn("worker.upload_dropped", "injected drop; gradient not sent",
-					e.Step, w.cfg.ID, nil)
-				continue
-			}
-			if err := w.sendGradient(e.Step, coded, computeStart, computeDur); err != nil {
-				if w.reconnect() {
-					continue
+			switch e.Kind {
+			case MsgStop:
+				w.abandon(phaseQueued, mb.finish(endStop, events.NoStep)...)
+				return
+			case MsgJobGone:
+				w.abandon(phaseQueued, mb.finish(endJobGone, events.NoStep)...)
+				return
+			case MsgStep:
+				action := straggler.FaultNone
+				if w.cfg.Fault != nil && e.Step > w.faultedThrough {
+					action = w.cfg.Fault.At(e.Step, w.frng)
+					w.faultedThrough = e.Step
 				}
-				return int(w.steps.Load()), nil // master already gone
+				switch action {
+				case straggler.FaultCrash:
+					// Die on the spot, as a killed process would: the master
+					// must not have to wait for the compute loop to notice.
+					_ = c.close()
+					mb.finish(endCrash, e.Step)
+					return
+				case straggler.FaultDisconnect:
+					mb.finish(endDisconnect, e.Step)
+					return
+				}
+				if mb.reuse {
+					c.vecScratch = nil // the mailbox owns e.Params now
+				}
+				w.abandon(phaseQueued, mb.put(stepWork{step: e.Step, params: e.Params,
+					drop: action == straggler.FaultDrop})...)
 			}
-			w.steps.Add(1)
-			w.cfg.Metrics.markStep()
+		}
+	}()
+	return mb
+}
+
+// abandon accounts for steps dropped before their upload started.
+func (w *Worker) abandon(phase string, steps ...int) {
+	for _, step := range steps {
+		w.abandoned.Add(1)
+		w.cfg.Metrics.markAbandoned(phase)
+		w.cfg.Events.Debug("worker.step_abandoned", "step superseded before upload",
+			step, w.cfg.ID, events.Fields{"phase": phase})
+	}
+}
+
+// serve computes one step, waits out its injected delay and uploads the
+// coded gradient, giving the step up at the first sign that it is no longer
+// live. linkUp is false only when the upload itself failed; a step given up
+// or dropped on purpose leaves the connection in service.
+func (w *Worker) serve(mb *mailbox, st stepWork) (linkUp bool, err error) {
+	coded, computeStart, computeDur, err := w.computeStep(st.step, st.params)
+	mb.recycle(st.params)
+	if err != nil {
+		return false, err
+	}
+	w.cfg.Timeline.Add(events.Span{Name: "compute", Cat: "compute", TID: w.cfg.ID + 1,
+		Start: computeStart, Dur: computeDur, Args: map[string]any{"step": st.step}})
+	if w.cfg.Delay != nil {
+		delayStart := time.Now()
+		live, abandoned := mb.sleep(st.step, w.cfg.Delay.Sample(w.rng))
+		args := map[string]any{"step": st.step}
+		if abandoned {
+			args["abandoned"] = true
+		}
+		w.cfg.Timeline.Add(events.Span{Name: "delay", Cat: "delay", TID: w.cfg.ID + 1,
+			Start: delayStart, Dur: time.Since(delayStart), Args: args})
+		if !live {
+			if abandoned {
+				w.abandon(phaseDelay, st.step)
+			}
+			return true, nil
 		}
 	}
+	// Last look before the upload; past this point the gradient goes out
+	// whole, so the master never reassembles half of an abandoned one.
+	if live, abandoned := mb.check(st.step); !live {
+		if abandoned {
+			w.abandon(phasePresend, st.step)
+		}
+		return true, nil
+	}
+	if st.drop {
+		w.steps.Add(1) // computed, but the upload is lost
+		w.cfg.Metrics.markStep()
+		w.cfg.Metrics.markDrop()
+		w.cfg.Events.Warn("worker.upload_dropped", "injected drop; gradient not sent",
+			st.step, w.cfg.ID, nil)
+		return true, nil
+	}
+	if err := w.sendGradient(st.step, coded, computeStart, computeDur); err != nil {
+		return false, nil
+	}
+	w.steps.Add(1)
+	w.cfg.Metrics.markStep()
+	return true, nil
 }
 
 // sendGradient uploads one step's coded gradient: a single whole envelope
@@ -547,6 +661,7 @@ func (w *Worker) reconnect() bool {
 					w.c = c
 					w.lanes = lanes
 					w.shards = shards
+					w.staleness = ackStaleness(ack)
 					stopped := w.stopping.Load()
 					w.connMu.Unlock()
 					if stopped {
