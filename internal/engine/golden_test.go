@@ -1,0 +1,139 @@
+package engine
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+	"time"
+
+	"isgc/internal/placement"
+	"isgc/internal/straggler"
+)
+
+// runDigest is FNV-1a over the bits of everything a run decides: the final
+// parameters and every StepRecord field except Elapsed (simulated time is
+// pinned through Available/Folded, which it determines).
+func runDigest(res *Result) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		for i := range b {
+			b[i] = byte(v >> (8 * i))
+		}
+		h.Write(b[:])
+	}
+	for _, p := range res.Params {
+		put(math.Float64bits(p))
+	}
+	for _, r := range res.Run.Records {
+		put(uint64(r.Step))
+		put(uint64(r.Available))
+		put(uint64(r.Chosen))
+		put(math.Float64bits(r.RecoveredFraction))
+		put(uint64(len(r.Partitions)))
+		for _, d := range r.Partitions {
+			put(uint64(d))
+		}
+		put(uint64(r.Alive))
+		if r.Degraded {
+			put(1)
+		} else {
+			put(0)
+		}
+		put(uint64(r.Folded))
+		put(math.Float64bits(r.Loss))
+		put(math.Float64bits(r.Accuracy))
+	}
+	return h.Sum64()
+}
+
+// goldenConfig is the shared workload of the digest pins: 8 workers under
+// homogeneous exponential straggling, waiting for 5.
+func goldenConfig(t *testing.T, scheme string) Config {
+	t.Helper()
+	var st Strategy
+	var err error
+	switch scheme {
+	case "IS-SGD":
+		st, err = NewISSGD(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+	case "IS-GC-CR":
+		p, perr := placement.CR(8, 2)
+		st = isgcStrategy(t, p, perr, 42)
+	default:
+		t.Fatalf("unknown scheme %q", scheme)
+	}
+	cfg := baseConfig(t, st)
+	cfg.W = 5
+	cfg.MaxSteps = 40
+	cfg.ComputePerPartition = 2 * time.Millisecond
+	cfg.Upload = time.Millisecond
+	cfg.Profile = straggler.NewProfile(8, straggler.Exponential{Mean: 5 * time.Millisecond}, 7)
+	return cfg
+}
+
+// TestGoldenStepLoopDigests pins the engine's bounded-staleness and
+// momentum/weight-decay trajectories bit for bit. The constants were
+// captured at the commit before the step loops were merged into one core;
+// a refactor of the step loop must leave them unchanged. Floating-point
+// contraction differs across architectures, so the pins hold on amd64.
+func TestGoldenStepLoopDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests were captured on amd64, running on %s", runtime.GOARCH)
+	}
+	decay := func(step int) float64 { return 1 / (1 + 0.05*float64(step)) }
+	golden := map[string]uint64{
+		"IS-SGD/k=1":                    0x1b8b7ef00fcee814,
+		"IS-SGD/k=1/lr-decay":           0x949eb696d80e1530,
+		"IS-SGD/k=2":                    0xfda5f0b78ea30709,
+		"IS-SGD/k=2/lr-decay":           0x8f2dbdcbda77b7cc,
+		"IS-GC-CR/k=1":                  0x331a3a4407ffcbf3,
+		"IS-GC-CR/k=1/lr-decay":         0x579804ff6dc29a99,
+		"IS-GC-CR/k=2":                  0x2edf39d27e6e93ef,
+		"IS-GC-CR/k=2/lr-decay":         0xc70ca0eb1e2801af,
+		"IS-GC-CR/momentum+wd":          0xca2054cbd8ba0c27,
+		"IS-GC-CR/momentum+wd/deadline": 0x10657444ca0c3578,
+	}
+	check := func(name string, cfg Config, wantFolds bool) {
+		t.Run(name, func(t *testing.T) {
+			res, err := Train(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantFolds && res.Run.TotalFolded() == 0 {
+				t.Fatal("no folds: the pin would not cover the fold path")
+			}
+			if got := runDigest(res); got != golden[name] {
+				t.Fatalf("digest %#016x, want %#016x", got, golden[name])
+			}
+		})
+	}
+	for _, scheme := range []string{"IS-SGD", "IS-GC-CR"} {
+		for _, k := range []int{1, 2} {
+			for _, sched := range []bool{false, true} {
+				cfg := goldenConfig(t, scheme)
+				cfg.Staleness = k
+				name := fmt.Sprintf("%s/k=%d", scheme, k)
+				if sched {
+					cfg.LRSchedule = decay
+					name += "/lr-decay"
+				}
+				check(name, cfg, true)
+			}
+		}
+	}
+	cfg := goldenConfig(t, "IS-GC-CR")
+	cfg.Momentum, cfg.WeightDecay = 0.9, 1e-3
+	cfg.LearningRate = 0.05
+	check("IS-GC-CR/momentum+wd", cfg, false)
+	cfg = goldenConfig(t, "IS-GC-CR")
+	cfg.Momentum, cfg.WeightDecay = 0.9, 1e-3
+	cfg.LearningRate = 0.05
+	cfg.LRSchedule = decay
+	cfg.Deadline = 6 * time.Millisecond
+	check("IS-GC-CR/momentum+wd/deadline", cfg, false)
+}
