@@ -97,8 +97,8 @@ func main() {
 		g         = flag.Int("g", 2, "HR group count (scheme=hr)")
 		w         = flag.Int("w", 0, "workers to wait for per step (0 = all)")
 		deadline  = flag.Duration("deadline", 0, "per-step gather deadline (overrides -w when > 0)")
-		pipeline  = flag.Bool("pipeline", false, "overlap the next step's broadcast with the previous gather's tail (staleness 0 stays bit-identical to the synchronous loop; excludes -deadline)")
-		staleness = flag.Int("staleness", 0, "bounded staleness: wait for this many fewer workers per step and fold late gradients in as exact corrections (implies -pipeline; flexible schemes only)")
+		pipeline  = flag.Bool("pipeline", false, "defer each step's loss evaluation, record and checkpoint until the next step's broadcast is out, so they overlap the fleet's compute (records and parameters stay bit-identical)")
+		staleness = flag.Int("staleness", 0, "bounded staleness: wait for this many fewer workers per step and fold late gradients in as exact corrections (implies -pipeline; flexible schemes only; excludes -deadline)")
 		shards    = flag.Int("gather-shards", 0, "cap the gather lanes granted to binaryv2 workers (0 = accept proposals up to the protocol max, 1 = negotiate down to single-stream binaryv1)")
 		lr        = flag.Float64("lr", 0.2, "learning rate")
 		batch     = flag.Int("batch", 8, "per-partition batch size (must match workers)")

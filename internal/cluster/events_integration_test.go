@@ -26,8 +26,14 @@ func TestEventLogCapturesCrashAndRejoin(t *testing.T) {
 		straggler.DisconnectAt{Step: 5},
 		straggler.CrashAt{Step: 2},
 	}
+	// Worker 0 paces the run: once worker 2 is dead and worker 1 has dropped
+	// off at step 5, it alone serves the last three steps, and without a
+	// delay it finishes them before worker 1's redial — refused while the
+	// master has not yet noticed the old connection close — gets its second
+	// attempt after the 25 ms backoff.
+	delays := []straggler.Model{straggler.Constant{D: 30 * time.Millisecond}, nil, nil}
 	master, res, err := runFaultyCluster(t, st, faultyOpts{
-		w: 3, maxSteps: 8, faults: faults,
+		w: 3, maxSteps: 8, faults: faults, delays: delays,
 		reconnect: 10 * time.Second, events: ev,
 	})
 	if err != nil {

@@ -244,8 +244,13 @@ func TestRigidSchemeFailsFastOnWorkerLoss(t *testing.T) {
 func TestWorkerDisconnectRejoin(t *testing.T) {
 	st := newCRStrategy(t, 4)
 	faults := []straggler.Fault{nil, nil, straggler.DisconnectAt{Step: 3}, nil}
+	// Worker 0 paces the run at 30 ms a step: a redial refused because the
+	// master has not yet noticed the old connection close retries after a
+	// 25 ms backoff, which must cost the wanderer one step, not the rest of
+	// a microsecond-per-step run.
+	delays := []straggler.Model{straggler.Constant{D: 30 * time.Millisecond}, nil, nil, nil}
 	master, res, err := runFaultyCluster(t, st, faultyOpts{
-		w: 4, maxSteps: 12, faults: faults, reconnect: 10 * time.Second,
+		w: 4, maxSteps: 12, faults: faults, delays: delays, reconnect: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("master: %v", err)

@@ -14,7 +14,6 @@ import (
 	"isgc/internal/dataset"
 	"isgc/internal/engine"
 	"isgc/internal/events"
-	"isgc/internal/linalg"
 	"isgc/internal/model"
 	"isgc/internal/trace"
 )
@@ -98,19 +97,20 @@ type MasterConfig struct {
 	// single binaryv1 stream. Workers that never propose sharding are
 	// untouched either way — the default path stays bit-identical.
 	GatherShards int
-	// Pipeline enables the overlapped step loop: step t+1's broadcast
-	// goes out the moment step t's update lands, and step t's loss
-	// evaluation + record finalization run under step t+1's compute
-	// window. With Staleness == 0 the records and final parameters are
-	// bit-identical to the synchronous loop — only wall clock moves.
-	// Mutually exclusive with Deadline.
+	// Pipeline defers each step's finalize: step t+1's broadcast goes out
+	// the moment step t's update lands, and step t's loss evaluation,
+	// record and periodic checkpoint run under step t+1's compute window.
+	// With Staleness == 0 the records and final parameters are
+	// bit-identical to the inline schedule — only wall clock moves.
+	// Orthogonal to the gather policy (W or Deadline).
 	Pipeline bool
 	// Staleness, when positive, is the bounded-staleness window k: the
 	// gather target drops to max(1, waitFor−k) and a decoded step stays
 	// correctable for k more steps — a straggler gradient arriving while
 	// a later step gathers folds into the parameters as the exact
 	// correction that retroactively includes it in its own step's
-	// normalized update. Implies Pipeline; requires a flexible scheme.
+	// normalized update. Implies Pipeline; requires a flexible scheme and
+	// excludes Deadline.
 	Staleness int
 	// Metrics, when non-nil, receives live instrumentation (gather
 	// latency, recovered fraction, liveness, evictions); serve it via the
@@ -352,17 +352,11 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.GatherShards < 0 || cfg.GatherShards > maxGatherShards {
 		return nil, fmt.Errorf("cluster: need 0 ≤ GatherShards ≤ %d, got %d", maxGatherShards, cfg.GatherShards)
 	}
-	if cfg.Staleness < 0 {
-		return nil, fmt.Errorf("cluster: need Staleness ≥ 0, got %d", cfg.Staleness)
+	if err := engine.CheckStaleness(cfg.Strategy, cfg.Staleness, true, cfg.Deadline); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if cfg.Staleness > 0 {
 		cfg.Pipeline = true
-		if cfg.Strategy.WaitFor(1) == cfg.Strategy.WaitFor(cfg.Strategy.N()) {
-			return nil, fmt.Errorf("cluster: Staleness requires a flexible scheme; %s is rigid", cfg.Strategy.Name())
-		}
-	}
-	if cfg.Pipeline && cfg.Deadline > 0 {
-		return nil, fmt.Errorf("cluster: Pipeline and Deadline are mutually exclusive")
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -526,7 +520,7 @@ func (m *Master) Run() (*engine.Result, error) {
 	var res *engine.Result
 	err := m.awaitFleet(n)
 	if err == nil {
-		res, err = m.trainLoop()
+		res, err = m.run()
 	}
 	interrupted := res != nil && res.Interrupted
 	switch {
@@ -748,7 +742,7 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 // readFrom pumps one worker connection: heartbeats refresh lastSeen,
 // gradients are forwarded to the gather loop, and connection loss marks the
 // worker dead and wakes the gather loop — the "reader-exit notification"
-// that keeps trainLoop from blocking forever on a dead fleet.
+// that keeps the step loop from blocking forever on a dead fleet.
 func (m *Master) readFrom(id, gen int, c *conn, readers *sync.WaitGroup) {
 	defer readers.Done()
 	for {
@@ -982,164 +976,204 @@ func (m *Master) achievable(avail *bitset.Set) int {
 	return count
 }
 
-// trainState carries the setup shared by the synchronous and pipelined
-// step loops: scheme geometry, the (possibly restored) parameter vector,
-// the loss-evaluation pool, and the step to start from.
-type trainState struct {
-	st          engine.Strategy
-	n           int
-	waitFor     int
-	flexible    bool
-	useDeadline bool
-	params      []float64
-	dim         int
-	all         []dataset.Sample
-	pool        *model.ParallelGrad
-	startStep   int
+// stepSpans is a step whose update has landed and whose finalize — loss
+// evaluation, record, periodic checkpoint — is still owed: the record so
+// far plus the wall-clock marks its Timeline spans need.
+type stepSpans struct {
+	rec                                         trace.StepRecord
+	bcastStart, stepStart, gatherEnd, decodeEnd time.Time
+	// updateEnd is set when the finalize is deferred (Pipeline); zero means
+	// it runs inline and the update span covers the loss evaluation.
+	updateEnd time.Time
 }
 
-func (m *Master) trainLoop() (*engine.Result, error) {
-	res := &engine.Result{}
-	ts, finished, err := m.setupTrain(res)
-	if err != nil || finished {
-		return res, err
+// resume moves core off a cold start when the config asks for it: onto the
+// in-memory state of a live re-placement handoff, or onto the newest
+// durable checkpoint.
+func (m *Master) resume(core *engine.StepCore) error {
+	if w := m.cfg.Warm; w != nil {
+		// Checkpoint-equivalent — same params, same next step — just
+		// without the disk round trip.
+		if len(w.Params) != len(core.Params()) {
+			return fmt.Errorf("cluster: warm params dim %d, model dim %d", len(w.Params), len(core.Params()))
+		}
+		core.Resume(append([]float64(nil), w.Params...), w.StartStep)
+		m.cfg.Events.Info("master.warm_resumed", "resumed from in-memory handoff state", w.StartStep,
+			events.NoWorker, events.Fields{"generation": w.Generation})
+	}
+	cst, info, err := core.Restore()
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	if cst != nil {
+		m.mu.Lock()
+		m.generation = cst.Generation + 1
+		if cst.RunID != "" {
+			m.runID = cst.RunID
+		}
+		gen := m.generation
+		m.mu.Unlock()
+		m.lastCkptStep.Store(int64(cst.Step))
+		m.lastCkptUnixNano.Store(cst.SavedAtUnixNano)
+		m.cfg.Events.Info("master.checkpoint_restored", "resumed from durable checkpoint", cst.Step,
+			events.NoWorker, events.Fields{"file": info.File, "generation": gen, "completed": cst.Completed})
+	}
+	return nil
+}
+
+// run is the step loop: broadcast → gather → decode → update → finalize,
+// with every decision about the update, the staleness window, the record
+// and the checkpoint cadence made by the engine's step core. Two policies
+// shape it and nothing else does. The gather is fastest-w or, for a
+// flexible scheme under Deadline, the deadline policy. Finalize (loss
+// evaluation, record, periodic checkpoint) runs inline, or with Pipeline
+// is deferred until the next step's broadcast is out, under the fleet's
+// compute window — the loss is evaluated on the same parameter bits either
+// way (a broadcast writes nothing), so records and parameters do not move.
+// Staleness k lowers the gather target to max(1, waitFor−k) and lets the
+// core fold a late upload for any of the k newest decoded steps.
+func (m *Master) run() (*engine.Result, error) {
+	st := m.cfg.Strategy
+	n := st.N()
+	core := engine.NewStepCore(&engine.Config{
+		Strategy: st, LearningRate: m.cfg.LearningRate, W: m.cfg.W, Staleness: m.cfg.Staleness,
+		MaxSteps: m.cfg.MaxSteps, LossThreshold: m.cfg.LossThreshold, Seed: m.cfg.Seed, Events: m.cfg.Events,
+		Checkpoint: m.cfg.Checkpoint, CheckpointEvery: m.cfg.CheckpointEvery, Restore: m.cfg.Restore,
+	}, m.cfg.Model.InitParams(m.cfg.Seed))
+	if err := m.resume(core); err != nil || core.Completed() {
+		return core.Result(), err
+	}
+	params := core.Params()
+	dim := len(params)
+	all := make([]dataset.Sample, m.cfg.Data.Len())
+	for i := range all {
+		all[i] = m.cfg.Data.At(i)
 	}
 	// The per-step full-dataset loss is the master's only heavy compute;
 	// shard it across a long-lived pool.
-	ts.pool = model.NewParallelGrad(m.cfg.ComputePar)
-	defer ts.pool.Close()
-	m.cfg.Metrics.setComputeShards(ts.pool.Par())
-	if m.cfg.Pipeline {
-		return m.runPipelined(ts, res)
-	}
-	return m.runSync(ts, res)
-}
+	pool := model.NewParallelGrad(m.cfg.ComputePar)
+	defer pool.Close()
+	m.cfg.Metrics.setComputeShards(pool.Par())
 
-// setupTrain resolves the scheme geometry and the starting parameters —
-// cold start, warm handoff, or durable-checkpoint restore. finished is
-// true when a completed checkpoint already answers the run (res is then
-// fully populated).
-func (m *Master) setupTrain(res *engine.Result) (*trainState, bool, error) {
-	st := m.cfg.Strategy
-	n := st.N()
-	ts := &trainState{st: st, n: n, waitFor: st.WaitFor(m.cfg.W)}
 	// Deadline mode and graceful degradation apply only to flexible
 	// schemes: a rigid scheme reports the same WaitFor for every target
 	// and cannot decode a smaller subset.
-	ts.flexible = st.WaitFor(1) != st.WaitFor(n)
-	ts.useDeadline = m.cfg.Deadline > 0 && ts.flexible
-	ts.params = m.cfg.Model.InitParams(m.cfg.Seed)
-	ts.dim = len(ts.params)
-	ts.all = make([]dataset.Sample, m.cfg.Data.Len())
-	for i := range ts.all {
-		ts.all[i] = m.cfg.Data.At(i)
-	}
-
-	if m.cfg.Warm != nil {
-		// Live re-placement handoff: resume from the in-memory state the
-		// previous master generation quiesced on. Checkpoint-equivalent —
-		// same params, same next step — just without the disk round trip.
-		if len(m.cfg.Warm.Params) != ts.dim {
-			return ts, false, fmt.Errorf("cluster: warm params dim %d, model dim %d", len(m.cfg.Warm.Params), ts.dim)
-		}
-		ts.params = append([]float64(nil), m.cfg.Warm.Params...)
-		ts.startStep = m.cfg.Warm.StartStep
-		m.cfg.Events.Info("master.warm_resumed", "resumed from in-memory handoff state", ts.startStep,
-			events.NoWorker, events.Fields{"generation": m.cfg.Warm.Generation})
-	}
-	if m.cfg.Restore && m.cfg.Checkpoint != nil {
-		var cst checkpoint.State
-		info, err := m.cfg.Checkpoint.Latest(&cst)
-		switch {
-		case errors.Is(err, checkpoint.ErrNoCheckpoint):
-			// Fresh directory: cold start.
-		case err != nil:
-			return ts, false, fmt.Errorf("cluster: restore: %w", err)
-		default:
-			if cst.Scheme != st.Name() || cst.N != n || cst.Seed != m.cfg.Seed {
-				return ts, false, fmt.Errorf("cluster: checkpoint %s is for scheme=%q n=%d seed=%d, config says scheme=%q n=%d seed=%d",
-					info.File, cst.Scheme, cst.N, cst.Seed, st.Name(), n, m.cfg.Seed)
-			}
-			ts.params = checkpoint.BytesToFloat64s(cst.Params)
-			ts.startStep = cst.Step
-			if rs, ok := st.(engine.RandStateful); ok {
-				rs.RestoreRandState(cst.DecoderSeed, cst.DecoderDraws)
-			}
-			m.mu.Lock()
-			m.generation = cst.Generation + 1
-			if cst.RunID != "" {
-				m.runID = cst.RunID
-			}
-			gen := m.generation
-			m.mu.Unlock()
-			m.lastCkptStep.Store(int64(cst.Step))
-			m.lastCkptUnixNano.Store(cst.SavedAtUnixNano)
-			m.cfg.Events.Info("master.checkpoint_restored", "resumed from durable checkpoint", cst.Step,
-				events.NoWorker, events.Fields{"file": info.File, "generation": gen, "completed": cst.Completed})
-			if cst.Completed {
-				res.Params = ts.params
-				res.Converged = cst.Step < m.cfg.MaxSteps
-				if res.Converged {
-					res.StepsToThreshold = cst.Step
-				} else {
-					res.StepsToThreshold = m.cfg.MaxSteps
-				}
-				return ts, true, nil
-			}
+	flexible := st.WaitFor(1) != st.WaitFor(n)
+	useDeadline := m.cfg.Deadline > 0 && flexible
+	target := st.WaitFor(m.cfg.W)
+	if m.cfg.Staleness > 0 {
+		if target -= m.cfg.Staleness; target < 1 {
+			target = 1
 		}
 	}
-	return ts, false, nil
-}
 
-// runSync is the classic strictly phase-serialized step loop: broadcast,
-// gather, decode, update, loss, record — nothing overlaps. This is the
-// default path and every step of it is pinned bit-identical by the
-// equivalence suites.
-func (m *Master) runSync(ts *trainState, res *engine.Result) (*engine.Result, error) {
-	st, n := ts.st, ts.n
-	waitFor, flexible, useDeadline := ts.waitFor, ts.flexible, ts.useDeadline
-	params, dim, all, pool := ts.params, ts.dim, ts.all, ts.pool
-	startStep := ts.startStep
-	saveCheckpoint := func(nextStep, records int, completed bool) {
-		m.writeCheckpoint(params, nextStep, records, completed)
+	finalize := func(d stepSpans) (converged bool) {
+		loss := pool.Loss(params, m.cfg.Model, all)
+		lossEnd := time.Now()
+		rec := d.rec
+		if m.cfg.Timeline != nil {
+			updateEnd := d.updateEnd
+			if updateEnd.IsZero() {
+				updateEnd = lossEnd
+			}
+			stepArgs := map[string]any{"gathered": rec.Available, "recovered": len(rec.Partitions), "degraded": rec.Degraded}
+			if rec.Folded > 0 {
+				stepArgs["folded"] = rec.Folded
+			}
+			m.cfg.Timeline.Add(events.Span{Name: fmt.Sprintf("step %d", rec.Step), Cat: "step",
+				Start: d.bcastStart, Dur: updateEnd.Sub(d.bcastStart), Args: stepArgs})
+			m.cfg.Timeline.Add(events.Span{Name: "broadcast", Cat: "phase",
+				Start: d.bcastStart, Dur: d.stepStart.Sub(d.bcastStart)})
+			m.cfg.Timeline.Add(events.Span{Name: "gather", Cat: "phase",
+				Start: d.stepStart, Dur: rec.Elapsed})
+			m.cfg.Timeline.Add(events.Span{Name: "decode", Cat: "phase",
+				Start: d.gatherEnd, Dur: d.decodeEnd.Sub(d.gatherEnd)})
+			m.cfg.Timeline.Add(events.Span{Name: "update", Cat: "phase",
+				Start: d.decodeEnd, Dur: updateEnd.Sub(d.decodeEnd)})
+			if !d.updateEnd.IsZero() {
+				// The deferred loss overlaps the next step's broadcast and the
+				// fleet's compute — the pipelining win, visible as a phase span
+				// that outlives its own step span.
+				m.cfg.Timeline.Add(events.Span{Name: "loss", Cat: "phase",
+					Start: updateEnd, Dur: lossEnd.Sub(updateEnd), Args: map[string]any{"step": rec.Step}})
+			}
+		}
+		m.cfg.Events.Debug("master.step_completed", "step finished", rec.Step, events.NoWorker,
+			events.Fields{"gathered": rec.Available, "recovered": len(rec.Partitions),
+				"degraded": rec.Degraded, "loss": loss, "elapsed": rec.Elapsed.String()})
+		rec.Loss = loss
+		converged, checkpointDue := core.Finish(rec)
+		if checkpointDue {
+			m.writeCheckpoint(core, rec.Step+1, false)
+		}
+		return converged
 	}
-
-	interrupted := func(step, records int) {
+	// interrupted ends a stopped run before step: the parameters are the
+	// post-step-(step−1) state plus any landed folds, so the checkpoint
+	// resumes at step — unless the periodic checkpoint of this very
+	// boundary already holds it.
+	interrupted := func(step int) (*engine.Result, error) {
+		res := core.Result()
 		res.Interrupted = true
-		if m.cfg.Checkpoint != nil {
-			saveCheckpoint(step, records, false)
+		if m.cfg.Checkpoint != nil && m.lastCkptStep.Load() != int64(step) {
+			m.writeCheckpoint(core, step, false)
 		}
+		return res, nil
 	}
-	for step := startStep; step < m.cfg.MaxSteps; step++ {
+
+	// With Pipeline the previous step is owed its finalize until this step's
+	// broadcast is out; settle pays it and reports convergence.
+	var owed stepSpans
+	var isOwed bool
+	settle := func() bool {
+		due := isOwed
+		isOwed = false
+		return due && finalize(owed)
+	}
+steps:
+	for step := core.StartStep(); step < m.cfg.MaxSteps; step++ {
 		select {
 		case <-m.stop:
-			// Stop before broadcasting a new step: params are exactly the
-			// post-step-(step-1) state, so the checkpoint resumes at step.
-			interrupted(step, res.Run.Steps())
-			res.Params = params
-			return res, nil
+			if settle() {
+				// The deferred record converged: the run finished on its own
+				// before the stop could take effect.
+				break steps
+			}
+			return interrupted(step)
 		default:
 		}
 		m.mu.Lock()
 		m.running = true
 		m.curStep = step
-		// Rejoin handshakes read curParams concurrently with the AXPY
-		// update below, so they get their own copy.
+		// Rejoin handshakes read curParams concurrently with the updates
+		// below, so they get their own copy.
 		m.curParams = append([]float64(nil), params...)
 		m.mu.Unlock()
 		bcastStart := time.Now()
 		m.broadcast(&Envelope{Kind: MsgStep, Step: step, Params: params})
 		stepStart := time.Now()
+		if settle() {
+			break
+		}
 
 		avail := bitset.New(n)
 		coded := make([][]float64, n)
 		accept := func(a arrival) {
 			if a.step != step || a.worker < 0 || a.worker >= n || avail.Contains(a.worker) {
-				// Stale or duplicate delivery: the work was done but the
-				// master cannot use it — the "ignored" column of the
-				// attribution report. A duplicate's arrival is measured
-				// against the current broadcast; a stale gradient has no
-				// valid baseline, so its latency stays unmeasured (zero).
+				if r, ok := core.Fold(a.step, a.worker, a.coded); ok {
+					m.accepted[a.worker].Add(1)
+					m.cfg.Metrics.markAccepted(a.worker)
+					m.cfg.Metrics.markFolded()
+					m.attribution.ObserveAccepted(trace.ArrivalSample{Worker: a.worker, Step: a.step, Compute: a.computeDur})
+					m.cfg.Events.Debug("master.gradient_folded", "late gradient folded into parameters",
+						a.step, a.worker, events.Fields{"partitions": len(st.Partitions(a.worker)), "normalizer": r})
+					return
+				}
+				// Stale or duplicate delivery outside the fold window: the
+				// work was done but the master cannot use it — the "ignored"
+				// column of the attribution report. A duplicate's arrival is
+				// measured against the current broadcast; a stale gradient
+				// has no valid baseline, so its latency stays unmeasured.
 				if a.worker >= 0 && a.worker < n {
 					s := trace.ArrivalSample{Worker: a.worker, Step: step, Compute: a.computeDur}
 					if a.step == step {
@@ -1180,345 +1214,19 @@ func (m *Master) runSync(ts *trainState, res *engine.Result) (*engine.Result, er
 		}
 
 		var degraded bool
-		var gatherErr error
+		var err error
 		if useDeadline {
-			gatherErr = m.gatherDeadline(step, n, avail, accept)
+			err = m.gatherDeadline(step, n, stepStart.Add(m.cfg.Deadline), avail, accept)
 		} else {
-			degraded, gatherErr = m.gatherFastest(step, n, waitFor, flexible, avail, accept)
+			degraded, err = m.gatherFastest(step, n, target, flexible, avail, accept)
 		}
-		if errors.Is(gatherErr, errInterrupted) {
-			// Stopped mid-gather: params are still the pre-update state of
-			// this step, so the checkpoint replays step in the next life.
-			interrupted(step, res.Run.Steps())
-			res.Params = params
-			return res, nil
+		if errors.Is(err, errInterrupted) {
+			// Stopped mid-gather: the parameters are still this step's
+			// pre-update state, so the next life replays step.
+			return interrupted(step)
 		}
-		if gatherErr != nil {
-			return res, gatherErr
-		}
-		gatherEnd := time.Now()
-		elapsed := gatherEnd.Sub(stepStart)
-		if degraded {
-			m.mu.Lock()
-			m.degraded++
-			m.mu.Unlock()
-			m.cfg.Events.Warn("master.step_degraded", "gather target shrank below configured wait",
-				step, events.NoWorker, events.Fields{"gathered": avail.Len(), "configured": waitFor})
-		}
-
-		ghat, recParts, err := st.Recover(avail, coded)
 		if err != nil {
-			return res, fmt.Errorf("cluster: step %d: %w", step, err)
-		}
-		decodeEnd := time.Now()
-		recovered := len(recParts)
-		m.cfg.Metrics.observeStep(elapsed, float64(recovered)/float64(n), degraded)
-		if recovered > 0 {
-			linalg.AXPY(params, -m.cfg.LearningRate/float64(recovered), ghat)
-		}
-		loss := pool.Loss(params, m.cfg.Model, all)
-		updateEnd := time.Now()
-		if m.cfg.Timeline != nil {
-			stepArgs := map[string]any{"gathered": avail.Len(), "recovered": recovered, "degraded": degraded}
-			m.cfg.Timeline.Add(events.Span{Name: fmt.Sprintf("step %d", step), Cat: "step",
-				Start: bcastStart, Dur: updateEnd.Sub(bcastStart), Args: stepArgs})
-			m.cfg.Timeline.Add(events.Span{Name: "broadcast", Cat: "phase",
-				Start: bcastStart, Dur: stepStart.Sub(bcastStart)})
-			m.cfg.Timeline.Add(events.Span{Name: "gather", Cat: "phase",
-				Start: stepStart, Dur: elapsed})
-			m.cfg.Timeline.Add(events.Span{Name: "decode", Cat: "phase",
-				Start: gatherEnd, Dur: decodeEnd.Sub(gatherEnd)})
-			m.cfg.Timeline.Add(events.Span{Name: "update", Cat: "phase",
-				Start: decodeEnd, Dur: updateEnd.Sub(decodeEnd)})
-		}
-		m.cfg.Events.Debug("master.step_completed", "step finished", step, events.NoWorker,
-			events.Fields{"gathered": avail.Len(), "recovered": recovered,
-				"degraded": degraded, "loss": loss, "elapsed": elapsed.String()})
-		res.Run.Append(trace.StepRecord{
-			Step:              step,
-			Available:         avail.Len(),
-			Chosen:            recovered / st.C(),
-			RecoveredFraction: float64(recovered) / float64(n),
-			Partitions:        recParts,
-			Alive:             m.countAlive(),
-			Degraded:          degraded,
-			Loss:              loss,
-			Elapsed:           elapsed,
-		})
-		if m.cfg.LossThreshold > 0 && loss <= m.cfg.LossThreshold {
-			res.Converged = true
-			res.StepsToThreshold = step + 1
-			break
-		}
-		if m.cfg.Checkpoint != nil && (step+1)%m.cfg.CheckpointEvery == 0 && step+1 < m.cfg.MaxSteps {
-			saveCheckpoint(step+1, res.Run.Steps(), false)
-		}
-	}
-	if !res.Converged {
-		res.StepsToThreshold = m.cfg.MaxSteps
-	}
-	res.Params = params
-	if m.cfg.Checkpoint != nil {
-		saveCheckpoint(startStep+res.Run.Steps(), res.Run.Steps(), true)
-	}
-	return res, nil
-}
-
-// runPipelined is the overlapped step loop: step t+1's broadcast goes out
-// the moment step t's update lands, and step t's loss evaluation + record
-// finalization run while the fleet is already computing t+1. With
-// Staleness == 0 the schedule is the only thing that changes — the gather
-// target, every record, and the final parameters are bit-identical to
-// runSync, because the deferred loss is evaluated on the same parameter
-// bits (a broadcast writes nothing). With Staleness = k > 0 the gather
-// target drops to max(1, waitFor−k) and each decoded step stays pending
-// for k steps: a straggler gradient arriving while a later step gathers
-// folds into the current parameters as the exact correction that
-// retroactively includes it in its own step's normalized update.
-func (m *Master) runPipelined(ts *trainState, res *engine.Result) (*engine.Result, error) {
-	st, n := ts.st, ts.n
-	params, dim, all, pool := ts.params, ts.dim, ts.all, ts.pool
-	startStep := ts.startStep
-	target := ts.waitFor
-	if m.cfg.Staleness > 0 {
-		if target -= m.cfg.Staleness; target < 1 {
-			target = 1
-		}
-	}
-	saveCheckpoint := func(nextStep, records int, completed bool) {
-		m.writeCheckpoint(params, nextStep, records, completed)
-	}
-	interrupted := func(step, records int) {
-		res.Interrupted = true
-		if m.cfg.Checkpoint != nil {
-			saveCheckpoint(step, records, false)
-		}
-	}
-
-	// pendingStep is a decoded-but-still-correctable step: its owned
-	// gradient sum, normalizer, and covered partitions stick around for
-	// Staleness more steps so late stragglers can fold in.
-	type pendingStep struct {
-		step  int
-		avail *bitset.Set // workers already counted
-		mask  *bitset.Set // partitions already counted
-		g     []float64   // owned decoded sum over mask
-		r     int         // partitions in g (the update's normalizer)
-	}
-	var pending []*pendingStep
-	folded := 0 // folds landed during the current gather
-
-	// tryFold retroactively includes a straggler's gradient in its own
-	// step's update. The parameters already carry −lr·G/r for that step;
-	// folding the late sum g (c fresh partitions) means applying the
-	// difference −lr·((G+g)/(r+c) − G/r) now — exact, because SGD updates
-	// compose additively on the parameter vector.
-	tryFold := func(a arrival) bool {
-		if m.cfg.Staleness == 0 || a.worker < 0 || a.worker >= n || len(a.coded) != dim {
-			return false
-		}
-		var p *pendingStep
-		for _, q := range pending {
-			if q.step == a.step {
-				p = q
-				break
-			}
-		}
-		if p == nil || p.avail.Contains(a.worker) {
-			return false
-		}
-		parts := st.Partitions(a.worker)
-		for _, pt := range parts {
-			if p.mask.Contains(pt) {
-				return false // overlaps the counted set: cannot fold exactly
-			}
-		}
-		rOld, rNew := float64(p.r), float64(p.r+len(parts))
-		lr := m.cfg.LearningRate
-		for i, g := range a.coded {
-			ng := p.g[i] + g
-			old := 0.0
-			if p.r > 0 {
-				old = p.g[i] / rOld
-			}
-			params[i] -= lr * (ng/rNew - old)
-			p.g[i] = ng
-		}
-		p.r += len(parts)
-		p.avail.Add(a.worker)
-		for _, pt := range parts {
-			p.mask.Add(pt)
-		}
-		folded++
-		m.accepted[a.worker].Add(1)
-		m.cfg.Metrics.markAccepted(a.worker)
-		m.cfg.Metrics.markFolded()
-		m.attribution.ObserveAccepted(trace.ArrivalSample{Worker: a.worker, Step: a.step, Compute: a.computeDur})
-		m.cfg.Events.Debug("master.gradient_folded", "late gradient folded into parameters",
-			a.step, a.worker, events.Fields{"partitions": len(parts), "normalizer": p.r})
-		return true
-	}
-
-	// deferredStep is a completed step whose loss evaluation and record
-	// append are finalized one iteration later, under the next step's
-	// compute window.
-	type deferredStep struct {
-		step, avail, recovered, aliveAt, folded     int
-		recParts                                    []int
-		degraded                                    bool
-		elapsed                                     time.Duration
-		bcastStart, stepStart, gatherEnd, decodeEnd time.Time
-		updateEnd                                   time.Time
-	}
-	var prev *deferredStep
-	// finalize evaluates the deferred step's loss on the current
-	// parameters — identical bits to evaluating before the next broadcast
-	// — appends its record, and handles convergence and periodic
-	// checkpoints. Returns true when the run converged.
-	finalize := func(d *deferredStep) bool {
-		loss := pool.Loss(params, m.cfg.Model, all)
-		lossEnd := time.Now()
-		if m.cfg.Timeline != nil {
-			stepArgs := map[string]any{"gathered": d.avail, "recovered": d.recovered, "degraded": d.degraded}
-			if d.folded > 0 {
-				stepArgs["folded"] = d.folded
-			}
-			m.cfg.Timeline.Add(events.Span{Name: fmt.Sprintf("step %d", d.step), Cat: "step",
-				Start: d.bcastStart, Dur: d.updateEnd.Sub(d.bcastStart), Args: stepArgs})
-			m.cfg.Timeline.Add(events.Span{Name: "broadcast", Cat: "phase",
-				Start: d.bcastStart, Dur: d.stepStart.Sub(d.bcastStart)})
-			m.cfg.Timeline.Add(events.Span{Name: "gather", Cat: "phase",
-				Start: d.stepStart, Dur: d.elapsed})
-			m.cfg.Timeline.Add(events.Span{Name: "decode", Cat: "phase",
-				Start: d.gatherEnd, Dur: d.decodeEnd.Sub(d.gatherEnd)})
-			m.cfg.Timeline.Add(events.Span{Name: "update", Cat: "phase",
-				Start: d.decodeEnd, Dur: d.updateEnd.Sub(d.decodeEnd)})
-			// The deferred loss overlaps the next step's broadcast and the
-			// fleet's compute — the pipelining win, visible as a phase span
-			// that outlives its own step span.
-			m.cfg.Timeline.Add(events.Span{Name: "loss", Cat: "phase",
-				Start: d.updateEnd, Dur: lossEnd.Sub(d.updateEnd), Args: map[string]any{"step": d.step}})
-		}
-		m.cfg.Events.Debug("master.step_completed", "step finished", d.step, events.NoWorker,
-			events.Fields{"gathered": d.avail, "recovered": d.recovered,
-				"degraded": d.degraded, "loss": loss, "elapsed": d.elapsed.String()})
-		res.Run.Append(trace.StepRecord{
-			Step:              d.step,
-			Available:         d.avail,
-			Chosen:            d.recovered / st.C(),
-			RecoveredFraction: float64(d.recovered) / float64(n),
-			Partitions:        d.recParts,
-			Alive:             d.aliveAt,
-			Degraded:          d.degraded,
-			Folded:            d.folded,
-			Loss:              loss,
-			Elapsed:           d.elapsed,
-		})
-		if m.cfg.LossThreshold > 0 && loss <= m.cfg.LossThreshold {
-			res.Converged = true
-			res.StepsToThreshold = d.step + 1
-			return true
-		}
-		if m.cfg.Checkpoint != nil && (d.step+1)%m.cfg.CheckpointEvery == 0 && d.step+1 < m.cfg.MaxSteps {
-			saveCheckpoint(d.step+1, res.Run.Steps(), false)
-		}
-		return false
-	}
-
-	for step := startStep; step < m.cfg.MaxSteps; step++ {
-		select {
-		case <-m.stop:
-			if prev != nil && finalize(prev) {
-				// The deferred record converged: the run finished on its own
-				// before the stop could take effect.
-				res.Params = params
-				if m.cfg.Checkpoint != nil {
-					saveCheckpoint(startStep+res.Run.Steps(), res.Run.Steps(), true)
-				}
-				return res, nil
-			}
-			// Params are exactly the post-step-(step−1) state (plus any
-			// landed folds), so the checkpoint resumes at step.
-			interrupted(step, res.Run.Steps())
-			res.Params = params
-			return res, nil
-		default:
-		}
-		m.mu.Lock()
-		m.running = true
-		m.curStep = step
-		// Rejoin handshakes read curParams concurrently with the updates
-		// below, so they get their own copy.
-		m.curParams = append([]float64(nil), params...)
-		m.mu.Unlock()
-		bcastStart := time.Now()
-		m.broadcast(&Envelope{Kind: MsgStep, Step: step, Params: params})
-		stepStart := time.Now()
-
-		// The fleet is computing step now; finalize the previous step's
-		// loss and record under that window.
-		if prev != nil {
-			done := finalize(prev)
-			prev = nil
-			if done {
-				break
-			}
-		}
-
-		avail := bitset.New(n)
-		coded := make([][]float64, n)
-		folded = 0
-		accept := func(a arrival) {
-			if a.step != step || a.worker < 0 || a.worker >= n || avail.Contains(a.worker) {
-				if tryFold(a) {
-					return
-				}
-				// Stale or duplicate delivery outside the fold window: the
-				// "ignored" column of the attribution report, exactly as in
-				// the synchronous loop.
-				if a.worker >= 0 && a.worker < n {
-					s := trace.ArrivalSample{Worker: a.worker, Step: step, Compute: a.computeDur}
-					if a.step == step {
-						s.Arrival = a.recvAt.Sub(stepStart)
-					}
-					m.attribution.ObserveIgnored(s)
-				}
-				return
-			}
-			if len(a.coded) != dim {
-				m.malformed.Add(1)
-				m.cfg.Metrics.markMalformed()
-				m.cfg.Events.Warn("master.malformed_gradient", "gradient rejected before decode",
-					step, a.worker, events.Fields{"got_dim": len(a.coded), "want_dim": dim})
-				return
-			}
-			avail.Add(a.worker)
-			coded[a.worker] = a.coded
-			m.accepted[a.worker].Add(1)
-			m.cfg.Metrics.markAccepted(a.worker)
-			m.attribution.ObserveAccepted(trace.ArrivalSample{
-				Worker: a.worker, Step: step,
-				Compute: a.computeDur, Arrival: a.recvAt.Sub(stepStart),
-			})
-			if a.computeDur > 0 && !a.computeStart.IsZero() {
-				m.cfg.Timeline.Add(events.Span{
-					Name: "compute", Cat: "compute", TID: a.worker + 1,
-					Start: a.computeStart, Dur: a.computeDur,
-					Args: map[string]any{"step": step},
-				})
-			}
-		}
-
-		degraded, gatherErr := m.gatherFastest(step, n, target, ts.flexible, avail, accept)
-		if errors.Is(gatherErr, errInterrupted) {
-			// Stopped mid-gather: params are still this step's pre-update
-			// state, so the checkpoint replays step in the next life.
-			interrupted(step, res.Run.Steps())
-			res.Params = params
-			return res, nil
-		}
-		if gatherErr != nil {
-			return res, gatherErr
+			return core.Result(), err
 		}
 		gatherEnd := time.Now()
 		elapsed := gatherEnd.Sub(stepStart)
@@ -1530,84 +1238,40 @@ func (m *Master) runPipelined(ts *trainState, res *engine.Result) (*engine.Resul
 				step, events.NoWorker, events.Fields{"gathered": avail.Len(), "configured": target})
 		}
 
-		ghat, recParts, err := st.Recover(avail, coded)
+		dec, err := core.Decode(step, avail, coded)
 		if err != nil {
-			return res, fmt.Errorf("cluster: step %d: %w", step, err)
+			return core.Result(), fmt.Errorf("cluster: %w", err)
 		}
 		decodeEnd := time.Now()
-		recovered := len(recParts)
-		m.cfg.Metrics.observeStep(elapsed, float64(recovered)/float64(n), degraded)
-		if recovered > 0 {
-			linalg.AXPY(params, -m.cfg.LearningRate/float64(recovered), ghat)
+		m.cfg.Metrics.observeStep(elapsed, float64(len(dec.Parts))/float64(n), degraded)
+		rec, err := core.Update(dec)
+		if err != nil {
+			return core.Result(), fmt.Errorf("cluster: %w", err)
 		}
-		updateEnd := time.Now()
-		prev = &deferredStep{step: step, avail: avail.Len(), recovered: recovered,
-			aliveAt: m.countAlive(), folded: folded, recParts: recParts, degraded: degraded,
-			elapsed: elapsed, bcastStart: bcastStart, stepStart: stepStart,
-			gatherEnd: gatherEnd, decodeEnd: decodeEnd, updateEnd: updateEnd}
-
-		if m.cfg.Staleness > 0 {
-			g := ghat
-			if g == nil {
-				g = make([]float64, dim)
-			}
-			mask := bitset.New(n)
-			for _, pt := range recParts {
-				mask.Add(pt)
-			}
-			pending = append(pending, &pendingStep{step: step, avail: avail, mask: mask, g: g, r: recovered})
-			// A gradient for step s can fold while steps s+1..s+k gather;
-			// gathering step+1 next, keep entries with step s > step−k.
-			keep := pending[:0]
-			for _, p := range pending {
-				if p.step > step-m.cfg.Staleness {
-					keep = append(keep, p)
-				}
-			}
-			pending = keep
+		rec.Alive, rec.Degraded, rec.Elapsed = m.countAlive(), degraded, elapsed
+		d := stepSpans{rec: rec, bcastStart: bcastStart, stepStart: stepStart, gatherEnd: gatherEnd, decodeEnd: decodeEnd}
+		if m.cfg.Pipeline {
+			d.updateEnd = time.Now()
+			owed, isOwed = d, true
+		} else if finalize(d) {
+			break
 		}
 	}
-	if prev != nil {
-		finalize(prev)
-	}
-	if !res.Converged {
-		res.StepsToThreshold = m.cfg.MaxSteps
-	}
-	res.Params = params
+	settle()
 	if m.cfg.Checkpoint != nil {
-		saveCheckpoint(startStep+res.Run.Steps(), res.Run.Steps(), true)
+		m.writeCheckpoint(core, core.NextStep(), true)
 	}
-	return res, nil
+	return core.Result(), nil
 }
 
 // writeCheckpoint persists one durable snapshot. Failures are counted and
 // logged but do not stop training — losing durability is better than
 // losing the run.
-func (m *Master) writeCheckpoint(params []float64, nextStep, records int, completed bool) {
-	st := m.cfg.Strategy
+func (m *Master) writeCheckpoint(core *engine.StepCore, nextStep int, completed bool) {
+	cst := core.Snapshot(nextStep, completed, time.Now())
 	m.mu.Lock()
-	gen := m.generation
-	runID := m.runID
+	cst.RunID, cst.Generation = m.runID, m.generation
 	m.mu.Unlock()
-	cst := checkpoint.State{
-		Version:         checkpoint.Version,
-		RunID:           runID,
-		Generation:      gen,
-		Scheme:          st.Name(),
-		N:               st.N(),
-		C:               st.C(),
-		Seed:            m.cfg.Seed,
-		W:               m.cfg.W,
-		Step:            nextStep,
-		Params:          checkpoint.Float64sToBytes(params),
-		EventCursor:     m.cfg.Events.Total(),
-		RecordCursor:    records,
-		Completed:       completed,
-		SavedAtUnixNano: time.Now().UnixNano(),
-	}
-	if rs, ok := st.(engine.RandStateful); ok {
-		cst.DecoderSeed, cst.DecoderDraws = rs.RandState()
-	}
 	info, err := m.cfg.Checkpoint.Save(nextStep, &cst)
 	if err != nil {
 		m.cfg.Metrics.markCheckpointError()
@@ -1674,8 +1338,8 @@ func (m *Master) gatherFastest(step, n, waitFor int, flexible bool, avail *bitse
 // awareness: accept everything until the deadline, stop early when no more
 // gradients can arrive, and — when nobody beat the deadline — block for
 // the first arrival only while someone is alive to produce it.
-func (m *Master) gatherDeadline(step, n int, avail *bitset.Set, accept func(arrival)) error {
-	timer := time.NewTimer(m.cfg.Deadline)
+func (m *Master) gatherDeadline(step, n int, deadline time.Time, avail *bitset.Set, accept func(arrival)) error {
+	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 gather:
 	for avail.Len() < n {

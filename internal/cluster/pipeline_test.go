@@ -118,10 +118,11 @@ func normalizeRun(res *engine.Result) {
 	}
 }
 
-// TestPipelinedEquivalentToSync is the tentpole's determinism pin: with
-// Staleness = 0 the pipelined loop changes only the send schedule — it must
-// produce the exact records and final parameters of the synchronous loop,
-// bit for bit.
+// TestPipelinedEquivalentToSync is the step loop's determinism pin: with
+// Staleness = 0, deferring finalize changes only the schedule — it must
+// produce the exact records and final parameters of the inline loop, bit
+// for bit. So must a deadline gather that every worker beats, at either
+// depth: gatherDeadline returns as soon as all n arrived.
 func TestPipelinedEquivalentToSync(t *testing.T) {
 	sync0, _ := runShapedCluster(t, nil, nil)
 	piped, _ := runShapedCluster(t, func(c *MasterConfig) { c.Pipeline = true }, nil)
@@ -141,6 +142,17 @@ func TestPipelinedEquivalentToSync(t *testing.T) {
 	}
 	if len(sync0.Params) == 0 || !reflect.DeepEqual(sync0.Params, piped.Params) {
 		t.Fatal("final parameters differ between sync and pipelined runs")
+	}
+	for _, pipeline := range []bool{false, true} {
+		pipeline := pipeline
+		dl, _ := runShapedCluster(t, func(c *MasterConfig) { c.Pipeline, c.Deadline = pipeline, time.Minute }, nil)
+		normalizeRun(dl)
+		if !reflect.DeepEqual(sync0.Run.Records, dl.Run.Records) {
+			t.Fatalf("deadline gather (pipeline=%v): records diverged from the fastest-w run", pipeline)
+		}
+		if !reflect.DeepEqual(sync0.Params, dl.Params) {
+			t.Fatalf("deadline gather (pipeline=%v): final parameters diverged from the fastest-w run", pipeline)
+		}
 	}
 }
 
@@ -353,7 +365,6 @@ func TestMasterConfigPipelineValidation(t *testing.T) {
 	}{
 		{"negative staleness", func(c *MasterConfig) { c.Staleness = -1 }},
 		{"staleness on rigid scheme", func(c *MasterConfig) { c.Strategy = st; c.Staleness = 1 }},
-		{"pipeline with deadline", func(c *MasterConfig) { c.Pipeline = true; c.Deadline = time.Second }},
 		{"staleness with deadline", func(c *MasterConfig) { c.Staleness = 1; c.Deadline = time.Second }},
 		{"negative shards", func(c *MasterConfig) { c.GatherShards = -1 }},
 		{"shards beyond protocol max", func(c *MasterConfig) { c.GatherShards = maxGatherShards + 1 }},
@@ -365,10 +376,18 @@ func TestMasterConfigPipelineValidation(t *testing.T) {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
-	// Staleness implies Pipeline.
+	// Gather policy and overlap depth are orthogonal.
 	okCfg := good
-	okCfg.Staleness = 1
+	okCfg.Pipeline, okCfg.Deadline = true, time.Second
 	m, err := NewMaster(okCfg)
+	if err != nil {
+		t.Fatalf("pipeline with deadline: %v", err)
+	}
+	m.ln.Close()
+	// Staleness implies Pipeline.
+	okCfg = good
+	okCfg.Staleness = 1
+	m, err = NewMaster(okCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"isgc/internal/bitset"
 	"isgc/internal/checkpoint"
 	"isgc/internal/dataset"
 	"isgc/internal/engine"
 	"isgc/internal/isgc"
+	"isgc/internal/metrics"
 	"isgc/internal/model"
 	"isgc/internal/placement"
 	"isgc/internal/straggler"
@@ -370,5 +372,83 @@ func TestWorkerStopPersistsAndResumes(t *testing.T) {
 	}
 	if got := w2b.Health().StepsServed; got <= ws.Steps {
 		t.Fatalf("restored worker served no further steps (%d)", got)
+	}
+}
+
+// stopAtRecover calls stop from inside the at-th Recover, so the stop lands
+// at an exact, scheduler-independent point: while that step decodes.
+type stopAtRecover struct {
+	engine.Strategy
+	engine.RandStateful
+	at, calls int
+	stop      func()
+}
+
+func (s *stopAtRecover) Recover(avail *bitset.Set, coded [][]float64) ([]float64, []int, error) {
+	if s.calls == s.at {
+		s.stop()
+	}
+	s.calls++
+	return s.Strategy.Recover(avail, coded)
+}
+
+// TestStopAtCheckpointBoundaryWritesOnce: a Stop that takes effect at a
+// boundary the periodic checkpoint just covered must not write that
+// snapshot a second time. Counted, not timed: Stop fires from step 3's
+// Recover with a checkpoint every step, so the first life writes exactly
+// snapshots 1..4 at either overlap depth, and the second resumes at step 4.
+func TestStopAtCheckpointBoundaryWritesOnce(t *testing.T) {
+	mdl := model.SoftmaxRegression{Features: 6, Classes: 3}
+	data := testData(t)
+	for _, pipeline := range []bool{false, true} {
+		addr := freeLoopbackAddr(t)
+		dir := t.TempDir()
+		life := func(restore bool) (*Master, *MasterMetrics, *stopAtRecover) {
+			store, err := checkpoint.NewStore(dir, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner := freshISGC(t, 4, 2, 7)
+			st := &stopAtRecover{Strategy: inner, RandStateful: inner.(engine.RandStateful), at: -1}
+			mm := NewMasterMetrics(metrics.NewRegistry())
+			m, err := NewMaster(MasterConfig{
+				Addr: addr, Strategy: st, Model: mdl, Data: data,
+				LearningRate: 0.3, W: 4, MaxSteps: 8, Seed: 42, Pipeline: pipeline,
+				Checkpoint: store, CheckpointEvery: 1, Restore: restore, Metrics: mm,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, mm, st
+		}
+
+		m1, mm1, st1 := life(false)
+		st1.at, st1.stop = 3, m1.Stop
+		fleet := startFleet(t, st1, data, mdl, addr, 30*time.Second, nil)
+		res1, err := m1.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res1.Interrupted || res1.Run.Steps() != 4 {
+			t.Fatalf("pipeline=%v: first life interrupted=%v after %d steps, want true after 4",
+				pipeline, res1.Interrupted, res1.Run.Steps())
+		}
+		if got := mm1.CheckpointWrites.Value(); got != 4 {
+			t.Errorf("pipeline=%v: %d checkpoint writes for snapshots 1..4, want 4", pipeline, got)
+		}
+		if got := m1.Health().LastCheckpointStep; got != 4 {
+			t.Errorf("pipeline=%v: last checkpoint step %d, want 4", pipeline, got)
+		}
+
+		m2, _, _ := life(true)
+		res2, err := m2.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet.Wait()
+		if res2.Run.Steps() != 4 || res2.Run.Records[0].Step != 4 {
+			t.Fatalf("pipeline=%v: second life ran %d steps from step %d, want 4 from step 4",
+				pipeline, res2.Run.Steps(), res2.Run.Records[0].Step)
+		}
 	}
 }

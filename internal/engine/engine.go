@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"isgc/internal/checkpoint"
 	"isgc/internal/dataset"
 	"isgc/internal/events"
-	"isgc/internal/linalg"
 	"isgc/internal/model"
 	"isgc/internal/simclock"
 	"isgc/internal/straggler"
@@ -255,10 +253,8 @@ func Train(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 
-	params := cfg.Model.InitParams(cfg.Seed)
-	var velocity []float64 // lazily allocated momentum buffer
+	core := NewStepCore(&cfg, cfg.Model.InitParams(cfg.Seed))
 	all := materialize(cfg.Data)
-	res := &Result{}
 
 	// One long-lived compute pool per run; partitions are its unit of
 	// work, so any pool size yields bit-identical results.
@@ -290,41 +286,19 @@ func Train(cfg Config) (*Result, error) {
 	tasks := make([]func(), 0, n)
 
 	classifier, isClassifier := cfg.Model.(model.Classifier)
-	lastLoss := cfg.Model.Loss(params, all)
+	lastLoss := cfg.Model.Loss(core.Params(), all)
 	lastAcc := 0.0
 	if isClassifier {
-		lastAcc = model.Accuracy(classifier, params, all)
+		lastAcc = model.Accuracy(classifier, core.Params(), all)
 	}
 	rigid := st.WaitFor(1) == st.WaitFor(n) // Sync-SGD / classic GC
 
-	// Checkpoint/restore: startStep > 0 means this run resumes a durable
-	// snapshot; steps [0, startStep) already happened in a previous life
-	// and res.Run covers [startStep, end) only.
-	startStep := 0
-	alreadyComplete := false
+	// Checkpoint/restore: a restored run resumes at core.StartStep() > 0;
+	// the earlier steps happened in a previous life and the result covers
+	// the rest only.
 	saveCheckpoint := func(nextStep int, completed bool) error {
-		cst := checkpoint.State{
-			Version:         checkpoint.Version,
-			Scheme:          st.Name(),
-			N:               n,
-			C:               st.C(),
-			Seed:            cfg.Seed,
-			W:               cfg.W,
-			Step:            nextStep,
-			Params:          checkpoint.Float64sToBytes(params),
-			LastLoss:        lastLoss,
-			LastAccuracy:    lastAcc,
-			EventCursor:     cfg.Events.Total(),
-			RecordCursor:    res.Run.Steps(),
-			Completed:       completed,
-			SavedAtUnixNano: time.Now().UnixNano(),
-		}
-		if velocity != nil {
-			cst.Velocity = checkpoint.Float64sToBytes(velocity)
-		}
-		if rs, ok := st.(RandStateful); ok {
-			cst.DecoderSeed, cst.DecoderDraws = rs.RandState()
-		}
+		cst := core.Snapshot(nextStep, completed, time.Now())
+		cst.LastLoss, cst.LastAccuracy = lastLoss, lastAcc
 		if cfg.Profile != nil {
 			cst.ProfileActive = true
 			cst.ProfileSeed, cst.ProfileDraws = cfg.Profile.RandState()
@@ -332,111 +306,40 @@ func Train(cfg Config) (*Result, error) {
 		_, err := cfg.Checkpoint.Save(nextStep, &cst)
 		return err
 	}
-	if cfg.Restore && cfg.Checkpoint != nil {
-		var cst checkpoint.State
-		info, err := cfg.Checkpoint.Latest(&cst)
-		switch {
-		case errors.Is(err, checkpoint.ErrNoCheckpoint):
-			// Fresh directory: cold start.
-		case err != nil:
-			return nil, fmt.Errorf("engine: restore: %w", err)
-		default:
-			if cst.Scheme != st.Name() || cst.N != n || cst.Seed != cfg.Seed {
-				return nil, fmt.Errorf("engine: checkpoint %s is for scheme=%q n=%d seed=%d, config says scheme=%q n=%d seed=%d",
-					info.File, cst.Scheme, cst.N, cst.Seed, st.Name(), n, cfg.Seed)
-			}
-			params = checkpoint.BytesToFloat64s(cst.Params)
-			if len(cst.Velocity) > 0 {
-				velocity = checkpoint.BytesToFloat64s(cst.Velocity)
-			}
-			startStep = cst.Step
-			lastLoss = cst.LastLoss
-			lastAcc = cst.LastAccuracy
-			if rs, ok := st.(RandStateful); ok {
-				rs.RestoreRandState(cst.DecoderSeed, cst.DecoderDraws)
-			}
-			if cst.ProfileActive && cfg.Profile != nil {
-				cfg.Profile.RestoreRandState(cst.ProfileSeed, cst.ProfileDraws)
-			}
-			if cst.Completed {
-				startStep = cfg.MaxSteps // nothing left to replay
-				alreadyComplete = true
-				res.Converged = cst.Step < cfg.MaxSteps
-				if res.Converged {
-					res.StepsToThreshold = cst.Step
-				}
-			}
-			cfg.Events.Info("engine.restored", "resumed from checkpoint", cst.Step, events.NoWorker,
-				events.Fields{"file": info.File, "completed": cst.Completed})
-		}
+	cst, info, err := core.Restore()
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
 	}
+	if cst != nil {
+		lastLoss, lastAcc = cst.LastLoss, cst.LastAccuracy
+		if cst.ProfileActive && cfg.Profile != nil {
+			cfg.Profile.RestoreRandState(cst.ProfileSeed, cst.ProfileDraws)
+		}
+		cfg.Events.Info("engine.restored", "resumed from checkpoint", cst.Step, events.NoWorker,
+			events.Fields{"file": info.File, "completed": cst.Completed})
+	}
+	params := core.Params()
 
-	// Bounded-staleness simulation state (Config.Staleness): lateQ holds
-	// the stragglers' in-flight uploads with the simulated time left until
-	// they land, open the recent steps they may still fold into, busy the
-	// workers mid-upload (they rejoin the fleet once their upload lands or
-	// is abandoned).
+	// Bounded-staleness simulation (Config.Staleness): lateQ holds the
+	// stragglers' in-flight uploads with the simulated time left until they
+	// land, busy the workers mid-upload (they rejoin the fleet once their
+	// upload lands or is abandoned). Which steps are still open and how an
+	// upload folds is the core's.
 	type lateUpload struct {
 		step      int
 		worker    int
 		remaining time.Duration
 		coded     []float64
-		lr        float64
-	}
-	type openStep struct {
-		step int
-		mask *bitset.Set // partitions already counted in the step's update
-		g    []float64   // running decoded sum G
-		r    int         // running recovered-partition count
 	}
 	var lateQ []*lateUpload
-	var open []*openStep
 	var busy []bool
 	var maskedTimes []time.Duration
 	if cfg.Staleness > 0 {
 		busy = make([]bool, n)
 		maskedTimes = make([]time.Duration, n)
 	}
-	// foldLate retroactively includes one landed upload in its own step's
-	// normalized update: params −= η_t·((G+g)/(r+c) − G/r), the exact
-	// difference between that step's mean-gradient update with and without
-	// the straggler. A worker whose partitions were already counted (a
-	// replica beat it) cannot fold and is dropped.
-	foldLate := func(lu *lateUpload) bool {
-		var p *openStep
-		for _, q := range open {
-			if q.step == lu.step {
-				p = q
-				break
-			}
-		}
-		if p == nil || len(lu.coded) != len(params) {
-			return false
-		}
-		wparts := st.Partitions(lu.worker)
-		for _, d := range wparts {
-			if p.mask.Contains(d) {
-				return false
-			}
-		}
-		rOld, rNew := float64(p.r), float64(p.r+len(wparts))
-		for j, g := range lu.coded {
-			ng := p.g[j] + g
-			old := 0.0
-			if p.r > 0 {
-				old = p.g[j] / rOld
-			}
-			params[j] -= lu.lr * (ng/rNew - old)
-			p.g[j] = ng
-		}
-		p.r += len(wparts)
-		for _, d := range wparts {
-			p.mask.Add(d)
-		}
-		return true
-	}
 
-	for step := startStep; step < cfg.MaxSteps; step++ {
+	for step := core.StartStep(); step < cfg.MaxSteps; step++ {
 		var wallStart time.Time
 		if cfg.Metrics != nil {
 			wallStart = time.Now()
@@ -564,7 +467,6 @@ func Train(cfg Config) (*Result, error) {
 		// staleness window. Folds mutate params alongside this step's
 		// update, mirroring the cluster master where late arrivals land
 		// mid-gather; either worker rejoins the eligible fleet next step.
-		folded := 0
 		if cfg.Staleness > 0 {
 			kept := lateQ[:0]
 			for _, lu := range lateQ {
@@ -574,84 +476,36 @@ func Train(cfg Config) (*Result, error) {
 					continue
 				}
 				busy[lu.worker] = false
-				if lu.remaining <= 0 && foldLate(lu) {
-					folded++
-					if cfg.Attribution != nil {
-						cfg.Attribution.ObserveAccepted(trace.ArrivalSample{Worker: lu.worker, Step: lu.step})
-					}
+				if lu.remaining > 0 {
+					continue
+				}
+				if _, ok := core.Fold(lu.step, lu.worker, lu.coded); ok && cfg.Attribution != nil {
+					cfg.Attribution.ObserveAccepted(trace.ArrivalSample{Worker: lu.worker, Step: lu.step})
 				}
 			}
 			lateQ = kept
 		}
 
-		// 4. Master-side recovery and parameter update, normalized by the
-		// recovered-partition count for an unbiased mean-gradient
-		// estimate (Assumption 2).
-		ghat, recParts, err := st.Recover(avail, coded)
+		// 4. Master-side recovery and parameter update.
+		dec, err := core.Decode(step, avail, coded)
 		if err != nil {
-			return nil, fmt.Errorf("engine: step %d: %w", step, err)
+			return nil, fmt.Errorf("engine: %w", err)
 		}
-		recovered := len(recParts)
-		if recovered > 0 {
-			lr := cfg.LearningRate
-			if cfg.LRSchedule != nil {
-				factor := cfg.LRSchedule(step)
-				if factor <= 0 {
-					return nil, fmt.Errorf("engine: LRSchedule(%d) = %v, need > 0", step, factor)
-				}
-				lr *= factor
-			}
-			// ĝ_mean is the unbiased mean-gradient estimate.
-			inv := 1 / float64(recovered)
-			if cfg.Momentum > 0 || cfg.WeightDecay > 0 {
-				if velocity == nil {
-					velocity = make([]float64, len(params))
-				}
-				for j := range velocity {
-					g := ghat[j] * inv
-					if cfg.WeightDecay > 0 {
-						g += cfg.WeightDecay * params[j]
-					}
-					velocity[j] = cfg.Momentum*velocity[j] + g
-					params[j] -= lr * velocity[j]
-				}
-			} else {
-				linalg.AXPY(params, -lr*inv, ghat)
-			}
+		rec, err := core.Update(dec)
+		if err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
 		}
+		recovered := len(dec.Parts)
 
-		// 4b. Open this step for late folds and enqueue the remaining upload
-		// time of the stragglers this gather did not wait for.
+		// 4b. Enqueue the remaining upload time of the stragglers this
+		// gather did not wait for.
 		if cfg.Staleness > 0 {
-			stepLR := cfg.LearningRate
-			if cfg.LRSchedule != nil {
-				factor := cfg.LRSchedule(step)
-				if factor <= 0 {
-					return nil, fmt.Errorf("engine: LRSchedule(%d) = %v, need > 0", step, factor)
-				}
-				stepLR *= factor
-			}
-			g := ghat
-			if g == nil {
-				g = make([]float64, len(params))
-			}
-			mask := bitset.New(n)
-			for _, d := range recParts {
-				mask.Add(d)
-			}
-			keep := open[:0]
-			for _, p := range open {
-				if p.step > step-cfg.Staleness {
-					keep = append(keep, p)
-				}
-			}
-			open = append(keep, &openStep{step: step, mask: mask, g: g, r: recovered})
 			uploaders.Range(func(i int) bool {
 				if !avail.Contains(i) {
 					busy[i] = true
 					lateQ = append(lateQ, &lateUpload{
 						step: step, worker: i, remaining: times[i] - elapsed,
-						coded: append([]float64(nil), coded[i]...), lr: stepLR,
+						coded: append([]float64(nil), coded[i]...),
 					})
 				}
 				return true
@@ -666,30 +520,19 @@ func Train(cfg Config) (*Result, error) {
 			}
 		}
 		if cfg.Metrics != nil {
-			cfg.Metrics.observeStep(time.Since(wallStart), recovered/st.C(),
-				recovered, float64(recovered)/float64(n))
+			cfg.Metrics.observeStep(time.Since(wallStart), rec.Chosen,
+				recovered, rec.RecoveredFraction)
 		}
 		cfg.Events.Debug("engine.step_completed", "simulated step finished", step, events.NoWorker,
-			events.Fields{"available": avail.Len(), "recovered": recovered,
+			events.Fields{"available": rec.Available, "recovered": recovered,
 				"loss": lastLoss, "elapsed": elapsed.String()})
-		res.Run.Append(trace.StepRecord{
-			Step:              step,
-			Available:         avail.Len(),
-			Chosen:            recovered / st.C(),
-			RecoveredFraction: float64(recovered) / float64(n),
-			Partitions:        recParts,
-			Folded:            folded,
-			Loss:              lastLoss,
-			Accuracy:          lastAcc,
-			Elapsed:           elapsed,
-		})
-		if cfg.LossThreshold > 0 && lastLoss <= cfg.LossThreshold {
-			res.Converged = true
-			res.StepsToThreshold = step + 1
+		rec.Loss, rec.Accuracy, rec.Elapsed = lastLoss, lastAcc, elapsed
+		converged, checkpointDue := core.Finish(rec)
+		if converged {
 			break
 		}
 		if cfg.Interrupt != nil && cfg.Interrupt(step) {
-			res.Interrupted = true
+			core.Result().Interrupted = true
 			if cfg.Checkpoint != nil {
 				if err := saveCheckpoint(step+1, false); err != nil {
 					return nil, fmt.Errorf("engine: interrupt checkpoint: %w", err)
@@ -698,20 +541,16 @@ func Train(cfg Config) (*Result, error) {
 			cfg.Events.Info("engine.interrupted", "run stopped at step boundary", step, events.NoWorker, nil)
 			break
 		}
-		if cfg.Checkpoint != nil && cfg.CheckpointEvery > 0 && (step+1)%cfg.CheckpointEvery == 0 && step+1 < cfg.MaxSteps {
+		if checkpointDue {
 			if err := saveCheckpoint(step+1, false); err != nil {
 				return nil, fmt.Errorf("engine: step %d: %w", step, err)
 			}
 			cfg.Events.Debug("engine.checkpoint_written", "periodic checkpoint saved", step, events.NoWorker, nil)
 		}
 	}
-	if !res.Converged {
-		res.StepsToThreshold = cfg.MaxSteps
-	}
-	res.Params = params
-	if cfg.Checkpoint != nil && !alreadyComplete && !res.Interrupted {
-		end := startStep + res.Run.Steps()
-		if err := saveCheckpoint(end, true); err != nil {
+	res := core.Result()
+	if cfg.Checkpoint != nil && !core.Completed() && !res.Interrupted {
+		if err := saveCheckpoint(core.NextStep(), true); err != nil {
 			return nil, fmt.Errorf("engine: final checkpoint: %w", err)
 		}
 	}
@@ -742,19 +581,9 @@ func validate(cfg *Config) error {
 		return fmt.Errorf("engine: need ComputePar ≥ 0, got %d", cfg.ComputePar)
 	case cfg.DecodeCache < 0:
 		return fmt.Errorf("engine: need DecodeCache ≥ 0, got %d", cfg.DecodeCache)
-	case cfg.Staleness < 0:
-		return fmt.Errorf("engine: need Staleness ≥ 0, got %d", cfg.Staleness)
 	}
-	if cfg.Staleness > 0 {
-		if cfg.Strategy.WaitFor(1) == cfg.Strategy.WaitFor(cfg.Strategy.N()) {
-			return fmt.Errorf("engine: Staleness requires a flexible scheme; %s is rigid", cfg.Strategy.Name())
-		}
-		if cfg.Momentum > 0 || cfg.WeightDecay > 0 {
-			return fmt.Errorf("engine: Staleness requires Momentum == 0 and WeightDecay == 0 (folds compose additively on plain SGD)")
-		}
-		if cfg.Deadline > 0 {
-			return fmt.Errorf("engine: Staleness and Deadline are mutually exclusive")
-		}
+	if err := CheckStaleness(cfg.Strategy, cfg.Staleness, cfg.Momentum == 0 && cfg.WeightDecay == 0, cfg.Deadline); err != nil {
+		return fmt.Errorf("engine: %w", err)
 	}
 	return nil
 }
