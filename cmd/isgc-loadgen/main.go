@@ -1,7 +1,8 @@
 // Command isgc-loadgen stress-drives the IS-GC decoder at fleet scale
 // (up to 50k virtual workers) under configurable availability churn, and
-// reports per-step decode latency (mean/p50/p95) plus decode throughput in
-// the benchmark line grammar that `isgc-bench` ingests:
+// reports per-step decode latency (mean/p50/p95), decode throughput and the
+// latency of mapping the chosen set to its recovered partitions (p50/p95),
+// in the benchmark line grammar that `isgc-bench` ingests:
 //
 //	isgc-loadgen -scheme cr -n 50000 -c 8 -steps 2000 -churn drift \
 //	    -mode both | isgc-bench > BENCH_PR9.json
@@ -162,6 +163,7 @@ func buildPlacement(opts options) (*placement.Placement, error) {
 type passResult struct {
 	label           string // "fresh" or "incremental"
 	mean, p50, p95  time.Duration
+	recP50, recP95  time.Duration // Scheme.Recovered(chosen), the step's other master-side cost
 	stepsPerSec     float64
 	simMsPerStep    float64
 	stats           isgc.IncrementalStats
@@ -169,9 +171,9 @@ type passResult struct {
 }
 
 // runPass replays opts.steps churn steps against one decoder configuration
-// and collects per-step decode latency. Only the Decode call is timed; the
-// churn bookkeeping, verification, and simclock accounting sit outside the
-// timer.
+// and collects per-step latencies of Decode and, separately, of Recovered on
+// the set it chose; the churn bookkeeping, verification, and simclock
+// accounting sit outside both timers.
 func runPass(p *placement.Placement, opts options, incremental bool) (*passResult, error) {
 	scheme := isgc.New(p, opts.seed)
 	label := "fresh"
@@ -203,6 +205,7 @@ func runPass(p *placement.Placement, opts options, incremental bool) (*passResul
 		mask.Add(v)
 	}
 	lat := make([]time.Duration, 0, opts.steps)
+	recLat := make([]time.Duration, 0, opts.steps)
 	var decodeTotal, virtual time.Duration
 	var chosen *bitset.Set
 	for step := 0; step < opts.steps; step++ {
@@ -210,6 +213,8 @@ func runPass(p *placement.Placement, opts options, incremental bool) (*passResul
 		start := time.Now()
 		chosen = scheme.Decode(mask)
 		d := time.Since(start)
+		scheme.Recovered(chosen)
+		recLat = append(recLat, time.Since(start)-d)
 		lat = append(lat, d)
 		decodeTotal += d
 		virtual += maxOverMask(times, mask)
@@ -222,11 +227,14 @@ func runPass(p *placement.Placement, opts options, incremental bool) (*passResul
 	}
 
 	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
+	sort.Slice(recLat, func(a, b int) bool { return recLat[a] < recLat[b] })
 	res := &passResult{
 		label:           label,
 		mean:            decodeTotal / time.Duration(len(lat)),
 		p50:             percentile(lat, 50),
 		p95:             percentile(lat, 95),
+		recP50:          percentile(recLat, 50),
+		recP95:          percentile(recLat, 95),
 		stats:           scheme.IncrementalDecodeStats(),
 		finalChosenSize: chosen.Len(),
 	}
@@ -444,9 +452,9 @@ func benchName(opts options, p *placement.Placement) string {
 // into isgc-bench's Metrics map; names never end in "-<digits>" after the
 // last '/', so splitProcs keeps them intact.
 func emit(out io.Writer, opts options, p *placement.Placement, res *passResult) {
-	fmt.Fprintf(out, "%s/mode=%s %d %d ns/op %d p50-ns %d p95-ns %.1f steps/sec %d repairs %d fallbacks %d full-solves %.3f sim-ms-per-step %d chosen\n",
+	fmt.Fprintf(out, "%s/mode=%s %d %d ns/op %d p50-ns %d p95-ns %.1f steps/sec %d repairs %d fallbacks %d full-solves %.3f sim-ms-per-step %d chosen %d recovered-p50-ns %d recovered-p95-ns\n",
 		benchName(opts, p), res.label, opts.steps,
 		res.mean.Nanoseconds(), res.p50.Nanoseconds(), res.p95.Nanoseconds(),
 		res.stepsPerSec, res.stats.Repairs, res.stats.Fallbacks, res.stats.FullSolves,
-		res.simMsPerStep, res.finalChosenSize)
+		res.simMsPerStep, res.finalChosenSize, res.recP50.Nanoseconds(), res.recP95.Nanoseconds())
 }

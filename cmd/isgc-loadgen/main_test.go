@@ -50,6 +50,9 @@ func TestRunSmoke(t *testing.T) {
 					!strings.Contains(out.String(), "/speedup") {
 					t.Fatalf("missing incremental or speedup line:\n%s", out.String())
 				}
+				if got := strings.Count(out.String(), " recovered-p95-ns"); got != 2 {
+					t.Fatalf("want the recovered-partition latency on both pass lines, got %d:\n%s", got, out.String())
+				}
 			})
 		}
 	}

@@ -55,6 +55,30 @@ func (s *Set) Add(v int) {
 	s.words[w] |= 1 << uint(v%wordBits)
 }
 
+// AddRange inserts every value in [lo, hi): whole words are stored, only
+// the two end words are masked. Negative values are ignored, as in Add.
+func (s *Set) AddRange(lo, hi int) {
+	if lo < 0 {
+		lo = 0
+	}
+	if lo >= hi {
+		return
+	}
+	first, last := lo/wordBits, (hi-1)/wordBits
+	s.grow(last)
+	head := ^uint64(0) << uint(lo%wordBits)
+	tail := ^uint64(0) >> uint(wordBits-1-(hi-1)%wordBits)
+	if first == last {
+		s.words[first] |= head & tail
+		return
+	}
+	s.words[first] |= head
+	for i := first + 1; i < last; i++ {
+		s.words[i] = ^uint64(0)
+	}
+	s.words[last] |= tail
+}
+
 // Remove deletes v from the set if present.
 func (s *Set) Remove(v int) {
 	if v < 0 {
@@ -257,17 +281,32 @@ func (s *Set) CountInRange(lo, hi int) int {
 
 // NextInRange returns the smallest element of s in [lo, hi), or -1 when the
 // range holds none. This is the bit-scan primitive behind the interval
-// greedy walks: each probe costs O(range/64) words, not O(range) bits.
+// greedy walks: each probe costs O(range/64) words, not O(range) bits. A CR
+// decode calls it ~c times per chosen worker, so it scans the words directly
+// rather than through rangeWords' callback.
 func (s *Set) NextInRange(lo, hi int) int {
-	out := -1
-	s.rangeWords(lo, hi, func(i int, w uint64) bool {
-		if w != 0 {
-			out = i*wordBits + bits.TrailingZeros64(w)
-			return false
+	if lo < 0 {
+		lo = 0
+	}
+	if max := len(s.words) * wordBits; hi > max {
+		hi = max
+	}
+	if lo >= hi {
+		return -1
+	}
+	i := lo / wordBits
+	w := s.words[i] & (^uint64(0) << uint(lo%wordBits))
+	for w == 0 {
+		i++
+		if i*wordBits >= hi {
+			return -1
 		}
-		return true
-	})
-	return out
+		w = s.words[i]
+	}
+	if v := i*wordBits + bits.TrailingZeros64(w); v < hi {
+		return v
+	}
+	return -1
 }
 
 // IntersectsRange reports whether s ∩ o has an element in [lo, hi) — the

@@ -1,0 +1,164 @@
+package isgc
+
+import (
+	"math"
+	"strings"
+	"testing"
+
+	"isgc/internal/bitset"
+	"isgc/internal/placement"
+)
+
+// referenceAggregate is Aggregate's sum as it was before rows were fused:
+// one row at a time, in ascending worker order.
+func referenceAggregate(chosen *bitset.Set, coded [][]float64) []float64 {
+	var ghat []float64
+	chosen.Range(func(i int) bool {
+		if ghat == nil {
+			ghat = make([]float64, len(coded[i]))
+		}
+		for k, x := range coded[i] {
+			ghat[k] += x
+		}
+		return true
+	})
+	return ghat
+}
+
+// TestAggregateFusedMatchesSequential: ĝ from the four-rows-per-pass sum
+// has the bits of the row-at-a-time sum for every α in 0..9, on values
+// where the order of additions decides the result (1e16 absorbs a lone 1;
+// −1e16 then cancels it).
+func TestAggregateFusedMatchesSequential(t *testing.T) {
+	const n, dim = 10, 7
+	p, err := placement.CR(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p, 1)
+	pool := []float64{1e16, 1, -1e16, 1, 3, -1, 1e-3, -1e16, 1e16, 0.1}
+	coded := make([][]float64, n)
+	for i := range coded {
+		coded[i] = make([]float64, dim)
+		for k := range coded[i] {
+			coded[i][k] = pool[(i*3+k*7+i*k)%len(pool)]
+		}
+	}
+	orderMatters := false
+	for alpha := 0; alpha < n; alpha++ {
+		// Two spreads of α workers: the first α, and α taken from the top.
+		for _, from := range []int{0, n - alpha} {
+			chosen := bitset.New(n)
+			chosen.AddRange(from, from+alpha)
+			ghat, parts, err := s.Aggregate(chosen, coded)
+			if err != nil {
+				t.Fatalf("α=%d from %d: %v", alpha, from, err)
+			}
+			if parts.Len() != alpha {
+				t.Fatalf("α=%d from %d: %d partitions", alpha, from, parts.Len())
+			}
+			want := referenceAggregate(chosen, coded)
+			if len(ghat) != len(want) {
+				t.Fatalf("α=%d from %d: len(ĝ) = %d, want %d", alpha, from, len(ghat), len(want))
+			}
+			for k := range want {
+				if math.Float64bits(ghat[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("α=%d from %d: ĝ[%d] = %v, sequential sum %v", alpha, from, k, ghat[k], want[k])
+				}
+				// A pairwise (tree) sum of the same rows differs somewhere,
+				// or the values would not be testing the association.
+				if alpha == 4 {
+					r := chosen.Slice()
+					if tree := (coded[r[0]][k] + coded[r[1]][k]) + (coded[r[2]][k] + coded[r[3]][k]); tree != want[k] {
+						orderMatters = true
+					}
+				}
+			}
+		}
+	}
+	if !orderMatters {
+		t.Fatal("test values do not distinguish left-to-right from pairwise association")
+	}
+}
+
+// TestAggregateFusedRejectsBadRows: a missing or wrong-sized row is reported
+// whichever of the four fused positions, or the tail, it falls in.
+func TestAggregateFusedRejectsBadRows(t *testing.T) {
+	const n, dim = 7, 3
+	p, err := placement.CR(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p, 1)
+	chosen := bitset.New(n)
+	chosen.AddRange(0, n) // rows 0–3 fill one pass, 4–6 are the tail
+	for bad := 0; bad < n; bad++ {
+		for _, tc := range []struct {
+			row  []float64
+			want string
+		}{
+			{nil, "has no coded gradient"},
+			{make([]float64, dim+1), "dim"},
+		} {
+			coded := make([][]float64, n)
+			for i := range coded {
+				coded[i] = make([]float64, dim)
+			}
+			if bad == 0 && tc.row != nil {
+				// Row 0 sets the dimension; make every other row disagree.
+				for i := 1; i < n; i++ {
+					coded[i] = make([]float64, dim+1)
+				}
+			} else {
+				coded[bad] = tc.row
+			}
+			ghat, parts, err := s.Aggregate(chosen, coded)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("bad row %d (%d values): err = %v, want one mentioning %q", bad, len(tc.row), err, tc.want)
+			}
+			if ghat != nil || parts != nil {
+				t.Fatalf("bad row %d: got ĝ or parts beside the error", bad)
+			}
+		}
+	}
+	if _, _, err := s.Aggregate(chosen, make([][]float64, n-1)); err == nil {
+		t.Fatal("coded shorter than the chosen ids accepted")
+	}
+}
+
+// TestRecoveredPartitionsIgnoresOutOfRangeIDs: Recovered on a chosen set
+// holding ids ≥ n used to panic on a dense placement and to wrap the id
+// around on a structural one; both now ignore it, as Decode does.
+func TestRecoveredPartitionsIgnoresOutOfRangeIDs(t *testing.T) {
+	for _, structural := range []bool{false, true} {
+		var opts []placement.Option
+		if structural {
+			opts = append(opts, placement.Structural())
+		}
+		fr, err := placement.FR(8, 2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr, err := placement.CR(8, 2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := placement.HR(8, 2, 2, 2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []*placement.Placement{fr, cr, hr} {
+			s := New(p, 1)
+			want := s.Recovered(bitset.FromSlice([]int{0}))
+			if want.Len() != p.C() {
+				t.Fatalf("%v: worker 0 recovers %v", p, want)
+			}
+			for _, stray := range []int{8, 9, 64, 500} {
+				got := s.Recovered(bitset.FromSlice([]int{0, stray}))
+				if !got.Equal(want) {
+					t.Fatalf("%v structural=%v: Recovered({0,%d}) = %v, want %v", p, structural, stray, got, want)
+				}
+			}
+		}
+	}
+}

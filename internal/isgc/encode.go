@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"isgc/internal/bitset"
+	"isgc/internal/linalg"
 )
 
 // Encode computes worker i's coded gradient: the plain sum of the gradient
@@ -61,33 +62,42 @@ func (s *Scheme) EncodePartial(worker int, local [][]float64) ([]float64, error)
 // recovered gradient ĝ = Σ_{i∈I} coded[i]. coded[i] may be nil for workers
 // outside I (stragglers whose gradients never arrived). It returns ĝ and
 // the set of partitions it covers.
+//
+// Rows are added in ascending worker order, four per pass over ĝ with the
+// association kept left to right (linalg.AddTo4), so every bit of ĝ equals
+// the row-at-a-time sum.
 func (s *Scheme) Aggregate(chosen *bitset.Set, coded [][]float64) ([]float64, *bitset.Set, error) {
 	if chosen.Empty() {
 		return nil, bitset.New(s.p.N()), nil
 	}
-	dim := -1
 	var ghat []float64
 	var err error
+	var quad [4][]float64
+	pending := 0
 	chosen.Range(func(i int) bool {
 		if i >= len(coded) || coded[i] == nil {
 			err = fmt.Errorf("isgc: chosen worker %d has no coded gradient", i)
 			return false
 		}
-		if dim < 0 {
-			dim = len(coded[i])
-			ghat = make([]float64, dim)
+		if ghat == nil {
+			ghat = make([]float64, len(coded[i]))
 		}
-		if len(coded[i]) != dim {
-			err = fmt.Errorf("isgc: worker %d coded gradient dim %d ≠ %d", i, len(coded[i]), dim)
+		if len(coded[i]) != len(ghat) {
+			err = fmt.Errorf("isgc: worker %d coded gradient dim %d ≠ %d", i, len(coded[i]), len(ghat))
 			return false
 		}
-		for k, x := range coded[i] {
-			ghat[k] += x
+		quad[pending] = coded[i]
+		if pending++; pending == len(quad) {
+			linalg.AddTo4(ghat, quad[0], quad[1], quad[2], quad[3])
+			pending = 0
 		}
 		return true
 	})
 	if err != nil {
 		return nil, nil, err
+	}
+	for _, row := range quad[:pending] {
+		linalg.AddTo(ghat, row)
 	}
 	return ghat, s.Recovered(chosen), nil
 }

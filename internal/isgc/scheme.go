@@ -157,7 +157,8 @@ func (s *Scheme) clampAvailable(available *bitset.Set) *bitset.Set {
 
 // Recovered maps a decoded worker set I to the set of partition indices
 // whose gradients appear in ĝ = Σ_{i∈I} (coded gradient of worker i).
-// When I is an independent set, |Recovered(I)| = |I|·c exactly.
+// When I is an independent set, |Recovered(I)| = |I|·c exactly. Like
+// Decode, it ignores ids outside [0, n).
 func (s *Scheme) Recovered(chosen *bitset.Set) *bitset.Set {
 	return s.p.RecoveredPartitions(chosen)
 }

@@ -48,6 +48,21 @@ func AddTo(dst, src []float64) {
 	}
 }
 
+// AddTo4 adds four vectors into dst in one pass, associating left to right:
+// dst[i] = (((dst[i]+a[i])+b[i])+c[i])+d[i]. Every intermediate is the one
+// four successive AddTo calls would round to, so the result is bit-identical
+// to them, while dst is read and written once and the four sources stream
+// independently. Panics on length mismatch, as AddTo does.
+func AddTo4(dst, a, b, c, d []float64) {
+	n := len(dst)
+	if len(a) != n || len(b) != n || len(c) != n || len(d) != n {
+		panic(fmt.Sprintf("linalg: AddTo4 length mismatch %d vs %d, %d, %d, %d", n, len(a), len(b), len(c), len(d)))
+	}
+	for i := range dst {
+		dst[i] = (((dst[i] + a[i]) + b[i]) + c[i]) + d[i]
+	}
+}
+
 // AXPY computes dst += a*src element-wise.
 func AXPY(dst []float64, a float64, src []float64) {
 	if len(dst) != len(src) {

@@ -75,9 +75,31 @@ func TestVectorOps(t *testing.T) {
 	}
 }
 
+// AddTo4 must round exactly as four successive AddTo calls do.
+func TestAddTo4MatchesFourAddTo(t *testing.T) {
+	rows := [][]float64{
+		{1e16, 1, 0.1, -1e16},
+		{1, -1e16, 0.2, 1},
+		{-1e16, 1e16, 0.3, 1e16},
+		{1, 1, -0.6, 1},
+	}
+	got := []float64{1, 1e16, 0.7, 3}
+	want := CloneVec(got)
+	AddTo4(got, rows[0], rows[1], rows[2], rows[3])
+	for _, r := range rows {
+		AddTo(want, r)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("AddTo4[%d] = %v, four AddTo calls give %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestVectorOpsPanicOnMismatch(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"AddTo":      func() { AddTo([]float64{1}, []float64{1, 2}) },
+		"AddTo4":     func() { AddTo4([]float64{1}, []float64{1}, []float64{1}, []float64{1}, []float64{1, 2}) },
 		"AXPY":       func() { AXPY([]float64{1}, 2, []float64{1, 2}) },
 		"AXPYInto":   func() { AXPYInto([]float64{1}, 2, []float64{1, 2}, []float64{1, 2}) },
 		"ScaleInto":  func() { ScaleInto([]float64{1}, 2, []float64{1, 2}) },

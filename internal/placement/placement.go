@@ -13,6 +13,7 @@ package placement
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"isgc/internal/bitset"
@@ -77,8 +78,9 @@ type buildOpts struct {
 // Structural skips the O(n²) dense conflict graph and the per-worker
 // partition bitsets at construction time: Conflicts answers via the
 // paper's closed-form predicates (ConflictsFormula — Theorem 1 for CR,
-// group arithmetic for FR, Alg. 4 for HR), and partition rows are
-// generated on demand. This makes construction O(1) in n and is what lets
+// group arithmetic for FR, Alg. 4 for HR), partition rows are generated on
+// demand, and recovered sets never materialise rows at all (see
+// RecoveredPartitions). This makes construction O(1) in n and is what lets
 // the decoder scale-out harness instantiate placements with tens of
 // thousands of workers; the structural predicates are proven equal to the
 // ground truth by TestStructuralConflictMatchesGroundTruth and the
@@ -211,37 +213,75 @@ func HR(n, c1, c2, g int, opts ...Option) (*Placement, error) {
 
 // row generates worker i's sorted partition list from parameters alone —
 // the single source of truth both the eager constructors and the
-// structural on-demand accessors share.
+// structural on-demand accessors share. It mirrors addRow: FR and CR rows
+// come out sorted from their one or two ranges; an HR row is sorted and
+// compacted, so an upper/lower overlap shows as len(row) < c.
 func (p *Placement) row(i int) []int {
+	row := make([]int, 0, p.c)
 	switch p.kind {
 	case KindFR:
 		base := (i / p.c) * p.c
-		row := make([]int, p.c)
-		for j := range row {
-			row[j] = base + j
+		for d := base; d < base+p.c; d++ {
+			row = append(row, d)
 		}
-		return row
 	case KindCR:
-		row := make([]int, p.c)
-		for j := range row {
-			row[j] = (i + j) % p.n
+		wrapped := max(0, i+p.c-p.n) // partitions past n-1 wrap to 0… and sort first
+		for d := 0; d < wrapped; d++ {
+			row = append(row, d)
 		}
-		return dedupSorted(row)
+		for d := i; d < i+p.c-wrapped; d++ {
+			row = append(row, d)
+		}
 	case KindHR:
 		n0 := p.n / p.groups
 		base := (i / n0) * n0
 		j := i % n0
-		row := make([]int, 0, p.c)
 		for r := n0 - p.c1; r < n0; r++ {
 			row = append(row, base+(j+r)%n0)
 		}
 		for r := 0; r < p.c2; r++ {
 			row = append(row, (i+r)%p.n)
 		}
-		return dedupSorted(row)
+		slices.Sort(row)
+		row = slices.Compact(row)
 	default:
 		panic(fmt.Sprintf("placement: unknown kind %v", p.kind))
 	}
+	return row
+}
+
+// addRow adds worker w's partitions to out as at most four word-masked
+// range fills, from the parameters alone: FR is the group's block
+// [kc, kc+c); CR is the circular run [w, w+c) mod n; HR is the in-group
+// circular run of c1 ending just before w plus the global circular run of
+// c2 starting at w.
+func (p *Placement) addRow(out *bitset.Set, w int) {
+	switch p.kind {
+	case KindFR:
+		base := (w / p.c) * p.c
+		out.AddRange(base, base+p.c)
+	case KindCR:
+		addCircular(out, 0, p.n, w, p.c)
+	case KindHR:
+		n0 := p.n / p.groups
+		j := w % n0
+		addCircular(out, w-j, n0, (j+n0-p.c1)%n0, p.c1)
+		addCircular(out, 0, p.n, w, p.c2)
+	default:
+		panic(fmt.Sprintf("placement: unknown kind %v", p.kind))
+	}
+}
+
+// addCircular adds base + ((start + t) mod size) for t in [0, length),
+// 0 ≤ start < size and length ≤ size: one range, or two when the run wraps.
+func addCircular(out *bitset.Set, base, size, start, length int) {
+	end := start + length
+	if end <= size {
+		out.AddRange(base+start, base+end)
+		return
+	}
+	out.AddRange(base+start, base+size)
+	out.AddRange(base, base+end-size)
 }
 
 func checkNC(n, c int) error {
@@ -254,17 +294,11 @@ func checkNC(n, c int) error {
 	return nil
 }
 
-func dedupSorted(vs []int) []int {
-	s := bitset.FromSlice(vs)
-	return s.Slice()
-}
-
 // finish derives bitsets and the ground-truth conflict graph from parts.
 func (p *Placement) finish() {
 	p.partSets = make([]*bitset.Set, p.n)
 	for i, row := range p.parts {
 		p.partSets[i] = bitset.FromSlice(row)
-		p.parts[i] = p.partSets[i].Slice() // canonical sorted order
 	}
 	p.conflict = graph.New(p.n)
 	for u := 0; u < p.n; u++ {
@@ -316,10 +350,12 @@ func (p *Placement) Partitions(i int) []int {
 
 // PartitionSet returns a copy of worker i's partition set.
 func (p *Placement) PartitionSet(i int) *bitset.Set {
-	if p.structural {
-		return bitset.FromSlice(p.row(i))
+	if !p.structural {
+		return p.partSets[i].Clone()
 	}
-	return p.partSets[i].Clone()
+	out := &bitset.Set{}
+	p.addRow(out, i)
+	return out
 }
 
 // Workers returns, for each partition, the sorted list of workers storing it.
@@ -371,19 +407,16 @@ func (p *Placement) Conflicts(u, v int) bool {
 // the independent set chosen: these are the indices I of the paper's
 // recovered gradient ĝ = Σ_{i∈I} g_i (after mapping worker set → partition
 // set). The caller is responsible for chosen being an independent set; if it
-// is, |result| = |chosen|·c exactly.
+// is, |result| = |chosen|·c exactly. Ids outside [0, n) are ignored.
+//
+// Each worker contributes its closed-form ranges (addRow), so the cost is
+// O(|chosen|) word fills and O(1) allocations on dense and structural
+// placements alike; no partition row is generated.
 func (p *Placement) RecoveredPartitions(chosen *bitset.Set) *bitset.Set {
 	out := bitset.New(p.n)
-	chosen.Range(func(w int) bool {
-		if p.structural {
-			for _, d := range p.row(w) {
-				out.Add(d)
-			}
-		} else {
-			out.UnionWith(p.partSets[w])
-		}
-		return true
-	})
+	for w := chosen.NextInRange(0, p.n); w >= 0; w = chosen.NextInRange(w+1, p.n) {
+		p.addRow(out, w)
+	}
 	return out
 }
 

@@ -97,7 +97,7 @@ func (s *Scheme) Decode(available []int) []int {
 
 // Recovered returns the sorted partition indices covered by the chosen
 // worker set (the I of ĝ = Σ_{i∈I} g_i after mapping workers to their
-// partitions).
+// partitions). Out-of-range ids are ignored, as in Decode.
 func (s *Scheme) Recovered(chosen []int) []int {
 	return s.inner.Recovered(bitset.FromSlice(chosen)).Slice()
 }
