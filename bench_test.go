@@ -476,9 +476,9 @@ func BenchmarkDecodeCached(b *testing.B) {
 }
 
 // --- Cluster gather benchmarks ---------------------------------------------
-// The pipelined-engine + dim-sharded-gather headline numbers: one full
-// training step over real loopback TCP at large-model scale — dim = 2^20
-// (8 MiB of gradient payload per worker), 16 workers, wait-all. Elapsed in
+// The dim-sharded-gather headline numbers: one full training step over real
+// loopback TCP at large-model scale — dim = 2^20 (8 MiB of gradient payload
+// per worker), 16 workers, wait-all. Elapsed in
 // the master's step records covers the gather phase alone (broadcast
 // excluded), so the reported gather-p95-ns is the tail metric
 // BENCH_PR10.json archives and `isgc-bench diff -fail-over` gates in CI.
@@ -487,7 +487,7 @@ const gatherBenchDim = 1 << 20
 
 const gatherBenchWorkers = 16
 
-func benchClusterGather(b *testing.B, pipeline bool, shards int) {
+func benchClusterGather(b *testing.B, shards int) {
 	st, err := engine.NewSyncSGD(gatherBenchWorkers)
 	if err != nil {
 		b.Fatal(err)
@@ -501,7 +501,6 @@ func benchClusterGather(b *testing.B, pipeline bool, shards int) {
 		Addr: "127.0.0.1:0", Strategy: st, Model: mdl, Data: data,
 		LearningRate: 0.01, W: gatherBenchWorkers, MaxSteps: b.N, Seed: 42,
 		AcceptTimeout: 60 * time.Second, Wire: cluster.WireBinary,
-		Pipeline: pipeline,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -551,29 +550,30 @@ func benchClusterGather(b *testing.B, pipeline bool, shards int) {
 	b.ReportMetric(float64(ls.P95), "gather-p95-ns")
 }
 
-// BenchmarkClusterGather compares the synchronous binaryv1 baseline, the
-// pipelined master loop, and the dim-sharded binaryv2 gather at 2 and 4
-// lanes per worker. Heavy (each step moves 256 MiB over loopback), so the
-// -short CI smoke skips it; BENCH_PR10.json carries the committed numbers.
+// BenchmarkClusterGather compares the single-stream binaryv1 gather with
+// the dim-sharded binaryv2 gather at 2 and 4 lanes per worker. Heavy (each
+// step moves 256 MiB over loopback), so the -short CI smoke skips it;
+// BENCH_PR10.json carries the committed numbers.
 func BenchmarkClusterGather(b *testing.B) {
 	if testing.Short() {
 		b.Skip("heavy loopback benchmark: 16 workers at dim 2^20; skipped under -short")
 	}
 	cases := []struct {
-		name     string
-		pipeline bool
-		shards   int
+		name   string
+		shards int
 	}{
 		// Subtest names avoid a trailing "-<digits>", which the isgc-bench
-		// parser would strip as a GOMAXPROCS suffix.
-		{"sync", false, 1},
-		{"pipelined", true, 1},
-		{"shards=2", false, 2},
-		{"shards=4", false, 4},
+		// parser would strip as a GOMAXPROCS suffix. The unsharded row keeps
+		// the name BENCH_PR10.json measured the deferred-finalize schedule
+		// under — the only schedule there is now — so the CI diff compares
+		// like with like.
+		{"pipelined", 1},
+		{"shards=2", 2},
+		{"shards=4", 4},
 	}
 	for _, c := range cases {
 		c := c
-		b.Run(c.name, func(b *testing.B) { benchClusterGather(b, c.pipeline, c.shards) })
+		b.Run(c.name, func(b *testing.B) { benchClusterGather(b, c.shards) })
 	}
 }
 

@@ -3,45 +3,16 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
+
+	"isgc/internal/e2etest"
 )
-
-// syncBuffer is a goroutine-safe output collector for child processes.
-type syncBuffer struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
-}
-
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
-}
 
 // buildPlaneBinaries compiles the control-plane master, the fleet worker,
 // and this CLI into a temp directory.
@@ -102,50 +73,38 @@ func TestE2EControlPlane(t *testing.T) {
 	}
 	masterBin, workerBin, ctlBin := buildPlaneBinaries(t)
 
-	fleetAddr := freeAddr(t)
-	adminAddr := freeAddr(t)
-	base := "http://" + adminAddr
-
 	// The SLO flags arm the recovered-fraction floor: every job here runs
 	// cr(3,2), whose best decode recovers 2 of 3 partitions (0.67 < 0.9),
 	// so the floor rule must fire while jobs run — and `isgc-ctl alerts`
 	// must show it.
-	master := exec.Command(masterBin,
-		"-controlplane", "-fleet-addr", fleetAddr, "-metrics-addr", adminAddr,
-		"-state-dir", filepath.Join(t.TempDir(), "state"),
-		"-obs-interval", "100ms", "-slo-recovered-floor", "0.9", "-slo-window", "1s")
-	masterOut := &syncBuffer{}
-	master.Stdout = masterOut
-	master.Stderr = masterOut
-	if err := master.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = master.Process.Kill() }()
-
+	stateDir := filepath.Join(t.TempDir(), "state")
 	// The plane binds the fleet listener before the admin server, so an
 	// answering admin API means agents can join — agents dial once and
 	// exit on a refused connection, so don't start them earlier.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		resp, err := http.Get(base + "/fleet")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("admin API never came up\n%s", masterOut.String())
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	master, addrs := e2etest.StartListening(t, 2,
+		func(addrs []string) *exec.Cmd {
+			return exec.Command(masterBin,
+				"-controlplane", "-fleet-addr", addrs[0], "-metrics-addr", addrs[1], "-state-dir", stateDir,
+				"-obs-interval", "100ms", "-slo-recovered-floor", "0.9", "-slo-window", "1s")
+		},
+		func(_ *e2etest.Child, addrs []string) bool {
+			resp, err := http.Get("http://" + addrs[1] + "/fleet")
+			if err == nil {
+				resp.Body.Close()
+			}
+			return err == nil
+		})
+	fleetAddr, base := addrs[0], "http://"+addrs[1]
+	masterOut := master.Out
 
 	// Six fleet agents with stable names, so GET /jobs assignments map
 	// straight to processes.
 	workers := make(map[string]*exec.Cmd, 6)
-	workerOuts := make(map[string]*syncBuffer, 6)
+	workerOuts := make(map[string]*e2etest.Output, 6)
 	for i := 0; i < 6; i++ {
 		name := fmt.Sprintf("w-%d", i)
 		w := exec.Command(workerBin, "-fleet", fleetAddr, "-agent-name", name)
-		wOut := &syncBuffer{}
+		wOut := &e2etest.Output{}
 		w.Stdout = wOut
 		w.Stderr = wOut
 		if err := w.Start(); err != nil {
@@ -161,34 +120,31 @@ func TestE2EControlPlane(t *testing.T) {
 		}
 	}()
 
-	// Wait for the full fleet.
-	deadline = time.Now().Add(60 * time.Second)
-	for {
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("worker w-0:\n%s", workerOuts["w-0"])
+		}
+	})
+	master.Poll(t, 60*time.Second, "fleet never reached 6 agents", func() bool {
 		resp, err := http.Get(base + "/fleet")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Agents []struct {
+				Alive bool `json:"alive"`
+			} `json:"agents"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&out)
 		alive := 0
-		if err == nil {
-			var out struct {
-				Agents []struct {
-					Alive bool `json:"alive"`
-				} `json:"agents"`
-			}
-			_ = json.NewDecoder(resp.Body).Decode(&out)
-			resp.Body.Close()
-			for _, a := range out.Agents {
-				if a.Alive {
-					alive++
-				}
+		for _, a := range out.Agents {
+			if a.Alive {
+				alive++
 			}
 		}
-		if alive == 6 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet never reached 6 agents (have %d)\nmaster:\n%s\nworker w-0:\n%s",
-				alive, masterOut.String(), workerOuts["w-0"].String())
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+		return alive == 6
+	})
 
 	// Two quick jobs via flags, one long "elastic" job via a full spec:
 	// tight liveness windows plus generation-0 delays keep it running long
@@ -224,8 +180,7 @@ func TestE2EControlPlane(t *testing.T) {
 	// Find an agent actually assigned to the elastic job while it runs,
 	// then SIGKILL its process — an abrupt machine loss, no goodbye.
 	var victim string
-	deadline = time.Now().Add(60 * time.Second)
-	for victim == "" {
+	master.Poll(t, 60*time.Second, "elastic job never got running assignments", func() bool {
 		for _, j := range planeJobs(t, base) {
 			if j["id"] != idElastic || j["state"] != "running" {
 				continue
@@ -237,11 +192,8 @@ func TestE2EControlPlane(t *testing.T) {
 				victim, _ = last["agent"].(string)
 			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("elastic job never got running assignments\n%s", masterOut.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		return victim != ""
+	})
 	w, ok := workers[victim]
 	if !ok {
 		t.Fatalf("plane assigned unknown agent %q", victim)
@@ -254,20 +206,12 @@ func TestE2EControlPlane(t *testing.T) {
 
 	// While the elastic job is still grinding below the floor, the SLO
 	// engine fires and `isgc-ctl alerts` renders it.
-	deadline = time.Now().Add(60 * time.Second)
-	for {
-		out, _ := ctl(t, ctlBin, base, "alerts")
+	master.Poll(t, 60*time.Second, "isgc-ctl alerts never showed the floor rule firing", func() bool {
+		alerts, _ := ctl(t, ctlBin, base, "alerts")
 		// " firing " matches the padded STATE column, not the summary
 		// line's firing=N counter.
-		if strings.Contains(out, "recovered-fraction-floor") && strings.Contains(out, " firing ") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("isgc-ctl alerts never showed the floor rule firing:\n%s\nmaster:\n%s",
-				out, masterOut.String())
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+		return strings.Contains(alerts, "recovered-fraction-floor") && strings.Contains(alerts, " firing ")
+	})
 	// The -firing gate form exits non-zero while an alert is live.
 	if out, err := ctl(t, ctlBin, base, "alerts", "-firing"); err == nil {
 		t.Fatalf("isgc-ctl alerts -firing should exit non-zero during a breach:\n%s", out)

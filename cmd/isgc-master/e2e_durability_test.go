@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"isgc/internal/checkpoint"
+	"isgc/internal/e2etest"
 )
 
 // buildClusterBinaries compiles the real master and worker executables into
@@ -38,7 +39,7 @@ func buildClusterBinaries(t *testing.T) (masterBin, workerBin string) {
 // startWorkerProcs launches n worker processes and returns the Cmds plus a
 // channel that receives each worker's exit error (nil = clean exit 0) as it
 // terminates.
-func startWorkerProcs(t *testing.T, workerBin string, n int, outs []*syncBuffer, extra func(i int) []string) ([]*exec.Cmd, chan error) {
+func startWorkerProcs(t *testing.T, workerBin string, n int, outs []*e2etest.Output, extra func(i int) []string) ([]*exec.Cmd, chan error) {
 	t.Helper()
 	cmds := make([]*exec.Cmd, n)
 	exits := make(chan error, n)
@@ -113,17 +114,17 @@ func TestE2EKillAndRestore(t *testing.T) {
 	}
 
 	// Uninterrupted reference run (fast workers, no checkpoints).
-	refAddr := freeAddr(t)
+	refAddr := e2etest.FreeAddr(t)
 	refMaster := exec.Command(masterBin, append([]string{"-addr", refAddr, "-records-out", refPath}, common...)...)
-	refOut := &syncBuffer{}
+	refOut := &e2etest.Output{}
 	refMaster.Stdout = refOut
 	refMaster.Stderr = refOut
 	if err := refMaster.Start(); err != nil {
 		t.Fatal(err)
 	}
-	refWorkerOuts := make([]*syncBuffer, 4)
+	refWorkerOuts := make([]*e2etest.Output, 4)
 	for i := range refWorkerOuts {
-		refWorkerOuts[i] = &syncBuffer{}
+		refWorkerOuts[i] = &e2etest.Output{}
 	}
 	_, refExits := startWorkerProcs(t, workerBin, 4, refWorkerOuts, func(i int) []string {
 		return []string{"-addr", refAddr}
@@ -143,20 +144,20 @@ func TestE2EKillAndRestore(t *testing.T) {
 
 	// First life: same run with checkpoints every 3 steps and deliberately
 	// slow workers, so the SIGKILL below provably lands mid-run.
-	addr := freeAddr(t)
+	addr := e2etest.FreeAddr(t)
 	m1 := exec.Command(masterBin, append([]string{
 		"-addr", addr, "-checkpoint-dir", ckptDir, "-checkpoint-every", "3", "-lease-ttl", "1s",
 	}, common...)...)
-	m1Out := &syncBuffer{}
+	m1Out := &e2etest.Output{}
 	m1.Stdout = m1Out
 	m1.Stderr = m1Out
 	if err := m1.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = m1.Process.Kill() }()
-	workerOuts := make([]*syncBuffer, 4)
+	workerOuts := make([]*e2etest.Output, 4)
 	for i := range workerOuts {
-		workerOuts[i] = &syncBuffer{}
+		workerOuts[i] = &e2etest.Output{}
 	}
 	workers, exits := startWorkerProcs(t, workerBin, 4, workerOuts, func(i int) []string {
 		// The reconnect budget is what lets the fleet survive the master's
@@ -204,7 +205,7 @@ func TestE2EKillAndRestore(t *testing.T) {
 		"-addr", addr, "-checkpoint-dir", ckptDir, "-checkpoint-every", "3", "-restore",
 		"-records-out", outPath,
 	}, common...)...)
-	m2Out := &syncBuffer{}
+	m2Out := &e2etest.Output{}
 	m2.Stdout = m2Out
 	m2.Stderr = m2Out
 	if err := m2.Start(); err != nil {
@@ -270,12 +271,12 @@ func TestE2EGracefulSignals(t *testing.T) {
 	masterBin, workerBin := buildClusterBinaries(t)
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
 
-	addr := freeAddr(t)
+	addr := e2etest.FreeAddr(t)
 	master := exec.Command(masterBin,
 		"-addr", addr, "-n", "4", "-c", "2", "-scheme", "cr", "-w", "0",
 		"-steps", "500", "-threshold", "0", "-seed", "42",
 		"-checkpoint-dir", ckptDir, "-checkpoint-every", "2", "-lease-ttl", "1s")
-	masterOut := &syncBuffer{}
+	masterOut := &e2etest.Output{}
 	master.Stdout = masterOut
 	master.Stderr = masterOut
 	if err := master.Start(); err != nil {
@@ -283,9 +284,9 @@ func TestE2EGracefulSignals(t *testing.T) {
 	}
 	defer func() { _ = master.Process.Kill() }()
 
-	workerOuts := make([]*syncBuffer, 4)
+	workerOuts := make([]*e2etest.Output, 4)
 	for i := range workerOuts {
-		workerOuts[i] = &syncBuffer{}
+		workerOuts[i] = &e2etest.Output{}
 	}
 	workers, exits := startWorkerProcs(t, workerBin, 4, workerOuts, func(i int) []string {
 		// A short reconnect budget: once the master goes away for good the

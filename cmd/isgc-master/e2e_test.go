@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -17,26 +16,8 @@ import (
 
 	"isgc/internal/cliconfig"
 	"isgc/internal/cluster"
+	"isgc/internal/e2etest"
 )
-
-// syncBuffer lets the test poll a subprocess's combined output while the
-// process is still writing it.
-type syncBuffer struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
-}
 
 // TestEndToEndBinaries builds the real isgc-master and isgc-worker
 // executables and runs a full CR(4,2) training session over TCP with one
@@ -68,23 +49,21 @@ func TestEndToEndBinaries(t *testing.T) {
 		t.Fatalf("-version output does not identify the module: %q", out)
 	}
 
-	addr := freeAddr(t)
-	metricsAddr := freeAddr(t)
 	timelinePath := filepath.Join(dir, "timeline.json")
 	eventsPath := filepath.Join(dir, "events.jsonl")
-	master := exec.Command(masterBin,
-		"-addr", addr, "-n", "4", "-c", "2", "-scheme", "cr",
-		"-w", "2", "-steps", "8", "-threshold", "0", "-seed", "42",
-		"-liveness", "2s",
-		"-timeline", timelinePath, "-events", eventsPath,
-		"-metrics-addr", metricsAddr, "-metrics-linger", "10s")
-	masterOut := &syncBuffer{}
-	master.Stdout = masterOut
-	master.Stderr = masterOut
-	if err := master.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = master.Process.Kill() }()
+	// The "master:" line is printed once both listeners are bound.
+	master, addrs := e2etest.StartListening(t, 2,
+		func(addrs []string) *exec.Cmd {
+			return exec.Command(masterBin,
+				"-addr", addrs[0], "-n", "4", "-c", "2", "-scheme", "cr",
+				"-w", "2", "-steps", "8", "-threshold", "0", "-seed", "42",
+				"-liveness", "2s",
+				"-timeline", timelinePath, "-events", eventsPath,
+				"-metrics-addr", addrs[1], "-metrics-linger", "10s")
+		},
+		func(c *e2etest.Child, _ []string) bool { return strings.Contains(c.Out.String(), "master: ") })
+	addr, metricsAddr := addrs[0], addrs[1]
+	masterOut := master.Out
 
 	var wg sync.WaitGroup
 	workerErrs := make(chan string, 4)
@@ -112,14 +91,9 @@ func TestEndToEndBinaries(t *testing.T) {
 
 	// Wait until the run has completed (the "done:" line) but the metrics
 	// endpoint still lingers, then scrape the final state.
-	deadline := time.Now().Add(90 * time.Second)
-	for !strings.Contains(masterOut.String(), "done: steps=") {
-		if time.Now().After(deadline) {
-			_ = master.Process.Kill()
-			t.Fatalf("master never finished\n%s", masterOut.String())
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+	master.Poll(t, 90*time.Second, "master never finished", func() bool {
+		return strings.Contains(masterOut.String(), "done: steps=")
+	})
 
 	base := "http://" + metricsAddr
 	body := httpGet(t, base+"/metrics")
@@ -174,14 +148,7 @@ func TestEndToEndBinaries(t *testing.T) {
 	}
 
 	// The run is over; the master only lingers for metrics now.
-	_ = master.Process.Kill()
-	done := make(chan error, 1)
-	go func() { done <- master.Wait() }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("master did not exit after kill")
-	}
+	master.Kill()
 	wg.Wait()
 	close(workerErrs)
 	for msg := range workerErrs {
@@ -317,17 +284,6 @@ func clip(s string) string {
 		return s[:2000] + "..."
 	}
 	return s
-}
-
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
 }
 
 func TestRunRejectsBadScheme(t *testing.T) {

@@ -58,9 +58,8 @@ type options struct {
 	data          cliconfig.DataSpec
 	w             int
 	deadline      time.Duration
-	pipeline      bool // overlap broadcast(t+1) with gather(t)'s tail
-	staleness     int  // bounded staleness k (implies pipeline)
-	gatherShards  int  // cap on per-worker gather lanes (0 = protocol max)
+	staleness     int // bounded staleness k
+	gatherShards  int // cap on per-worker gather lanes (0 = protocol max)
 	lr            float64
 	maxSteps      int
 	threshold     float64
@@ -97,8 +96,7 @@ func main() {
 		g         = flag.Int("g", 2, "HR group count (scheme=hr)")
 		w         = flag.Int("w", 0, "workers to wait for per step (0 = all)")
 		deadline  = flag.Duration("deadline", 0, "per-step gather deadline (overrides -w when > 0)")
-		pipeline  = flag.Bool("pipeline", false, "defer each step's loss evaluation, record and checkpoint until the next step's broadcast is out, so they overlap the fleet's compute (records and parameters stay bit-identical)")
-		staleness = flag.Int("staleness", 0, "bounded staleness: wait for this many fewer workers per step and fold late gradients in as exact corrections (implies -pipeline; flexible schemes only; excludes -deadline)")
+		staleness = flag.Int("staleness", 0, "bounded staleness: wait for this many fewer workers per step and fold late gradients in as exact corrections (flexible schemes only; excludes -deadline)")
 		shards    = flag.Int("gather-shards", 0, "cap the gather lanes granted to binaryv2 workers (0 = accept proposals up to the protocol max, 1 = negotiate down to single-stream binaryv1)")
 		lr        = flag.Float64("lr", 0.2, "learning rate")
 		batch     = flag.Int("batch", 8, "per-partition batch size (must match workers)")
@@ -188,7 +186,6 @@ func main() {
 		data:          data,
 		w:             *w,
 		deadline:      *deadline,
-		pipeline:      *pipeline,
 		staleness:     *staleness,
 		gatherShards:  *shards,
 		lr:            *lr,
@@ -323,7 +320,6 @@ func run(opts options) error {
 		LearningRate:      opts.lr,
 		W:                 w,
 		Deadline:          opts.deadline,
-		Pipeline:          opts.pipeline,
 		Staleness:         opts.staleness,
 		GatherShards:      opts.gatherShards,
 		MaxSteps:          opts.maxSteps,

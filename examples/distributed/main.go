@@ -56,7 +56,7 @@ func main() {
 	eventsPath := flag.String("events", "", `write a JSONL structured event log to this path ("-" = stderr)`)
 	timelinePath := flag.String("timeline", "", "write a Chrome trace-event file of the run to this path")
 	wire := flag.String("wire", "binary", "wire codec for the gradient/params hot path: binary or gob")
-	staleness := flag.Int("staleness", 0, "bounded staleness: wait for this many fewer workers and fold late gradients in as corrections (implies the pipelined loop)")
+	staleness := flag.Int("staleness", 0, "bounded staleness: wait for this many fewer workers and fold late gradients in as corrections")
 	gatherShards := flag.Int("gather-shards", 1, "split each worker's gradient upload across this many parallel lanes (binaryv2)")
 	checkpointDir := flag.String("checkpoint-dir", "", "persist durable run snapshots in this directory (empty disables; restart the example with -restore to resume)")
 	restore := flag.Bool("restore", false, "resume from the newest checkpoint in -checkpoint-dir")

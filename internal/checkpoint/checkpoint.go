@@ -83,9 +83,11 @@ type Info struct {
 	SavedAt time.Time
 }
 
-// Store manages one checkpoint directory. Methods are not safe for
-// concurrent use; serialize Save/Latest externally (the master calls them
-// from its training loop only).
+// Store manages one checkpoint directory. Save and Latest are not safe for
+// concurrent use: one writer at a time, serialized by the caller (the
+// master restores before its loop starts and keeps at most one Save in
+// flight behind it, joined before the next and before Run returns). The
+// lease methods touch only the LEASE file and may run alongside.
 type Store struct {
 	dir    string
 	retain int

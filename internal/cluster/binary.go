@@ -151,12 +151,19 @@ func getU64(b []byte) uint64 {
 	return uint64(getU32(b)) | uint64(getU32(b[4:]))<<32
 }
 
-// AppendFrame appends the canonical binary encoding of e to dst and returns
-// the extended slice. It refuses envelopes the frame format cannot
+// AppendFrame appends the canonical binaryv1 encoding of e to dst and
+// returns the extended slice. It refuses envelopes the frame format cannot
 // represent faithfully: invalid envelopes, negotiation fields (Wire rides
-// only in the gob hello exchange), out-of-range ids, and payloads on
-// payload-free kinds.
+// only in the gob hello exchange), sub-frame geometry (binaryv2 only),
+// out-of-range ids, and payloads on payload-free kinds.
 func AppendFrame(dst []byte, e *Envelope) ([]byte, error) {
+	return appendFrame(dst, e, false)
+}
+
+// appendFrame encodes e in either flavour of the frame grammar: binaryv1,
+// or binaryv2 with its version byte and the two geometry words behind the
+// shared header (see subframe.go for who may carry geometry).
+func appendFrame(dst []byte, e *Envelope, v2 bool) ([]byte, error) {
 	if err := validateEnvelope(e); err != nil {
 		return nil, err
 	}
@@ -166,8 +173,13 @@ func AppendFrame(dst []byte, e *Envelope) ([]byte, error) {
 	if e.Shards != 0 || e.Shard != 0 || e.Staleness != 0 {
 		return nil, fmt.Errorf("cluster: %s frame cannot carry lane or staleness negotiation", e.Kind)
 	}
-	if e.Offset != 0 || e.Total != 0 {
-		return nil, fmt.Errorf("cluster: v1 %s frame cannot carry sub-frame geometry (%d, %d)", e.Kind, e.Offset, e.Total)
+	switch {
+	case v2 && e.Kind == MsgGradient:
+		if e.Total < 1 {
+			return nil, fmt.Errorf("cluster: gradient sub-frame needs a positive total, got %d", e.Total)
+		}
+	case e.Offset != 0 || e.Total != 0:
+		return nil, fmt.Errorf("cluster: %s frame cannot carry sub-frame geometry (%d, %d)", e.Kind, e.Offset, e.Total)
 	}
 	t := frameTypeOf(e.Kind)
 	if t == 0 {
@@ -184,8 +196,9 @@ func AppendFrame(dst []byte, e *Envelope) ([]byte, error) {
 		return nil, err
 	}
 
+	version, header := frameVersionAndSize(v2)
 	off := len(dst)
-	need := frameHeaderSize + 8*len(vec)
+	need := header + 8*len(vec)
 	if cap(dst)-off < need {
 		grown := make([]byte, off, off+need)
 		copy(grown, dst)
@@ -194,7 +207,7 @@ func AppendFrame(dst []byte, e *Envelope) ([]byte, error) {
 	dst = dst[:off+need]
 	h := dst[off:]
 	h[0], h[1], h[2], h[3] = frameMagic0, frameMagic1, frameMagic2, frameMagic3
-	h[4] = frameVersion
+	h[4] = version
 	h[5] = t
 	h[6], h[7] = 0, 0
 	putU32(h[8:], uint32(e.Worker))
@@ -202,11 +215,23 @@ func AppendFrame(dst []byte, e *Envelope) ([]byte, error) {
 	putU64(h[16:], uint64(e.ComputeStartUnixNano))
 	putU64(h[24:], uint64(e.ComputeDurNanos))
 	putU32(h[32:], uint32(len(vec)))
-	p := h[frameHeaderSize:]
+	if v2 {
+		putU32(h[36:], uint32(e.Offset))
+		putU32(h[40:], uint32(e.Total))
+	}
+	p := h[header:]
 	for i, v := range vec {
 		putU64(p[8*i:], math.Float64bits(v))
 	}
 	return dst, nil
+}
+
+// frameVersionAndSize returns a flavour's version byte and header size.
+func frameVersionAndSize(v2 bool) (version byte, header int) {
+	if v2 {
+		return frameVersion2, frameHeaderSizeV2
+	}
+	return frameVersion, frameHeaderSize
 }
 
 // EncodeFrame renders one envelope as a standalone binary frame — the
@@ -216,35 +241,39 @@ func EncodeFrame(e *Envelope) ([]byte, error) {
 	return AppendFrame(nil, e)
 }
 
-// frameHeader is the parsed fixed header of one binary frame.
+// frameHeader is the parsed fixed header of one binary frame; offset and
+// total stay zero on binaryv1, whose header has no geometry words.
 type frameHeader struct {
-	kind         string
-	worker, step int
-	computeStart int64
-	computeDur   int64
-	dim          int
+	kind          string
+	worker, step  int
+	computeStart  int64
+	computeDur    int64
+	dim           int
+	offset, total int
 }
 
-// parseFrameHeader validates and parses a 36-byte header. Every rejection
-// is an error, never a panic: this parser fronts adversarial bytes and is
-// hammered by FuzzDecodeFrame.
-func parseFrameHeader(h []byte) (frameHeader, error) {
+// parseFrameHeader validates and parses a header of the given flavour (36
+// bytes, or 44 for binaryv2). Every rejection is an error, never a panic:
+// this parser fronts adversarial bytes and is hammered by FuzzDecodeFrame and
+// FuzzDecodeSubFrame.
+func parseFrameHeader(h []byte, v2 bool) (frameHeader, error) {
 	var fh frameHeader
-	if len(h) < frameHeaderSize {
-		return fh, fmt.Errorf("cluster: frame header truncated: %d of %d bytes", len(h), frameHeaderSize)
+	version, size := frameVersionAndSize(v2)
+	if len(h) < size {
+		return fh, fmt.Errorf("cluster: v%d frame header truncated: %d of %d bytes", version, len(h), size)
 	}
 	if h[0] != frameMagic0 || h[1] != frameMagic1 || h[2] != frameMagic2 || h[3] != frameMagic3 {
 		return fh, fmt.Errorf("cluster: bad frame magic % x", h[:4])
 	}
-	if h[4] != frameVersion {
-		return fh, fmt.Errorf("cluster: unsupported frame version %d (speak %d)", h[4], frameVersion)
+	if h[4] != version {
+		return fh, fmt.Errorf("cluster: unsupported frame version %d (speak %d)", h[4], version)
 	}
 	fh.kind = frameKindOf(h[5])
 	if fh.kind == "" {
 		return fh, fmt.Errorf("cluster: unknown frame type %d", h[5])
 	}
 	if h[6] != 0 || h[7] != 0 {
-		return fh, fmt.Errorf("cluster: nonzero reserved bytes % x in v1 frame", h[6:8])
+		return fh, fmt.Errorf("cluster: nonzero reserved bytes % x in v%d frame", h[6:8], version)
 	}
 	worker := getU32(h[8:])
 	step := getU32(h[12:])
@@ -260,6 +289,26 @@ func parseFrameHeader(h []byte) (frameHeader, error) {
 		return fh, fmt.Errorf("cluster: frame dim %d exceeds limit %d", dim, maxVectorLen)
 	}
 	fh.dim = int(dim)
+	if !v2 {
+		return fh, nil
+	}
+	offset := getU32(h[36:])
+	total := getU32(h[40:])
+	if offset > maxVectorLen || total > maxVectorLen {
+		return fh, fmt.Errorf("cluster: sub-frame geometry (%d, %d) exceeds limit %d", offset, total, maxVectorLen)
+	}
+	fh.offset = int(offset)
+	fh.total = int(total)
+	if fh.kind == MsgGradient {
+		if fh.total < 1 {
+			return fh, fmt.Errorf("cluster: gradient sub-frame with zero total")
+		}
+		if fh.offset+fh.dim > fh.total {
+			return fh, fmt.Errorf("cluster: sub-frame [%d, %d) exceeds total %d", fh.offset, fh.offset+fh.dim, fh.total)
+		}
+	} else if fh.offset != 0 || fh.total != 0 {
+		return fh, fmt.Errorf("cluster: %s frame carries sub-frame geometry (%d, %d)", fh.kind, fh.offset, fh.total)
+	}
 	return fh, nil
 }
 
@@ -272,6 +321,8 @@ func frameEnvelope(fh frameHeader, vec []float64) (*Envelope, error) {
 		Step:                 fh.step,
 		ComputeStartUnixNano: fh.computeStart,
 		ComputeDurNanos:      fh.computeDur,
+		Offset:               fh.offset,
+		Total:                fh.total,
 	}
 	switch fh.kind {
 	case MsgStep:
@@ -294,16 +345,21 @@ func frameEnvelope(fh frameHeader, vec []float64) (*Envelope, error) {
 // over-limit dims all error; nothing panics. It is the binary counterpart
 // of DecodeMessage and the target of FuzzDecodeFrame.
 func DecodeFrame(data []byte) (*Envelope, error) {
-	fh, err := parseFrameHeader(data)
+	return decodeFrame(data, false)
+}
+
+func decodeFrame(data []byte, v2 bool) (*Envelope, error) {
+	fh, err := parseFrameHeader(data, v2)
 	if err != nil {
 		return nil, err
 	}
-	if want := frameHeaderSize + 8*fh.dim; len(data) != want {
-		return nil, fmt.Errorf("cluster: frame length %d, want %d for dim %d", len(data), want, fh.dim)
+	version, header := frameVersionAndSize(v2)
+	if want := header + 8*fh.dim; len(data) != want {
+		return nil, fmt.Errorf("cluster: v%d frame length %d, want %d for dim %d", version, len(data), want, fh.dim)
 	}
 	var vec []float64
 	if fh.dim > 0 {
-		vec = decodePayload(data[frameHeaderSize:], make([]float64, fh.dim))
+		vec = decodePayload(data[header:], make([]float64, fh.dim))
 	}
 	return frameEnvelope(fh, vec)
 }
@@ -316,11 +372,11 @@ func decodePayload(p []byte, vec []float64) []float64 {
 	return vec
 }
 
-// frameBufPool recycles whole-frame send buffers and receive payload
-// scratch across connections and steps. At steady state every connection
-// reuses one grown buffer per direction, so the wire path allocates
-// nothing per message beyond the gradient vectors whose ownership
-// genuinely transfers to the gather loop.
+// frameBufPool recycles whole-frame send buffers across connections and
+// steps, so at steady state the wire path allocates nothing per message
+// beyond the gradient vectors whose ownership genuinely transfers to the
+// gather loop. A buffer grows to the frames it carries: S lanes streaming a
+// dim-sized gradient pool S shard-width buffers, not S dim-sized ones.
 var frameBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -328,32 +384,67 @@ var frameBufPool = sync.Pool{
 	},
 }
 
-// sendFrame serializes e into a pooled buffer and writes it with a single
-// Write call (one syscall per message, and the counting writer sees the
-// exact framed byte count). Callers hold sendMu.
-func (c *conn) sendFrame(e *Envelope) error {
-	bp := frameBufPool.Get().(*[]byte)
-	buf, err := AppendFrame((*bp)[:0], e)
-	if err != nil {
-		frameBufPool.Put(bp)
-		return err
-	}
-	_, werr := c.w.Write(buf)
-	*bp = buf[:0]
-	frameBufPool.Put(bp)
-	return werr
+// frameCache holds the binary encodings of one outgoing envelope, each
+// flavour — binaryv1, or binaryv2 with its wider header — encoded at most
+// once into a pooled buffer. A plain send uses one flavour once; a broadcast
+// hands the same cache to every connection, so a fleet costs one encode per
+// flavour however many workers it has. Not safe for concurrent use.
+type frameCache struct {
+	e    *Envelope
+	bufs [2]*[]byte // binaryv1, binaryv2; nil until that flavour is first needed
+	// encodes counts the frames actually encoded — what the encode-once
+	// test pins.
+	encodes int
 }
 
-// recvFrame reads one binary frame from the connection. The header lands
-// in a per-connection array and the payload bytes in a per-connection
-// scratch slice; the decoded vector is freshly allocated unless the
+// frame returns the envelope's encoding in the given flavour, encoding it on
+// first use. The bytes stay valid until release.
+func (fc *frameCache) frame(v2 bool) ([]byte, error) {
+	i := 0
+	if v2 {
+		i = 1
+	}
+	if fc.bufs[i] == nil {
+		bp := frameBufPool.Get().(*[]byte)
+		buf, err := appendFrame((*bp)[:0], fc.e, v2)
+		if err != nil {
+			frameBufPool.Put(bp)
+			return nil, err
+		}
+		*bp = buf
+		fc.bufs[i] = bp
+		fc.encodes++
+	}
+	return *fc.bufs[i], nil
+}
+
+// release returns the buffers to the pool and empties the cache.
+func (fc *frameCache) release() {
+	for i, bp := range fc.bufs {
+		if bp != nil {
+			*bp = (*bp)[:0]
+			frameBufPool.Put(bp)
+			fc.bufs[i] = nil
+		}
+	}
+}
+
+// recvFrame reads one binary frame of the connection's flavour. The header
+// lands in a per-connection array and the payload bytes in a per-connection
+// scratch slice. The decoded vector is freshly allocated unless the
 // connection opted into vector reuse (the worker side, where params are
-// consumed within the step and never retained).
+// consumed within the step and never retained) or — binaryv2 gradients only
+// — the owner installed the gradReserve hook: the payload then decodes
+// straight into the shard assembler's gather buffer at the sub-frame's
+// offset, no copy, and a declined reservation (nil destination) drains the
+// payload bytes without decoding them, surfacing the envelope with a nil
+// Coded for the reader to count and drop.
 func (c *conn) recvFrame() (*Envelope, error) {
-	if _, err := io.ReadFull(c.r, c.hdrScratch[:frameHeaderSize]); err != nil {
+	_, header := frameVersionAndSize(c.wireV2)
+	if _, err := io.ReadFull(c.r, c.hdrScratch[:header]); err != nil {
 		return nil, fmt.Errorf("cluster: recv frame header: %w", err)
 	}
-	fh, err := parseFrameHeader(c.hdrScratch[:frameHeaderSize])
+	fh, err := parseFrameHeader(c.hdrScratch[:header], c.wireV2)
 	if err != nil {
 		return nil, err
 	}
@@ -367,15 +458,21 @@ func (c *conn) recvFrame() (*Envelope, error) {
 		if _, err := io.ReadFull(c.r, p); err != nil {
 			return nil, fmt.Errorf("cluster: recv %s payload (%d words): %w", fh.kind, fh.dim, err)
 		}
-		if c.reuseVecs {
+		switch {
+		case fh.kind == MsgGradient && c.gradReserve != nil:
+			// Declined: the envelope stays well-formed — a gradient with
+			// geometry but no payload — so the reader can account for it.
+			if dst := c.gradReserve(fh.worker, fh.step, fh.offset, fh.dim, fh.total); dst != nil {
+				vec = decodePayload(p, dst)
+			}
+		case c.reuseVecs:
 			if cap(c.vecScratch) < fh.dim {
 				c.vecScratch = make([]float64, fh.dim)
 			}
-			vec = c.vecScratch[:fh.dim]
-		} else {
-			vec = make([]float64, fh.dim)
+			vec = decodePayload(p, c.vecScratch[:fh.dim])
+		default:
+			vec = decodePayload(p, make([]float64, fh.dim))
 		}
-		decodePayload(p, vec)
 	}
 	return frameEnvelope(fh, vec)
 }

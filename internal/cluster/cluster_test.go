@@ -3,12 +3,12 @@ package cluster
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"isgc/internal/dataset"
 	"isgc/internal/engine"
+	"isgc/internal/events"
 	"isgc/internal/gc"
 	"isgc/internal/isgc"
 	"isgc/internal/model"
@@ -46,7 +46,7 @@ func launchCluster(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl 
 	}
 
 	var wg sync.WaitGroup
-	var abandoned atomic.Int64
+	wlog := events.New(events.Config{})
 	workerErrs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -78,6 +78,7 @@ func launchCluster(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl 
 				Encode:     SumEncoder(),
 				Delay:      delay,
 				DelaySeed:  int64(i) + 1,
+				Events:     wlog,
 			})
 			if err != nil {
 				workerErrs <- err
@@ -86,7 +87,6 @@ func launchCluster(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl 
 			if _, err := wk.Run(); err != nil {
 				workerErrs <- err
 			}
-			abandoned.Add(wk.Health().Abandoned)
 		}()
 	}
 
@@ -95,16 +95,42 @@ func launchCluster(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl 
 		t.Fatalf("master: %v", err)
 	}
 	wg.Wait()
-	// A wait-all master broadcasts step t+1 only after every worker's
-	// step-t upload, so no step is ever superseded.
-	if got := abandoned.Load(); st.WaitFor(w) == n && got != 0 {
-		t.Errorf("wait-all run abandoned %d steps, want 0", got)
+	if st.WaitFor(w) == n {
+		checkWaitAllAbandons(t, res, wlog)
 	}
 	close(workerErrs)
 	for err := range workerErrs {
 		t.Fatalf("worker: %v", err)
 	}
 	return res
+}
+
+// checkWaitAllAbandons holds a wait-all run to the abandonments it may have.
+// A wait-all master broadcasts step t+1 only after every worker's step-t
+// upload, so no step is ever superseded — with one exception: a run that
+// converges on the loss threshold learns so from step t's deferred loss,
+// after step t+1's broadcast, and leaves the fleet that one trailing step,
+// which MsgStop makes each worker abandon unless its upload was already out.
+// wlog is the event log the whole fleet wrote to.
+func checkWaitAllAbandons(t *testing.T, res *engine.Result, wlog *events.Log) {
+	t.Helper()
+	recs := res.Run.Records
+	trailing := recs[len(recs)-1].Step + 1
+	seen := map[int]bool{}
+	for _, ev := range wlog.Snapshot() {
+		if ev.Type != "worker.step_abandoned" {
+			continue
+		}
+		switch {
+		case !res.Converged:
+			t.Errorf("wait-all run abandoned step %d on worker %d, want no abandonment", ev.Step, ev.Worker)
+		case ev.Step != trailing:
+			t.Errorf("worker %d abandoned step %d, only the trailing step %d may be", ev.Worker, ev.Step, trailing)
+		case seen[ev.Worker]:
+			t.Errorf("worker %d abandoned the trailing step %d twice", ev.Worker, trailing)
+		}
+		seen[ev.Worker] = true
+	}
 }
 
 func testData(t *testing.T) *dataset.Dataset {

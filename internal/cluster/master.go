@@ -97,20 +97,12 @@ type MasterConfig struct {
 	// single binaryv1 stream. Workers that never propose sharding are
 	// untouched either way — the default path stays bit-identical.
 	GatherShards int
-	// Pipeline defers each step's finalize: step t+1's broadcast goes out
-	// the moment step t's update lands, and step t's loss evaluation,
-	// record and periodic checkpoint run under step t+1's compute window.
-	// With Staleness == 0 the records and final parameters are
-	// bit-identical to the inline schedule — only wall clock moves.
-	// Orthogonal to the gather policy (W or Deadline).
-	Pipeline bool
 	// Staleness, when positive, is the bounded-staleness window k: the
 	// gather target drops to max(1, waitFor−k) and a decoded step stays
 	// correctable for k more steps — a straggler gradient arriving while
 	// a later step gathers folds into the parameters as the exact
 	// correction that retroactively includes it in its own step's
-	// normalized update. Implies Pipeline; requires a flexible scheme and
-	// excludes Deadline.
+	// normalized update. Requires a flexible scheme and excludes Deadline.
 	Staleness int
 	// Metrics, when non-nil, receives live instrumentation (gather
 	// latency, recovered fraction, liveness, evictions); serve it via the
@@ -126,8 +118,10 @@ type MasterConfig struct {
 	// Checkpoint, when non-nil, persists durable run snapshots (params,
 	// step, decoder RNG position, cursors) every CheckpointEvery steps,
 	// on graceful Stop, and once more — marked Completed — when the run
-	// finishes. The same store carries the primary-liveness lease a warm
-	// standby watches.
+	// finishes. A periodic snapshot is taken at its step boundary and
+	// written behind the loop, so it is durable at most one period plus one
+	// write later; Stop and Run's return wait for it. The same store
+	// carries the primary-liveness lease a warm standby watches.
 	Checkpoint *checkpoint.Store
 	// CheckpointEvery is the checkpoint period in steps (default 10 when
 	// Checkpoint is set).
@@ -255,6 +249,12 @@ type Master struct {
 	// registered with sharding (lazily created; see shard.go).
 	shardMu   sync.Mutex
 	shardAsms map[int]*shardAssembler
+
+	// bcastConns and bcastFrames are broadcast's scratch — the connection
+	// snapshot and the shared frame encodings — reused across calls so a
+	// steady-state broadcast allocates nothing. Run's goroutine only.
+	bcastConns  []bcastTarget
+	bcastFrames frameCache
 }
 
 // ArrivalCounts returns, per worker, how many steps gathered that worker's
@@ -354,9 +354,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	}
 	if err := engine.CheckStaleness(cfg.Strategy, cfg.Staleness, true, cfg.Deadline); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	if cfg.Staleness > 0 {
-		cfg.Pipeline = true
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -484,6 +481,9 @@ func (m *Master) Run() (*engine.Result, error) {
 	m.cfg.Timeline.SetThreadName(0, "master")
 	for i := 0; i < n; i++ {
 		m.cfg.Timeline.SetThreadName(i+1, fmt.Sprintf("worker %d", i))
+	}
+	if m.cfg.Checkpoint != nil {
+		m.cfg.Timeline.SetThreadName(n+1, "checkpoint")
 	}
 	m.grads = make(chan arrival, 8*n)
 	m.wakeup = make(chan struct{}, 1)
@@ -977,14 +977,15 @@ func (m *Master) achievable(avail *bitset.Set) int {
 }
 
 // stepSpans is a step whose update has landed and whose finalize — loss
-// evaluation, record, periodic checkpoint — is still owed: the record so
-// far plus the wall-clock marks its Timeline spans need.
+// evaluation, record, checkpoint cadence — is still owed: the record so far
+// plus the wall-clock marks its Timeline spans need.
 type stepSpans struct {
-	rec                                         trace.StepRecord
-	bcastStart, stepStart, gatherEnd, decodeEnd time.Time
-	// updateEnd is set when the finalize is deferred (Pipeline); zero means
-	// it runs inline and the update span covers the loss evaluation.
-	updateEnd time.Time
+	rec trace.StepRecord
+	// bcastEnd is the workers' clock: arrival attribution and the Deadline
+	// count from it. gatherStart is the master's, stamped once the previous
+	// step's finalize is paid, so the gather span and rec.Elapsed hold only
+	// what this step's gather kept the loop waiting for.
+	bcastStart, bcastEnd, gatherStart, gatherEnd, decodeEnd, updateEnd time.Time
 }
 
 // resume moves core off a cold start when the config asks for it: onto the
@@ -1021,17 +1022,21 @@ func (m *Master) resume(core *engine.StepCore) error {
 	return nil
 }
 
-// run is the step loop: broadcast → gather → decode → update → finalize,
-// with every decision about the update, the staleness window, the record
-// and the checkpoint cadence made by the engine's step core. Two policies
-// shape it and nothing else does. The gather is fastest-w or, for a
-// flexible scheme under Deadline, the deadline policy. Finalize (loss
-// evaluation, record, periodic checkpoint) runs inline, or with Pipeline
-// is deferred until the next step's broadcast is out, under the fleet's
-// compute window — the loss is evaluated on the same parameter bits either
-// way (a broadcast writes nothing), so records and parameters do not move.
+// run is the step loop: broadcast → gather → decode → update, with every
+// decision about the update, the staleness window, the record and the
+// checkpoint cadence made by the engine's step core. Nothing else stays on
+// the critical path. Step t's finalize — loss evaluation, record, checkpoint
+// cadence — is owed until step t+1's broadcast is out and runs under the
+// fleet's compute window, on the parameter bits it would have seen inline (a
+// broadcast writes nothing); a periodic checkpoint is snapshotted at its
+// boundary and written behind the loop. The one policy is the gather:
+// fastest-w or, for a flexible scheme under Deadline, the deadline policy.
 // Staleness k lowers the gather target to max(1, waitFor−k) and lets the
 // core fold a late upload for any of the k newest decoded steps.
+//
+// A run that converges on the loss threshold learns so from step t's
+// deferred loss, after step t+1's broadcast: the fleet is left one trailing
+// step nobody gathers, which MsgStop makes it abandon.
 func (m *Master) run() (*engine.Result, error) {
 	st := m.cfg.Strategy
 	n := st.N()
@@ -1067,36 +1072,31 @@ func (m *Master) run() (*engine.Result, error) {
 		}
 	}
 
+	ckpt := checkpointWriter{m: m}
+	// Every return joins the writer: Run returning means nobody touches the
+	// store any more.
+	defer ckpt.join()
+
 	finalize := func(d stepSpans) (converged bool) {
+		lossStart := time.Now()
 		loss := pool.Loss(params, m.cfg.Model, all)
-		lossEnd := time.Now()
 		rec := d.rec
-		if m.cfg.Timeline != nil {
-			updateEnd := d.updateEnd
-			if updateEnd.IsZero() {
-				updateEnd = lossEnd
-			}
+		if tl := m.cfg.Timeline; tl != nil {
+			lossEnd := time.Now()
 			stepArgs := map[string]any{"gathered": rec.Available, "recovered": len(rec.Partitions), "degraded": rec.Degraded}
 			if rec.Folded > 0 {
 				stepArgs["folded"] = rec.Folded
 			}
-			m.cfg.Timeline.Add(events.Span{Name: fmt.Sprintf("step %d", rec.Step), Cat: "step",
-				Start: d.bcastStart, Dur: updateEnd.Sub(d.bcastStart), Args: stepArgs})
-			m.cfg.Timeline.Add(events.Span{Name: "broadcast", Cat: "phase",
-				Start: d.bcastStart, Dur: d.stepStart.Sub(d.bcastStart)})
-			m.cfg.Timeline.Add(events.Span{Name: "gather", Cat: "phase",
-				Start: d.stepStart, Dur: rec.Elapsed})
-			m.cfg.Timeline.Add(events.Span{Name: "decode", Cat: "phase",
-				Start: d.gatherEnd, Dur: d.decodeEnd.Sub(d.gatherEnd)})
-			m.cfg.Timeline.Add(events.Span{Name: "update", Cat: "phase",
-				Start: d.decodeEnd, Dur: updateEnd.Sub(d.decodeEnd)})
-			if !d.updateEnd.IsZero() {
-				// The deferred loss overlaps the next step's broadcast and the
-				// fleet's compute — the pipelining win, visible as a phase span
-				// that outlives its own step span.
-				m.cfg.Timeline.Add(events.Span{Name: "loss", Cat: "phase",
-					Start: updateEnd, Dur: lossEnd.Sub(updateEnd), Args: map[string]any{"step": rec.Step}})
-			}
+			tl.Add(events.Span{Name: fmt.Sprintf("step %d", rec.Step), Cat: "step",
+				Start: d.bcastStart, Dur: d.updateEnd.Sub(d.bcastStart), Args: stepArgs})
+			tl.Add(events.Span{Name: "broadcast", Cat: "phase", Start: d.bcastStart, Dur: d.bcastEnd.Sub(d.bcastStart)})
+			tl.Add(events.Span{Name: "gather", Cat: "phase", Start: d.gatherStart, Dur: rec.Elapsed})
+			tl.Add(events.Span{Name: "decode", Cat: "phase", Start: d.gatherEnd, Dur: d.decodeEnd.Sub(d.gatherEnd)})
+			tl.Add(events.Span{Name: "update", Cat: "phase", Start: d.decodeEnd, Dur: d.updateEnd.Sub(d.decodeEnd)})
+			// The loss overlaps the next step's compute window, so its span
+			// lies outside its own step span.
+			tl.Add(events.Span{Name: "loss", Cat: "phase", Start: lossStart, Dur: lossEnd.Sub(lossStart),
+				Args: map[string]any{"step": rec.Step}})
 		}
 		m.cfg.Events.Debug("master.step_completed", "step finished", rec.Step, events.NoWorker,
 			events.Fields{"gathered": rec.Available, "recovered": len(rec.Partitions),
@@ -1104,25 +1104,29 @@ func (m *Master) run() (*engine.Result, error) {
 		rec.Loss = loss
 		converged, checkpointDue := core.Finish(rec)
 		if checkpointDue {
-			m.writeCheckpoint(core, rec.Step+1, false)
+			ckpt.writeBehind(core, rec.Step+1)
 		}
 		return converged
 	}
 	// interrupted ends a stopped run before step: the parameters are the
 	// post-step-(step−1) state plus any landed folds, so the checkpoint
 	// resumes at step — unless the periodic checkpoint of this very
-	// boundary already holds it.
+	// boundary, joined first since it may still be in flight, already holds
+	// it.
 	interrupted := func(step int) (*engine.Result, error) {
 		res := core.Result()
 		res.Interrupted = true
-		if m.cfg.Checkpoint != nil && m.lastCkptStep.Load() != int64(step) {
-			m.writeCheckpoint(core, step, false)
+		if m.cfg.Checkpoint != nil {
+			ckpt.join()
+			if m.lastCkptStep.Load() != int64(step) {
+				ckpt.writeNow(core, step, false)
+			}
 		}
 		return res, nil
 	}
 
-	// With Pipeline the previous step is owed its finalize until this step's
-	// broadcast is out; settle pays it and reports convergence.
+	// The previous step is owed its finalize until this step's broadcast is
+	// out; settle pays it and reports convergence.
 	var owed stepSpans
 	var isOwed bool
 	settle := func() bool {
@@ -1151,10 +1155,12 @@ steps:
 		m.mu.Unlock()
 		bcastStart := time.Now()
 		m.broadcast(&Envelope{Kind: MsgStep, Step: step, Params: params})
-		stepStart := time.Now()
+		bcastEnd := time.Now()
 		if settle() {
 			break
 		}
+		// Only now does this step's gather keep the loop waiting.
+		gatherStart := time.Now()
 
 		avail := bitset.New(n)
 		coded := make([][]float64, n)
@@ -1177,7 +1183,7 @@ steps:
 				if a.worker >= 0 && a.worker < n {
 					s := trace.ArrivalSample{Worker: a.worker, Step: step, Compute: a.computeDur}
 					if a.step == step {
-						s.Arrival = a.recvAt.Sub(stepStart)
+						s.Arrival = a.recvAt.Sub(bcastEnd)
 					}
 					m.attribution.ObserveIgnored(s)
 				}
@@ -1198,7 +1204,7 @@ steps:
 			m.cfg.Metrics.markAccepted(a.worker)
 			m.attribution.ObserveAccepted(trace.ArrivalSample{
 				Worker: a.worker, Step: step,
-				Compute: a.computeDur, Arrival: a.recvAt.Sub(stepStart),
+				Compute: a.computeDur, Arrival: a.recvAt.Sub(bcastEnd),
 			})
 			if a.computeDur > 0 && !a.computeStart.IsZero() {
 				// The worker's self-reported compute interval, rendered on
@@ -1216,7 +1222,7 @@ steps:
 		var degraded bool
 		var err error
 		if useDeadline {
-			err = m.gatherDeadline(step, n, stepStart.Add(m.cfg.Deadline), avail, accept)
+			err = m.gatherDeadline(step, n, bcastEnd.Add(m.cfg.Deadline), avail, accept)
 		} else {
 			degraded, err = m.gatherFastest(step, n, target, flexible, avail, accept)
 		}
@@ -1229,7 +1235,7 @@ steps:
 			return core.Result(), err
 		}
 		gatherEnd := time.Now()
-		elapsed := gatherEnd.Sub(stepStart)
+		elapsed := gatherEnd.Sub(gatherStart)
 		if degraded {
 			m.mu.Lock()
 			m.degraded++
@@ -1249,41 +1255,98 @@ steps:
 			return core.Result(), fmt.Errorf("cluster: %w", err)
 		}
 		rec.Alive, rec.Degraded, rec.Elapsed = m.countAlive(), degraded, elapsed
-		d := stepSpans{rec: rec, bcastStart: bcastStart, stepStart: stepStart, gatherEnd: gatherEnd, decodeEnd: decodeEnd}
-		if m.cfg.Pipeline {
-			d.updateEnd = time.Now()
-			owed, isOwed = d, true
-		} else if finalize(d) {
-			break
-		}
+		owed, isOwed = stepSpans{rec: rec, bcastStart: bcastStart, bcastEnd: bcastEnd, gatherStart: gatherStart,
+			gatherEnd: gatherEnd, decodeEnd: decodeEnd, updateEnd: time.Now()}, true
 	}
 	settle()
 	if m.cfg.Checkpoint != nil {
-		m.writeCheckpoint(core, core.NextStep(), true)
+		ckpt.writeNow(core, core.NextStep(), true)
 	}
 	return core.Result(), nil
 }
 
-// writeCheckpoint persists one durable snapshot. Failures are counted and
-// logged but do not stop training — losing durability is better than
-// losing the run.
-func (m *Master) writeCheckpoint(core *engine.StepCore, nextStep int, completed bool) {
-	cst := core.Snapshot(nextStep, completed, time.Now())
+// checkpointWriter takes Store.Save off the step loop. The snapshot — a
+// value holding its own copy of the parameters — is taken on the loop at the
+// step boundary; the marshal and the fsyncs run behind it, at most one write
+// in flight, so the loop blocks only when the next write comes due first.
+// Failures are counted and logged but do not stop training — losing
+// durability is better than losing the run. The step loop alone calls its
+// methods.
+type checkpointWriter struct {
+	m *Master
+	// inflight is closed when the background write has finished; nil when
+	// none is outstanding.
+	inflight chan struct{}
+}
+
+// join waits out the write in flight, if any, and reports how long the loop
+// was blocked on it.
+func (w *checkpointWriter) join() time.Duration {
+	if w.inflight == nil {
+		return 0
+	}
+	var waited time.Duration
+	select {
+	case <-w.inflight:
+	default:
+		start := time.Now()
+		<-w.inflight
+		waited = time.Since(start)
+	}
+	w.inflight = nil
+	return waited
+}
+
+// snapshot joins the write in flight, takes core's snapshot as the checkpoint
+// that resumes at nextStep, and returns the function that saves it.
+// lastCkptStep, the metrics and the events move when the file is durable.
+func (w *checkpointWriter) snapshot(core *engine.StepCore, nextStep int, completed bool) (save func()) {
+	m := w.m
+	waited := w.join()
+	start := time.Now()
+	cst := core.Snapshot(nextStep, completed, start)
 	m.mu.Lock()
 	cst.RunID, cst.Generation = m.runID, m.generation
 	m.mu.Unlock()
-	info, err := m.cfg.Checkpoint.Save(nextStep, &cst)
-	if err != nil {
-		m.cfg.Metrics.markCheckpointError()
-		m.cfg.Events.Error("master.checkpoint_error", "checkpoint write failed", nextStep,
-			events.NoWorker, events.Fields{"error": err.Error()})
-		return
+	return func() {
+		info, err := m.cfg.Checkpoint.Save(nextStep, &cst)
+		if tl := m.cfg.Timeline; tl != nil {
+			args := map[string]any{"step": nextStep}
+			if waited > 0 {
+				args["waited_ms"] = float64(waited) / float64(time.Millisecond)
+			}
+			tl.Add(events.Span{Name: "checkpoint", Cat: "checkpoint", TID: m.cfg.Strategy.N() + 1,
+				Start: start, Dur: time.Since(start), Args: args})
+		}
+		if err != nil {
+			m.cfg.Metrics.markCheckpointError()
+			m.cfg.Events.Error("master.checkpoint_error", "checkpoint write failed", nextStep,
+				events.NoWorker, events.Fields{"error": err.Error()})
+			return
+		}
+		m.lastCkptStep.Store(int64(nextStep))
+		m.lastCkptUnixNano.Store(time.Now().UnixNano())
+		m.cfg.Metrics.markCheckpointWrite(info.Size, nextStep)
+		m.cfg.Events.Info("master.checkpoint_written", "durable checkpoint saved", nextStep,
+			events.NoWorker, events.Fields{"file": info.File, "bytes": info.Size, "completed": completed})
 	}
-	m.lastCkptStep.Store(int64(nextStep))
-	m.lastCkptUnixNano.Store(time.Now().UnixNano())
-	m.cfg.Metrics.markCheckpointWrite(info.Size, nextStep)
-	m.cfg.Events.Info("master.checkpoint_written", "durable checkpoint saved", nextStep,
-		events.NoWorker, events.Fields{"file": info.File, "bytes": info.Size, "completed": completed})
+}
+
+// writeBehind saves a periodic checkpoint behind the loop.
+func (w *checkpointWriter) writeBehind(core *engine.StepCore, nextStep int) {
+	save := w.snapshot(core, nextStep, false)
+	done := make(chan struct{})
+	w.inflight = done
+	go func() {
+		defer close(done)
+		save()
+	}()
+}
+
+// writeNow saves the checkpoint a Stop or the end of the run stands on
+// before returning.
+func (w *checkpointWriter) writeNow(core *engine.StepCore, nextStep int, completed bool) {
+	w.snapshot(core, nextStep, completed)()
 }
 
 // gatherFastest implements the fastest-w gather with graceful degradation:
@@ -1346,6 +1409,14 @@ gather:
 		if m.achievable(avail) <= avail.Len() {
 			break // every remaining worker is dead; waiting is pointless
 		}
+		// What is already queued arrived while the previous step's finalize
+		// ran, and counts even when that outlasted the deadline.
+		select {
+		case a := <-m.grads:
+			accept(a)
+			continue
+		default:
+		}
 		select {
 		case a := <-m.grads:
 			accept(a)
@@ -1382,26 +1453,32 @@ gather:
 	return nil
 }
 
+// bcastTarget is one connection of a broadcast's snapshot.
+type bcastTarget struct {
+	id int
+	c  *conn
+}
+
 // broadcast sends e to every live worker. The connection list is
-// snapshotted under the lock but the sends happen outside it, each bounded
-// by the write timeout, so one stalled socket can neither wedge
-// registration/shutdown paths nor stall the other workers; a failed send
-// evicts the connection (its reader marks the worker dead).
+// snapshotted under the lock but the sends happen outside it, each under
+// its connection's own send lock and write timeout, so one stalled socket
+// can neither wedge registration/shutdown paths nor stall the other workers;
+// a failed send evicts the connection (its reader marks the worker dead).
+// Binary connections all write the same bytes: e is encoded once per frame
+// flavour, not once per worker.
 func (m *Master) broadcast(e *Envelope) {
-	type target struct {
-		id int
-		c  *conn
-	}
 	m.mu.Lock()
-	conns := make([]target, 0, len(m.workers))
+	conns := m.bcastConns[:0]
 	for id, ws := range m.workers {
 		if ws != nil && ws.alive {
-			conns = append(conns, target{id: id, c: ws.c})
+			conns = append(conns, bcastTarget{id: id, c: ws.c})
 		}
 	}
 	m.mu.Unlock()
+	m.bcastConns = conns
+	m.bcastFrames.e = e
 	for _, t := range conns {
-		if err := t.c.send(e); err != nil {
+		if err := t.c.sendShared(&m.bcastFrames); err != nil {
 			m.cfg.Metrics.markEviction()
 			if e.Kind != MsgStop {
 				m.cfg.Events.Warn("master.worker_send_failed", "send failed; closing connection",
@@ -1410,6 +1487,8 @@ func (m *Master) broadcast(e *Envelope) {
 			_ = t.c.close()
 		}
 	}
+	m.bcastFrames.release()
+	m.bcastFrames.e = nil
 }
 
 func (m *Master) closeAll() {

@@ -80,8 +80,8 @@ type MasterMetrics struct {
 	// gradients (zero on an unsharded fleet).
 	SubFrames *metrics.Counter
 	// FoldedGradients counts straggler gradients folded into a later
-	// step's parameters as a staleness correction (zero unless the
-	// pipelined mode runs with -staleness > 0).
+	// step's parameters as a staleness correction (zero unless the master
+	// runs with -staleness > 0).
 	FoldedGradients *metrics.Counter
 }
 

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"isgc/internal/dataset"
 	"isgc/internal/engine"
+	"isgc/internal/events"
 	"isgc/internal/isgc"
 	"isgc/internal/metrics"
 	"isgc/internal/model"
@@ -62,7 +62,7 @@ func runStrategyCluster(t *testing.T, st engine.Strategy, shapeMaster func(*Mast
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	var abandoned atomic.Int64
+	wlog := events.New(events.Config{})
 	for i := 0; i < 4; i++ {
 		i := i
 		wg.Add(1)
@@ -81,7 +81,7 @@ func runStrategyCluster(t *testing.T, st engine.Strategy, shapeMaster func(*Mast
 			wcfg := WorkerConfig{
 				Addr: master.Addr(), ID: i, Partitions: pids, Loaders: loaders,
 				Model: mdl, Encode: SumEncoder(), Wire: WireBinary,
-				DelaySeed: int64(i) + 1,
+				DelaySeed: int64(i) + 1, Events: wlog,
 			}
 			if shapeWorker != nil {
 				shapeWorker(i, &wcfg)
@@ -94,7 +94,6 @@ func runStrategyCluster(t *testing.T, st engine.Strategy, shapeMaster func(*Mast
 			if _, err := wk.Run(); err != nil {
 				t.Error(err)
 			}
-			abandoned.Add(wk.Health().Abandoned)
 		}()
 	}
 	res, err := master.Run()
@@ -102,11 +101,8 @@ func runStrategyCluster(t *testing.T, st engine.Strategy, shapeMaster func(*Mast
 		t.Fatalf("master: %v", err)
 	}
 	wg.Wait()
-	// The equivalence suites run wait-all: step t+1 is broadcast only after
-	// every worker's step-t upload, so no step is ever superseded.
-	waitAll := st.WaitFor(mcfg.W) == st.N() && mcfg.Staleness == 0 && mcfg.Deadline == 0
-	if got := abandoned.Load(); waitAll && got != 0 {
-		t.Errorf("wait-all run abandoned %d steps, want 0", got)
+	if st.WaitFor(mcfg.W) == st.N() && mcfg.Staleness == 0 && mcfg.Deadline == 0 {
+		checkWaitAllAbandons(t, res, wlog)
 	}
 	return res, mm
 }
@@ -118,41 +114,31 @@ func normalizeRun(res *engine.Result) {
 	}
 }
 
-// TestPipelinedEquivalentToSync is the step loop's determinism pin: with
-// Staleness = 0, deferring finalize changes only the schedule — it must
-// produce the exact records and final parameters of the inline loop, bit
-// for bit. So must a deadline gather that every worker beats, at either
-// depth: gatherDeadline returns as soon as all n arrived.
-func TestPipelinedEquivalentToSync(t *testing.T) {
-	sync0, _ := runShapedCluster(t, nil, nil)
-	piped, _ := runShapedCluster(t, func(c *MasterConfig) { c.Pipeline = true }, nil)
-	normalizeRun(sync0)
-	normalizeRun(piped)
-	if len(sync0.Run.Records) == 0 {
+// TestDeadlineGatherEquivalentToFastestW pins the gather policies against
+// each other: a deadline that every worker beats must produce the exact
+// records and final parameters of the fastest-w run, bit for bit —
+// gatherDeadline returns as soon as all n arrived. (That the one schedule
+// itself is deterministic is pinned by engine ≡ cluster,
+// TestTCPMatchesInProcessEngine, and the engine's golden digests.)
+func TestDeadlineGatherEquivalentToFastestW(t *testing.T) {
+	fastest, _ := runShapedCluster(t, nil, nil)
+	normalizeRun(fastest)
+	if len(fastest.Run.Records) == 0 || len(fastest.Params) == 0 {
 		t.Fatal("empty run")
 	}
-	if !reflect.DeepEqual(sync0.Run.Records, piped.Run.Records) {
-		for j := range sync0.Run.Records {
-			if !reflect.DeepEqual(sync0.Run.Records[j], piped.Run.Records[j]) {
-				t.Fatalf("step %d diverged:\n  sync      %+v\n  pipelined %+v",
-					j, sync0.Run.Records[j], piped.Run.Records[j])
+	dl, _ := runShapedCluster(t, func(c *MasterConfig) { c.Deadline = time.Minute }, nil)
+	normalizeRun(dl)
+	if !reflect.DeepEqual(fastest.Run.Records, dl.Run.Records) {
+		for j := range fastest.Run.Records {
+			if !reflect.DeepEqual(fastest.Run.Records[j], dl.Run.Records[j]) {
+				t.Fatalf("step %d diverged:\n  fastest-w %+v\n  deadline  %+v",
+					j, fastest.Run.Records[j], dl.Run.Records[j])
 			}
 		}
 		t.Fatal("records diverged")
 	}
-	if len(sync0.Params) == 0 || !reflect.DeepEqual(sync0.Params, piped.Params) {
-		t.Fatal("final parameters differ between sync and pipelined runs")
-	}
-	for _, pipeline := range []bool{false, true} {
-		pipeline := pipeline
-		dl, _ := runShapedCluster(t, func(c *MasterConfig) { c.Pipeline, c.Deadline = pipeline, time.Minute }, nil)
-		normalizeRun(dl)
-		if !reflect.DeepEqual(sync0.Run.Records, dl.Run.Records) {
-			t.Fatalf("deadline gather (pipeline=%v): records diverged from the fastest-w run", pipeline)
-		}
-		if !reflect.DeepEqual(sync0.Params, dl.Params) {
-			t.Fatalf("deadline gather (pipeline=%v): final parameters diverged from the fastest-w run", pipeline)
-		}
+	if !reflect.DeepEqual(fastest.Params, dl.Params) {
+		t.Fatal("deadline gather: final parameters diverged from the fastest-w run")
 	}
 }
 
@@ -343,7 +329,7 @@ func TestPipelinedCrashMidOverlap(t *testing.T) {
 	}
 }
 
-func TestMasterConfigPipelineValidation(t *testing.T) {
+func TestMasterConfigStalenessValidation(t *testing.T) {
 	st, err := engine.NewSyncSGD(2)
 	if err != nil {
 		t.Fatal(err)
@@ -376,23 +362,17 @@ func TestMasterConfigPipelineValidation(t *testing.T) {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
-	// Gather policy and overlap depth are orthogonal.
-	okCfg := good
-	okCfg.Pipeline, okCfg.Deadline = true, time.Second
-	m, err := NewMaster(okCfg)
-	if err != nil {
-		t.Fatalf("pipeline with deadline: %v", err)
+	// A window alone, and a deadline alone, are both fine.
+	for name, mut := range map[string]func(*MasterConfig){
+		"staleness": func(c *MasterConfig) { c.Staleness = 1 },
+		"deadline":  func(c *MasterConfig) { c.Deadline = time.Second },
+	} {
+		okCfg := good
+		mut(&okCfg)
+		m, err := NewMaster(okCfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m.ln.Close()
 	}
-	m.ln.Close()
-	// Staleness implies Pipeline.
-	okCfg = good
-	okCfg.Staleness = 1
-	m, err = NewMaster(okCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.cfg.Pipeline {
-		t.Error("Staleness > 0 must imply Pipeline")
-	}
-	m.ln.Close()
 }

@@ -3,7 +3,10 @@ package cluster
 import (
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +15,7 @@ import (
 	"isgc/internal/checkpoint"
 	"isgc/internal/dataset"
 	"isgc/internal/engine"
+	"isgc/internal/events"
 	"isgc/internal/isgc"
 	"isgc/internal/metrics"
 	"isgc/internal/model"
@@ -394,61 +398,155 @@ func (s *stopAtRecover) Recover(avail *bitset.Set, coded [][]float64) ([]float64
 
 // TestStopAtCheckpointBoundaryWritesOnce: a Stop that takes effect at a
 // boundary the periodic checkpoint just covered must not write that
-// snapshot a second time. Counted, not timed: Stop fires from step 3's
-// Recover with a checkpoint every step, so the first life writes exactly
-// snapshots 1..4 at either overlap depth, and the second resumes at step 4.
+// snapshot a second time — even though the boundary's write is still in
+// flight behind the loop when the Stop looks. Counted, not timed: Stop fires
+// from step 3's Recover with a checkpoint every step, so the next loop turn
+// pays step 3's finalize, starts snapshot 4's write and is interrupted right
+// behind it. The first life leaves exactly files 1..4, one write each, and
+// reports 4 as durable; the second resumes at step 4 and the two lives
+// together are bit-identical to an uninterrupted run. No writer goroutine
+// outlives Run.
 func TestStopAtCheckpointBoundaryWritesOnce(t *testing.T) {
 	mdl := model.SoftmaxRegression{Features: 6, Classes: 3}
 	data := testData(t)
-	for _, pipeline := range []bool{false, true} {
-		addr := freeLoopbackAddr(t)
-		dir := t.TempDir()
-		life := func(restore bool) (*Master, *MasterMetrics, *stopAtRecover) {
-			store, err := checkpoint.NewStore(dir, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inner := freshISGC(t, 4, 2, 7)
-			st := &stopAtRecover{Strategy: inner, RandStateful: inner.(engine.RandStateful), at: -1}
-			mm := NewMasterMetrics(metrics.NewRegistry())
-			m, err := NewMaster(MasterConfig{
-				Addr: addr, Strategy: st, Model: mdl, Data: data,
-				LearningRate: 0.3, W: 4, MaxSteps: 8, Seed: 42, Pipeline: pipeline,
-				Checkpoint: store, CheckpointEvery: 1, Restore: restore, Metrics: mm,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m, mm, st
+	baseline := runtime.NumGoroutine()
+	config := func(addr string, st engine.Strategy) MasterConfig {
+		return MasterConfig{
+			Addr: addr, Strategy: st, Model: mdl, Data: data,
+			LearningRate: 0.3, W: 4, MaxSteps: 8, Seed: 42,
+			ComputePar: 1, // the lives' losses are compared bit for bit
 		}
+	}
 
-		m1, mm1, st1 := life(false)
-		st1.at, st1.stop = 3, m1.Stop
-		fleet := startFleet(t, st1, data, mdl, addr, 30*time.Second, nil)
-		res1, err := m1.Run()
+	refMaster, err := NewMaster(config("127.0.0.1:0", freshISGC(t, 4, 2, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refFleet := startFleet(t, refMaster.cfg.Strategy, data, mdl, refMaster.Addr(), 0, nil)
+	ref, err := refMaster.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refFleet.Wait()
+
+	addr := freeLoopbackAddr(t)
+	dir := t.TempDir()
+	life := func(restore bool) (*Master, *MasterMetrics, *stopAtRecover) {
+		store, err := checkpoint.NewStore(dir, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res1.Interrupted || res1.Run.Steps() != 4 {
-			t.Fatalf("pipeline=%v: first life interrupted=%v after %d steps, want true after 4",
-				pipeline, res1.Interrupted, res1.Run.Steps())
-		}
-		if got := mm1.CheckpointWrites.Value(); got != 4 {
-			t.Errorf("pipeline=%v: %d checkpoint writes for snapshots 1..4, want 4", pipeline, got)
-		}
-		if got := m1.Health().LastCheckpointStep; got != 4 {
-			t.Errorf("pipeline=%v: last checkpoint step %d, want 4", pipeline, got)
-		}
-
-		m2, _, _ := life(true)
-		res2, err := m2.Run()
+		inner := freshISGC(t, 4, 2, 7)
+		st := &stopAtRecover{Strategy: inner, RandStateful: inner.(engine.RandStateful), at: -1}
+		mm := NewMasterMetrics(metrics.NewRegistry())
+		cfg := config(addr, st)
+		cfg.Checkpoint, cfg.CheckpointEvery, cfg.Restore, cfg.Metrics = store, 1, restore, mm
+		m, err := NewMaster(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fleet.Wait()
-		if res2.Run.Steps() != 4 || res2.Run.Records[0].Step != 4 {
-			t.Fatalf("pipeline=%v: second life ran %d steps from step %d, want 4 from step 4",
-				pipeline, res2.Run.Steps(), res2.Run.Records[0].Step)
+		return m, mm, st
+	}
+
+	m1, mm1, st1 := life(false)
+	st1.at, st1.stop = 3, m1.Stop
+	fleet := startFleet(t, st1, data, mdl, addr, 30*time.Second, nil)
+	res1, err := m1.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res1.Interrupted || res1.Run.Steps() != 4 {
+		t.Fatalf("first life interrupted=%v after %d steps, want true after 4", res1.Interrupted, res1.Run.Steps())
+	}
+	if got := mm1.CheckpointWrites.Value(); got != 4 {
+		t.Errorf("%d checkpoint writes for snapshots 1..4, want 4", got)
+	}
+	if got := m1.Health().LastCheckpointStep; got != 4 {
+		t.Errorf("last checkpoint step %d, want 4", got)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range files {
+		files[i] = filepath.Base(files[i])
+	}
+	if want := []string{"ckpt-00000001.json", "ckpt-00000002.json", "ckpt-00000003.json", "ckpt-00000004.json"}; !reflect.DeepEqual(files, want) {
+		t.Errorf("first life left %v, want one file per boundary %v", files, want)
+	}
+
+	m2, _, _ := life(true)
+	res2, err := m2.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.Wait()
+	if res2.Run.Steps() != 4 || res2.Run.Records[0].Step != 4 {
+		t.Fatalf("second life ran %d steps from step %d, want 4 from step 4",
+			res2.Run.Steps(), res2.Run.Records[0].Step)
+	}
+	lives := append(zeroElapsed(res1.Run.Records), zeroElapsed(res2.Run.Records)...)
+	if !reflect.DeepEqual(lives, zeroElapsed(ref.Run.Records)) {
+		t.Errorf("records diverged across the stop:\n lives %+v\n   ref %+v", lives, zeroElapsed(ref.Run.Records))
+	}
+	if !reflect.DeepEqual(res2.Params, ref.Params) {
+		t.Error("final params are not bit-identical after stop/restore")
+	}
+	goroutinesSettleTo(t, baseline)
+}
+
+// TestUnwritableCheckpointDirDoesNotStallRun: when every save fails — the
+// store's directory vanished under it — each attempt is counted and logged
+// at error level, nothing is reported durable, and the run neither stalls on
+// the writer nor ends early.
+func TestUnwritableCheckpointDirDoesNotStallRun(t *testing.T) {
+	mdl := model.SoftmaxRegression{Features: 6, Classes: 3}
+	data := testData(t)
+	dir := filepath.Join(t.TempDir(), "gone")
+	store, err := checkpoint.NewStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	mm := NewMasterMetrics(metrics.NewRegistry())
+	log := events.New(events.Config{MinLevel: events.LevelError})
+	st := freshISGC(t, 4, 2, 7)
+	m, err := NewMaster(MasterConfig{
+		Addr: "127.0.0.1:0", Strategy: st, Model: mdl, Data: data,
+		LearningRate: 0.3, W: 4, MaxSteps: 6, Seed: 42,
+		Checkpoint: store, CheckpointEvery: 1, Metrics: mm, Events: log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := startFleet(t, st, data, mdl, m.Addr(), 0, nil)
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.Wait()
+	if res.Interrupted || res.Run.Steps() != 6 {
+		t.Fatalf("run ended after %d steps (interrupted=%v), want all 6", res.Run.Steps(), res.Interrupted)
+	}
+	// Boundaries 1..5 plus the final Completed snapshot.
+	if got := mm.CheckpointErrors.Value(); got != 6 {
+		t.Errorf("%d checkpoint errors, want 6", got)
+	}
+	if got := mm.CheckpointWrites.Value(); got != 0 {
+		t.Errorf("%d checkpoint writes into a missing directory, want 0", got)
+	}
+	if got := m.Health().LastCheckpointStep; got != -1 {
+		t.Errorf("last checkpoint step %d, want -1 (nothing durable)", got)
+	}
+	logged := 0
+	for _, ev := range log.Snapshot() {
+		if ev.Type == "master.checkpoint_error" {
+			logged++
 		}
+	}
+	if logged != 6 {
+		t.Errorf("%d master.checkpoint_error events, want 6", logged)
 	}
 }

@@ -1,7 +1,7 @@
 // Master-side support for the dim-sharded gather: lane attachment and the
 // per-worker sub-frame assembler. A binaryv2 worker splits each step's
 // gradient into contiguous (offset, len) spans, one per lane connection;
-// recvFrameV2 asks the assembler to reserve the destination span before
+// recvFrame asks the assembler to reserve the destination span before
 // the payload bytes are read, decodes straight into the step's gather
 // buffer at the offset (no reassembly copy), and the reader commits the
 // span afterwards — the step surfaces as an ordinary whole-vector arrival
@@ -39,7 +39,7 @@ func grantShards(proposed, cap int) int {
 // shardAssembler reassembles one worker's gradient sub-frames into whole
 // vectors. One assembler per worker id, shared by the primary reader and
 // every lane reader — all state sits behind its mutex, and the
-// reserve/commit split matches recvFrameV2's read sequence (reserve
+// reserve/commit split matches recvFrame's read sequence (reserve
 // before the payload bytes arrive, commit after they decoded).
 type shardAssembler struct {
 	mu     sync.Mutex

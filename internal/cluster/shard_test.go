@@ -79,7 +79,7 @@ func newTestAssembler(window int, rejects *int) *shardAssembler {
 }
 
 // TestShardAssemblerReassemblesSpans drives the reserve/commit sequence
-// recvFrameV2 runs: the reserved slices alias the step's gather buffer
+// recvFrame runs: the reserved slices alias the step's gather buffer
 // (zero-copy), and the completed vector surfaces exactly once, with the
 // last committed span.
 func TestShardAssemblerReassemblesSpans(t *testing.T) {

@@ -296,8 +296,8 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // in gob mode (the registration exchange); upgrade switches both directions
 // to binary frames at a message boundary, which is safe because gob never
 // reads past the end of a message. recv is safe for a single goroutine;
-// send is serialized internally so that heartbeat goroutines, broadcasts,
-// and rejoin replies may share one connection.
+// send and sendShared are serialized internally so that heartbeat
+// goroutines, broadcasts, and rejoin replies may share one connection.
 type conn struct {
 	raw net.Conn
 	// w is the write side (wrapped in the counting layer when metrics are
@@ -376,20 +376,33 @@ func (c *conn) upgradeV2(reuseVecs bool) {
 }
 
 func (c *conn) send(e *Envelope) error {
+	fc := frameCache{e: e}
+	defer fc.release()
+	return c.sendShared(&fc)
+}
+
+// sendShared writes fc's envelope in this connection's codec under its own
+// send lock and write deadline. A binary connection takes the frame from fc
+// — encoded by whichever connection of its flavour asked first — and writes
+// it with a single Write call (one syscall per message, and the counting
+// writer sees the exact framed byte count); a gob connection encodes through
+// its own stateful encoder.
+func (c *conn) sendShared(fc *frameCache) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
+	e := fc.e
 	if c.writeTimeout > 0 {
 		if err := c.raw.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
 			return fmt.Errorf("cluster: send %s: %w", e.Kind, err)
 		}
 	}
 	var err error
-	switch {
-	case c.wireV2:
-		err = c.sendFrameV2(e)
-	case c.binary:
-		err = c.sendFrame(e)
-	default:
+	if c.binary {
+		var buf []byte
+		if buf, err = fc.frame(c.wireV2); err == nil {
+			_, err = c.w.Write(buf)
+		}
+	} else {
 		err = c.enc.Encode(e)
 	}
 	if err != nil {
@@ -402,9 +415,6 @@ func (c *conn) send(e *Envelope) error {
 }
 
 func (c *conn) recv() (*Envelope, error) {
-	if c.wireV2 {
-		return c.recvFrameV2()
-	}
 	if c.binary {
 		return c.recvFrame()
 	}

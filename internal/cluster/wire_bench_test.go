@@ -143,13 +143,13 @@ func BenchmarkSubFrameSend(b *testing.B) {
 		shards := shards
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			subs := subFrameEnvelopes(e, shards)
-			c := &conn{w: io.Discard}
+			c := &conn{w: io.Discard, binary: true, wireV2: true}
 			b.ReportAllocs()
 			b.SetBytes(int64(len(subs)*frameHeaderSizeV2 + 8*benchDim))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, sub := range subs {
-					if err := c.sendFrameV2(sub); err != nil {
+					if err := c.send(sub); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -159,7 +159,7 @@ func BenchmarkSubFrameSend(b *testing.B) {
 }
 
 // TestSubFrameSendSteadyStateAllocs pins the frame-buffer pool contract:
-// sendFrameV2 pools its serialization buffer sized by the shard width, so
+// a binaryv2 send pools its serialization buffer sized by the shard width, so
 // a steady-state sharded upload allocates nothing per step. The bound is 1
 // (not 0) only because a concurrently triggered GC may clear the pool
 // mid-measurement.
@@ -168,10 +168,10 @@ func TestSubFrameSendSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	subs := subFrameEnvelopes(benchGradient(), 4)
-	c := &conn{w: io.Discard}
+	c := &conn{w: io.Discard, binary: true, wireV2: true}
 	send := func() {
 		for _, sub := range subs {
-			if err := c.sendFrameV2(sub); err != nil {
+			if err := c.send(sub); err != nil {
 				t.Fatal(err)
 			}
 		}

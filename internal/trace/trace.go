@@ -35,7 +35,7 @@ type StepRecord struct {
 	Degraded bool
 	// Folded counts straggler gradients from earlier steps that were
 	// folded into the parameters as a staleness correction while this
-	// step gathered (0 outside the pipelined bounded-staleness mode).
+	// step gathered (0 outside the bounded-staleness mode).
 	Folded int
 	// Loss is the training loss after the update.
 	Loss float64
