@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -568,6 +569,66 @@ func TestWorkerConfigValidation(t *testing.T) {
 	// Valid config but nobody listening: dial must time out with an error.
 	if _, err := NewWorker(good); err == nil {
 		t.Error("expected dial error with no master")
+	}
+}
+
+// TestDataModelMismatchIsAConfigError: a dataset that disagrees with the
+// model (a label outside [0, Classes), a NaN label, samples longer or
+// shorter than Features) is refused by NewMaster and NewWorker before
+// either touches the network, instead of panicking a compute goroutine at
+// step 1.
+func TestDataModelMismatchIsAConfigError(t *testing.T) {
+	build := func(dim int, y float64) *dataset.Dataset {
+		samples := make([]dataset.Sample, 8)
+		for i := range samples {
+			samples[i] = dataset.Sample{X: make([]float64, dim), Y: float64(i % 3)}
+		}
+		samples[7].Y = y
+		d, err := dataset.New(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	st, err := engine.NewSyncSGD(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mdl := range []model.Model{
+		model.SoftmaxRegression{Features: 6, Classes: 3},
+		model.MLP{Features: 6, Hidden: 4, Classes: 3},
+	} {
+		for name, data := range map[string]*dataset.Dataset{
+			"label = Classes": build(6, 3),
+			"negative label":  build(6, -1),
+			"NaN label":       build(6, math.NaN()),
+			"long samples":    build(7, 0),
+			"short samples":   build(5, 0),
+		} {
+			_, err := NewMaster(MasterConfig{Addr: "127.0.0.1:0", Strategy: st, Model: mdl, Data: data,
+				LearningRate: 0.1, MaxSteps: 1})
+			if err == nil || !strings.Contains(err.Error(), "cluster: model:") {
+				t.Errorf("NewMaster %v, %s: err = %v, want a model/data config error", mdl, name, err)
+			}
+			// The worker checks its own partitions only: the offending
+			// sample sits in partition 1.
+			parts, err := data.Partition(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d, wantErr := range []bool{data.Dim() != 6, true} {
+				loader, err := dataset.NewLoader(parts[d], 4, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = NewWorker(WorkerConfig{Addr: "127.0.0.1:1", ID: d, Partitions: []int{d},
+					Loaders: []*dataset.Loader{loader}, Model: mdl, Encode: SumEncoder(),
+					DialTimeout: 20 * time.Millisecond})
+				if got := err != nil && strings.Contains(err.Error(), "model:"); got != wantErr {
+					t.Errorf("NewWorker %v, %s, partition %d: err = %v, want config error %v", mdl, name, d, err, wantErr)
+				}
+			}
+		}
 	}
 }
 

@@ -355,6 +355,9 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if err := engine.CheckStaleness(cfg.Strategy, cfg.Staleness, true, cfg.Deadline); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	if err := model.CheckData(cfg.Model, cfg.Data); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen: %w", err)

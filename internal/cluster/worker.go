@@ -191,6 +191,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	case cfg.Encode == nil:
 		return nil, fmt.Errorf("cluster: worker %d: nil encoder", cfg.ID)
 	}
+	for j, l := range cfg.Loaders {
+		if err := model.CheckData(cfg.Model, l.Data()); err != nil {
+			return nil, fmt.Errorf("cluster: worker %d partition %d: %w", cfg.ID, cfg.Partitions[j], err)
+		}
+	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}

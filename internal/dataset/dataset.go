@@ -162,10 +162,18 @@ func (d *Dataset) Partition(n int) ([]*Dataset, error) {
 // step t depends only on (seed, t), so replicas of a partition on different
 // workers see identical batches — the property the paper relies on for
 // coded gradients from different workers to be summable.
+//
+// A Loader reuses one generator, one index buffer and one sample buffer
+// across calls, so it belongs to a single goroutine and the result of Batch
+// or Samples is valid only until the next call to either. Every worker and
+// every engine partition task owns its loaders.
 type Loader struct {
 	part  *Dataset
 	batch int
 	seed  int64
+	rng   *rand.Rand // made by the first batch, re-seeded by every later one
+	perm  []int      // Len() indices, shuffled in place per batch
+	out   []Sample   // batch samples, refilled per call
 }
 
 // NewLoader creates a loader over part with the given batch size.
@@ -179,27 +187,44 @@ func NewLoader(part *Dataset, batch int, seed int64) (*Loader, error) {
 	if batch > part.Len() {
 		batch = part.Len()
 	}
-	return &Loader{part: part, batch: batch, seed: seed}, nil
+	return &Loader{part: part, batch: batch, seed: seed,
+		perm: make([]int, part.Len()), out: make([]Sample, batch)}, nil
 }
 
 // BatchSize returns the effective batch size.
 func (l *Loader) BatchSize() int { return l.batch }
 
+// Data returns the partition the loader draws from.
+func (l *Loader) Data() *Dataset { return l.part }
+
 // Batch returns the mini-batch for step t as sample indices into the
-// partition. The same (seed, t) always yields the same batch.
+// partition: the first BatchSize entries of
+// rand.New(rand.NewSource(seed')).Perm(Len()) for a seed' mixed from
+// (seed, t). The same (seed, t) always yields the same batch.
 func (l *Loader) Batch(t int) []int {
 	const mix = int64(-0x61c8864680b583eb) // golden-ratio mixing constant
-	rng := rand.New(rand.NewSource(l.seed ^ (int64(t)+1)*mix))
-	idx := rng.Perm(l.part.Len())[:l.batch]
-	return idx
+	if s := l.seed ^ (int64(t)+1)*mix; l.rng == nil {
+		// Seeding is the expensive part of a source (≈ 10 µs), so the first
+		// batch makes it rather than NewLoader seeding one to no purpose.
+		l.rng = rand.New(rand.NewSource(s))
+	} else {
+		l.rng.Seed(s) // the same stream NewSource(s) starts
+	}
+	// rand.Perm's inside-out shuffle, draw for draw; every entry is written
+	// before it is read, so the stale buffer needs no reset.
+	m := l.perm
+	for i := range m {
+		j := l.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m[:l.batch]
 }
 
 // Samples resolves the step-t batch to samples.
 func (l *Loader) Samples(t int) []Sample {
-	idx := l.Batch(t)
-	out := make([]Sample, len(idx))
-	for i, j := range idx {
-		out[i] = l.part.At(j)
+	for i, j := range l.Batch(t) {
+		l.out[i] = l.part.samples[j]
 	}
-	return out
+	return l.out
 }

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -330,5 +332,47 @@ func TestQuickLoaderPure(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The reused generator and index buffer must reproduce rand.Perm draw for
+// draw: for 200 (seed, t) pairs, out of order and on one Loader, the batch
+// is the head of rand.New(rand.NewSource(s)).Perm(n) for the mixed seed s.
+func TestLoaderBatchMatchesRandPerm(t *testing.T) {
+	const mix = int64(-0x61c8864680b583eb)
+	d, _, _ := SyntheticLinear(37, 2, 0.1, 3)
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		seed, batch := rng.Int63()-rng.Int63(), 1+rng.Intn(37)
+		l, err := NewLoader(d, batch, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 10; k++ {
+			step := rng.Intn(1000)
+			want := rand.New(rand.NewSource(seed ^ (int64(step)+1)*mix)).Perm(d.Len())[:batch]
+			got := l.Batch(step)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: batch %v, rand.Perm gives %v", seed, step, got, want)
+			}
+			for i, s := range l.Samples(step) {
+				if &s.X[0] != &d.At(want[i]).X[0] || s.Y != d.At(want[i]).Y {
+					t.Fatalf("seed %d step %d: sample %d is not partition sample %d", seed, step, i, want[i])
+				}
+			}
+		}
+	}
+}
+
+// After construction a Loader allocates nothing per batch.
+func TestLoaderSamplesAllocationFree(t *testing.T) {
+	d, _, _ := SyntheticLinear(64, 3, 0.1, 2)
+	l, err := NewLoader(d, 8, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := 0
+	if allocs := testing.AllocsPerRun(50, func() { l.Samples(step); step++ }); allocs != 0 {
+		t.Fatalf("Loader.Samples allocated %v times per call, want 0", allocs)
 	}
 }

@@ -585,6 +585,9 @@ func validate(cfg *Config) error {
 	if err := CheckStaleness(cfg.Strategy, cfg.Staleness, cfg.Momentum == 0 && cfg.WeightDecay == 0, cfg.Deadline); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
+	if err := model.CheckData(cfg.Model, cfg.Data); err != nil {
+		return fmt.Errorf("engine: %w", err)
+	}
 	return nil
 }
 

@@ -73,6 +73,51 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// mismatchedData is every way a dataset can disagree with a 6-feature,
+// 3-class model: each used to be a panic inside a compute goroutine (or,
+// for short samples, a silent truncation) at step 1.
+func mismatchedData(t *testing.T) map[string]*dataset.Dataset {
+	t.Helper()
+	build := func(dim int, y float64) *dataset.Dataset {
+		samples := make([]dataset.Sample, 240)
+		for i := range samples {
+			samples[i] = dataset.Sample{X: make([]float64, dim), Y: float64(i % 3)}
+		}
+		samples[239].Y = y
+		d, err := dataset.New(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	return map[string]*dataset.Dataset{
+		"label = Classes": build(6, 3),
+		"negative label":  build(6, -1),
+		"NaN label":       build(6, math.NaN()),
+		"long samples":    build(7, 0),
+		"short samples":   build(5, 0),
+	}
+}
+
+func TestDataModelMismatchIsAConfigError(t *testing.T) {
+	st, err := NewSyncSGD(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []model.Model{
+		model.SoftmaxRegression{Features: 6, Classes: 3},
+		model.MLP{Features: 6, Hidden: 4, Classes: 3},
+	} {
+		for name, data := range mismatchedData(t) {
+			cfg := baseConfig(t, st)
+			cfg.Model, cfg.Data = m, data
+			if _, err := Train(cfg); err == nil || !strings.Contains(err.Error(), "engine: model:") {
+				t.Errorf("%v, %s: err = %v, want a model/data config error", m, name, err)
+			}
+		}
+	}
+}
+
 func TestIndivisibleDataRejected(t *testing.T) {
 	st, err := NewSyncSGD(7)
 	if err != nil {

@@ -96,11 +96,101 @@ func TestAddTo4MatchesFourAddTo(t *testing.T) {
 	}
 }
 
+// AXPY4 must round exactly as four successive AXPY calls do.
+func TestAXPY4MatchesFourAXPY(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 63, 64, 65} {
+		xs := make([][]float64, 4)
+		as := make([]float64, 4)
+		for q := range xs {
+			xs[q] = mixedVec(rng, n)
+			as[q] = mixedVec(rng, 1)[0]
+		}
+		got := mixedVec(rng, n)
+		want := CloneVec(got)
+		AXPY4(got, as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3])
+		for q := range xs {
+			AXPY(want, as[q], xs[q])
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: AXPY4[%d] = %v, four AXPY calls give %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// mixedVec draws values whose magnitudes mix 1e16, 1 and −1e16, so sums
+// over them absorb and cancel: any reassociation shows up in the bits.
+func mixedVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64() * [...]float64{1e16, 1, -1e16}[rng.Intn(3)]
+	}
+	return v
+}
+
+// scalarDot is the reference: one accumulator, left to right.
+func scalarDot(w, x []float64) float64 {
+	s := 0.0
+	for j, xj := range x {
+		s += w[j] * xj
+	}
+	return s
+}
+
+// MatVecInto must give every row the bits of its own left-to-right dot,
+// for every rows mod 4, every width around the unroll, and strides wider
+// than the row.
+func TestMatVecIntoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for rows := 0; rows <= 9; rows++ {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 63, 64, 65} {
+			for _, pad := range []int{0, 3} {
+				stride := n + pad
+				w, x := mixedVec(rng, rows*stride), mixedVec(rng, n)
+				got := mixedVec(rng, rows) // stale contents must be overwritten
+				MatVecInto(got, w, stride, x)
+				for i := range got {
+					want := scalarDot(w[i*stride:i*stride+n], x)
+					if math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("rows=%d n=%d stride=%d: row %d = %v, scalar dot gives %v", rows, n, stride, i, got[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The guard for the comparisons above: on the same kind of input a dot that
+// splits the sum over two accumulators does differ in bits, so a blocked
+// kernel that reassociated could not pass them.
+func TestReassociatedDotDiffersInBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	differ := 0
+	for trial := 0; trial < 20; trial++ {
+		w, x := mixedVec(rng, 64), mixedVec(rng, 64)
+		even, odd := 0.0, 0.0
+		for j := 0; j < len(x); j += 2 {
+			even += w[j] * x[j]
+			odd += w[j+1] * x[j+1]
+		}
+		if math.Float64bits(even+odd) != math.Float64bits(scalarDot(w, x)) {
+			differ++
+		}
+	}
+	if differ < 10 {
+		t.Fatalf("two-accumulator dot matched the scalar dot bit for bit on %d of 20 inputs: the inputs have no teeth", 20-differ)
+	}
+}
+
 func TestVectorOpsPanicOnMismatch(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"AddTo":      func() { AddTo([]float64{1}, []float64{1, 2}) },
 		"AddTo4":     func() { AddTo4([]float64{1}, []float64{1}, []float64{1}, []float64{1}, []float64{1, 2}) },
 		"AXPY":       func() { AXPY([]float64{1}, 2, []float64{1, 2}) },
+		"AXPY4":      func() { AXPY4([]float64{1}, 2, []float64{1}, 2, []float64{1}, 2, []float64{1}, 2, []float64{1, 2}) },
+		"MatVecInto": func() { MatVecInto([]float64{0, 0}, []float64{1, 2, 3}, 2, []float64{1, 2}) },
 		"AXPYInto":   func() { AXPYInto([]float64{1}, 2, []float64{1, 2}, []float64{1, 2}) },
 		"ScaleInto":  func() { ScaleInto([]float64{1}, 2, []float64{1, 2}) },
 		"Dot":        func() { Dot([]float64{1}, []float64{1, 2}) },

@@ -1,0 +1,226 @@
+package model
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"isgc/internal/dataset"
+)
+
+// kernelInputs are the three input regimes of the bit-identity test.
+// "unit" is ordinary data, where almost any reassociation already moves a
+// last bit. "mixed" draws features and parameters at magnitudes 1e16, 1 and
+// −1e16, so every forward sum absorbs and cancels. "mixed-x" keeps the
+// features mixed but the parameters tiny, so activations stay unsaturated
+// and the backward pass accumulates terms of wildly different size across
+// the samples of a batch — the per-element sample order is what it pins.
+// forward and backward say where TestBitIdentityHasTeeth demands that a
+// reordered sum shows: "mixed" saturates every activation, so its gradient
+// terms are exact in any order; with tiny parameters every logit is ≈ 0 and
+// the loss ≈ log K however the dots are summed.
+var kernelInputs = []struct {
+	name              string
+	xMixed, pMixed    bool
+	pScale            float64
+	forward, backward bool
+}{
+	{name: "unit", pScale: 1, forward: true, backward: true},
+	{name: "mixed", xMixed: true, pMixed: true, pScale: 1, forward: true},
+	{name: "mixed-x", xMixed: true, pScale: 1e-17, backward: true},
+}
+
+func drawValue(rng *rand.Rand, mixed bool) float64 {
+	v := rng.NormFloat64()
+	if mixed {
+		v *= [...]float64{1e16, 1, -1e16}[rng.Intn(3)]
+	}
+	return v
+}
+
+func drawInputs(rng *rand.Rand, m Model, features, classes, batch int, xMixed, pMixed bool, pScale float64) ([]float64, []dataset.Sample) {
+	params := make([]float64, m.Dim())
+	for j := range params {
+		params[j] = pScale * drawValue(rng, pMixed)
+	}
+	samples := randomBatch(rng, batch, features, classes)
+	for _, s := range samples {
+		for j := range s.X {
+			s.X[j] = drawValue(rng, xMixed)
+		}
+	}
+	return params, samples
+}
+
+// checkBitIdentical compares Loss, GradInto and Grad of m with the
+// one-sample-at-a-time reference on every batch length in batches (prefixes
+// of one drawn batch), bit for bit.
+func checkBitIdentical(t *testing.T, rng *rand.Rand, m Model, features, classes int, batches []int) {
+	t.Helper()
+	for _, in := range kernelInputs {
+		params, samples := drawInputs(rng, m, features, classes, batches[len(batches)-1], in.xMixed, in.pMixed, in.pScale)
+		got, want := make([]float64, m.Dim()), make([]float64, m.Dim())
+		for _, b := range batches {
+			batch := samples[:b]
+			if g, w := m.Loss(params, batch), refLoss(m, params, batch); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%v %s batch %d: Loss = %v, reference %v", m, in.name, b, g, w)
+			}
+			for j := range got {
+				got[j] = math.NaN() // GradInto must overwrite, not accumulate
+			}
+			m.GradInto(got, params, batch)
+			refGradInto(m, want, params, batch)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%v %s batch %d: grad[%d] = %v, reference %v", m, in.name, b, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// TestBlockedKernelsBitIdentical: the register-blocked kernels keep every
+// output's own summation order, so Loss and GradInto of all four models
+// equal the scalar one-sample-at-a-time reference (oracle_test.go) in every
+// bit — across every rows mod 4 and batch mod 4, widths around the unroll,
+// and inputs built to expose any reassociated sum.
+func TestBlockedKernelsBitIdentical(t *testing.T) {
+	features := []int{1, 2, 3, 4, 5, 63, 64, 65}
+	batches := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64}
+	rng := rand.New(rand.NewSource(19))
+	for _, f := range features {
+		checkBitIdentical(t, rng, LinearRegression{Features: f}, f, 0, batches)
+		checkBitIdentical(t, rng, LogisticRegression{Features: f}, f, 2, batches)
+		for k := 1; k <= 9; k++ {
+			checkBitIdentical(t, rng, SoftmaxRegression{Features: f, Classes: k}, f, k, batches)
+			for _, h := range []int{1, 3, 4, 7, 8} {
+				checkBitIdentical(t, rng, MLP{Features: f, Hidden: h, Classes: k}, f, k, batches)
+			}
+		}
+	}
+}
+
+// TestPredictSharesTheForwardPass: Predict is the argmax of the same
+// logits Loss scores.
+func TestPredictSharesTheForwardPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	sm := SoftmaxRegression{Features: 65, Classes: 7}
+	mlp := MLP{Features: 65, Hidden: 7, Classes: 7}
+	for _, in := range kernelInputs {
+		sp, samples := drawInputs(rng, sm, 65, 7, 32, in.xMixed, in.pMixed, in.pScale)
+		mp, _ := drawInputs(rng, mlp, 65, 7, 1, in.xMixed, in.pMixed, in.pScale)
+		h, z := make([]float64, 7), make([]float64, 7)
+		for _, s := range samples {
+			refSoftmaxLogits(sm, z, sp, s.X)
+			if got, want := sm.Predict(sp, s.X), argmax(z); got != want {
+				t.Fatalf("%v %s: Predict = %d, reference logits say %d", sm, in.name, got, want)
+			}
+			refMLPForward(mlp, h, z, mp, s.X)
+			if got, want := mlp.Predict(mp, s.X), argmax(z); got != want {
+				t.Fatalf("%v %s: Predict = %d, reference logits say %d", mlp, in.name, got, want)
+			}
+		}
+	}
+}
+
+// TestBitIdentityHasTeeth is the guard for the two tests above, so that
+// they cannot pass vacuously. Forward: with the reference's dot split over
+// two accumulators — the cheapest reassociation a faster kernel could make —
+// the MLP loss changes bits. Backward: the same mean gradient accumulated in
+// the reverse sample order changes bits too.
+func TestBitIdentityHasTeeth(t *testing.T) {
+	m := MLP{Features: 64, Hidden: 8, Classes: 5}
+	for _, in := range kernelInputs {
+		rng := rand.New(rand.NewSource(29))
+		lossDiffers, gradDiffers := 0, 0
+		for trial := 0; trial < 10; trial++ {
+			params, batch := drawInputs(rng, m, 64, 5, 16, in.xMixed, in.pMixed, in.pScale)
+			w1, b1, w2, b2 := m.slices(params)
+			h, z := make([]float64, m.Hidden), make([]float64, m.Classes)
+			sum := 0.0
+			for _, s := range batch {
+				for i := range h {
+					h[i] = math.Tanh(twoAccumulatorDot(w1[i*m.Features:(i+1)*m.Features], s.X) + b1[i])
+				}
+				for k := range z {
+					z[k] = twoAccumulatorDot(w2[k*m.Hidden:(k+1)*m.Hidden], h) + b2[k]
+				}
+				sum += logSumExp(z) - z[int(s.Y)]
+			}
+			if math.Float64bits(sum/float64(len(batch))) != math.Float64bits(m.Loss(params, batch)) {
+				lossDiffers++
+			}
+			reversed := make([]dataset.Sample, len(batch))
+			for i, s := range batch {
+				reversed[len(batch)-1-i] = s
+			}
+			got, rev := m.Grad(params, batch), make([]float64, m.Dim())
+			refMLPGradInto(m, rev, params, reversed)
+			for j := range got {
+				if math.Float64bits(got[j]) != math.Float64bits(rev[j]) {
+					gradDiffers++
+					break
+				}
+			}
+		}
+		if in.forward && lossDiffers < 5 {
+			t.Errorf("%s: a two-accumulator dot left the loss bit-identical on %d of 10 inputs", in.name, 10-lossDiffers)
+		}
+		if in.backward && gradDiffers < 5 {
+			t.Errorf("%s: reversing the sample order left the gradient bit-identical on %d of 10 inputs", in.name, 10-gradDiffers)
+		}
+	}
+}
+
+func twoAccumulatorDot(w, x []float64) float64 {
+	even, odd := 0.0, 0.0
+	j := 0
+	for ; j+2 <= len(x); j += 2 {
+		even += w[j] * x[j]
+		odd += w[j+1] * x[j+1]
+	}
+	if j < len(x) {
+		even += w[j] * x[j]
+	}
+	return even + odd
+}
+
+// kernelShapes are the model shapes of the committed benchmark's TCP
+// workloads, with each workload's own batch size.
+var kernelShapes = []struct {
+	name              string
+	m                 Model
+	features, classes int
+	batch             int
+}{
+	{"mlp64x128x10", MLP{Features: 64, Hidden: 128, Classes: 10}, 64, 10, 64},       // compute-mlp
+	{"mlp32x64x10", MLP{Features: 32, Hidden: 64, Classes: 10}, 32, 10, 16},         // straggler-mlp
+	{"softmax2048x64", SoftmaxRegression{Features: 2048, Classes: 64}, 2048, 64, 1}, // wide-gather
+}
+
+// BenchmarkKernels times one sequential GradInto and one Loss per shape and
+// reports ns/sample, the unit a worker's c-partition step and the master's
+// full-set loss are both made of.
+func BenchmarkKernels(b *testing.B) {
+	for _, sh := range kernelShapes {
+		params := sh.m.InitParams(1)
+		batch := randomBatch(rand.New(rand.NewSource(2)), sh.batch, sh.features, sh.classes)
+		dst := make([]float64, sh.m.Dim())
+		run := func(name string, fn func()) {
+			b.Run(fmt.Sprintf("%s/%s", sh.name, name), func(b *testing.B) {
+				fn() // warm the scratch pool
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					fn()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/sample")
+			})
+		}
+		run("grad", func() { sh.m.GradInto(dst, params, batch) })
+		run("loss", func() { benchSink = sh.m.Loss(params, batch) })
+	}
+}
+
+var benchSink float64

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"isgc/internal/dataset"
+	"isgc/internal/linalg"
 )
 
 // Model is a supervised model with a flat parameter vector.
@@ -35,9 +36,11 @@ type Model interface {
 	Grad(params []float64, batch []dataset.Sample) []float64
 	// GradInto computes the mean gradient of the loss on the batch into
 	// dst, which must have length Dim(); dst is zeroed first. The result
-	// is bit-identical to Grad. Implementations draw any internal scratch
-	// from the package buffer pool, so the steady-state path allocates
-	// nothing.
+	// is bit-identical to Grad and to the one-sample-at-a-time reference
+	// (oracle_test.go): blocked kernels keep every sum's order.
+	// Implementations draw any internal scratch from the package buffer
+	// pool, so the steady-state path allocates nothing. The batch must fit
+	// the model (CheckData).
 	GradInto(dst, params []float64, batch []dataset.Sample)
 	// String names the model for logs.
 	String() string
@@ -88,7 +91,7 @@ func (m LinearRegression) Loss(params []float64, batch []dataset.Sample) float64
 	}
 	sum := 0.0
 	for _, s := range batch {
-		r := dotFeatures(params, s.X) - s.Y
+		r := linalg.Dot(params, s.X) - s.Y
 		sum += 0.5 * r * r
 	}
 	return sum / float64(len(batch))
@@ -104,20 +107,14 @@ func (m LinearRegression) Grad(params []float64, batch []dataset.Sample) []float
 // GradInto implements Model.
 func (m LinearRegression) GradInto(g, params []float64, batch []dataset.Sample) {
 	checkGradDim(len(g), m.Dim())
-	zeroVec(g)
+	linalg.ZeroVec(g)
 	if len(batch) == 0 {
 		return
 	}
 	for _, s := range batch {
-		r := dotFeatures(params, s.X) - s.Y
-		for j, x := range s.X {
-			g[j] += r * x
-		}
+		linalg.AXPY(g, linalg.Dot(params, s.X)-s.Y, s.X)
 	}
-	inv := 1 / float64(len(batch))
-	for j := range g {
-		g[j] *= inv
-	}
+	linalg.Scale(g, 1/float64(len(batch)))
 }
 
 // String implements Model.
@@ -144,7 +141,7 @@ func (m LogisticRegression) Loss(params []float64, batch []dataset.Sample) float
 	}
 	sum := 0.0
 	for _, s := range batch {
-		z := dotFeatures(params, s.X)
+		z := linalg.Dot(params, s.X)
 		// Numerically stable log(1 + e^{-yz}) with y ∈ {±1}.
 		yz := z
 		if s.Y < 0.5 {
@@ -165,26 +162,19 @@ func (m LogisticRegression) Grad(params []float64, batch []dataset.Sample) []flo
 // GradInto implements Model.
 func (m LogisticRegression) GradInto(g, params []float64, batch []dataset.Sample) {
 	checkGradDim(len(g), m.Dim())
-	zeroVec(g)
+	linalg.ZeroVec(g)
 	if len(batch) == 0 {
 		return
 	}
 	for _, s := range batch {
-		p := sigmoid(dotFeatures(params, s.X))
-		diff := p - s.Y
-		for j, x := range s.X {
-			g[j] += diff * x
-		}
+		linalg.AXPY(g, sigmoid(linalg.Dot(params, s.X))-s.Y, s.X)
 	}
-	inv := 1 / float64(len(batch))
-	for j := range g {
-		g[j] *= inv
-	}
+	linalg.Scale(g, 1/float64(len(batch)))
 }
 
 // Predict implements Classifier: class 1 iff the logit is non-negative.
 func (m LogisticRegression) Predict(params []float64, x []float64) int {
-	if dotFeatures(params, x) >= 0 {
+	if linalg.Dot(params, x) >= 0 {
 		return 1
 	}
 	return 0
@@ -209,12 +199,12 @@ func (m SoftmaxRegression) InitParams(seed int64) []float64 {
 	return gaussianInit(m.Dim(), 0.01, seed)
 }
 
-// logitsInto fills z (length Classes) with the class logits of x — the
-// scratch-reusing replacement for the old per-sample allocation.
-func (m SoftmaxRegression) logitsInto(z, params []float64, x []float64) {
-	for k := 0; k < m.Classes; k++ {
-		z[k] = dotFeatures(params[k*m.Features:(k+1)*m.Features], x)
-	}
+// dzInto fills z (length Classes) with the loss gradient at the logits of
+// one sample: softmax(W·x) minus the one-hot target.
+func (m SoftmaxRegression) dzInto(z, params []float64, s dataset.Sample) {
+	linalg.MatVecInto(z, params, m.Features, s.X)
+	softmaxInPlace(z)
+	z[int(s.Y)] -= 1
 }
 
 // Loss implements Model.
@@ -227,9 +217,8 @@ func (m SoftmaxRegression) Loss(params []float64, batch []dataset.Sample) float6
 	defer putVec(zp)
 	sum := 0.0
 	for _, s := range batch {
-		m.logitsInto(z, params, s.X)
-		lse := logSumExp(z)
-		sum += lse - z[int(s.Y)]
+		linalg.MatVecInto(z, params, m.Features, s.X)
+		sum += logSumExp(z) - z[int(s.Y)]
 	}
 	return sum / float64(len(batch))
 }
@@ -241,35 +230,37 @@ func (m SoftmaxRegression) Grad(params []float64, batch []dataset.Sample) []floa
 	return g
 }
 
-// GradInto implements Model.
+// GradInto implements Model. Samples are taken four at a time so each
+// gradient row is loaded and stored once per group (linalg.AXPY4); the
+// batch mod 4 tail goes one sample at a time. Either way every element
+// accumulates its samples in batch order.
 func (m SoftmaxRegression) GradInto(g, params []float64, batch []dataset.Sample) {
 	checkGradDim(len(g), m.Dim())
-	zeroVec(g)
+	linalg.ZeroVec(g)
 	if len(batch) == 0 {
 		return
 	}
-	zp := getVec(m.Classes)
-	z := *zp
+	F, K := m.Features, m.Classes
+	zp := getVec(4 * K)
 	defer putVec(zp)
-	for _, s := range batch {
-		m.logitsInto(z, params, s.X)
-		softmaxInPlace(z)
-		y := int(s.Y)
-		for k := 0; k < m.Classes; k++ {
-			diff := z[k]
-			if k == y {
-				diff -= 1
-			}
-			row := g[k*m.Features : (k+1)*m.Features]
-			for j, x := range s.X {
-				row[j] += diff * x
-			}
+	z0, z1, z2, z3 := quarters(*zp)
+	b := batch
+	for ; len(b) >= 4; b = b[4:] {
+		m.dzInto(z0, params, b[0])
+		m.dzInto(z1, params, b[1])
+		m.dzInto(z2, params, b[2])
+		m.dzInto(z3, params, b[3])
+		for k := 0; k < K; k++ {
+			linalg.AXPY4(g[k*F:(k+1)*F], z0[k], b[0].X, z1[k], b[1].X, z2[k], b[2].X, z3[k], b[3].X)
 		}
 	}
-	inv := 1 / float64(len(batch))
-	for j := range g {
-		g[j] *= inv
+	for _, s := range b {
+		m.dzInto(z0, params, s)
+		for k := 0; k < K; k++ {
+			linalg.AXPY(g[k*F:(k+1)*F], z0[k], s.X)
+		}
 	}
+	linalg.Scale(g, 1/float64(len(batch)))
 }
 
 // Predict implements Classifier: the argmax logit.
@@ -277,7 +268,7 @@ func (m SoftmaxRegression) Predict(params []float64, x []float64) int {
 	zp := getVec(m.Classes)
 	z := *zp
 	defer putVec(zp)
-	m.logitsInto(z, params, x)
+	linalg.MatVecInto(z, params, m.Features, x)
 	return argmax(z)
 }
 
@@ -334,16 +325,26 @@ func (m MLP) slices(params []float64) (w1, b1, w2, b2 []float64) {
 }
 
 // forwardInto fills h (length Hidden) and z (length Classes) with the
-// hidden activations and output logits of x — the scratch-reusing
-// replacement for the old per-sample allocations.
+// hidden activations and output logits of x: two row-blocked mat-vecs,
+// bias and tanh applied in a second pass over each.
 func (m MLP) forwardInto(h, z, params []float64, x []float64) {
 	w1, b1, w2, b2 := m.slices(params)
-	for i := 0; i < m.Hidden; i++ {
-		h[i] = math.Tanh(dotFeatures(w1[i*m.Features:(i+1)*m.Features], x) + b1[i])
+	linalg.MatVecInto(h, w1, m.Features, x)
+	for i, b := range b1 {
+		h[i] = math.Tanh(h[i] + b)
 	}
-	for k := 0; k < m.Classes; k++ {
-		z[k] = dotFeatures(w2[k*m.Hidden:(k+1)*m.Hidden], h) + b2[k]
+	linalg.MatVecInto(z, w2, m.Hidden, h)
+	for k, b := range b2 {
+		z[k] += b
 	}
+}
+
+// dzInto runs the forward pass of one sample and leaves the loss gradient
+// at the logits, softmax(z) minus the one-hot target, in z.
+func (m MLP) dzInto(h, z, params []float64, s dataset.Sample) {
+	m.forwardInto(h, z, params, s.X)
+	softmaxInPlace(z)
+	z[int(s.Y)] -= 1
 }
 
 // Loss implements Model.
@@ -370,60 +371,70 @@ func (m MLP) Grad(params []float64, batch []dataset.Sample) []float64 {
 	return g
 }
 
-// GradInto implements Model.
+// GradInto implements Model. Samples are taken four at a time: forward and
+// dz for each into pooled scratch, then every gradient row is updated once
+// per group (linalg.AXPY4) and dh = W2ᵀ dz runs as four independent chains.
+// Bias terms and the batch mod 4 tail go one sample at a time; every
+// element accumulates its samples in batch order.
 func (m MLP) GradInto(g, params []float64, batch []dataset.Sample) {
 	checkGradDim(len(g), m.Dim())
-	zeroVec(g)
+	linalg.ZeroVec(g)
 	if len(batch) == 0 {
 		return
 	}
-	w1Len := m.Hidden * m.Features
-	gW1 := g[0:w1Len]
-	gB1 := g[w1Len : w1Len+m.Hidden]
-	gW2 := g[w1Len+m.Hidden : w1Len+m.Hidden+m.Classes*m.Hidden]
-	gB2 := g[w1Len+m.Hidden+m.Classes*m.Hidden:]
+	F, H, K := m.Features, m.Hidden, m.Classes
+	gW1, gB1, gW2, gB2 := m.slices(g)
 	_, _, w2, _ := m.slices(params)
-	hp, zp := getVec(m.Hidden), getVec(m.Classes)
-	h, z := *hp, *zp
-	defer putVec(hp)
-	defer putVec(zp)
-	for _, s := range batch {
-		m.forwardInto(h, z, params, s.X)
-		// softmaxInPlace turns the logits into probabilities; subtracting
-		// the one-hot target below turns them into dz without another
-		// buffer.
-		softmaxInPlace(z)
-		dz := z
-		y := int(s.Y)
+	sp := getVec(4 * (H + K))
+	defer putVec(sp)
+	h0, h1, h2, h3 := quarters((*sp)[:4*H])
+	d0, d1, d2, d3 := quarters((*sp)[4*H:])
+	b := batch
+	for ; len(b) >= 4; b = b[4:] {
+		m.dzInto(h0, d0, params, b[0])
+		m.dzInto(h1, d1, params, b[1])
+		m.dzInto(h2, d2, params, b[2])
+		m.dzInto(h3, d3, params, b[3])
 		// Output layer.
-		for k := 0; k < m.Classes; k++ {
-			if k == y {
-				dz[k] -= 1
-			}
-			row := gW2[k*m.Hidden : (k+1)*m.Hidden]
-			for i, hi := range h {
-				row[i] += dz[k] * hi
-			}
-			gB2[k] += dz[k]
+		for k := 0; k < K; k++ {
+			linalg.AXPY4(gW2[k*H:(k+1)*H], d0[k], h0, d1[k], h1, d2[k], h2, d3[k], h3)
+			gB2[k] = (((gB2[k] + d0[k]) + d1[k]) + d2[k]) + d3[k]
 		}
 		// Hidden layer: dh = W2ᵀ dz, through tanh'.
-		for i := 0; i < m.Hidden; i++ {
+		for i := 0; i < H; i++ {
+			var a0, a1, a2, a3 float64
+			for k := 0; k < K; k++ {
+				w := w2[k*H+i]
+				a0 += w * d0[k]
+				a1 += w * d1[k]
+				a2 += w * d2[k]
+				a3 += w * d3[k]
+			}
+			a0 *= 1 - h0[i]*h0[i]
+			a1 *= 1 - h1[i]*h1[i]
+			a2 *= 1 - h2[i]*h2[i]
+			a3 *= 1 - h3[i]*h3[i]
+			linalg.AXPY4(gW1[i*F:(i+1)*F], a0, b[0].X, a1, b[1].X, a2, b[2].X, a3, b[3].X)
+			gB1[i] = (((gB1[i] + a0) + a1) + a2) + a3
+		}
+	}
+	for _, s := range b {
+		m.dzInto(h0, d0, params, s)
+		for k := 0; k < K; k++ {
+			linalg.AXPY(gW2[k*H:(k+1)*H], d0[k], h0)
+			gB2[k] += d0[k]
+		}
+		for i := 0; i < H; i++ {
 			dh := 0.0
-			for k := 0; k < m.Classes; k++ {
-				dh += w2[k*m.Hidden+i] * dz[k]
+			for k := 0; k < K; k++ {
+				dh += w2[k*H+i] * d0[k]
 			}
-			da := dh * (1 - h[i]*h[i])
-			row := gW1[i*m.Features : (i+1)*m.Features]
-			for j, x := range s.X {
-				row[j] += da * x
-			}
+			da := dh * (1 - h0[i]*h0[i])
+			linalg.AXPY(gW1[i*F:(i+1)*F], da, s.X)
 			gB1[i] += da
 		}
 	}
-	inv := 1 / float64(len(batch))
-	for j := range g {
-		g[j] *= inv
-	}
+	linalg.Scale(g, 1/float64(len(batch)))
 }
 
 // Predict implements Classifier: the argmax output logit.
@@ -443,14 +454,11 @@ func (m MLP) String() string {
 
 // Helpers ----------------------------------------------------------------
 
-// dotFeatures is Dot over the leading len(x) coordinates of w (w may be a
-// row slice of a larger parameter block).
-func dotFeatures(w, x []float64) float64 {
-	s := 0.0
-	for j, xj := range x {
-		s += w[j] * xj
-	}
-	return s
+// quarters splits v into four consecutive parts of equal length: the
+// per-sample scratch of a four-sample group.
+func quarters(v []float64) (a, b, c, d []float64) {
+	n := len(v) / 4
+	return v[:n], v[n : 2*n], v[2*n : 3*n], v[3*n:]
 }
 
 func gaussianInit(n int, scale float64, seed int64) []float64 {

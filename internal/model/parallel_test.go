@@ -121,22 +121,31 @@ func TestNilParallelGrad(t *testing.T) {
 }
 
 // TestGradIntoAllocationFree: after warm-up the sequential GradInto
-// kernel must not allocate.
+// kernel must not allocate — on a batch of whole four-sample groups, on one
+// with a tail, and at the benchmark's own shapes.
 func TestGradIntoAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
-	for _, m := range testModels() {
-		rng := rand.New(rand.NewSource(2))
+	check := func(m Model, features, classes, n int) {
+		t.Helper()
 		params := m.InitParams(4)
-		batch := randomBatch(rng, 16, 5, 3)
+		batch := randomBatch(rand.New(rand.NewSource(2)), n, features, classes)
 		dst := make([]float64, m.Dim())
 		m.GradInto(dst, params, batch) // warm the scratch pool
 		allocs := testing.AllocsPerRun(20, func() {
 			m.GradInto(dst, params, batch)
 		})
 		if allocs > 0 {
-			t.Errorf("%v: GradInto allocates %v objects/op after warm-up", m, allocs)
+			t.Errorf("%v batch %d: GradInto allocates %v objects/op after warm-up", m, n, allocs)
 		}
+	}
+	for _, m := range testModels() {
+		check(m, 5, 3, 16)
+		check(m, 5, 3, 7)
+	}
+	for _, sh := range kernelShapes {
+		check(sh.m, sh.features, sh.classes, sh.batch)
+		check(sh.m, sh.features, sh.classes, 7)
 	}
 }

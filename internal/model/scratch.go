@@ -10,7 +10,7 @@ import "sync"
 var vecPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // getVec borrows a length-n vector with unspecified contents. Callers that
-// accumulate into it must zero it first (zeroVec); callers that assign every
+// accumulate into it must zero it first (linalg.ZeroVec); callers that assign every
 // element need not.
 func getVec(n int) *[]float64 {
 	vp := vecPool.Get().(*[]float64)
@@ -23,10 +23,3 @@ func getVec(n int) *[]float64 {
 
 // putVec returns a borrowed vector to the pool.
 func putVec(vp *[]float64) { vecPool.Put(vp) }
-
-// zeroVec clears v in place.
-func zeroVec(v []float64) {
-	for i := range v {
-		v[i] = 0
-	}
-}
