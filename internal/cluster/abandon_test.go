@@ -38,7 +38,7 @@ func TestMailboxKeepsOnlyLiveSteps(t *testing.T) {
 		{"re-delivery of the same step is not superseded", 0, []int{3, 3}, [][]int{nil, nil}, []int{3, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			mb := newMailbox(tc.staleness, false)
+			mb := newMailbox(tc.staleness, 0)
 			for i, s := range tc.arrivals {
 				got := mb.put(stepWork{step: s})
 				if len(got) != len(tc.evicted[i]) {
@@ -61,7 +61,7 @@ func TestMailboxKeepsOnlyLiveSteps(t *testing.T) {
 }
 
 func TestMailboxCheckVerdicts(t *testing.T) {
-	mb := newMailbox(1, false)
+	mb := newMailbox(1, 0)
 	mb.put(stepWork{step: 5})
 	if live, _ := mb.check(5); !live {
 		t.Fatal("the newest step must be live")
@@ -76,12 +76,12 @@ func TestMailboxCheckVerdicts(t *testing.T) {
 	}
 	// A lost connection interrupts without abandoning (the master
 	// re-delivers its in-flight step on the rejoin); stop abandons.
-	lost := newMailbox(0, false)
+	lost := newMailbox(0, 0)
 	lost.finish(endConnLost, events.NoStep)
 	if live, abandoned := lost.check(0); live || abandoned {
 		t.Fatalf("after connection loss: live=%v abandoned=%v, want interrupted", live, abandoned)
 	}
-	stopped := newMailbox(0, false)
+	stopped := newMailbox(0, 0)
 	stopped.put(stepWork{step: 0})
 	if got := stopped.finish(endStop, events.NoStep); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("stop evicted %v, want [0]", got)
@@ -95,7 +95,7 @@ func TestMailboxCheckVerdicts(t *testing.T) {
 }
 
 func TestMailboxSleepIsInterruptible(t *testing.T) {
-	mb := newMailbox(0, false)
+	mb := newMailbox(0, 0)
 	mb.put(stepWork{step: 0})
 	if live, _ := mb.sleep(0, time.Millisecond); !live {
 		t.Fatal("an undisturbed delay must run to completion")
@@ -111,19 +111,27 @@ func TestMailboxSleepIsInterruptible(t *testing.T) {
 }
 
 func TestMailboxCyclesParamsBuffers(t *testing.T) {
-	mb := newMailbox(0, true)
-	if mb.takeFree() != nil {
-		t.Fatal("fresh mailbox has no free buffer")
+	mb := newMailbox(0, 4)
+	step := frameHeader{kind: MsgStep, dim: 4}
+	a, b := mb.reserve(step), mb.reserve(step)
+	if len(a) != 4 || len(b) != 4 || &a[0] == &b[0] {
+		t.Fatal("a fresh mailbox hands out fresh buffers")
 	}
-	a, b := make([]float64, 4), make([]float64, 4)
 	mb.put(stepWork{step: 0, params: a})
 	mb.put(stepWork{step: 1, params: b}) // evicts step 0, frees a
-	if got := mb.takeFree(); &got[0] != &a[0] {
+	if got := mb.reserve(step); &got[0] != &a[0] {
 		t.Fatal("evicted step's buffer was not recycled")
 	}
-	plain := newMailbox(0, false)
-	plain.recycle(a)
-	if plain.takeFree() != nil {
+	mb.vecs.put(a)
+	if got := mb.reserve(frameHeader{kind: MsgStep, dim: 8}); len(got) != 8 {
+		t.Fatalf("a step of another length got %d words, want a fresh 8", len(got))
+	}
+	if mb.reserve(frameHeader{kind: MsgGradient, dim: 4}) != nil {
+		t.Fatal("a worker has no use for a gradient's payload")
+	}
+	plain := newMailbox(0, 0)
+	plain.vecs.put(a)
+	if got := plain.reserve(step); &got[0] == &a[0] {
 		t.Fatal("a gob connection allocates per message; nothing to recycle")
 	}
 }

@@ -3,8 +3,19 @@
 // float64, and allocates per message; at 2^16-dim gradients that overhead
 // dominates the master's gather (the paper's per-iteration completion time,
 // Fig. 12). A frame here is a fixed 36-byte little-endian header followed
-// by raw IEEE-754 float64 payload words, written via math.Float64bits —
-// no reflection, no per-value framing, no unsafe.
+// by raw IEEE-754 float64 payload words: no reflection, no per-value framing.
+//
+// On a little-endian host those payload bytes are the vector's own memory,
+// and the connection path never copies them: float64Bytes views a []float64
+// as its bytes, a send writes header and view with one vectored write, a
+// receive reads the socket straight into the destination vector. That view
+// is the package's one use of unsafe. It is sound because float64 has no
+// invalid bit patterns (the per-word decoder accepted every payload word
+// too), the []float64 supplies the alignment, and the view only goes to a
+// Read or Write that returns before the vector is used again: it never
+// outlives the vector. Hosts of the other byte order go through the per-word
+// body AppendFrame and DecodeFrame keep (the spec and the fuzz targets); the
+// host chooses, nothing configures it.
 //
 // Frame layout (all little-endian):
 //
@@ -30,10 +41,11 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"sync"
+	"unsafe"
 )
 
 // Binary frame geometry and versioning.
@@ -157,13 +169,14 @@ func getU64(b []byte) uint64 {
 // only in the gob hello exchange), sub-frame geometry (binaryv2 only),
 // out-of-range ids, and payloads on payload-free kinds.
 func AppendFrame(dst []byte, e *Envelope) ([]byte, error) {
-	return appendFrame(dst, e, false)
+	return appendFrame(dst, e, false, true)
 }
 
 // appendFrame encodes e in either flavour of the frame grammar: binaryv1,
 // or binaryv2 with its version byte and the two geometry words behind the
-// shared header (see subframe.go for who may carry geometry).
-func appendFrame(dst []byte, e *Envelope, v2 bool) ([]byte, error) {
+// shared header (see subframe.go for who may carry geometry); without body,
+// the header only, for a send that writes the vector's own memory behind it.
+func appendFrame(dst []byte, e *Envelope, v2, body bool) ([]byte, error) {
 	if err := validateEnvelope(e); err != nil {
 		return nil, err
 	}
@@ -198,7 +211,10 @@ func appendFrame(dst []byte, e *Envelope, v2 bool) ([]byte, error) {
 
 	version, header := frameVersionAndSize(v2)
 	off := len(dst)
-	need := header + 8*len(vec)
+	need := header
+	if body {
+		need += 8 * len(vec)
+	}
 	if cap(dst)-off < need {
 		grown := make([]byte, off, off+need)
 		copy(grown, dst)
@@ -219,11 +235,17 @@ func appendFrame(dst []byte, e *Envelope, v2 bool) ([]byte, error) {
 		putU32(h[36:], uint32(e.Offset))
 		putU32(h[40:], uint32(e.Total))
 	}
-	p := h[header:]
+	if body {
+		encodePayload(h[header:], vec)
+	}
+	return dst, nil
+}
+
+// encodePayload writes vec as 8·len(vec) little-endian payload bytes into p.
+func encodePayload(p []byte, vec []float64) {
 	for i, v := range vec {
 		putU64(p[8*i:], math.Float64bits(v))
 	}
-	return dst, nil
 }
 
 // frameVersionAndSize returns a flavour's version byte and header size.
@@ -372,73 +394,92 @@ func decodePayload(p []byte, vec []float64) []float64 {
 	return vec
 }
 
-// frameBufPool recycles whole-frame send buffers across connections and
-// steps, so at steady state the wire path allocates nothing per message
-// beyond the gradient vectors whose ownership genuinely transfers to the
-// gather loop. A buffer grows to the frames it carries: S lanes streaming a
-// dim-sized gradient pool S shard-width buffers, not S dim-sized ones.
-var frameBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
+// float64Bytes views v's memory as bytes for one Read or Write (sound: see
+// the top of this file).
+func float64Bytes(v []float64) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 8*len(v))
 }
 
-// frameCache holds the binary encodings of one outgoing envelope, each
-// flavour — binaryv1, or binaryv2 with its wider header — encoded at most
-// once into a pooled buffer. A plain send uses one flavour once; a broadcast
-// hands the same cache to every connection, so a fleet costs one encode per
-// flavour however many workers it has. Not safe for concurrent use.
+// payloadIsMemory: the host is little-endian, a []float64's memory is its wire
+// payload. Tests clear it to drive the per-word path of the other byte order.
+var payloadIsMemory = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// frameCache holds the headers of one outgoing envelope, binaryv1 and
+// binaryv2, each built at most once; the payload is never encoded. A
+// broadcast hands one cache to every connection, so a fleet costs one header
+// per flavour. Not safe for concurrent use.
 type frameCache struct {
-	e    *Envelope
-	bufs [2]*[]byte // binaryv1, binaryv2; nil until that flavour is first needed
-	// encodes counts the frames actually encoded — what the encode-once
-	// test pins.
+	e     *Envelope
+	hdrs  [2][frameHeaderSizeV2]byte
+	built [2]bool // binaryv1, binaryv2
+	// encodes counts the headers built — what the encode-once test pins.
 	encodes int
 }
 
-// frame returns the envelope's encoding in the given flavour, encoding it on
-// first use. The bytes stay valid until release.
-func (fc *frameCache) frame(v2 bool) ([]byte, error) {
+// frame returns the header in the given flavour, built on first use, and the
+// payload vector that follows it on the wire.
+func (fc *frameCache) frame(v2 bool) (hdr []byte, vec []float64, err error) {
 	i := 0
 	if v2 {
 		i = 1
 	}
-	if fc.bufs[i] == nil {
-		bp := frameBufPool.Get().(*[]byte)
-		buf, err := appendFrame((*bp)[:0], fc.e, v2)
-		if err != nil {
-			frameBufPool.Put(bp)
-			return nil, err
+	if !fc.built[i] {
+		if _, err = appendFrame(fc.hdrs[i][:0], fc.e, v2, false); err != nil {
+			return nil, nil, err
 		}
-		*bp = buf
-		fc.bufs[i] = bp
+		fc.built[i] = true
 		fc.encodes++
 	}
-	return *fc.bufs[i], nil
+	_, size := frameVersionAndSize(v2)
+	vec, _ = framePayload(fc.e) // appendFrame accepted it
+	return fc.hdrs[i][:size], vec, nil
 }
 
-// release returns the buffers to the pool and empties the cache.
-func (fc *frameCache) release() {
-	for i, bp := range fc.bufs {
-		if bp != nil {
-			*bp = (*bp)[:0]
-			frameBufPool.Put(bp)
-			fc.bufs[i] = nil
+// reset empties the cache for envelope e.
+func (fc *frameCache) reset(e *Envelope) { fc.e, fc.built = e, [2]bool{} }
+
+// payloadSink is a binary connection's one destination hook: recvFrame asks
+// it where a frame's payload goes before reading it, and reads the socket
+// into the fh.dim-long vector it returns; nil declines, and the payload is
+// discarded unread. A read that fails mid-payload ends the connection, and
+// what was reserved dies with the registration (a lone vector: the GC's).
+type payloadSink func(fh frameHeader) []float64
+
+// vecPool is a bounded free list of dim-long vectors, a payloadSink's stock:
+// a vector comes back once nothing reads or writes it; what does not fit, or
+// never comes back, is the GC's. A nil free recycles nothing.
+type vecPool struct {
+	dim  int
+	free chan []float64
+}
+
+// get returns a dim-long vector with unspecified contents.
+func (p *vecPool) get() []float64 {
+	select {
+	case v := <-p.free:
+		return v
+	default:
+		return make([]float64, p.dim)
+	}
+}
+
+// put takes back a vector; one that is not dim long is dropped.
+func (p *vecPool) put(v []float64) {
+	if len(v) == p.dim {
+		select {
+		case p.free <- v:
+		default:
 		}
 	}
 }
 
-// recvFrame reads one binary frame of the connection's flavour. The header
-// lands in a per-connection array and the payload bytes in a per-connection
-// scratch slice. The decoded vector is freshly allocated unless the
-// connection opted into vector reuse (the worker side, where params are
-// consumed within the step and never retained) or — binaryv2 gradients only
-// — the owner installed the gradReserve hook: the payload then decodes
-// straight into the shard assembler's gather buffer at the sub-frame's
-// offset, no copy, and a declined reservation (nil destination) drains the
-// payload bytes without decoding them, surfacing the envelope with a nil
-// Coded for the reader to count and drop.
+// recvFrame reads one binary frame of the connection's flavour: the header
+// into a per-connection array, then the payload straight into the vector the
+// sink reserves for it (a fresh one without a sink). A frame the sink
+// declines surfaces without its payload, marked declined.
 func (c *conn) recvFrame() (*Envelope, error) {
 	_, header := frameVersionAndSize(c.wireV2)
 	if _, err := io.ReadFull(c.r, c.hdrScratch[:header]); err != nil {
@@ -448,31 +489,37 @@ func (c *conn) recvFrame() (*Envelope, error) {
 	if err != nil {
 		return nil, err
 	}
-	var vec []float64
-	if fh.dim > 0 {
-		nbytes := 8 * fh.dim
-		if cap(c.payloadScratch) < nbytes {
-			c.payloadScratch = make([]byte, nbytes)
-		}
-		p := c.payloadScratch[:nbytes]
-		if _, err := io.ReadFull(c.r, p); err != nil {
+	e, err := frameEnvelope(fh, nil)
+	if err != nil || fh.dim == 0 {
+		return e, err
+	}
+	var dst []float64
+	if c.sink != nil {
+		dst = c.sink(fh)
+	} else {
+		dst = make([]float64, fh.dim)
+	}
+	if dst == nil {
+		if _, err := c.r.Discard(8 * fh.dim); err != nil {
 			return nil, fmt.Errorf("cluster: recv %s payload (%d words): %w", fh.kind, fh.dim, err)
 		}
-		switch {
-		case fh.kind == MsgGradient && c.gradReserve != nil:
-			// Declined: the envelope stays well-formed — a gradient with
-			// geometry but no payload — so the reader can account for it.
-			if dst := c.gradReserve(fh.worker, fh.step, fh.offset, fh.dim, fh.total); dst != nil {
-				vec = decodePayload(p, dst)
-			}
-		case c.reuseVecs:
-			if cap(c.vecScratch) < fh.dim {
-				c.vecScratch = make([]float64, fh.dim)
-			}
-			vec = decodePayload(p, c.vecScratch[:fh.dim])
-		default:
-			vec = decodePayload(p, make([]float64, fh.dim))
-		}
+		e.declined = true
+		return e, nil
 	}
-	return frameEnvelope(fh, vec)
+	p := float64Bytes(dst)
+	if !payloadIsMemory {
+		p = make([]byte, 8*fh.dim)
+	}
+	if _, err = io.ReadFull(c.r, p); err != nil {
+		return nil, fmt.Errorf("cluster: recv %s payload (%d words): %w", fh.kind, fh.dim, err)
+	}
+	if !payloadIsMemory {
+		decodePayload(p, dst)
+	}
+	if fh.kind == MsgStep {
+		e.Params = dst
+	} else {
+		e.Coded = dst
+	}
+	return e, nil
 }

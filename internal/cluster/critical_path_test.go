@@ -126,8 +126,9 @@ func (s *sinkConn) Close() error                     { return nil }
 // TestBroadcastEncodesOncePerFlavour drives Master.broadcast over a mixed
 // fleet — two gob, two binaryv1 and two binaryv2 connections. Every
 // connection must receive exactly the bytes its codec's reference encoder
-// produces for the envelope; the frame is encoded once per binary flavour,
-// not once per worker; and a steady-state broadcast allocates nothing.
+// produces for the envelope; the header is built once per binary flavour,
+// not once per worker (the payload is never encoded at all); and a
+// steady-state broadcast allocates nothing.
 func TestBroadcastEncodesOncePerFlavour(t *testing.T) {
 	m, err := NewMaster(MasterConfig{Addr: "127.0.0.1:0", Strategy: freshISGC(t, 6, 2, 7),
 		Model: model.SoftmaxRegression{Features: 6, Classes: 3}, Data: testData(t), LearningRate: 0.3, MaxSteps: 1})
@@ -146,7 +147,7 @@ func TestBroadcastEncodesOncePerFlavour(t *testing.T) {
 		case WireBinary:
 			c.upgrade(false)
 		case WireBinary2:
-			c.upgradeV2(false)
+			c.upgrade(true)
 		}
 		m.workers[i] = &workerState{c: c, alive: true}
 	}
@@ -181,7 +182,7 @@ func TestBroadcastEncodesOncePerFlavour(t *testing.T) {
 		before := m.bcastFrames.encodes
 		m.broadcast(e)
 		if got := m.bcastFrames.encodes - before; got != 2 {
-			t.Errorf("%s step %d: %d frame encodes for 2+2 binary connections, want one per flavour", e.Kind, e.Step, got)
+			t.Errorf("%s step %d: %d header builds for 2+2 binary connections, want one per flavour", e.Kind, e.Step, got)
 		}
 		for i, wire := range wires {
 			if !bytes.Equal(sinks[i].buf.Bytes(), want[wire]) {
@@ -205,7 +206,7 @@ func TestBroadcastEncodesOncePerFlavour(t *testing.T) {
 	}
 	m.workers = binary
 	e := &Envelope{Kind: MsgStep, Step: 5, Params: params}
-	m.broadcast(e) // warm the pool and the connection snapshot
+	m.broadcast(e) // warm the connection snapshot
 	if avg := testing.AllocsPerRun(100, func() { m.broadcast(e) }); avg != 0 {
 		t.Errorf("broadcast allocates %.1f objects per call in steady state, want 0", avg)
 	}

@@ -54,9 +54,8 @@ const (
 // starts from a fresh one.
 type mailbox struct {
 	staleness int
-	// reuse marks a binary connection whose params vectors cycle through
-	// free instead of being allocated per step.
-	reuse bool
+	// vecs recycles params vectors: reader → mailbox → compute → reader.
+	vecs vecPool
 	// wake holds one pending "state changed" signal for the compute loop;
 	// it re-reads the state under mu after every receive, so dropped extras
 	// cost nothing.
@@ -69,12 +68,19 @@ type mailbox struct {
 	newest  int        // highest step received (-1 = none)
 	end     endKind
 	endStep int
-	free    [][]float64
 }
 
-func newMailbox(staleness int, reuse bool) *mailbox {
-	return &mailbox{staleness: staleness, reuse: reuse, newest: -1,
+// newMailbox returns the mailbox of a connection whose steps carry dim-long
+// params; dim 0 (gob allocates per message) recycles nothing.
+func newMailbox(staleness, dim int) *mailbox {
+	mb := &mailbox{staleness: staleness, newest: -1,
 		wake: make(chan struct{}, 1), done: make(chan struct{})}
+	mb.vecs.dim = dim
+	if dim > 0 {
+		// One being read into, ≤ staleness+1 queued, one computed on.
+		mb.vecs.free = make(chan []float64, staleness+2)
+	}
+	return mb
 }
 
 func (mb *mailbox) poke() {
@@ -100,7 +106,7 @@ func (mb *mailbox) put(st stepWork) []int {
 	for _, q := range append(mb.steps, st) {
 		if mb.supersededLocked(q.step) {
 			evicted = append(evicted, q.step)
-			mb.recycleLocked(q.params)
+			mb.vecs.put(q.params)
 			continue
 		}
 		keep = append(keep, q)
@@ -190,30 +196,14 @@ func (mb *mailbox) sleep(step int, d time.Duration) (live, abandoned bool) {
 	}
 }
 
-// takeFree hands the reader a params buffer to decode the next step into
-// (nil when none is free yet: the codec allocates one).
-func (mb *mailbox) takeFree() []float64 {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if n := len(mb.free); n > 0 {
-		buf := mb.free[n-1]
-		mb.free = mb.free[:n-1]
-		return buf
+// reserve is the connection's payloadSink: a step's params go into a recycled
+// buffer (a fresh one for a length other than the model's), nothing else.
+func (mb *mailbox) reserve(fh frameHeader) []float64 {
+	switch {
+	case fh.kind != MsgStep:
+		return nil
+	case fh.dim != mb.vecs.dim:
+		return make([]float64, fh.dim)
 	}
-	return nil
-}
-
-// recycle returns a served step's params buffer to the reader.
-func (mb *mailbox) recycle(buf []float64) {
-	mb.mu.Lock()
-	mb.recycleLocked(buf)
-	mb.mu.Unlock()
-}
-
-func (mb *mailbox) recycleLocked(buf []float64) {
-	// One buffer is being decoded into, at most staleness+1 are queued and
-	// one is being computed on; anything beyond that would never be taken.
-	if mb.reuse && cap(buf) > 0 && len(mb.free) < mb.staleness+2 {
-		mb.free = append(mb.free, buf)
-	}
+	return mb.vecs.get()
 }

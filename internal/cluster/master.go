@@ -181,7 +181,9 @@ type workerState struct {
 	// lanes are the extra binaryv2 gather-lane connections a sharding
 	// worker attached (nil on unsharded registrations). They carry
 	// gradient sub-frames only; control traffic stays on c.
-	lanes    []*conn
+	lanes []*conn
+	// asm reassembles this registration's sub-frames (nil when unsharded).
+	asm      *shardAssembler
 	alive    bool
 	lastSeen time.Time
 	gen      int
@@ -245,13 +247,12 @@ type Master struct {
 	// straggler-attribution report.
 	attribution *trace.Attribution
 
-	// shardAsms holds one sub-frame assembler per worker id that ever
-	// registered with sharding (lazily created; see shard.go).
-	shardMu   sync.Mutex
-	shardAsms map[int]*shardAssembler
+	// vecs is the free list of received gradient vectors: each is its reader's
+	// until delivered, then the step loop's until Update, Fold or ignore.
+	vecs vecPool
 
 	// bcastConns and bcastFrames are broadcast's scratch — the connection
-	// snapshot and the shared frame encodings — reused across calls so a
+	// snapshot and the shared frame headers — reused across calls so a
 	// steady-state broadcast allocates nothing. Run's goroutine only.
 	bcastConns  []bcastTarget
 	bcastFrames frameCache
@@ -284,6 +285,30 @@ func (m *Master) MalformedGradients() int { return int(m.malformed.Load()) }
 // arrival latency percentiles. Safe to call at any time.
 func (m *Master) AttributionReport() trace.AttributionReport {
 	return m.attribution.Report()
+}
+
+// gradientSink is worker id's unsharded binary connection's payloadSink: a
+// gradient of the model's dimension lands in a free-list vector; any other
+// kind or length is declined — drained, not allocated.
+func (m *Master) gradientSink(id int) payloadSink {
+	return func(fh frameHeader) []float64 {
+		if fh.kind != MsgGradient {
+			return nil
+		}
+		if fh.dim != m.vecs.dim {
+			m.malformedGradient(fh.step, id, fh.dim)
+			return nil
+		}
+		return m.vecs.get()
+	}
+}
+
+// malformedGradient counts a gradient whose length would panic Recover/AXPY.
+func (m *Master) malformedGradient(step, worker, gotDim int) {
+	m.malformed.Add(1)
+	m.cfg.Metrics.markMalformed()
+	m.cfg.Events.Warn("master.malformed_gradient", "gradient rejected before decode",
+		step, worker, events.Fields{"got_dim": gotDim, "want_dim": m.vecs.dim})
 }
 
 // arrival is one gradient delivery tagged with its origin and timing:
@@ -377,8 +402,11 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 			id.EnableIncrementalDecode()
 		}
 	}
-	m := &Master{cfg: cfg, ln: ln, attribution: trace.NewAttribution(cfg.Strategy.N()),
-		stop: make(chan struct{})}
+	n := cfg.Strategy.N()
+	m := &Master{cfg: cfg, ln: ln, attribution: trace.NewAttribution(n),
+		stop: make(chan struct{}),
+		// Up to n vectors wait in coded while the readers fill the next n.
+		vecs: vecPool{dim: cfg.Model.Dim(), free: make(chan []float64, 2*n)}}
 	m.lastCkptStep.Store(-1)
 	m.runID = fmt.Sprintf("run-%d", time.Now().UnixNano())
 	if cfg.Warm != nil {
@@ -649,6 +677,7 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 	// granted one (possibly negotiated down to a single binaryv1 stream).
 	wire := WireGob
 	shards := 1
+	var asm *shardAssembler
 	if hello.Wire != "" {
 		switch {
 		case hello.Wire == WireBinary2 && m.cfg.Wire != WireGob:
@@ -677,12 +706,14 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 		}
 		switch wire {
 		case WireBinary2:
-			// Every gradient on a v2 connection is a sub-frame: decode its
-			// payload straight into the shard assembler's gather buffer.
-			c.gradReserve = m.shardAsmFor(id).reserveFor
-			c.upgradeV2(false)
+			// Every gradient on a v2 connection is a sub-frame: its payload
+			// is read straight into the shard assembler's gather buffer.
+			asm = m.newShardAssembler(id)
+			c.sink = asm.reserve
+			c.upgrade(true)
 		case WireBinary:
-			c.upgrade(false) // gradient ownership transfers: no vector reuse
+			c.sink = m.gradientSink(id)
+			c.upgrade(false)
 		}
 	}
 	m.cfg.Metrics.markWire(wire)
@@ -710,7 +741,7 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 		m.rejoins++
 		m.cfg.Metrics.markRejoin()
 	}
-	m.workers[id] = &workerState{c: c, alive: true, lastSeen: time.Now(), gen: gen}
+	m.workers[id] = &workerState{c: c, asm: asm, alive: true, lastSeen: time.Now(), gen: gen}
 	m.cfg.Metrics.setWorkerAlive(id, true)
 	step := events.NoStep
 	if m.running {
@@ -718,7 +749,8 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 	}
 	var resume *Envelope
 	if m.running {
-		resume = &Envelope{Kind: MsgStep, Step: m.curStep, Params: m.curParams}
+		// A copy under the lock: the step loop refills curParams in place.
+		resume = &Envelope{Kind: MsgStep, Step: m.curStep, Params: append([]float64(nil), m.curParams...)}
 	}
 	m.mu.Unlock()
 
@@ -739,14 +771,15 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 		}
 	}
 	readers.Add(1)
-	go m.readFrom(id, gen, c, readers)
+	go m.readFrom(id, gen, c, asm, false, readers)
 }
 
 // readFrom pumps one worker connection: heartbeats refresh lastSeen,
 // gradients are forwarded to the gather loop, and connection loss marks the
 // worker dead and wakes the gather loop — the "reader-exit notification"
-// that keeps the step loop from blocking forever on a dead fleet.
-func (m *Master) readFrom(id, gen int, c *conn, readers *sync.WaitGroup) {
+// that keeps the step loop from blocking forever on a dead fleet. A broken
+// lane breaks the worker's gather pipe: it closes the primary, which evicts.
+func (m *Master) readFrom(id, gen int, c *conn, asm *shardAssembler, lane bool, readers *sync.WaitGroup) {
 	defer readers.Done()
 	for {
 		e, err := c.recv()
@@ -758,8 +791,8 @@ func (m *Master) readFrom(id, gen int, c *conn, readers *sync.WaitGroup) {
 			ws.lastSeen = time.Now()
 		}
 		m.mu.Unlock()
-		if e.Kind == MsgGradient {
-			if !m.deliverGradient(id, e) {
+		if e.Kind == MsgGradient && !e.declined { // a declined one was counted by the sink
+			if !m.deliverGradient(id, asm, e) {
 				return
 			}
 		}
@@ -767,6 +800,14 @@ func (m *Master) readFrom(id, gen int, c *conn, readers *sync.WaitGroup) {
 	m.mu.Lock()
 	ws := m.workers[id]
 	current := ws != nil && ws.gen == gen
+	if lane {
+		if current && ws.alive {
+			_ = ws.c.close()
+		}
+		m.mu.Unlock()
+		_ = c.close()
+		return
+	}
 	var lanes []*conn
 	if current {
 		ws.alive = false
@@ -798,22 +839,22 @@ func (m *Master) readFrom(id, gen int, c *conn, readers *sync.WaitGroup) {
 
 // deliverGradient routes one authenticated gradient envelope to the gather
 // loop: whole-vector gradients forward directly, sub-frames commit to the
-// worker's shard assembler and forward once the last span lands. Returns
-// false when the master is shutting down.
-func (m *Master) deliverGradient(id int, e *Envelope) bool {
+// registration's shard assembler (nil when unsharded) and forward with the
+// last span. Returns false when the master is shutting down.
+func (m *Master) deliverGradient(id int, asm *shardAssembler, e *Envelope) bool {
 	if e.Total > 0 {
-		if e.Coded == nil {
-			// Declined reservation: a stale, overlapping, or mismatched
-			// sub-frame whose payload bytes were drained undecoded.
+		if asm == nil {
+			// Sub-frame geometry on an unsharded registration: only a gob
+			// peer can send it, and nothing reserved a span for it.
+			m.malformedGradient(e.Step, id, len(e.Coded))
 			return true
 		}
 		m.cfg.Metrics.markSubFrames(1)
-		full, ok := m.shardAsmFor(id).commit(e)
+		full, ok := asm.commit(e)
 		if !ok {
 			return true // more spans outstanding, or the step was evicted
 		}
-		e = &Envelope{Kind: MsgGradient, Worker: id, Step: e.Step, Coded: full,
-			ComputeStartUnixNano: e.ComputeStartUnixNano, ComputeDurNanos: e.ComputeDurNanos}
+		e.Coded = full
 	}
 	a := arrival{worker: id, step: e.Step, coded: e.Coded, recvAt: time.Now(),
 		computeDur: time.Duration(e.ComputeDurNanos)}
@@ -1128,6 +1169,8 @@ func (m *Master) run() (*engine.Result, error) {
 		return res, nil
 	}
 
+	// coded[i] is worker i's gathered upload, the loop's until Update returns.
+	coded := make([][]float64, n)
 	// The previous step is owed its finalize until this step's broadcast is
 	// out; settle pays it and reports convergence.
 	var owed stepSpans
@@ -1153,8 +1196,8 @@ steps:
 		m.running = true
 		m.curStep = step
 		// Rejoin handshakes read curParams concurrently with the updates
-		// below, so they get their own copy.
-		m.curParams = append([]float64(nil), params...)
+		// below, so it is a copy — into the same buffer every step.
+		m.curParams = append(m.curParams[:0], params...)
 		m.mu.Unlock()
 		bcastStart := time.Now()
 		m.broadcast(&Envelope{Kind: MsgStep, Step: step, Params: params})
@@ -1166,7 +1209,6 @@ steps:
 		gatherStart := time.Now()
 
 		avail := bitset.New(n)
-		coded := make([][]float64, n)
 		accept := func(a arrival) {
 			if a.step != step || a.worker < 0 || a.worker >= n || avail.Contains(a.worker) {
 				if r, ok := core.Fold(a.step, a.worker, a.coded); ok {
@@ -1176,29 +1218,23 @@ steps:
 					m.attribution.ObserveAccepted(trace.ArrivalSample{Worker: a.worker, Step: a.step, Compute: a.computeDur})
 					m.cfg.Events.Debug("master.gradient_folded", "late gradient folded into parameters",
 						a.step, a.worker, events.Fields{"partitions": len(st.Partitions(a.worker)), "normalizer": r})
-					return
-				}
-				// Stale or duplicate delivery outside the fold window: the
-				// work was done but the master cannot use it — the "ignored"
-				// column of the attribution report. A duplicate's arrival is
-				// measured against the current broadcast; a stale gradient
-				// has no valid baseline, so its latency stays unmeasured.
-				if a.worker >= 0 && a.worker < n {
+				} else if a.worker >= 0 && a.worker < n {
+					// Stale or duplicate delivery outside the fold window: the
+					// work was done but the master cannot use it — the "ignored"
+					// column of the attribution report. A duplicate's arrival is
+					// measured against the current broadcast; a stale gradient
+					// has no valid baseline, so its latency stays unmeasured.
 					s := trace.ArrivalSample{Worker: a.worker, Step: step, Compute: a.computeDur}
 					if a.step == step {
 						s.Arrival = a.recvAt.Sub(bcastEnd)
 					}
 					m.attribution.ObserveIgnored(s)
 				}
+				m.vecs.put(a.coded)
 				return
 			}
 			if len(a.coded) != dim {
-				// A malformed envelope must never reach Recover/AXPY,
-				// where a wrong-dimension vector panics the master.
-				m.malformed.Add(1)
-				m.cfg.Metrics.markMalformed()
-				m.cfg.Events.Warn("master.malformed_gradient", "gradient rejected before decode",
-					step, a.worker, events.Fields{"got_dim": len(a.coded), "want_dim": dim})
+				m.malformedGradient(step, a.worker, len(a.coded))
 				return
 			}
 			avail.Add(a.worker)
@@ -1256,6 +1292,11 @@ steps:
 		rec, err := core.Update(dec)
 		if err != nil {
 			return core.Result(), fmt.Errorf("cluster: %w", err)
+		}
+		// Recover kept nothing of coded: the readers may fill these again.
+		for i, v := range coded {
+			m.vecs.put(v)
+			coded[i] = nil
 		}
 		rec.Alive, rec.Degraded, rec.Elapsed = m.countAlive(), degraded, elapsed
 		owed, isOwed = stepSpans{rec: rec, bcastStart: bcastStart, bcastEnd: bcastEnd, gatherStart: gatherStart,
@@ -1479,7 +1520,7 @@ func (m *Master) broadcast(e *Envelope) {
 	}
 	m.mu.Unlock()
 	m.bcastConns = conns
-	m.bcastFrames.e = e
+	m.bcastFrames.reset(e)
 	for _, t := range conns {
 		if err := t.c.sendShared(&m.bcastFrames); err != nil {
 			m.cfg.Metrics.markEviction()
@@ -1490,8 +1531,7 @@ func (m *Master) broadcast(e *Envelope) {
 			_ = t.c.close()
 		}
 	}
-	m.bcastFrames.release()
-	m.bcastFrames.e = nil
+	m.bcastFrames.reset(nil)
 }
 
 func (m *Master) closeAll() {

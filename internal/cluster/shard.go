@@ -1,16 +1,14 @@
 // Master-side support for the dim-sharded gather: lane attachment and the
-// per-worker sub-frame assembler. A binaryv2 worker splits each step's
+// per-registration sub-frame assembler. A binaryv2 worker splits each step's
 // gradient into contiguous (offset, len) spans, one per lane connection;
 // recvFrame asks the assembler to reserve the destination span before
-// the payload bytes are read, decodes straight into the step's gather
-// buffer at the offset (no reassembly copy), and the reader commits the
-// span afterwards — the step surfaces as an ordinary whole-vector arrival
-// once the last span lands.
+// the payload bytes are read and reads the socket straight into the step's
+// gather buffer at the offset (no reassembly copy); the reader commits the
+// span, and the step surfaces as a whole-vector arrival with the last one.
 package cluster
 
 import (
 	"sync"
-	"time"
 
 	"isgc/internal/events"
 )
@@ -37,15 +35,17 @@ func grantShards(proposed, cap int) int {
 }
 
 // shardAssembler reassembles one worker's gradient sub-frames into whole
-// vectors. One assembler per worker id, shared by the primary reader and
-// every lane reader — all state sits behind its mutex, and the
-// reserve/commit split matches recvFrame's read sequence (reserve
-// before the payload bytes arrive, commit after they decoded).
+// vectors: the payloadSink of a sharded registration's primary connection
+// and of every lane attached to it, all state behind its mutex. It lives and
+// dies with its registration (a lane lost mid-payload takes the primary
+// down), so nothing a cut left reserved can collide with the re-upload.
 type shardAssembler struct {
 	mu     sync.Mutex
 	window int // in-flight steps kept before eviction
 	newest int
 	steps  map[int]*shardBuf
+	// vecs supplies the gather buffers; only its dim is a valid total.
+	vecs *vecPool
 	// onReject counts protocol violations (overlapping spans, total
 	// mismatch) — the sub-frame flavor of the malformed-gradient counter.
 	onReject func(step, offset, count, total int)
@@ -58,13 +58,21 @@ type shardBuf struct {
 	spans [][2]int // reserved (offset, len) intervals, for overlap checks
 }
 
-// reserveFor is the gradReserve hook: it maps an incoming sub-frame to
-// the destination slice its payload decodes into, or declines with nil.
-// The worker id claimed in the frame is ignored — the assembler is bound
-// to the authenticated connection's id.
-func (a *shardAssembler) reserveFor(_, step, offset, count, total int) []float64 {
+// reserve maps an incoming sub-frame to the destination slice its payload is
+// read into, or declines with nil (a sharded connection carries gradients
+// only). The worker id claimed in the frame is ignored — the assembler is
+// bound to the authenticated connection's id.
+func (a *shardAssembler) reserve(fh frameHeader) []float64 {
+	if fh.kind != MsgGradient {
+		return nil
+	}
+	step, offset, count, total := fh.step, fh.offset, fh.dim, fh.total
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if total != a.vecs.dim || offset+count > total {
+		a.reject(step, offset, count, total)
+		return nil
+	}
 	sb := a.steps[step]
 	if sb == nil {
 		if step > a.newest {
@@ -72,18 +80,15 @@ func (a *shardAssembler) reserveFor(_, step, offset, count, total int) []float64
 		}
 		// Evict steps that fell out of the in-flight window: their missing
 		// spans are never coming (the worker sends lanes step by step), and
-		// an unbounded map would leak on a perpetually straggling lane.
+		// an unbounded map would leak on a perpetually straggling lane. A
+		// reader may still be filling one, so their buffers go to the GC.
 		for s := range a.steps {
 			if s <= a.newest-a.window {
 				delete(a.steps, s)
 			}
 		}
-		sb = &shardBuf{buf: make([]float64, total)}
+		sb = &shardBuf{buf: a.vecs.get()}
 		a.steps[step] = sb
-	}
-	if len(sb.buf) != total || offset+count > total {
-		a.reject(step, offset, count, total)
-		return nil
 	}
 	for _, sp := range sb.spans {
 		if offset < sp[0]+sp[1] && sp[0] < offset+count {
@@ -101,10 +106,10 @@ func (a *shardAssembler) reject(step, offset, count, total int) {
 	}
 }
 
-// commit records a decoded sub-frame and returns the completed vector
+// commit records a received sub-frame and returns the completed vector
 // once every element has landed; ownership of the buffer transfers to
 // the caller on completion. A commit for an evicted step reports not-done
-// (its reserved span decoded into an orphaned buffer, harmlessly).
+// (its reserved span was read into an orphaned buffer, harmlessly).
 func (a *shardAssembler) commit(e *Envelope) ([]float64, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -120,31 +125,16 @@ func (a *shardAssembler) commit(e *Envelope) ([]float64, bool) {
 	return sb.buf, true
 }
 
-// shardAsmFor returns worker id's sub-frame assembler, creating it on
-// first use. Assemblers survive re-registrations — the worker serializes
-// its lane sends, so spans never interleave across generations.
-func (m *Master) shardAsmFor(id int) *shardAssembler {
-	m.shardMu.Lock()
-	defer m.shardMu.Unlock()
-	if m.shardAsms == nil {
-		m.shardAsms = make(map[int]*shardAssembler)
-	}
-	a := m.shardAsms[id]
-	if a == nil {
-		window := m.cfg.Staleness + 2
-		if window < shardWindowMin {
-			window = shardWindowMin
-		}
-		a = &shardAssembler{window: window, newest: -1, steps: make(map[int]*shardBuf),
-			onReject: func(step, offset, count, total int) {
-				m.malformed.Add(1)
-				m.cfg.Metrics.markMalformed()
-				m.cfg.Events.Warn("master.malformed_subframe", "gradient sub-frame rejected before decode",
-					step, id, events.Fields{"offset": offset, "count": count, "total": total})
-			}}
-		m.shardAsms[id] = a
-	}
-	return a
+// newShardAssembler returns the assembler of one registration of worker id.
+func (m *Master) newShardAssembler(id int) *shardAssembler {
+	return &shardAssembler{window: max(m.cfg.Staleness+2, shardWindowMin), newest: -1,
+		steps: make(map[int]*shardBuf), vecs: &m.vecs,
+		onReject: func(step, offset, count, total int) {
+			m.malformed.Add(1)
+			m.cfg.Metrics.markMalformed()
+			m.cfg.Events.Warn("master.malformed_subframe", "gradient sub-frame rejected before decode",
+				step, id, events.Fields{"offset": offset, "count": count, "total": total})
+		}}
 }
 
 // attachLane joins one extra gather-lane connection to an already
@@ -161,8 +151,9 @@ func (m *Master) attachLane(c *conn, hello *Envelope, readers *sync.WaitGroup) {
 	ok := !done && ws != nil && ws.alive && ws.c.wireV2 && hello.Gen == masterGen &&
 		hello.Shard >= 1 && hello.Shard < maxGatherShards
 	gen := -1
+	var asm *shardAssembler
 	if ok {
-		gen = ws.gen
+		gen, asm = ws.gen, ws.asm
 	}
 	m.mu.Unlock()
 	if !ok {
@@ -172,12 +163,12 @@ func (m *Master) attachLane(c *conn, hello *Envelope, readers *sync.WaitGroup) {
 		_ = c.close()
 		return
 	}
-	c.gradReserve = m.shardAsmFor(id).reserveFor
 	if err := c.send(&Envelope{Kind: MsgHello, Worker: id, Wire: WireBinary2, Shard: hello.Shard, Gen: masterGen}); err != nil {
 		_ = c.close()
 		return
 	}
-	c.upgradeV2(false)
+	c.sink = asm.reserve
+	c.upgrade(true)
 	// Register the lane on the generation it validated against: a rejoin
 	// that raced in installs a fresh workerState this lane must not join.
 	m.mu.Lock()
@@ -195,36 +186,5 @@ func (m *Master) attachLane(c *conn, hello *Envelope, readers *sync.WaitGroup) {
 	m.cfg.Events.Debug("master.lane_attached", "gather lane attached", events.NoStep, id,
 		events.Fields{"lane": hello.Shard, "generation": gen})
 	readers.Add(1)
-	go m.readLane(id, gen, c, readers)
-}
-
-// readLane pumps one extra gather-lane connection. Lanes carry gradient
-// sub-frames only; heartbeats and control traffic stay on the primary. A
-// broken lane breaks the worker's whole gather pipe, so its exit closes
-// the primary connection — the eviction then runs exactly once, through
-// the primary reader's exit path, like any other connection loss.
-func (m *Master) readLane(id, gen int, c *conn, readers *sync.WaitGroup) {
-	defer readers.Done()
-	for {
-		e, err := c.recv()
-		if err != nil {
-			break
-		}
-		m.mu.Lock()
-		if ws := m.workers[id]; ws != nil && ws.gen == gen {
-			ws.lastSeen = time.Now()
-		}
-		m.mu.Unlock()
-		if e.Kind == MsgGradient {
-			if !m.deliverGradient(id, e) {
-				return
-			}
-		}
-	}
-	_ = c.close()
-	m.mu.Lock()
-	if ws := m.workers[id]; ws != nil && ws.gen == gen && ws.alive {
-		_ = ws.c.close()
-	}
-	m.mu.Unlock()
+	go m.readFrom(id, gen, c, asm, true, readers)
 }

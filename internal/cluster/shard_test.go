@@ -73,8 +73,15 @@ func TestGrantShards(t *testing.T) {
 	}
 }
 
-func newTestAssembler(window int, rejects *int) *shardAssembler {
+// span is the header of a gradient sub-frame covering [offset, offset+count)
+// of a total-long vector.
+func span(worker, step, offset, count, total int) frameHeader {
+	return frameHeader{kind: MsgGradient, worker: worker, step: step, offset: offset, dim: count, total: total}
+}
+
+func newTestAssembler(dim, window int, rejects *int) *shardAssembler {
 	return &shardAssembler{window: window, newest: -1, steps: make(map[int]*shardBuf),
+		vecs:     &vecPool{dim: dim, free: make(chan []float64, 2)},
 		onReject: func(step, offset, count, total int) { *rejects++ }}
 }
 
@@ -84,9 +91,9 @@ func newTestAssembler(window int, rejects *int) *shardAssembler {
 // last committed span.
 func TestShardAssemblerReassemblesSpans(t *testing.T) {
 	rejects := 0
-	a := newTestAssembler(3, &rejects)
+	a := newTestAssembler(6, 3, &rejects)
 
-	lo := a.reserveFor(99, 7, 0, 3, 6) // claimed worker id is ignored
+	lo := a.reserve(span(99, 7, 0, 3, 6)) // claimed worker id is ignored
 	if len(lo) != 3 {
 		t.Fatalf("first reserve returned %d elements, want 3", len(lo))
 	}
@@ -95,7 +102,7 @@ func TestShardAssemblerReassemblesSpans(t *testing.T) {
 		t.Fatal("half-assembled step reported done")
 	}
 
-	hi := a.reserveFor(0, 7, 3, 3, 6)
+	hi := a.reserve(span(0, 7, 3, 3, 6))
 	if len(hi) != 3 {
 		t.Fatalf("second reserve returned %d elements, want 3", len(hi))
 	}
@@ -124,18 +131,18 @@ func TestShardAssemblerReassemblesSpans(t *testing.T) {
 // protocol violation.
 func TestShardAssemblerRejectsBadGeometry(t *testing.T) {
 	rejects := 0
-	a := newTestAssembler(3, &rejects)
+	a := newTestAssembler(8, 3, &rejects)
 
-	if got := a.reserveFor(0, 1, 0, 4, 8); len(got) != 4 {
+	if got := a.reserve(span(0, 1, 0, 4, 8)); len(got) != 4 {
 		t.Fatalf("seed reserve returned %d elements", len(got))
 	}
-	if a.reserveFor(0, 1, 2, 4, 8) != nil {
+	if a.reserve(span(0, 1, 2, 4, 8)) != nil {
 		t.Error("overlapping span was not declined")
 	}
-	if a.reserveFor(0, 1, 4, 2, 9) != nil {
+	if a.reserve(span(0, 1, 4, 2, 9)) != nil {
 		t.Error("total mismatch was not declined")
 	}
-	if a.reserveFor(0, 1, 6, 4, 8) != nil {
+	if a.reserve(span(0, 1, 6, 4, 8)) != nil {
 		t.Error("out-of-range span was not declined")
 	}
 	if rejects != 3 {
@@ -157,14 +164,14 @@ func TestShardAssemblerRejectsBadGeometry(t *testing.T) {
 // a late commit for it lands harmlessly as not-done.
 func TestShardAssemblerEvictsStaleSteps(t *testing.T) {
 	rejects := 0
-	a := newTestAssembler(3, &rejects)
+	a := newTestAssembler(4, 3, &rejects)
 
-	stale := a.reserveFor(0, 0, 0, 2, 4) // partial: step 0 never completes
+	stale := a.reserve(span(0, 0, 0, 2, 4)) // partial: step 0 never completes
 	if len(stale) != 2 {
 		t.Fatalf("partial reserve returned %d elements", len(stale))
 	}
 	for step := 1; step <= 3; step++ {
-		if got := a.reserveFor(0, step, 0, 4, 4); len(got) != 4 {
+		if got := a.reserve(span(0, step, 0, 4, 4)); len(got) != 4 {
 			t.Fatalf("step %d reserve returned %d elements", step, len(got))
 		}
 	}

@@ -67,7 +67,7 @@ func shardSpans(dim, shards int) [][2]int {
 // covering [Offset, Offset+len(Coded)), every other kind must have both
 // zero.
 func AppendSubFrame(dst []byte, e *Envelope) ([]byte, error) {
-	return appendFrame(dst, e, true)
+	return appendFrame(dst, e, true, true)
 }
 
 // EncodeSubFrame renders one envelope as a standalone binaryv2 frame — used

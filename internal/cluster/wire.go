@@ -32,7 +32,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -176,6 +175,11 @@ type Envelope struct {
 	// to (Gradient only; 0 on v1 envelopes, which always carry whole
 	// vectors).
 	Total int
+
+	// declined marks a received frame whose payload the connection's sink
+	// refused: it was drained unread, and the reader skips the envelope.
+	// Never on the wire.
+	declined bool
 }
 
 // validateEnvelope enforces the structural invariants every well-formed
@@ -277,21 +281,6 @@ func EncodeMessage(e *Envelope) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// countingWriter counts bytes as they leave for the network, feeding a
-// sent-bytes counter (the upload-volume metric).
-type countingWriter struct {
-	w io.Writer
-	c *metrics.Counter
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	if n > 0 {
-		cw.c.Add(uint64(n))
-	}
-	return n, err
-}
-
 // conn wraps a net.Conn with the negotiated codec. Every connection starts
 // in gob mode (the registration exchange); upgrade switches both directions
 // to binary frames at a message boundary, which is safe because gob never
@@ -300,9 +289,6 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // goroutines, broadcasts, and rejoin replies may share one connection.
 type conn struct {
 	raw net.Conn
-	// w is the write side (wrapped in the counting layer when metrics are
-	// on), shared by both codecs so sent-bytes always counts framed bytes.
-	w io.Writer
 	// r is the single buffered reader both codecs share. This is load-
 	// bearing for the upgrade: gob.NewDecoder silently wraps any non-
 	// ByteReader in its own bufio.Reader, whose readahead would swallow
@@ -314,79 +300,64 @@ type conn struct {
 	// binary is set by upgrade: all subsequent messages are frames.
 	binary bool
 	// wireV2 selects the 44-byte binaryv2 header (sub-frame geometry) for
-	// both directions; set together with binary by upgradeV2.
+	// both directions; set together with binary by upgrade.
 	wireV2 bool
-	// reuseVecs lets recvFrame decode payload vectors into a reusable
-	// per-connection scratch slice. Only safe when the consumer never
-	// retains a received vector past the next recv — true for the worker
-	// (params are consumed within the step), never for the master
-	// (gradient ownership transfers to the gather loop).
-	reuseVecs bool
-	// gradReserve, when set on a binaryv2 connection, maps an incoming
-	// gradient sub-frame (worker, step, offset, count, total) to the
-	// destination slice its payload decodes into — the zero-copy
-	// reassembly hook the master's shard assembler provides. Returning
-	// nil declines the sub-frame (stale, overlapping, or out of range):
-	// the payload bytes are still drained but not decoded, and the
-	// envelope surfaces with a nil Coded.
-	gradReserve func(worker, step, offset, count, total int) []float64
+	// sink says where a received frame's payload is read into; nil gives
+	// each a fresh vector. Set before the connection's reader starts.
+	sink payloadSink
 	// hdrScratch is sized for the larger v2 header; v1 frames use the
 	// first frameHeaderSize bytes.
-	hdrScratch     [frameHeaderSizeV2]byte
-	payloadScratch []byte
-	vecScratch     []float64
+	hdrScratch [frameHeaderSizeV2]byte
 
 	sendMu sync.Mutex
 	enc    *gob.Encoder
+	// sent counts every byte written, gob or frame (nil is off).
+	sent *metrics.Counter
+	// sendHdr, iov and wv are a frame send's header copy, its two segments
+	// and the vectored write over them: a send allocates nothing.
+	sendHdr [frameHeaderSizeV2]byte
+	iov     [2][]byte
+	wv      net.Buffers
 	// writeTimeout bounds each send so one stalled socket cannot wedge a
 	// broadcast (0 = no deadline).
 	writeTimeout time.Duration
 }
 
 // newConn wraps c. sent, when non-nil, accumulates every byte written to
-// the connection (metrics instrumentation); nil skips the counting layer.
+// the connection (metrics instrumentation).
 func newConn(c net.Conn, writeTimeout time.Duration, sent *metrics.Counter) *conn {
-	var w io.Writer = c
-	if sent != nil {
-		w = &countingWriter{w: c, c: sent}
-	}
-	r := bufio.NewReader(c)
-	return &conn{raw: c, w: w, r: r, enc: gob.NewEncoder(w), dec: gob.NewDecoder(r), writeTimeout: writeTimeout}
+	cn := &conn{raw: c, r: bufio.NewReader(c), sent: sent, writeTimeout: writeTimeout}
+	cn.enc, cn.dec = gob.NewEncoder(cn), gob.NewDecoder(cn.r)
+	return cn
 }
 
-// upgrade switches the connection to the binary frame codec for both
-// directions. It must be called at a protocol quiet point — after the hello
-// exchange, before the connection is visible to broadcasts or readers — on
-// both peers of the connection.
-func (c *conn) upgrade(reuseVecs bool) {
-	c.sendMu.Lock()
-	c.binary = true
-	c.reuseVecs = reuseVecs
-	c.sendMu.Unlock()
+// Write is the counted write under the gob encoder.
+func (c *conn) Write(p []byte) (int, error) {
+	n, err := c.raw.Write(p)
+	c.sent.Add(uint64(n))
+	return n, err
 }
 
-// upgradeV2 switches the connection to the binaryv2 sub-frame codec. Same
-// quiet-point contract as upgrade.
-func (c *conn) upgradeV2(reuseVecs bool) {
+// upgrade switches both directions to the binary frame codec, binaryv1 or
+// the binaryv2 sub-frame flavour. It must be called at a protocol quiet point
+// — after the hello exchange, before the connection is visible to broadcasts
+// or readers — on both peers of the connection.
+func (c *conn) upgrade(v2 bool) {
 	c.sendMu.Lock()
-	c.binary = true
-	c.wireV2 = true
-	c.reuseVecs = reuseVecs
+	c.binary, c.wireV2 = true, v2
 	c.sendMu.Unlock()
 }
 
 func (c *conn) send(e *Envelope) error {
-	fc := frameCache{e: e}
-	defer fc.release()
-	return c.sendShared(&fc)
+	return c.sendShared(&frameCache{e: e})
 }
 
 // sendShared writes fc's envelope in this connection's codec under its own
-// send lock and write deadline. A binary connection takes the frame from fc
-// — encoded by whichever connection of its flavour asked first — and writes
-// it with a single Write call (one syscall per message, and the counting
-// writer sees the exact framed byte count); a gob connection encodes through
-// its own stateful encoder.
+// send lock and write deadline. A binary connection takes the header from fc
+// — built by whichever connection of its flavour asked first — and writes it
+// and the envelope's own vector with one vectored write (one syscall, and
+// sent-bytes sees the exact framed byte count); a gob connection encodes
+// through its own stateful encoder.
 func (c *conn) sendShared(fc *frameCache) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -398,10 +369,7 @@ func (c *conn) sendShared(fc *frameCache) error {
 	}
 	var err error
 	if c.binary {
-		var buf []byte
-		if buf, err = fc.frame(c.wireV2); err == nil {
-			_, err = c.w.Write(buf)
-		}
+		err = c.writeFrame(fc)
 	} else {
 		err = c.enc.Encode(e)
 	}
@@ -412,6 +380,30 @@ func (c *conn) sendShared(fc *frameCache) error {
 		_ = c.raw.SetWriteDeadline(time.Time{})
 	}
 	return nil
+}
+
+// writeFrame writes fc's frame: the header of the connection's flavour, then
+// the payload vector's words. The caller holds sendMu.
+func (c *conn) writeFrame(fc *frameCache) error {
+	hdr, vec, err := fc.frame(c.wireV2)
+	if err != nil {
+		return err
+	}
+	// Copying the header keeps a caller's stack-held frameCache from escaping.
+	c.iov[0] = c.sendHdr[:copy(c.sendHdr[:], hdr)]
+	c.iov[1] = float64Bytes(vec)
+	if !payloadIsMemory {
+		c.iov[1] = make([]byte, 8*len(vec))
+		encodePayload(c.iov[1], vec)
+	}
+	c.wv = c.iov[:2]
+	if len(vec) == 0 {
+		c.wv = c.iov[:1]
+	}
+	n, err := c.wv.WriteTo(c.raw)
+	c.iov[1], c.wv = nil, nil
+	c.sent.Add(uint64(n))
+	return err
 }
 
 func (c *conn) recv() (*Envelope, error) {
@@ -466,13 +458,9 @@ func clientHello(c *conn, id, step int, wire string, shards int) (string, *Envel
 	if ack.Kind != MsgHello {
 		return "", nil, fmt.Errorf("cluster: wire negotiation: got %s before hello ack", ack.Kind)
 	}
-	switch ack.Wire {
-	case WireBinary2:
-		c.upgradeV2(true)
-		return WireBinary2, ack, nil
-	case WireBinary:
-		c.upgrade(true)
-		return WireBinary, ack, nil
+	if ack.Wire == WireBinary2 || ack.Wire == WireBinary {
+		c.upgrade(ack.Wire == WireBinary2)
+		return ack.Wire, ack, nil
 	}
 	return WireGob, ack, nil
 }
@@ -499,7 +487,7 @@ func laneHello(c *conn, id, lane, gen int) error {
 	if ack.Kind != MsgHello || ack.Wire != WireBinary2 {
 		return fmt.Errorf("cluster: lane %d negotiation: got %s wire %q", lane, ack.Kind, ack.Wire)
 	}
-	c.upgradeV2(true)
+	c.upgrade(true)
 	return nil
 }
 

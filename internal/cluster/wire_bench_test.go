@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -92,9 +91,11 @@ func BenchmarkWireCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 		rd := bytes.NewReader(frame)
-		// A receive-side conn as the worker runs it after the upgrade:
-		// shared bufio reader, reusable scratch, vector reuse on.
-		c := &conn{r: bufio.NewReader(rd), binary: true, reuseVecs: true}
+		// A receive-side conn as the master runs it after the upgrade:
+		// shared bufio reader, payload read into a free-list vector that
+		// comes back once the gradient is used.
+		vecs := &vecPool{dim: benchDim, free: make(chan []float64, 1)}
+		c := &conn{r: bufio.NewReader(rd), binary: true, sink: func(frameHeader) []float64 { return vecs.get() }}
 		sendBuf := make([]byte, 0, len(frame))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -112,8 +113,17 @@ func BenchmarkWireCodec(b *testing.B) {
 			if len(got.Coded) != benchDim {
 				b.Fatal("bad decode")
 			}
+			vecs.put(got.Coded)
 		}
 	})
+}
+
+// discardConn returns a binaryv2 connection whose far end swallows what is
+// written.
+func discardConn() *conn {
+	c := newConn(&sinkConn{discard: true}, 0, nil)
+	c.upgrade(true)
+	return c
 }
 
 // subFrameEnvelopes splits the benchmark gradient into per-lane sub-frame
@@ -134,8 +144,8 @@ func subFrameEnvelopes(e *Envelope, shards int) []*Envelope {
 }
 
 // BenchmarkSubFrameSend measures the binaryv2 lane-send path: one full
-// 2^16-dim gradient serialized as S sub-frames through the pooled frame
-// buffer. Total payload bytes are constant across S, so ns/op isolates the
+// 2^16-dim gradient written as S sub-frames, a header and the span's own
+// memory each. Total payload bytes are constant across S, so ns/op isolates the
 // per-lane framing overhead the sharded gather pays for its parallelism.
 func BenchmarkSubFrameSend(b *testing.B) {
 	e := benchGradient()
@@ -143,7 +153,7 @@ func BenchmarkSubFrameSend(b *testing.B) {
 		shards := shards
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			subs := subFrameEnvelopes(e, shards)
-			c := &conn{w: io.Discard, binary: true, wireV2: true}
+			c := discardConn()
 			b.ReportAllocs()
 			b.SetBytes(int64(len(subs)*frameHeaderSizeV2 + 8*benchDim))
 			b.ResetTimer()
@@ -158,17 +168,15 @@ func BenchmarkSubFrameSend(b *testing.B) {
 	}
 }
 
-// TestSubFrameSendSteadyStateAllocs pins the frame-buffer pool contract:
-// a binaryv2 send pools its serialization buffer sized by the shard width, so
-// a steady-state sharded upload allocates nothing per step. The bound is 1
-// (not 0) only because a concurrently triggered GC may clear the pool
-// mid-measurement.
+// TestSubFrameSendSteadyStateAllocs pins the send path's allocation
+// contract: a binaryv2 send builds its header in place and writes the span's
+// own memory behind it, so a sharded upload allocates nothing per step.
 func TestSubFrameSendSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	subs := subFrameEnvelopes(benchGradient(), 4)
-	c := &conn{w: io.Discard, binary: true, wireV2: true}
+	c := discardConn()
 	send := func() {
 		for _, sub := range subs {
 			if err := c.send(sub); err != nil {
@@ -176,8 +184,7 @@ func TestSubFrameSendSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	}
-	send() // warm the pool to the shard width
-	if avg := testing.AllocsPerRun(50, send); avg > 1 {
+	if avg := testing.AllocsPerRun(50, send); avg != 0 {
 		t.Errorf("sharded upload allocates %.1f objects/step in steady state, want 0", avg)
 	}
 }

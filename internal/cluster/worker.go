@@ -471,13 +471,15 @@ func (w *Worker) Run() (int, error) {
 // recv; mb.done closes when it has.
 func (w *Worker) startReader() *mailbox {
 	c := w.c
-	mb := newMailbox(w.staleness, c.reuseVecs)
+	dim := 0
+	if c.binary { // params are read straight into buffers the mailbox recycles
+		dim = w.cfg.Model.Dim()
+	}
+	mb := newMailbox(w.staleness, dim)
+	c.sink = mb.reserve
 	go func() {
 		defer close(mb.done)
 		for {
-			if mb.reuse && c.vecScratch == nil {
-				c.vecScratch = mb.takeFree()
-			}
 			e, err := c.recv()
 			if err != nil {
 				mb.finish(endConnLost, events.NoStep)
@@ -507,9 +509,6 @@ func (w *Worker) startReader() *mailbox {
 					mb.finish(endDisconnect, e.Step)
 					return
 				}
-				if mb.reuse {
-					c.vecScratch = nil // the mailbox owns e.Params now
-				}
 				w.abandon(phaseQueued, mb.put(stepWork{step: e.Step, params: e.Params,
 					drop: action == straggler.FaultDrop})...)
 			}
@@ -534,7 +533,7 @@ func (w *Worker) abandon(phase string, steps ...int) {
 // or dropped on purpose leaves the connection in service.
 func (w *Worker) serve(mb *mailbox, st stepWork) (linkUp bool, err error) {
 	coded, computeStart, computeDur, err := w.computeStep(st.step, st.params)
-	mb.recycle(st.params)
+	mb.vecs.put(st.params)
 	if err != nil {
 		return false, err
 	}

@@ -40,7 +40,12 @@ type Strategy interface {
 	WaitFor(w int) int
 	// Recover decodes the coded gradients of the available workers;
 	// coded[i] is nil for stragglers. It returns the recovered gradient ĝ
-	// and the sorted list of partitions it covers.
+	// and the sorted list of partitions it covers. It must neither keep
+	// coded (or any of its vectors) past the call nor return a ĝ that
+	// aliases one: the cluster master hands the vectors back to its
+	// receive free list once the step's update is applied, and a reader
+	// may be filling them again while ĝ is still held for late folds.
+	// Every strategy in this package sums into a vector of its own.
 	Recover(avail *bitset.Set, coded [][]float64) (ghat []float64, parts []int, err error)
 	// Encode computes worker i's coded upload from the per-partition mean
 	// gradients (only the worker's own partitions are read).
