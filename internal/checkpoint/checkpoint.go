@@ -51,11 +51,17 @@ var ErrNoCheckpoint = errors.New("checkpoint: no valid checkpoint found")
 // (IEEE) covers exactly the Payload bytes, making every file verifiable
 // in isolation.
 type envelope struct {
-	Version         int             `json:"version"`
-	Step            int             `json:"step"`
-	SavedAtUnixNano int64           `json:"saved_at_unix_nano"`
-	CRC32           uint32          `json:"crc32"`
-	Payload         json.RawMessage `json:"payload"`
+	envelopeHead
+	Payload json.RawMessage `json:"payload"`
+}
+
+// envelopeHead is the envelope's scalar fields, which precede the payload
+// in the file. Save marshals only these and splices the payload in.
+type envelopeHead struct {
+	Version         int    `json:"version"`
+	Step            int    `json:"step"`
+	SavedAtUnixNano int64  `json:"saved_at_unix_nano"`
+	CRC32           uint32 `json:"crc32"`
 }
 
 // manifestEntry describes one retained checkpoint file.
@@ -138,16 +144,15 @@ func (s *Store) Save(step int, payload any) (Info, error) {
 		return Info{}, fmt.Errorf("checkpoint: marshal payload: %w", err)
 	}
 	now := time.Now()
-	env := envelope{
+	env := envelopeHead{
 		Version:         Version,
 		Step:            step,
 		SavedAtUnixNano: now.UnixNano(),
 		CRC32:           crc32.ChecksumIEEE(raw),
-		Payload:         raw,
 	}
-	data, err := json.Marshal(env)
+	data, err := spliceEnvelope(env, raw)
 	if err != nil {
-		return Info{}, fmt.Errorf("checkpoint: marshal envelope: %w", err)
+		return Info{}, err
 	}
 	name := checkpointFileName(step)
 	if err := writeFileAtomic(filepath.Join(s.dir, name), data); err != nil {
@@ -191,6 +196,26 @@ func (s *Store) Save(step int, payload any) (Info, error) {
 		os.Remove(filepath.Join(s.dir, e.File))
 	}
 	return Info{File: name, Step: step, Size: int64(len(data)), SavedAt: now}, nil
+}
+
+// spliceEnvelope returns the bytes json.Marshal would produce for an
+// envelope of head and raw, without handing raw to the encoder again:
+// marshalling a RawMessage re-validates and re-compacts it one byte at a
+// time, and raw — the output of json.Marshal — is already valid, compact
+// and HTML-escaped, so that pass is the identity. Byte-identical files
+// keep Version, old readers and the CRC's coverage as they are.
+func spliceEnvelope(head envelopeHead, raw []byte) ([]byte, error) {
+	h, err := json.Marshal(head)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: marshal envelope: %w", err)
+	}
+	h = h[:len(h)-1] // reopen the object
+	const payloadKey = `,"payload":`
+	data := make([]byte, 0, len(h)+len(payloadKey)+len(raw)+1)
+	data = append(data, h...)
+	data = append(data, payloadKey...)
+	data = append(data, raw...)
+	return append(data, '}'), nil
 }
 
 // Latest loads the newest valid checkpoint into payload (a pointer).

@@ -12,6 +12,7 @@ import (
 	"isgc/internal/checkpoint"
 	"isgc/internal/dataset"
 	"isgc/internal/events"
+	"isgc/internal/linalg"
 	"isgc/internal/model"
 	"isgc/internal/randsrc"
 	"isgc/internal/straggler"
@@ -133,7 +134,9 @@ type Worker struct {
 	stopOnce sync.Once
 
 	// pool and localBuf make computeStep allocation-free: one long-lived
-	// compute pool and one reusable gradient buffer per stored partition.
+	// compute pool and one reusable gradient buffer per stored partition,
+	// handed to GradInto still holding the previous step's gradient (it
+	// overwrites; nothing here clears).
 	pool     *model.ParallelGrad
 	localBuf [][]float64
 	tasks    []func()
@@ -765,7 +768,8 @@ func (w *Worker) computeStep(step int, params []float64) ([]float64, time.Time, 
 }
 
 // SumEncoder returns the IS-GC encoder: the plain sum of the local
-// per-partition gradients. The closure owns a reusable output buffer, so
+// per-partition gradients (linalg.SumInto — one pass over the output, which
+// is written and never read). The closure owns a reusable output buffer, so
 // steady-state encoding allocates nothing; the returned slice is only
 // valid until the next call. That is safe for WorkerConfig.Encode — the
 // worker sends the upload synchronously before encoding the next step —
@@ -773,23 +777,14 @@ func (w *Worker) computeStep(step int, params []float64) ([]float64, time.Time, 
 func SumEncoder() func([][]float64) ([]float64, error) {
 	var out []float64
 	return func(local [][]float64) ([]float64, error) {
-		if len(local) == 0 {
-			return nil, fmt.Errorf("cluster: no local gradients")
+		dim, err := localDim(local)
+		if err != nil {
+			return nil, err
 		}
-		if len(out) != len(local[0]) {
-			out = make([]float64, len(local[0]))
+		if len(out) != dim {
+			out = make([]float64, dim)
 		}
-		for k := range out {
-			out[k] = 0
-		}
-		for _, g := range local {
-			if len(g) != len(out) {
-				return nil, fmt.Errorf("cluster: gradient dim mismatch %d vs %d", len(g), len(out))
-			}
-			for k, x := range g {
-				out[k] += x
-			}
-		}
+		linalg.SumInto(out, local)
 		return out, nil
 	}
 }
@@ -797,6 +792,8 @@ func SumEncoder() func([][]float64) ([]float64, error) {
 // LinearEncoder returns a fixed-coefficient encoder (classic GC): coeffs is
 // aligned with the worker's partition list. Buffer-reuse contract matches
 // SumEncoder: one encoder per worker, result valid until the next call.
+// The first term is written (0 + c0·g0), the rest accumulate: the bits of a
+// zero-filled buffer and one AXPY per gradient.
 func LinearEncoder(coeffs []float64) func([][]float64) ([]float64, error) {
 	cs := append([]float64(nil), coeffs...)
 	var out []float64
@@ -804,20 +801,32 @@ func LinearEncoder(coeffs []float64) func([][]float64) ([]float64, error) {
 		if len(local) != len(cs) {
 			return nil, fmt.Errorf("cluster: %d gradients for %d coefficients", len(local), len(cs))
 		}
-		if len(out) != len(local[0]) {
-			out = make([]float64, len(local[0]))
+		dim, err := localDim(local)
+		if err != nil {
+			return nil, err
 		}
-		for k := range out {
-			out[k] = 0
+		if len(out) != dim {
+			out = make([]float64, dim)
 		}
-		for j, g := range local {
-			if len(g) != len(out) {
-				return nil, fmt.Errorf("cluster: gradient dim mismatch %d vs %d", len(g), len(out))
-			}
-			for k, x := range g {
-				out[k] += cs[j] * x
-			}
+		linalg.AXPYZero(out, cs[0], local[0])
+		for j, g := range local[1:] {
+			linalg.AXPY(out, cs[j+1], g)
 		}
 		return out, nil
 	}
+}
+
+// localDim returns the common dimension of a worker's local gradients; an
+// empty or ragged list is an error, so the encoders' kernels never see one.
+func localDim(local [][]float64) (int, error) {
+	if len(local) == 0 {
+		return 0, fmt.Errorf("cluster: no local gradients")
+	}
+	dim := len(local[0])
+	for _, g := range local[1:] {
+		if len(g) != dim {
+			return 0, fmt.Errorf("cluster: gradient dim mismatch %d vs %d", len(g), dim)
+		}
+	}
+	return dim, nil
 }

@@ -20,17 +20,15 @@ func (s *Scheme) Encode(worker int, grads [][]float64) ([]float64, error) {
 		return nil, fmt.Errorf("isgc: got %d partition gradients, want %d", len(grads), s.p.N())
 	}
 	parts := s.p.Partitions(worker)
-	dim := len(grads[parts[0]])
-	out := make([]float64, dim)
-	for _, d := range parts {
-		g := grads[d]
-		if len(g) != dim {
-			return nil, fmt.Errorf("isgc: partition %d gradient dim %d ≠ %d", d, len(g), dim)
-		}
-		for k, x := range g {
-			out[k] += x
+	local := make([][]float64, len(parts))
+	for j, d := range parts {
+		local[j] = grads[d]
+		if len(local[j]) != len(local[0]) {
+			return nil, fmt.Errorf("isgc: partition %d gradient dim %d ≠ %d", d, len(local[j]), len(local[0]))
 		}
 	}
+	out := make([]float64, len(local[0]))
+	linalg.SumInto(out, local)
 	return out, nil
 }
 
@@ -45,16 +43,13 @@ func (s *Scheme) EncodePartial(worker int, local [][]float64) ([]float64, error)
 	if len(local) != s.p.C() {
 		return nil, fmt.Errorf("isgc: worker %d got %d local gradients, want c=%d", worker, len(local), s.p.C())
 	}
-	dim := len(local[0])
-	out := make([]float64, dim)
 	for j, g := range local {
-		if len(g) != dim {
-			return nil, fmt.Errorf("isgc: local gradient %d dim %d ≠ %d", j, len(g), dim)
-		}
-		for k, x := range g {
-			out[k] += x
+		if len(g) != len(local[0]) {
+			return nil, fmt.Errorf("isgc: local gradient %d dim %d ≠ %d", j, len(g), len(local[0]))
 		}
 	}
+	out := make([]float64, len(local[0]))
+	linalg.SumInto(out, local)
 	return out, nil
 }
 

@@ -89,6 +89,70 @@ func AXPY4(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64, a2
 	}
 }
 
+// AXPYZero computes dst = 0 + a*src element-wise, overwriting dst without
+// reading it: bit-identical to ZeroVec(dst) followed by AXPY(dst, a, src),
+// in one store per element and no load. The literal 0 + is the only
+// difference from ScaleInto, and it is kept on purpose: a product that is
+// −0 (a or src[i] a signed zero, or a·src[i] underflowing from below) sums
+// with +0 to +0 exactly as it did on a zero-filled row, where ScaleInto
+// would store −0. The term keeps AXPY's acc + a*x shape, so a platform that
+// fuses one fuses the other.
+func AXPYZero(dst []float64, a float64, src []float64) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("linalg: AXPYZero length mismatch %d vs %d", len(dst), len(src)))
+	}
+	for i, x := range src {
+		dst[i] = 0 + a*x
+	}
+}
+
+// AXPY4Zero is the four-vector form of AXPYZero: dst[i] =
+// (((0+a0*x0[i])+a1*x1[i])+a2*x2[i])+a3*x3[i], overwriting dst without
+// reading it. Bit-identical to ZeroVec(dst) followed by AXPY4 — the first
+// sample group of a gradient row written rather than accumulated.
+func AXPY4Zero(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x3 []float64) {
+	n := len(dst)
+	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
+		panic(fmt.Sprintf("linalg: AXPY4Zero length mismatch %d vs %d, %d, %d, %d", n, len(x0), len(x1), len(x2), len(x3)))
+	}
+	for i := range dst {
+		dst[i] = (((0 + a0*x0[i]) + a1*x1[i]) + a2*x2[i]) + a3*x3[i]
+	}
+}
+
+// SumInto overwrites dst with the element-wise sum of srcs, associating
+// left to right from zero: dst[i] = ((0 + s0[i]) + s1[i]) + s2[i] + …, the
+// bits a zero-filled dst and one AddTo per row give. The first two rows go
+// in a single pass that never reads dst; further rows are one AddTo each.
+// This is the body of every IS-GC encoder (a worker's upload is the plain
+// sum of its c partition gradients). The 0 + turns a lone −0 into +0, as
+// the zero fill did. No rows zero-fills dst. Panics on length mismatch.
+func SumInto(dst []float64, srcs [][]float64) {
+	for _, s := range srcs {
+		if len(s) != len(dst) {
+			panic(fmt.Sprintf("linalg: SumInto length mismatch %d vs %d", len(dst), len(s)))
+		}
+	}
+	switch len(srcs) {
+	case 0:
+		ZeroVec(dst)
+		return
+	case 1:
+		s0 := srcs[0][:len(dst)]
+		for i := range dst {
+			dst[i] = 0 + s0[i]
+		}
+		return
+	}
+	s0, s1 := srcs[0][:len(dst)], srcs[1][:len(dst)]
+	for i := range dst {
+		dst[i] = (0 + s0[i]) + s1[i]
+	}
+	for _, s := range srcs[2:] {
+		AddTo(dst, s)
+	}
+}
+
 // MatVecInto computes dst[i] = ⟨row i of w, x⟩ for a row-major matrix whose
 // rows start stride apart and are read over their leading len(x) columns.
 // Rows are taken four at a time (dot4), the last len(dst) mod 4 by Dot:
@@ -154,8 +218,14 @@ func ZeroVec(v []float64) {
 	}
 }
 
-// Scale multiplies v by a in place.
+// Scale multiplies v by a in place. A factor of exactly 1 returns at once:
+// x·1.0 is x for every float64 arithmetic produces (−0 and quiet-NaN
+// payloads included), so the pass over v would store back the bits it
+// loaded — the mean of a one-sample batch is that pass.
 func Scale(v []float64, a float64) {
+	if a == 1 {
+		return
+	}
 	for i := range v {
 		v[i] *= a
 	}

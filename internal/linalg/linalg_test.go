@@ -120,6 +120,142 @@ func TestAXPY4MatchesFourAXPY(t *testing.T) {
 	}
 }
 
+// edgeVec draws from mixedVec's magnitudes and from the values whose
+// handling separates "write 0 + a·x" from both "write a·x" and a careless
+// rewrite: signed zeros, factors whose product underflows to ±0, NaN, ±Inf.
+func edgeVec(rng *rand.Rand, n int) []float64 {
+	edge := [...]float64{0, math.Copysign(0, -1), 1e-200, -1e-200, 5e-324, math.NaN(), math.Inf(1), math.Inf(-1)}
+	v := mixedVec(rng, n)
+	for i := range v {
+		if k := rng.Intn(2 * len(edge)); k < len(edge) {
+			v[i] = edge[k]
+		}
+	}
+	return v
+}
+
+// sameResult reports whether two kernels stored the same float64: equal
+// bits, or both NaN — when two NaN terms meet, which payload survives the
+// add depends on an operand order the compiler is free to choose per
+// function, and no caller reads a payload.
+func sameResult(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+func nanVec(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.NaN()
+	}
+	return v
+}
+
+// The write-first kernels must store what a zero fill followed by
+// AXPY/AXPY4 stores — +0 where the product is −0 — and never read dst.
+func TestWriteFirstKernelsMatchZeroFill(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	negZero := math.Copysign(0, -1)
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 63, 64, 65} {
+		for trial := 0; trial < 8; trial++ {
+			xs := make([][]float64, 4)
+			as := edgeVec(rng, 4)
+			for q := range xs {
+				xs[q] = edgeVec(rng, n)
+			}
+			if trial == 0 {
+				as[0] = negZero
+			}
+
+			got, want := nanVec(n), nanVec(n)
+			AXPYZero(got, as[0], xs[0])
+			ZeroVec(want)
+			AXPY(want, as[0], xs[0])
+			for i := range want {
+				if !sameResult(got[i], want[i]) {
+					t.Fatalf("n=%d: AXPYZero[%d] = %v for %v·%v, zero fill + AXPY gives %v", n, i, got[i], as[0], xs[0][i], want[i])
+				}
+			}
+
+			got, want = nanVec(n), nanVec(n)
+			AXPY4Zero(got, as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3])
+			ZeroVec(want)
+			AXPY4(want, as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3])
+			for i := range want {
+				if !sameResult(got[i], want[i]) {
+					t.Fatalf("n=%d: AXPY4Zero[%d] = %v, zero fill + AXPY4 gives %v", n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	// The case the literal 0 + exists for, spelled out: each product is −0,
+	// the stored value +0.
+	got := nanVec(3)
+	AXPYZero(got, -1e-200, []float64{0, 1e-200, 5e-324})
+	for i, v := range got {
+		if math.Float64bits(v) != 0 {
+			t.Errorf("AXPYZero[%d] = %v (bits %#x), want +0", i, v, math.Float64bits(v))
+		}
+	}
+}
+
+// SumInto must store what a zero fill followed by one AddTo per row stores,
+// for every row count around its two-row first pass, and never read dst.
+func TestSumIntoMatchesZeroFillAddTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, c := range []int{0, 1, 2, 3, 5} {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 63, 64, 65} {
+			srcs := make([][]float64, c)
+			for j := range srcs {
+				srcs[j] = edgeVec(rng, n)
+			}
+			got, want := nanVec(n), nanVec(n)
+			SumInto(got, srcs)
+			ZeroVec(want)
+			for _, s := range srcs {
+				AddTo(want, s)
+			}
+			for i := range want {
+				if !sameResult(got[i], want[i]) {
+					t.Fatalf("c=%d n=%d: SumInto[%d] = %v, zero fill + AddTo gives %v", c, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	got := nanVec(1)
+	if SumInto(got, [][]float64{{negZero}}); math.Float64bits(got[0]) != 0 {
+		t.Errorf("SumInto of a lone −0 = %v (bits %#x), want +0", got[0], math.Float64bits(got[0]))
+	}
+	if SumInto(got, [][]float64{{negZero}, {negZero}}); math.Float64bits(got[0]) != 0 {
+		t.Errorf("SumInto of −0 and −0 = %v (bits %#x), want +0", got[0], math.Float64bits(got[0]))
+	}
+}
+
+// Scale by exactly 1 is the identity on every bit pattern, so its early
+// return stores nothing a multiply would not have stored.
+func TestScaleByOneLeavesBits(t *testing.T) {
+	v := []float64{
+		math.Float64frombits(0x7ff8000000000abc), // quiet NaN with a payload
+		math.Float64frombits(0xfff8000000000123), // the same, sign set
+		math.Copysign(0, -1), 0, 5e-324, -1e308, math.Inf(-1),
+	}
+	want := make([]uint64, len(v))
+	for i, x := range v {
+		want[i] = math.Float64bits(x)
+	}
+	Scale(v, 1)
+	for i, x := range v {
+		if math.Float64bits(x) != want[i] {
+			t.Errorf("Scale(v, 1)[%d] = %#x, want %#x untouched", i, math.Float64bits(x), want[i])
+		}
+	}
+	// One ulp off 1 is not the identity exit.
+	w := []float64{3}
+	if Scale(w, math.Nextafter(1, 2)); w[0] == 3 {
+		t.Error("Scale by 1+ulp left the value untouched")
+	}
+}
+
 // mixedVec draws values whose magnitudes mix 1e16, 1 and −1e16, so sums
 // over them absorb and cancel: any reassociation shows up in the bits.
 func mixedVec(rng *rand.Rand, n int) []float64 {
@@ -190,6 +326,9 @@ func TestVectorOpsPanicOnMismatch(t *testing.T) {
 		"AddTo4":     func() { AddTo4([]float64{1}, []float64{1}, []float64{1}, []float64{1}, []float64{1, 2}) },
 		"AXPY":       func() { AXPY([]float64{1}, 2, []float64{1, 2}) },
 		"AXPY4":      func() { AXPY4([]float64{1}, 2, []float64{1}, 2, []float64{1}, 2, []float64{1}, 2, []float64{1, 2}) },
+		"AXPYZero":   func() { AXPYZero([]float64{1}, 2, []float64{1, 2}) },
+		"AXPY4Zero":  func() { AXPY4Zero([]float64{1}, 2, []float64{1}, 2, []float64{1}, 2, []float64{1}, 2, []float64{1, 2}) },
+		"SumInto":    func() { SumInto([]float64{1}, [][]float64{{1}, {1}, {1, 2}}) },
 		"MatVecInto": func() { MatVecInto([]float64{0, 0}, []float64{1, 2, 3}, 2, []float64{1, 2}) },
 		"AXPYInto":   func() { AXPYInto([]float64{1}, 2, []float64{1, 2}, []float64{1, 2}) },
 		"ScaleInto":  func() { ScaleInto([]float64{1}, 2, []float64{1, 2}) },

@@ -7,28 +7,39 @@ import (
 	"testing"
 
 	"isgc/internal/dataset"
+	"isgc/internal/linalg"
 )
 
-// kernelInputs are the three input regimes of the bit-identity test.
+// kernelInputs are the four input regimes of the bit-identity test.
 // "unit" is ordinary data, where almost any reassociation already moves a
 // last bit. "mixed" draws features and parameters at magnitudes 1e16, 1 and
 // −1e16, so every forward sum absorbs and cancels. "mixed-x" keeps the
 // features mixed but the parameters tiny, so activations stay unsaturated
 // and the backward pass accumulates terms of wildly different size across
 // the samples of a batch — the per-element sample order is what it pins.
+// "signed-zero" makes two features in three +0 or −0, so most backward
+// products a·x are −0 or +0: a gradient row's first term must be stored as
+// 0 + a·x (+0 either way), which is what separates the write-first kernels
+// from a plain scaled copy.
 // forward and backward say where TestBitIdentityHasTeeth demands that a
 // reordered sum shows: "mixed" saturates every activation, so its gradient
 // terms are exact in any order; with tiny parameters every logit is ≈ 0 and
 // the loss ≈ log K however the dots are summed.
-var kernelInputs = []struct {
+type kernelInput struct {
 	name              string
 	xMixed, pMixed    bool
+	xZeros            bool
 	pScale            float64
 	forward, backward bool
-}{
+}
+
+var signedZeroInput = kernelInput{name: "signed-zero", xZeros: true, pScale: 1}
+
+var kernelInputs = []kernelInput{
 	{name: "unit", pScale: 1, forward: true, backward: true},
 	{name: "mixed", xMixed: true, pMixed: true, pScale: 1, forward: true},
 	{name: "mixed-x", xMixed: true, pScale: 1e-17, backward: true},
+	signedZeroInput,
 }
 
 func drawValue(rng *rand.Rand, mixed bool) float64 {
@@ -39,41 +50,53 @@ func drawValue(rng *rand.Rand, mixed bool) float64 {
 	return v
 }
 
-func drawInputs(rng *rand.Rand, m Model, features, classes, batch int, xMixed, pMixed bool, pScale float64) ([]float64, []dataset.Sample) {
+func drawInputs(rng *rand.Rand, m Model, features, classes, batch int, in kernelInput) ([]float64, []dataset.Sample) {
 	params := make([]float64, m.Dim())
 	for j := range params {
-		params[j] = pScale * drawValue(rng, pMixed)
+		params[j] = in.pScale * drawValue(rng, in.pMixed)
 	}
 	samples := randomBatch(rng, batch, features, classes)
 	for _, s := range samples {
 		for j := range s.X {
-			s.X[j] = drawValue(rng, xMixed)
+			s.X[j] = drawValue(rng, in.xMixed)
+			if in.xZeros {
+				s.X[j] *= [...]float64{1, 0, math.Copysign(0, -1)}[rng.Intn(3)]
+			}
 		}
 	}
 	return params, samples
 }
 
+func poison(v []float64) {
+	for j := range v {
+		v[j] = math.NaN()
+	}
+}
+
 // checkBitIdentical compares Loss, GradInto and Grad of m with the
 // one-sample-at-a-time reference on every batch length in batches (prefixes
-// of one drawn batch), bit for bit.
+// of one drawn batch), bit for bit. GradInto runs into a destination full of
+// NaN: an element read before it is written cannot come out equal.
 func checkBitIdentical(t *testing.T, rng *rand.Rand, m Model, features, classes int, batches []int) {
 	t.Helper()
 	for _, in := range kernelInputs {
-		params, samples := drawInputs(rng, m, features, classes, batches[len(batches)-1], in.xMixed, in.pMixed, in.pScale)
+		params, samples := drawInputs(rng, m, features, classes, batches[len(batches)-1], in)
 		got, want := make([]float64, m.Dim()), make([]float64, m.Dim())
 		for _, b := range batches {
 			batch := samples[:b]
 			if g, w := m.Loss(params, batch), refLoss(m, params, batch); math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("%v %s batch %d: Loss = %v, reference %v", m, in.name, b, g, w)
 			}
-			for j := range got {
-				got[j] = math.NaN() // GradInto must overwrite, not accumulate
-			}
+			poison(got)
 			m.GradInto(got, params, batch)
 			refGradInto(m, want, params, batch)
+			fresh := m.Grad(params, batch)
 			for j := range want {
 				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 					t.Fatalf("%v %s batch %d: grad[%d] = %v, reference %v", m, in.name, b, j, got[j], want[j])
+				}
+				if math.Float64bits(fresh[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%v %s batch %d: Grad[%d] = %v, reference %v", m, in.name, b, j, fresh[j], want[j])
 				}
 			}
 		}
@@ -108,8 +131,8 @@ func TestPredictSharesTheForwardPass(t *testing.T) {
 	sm := SoftmaxRegression{Features: 65, Classes: 7}
 	mlp := MLP{Features: 65, Hidden: 7, Classes: 7}
 	for _, in := range kernelInputs {
-		sp, samples := drawInputs(rng, sm, 65, 7, 32, in.xMixed, in.pMixed, in.pScale)
-		mp, _ := drawInputs(rng, mlp, 65, 7, 1, in.xMixed, in.pMixed, in.pScale)
+		sp, samples := drawInputs(rng, sm, 65, 7, 32, in)
+		mp, _ := drawInputs(rng, mlp, 65, 7, 1, in)
 		h, z := make([]float64, 7), make([]float64, 7)
 		for _, s := range samples {
 			refSoftmaxLogits(sm, z, sp, s.X)
@@ -128,14 +151,36 @@ func TestPredictSharesTheForwardPass(t *testing.T) {
 // they cannot pass vacuously. Forward: with the reference's dot split over
 // two accumulators — the cheapest reassociation a faster kernel could make —
 // the MLP loss changes bits. Backward: the same mean gradient accumulated in
-// the reverse sample order changes bits too.
+// the reverse sample order changes bits too. Write-first: a softmax row
+// stored as a·x (linalg.ScaleInto) instead of 0 + a·x keeps the −0 products
+// that a zero-filled accumulator turned into +0.
 func TestBitIdentityHasTeeth(t *testing.T) {
+	sm := SoftmaxRegression{Features: 64, Classes: 5}
+	params, one := drawInputs(rand.New(rand.NewSource(31)), sm, 64, 5, 1, signedZeroInput)
+	got, dz, row := sm.Grad(params, one), make([]float64, 5), make([]float64, 64)
+	sm.dzInto(dz, params, one[0])
+	negZeros := 0
+	for k, a := range dz {
+		linalg.ScaleInto(row, a, one[0].X)
+		for j, v := range row {
+			if g := got[k*64+j]; math.Float64bits(v) != math.Float64bits(g) {
+				if v != 0 || g != 0 {
+					t.Fatalf("row %d[%d]: a·x = %v but the gradient holds %v", k, j, v, g)
+				}
+				negZeros++
+			}
+		}
+	}
+	if negZeros == 0 {
+		t.Error("signed-zero: a scaled copy matched 0 + a·x in every bit: the inputs make no −0 product")
+	}
+
 	m := MLP{Features: 64, Hidden: 8, Classes: 5}
 	for _, in := range kernelInputs {
 		rng := rand.New(rand.NewSource(29))
 		lossDiffers, gradDiffers := 0, 0
 		for trial := 0; trial < 10; trial++ {
-			params, batch := drawInputs(rng, m, 64, 5, 16, in.xMixed, in.pMixed, in.pScale)
+			params, batch := drawInputs(rng, m, 64, 5, 16, in)
 			w1, b1, w2, b2 := m.slices(params)
 			h, z := make([]float64, m.Hidden), make([]float64, m.Classes)
 			sum := 0.0

@@ -35,9 +35,11 @@ type Model interface {
 	// is freshly allocated; hot paths should prefer GradInto.
 	Grad(params []float64, batch []dataset.Sample) []float64
 	// GradInto computes the mean gradient of the loss on the batch into
-	// dst, which must have length Dim(); dst is zeroed first. The result
-	// is bit-identical to Grad and to the one-sample-at-a-time reference
-	// (oracle_test.go): blocked kernels keep every sum's order.
+	// dst, which must have length Dim(); dst is overwritten and its
+	// previous contents are never read, so callers hand in recycled
+	// buffers without clearing them. The result is bit-identical to Grad
+	// and to the one-sample-at-a-time reference (oracle_test.go): blocked
+	// kernels keep every sum's order, signed zeros included.
 	// Implementations draw any internal scratch from the package buffer
 	// pool, so the steady-state path allocates nothing. The batch must fit
 	// the model (CheckData).
@@ -233,11 +235,14 @@ func (m SoftmaxRegression) Grad(params []float64, batch []dataset.Sample) []floa
 // GradInto implements Model. Samples are taken four at a time so each
 // gradient row is loaded and stored once per group (linalg.AXPY4); the
 // batch mod 4 tail goes one sample at a time. Either way every element
-// accumulates its samples in batch order.
+// accumulates its samples in batch order. There is no zero fill: the first
+// group (or first tail sample) writes every row as 0 + its terms
+// (linalg.AXPY4Zero / AXPYZero) — at Features×Classes = 2^17 the fill and
+// the re-read of the row it zeroed were a third of a one-sample gradient.
 func (m SoftmaxRegression) GradInto(g, params []float64, batch []dataset.Sample) {
 	checkGradDim(len(g), m.Dim())
-	linalg.ZeroVec(g)
 	if len(batch) == 0 {
+		linalg.ZeroVec(g)
 		return
 	}
 	F, K := m.Features, m.Classes
@@ -245,19 +250,28 @@ func (m SoftmaxRegression) GradInto(g, params []float64, batch []dataset.Sample)
 	defer putVec(zp)
 	z0, z1, z2, z3 := quarters(*zp)
 	b := batch
+	first := true // no row of g has been written yet
 	for ; len(b) >= 4; b = b[4:] {
 		m.dzInto(z0, params, b[0])
 		m.dzInto(z1, params, b[1])
 		m.dzInto(z2, params, b[2])
 		m.dzInto(z3, params, b[3])
+		axpy4 := linalg.AXPY4
+		if first {
+			axpy4, first = linalg.AXPY4Zero, false
+		}
 		for k := 0; k < K; k++ {
-			linalg.AXPY4(g[k*F:(k+1)*F], z0[k], b[0].X, z1[k], b[1].X, z2[k], b[2].X, z3[k], b[3].X)
+			axpy4(g[k*F:(k+1)*F], z0[k], b[0].X, z1[k], b[1].X, z2[k], b[2].X, z3[k], b[3].X)
 		}
 	}
 	for _, s := range b {
 		m.dzInto(z0, params, s)
+		axpy := linalg.AXPY
+		if first {
+			axpy, first = linalg.AXPYZero, false
+		}
 		for k := 0; k < K; k++ {
-			linalg.AXPY(g[k*F:(k+1)*F], z0[k], s.X)
+			axpy(g[k*F:(k+1)*F], z0[k], s.X)
 		}
 	}
 	linalg.Scale(g, 1/float64(len(batch)))

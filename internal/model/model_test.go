@@ -157,6 +157,8 @@ func TestEmptyBatch(t *testing.T) {
 		if len(g) != m.Dim() {
 			t.Errorf("%s: empty-batch grad must have full dim", m)
 		}
+		poison(g) // an empty batch still overwrites: stale contents become zeros
+		m.GradInto(g, params, nil)
 		for _, v := range g {
 			if v != 0 {
 				t.Errorf("%s: empty-batch grad must be zero", m)

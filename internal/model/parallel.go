@@ -117,10 +117,10 @@ func shardRanges(n, p int) []int {
 
 // GradInto computes the mean gradient of the batch into dst by sharding
 // the batch across the pool: shard i computes the mean gradient of its
-// range into pooled scratch, and the shards are merged in shard order as
-// dst = Σ_i (len_i/len) · g_i. Deterministic for a fixed pool size; see
-// the type comment for the bit-identity caveat. The nil pool delegates to
-// m.GradInto unchanged.
+// range into pooled scratch (uncleared: Model.GradInto overwrites), and the
+// shards are merged in shard order as dst = Σ_i (len_i/len) · g_i.
+// Deterministic for a fixed pool size; see the type comment for the
+// bit-identity caveat. The nil pool delegates to m.GradInto unchanged.
 func (p *ParallelGrad) GradInto(dst, params []float64, m Model, batch []dataset.Sample) {
 	if p == nil || len(batch) < 2 {
 		m.GradInto(dst, params, batch)

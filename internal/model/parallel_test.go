@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"isgc/internal/linalg"
 )
 
 func testModels() []Model {
@@ -66,6 +68,49 @@ func TestParallelGradDeterministic(t *testing.T) {
 		}
 		if l := p.Loss(params, m, batch); l != refLoss {
 			t.Fatalf("run %d: loss = %v, want bit-identical %v", run, l, refLoss)
+		}
+	}
+}
+
+// TestParallelGradIntoDirtyBuffers: the sharded kernel hands each shard a
+// pooled scratch vector with whatever the last borrower left in it, and
+// merges into a destination it does not clear. With the pool and the
+// destination full of NaN the result must still be, bit for bit, the shard
+// means merged in shard order.
+func TestParallelGradIntoDirtyBuffers(t *testing.T) {
+	const par, n = 3, 10
+	for _, m := range testModels() {
+		rng := rand.New(rand.NewSource(13))
+		params := m.InitParams(3)
+		batch := randomBatch(rng, n, 5, 3)
+		bounds := shardRanges(n, par)
+		want := make([]float64, m.Dim())
+		for i := 0; i+1 < len(bounds); i++ {
+			w := float64(bounds[i+1]-bounds[i]) * (1 / float64(n))
+			g := m.Grad(params, batch[bounds[i]:bounds[i+1]])
+			if i == 0 {
+				linalg.ScaleInto(want, w, g)
+			} else {
+				linalg.AXPY(want, w, g)
+			}
+		}
+		dirty := make([]*[]float64, 2*par)
+		for i := range dirty {
+			dirty[i] = getVec(m.Dim())
+			poison(*dirty[i])
+		}
+		for _, vp := range dirty {
+			putVec(vp)
+		}
+		p := NewParallelGrad(par)
+		got := make([]float64, m.Dim())
+		poison(got)
+		p.GradInto(got, params, m, batch)
+		p.Close()
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%v: grad[%d] = %v from dirty buffers, want %v", m, j, got[j], want[j])
+			}
 		}
 	}
 }
