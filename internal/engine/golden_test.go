@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"isgc/internal/linalg/kerneltest"
 	"isgc/internal/placement"
 	"isgc/internal/straggler"
 )
@@ -79,7 +80,9 @@ func goldenConfig(t *testing.T, scheme string) Config {
 // TestGoldenStepLoopDigests pins the engine's bounded-staleness and
 // momentum/weight-decay trajectories bit for bit. The constants were
 // captured at the commit before the step loops were merged into one core;
-// a refactor of the step loop must leave them unchanged. Floating-point
+// a refactor of the step loop must leave them unchanged — and so must the
+// model kernels under it, so every configuration trains once per kernel path
+// (portable Go loops, AVX2 assembly) against the same constant. Floating-point
 // contraction differs across architectures, so the pins hold on amd64.
 func TestGoldenStepLoopDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -98,42 +101,54 @@ func TestGoldenStepLoopDigests(t *testing.T) {
 		"IS-GC-CR/momentum+wd":          0xca2054cbd8ba0c27,
 		"IS-GC-CR/momentum+wd/deadline": 0x10657444ca0c3578,
 	}
-	check := func(name string, cfg Config, wantFolds bool) {
+	// build makes the configuration afresh for each run: a strategy and a
+	// straggler profile carry random state a previous Train has advanced.
+	check := func(name string, build func() Config, wantFolds bool) {
 		t.Run(name, func(t *testing.T) {
-			res, err := Train(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wantFolds && res.Run.TotalFolded() == 0 {
-				t.Fatal("no folds: the pin would not cover the fold path")
-			}
-			if got := runDigest(res); got != golden[name] {
-				t.Fatalf("digest %#016x, want %#016x", got, golden[name])
-			}
+			kerneltest.EachPath(t, func(path string) {
+				res, err := Train(build())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantFolds && res.Run.TotalFolded() == 0 {
+					t.Fatal("no folds: the pin would not cover the fold path")
+				}
+				if got := runDigest(res); got != golden[name] {
+					t.Fatalf("%s kernels: digest %#016x, want %#016x", path, got, golden[name])
+				}
+			})
 		})
 	}
 	for _, scheme := range []string{"IS-SGD", "IS-GC-CR"} {
 		for _, k := range []int{1, 2} {
 			for _, sched := range []bool{false, true} {
-				cfg := goldenConfig(t, scheme)
-				cfg.Staleness = k
 				name := fmt.Sprintf("%s/k=%d", scheme, k)
 				if sched {
-					cfg.LRSchedule = decay
 					name += "/lr-decay"
 				}
-				check(name, cfg, true)
+				check(name, func() Config {
+					cfg := goldenConfig(t, scheme)
+					cfg.Staleness = k
+					if sched {
+						cfg.LRSchedule = decay
+					}
+					return cfg
+				}, true)
 			}
 		}
 	}
-	cfg := goldenConfig(t, "IS-GC-CR")
-	cfg.Momentum, cfg.WeightDecay = 0.9, 1e-3
-	cfg.LearningRate = 0.05
-	check("IS-GC-CR/momentum+wd", cfg, false)
-	cfg = goldenConfig(t, "IS-GC-CR")
-	cfg.Momentum, cfg.WeightDecay = 0.9, 1e-3
-	cfg.LearningRate = 0.05
-	cfg.LRSchedule = decay
-	cfg.Deadline = 6 * time.Millisecond
-	check("IS-GC-CR/momentum+wd/deadline", cfg, false)
+	momentum := func(deadline time.Duration) func() Config {
+		return func() Config {
+			cfg := goldenConfig(t, "IS-GC-CR")
+			cfg.Momentum, cfg.WeightDecay = 0.9, 1e-3
+			cfg.LearningRate = 0.05
+			if deadline > 0 {
+				cfg.LRSchedule = decay
+				cfg.Deadline = deadline
+			}
+			return cfg
+		}
+	}
+	check("IS-GC-CR/momentum+wd", momentum(0), false)
+	check("IS-GC-CR/momentum+wd/deadline", momentum(6*time.Millisecond), false)
 }

@@ -1,0 +1,43 @@
+package linalg
+
+// hasAVX2 is the probe's verdict: the CPU executes AVX2 and the operating
+// system saves the YMM registers across context switches.
+var hasAVX2 = probeAVX2()
+
+func probeAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	const xmmAndYMM = 0b110 // XCR0: SSE and AVX state both enabled
+	if lo, _ := xgetbv0(); lo&xmmAndYMM != xmmAndYMM {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+// cpuid executes CPUID with EAX = leaf, ECX = sub.
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv0 reads extended control register 0. Only valid once CPUID has
+// reported OSXSAVE.
+func xgetbv0() (eax, edx uint32)
+
+// matVecT4AVX2 is MatVecT4's body for rows ≥ 1 and n ≥ 1; MatVecT4 has
+// checked that 4·rows words of dstT, 4·n words of xT and the first n words
+// of each of the rows of w exist. It touches nothing else.
+//
+//go:noescape
+func matVecT4AVX2(dstT, w *float64, stride, rows, n int, xT *float64)
+
+// axpy4AVX2 is the body of AXPY4 (zero false) and AXPY4Zero (zero true, dst
+// never read) for n ≥ 1 words of dst and of each source.
+//
+//go:noescape
+func axpy4AVX2(dst *float64, n int, a0 float64, x0 *float64, a1 float64, x1 *float64, a2 float64, x2 *float64, a3 float64, x3 *float64, zero bool)

@@ -78,11 +78,17 @@ func AXPY(dst []float64, a float64, src []float64) {
 // intermediate is the one four successive AXPY calls would round to (each
 // term keeps AXPY's acc + a*x shape, so a platform that fuses one fuses the
 // other): bit-identical to them, with a quarter of the dst loads and stores.
-// This is the model kernels' backward step over a group of four samples.
+// This is the model kernels' backward step over a group of four samples. On
+// a host with the vector kernels (kernels.go) four columns go per lane, each
+// column the same multiply-then-add chain.
 func AXPY4(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x3 []float64) {
 	n := len(dst)
 	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
 		panic(fmt.Sprintf("linalg: AXPY4 length mismatch %d vs %d, %d, %d, %d", n, len(x0), len(x1), len(x2), len(x3)))
+	}
+	if useAVX2 && n > 0 {
+		axpy4AVX2(&dst[0], n, a0, &x0[0], a1, &x1[0], a2, &x2[0], a3, &x3[0], false)
+		return
 	}
 	for i := range dst {
 		dst[i] = (((dst[i] + a0*x0[i]) + a1*x1[i]) + a2*x2[i]) + a3*x3[i]
@@ -114,6 +120,10 @@ func AXPY4Zero(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64
 	n := len(dst)
 	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
 		panic(fmt.Sprintf("linalg: AXPY4Zero length mismatch %d vs %d, %d, %d, %d", n, len(x0), len(x1), len(x2), len(x3)))
+	}
+	if useAVX2 && n > 0 {
+		axpy4AVX2(&dst[0], n, a0, &x0[0], a1, &x1[0], a2, &x2[0], a3, &x3[0], true)
+		return
 	}
 	for i := range dst {
 		dst[i] = (((0 + a0*x0[i]) + a1*x1[i]) + a2*x2[i]) + a3*x3[i]

@@ -96,28 +96,33 @@ func TestAddTo4MatchesFourAddTo(t *testing.T) {
 	}
 }
 
-// AXPY4 must round exactly as four successive AXPY calls do.
+// AXPY4 must round exactly as four successive AXPY calls do (AXPY has one
+// body), on both kernel paths: every length across the lane width and its
+// scalar tail, operands starting 0–3 words off 32-byte alignment.
 func TestAXPY4MatchesFourAXPY(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 63, 64, 65} {
-		xs := make([][]float64, 4)
-		as := make([]float64, 4)
-		for q := range xs {
-			xs[q] = mixedVec(rng, n)
-			as[q] = mixedVec(rng, 1)[0]
-		}
-		got := mixedVec(rng, n)
-		want := CloneVec(got)
-		AXPY4(got, as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3])
-		for q := range xs {
-			AXPY(want, as[q], xs[q])
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("n=%d: AXPY4[%d] = %v, four AXPY calls give %v", n, i, got[i], want[i])
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		for _, in := range kernelDraws {
+			for n := 0; n <= 67; n++ {
+				xs := make([][]float64, 4)
+				as := in.draw(rng, 4)
+				for q := range xs {
+					xs[q] = offAligned(in.draw(rng, n), (n+q)%4)
+				}
+				want := in.draw(rng, n)
+				got := offAligned(want, (n+1)%4)
+				AXPY4(got, as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3])
+				for q := range xs {
+					AXPY(want, as[q], xs[q])
+				}
+				for i := range want {
+					if !sameResult(got[i], want[i]) {
+						t.Fatalf("%s n=%d: AXPY4[%d] = %v, four AXPY calls give %v", in.name, n, i, got[i], want[i])
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
 // edgeVec draws from mixedVec's magnitudes and from the values whose
@@ -151,51 +156,60 @@ func nanVec(n int) []float64 {
 }
 
 // The write-first kernels must store what a zero fill followed by
-// AXPY/AXPY4 stores — +0 where the product is −0 — and never read dst.
+// AXPY/AXPY4 stores — +0 where the product is −0 — and never read dst, on
+// both kernel paths.
 func TestWriteFirstKernelsMatchZeroFill(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	negZero := math.Copysign(0, -1)
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 63, 64, 65} {
-		for trial := 0; trial < 8; trial++ {
-			xs := make([][]float64, 4)
-			as := edgeVec(rng, 4)
-			for q := range xs {
-				xs[q] = edgeVec(rng, n)
-			}
-			if trial == 0 {
-				as[0] = negZero
-			}
-
-			got, want := nanVec(n), nanVec(n)
-			AXPYZero(got, as[0], xs[0])
-			ZeroVec(want)
-			AXPY(want, as[0], xs[0])
-			for i := range want {
-				if !sameResult(got[i], want[i]) {
-					t.Fatalf("n=%d: AXPYZero[%d] = %v for %v·%v, zero fill + AXPY gives %v", n, i, got[i], as[0], xs[0][i], want[i])
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(22))
+		negZero := math.Copysign(0, -1)
+		for n := 0; n <= 67; n++ {
+			for trial := 0; trial < 8; trial++ {
+				xs := make([][]float64, 4)
+				as := edgeVec(rng, 4)
+				for q := range xs {
+					xs[q] = edgeVec(rng, n)
 				}
-			}
+				if trial == 0 {
+					as[0] = negZero
+				}
 
-			got, want = nanVec(n), nanVec(n)
-			AXPY4Zero(got, as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3])
-			ZeroVec(want)
-			AXPY4(want, as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3])
-			for i := range want {
-				if !sameResult(got[i], want[i]) {
-					t.Fatalf("n=%d: AXPY4Zero[%d] = %v, zero fill + AXPY4 gives %v", n, i, got[i], want[i])
+				got, want := nanVec(n), nanVec(n)
+				AXPYZero(got, as[0], xs[0])
+				ZeroVec(want)
+				AXPY(want, as[0], xs[0])
+				for i := range want {
+					if !sameResult(got[i], want[i]) {
+						t.Fatalf("n=%d: AXPYZero[%d] = %v for %v·%v, zero fill + AXPY gives %v", n, i, got[i], as[0], xs[0][i], want[i])
+					}
+				}
+
+				got, want = nanVec(n), nanVec(n)
+				AXPY4Zero(got, as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3])
+				ZeroVec(want)
+				AXPY4(want, as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3])
+				for i := range want {
+					if !sameResult(got[i], want[i]) {
+						t.Fatalf("n=%d: AXPY4Zero[%d] = %v, zero fill + AXPY4 gives %v", n, i, got[i], want[i])
+					}
 				}
 			}
 		}
-	}
-	// The case the literal 0 + exists for, spelled out: each product is −0,
-	// the stored value +0.
-	got := nanVec(3)
-	AXPYZero(got, -1e-200, []float64{0, 1e-200, 5e-324})
-	for i, v := range got {
-		if math.Float64bits(v) != 0 {
-			t.Errorf("AXPYZero[%d] = %v (bits %#x), want +0", i, v, math.Float64bits(v))
+		// The case the literal 0 + exists for, spelled out: each product is −0,
+		// the stored value +0.
+		got := nanVec(3)
+		AXPYZero(got, -1e-200, []float64{0, 1e-200, 5e-324})
+		for i, v := range got {
+			if math.Float64bits(v) != 0 {
+				t.Errorf("AXPYZero[%d] = %v (bits %#x), want +0", i, v, math.Float64bits(v))
+			}
 		}
-	}
+		AXPY4Zero(got, -1e-200, []float64{0, 1e-200, 5e-324}, 0, []float64{1, 1, 1}, 0, []float64{1, 1, 1}, 0, []float64{1, 1, 1})
+		for i, v := range got {
+			if math.Float64bits(v) != 0 {
+				t.Errorf("AXPY4Zero[%d] = %v (bits %#x), want +0", i, v, math.Float64bits(v))
+			}
+		}
+	})
 }
 
 // SumInto must store what a zero fill followed by one AddTo per row stores,

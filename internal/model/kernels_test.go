@@ -8,7 +8,15 @@ import (
 
 	"isgc/internal/dataset"
 	"isgc/internal/linalg"
+	"isgc/internal/linalg/kerneltest"
 )
+
+// eachKernelPath runs fn as one subtest per body of linalg's vector kernels:
+// every bit-identity and allocation pin below holds under the portable Go
+// loops and under the assembly.
+func eachKernelPath(t *testing.T, fn func(t *testing.T)) {
+	kerneltest.EachPath(t, func(path string) { t.Run(path, fn) })
+}
 
 // kernelInputs are the four input regimes of the bit-identity test.
 // "unit" is ordinary data, where almost any reassociation already moves a
@@ -103,48 +111,80 @@ func checkBitIdentical(t *testing.T, rng *rand.Rand, m Model, features, classes 
 	}
 }
 
-// TestBlockedKernelsBitIdentical: the register-blocked kernels keep every
-// output's own summation order, so Loss and GradInto of all four models
-// equal the scalar one-sample-at-a-time reference (oracle_test.go) in every
-// bit — across every rows mod 4 and batch mod 4, widths around the unroll,
-// and inputs built to expose any reassociated sum.
+// TestBlockedKernelsBitIdentical: the register-blocked and the vector
+// kernels keep every output's own summation order, so Loss and GradInto of
+// all four models equal the scalar one-sample-at-a-time reference
+// (oracle_test.go) in every bit — across every rows mod 4 and batch mod 4,
+// widths around the unroll and the lane width, inputs built to expose any
+// reassociated or fused sum, and both kernel paths.
 func TestBlockedKernelsBitIdentical(t *testing.T) {
 	features := []int{1, 2, 3, 4, 5, 63, 64, 65}
 	batches := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64}
-	rng := rand.New(rand.NewSource(19))
-	for _, f := range features {
-		checkBitIdentical(t, rng, LinearRegression{Features: f}, f, 0, batches)
-		checkBitIdentical(t, rng, LogisticRegression{Features: f}, f, 2, batches)
-		for k := 1; k <= 9; k++ {
-			checkBitIdentical(t, rng, SoftmaxRegression{Features: f, Classes: k}, f, k, batches)
-			for _, h := range []int{1, 3, 4, 7, 8} {
-				checkBitIdentical(t, rng, MLP{Features: f, Hidden: h, Classes: k}, f, k, batches)
+	eachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(19))
+		for _, f := range features {
+			checkBitIdentical(t, rng, LinearRegression{Features: f}, f, 0, batches)
+			checkBitIdentical(t, rng, LogisticRegression{Features: f}, f, 2, batches)
+			for k := 1; k <= 9; k++ {
+				checkBitIdentical(t, rng, SoftmaxRegression{Features: f, Classes: k}, f, k, batches)
+				for _, h := range []int{1, 3, 4, 7, 8} {
+					checkBitIdentical(t, rng, MLP{Features: f, Hidden: h, Classes: k}, f, k, batches)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestPredictSharesTheForwardPass: Predict is the argmax of the same
-// logits Loss scores.
+// logits Loss scores, and Accuracy — which labels four samples per grouped
+// forward pass instead of calling Predict — is the mean of Predict == y on
+// every batch length across the group size, on both kernel paths.
 func TestPredictSharesTheForwardPass(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
 	sm := SoftmaxRegression{Features: 65, Classes: 7}
 	mlp := MLP{Features: 65, Hidden: 7, Classes: 7}
-	for _, in := range kernelInputs {
-		sp, samples := drawInputs(rng, sm, 65, 7, 32, in)
-		mp, _ := drawInputs(rng, mlp, 65, 7, 1, in)
-		h, z := make([]float64, 7), make([]float64, 7)
-		for _, s := range samples {
-			refSoftmaxLogits(sm, z, sp, s.X)
-			if got, want := sm.Predict(sp, s.X), argmax(z); got != want {
-				t.Fatalf("%v %s: Predict = %d, reference logits say %d", sm, in.name, got, want)
+	eachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		for _, in := range kernelInputs {
+			sp, samples := drawInputs(rng, sm, 65, 7, 32, in)
+			mp, _ := drawInputs(rng, mlp, 65, 7, 1, in)
+			h, z := make([]float64, 7), make([]float64, 7)
+			for _, s := range samples {
+				refSoftmaxLogits(sm, z, sp, s.X)
+				if got, want := sm.Predict(sp, s.X), argmax(z); got != want {
+					t.Fatalf("%v %s: Predict = %d, reference logits say %d", sm, in.name, got, want)
+				}
+				refMLPForward(mlp, h, z, mp, s.X)
+				if got, want := mlp.Predict(mp, s.X), argmax(z); got != want {
+					t.Fatalf("%v %s: Predict = %d, reference logits say %d", mlp, in.name, got, want)
+				}
 			}
-			refMLPForward(mlp, h, z, mp, s.X)
-			if got, want := mlp.Predict(mp, s.X), argmax(z); got != want {
-				t.Fatalf("%v %s: Predict = %d, reference logits say %d", mlp, in.name, got, want)
+			for _, c := range []struct {
+				c      Classifier
+				params []float64
+			}{{sm, sp}, {mlp, mp}} {
+				// Relabel so that every third sample is a miss and the rest are
+				// hits: a logit row scored against the wrong sample shows.
+				for n := 0; n <= 9; n++ {
+					batch, hits, want := make([]dataset.Sample, n), 0, 0.0
+					for i, s := range samples[:n] {
+						y := c.c.Predict(c.params, s.X)
+						if i%3 == 1 {
+							y = (y + 1) % 7
+						} else {
+							hits++
+						}
+						batch[i] = dataset.Sample{X: s.X, Y: float64(y)}
+					}
+					if n > 0 {
+						want = float64(hits) / float64(n)
+					}
+					if got := Accuracy(c.c, c.params, batch); got != want {
+						t.Fatalf("%v %s batch %d: Accuracy = %v, mean(Predict == y) = %v", c.c, in.name, n, got, want)
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestBitIdentityHasTeeth is the guard for the two tests above, so that
@@ -153,69 +193,72 @@ func TestPredictSharesTheForwardPass(t *testing.T) {
 // the MLP loss changes bits. Backward: the same mean gradient accumulated in
 // the reverse sample order changes bits too. Write-first: a softmax row
 // stored as a·x (linalg.ScaleInto) instead of 0 + a·x keeps the −0 products
-// that a zero-filled accumulator turned into +0.
+// that a zero-filled accumulator turned into +0. All three on both kernel
+// paths.
 func TestBitIdentityHasTeeth(t *testing.T) {
-	sm := SoftmaxRegression{Features: 64, Classes: 5}
-	params, one := drawInputs(rand.New(rand.NewSource(31)), sm, 64, 5, 1, signedZeroInput)
-	got, dz, row := sm.Grad(params, one), make([]float64, 5), make([]float64, 64)
-	sm.dzInto(dz, params, one[0])
-	negZeros := 0
-	for k, a := range dz {
-		linalg.ScaleInto(row, a, one[0].X)
-		for j, v := range row {
-			if g := got[k*64+j]; math.Float64bits(v) != math.Float64bits(g) {
-				if v != 0 || g != 0 {
-					t.Fatalf("row %d[%d]: a·x = %v but the gradient holds %v", k, j, v, g)
+	eachKernelPath(t, func(t *testing.T) {
+		sm := SoftmaxRegression{Features: 64, Classes: 5}
+		params, one := drawInputs(rand.New(rand.NewSource(31)), sm, 64, 5, 1, signedZeroInput)
+		got, dz, row := sm.Grad(params, one), make([]float64, 5), make([]float64, 64)
+		sm.dzInto(dz, params, one[0])
+		negZeros := 0
+		for k, a := range dz {
+			linalg.ScaleInto(row, a, one[0].X)
+			for j, v := range row {
+				if g := got[k*64+j]; math.Float64bits(v) != math.Float64bits(g) {
+					if v != 0 || g != 0 {
+						t.Fatalf("row %d[%d]: a·x = %v but the gradient holds %v", k, j, v, g)
+					}
+					negZeros++
 				}
-				negZeros++
 			}
 		}
-	}
-	if negZeros == 0 {
-		t.Error("signed-zero: a scaled copy matched 0 + a·x in every bit: the inputs make no −0 product")
-	}
+		if negZeros == 0 {
+			t.Error("signed-zero: a scaled copy matched 0 + a·x in every bit: the inputs make no −0 product")
+		}
 
-	m := MLP{Features: 64, Hidden: 8, Classes: 5}
-	for _, in := range kernelInputs {
-		rng := rand.New(rand.NewSource(29))
-		lossDiffers, gradDiffers := 0, 0
-		for trial := 0; trial < 10; trial++ {
-			params, batch := drawInputs(rng, m, 64, 5, 16, in)
-			w1, b1, w2, b2 := m.slices(params)
-			h, z := make([]float64, m.Hidden), make([]float64, m.Classes)
-			sum := 0.0
-			for _, s := range batch {
-				for i := range h {
-					h[i] = math.Tanh(twoAccumulatorDot(w1[i*m.Features:(i+1)*m.Features], s.X) + b1[i])
+		m := MLP{Features: 64, Hidden: 8, Classes: 5}
+		for _, in := range kernelInputs {
+			rng := rand.New(rand.NewSource(29))
+			lossDiffers, gradDiffers := 0, 0
+			for trial := 0; trial < 10; trial++ {
+				params, batch := drawInputs(rng, m, 64, 5, 16, in)
+				w1, b1, w2, b2 := m.slices(params)
+				h, z := make([]float64, m.Hidden), make([]float64, m.Classes)
+				sum := 0.0
+				for _, s := range batch {
+					for i := range h {
+						h[i] = math.Tanh(twoAccumulatorDot(w1[i*m.Features:(i+1)*m.Features], s.X) + b1[i])
+					}
+					for k := range z {
+						z[k] = twoAccumulatorDot(w2[k*m.Hidden:(k+1)*m.Hidden], h) + b2[k]
+					}
+					sum += logSumExp(z) - z[int(s.Y)]
 				}
-				for k := range z {
-					z[k] = twoAccumulatorDot(w2[k*m.Hidden:(k+1)*m.Hidden], h) + b2[k]
+				if math.Float64bits(sum/float64(len(batch))) != math.Float64bits(m.Loss(params, batch)) {
+					lossDiffers++
 				}
-				sum += logSumExp(z) - z[int(s.Y)]
-			}
-			if math.Float64bits(sum/float64(len(batch))) != math.Float64bits(m.Loss(params, batch)) {
-				lossDiffers++
-			}
-			reversed := make([]dataset.Sample, len(batch))
-			for i, s := range batch {
-				reversed[len(batch)-1-i] = s
-			}
-			got, rev := m.Grad(params, batch), make([]float64, m.Dim())
-			refMLPGradInto(m, rev, params, reversed)
-			for j := range got {
-				if math.Float64bits(got[j]) != math.Float64bits(rev[j]) {
-					gradDiffers++
-					break
+				reversed := make([]dataset.Sample, len(batch))
+				for i, s := range batch {
+					reversed[len(batch)-1-i] = s
 				}
+				got, rev := m.Grad(params, batch), make([]float64, m.Dim())
+				refMLPGradInto(m, rev, params, reversed)
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(rev[j]) {
+						gradDiffers++
+						break
+					}
+				}
+			}
+			if in.forward && lossDiffers < 5 {
+				t.Errorf("%s: a two-accumulator dot left the loss bit-identical on %d of 10 inputs", in.name, 10-lossDiffers)
+			}
+			if in.backward && gradDiffers < 5 {
+				t.Errorf("%s: reversing the sample order left the gradient bit-identical on %d of 10 inputs", in.name, 10-gradDiffers)
 			}
 		}
-		if in.forward && lossDiffers < 5 {
-			t.Errorf("%s: a two-accumulator dot left the loss bit-identical on %d of 10 inputs", in.name, 10-lossDiffers)
-		}
-		if in.backward && gradDiffers < 5 {
-			t.Errorf("%s: reversing the sample order left the gradient bit-identical on %d of 10 inputs", in.name, 10-gradDiffers)
-		}
-	}
+	})
 }
 
 func twoAccumulatorDot(w, x []float64) float64 {
@@ -239,32 +282,36 @@ var kernelShapes = []struct {
 	features, classes int
 	batch             int
 }{
-	{"mlp64x128x10", MLP{Features: 64, Hidden: 128, Classes: 10}, 64, 10, 64},       // compute-mlp
-	{"mlp32x64x10", MLP{Features: 32, Hidden: 64, Classes: 10}, 32, 10, 16},         // straggler-mlp
-	{"softmax2048x64", SoftmaxRegression{Features: 2048, Classes: 64}, 2048, 64, 1}, // wide-gather
+	{"mlp64x128x10-b64", MLP{Features: 64, Hidden: 128, Classes: 10}, 64, 10, 64},        // compute-mlp
+	{"mlp32x64x10-b16", MLP{Features: 32, Hidden: 64, Classes: 10}, 32, 10, 16},          // straggler-mlp
+	{"softmax2048x64-b1", SoftmaxRegression{Features: 2048, Classes: 64}, 2048, 64, 1},   // wide-gather, a worker's gradient
+	{"softmax2048x64-b64", SoftmaxRegression{Features: 2048, Classes: 64}, 2048, 64, 64}, // wide-gather, the master's full-set loss
 }
 
 // BenchmarkKernels times one sequential GradInto and one Loss per shape and
-// reports ns/sample, the unit a worker's c-partition step and the master's
-// full-set loss are both made of.
+// kernel path (portable Go loops, AVX2 assembly) and reports ns/sample, the
+// unit a worker's c-partition step and the master's full-set loss are both
+// made of.
 func BenchmarkKernels(b *testing.B) {
 	for _, sh := range kernelShapes {
 		params := sh.m.InitParams(1)
 		batch := randomBatch(rand.New(rand.NewSource(2)), sh.batch, sh.features, sh.classes)
 		dst := make([]float64, sh.m.Dim())
-		run := func(name string, fn func()) {
-			b.Run(fmt.Sprintf("%s/%s", sh.name, name), func(b *testing.B) {
-				fn() // warm the scratch pool
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					fn()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/sample")
-			})
-		}
-		run("grad", func() { sh.m.GradInto(dst, params, batch) })
-		run("loss", func() { benchSink = sh.m.Loss(params, batch) })
+		kerneltest.EachPath(b, func(path string) {
+			run := func(name string, fn func()) {
+				b.Run(fmt.Sprintf("%s/%s/%s", sh.name, name, path), func(b *testing.B) {
+					fn() // warm the scratch pool
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						fn()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/sample")
+				})
+			}
+			run("grad", func() { sh.m.GradInto(dst, params, batch) })
+			run("loss", func() { benchSink = sh.m.Loss(params, batch) })
+		})
 	}
 }
 

@@ -57,6 +57,15 @@ type Classifier interface {
 	Predict(params []float64, x []float64) int
 }
 
+// batchClassifier is a Classifier that labels a whole batch through its
+// grouped forward pass — four samples per pass over the weights — instead of
+// one Predict per sample.
+type batchClassifier interface {
+	// correct counts the samples whose argmax logit is their label; it
+	// agrees with Predict on every sample.
+	correct(params []float64, batch []dataset.Sample) int
+}
+
 // Accuracy returns the fraction of batch samples the classifier labels
 // correctly (0 for an empty batch).
 func Accuracy(c Classifier, params []float64, batch []dataset.Sample) float64 {
@@ -64,9 +73,13 @@ func Accuracy(c Classifier, params []float64, batch []dataset.Sample) float64 {
 		return 0
 	}
 	correct := 0
-	for _, s := range batch {
-		if c.Predict(params, s.X) == int(s.Y) {
-			correct++
+	if bc, ok := c.(batchClassifier); ok {
+		correct = bc.correct(params, batch)
+	} else {
+		for _, s := range batch {
+			if c.Predict(params, s.X) == int(s.Y) {
+				correct++
+			}
 		}
 	}
 	return float64(correct) / float64(len(batch))
@@ -205,8 +218,48 @@ func (m SoftmaxRegression) InitParams(seed int64) []float64 {
 // one sample: softmax(W·x) minus the one-hot target.
 func (m SoftmaxRegression) dzInto(z, params []float64, s dataset.Sample) {
 	linalg.MatVecInto(z, params, m.Features, s.X)
-	softmaxInPlace(z)
-	z[int(s.Y)] -= 1
+	dzInPlace(z, s.Y)
+}
+
+// logits4 fills the four quarters of z (length 4·Classes) with the logits of
+// the four samples of b, from one pass over the weights: the inputs are
+// interleaved into xT (length 4·Features), linalg.MatVecT4 leaves the logits
+// interleaved in zT (length 4·Classes), and only those are de-interleaved.
+func (m SoftmaxRegression) logits4(xT, zT, z, params []float64, b []dataset.Sample) {
+	linalg.Interleave4(xT, b[0].X, b[1].X, b[2].X, b[3].X)
+	linalg.MatVecT4(zT, params, m.Features, m.Classes, xT)
+	z0, z1, z2, z3 := quarters(z)
+	linalg.Deinterleave4(z0, z1, z2, z3, zT)
+}
+
+// groupScratch borrows the scratch of a grouped pass in one pooled vector:
+// the interleaved inputs xT and logits zT, and z, whose four quarters hold
+// one sample's logits each.
+func (m SoftmaxRegression) groupScratch() (sp *[]float64, xT, zT, z []float64) {
+	F, K := m.Features, m.Classes
+	sp = getVec(4*F + 8*K)
+	v := *sp
+	return sp, v[:4*F], v[4*F : 4*F+4*K], v[4*F+4*K:]
+}
+
+// eachLogits calls visit with every sample of the batch, in batch order, and
+// its logits (valid during the call): whole groups of four through logits4,
+// the batch mod 4 tail one sample at a time.
+func (m SoftmaxRegression) eachLogits(params []float64, batch []dataset.Sample, visit func(s dataset.Sample, z []float64)) {
+	K := m.Classes
+	sp, xT, zT, z := m.groupScratch()
+	defer putVec(sp)
+	b := batch
+	for ; len(b) >= 4; b = b[4:] {
+		m.logits4(xT, zT, z, params, b)
+		for i, s := range b[:4] {
+			visit(s, z[i*K:(i+1)*K])
+		}
+	}
+	for _, s := range b {
+		linalg.MatVecInto(z[:K], params, m.Features, s.X)
+		visit(s, z[:K])
+	}
 }
 
 // Loss implements Model.
@@ -214,15 +267,22 @@ func (m SoftmaxRegression) Loss(params []float64, batch []dataset.Sample) float6
 	if len(batch) == 0 {
 		return 0
 	}
-	zp := getVec(m.Classes)
-	z := *zp
-	defer putVec(zp)
 	sum := 0.0
-	for _, s := range batch {
-		linalg.MatVecInto(z, params, m.Features, s.X)
+	m.eachLogits(params, batch, func(s dataset.Sample, z []float64) {
 		sum += logSumExp(z) - z[int(s.Y)]
-	}
+	})
 	return sum / float64(len(batch))
+}
+
+// correct implements batchClassifier.
+func (m SoftmaxRegression) correct(params []float64, batch []dataset.Sample) int {
+	n := 0
+	m.eachLogits(params, batch, func(s dataset.Sample, z []float64) {
+		if argmax(z) == int(s.Y) {
+			n++
+		}
+	})
+	return n
 }
 
 // Grad implements Model.
@@ -232,9 +292,10 @@ func (m SoftmaxRegression) Grad(params []float64, batch []dataset.Sample) []floa
 	return g
 }
 
-// GradInto implements Model. Samples are taken four at a time so each
-// gradient row is loaded and stored once per group (linalg.AXPY4); the
-// batch mod 4 tail goes one sample at a time. Either way every element
+// GradInto implements Model. Samples are taken four at a time: one grouped
+// forward pass (logits4), then each gradient row is loaded and stored once
+// per group (linalg.AXPY4); the batch mod 4 tail goes one sample at a time —
+// a one-sample batch runs none of the grouped code. Either way every element
 // accumulates its samples in batch order. There is no zero fill: the first
 // group (or first tail sample) writes every row as 0 + its terms
 // (linalg.AXPY4Zero / AXPYZero) — at Features×Classes = 2^17 the fill and
@@ -246,16 +307,16 @@ func (m SoftmaxRegression) GradInto(g, params []float64, batch []dataset.Sample)
 		return
 	}
 	F, K := m.Features, m.Classes
-	zp := getVec(4 * K)
-	defer putVec(zp)
-	z0, z1, z2, z3 := quarters(*zp)
+	sp, xT, zT, z := m.groupScratch()
+	defer putVec(sp)
+	z0, z1, z2, z3 := quarters(z)
 	b := batch
 	first := true // no row of g has been written yet
 	for ; len(b) >= 4; b = b[4:] {
-		m.dzInto(z0, params, b[0])
-		m.dzInto(z1, params, b[1])
-		m.dzInto(z2, params, b[2])
-		m.dzInto(z3, params, b[3])
+		m.logits4(xT, zT, z, params, b)
+		for i, s := range b[:4] {
+			dzInPlace(z[i*K:(i+1)*K], s.Y)
+		}
 		axpy4 := linalg.AXPY4
 		if first {
 			axpy4, first = linalg.AXPY4Zero, false
@@ -353,12 +414,71 @@ func (m MLP) forwardInto(h, z, params []float64, x []float64) {
 	}
 }
 
-// dzInto runs the forward pass of one sample and leaves the loss gradient
-// at the logits, softmax(z) minus the one-hot target, in z.
-func (m MLP) dzInto(h, z, params []float64, s dataset.Sample) {
-	m.forwardInto(h, z, params, s.X)
-	softmaxInPlace(z)
-	z[int(s.Y)] -= 1
+// mlpScratch is the scratch of a grouped pass, carved from one pooled
+// vector: the interleaved inputs xT (4·Features), hidden activations hT
+// (4·Hidden) and logits zT (4·Classes), and the per-sample views the
+// one-sample code reads — z, whose four quarters hold one sample's logits
+// each, and h, the same for the hidden activations.
+type mlpScratch struct {
+	pooled     *[]float64
+	xT, hT, zT []float64
+	z, h       []float64
+}
+
+func (m MLP) groupScratch() mlpScratch {
+	F, H, K := m.Features, m.Hidden, m.Classes
+	sc := mlpScratch{pooled: getVec(4*F + 8*H + 8*K)}
+	v := *sc.pooled
+	sc.xT, v = v[:4*F], v[4*F:]
+	sc.hT, v = v[:4*H], v[4*H:]
+	sc.zT, v = v[:4*K], v[4*K:]
+	sc.z, sc.h = v[:4*K], v[4*K:]
+	return sc
+}
+
+// forward4 runs the forward pass of the four samples of b as one: the
+// inputs are interleaved once, layer 1's output stays interleaved through
+// bias and tanh into layer 2 (linalg.MatVecT4 both times), and only the
+// logits are de-interleaved, into the quarters of sc.z. The hidden
+// activations stay interleaved in sc.hT; the backward pass de-interleaves
+// them itself.
+func (m MLP) forward4(sc mlpScratch, params []float64, b []dataset.Sample) {
+	w1, b1, w2, b2 := m.slices(params)
+	linalg.Interleave4(sc.xT, b[0].X, b[1].X, b[2].X, b[3].X)
+	linalg.MatVecT4(sc.hT, w1, m.Features, m.Hidden, sc.xT)
+	for i, bi := range b1 {
+		q := sc.hT[4*i : 4*i+4 : 4*i+4]
+		q[0], q[1], q[2], q[3] = math.Tanh(q[0]+bi), math.Tanh(q[1]+bi), math.Tanh(q[2]+bi), math.Tanh(q[3]+bi)
+	}
+	linalg.MatVecT4(sc.zT, w2, m.Hidden, m.Classes, sc.hT)
+	z0, z1, z2, z3 := quarters(sc.z)
+	linalg.Deinterleave4(z0, z1, z2, z3, sc.zT)
+	for k, bk := range b2 {
+		z0[k] += bk
+		z1[k] += bk
+		z2[k] += bk
+		z3[k] += bk
+	}
+}
+
+// eachLogits calls visit with every sample of the batch, in batch order, and
+// its logits (valid during the call): whole groups of four through
+// forward4, the batch mod 4 tail one sample at a time.
+func (m MLP) eachLogits(params []float64, batch []dataset.Sample, visit func(s dataset.Sample, z []float64)) {
+	H, K := m.Hidden, m.Classes
+	sc := m.groupScratch()
+	defer putVec(sc.pooled)
+	b := batch
+	for ; len(b) >= 4; b = b[4:] {
+		m.forward4(sc, params, b)
+		for i, s := range b[:4] {
+			visit(s, sc.z[i*K:(i+1)*K])
+		}
+	}
+	for _, s := range b {
+		m.forwardInto(sc.h[:H], sc.z[:K], params, s.X)
+		visit(s, sc.z[:K])
+	}
 }
 
 // Loss implements Model.
@@ -366,16 +486,22 @@ func (m MLP) Loss(params []float64, batch []dataset.Sample) float64 {
 	if len(batch) == 0 {
 		return 0
 	}
-	hp, zp := getVec(m.Hidden), getVec(m.Classes)
-	h, z := *hp, *zp
-	defer putVec(hp)
-	defer putVec(zp)
 	sum := 0.0
-	for _, s := range batch {
-		m.forwardInto(h, z, params, s.X)
+	m.eachLogits(params, batch, func(s dataset.Sample, z []float64) {
 		sum += logSumExp(z) - z[int(s.Y)]
-	}
+	})
 	return sum / float64(len(batch))
+}
+
+// correct implements batchClassifier.
+func (m MLP) correct(params []float64, batch []dataset.Sample) int {
+	n := 0
+	m.eachLogits(params, batch, func(s dataset.Sample, z []float64) {
+		if argmax(z) == int(s.Y) {
+			n++
+		}
+	})
+	return n
 }
 
 // Grad implements Model.
@@ -385,11 +511,11 @@ func (m MLP) Grad(params []float64, batch []dataset.Sample) []float64 {
 	return g
 }
 
-// GradInto implements Model. Samples are taken four at a time: forward and
-// dz for each into pooled scratch, then every gradient row is updated once
-// per group (linalg.AXPY4) and dh = W2ᵀ dz runs as four independent chains.
-// Bias terms and the batch mod 4 tail go one sample at a time; every
-// element accumulates its samples in batch order.
+// GradInto implements Model. Samples are taken four at a time: one grouped
+// forward pass (forward4) and dz for each into pooled scratch, then every
+// gradient row is updated once per group (linalg.AXPY4) and dh = W2ᵀ dz runs
+// as four independent chains. Bias terms and the batch mod 4 tail go one
+// sample at a time; every element accumulates its samples in batch order.
 func (m MLP) GradInto(g, params []float64, batch []dataset.Sample) {
 	checkGradDim(len(g), m.Dim())
 	linalg.ZeroVec(g)
@@ -399,16 +525,17 @@ func (m MLP) GradInto(g, params []float64, batch []dataset.Sample) {
 	F, H, K := m.Features, m.Hidden, m.Classes
 	gW1, gB1, gW2, gB2 := m.slices(g)
 	_, _, w2, _ := m.slices(params)
-	sp := getVec(4 * (H + K))
-	defer putVec(sp)
-	h0, h1, h2, h3 := quarters((*sp)[:4*H])
-	d0, d1, d2, d3 := quarters((*sp)[4*H:])
+	sc := m.groupScratch()
+	defer putVec(sc.pooled)
+	h0, h1, h2, h3 := quarters(sc.h)
+	d0, d1, d2, d3 := quarters(sc.z)
 	b := batch
 	for ; len(b) >= 4; b = b[4:] {
-		m.dzInto(h0, d0, params, b[0])
-		m.dzInto(h1, d1, params, b[1])
-		m.dzInto(h2, d2, params, b[2])
-		m.dzInto(h3, d3, params, b[3])
+		m.forward4(sc, params, b)
+		linalg.Deinterleave4(h0, h1, h2, h3, sc.hT)
+		for i, s := range b[:4] {
+			dzInPlace(sc.z[i*K:(i+1)*K], s.Y)
+		}
 		// Output layer.
 		for k := 0; k < K; k++ {
 			linalg.AXPY4(gW2[k*H:(k+1)*H], d0[k], h0, d1[k], h1, d2[k], h2, d3[k], h3)
@@ -433,7 +560,8 @@ func (m MLP) GradInto(g, params []float64, batch []dataset.Sample) {
 		}
 	}
 	for _, s := range b {
-		m.dzInto(h0, d0, params, s)
+		m.forwardInto(h0, d0, params, s.X)
+		dzInPlace(d0, s.Y)
 		for k := 0; k < K; k++ {
 			linalg.AXPY(gW2[k*H:(k+1)*H], d0[k], h0)
 			gB2[k] += d0[k]
@@ -504,6 +632,13 @@ func logSumExp(z []float64) float64 {
 		s += math.Exp(v - m)
 	}
 	return m + math.Log(s)
+}
+
+// dzInPlace turns the logits z of a sample with label y into the loss
+// gradient at the logits: softmax(z) minus the one-hot target.
+func dzInPlace(z []float64, y float64) {
+	softmaxInPlace(z)
+	z[int(y)] -= 1
 }
 
 // softmaxInPlace overwrites the logits z with their softmax

@@ -167,30 +167,38 @@ func TestNilParallelGrad(t *testing.T) {
 
 // TestGradIntoAllocationFree: after warm-up the sequential GradInto
 // kernel must not allocate — on a batch of whole four-sample groups, on one
-// with a tail, and at the benchmark's own shapes.
+// with a tail, and at the benchmark's own shapes — and neither do Loss and
+// Accuracy, whose grouped forward pass borrows the same pooled scratch. On
+// both kernel paths.
 func TestGradIntoAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
-	check := func(m Model, features, classes, n int) {
-		t.Helper()
-		params := m.InitParams(4)
-		batch := randomBatch(rand.New(rand.NewSource(2)), n, features, classes)
-		dst := make([]float64, m.Dim())
-		m.GradInto(dst, params, batch) // warm the scratch pool
-		allocs := testing.AllocsPerRun(20, func() {
-			m.GradInto(dst, params, batch)
-		})
-		if allocs > 0 {
-			t.Errorf("%v batch %d: GradInto allocates %v objects/op after warm-up", m, n, allocs)
+	eachKernelPath(t, func(t *testing.T) {
+		check := func(m Model, features, classes, n int) {
+			t.Helper()
+			params := m.InitParams(4)
+			batch := randomBatch(rand.New(rand.NewSource(2)), n, features, classes)
+			dst := make([]float64, m.Dim())
+			pass := func() {
+				m.GradInto(dst, params, batch)
+				benchSink = m.Loss(params, batch)
+				if c, ok := m.(Classifier); ok {
+					benchSink = Accuracy(c, params, batch)
+				}
+			}
+			pass() // warm the scratch pool
+			if allocs := testing.AllocsPerRun(20, pass); allocs > 0 {
+				t.Errorf("%v batch %d: GradInto + Loss + Accuracy allocate %v objects/op after warm-up", m, n, allocs)
+			}
 		}
-	}
-	for _, m := range testModels() {
-		check(m, 5, 3, 16)
-		check(m, 5, 3, 7)
-	}
-	for _, sh := range kernelShapes {
-		check(sh.m, sh.features, sh.classes, sh.batch)
-		check(sh.m, sh.features, sh.classes, 7)
-	}
+		for _, m := range testModels() {
+			check(m, 5, 3, 16)
+			check(m, 5, 3, 7)
+		}
+		for _, sh := range kernelShapes {
+			check(sh.m, sh.features, sh.classes, sh.batch)
+			check(sh.m, sh.features, sh.classes, 7)
+		}
+	})
 }
