@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"isgc/internal/linalg/kerneltest"
+	"isgc/internal/model"
 	"isgc/internal/placement"
 	"isgc/internal/straggler"
 )
@@ -82,8 +83,11 @@ func goldenConfig(t *testing.T, scheme string) Config {
 // captured at the commit before the step loops were merged into one core;
 // a refactor of the step loop must leave them unchanged — and so must the
 // model kernels under it, so every configuration trains once per kernel path
-// (portable Go loops, AVX2 assembly) against the same constant. Floating-point
-// contraction differs across architectures, so the pins hold on amd64.
+// (portable Go loops, AVX2 assembly) against the same constant. IS-GC-CR/mlp
+// is the one trajectory through tanh; its constant was captured at the commit
+// before linalg.TanhBias4 replaced forward4's math.Tanh calls. Floating-point
+// contraction differs across architectures, so the pins hold on amd64 (and,
+// through math.Exp's two paths there, on a CPU with AVX and FMA).
 func TestGoldenStepLoopDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests were captured on amd64, running on %s", runtime.GOARCH)
@@ -100,6 +104,7 @@ func TestGoldenStepLoopDigests(t *testing.T) {
 		"IS-GC-CR/k=2/lr-decay":         0xc70ca0eb1e2801af,
 		"IS-GC-CR/momentum+wd":          0xca2054cbd8ba0c27,
 		"IS-GC-CR/momentum+wd/deadline": 0x10657444ca0c3578,
+		"IS-GC-CR/mlp":                  0x2a7cc399fea86b3b,
 	}
 	// build makes the configuration afresh for each run: a strategy and a
 	// straggler profile carry random state a previous Train has advanced.
@@ -151,4 +156,9 @@ func TestGoldenStepLoopDigests(t *testing.T) {
 	}
 	check("IS-GC-CR/momentum+wd", momentum(0), false)
 	check("IS-GC-CR/momentum+wd/deadline", momentum(6*time.Millisecond), false)
+	check("IS-GC-CR/mlp", func() Config {
+		cfg := goldenConfig(t, "IS-GC-CR")
+		cfg.Model = model.MLP{Features: 6, Hidden: 8, Classes: 3}
+		return cfg
+	}, false)
 }

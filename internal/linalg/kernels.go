@@ -1,6 +1,9 @@
 package linalg
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Vector kernels -----------------------------------------------------------
 //
@@ -18,6 +21,9 @@ import "fmt"
 // the operating system report (AVX2, and YMM state saved on context switch).
 // Without both — and on every other architecture — the Go loops below run;
 // they are also the reference the tests compare the assembly against.
+//
+// A third kernel, TanhBias4 at the end of this file, is a different kind of
+// equal: its assembly is package math's own tanh, four lanes at a time.
 
 // useAVX2 selects the assembly bodies. It is written at init and, after
 // that, only by tests through SetVectorKernels.
@@ -126,4 +132,31 @@ func dotT4x2(r0, r1, xT []float64) (a0, a1, a2, a3, b0, b1, b2, b3 float64) {
 		b3 += v * q[3]
 	}
 	return a0, a1, a2, a3, b0, b1, b2, b3
+}
+
+// TanhBias4 is the hidden layer's activation on MatVecT4's layout: hT[4i+s] =
+// tanh(hT[4i+s] + b[i]) for the four samples s of every row i, each equal to
+// math.Tanh of that sum in every bit. The assembly body is not another tanh
+// but the same one: on amd64 math.Tanh is a fixed sequence of IEEE
+// multiplies, adds, divides, fused multiply-adds (inside math.Exp, when the
+// CPU has AVX and FMA) and conversions, and each of them rounds in a lane as
+// it does in a scalar register. Only that FMA sequence is transcribed, so the
+// assembly needs hasFMA on top of the other kernels' probe; a host where
+// math.Exp runs without FMA runs the loop below. Panics unless len(hT) is
+// four times len(b).
+func TanhBias4(hT, b []float64) {
+	if len(hT) != 4*len(b) {
+		panic(fmt.Sprintf("linalg: TanhBias4 length mismatch %d vs 4×%d", len(hT), len(b)))
+	}
+	if len(b) == 0 {
+		return
+	}
+	if useAVX2 && hasFMA {
+		tanhBias4AVX2(&hT[0], &b[0], len(b))
+		return
+	}
+	for i, bi := range b {
+		q := hT[4*i : 4*i+4 : 4*i+4]
+		q[0], q[1], q[2], q[3] = math.Tanh(q[0]+bi), math.Tanh(q[1]+bi), math.Tanh(q[2]+bi), math.Tanh(q[3]+bi)
+	}
 }

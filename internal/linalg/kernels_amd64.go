@@ -22,6 +22,17 @@ func probeAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+// hasFMA is CPUID.1:ECX bit 12 on a host that passed probeAVX2: together
+// with AVX, the rule by which package math sends Exp down its FMA path
+// (math.useFMA), which is the path tanhBias4AVX2 transcribes.
+var hasFMA = hasAVX2 && probeFMA()
+
+func probeFMA() bool {
+	const fma = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&fma != 0
+}
+
 // cpuid executes CPUID with EAX = leaf, ECX = sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -41,3 +52,9 @@ func matVecT4AVX2(dstT, w *float64, stride, rows, n int, xT *float64)
 //
 //go:noescape
 func axpy4AVX2(dst *float64, n int, a0 float64, x0 *float64, a1 float64, x1 *float64, a2 float64, x2 *float64, a3 float64, x3 *float64, zero bool)
+
+// tanhBias4AVX2 is TanhBias4's body for rows ≥ 1: 4·rows words of hT, rows
+// words of b. Only for a host with hasFMA.
+//
+//go:noescape
+func tanhBias4AVX2(hT, b *float64, rows int)

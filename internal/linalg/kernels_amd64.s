@@ -1,14 +1,15 @@
-// The package's only assembly: the AVX2 bodies of MatVecT4 and
-// AXPY4/AXPY4Zero, and the two probes that decide whether they may run.
+// The package's only assembly: the AVX2 bodies of MatVecT4, AXPY4/AXPY4Zero
+// and TanhBias4, and the two probes that decide whether they may run.
 // kernels.go holds the Go loops they must equal bit for bit, the operand
 // checks that run before every call, and the reasons for the shape.
 //
-// Every product is a VMULPD and every sum a separate VADDPD, rounded where
-// the Go loops round; there is no FMA and no horizontal add, a lane is one
-// output element from start to finish. The accumulator is the first source
-// of each add and the matrix word / scale factor the first source of each
-// multiply (the middle operand in this syntax), which is the operand a NaN
-// result is copied from when both are NaN.
+// In the mat-vec and the row update every product is a VMULPD and every sum
+// a separate VADDPD, rounded where the Go loops round; there is no FMA and no
+// horizontal add, a lane is one output element from start to finish. The
+// accumulator is the first source of each add and the matrix word / scale
+// factor the first source of each multiply (the middle operand in this
+// syntax), which is the operand a NaN result is copied from when both are
+// NaN. The tanh fuses exactly where package math's own assembly fuses.
 
 #include "textflag.h"
 
@@ -177,5 +178,167 @@ onesum:
 	JLT    one
 
 axpydone:
+	VZEROUPPER
+	RET
+
+// tanhBias4AVX2's constants, each four times over so that it can be the
+// memory operand of a lane-wide instruction: the two branch boundaries and
+// the tanhP/tanhQ coefficients of math/tanh.go, then the constants of
+// math/exp_amd64.s, spelled as they are there.
+#define QUAD(off, v) \
+	DATA tanhk<>+(off+0)(SB)/8, v \
+	DATA tanhk<>+(off+8)(SB)/8, v \
+	DATA tanhk<>+(off+16)(SB)/8, v \
+	DATA tanhk<>+(off+24)(SB)/8, v
+
+#define ABSMASK   0
+#define HALFMAX   32
+#define MIDBOUND  64
+#define TANHP0    96
+#define TANHP1    128
+#define TANHP2    160
+#define TANHQ0    192
+#define TANHQ1    224
+#define TANHQ2    256
+#define LOG2E     288
+#define LN2U      320
+#define LN2L      352
+#define SIXTEENTH 384
+#define EXPC8     416
+#define EXPC7     448
+#define EXPC6     480
+#define EXPC5     512
+#define EXPC4     544
+#define EXPC3     576
+#define HALF      608
+#define ONE       640
+#define TWO       672
+#define EXPBIAS   704
+
+QUAD(ABSMASK, $0x7FFFFFFFFFFFFFFF)
+QUAD(HALFMAX, $0x404601e678fc457b) // 0.5*MAXLOG as the compiler folds it, MAXLOG = 8.8029691931113054295988e+01
+QUAD(MIDBOUND, $0.625)
+QUAD(TANHP0, $-9.64399179425052238628e-1)
+QUAD(TANHP1, $-9.92877231001918586564e1)
+QUAD(TANHP2, $-1.61468768441708447952e3)
+QUAD(TANHQ0, $1.12811678491632931402e2)
+QUAD(TANHQ1, $2.23548839060100448583e3)
+QUAD(TANHQ2, $4.84406305325125486048e3)
+QUAD(LOG2E, $1.4426950408889634073599246810018920)
+QUAD(LN2U, $0.69314718055966295651160180568695068359375)
+QUAD(LN2L, $0.28235290563031577122588448175013436025525412068e-12)
+QUAD(SIXTEENTH, $0.0625)
+QUAD(EXPC8, $2.4801587301587301587e-5)
+QUAD(EXPC7, $1.9841269841269841270e-4)
+QUAD(EXPC6, $1.3888888888888888889e-3)
+QUAD(EXPC5, $8.3333333333333333333e-3)
+QUAD(EXPC4, $4.1666666666666666667e-2)
+QUAD(EXPC3, $1.6666666666666666667e-1)
+QUAD(HALF, $0.5)
+QUAD(ONE, $1.0)
+QUAD(TWO, $2.0)
+QUAD(EXPBIAS, $0x3FF)
+GLOBL tanhk<>(SB), RODATA, $736
+
+// func tanhBias4AVX2(hT, b *float64, rows int)
+//
+// rows ≥ 1. One pass per row: the row's four samples are the four lanes, x =
+// hT[4i+s] + b[i]. math.tanh picks one of three results by |x|; a lane
+// cannot branch, so each pass evaluates the two that need arithmetic on all
+// four lanes and selects afterwards. What a branch makes of a lane outside
+// its range (an overflowed square, an Inf/Inf) is never selected, and
+// floating-point exceptions are masked.
+//
+// Every step is the lane-wide form of the scalar instruction the Go
+// toolchain runs for that step, in its order: where math/tanh.go compiles to
+// a separate multiply and add so does this, and where archExp's avxfma path
+// fuses so does this. That path is the one math.Exp takes on a CPU with AVX
+// and FMA, which is the only kind of host this body is selected on.
+TEXT ·tanhBias4AVX2(SB), NOSPLIT, $0-24
+	MOVQ    hT+0(FP), DI
+	MOVQ    b+8(FP), SI
+	MOVQ    rows+16(FP), CX
+	VMOVUPD tanhk<>+ABSMASK(SB), Y15
+	VMOVUPD tanhk<>+ONE(SB), Y14
+	VMOVUPD tanhk<>+TWO(SB), Y13
+	VXORPD  Y12, Y12, Y12
+
+tanhrow:
+	VBROADCASTSD (SI), Y0
+	VADDPD       (DI), Y0, Y0 // x = h + b
+	VANDPD       Y15, Y0, Y1  // z = Abs(x)
+
+	// z >= 0.625: s = Exp(2*z), the avxfma path of archExp. 2z is at most
+	// MAXLOG where this branch is selected, so archExp's tests for a
+	// non-finite argument, overflow and a denormal result never fire there.
+	VMULPD       Y13, Y1, Y2
+	VMULPD       tanhk<>+LOG2E(SB), Y2, Y3
+	VCVTPD2DQY   Y3, X3                    // k, to nearest even like CVTSD2SL
+	VCVTDQ2PD    X3, Y4
+	VPMOVSXDQ    X3, Y3
+	VFNMADD231PD tanhk<>+LN2U(SB), Y4, Y2
+	VFNMADD231PD tanhk<>+LN2L(SB), Y4, Y2
+	VMULPD       tanhk<>+SIXTEENTH(SB), Y2, Y2
+	VMOVUPD      tanhk<>+EXPC8(SB), Y5
+	VFMADD213PD  tanhk<>+EXPC7(SB), Y2, Y5
+	VFMADD213PD  tanhk<>+EXPC6(SB), Y2, Y5
+	VFMADD213PD  tanhk<>+EXPC5(SB), Y2, Y5
+	VFMADD213PD  tanhk<>+EXPC4(SB), Y2, Y5
+	VFMADD213PD  tanhk<>+EXPC3(SB), Y2, Y5
+	VFMADD213PD  tanhk<>+HALF(SB), Y2, Y5
+	VFMADD213PD  Y14, Y2, Y5
+	VMULPD       Y5, Y2, Y2
+	VADDPD       Y13, Y2, Y5
+	VMULPD       Y5, Y2, Y2
+	VADDPD       Y13, Y2, Y5
+	VMULPD       Y5, Y2, Y2
+	VADDPD       Y13, Y2, Y5
+	VMULPD       Y5, Y2, Y2
+	VADDPD       Y13, Y2, Y5
+	VFMADD213PD  Y14, Y5, Y2
+	VPADDQ       tanhk<>+EXPBIAS(SB), Y3, Y3
+	VPSLLQ       $52, Y3, Y3               // 2**k
+	VMULPD       Y3, Y2, Y2                // s
+
+	// z = 1 - 2/(s+1), or 1 where z > 0.5*MAXLOG; then the sign of x, which
+	// is what both "if x < 0" do to a positive z.
+	VADDPD    Y14, Y2, Y2
+	VDIVPD    Y2, Y13, Y2
+	VSUBPD    Y2, Y14, Y2
+	VCMPPD    $0x1e, tanhk<>+HALFMAX(SB), Y1, Y6 // z > 0.5*MAXLOG, false on NaN
+	VBLENDVPD Y6, Y14, Y2, Y2
+	VANDNPD   Y0, Y15, Y6
+	VORPD     Y6, Y2, Y2
+
+	// default: x + x*s*((P0*s+P1)*s+P2)/(((s+Q0)*s+Q1)*s+Q2) with s = x*x,
+	// associated as the compiler does: (x*s)*P, then /Q, then x + that. A
+	// NaN takes this branch and comes out a NaN.
+	VMULPD Y0, Y0, Y7
+	VMULPD Y7, Y0, Y8
+	VMULPD tanhk<>+TANHP0(SB), Y7, Y9
+	VADDPD tanhk<>+TANHP1(SB), Y9, Y9
+	VMULPD Y7, Y9, Y9
+	VADDPD tanhk<>+TANHP2(SB), Y9, Y9
+	VMULPD Y8, Y9, Y9
+	VADDPD tanhk<>+TANHQ0(SB), Y7, Y10
+	VMULPD Y7, Y10, Y10
+	VADDPD tanhk<>+TANHQ1(SB), Y10, Y10
+	VMULPD Y7, Y10, Y10
+	VADDPD tanhk<>+TANHQ2(SB), Y10, Y10
+	VDIVPD Y10, Y9, Y9
+	VADDPD Y9, Y0, Y9
+
+	// x == 0 returns x: the sum above is +0 for -0. Then the branch by z.
+	VCMPPD    $0x00, Y12, Y0, Y6
+	VBLENDVPD Y6, Y0, Y9, Y9
+	VCMPPD    $0x1d, tanhk<>+MIDBOUND(SB), Y1, Y6 // z >= 0.625, false on NaN
+	VBLENDVPD Y6, Y2, Y9, Y9
+	VMOVUPD   Y9, (DI)
+
+	ADDQ $32, DI
+	ADDQ $8, SI
+	DECQ CX
+	JNZ  tanhrow
+
 	VZEROUPPER
 	RET

@@ -4,12 +4,16 @@ package linalg
 
 // No assembly off amd64: the probe's verdict is a constant and the bodies
 // are never reached.
-const hasAVX2 = false
+const hasAVX2, hasFMA = false, false
 
 func matVecT4AVX2(dstT, w *float64, stride, rows, n int, xT *float64) {
 	panic("linalg: no vector kernels on this architecture")
 }
 
 func axpy4AVX2(dst *float64, n int, a0 float64, x0 *float64, a1 float64, x1 *float64, a2 float64, x2 *float64, a3 float64, x3 *float64, zero bool) {
+	panic("linalg: no vector kernels on this architecture")
+}
+
+func tanhBias4AVX2(hT, b *float64, rows int) {
 	panic("linalg: no vector kernels on this architecture")
 }

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -209,6 +210,23 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 				}
 			}
 		}
+		for _, rows := range []int{1, 2, 3, 5, 64} {
+			reset()
+			b, hT := carve(rows), carve(4*rows)
+			copy(b, unitVec(rng, rows))
+			copy(hT, unitVec(rng, 4*rows))
+			bWas := CloneVec(b)
+			TanhBias4(hT, b)
+			untouched("TanhBias4")
+			if !slices.Equal(b, bWas) {
+				t.Fatalf("TanhBias4 rows=%d changed b", rows)
+			}
+			for i, v := range hT {
+				if math.Abs(v) >= 1 { // a tanh of unit data, not the sentinel (≈ 1.6e11)
+					t.Fatalf("TanhBias4 rows=%d left hT[%d] = %v", rows, i, v)
+				}
+			}
+		}
 		for _, n := range []int{1, 3, 4, 5, 8, 67} {
 			for _, axpy4 := range []func([]float64, float64, []float64, float64, []float64, float64, []float64, float64, []float64){AXPY4, AXPY4Zero} {
 				reset()
@@ -247,6 +265,9 @@ func TestVectorKernelsPanicOnMisfit(t *testing.T) {
 		"stride runs past w":        func() { MatVecT4(v(8), v(6), 4, 2, v(12)) },
 		"negative rows":             func() { MatVecT4(v(8), v(6), 3, -1, v(12)) },
 		"negative stride":           func() { MatVecT4(v(8), v(6), -3, 2, v(12)) },
+		"TanhBias4 short hT":        func() { TanhBias4(v(11), v(3)) },
+		"TanhBias4 long hT":         func() { TanhBias4(v(13), v(3)) },
+		"TanhBias4 empty b":         func() { TanhBias4(v(4), nil) },
 		"Interleave4 ragged":        func() { Interleave4(v(8), v(2), v(2), v(3), v(2)) },
 		"Interleave4 short dst":     func() { Interleave4(v(7), v(2), v(2), v(2), v(2)) },
 		"Deinterleave4 ragged":      func() { Deinterleave4(v(2), v(2), v(1), v(2), v(8)) },
@@ -271,6 +292,7 @@ func TestVectorKernelsPanicOnMisfit(t *testing.T) {
 		AXPY4Zero(nil, 1, nil, 1, nil, 1, nil, 1, nil)
 		MatVecT4(nil, nil, 0, 0, nil)
 		MatVecT4(nil, nil, 5, 0, v(8))
+		TanhBias4(nil, nil)
 		dst := nanVec(8)
 		MatVecT4(dst, nil, 0, 2, nil)
 		for i, x := range dst {
@@ -287,8 +309,10 @@ func TestVectorKernelsPanicOnMisfit(t *testing.T) {
 	}
 }
 
-// BenchmarkVectorKernels times the two kernels alone on both paths, at the
-// compute-mlp layer shapes: four 128×64 mat-vecs, one 64-column row update.
+// BenchmarkVectorKernels times the kernels alone on both paths, at the
+// compute-mlp layer shapes: four 128×64 mat-vecs, one 64-column row update,
+// and the activation of four samples' hidden layers (H = 64 and 128, with
+// ns per activation beside ns per call).
 func BenchmarkVectorKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	w, xT, dstT := unitVec(rng, 128*64), unitVec(rng, 4*64), make([]float64, 4*128)
@@ -304,5 +328,17 @@ func BenchmarkVectorKernels(b *testing.B) {
 				AXPY4(row, 0.5, x, -0.5, x, 0.25, x, -0.25, x)
 			}
 		})
+		for _, H := range []int{64, 128} {
+			// Pre-activations of unit scale: about half the lanes take the
+			// rational branch and half the exp one, as in training.
+			pre, bias, hT := unitVec(rng, 4*H), unitVec(rng, H), make([]float64, 4*H)
+			b.Run(fmt.Sprintf("TanhBias4/%d/%s", H, path), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(hT, pre)
+					TanhBias4(hT, bias)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(4*H), "ns/activation")
+			})
+		}
 	})
 }

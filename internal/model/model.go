@@ -438,18 +438,16 @@ func (m MLP) groupScratch() mlpScratch {
 
 // forward4 runs the forward pass of the four samples of b as one: the
 // inputs are interleaved once, layer 1's output stays interleaved through
-// bias and tanh into layer 2 (linalg.MatVecT4 both times), and only the
-// logits are de-interleaved, into the quarters of sc.z. The hidden
+// bias and tanh (linalg.TanhBias4, math.Tanh in every bit) into layer 2
+// (linalg.MatVecT4 both times), and only the logits are de-interleaved, into
+// the quarters of sc.z. The hidden
 // activations stay interleaved in sc.hT; the backward pass de-interleaves
 // them itself.
 func (m MLP) forward4(sc mlpScratch, params []float64, b []dataset.Sample) {
 	w1, b1, w2, b2 := m.slices(params)
 	linalg.Interleave4(sc.xT, b[0].X, b[1].X, b[2].X, b[3].X)
 	linalg.MatVecT4(sc.hT, w1, m.Features, m.Hidden, sc.xT)
-	for i, bi := range b1 {
-		q := sc.hT[4*i : 4*i+4 : 4*i+4]
-		q[0], q[1], q[2], q[3] = math.Tanh(q[0]+bi), math.Tanh(q[1]+bi), math.Tanh(q[2]+bi), math.Tanh(q[3]+bi)
-	}
+	linalg.TanhBias4(sc.hT, b1)
 	linalg.MatVecT4(sc.zT, w2, m.Hidden, m.Classes, sc.hT)
 	z0, z1, z2, z3 := quarters(sc.z)
 	linalg.Deinterleave4(z0, z1, z2, z3, sc.zT)

@@ -120,7 +120,9 @@ func TestParallelGradIntoDirtyBuffers(t *testing.T) {
 func TestParallelGradNested(t *testing.T) {
 	p := NewParallelGrad(2)
 	defer p.Close()
-	sum := make([]int, 4)
+	// One slot per inner task: the four of one outer task run on different
+	// pool workers at once, so a shared sum[i] would be a data race.
+	var slots [4][4]int
 	outer := make([]func(), 4)
 	for i := range outer {
 		i := i
@@ -128,14 +130,14 @@ func TestParallelGradNested(t *testing.T) {
 			inner := make([]func(), 4)
 			for j := range inner {
 				j := j
-				inner[j] = func() { sum[i] += j }
+				inner[j] = func() { slots[i][j] += j }
 			}
 			p.Run(inner...)
 		}
 	}
 	p.Run(outer...)
-	for i, s := range sum {
-		if s != 6 {
+	for i, row := range slots {
+		if s := row[0] + row[1] + row[2] + row[3]; s != 6 {
 			t.Fatalf("sum[%d] = %d, want 6", i, s)
 		}
 	}
