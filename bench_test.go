@@ -500,7 +500,7 @@ func benchClusterGather(b *testing.B, shards int) {
 	master, err := cluster.NewMaster(cluster.MasterConfig{
 		Addr: "127.0.0.1:0", Strategy: st, Model: mdl, Data: data,
 		LearningRate: 0.01, W: gatherBenchWorkers, MaxSteps: b.N, Seed: 42,
-		AcceptTimeout: 60 * time.Second, Wire: cluster.WireBinary,
+		AcceptTimeout: 60 * time.Second,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -528,7 +528,7 @@ func benchClusterGather(b *testing.B, shards int) {
 			wk, err := cluster.NewWorker(cluster.WorkerConfig{
 				Addr: master.Addr(), ID: i, Partitions: pids, Loaders: loaders,
 				Model: mdl, Encode: cluster.SumEncoder(),
-				Wire: cluster.WireBinary, GatherShards: shards,
+				GatherShards: shards,
 			})
 			if err != nil {
 				b.Error(err)

@@ -148,7 +148,6 @@ func cmdSubmit(c *client, args []string) error {
 		seed      = fs.Int64("seed", 42, "shared data seed")
 		samples   = fs.Int("samples", 240, "synthetic dataset size")
 		batch     = fs.Int("batch", 8, "per-partition batch size")
-		wire      = fs.String("wire", "", "wire codec: binary (default) or gob")
 	)
 	_ = fs.Parse(args)
 	var spec controlplane.JobSpec
@@ -178,7 +177,6 @@ func cmdSubmit(c *client, args []string) error {
 			LearningRate:  *lr,
 			MaxSteps:      *steps,
 			LossThreshold: *threshold,
-			Wire:          *wire,
 		}
 	}
 	var out struct {

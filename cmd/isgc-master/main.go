@@ -68,7 +68,6 @@ type options struct {
 	computePar    int           // loss-evaluation pool size (0 = GOMAXPROCS)
 	decodeCache   int           // decode LRU capacity (0 disables memoization)
 	decodeIncr    bool          // repair chosen sets across steps instead of re-solving
-	wire          string        // wire codec: "binary" (default) or "gob"
 	metricsAddr   string        // empty disables the admin endpoint
 	metricsLinger time.Duration // keep the admin endpoint up after the run
 	eventsPath    string        // JSONL event log path ("-" = stderr; empty disables)
@@ -105,7 +104,6 @@ func main() {
 		seed      = flag.Int64("seed", 42, "shared seed (must match workers)")
 		samples   = flag.Int("samples", 240, "synthetic dataset size (must match workers)")
 
-		wire        = flag.String("wire", "binary", "wire codec for the gradient/params hot path: binary or gob")
 		computePar  = flag.Int("compute-par", 0, "loss-evaluation compute shards (0 = auto/GOMAXPROCS, 1 = sequential)")
 		decodeCache = flag.Int("decode-cache", 0, "memoize decode results in an LRU of this many availability masks (0 disables; trades decode fairness for speed)")
 		decodeIncr  = flag.Bool("decode-incremental", false, "repair the previous step's chosen set against availability deltas instead of re-solving (trades decode fairness for latency)")
@@ -191,7 +189,6 @@ func main() {
 		lr:            *lr,
 		maxSteps:      *maxSteps,
 		threshold:     *threshold,
-		wire:          *wire,
 		liveness:      *liveness,
 		stepTimeout:   *stepTimeout,
 		computePar:    *computePar,
@@ -325,7 +322,6 @@ func run(opts options) error {
 		MaxSteps:          opts.maxSteps,
 		LossThreshold:     opts.threshold,
 		Seed:              opts.data.Seed,
-		Wire:              opts.wire,
 		LivenessTimeout:   opts.liveness,
 		StepTimeout:       opts.stepTimeout,
 		ComputePar:        opts.computePar,
@@ -376,8 +372,8 @@ func run(opts options) error {
 		fmt.Fprintf(out, "profiling: capturing cpu+heap to %s every %v\n", profiler.Dir(), opts.obs.profileInterval)
 	}
 
-	fmt.Fprintf(out, "master: %s on %s, waiting for %d workers (w=%d per step, deadline=%v, liveness=%v, wire=%s)\n",
-		p, master.Addr(), opts.spec.N, w, opts.deadline, opts.liveness, opts.wire)
+	fmt.Fprintf(out, "master: %s on %s, waiting for %d workers (w=%d per step, deadline=%v, liveness=%v)\n",
+		p, master.Addr(), opts.spec.N, w, opts.deadline, opts.liveness)
 	res, err := master.Run()
 	if opts.timelinePath != "" {
 		// Written even on a failed run: a trace of what happened before the

@@ -47,7 +47,6 @@ func main() {
 		seed       = flag.Int64("seed", 42, "shared seed (must match master)")
 		samples    = flag.Int("samples", 240, "synthetic dataset size (must match master)")
 		delay      = flag.Duration("delay", 0, "mean of an exponential straggler delay before each upload (0 = none)")
-		wire       = flag.String("wire", "binary", "wire codec for the gradient/params hot path: binary or gob")
 		computePar = flag.Int("compute-par", 0, "gradient compute shards (0 = auto/GOMAXPROCS, 1 = sequential)")
 		shards     = flag.Int("gather-shards", 1, "split each gradient upload across this many parallel lanes (proposes the binaryv2 codec; the master may grant fewer; 1 = single stream)")
 
@@ -87,7 +86,7 @@ func main() {
 	dspec.Samples = *samples
 	dspec.Batch = *batch
 	fault := buildFault(*crashAt, *dropProb, *disconnectAt)
-	if err := run(*addr, *id, spec, dspec, *delay, *wire, *computePar, *shards, fault, *reconnect, *heartbeat, *metricsAddr, *profileDir, *eventsPath, *logLevel, *checkpointDir, *restore); err != nil {
+	if err := run(*addr, *id, spec, dspec, *delay, *computePar, *shards, fault, *reconnect, *heartbeat, *metricsAddr, *profileDir, *eventsPath, *logLevel, *checkpointDir, *restore); err != nil {
 		fmt.Fprintln(os.Stderr, "isgc-worker:", err)
 		os.Exit(1)
 	}
@@ -112,7 +111,7 @@ func buildFault(crashAt int, dropProb float64, disconnectAt int) straggler.Fault
 	return fs
 }
 
-func run(addr string, id int, spec cliconfig.SchemeSpec, dspec cliconfig.DataSpec, delay time.Duration, wire string, computePar, gatherShards int, fault straggler.Fault, reconnect, heartbeat time.Duration, metricsAddr, profileDir, eventsPath, logLevel, checkpointDir string, restore bool) error {
+func run(addr string, id int, spec cliconfig.SchemeSpec, dspec cliconfig.DataSpec, delay time.Duration, computePar, gatherShards int, fault straggler.Fault, reconnect, heartbeat time.Duration, metricsAddr, profileDir, eventsPath, logLevel, checkpointDir string, restore bool) error {
 	p, err := spec.Build()
 	if err != nil {
 		return err
@@ -167,7 +166,6 @@ func run(addr string, id int, spec cliconfig.SchemeSpec, dspec cliconfig.DataSpe
 		Model:             model.SoftmaxRegression{Features: dspec.Features, Classes: dspec.Classes},
 		Encode:            cluster.SumEncoder(),
 		Delay:             delayModel,
-		Wire:              wire,
 		ComputePar:        computePar,
 		GatherShards:      gatherShards,
 		DelaySeed:         dspec.Seed + int64(id),

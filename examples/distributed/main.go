@@ -28,6 +28,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -55,7 +56,6 @@ import (
 func main() {
 	eventsPath := flag.String("events", "", `write a JSONL structured event log to this path ("-" = stderr)`)
 	timelinePath := flag.String("timeline", "", "write a Chrome trace-event file of the run to this path")
-	wire := flag.String("wire", "binary", "wire codec for the gradient/params hot path: binary or gob")
 	staleness := flag.Int("staleness", 0, "bounded staleness: wait for this many fewer workers and fold late gradients in as corrections")
 	gatherShards := flag.Int("gather-shards", 1, "split each worker's gradient upload across this many parallel lanes (binaryv2)")
 	checkpointDir := flag.String("checkpoint-dir", "", "persist durable run snapshots in this directory (empty disables; restart the example with -restore to resume)")
@@ -118,7 +118,6 @@ func main() {
 		MaxSteps:        30,
 		LossThreshold:   0.05,
 		Seed:            seed,
-		Wire:            *wire,
 		Staleness:       *staleness,
 		LivenessTimeout: 2 * time.Second,
 		Metrics:         mm,
@@ -134,8 +133,8 @@ func main() {
 	if store != nil {
 		fmt.Printf("checkpointing every 5 steps into %s\n", *checkpointDir)
 	}
-	fmt.Printf("master listening on %s (%s, waiting for %d fastest of %d workers, wire=%s)\n",
-		master.Addr(), place, w, n, *wire)
+	fmt.Printf("master listening on %s (%s, waiting for %d fastest of %d workers)\n",
+		master.Addr(), place, w, n)
 
 	// The master also serves live observability: Prometheus metrics,
 	// a JSON liveness snapshot, and pprof. Scrape it while training runs:
@@ -246,7 +245,6 @@ func main() {
 				Model:             mdl,
 				Encode:            cluster.SumEncoder(),
 				Delay:             delay,
-				Wire:              *wire,
 				GatherShards:      *gatherShards,
 				DelaySeed:         int64(i),
 				Fault:             fault,
@@ -256,6 +254,14 @@ func main() {
 				Timeline:          tl,
 			})
 			if err != nil {
+				// A gather lane dialled after the master finished meets a
+				// job-gone reply, or — once the master has closed its
+				// listener — a refused or reset connection: nothing left to
+				// serve.
+				if h := master.Health(); errors.Is(err, cluster.ErrJobGone) || (!h.Running && h.Step > 0) {
+					fmt.Printf("worker %d joined after the job ended\n", i)
+					return
+				}
 				log.Fatal(err)
 			}
 			steps, err := worker.Run()

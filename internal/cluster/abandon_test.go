@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"runtime"
@@ -129,19 +128,13 @@ func TestMailboxCyclesParamsBuffers(t *testing.T) {
 	if mb.reserve(frameHeader{kind: MsgGradient, dim: 4}) != nil {
 		t.Fatal("a worker has no use for a gradient's payload")
 	}
-	plain := newMailbox(0, 0)
-	plain.vecs.put(a)
-	if got := plain.reserve(step); &got[0] == &a[0] {
-		t.Fatal("a gob connection allocates per message; nothing to recycle")
-	}
 }
 
 // --- fake master -------------------------------------------------------------
 
 // fakeMaster is a scripted master: it completes the hello exchange choosing
-// gob (so the script needs no frame codec) with a staleness window in the
-// ack, then hands each registered connection to the test, which decides
-// exactly which steps arrive when.
+// binaryv1 with a staleness window in the ack, then hands each registered
+// connection to the test, which decides exactly which steps arrive when.
 type fakeMaster struct {
 	ln        net.Listener
 	staleness int
@@ -150,10 +143,9 @@ type fakeMaster struct {
 
 type fakeConn struct {
 	t     *testing.T
+	c     *conn
 	raw   net.Conn
-	enc   *gob.Encoder
-	dec   *gob.Decoder
-	hello Envelope
+	hello *Envelope
 }
 
 func newFakeMaster(t *testing.T, staleness int) *fakeMaster {
@@ -171,15 +163,16 @@ func newFakeMaster(t *testing.T, staleness int) *fakeMaster {
 				close(f.conns)
 				return
 			}
-			c := &fakeConn{t: t, raw: raw, enc: gob.NewEncoder(raw), dec: gob.NewDecoder(raw)}
-			if c.dec.Decode(&c.hello) != nil || c.hello.Kind != MsgHello {
+			c := &fakeConn{t: t, c: newConn(raw, 0, nil), raw: raw}
+			if c.hello, err = c.c.recv(); err != nil || c.hello.Kind != MsgHello {
 				raw.Close()
 				continue
 			}
-			if c.enc.Encode(&Envelope{Kind: MsgHello, Staleness: f.staleness}) != nil {
+			if c.c.send(&Envelope{Kind: MsgHello, Wire: WireBinary, Staleness: f.staleness}) != nil {
 				raw.Close()
 				continue
 			}
+			c.c.upgrade(false)
 			f.conns <- c
 		}
 	}()
@@ -203,7 +196,7 @@ func (f *fakeMaster) accept(t *testing.T) *fakeConn {
 
 func (c *fakeConn) send(e *Envelope) {
 	c.t.Helper()
-	if err := c.enc.Encode(e); err != nil {
+	if err := c.c.send(e); err != nil {
 		c.t.Fatalf("fake master send %s: %v", e.Kind, err)
 	}
 }
@@ -221,12 +214,12 @@ func (c *fakeConn) gradient() *Envelope {
 	c.t.Helper()
 	_ = c.raw.SetReadDeadline(time.Now().Add(10 * time.Second))
 	for {
-		var e Envelope
-		if err := c.dec.Decode(&e); err != nil {
+		e, err := c.c.recv()
+		if err != nil {
 			c.t.Fatalf("fake master: no gradient: %v", err)
 		}
 		if e.Kind == MsgGradient {
-			return &e
+			return e
 		}
 	}
 }
@@ -396,32 +389,17 @@ func TestAbandonedDelaySpanIsShortened(t *testing.T) {
 	waitReturn(t, done, "MsgStop")
 }
 
-// TestShutdownSignalsInterruptDelay: MsgJobGone and Worker.Stop() must cut
-// an in-progress delay short, not wait it out (MsgStop is covered by
+// TestShutdownSignalsInterruptDelay: Worker.Stop() must cut an in-progress
+// delay short, not wait it out (MsgStop is covered by
 // TestIgnoredStragglerAbandonsEveryStep against a real master).
 func TestShutdownSignalsInterruptDelay(t *testing.T) {
-	asleep := func(t *testing.T) (*Worker, *fakeConn, <-chan struct{}) {
+	t.Run("Stop", func(t *testing.T) {
 		f := newFakeMaster(t, 0)
 		w, c, params := fakeWorker(t, f, func(cfg *WorkerConfig) {
 			cfg.Delay = straggler.Constant{D: time.Hour}
 		})
 		done := runAsync(t, w)
 		c.steps(params, 0)
-		return w, c, done
-	}
-	t.Run("job gone", func(t *testing.T) {
-		w, c, done := asleep(t)
-		c.send(&Envelope{Kind: MsgJobGone})
-		waitReturn(t, done, "MsgJobGone")
-		if !w.JobGone() {
-			t.Error("JobGone not latched")
-		}
-		if got := w.Health().Abandoned; got != 1 {
-			t.Errorf("abandoned = %d, want 1 (the step job-gone made moot)", got)
-		}
-	})
-	t.Run("Stop", func(t *testing.T) {
-		w, _, done := asleep(t)
 		w.Stop()
 		waitReturn(t, done, "Stop()")
 	})
@@ -836,7 +814,7 @@ func TestHelloAckCarriesStaleness(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := newConn(raw, 0, nil)
-		_, ack, err := clientHello(c, 0, 0, WireBinary, 1)
+		ack, err := clientHello(c, 0, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,10 @@
-// The binary wire codec: a versioned, length-prefixed frame format for the
-// gradient/params hot path. gob re-transmits type metadata, boxes every
-// float64, and allocates per message; at 2^16-dim gradients that overhead
-// dominates the master's gather (the paper's per-iteration completion time,
-// Fig. 12). A frame here is a fixed 36-byte little-endian header followed
-// by raw IEEE-754 float64 payload words: no reflection, no per-value framing.
+// The binary wire codec: a versioned, length-prefixed frame format, the one
+// codec every registered connection speaks after the hello. gob, which the
+// hello still uses, re-transmits type metadata, boxes every float64, and
+// allocates per message; at 2^16-dim gradients that overhead would dominate
+// the master's gather (the paper's per-iteration completion time, Fig. 12).
+// A frame here is a fixed 36-byte little-endian header followed by raw
+// IEEE-754 float64 payload words: no reflection, no per-value framing.
 //
 // On a little-endian host those payload bytes are the vector's own memory,
 // and the connection path never copies them: float64Bytes views a []float64
@@ -450,7 +451,7 @@ type payloadSink func(fh frameHeader) []float64
 
 // vecPool is a bounded free list of dim-long vectors, a payloadSink's stock:
 // a vector comes back once nothing reads or writes it; what does not fit, or
-// never comes back, is the GC's. A nil free recycles nothing.
+// never comes back, is the GC's.
 type vecPool struct {
 	dim  int
 	free chan []float64

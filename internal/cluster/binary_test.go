@@ -10,16 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
-
-	"isgc/internal/dataset"
-	"isgc/internal/engine"
-	"isgc/internal/isgc"
-	"isgc/internal/metrics"
-	"isgc/internal/model"
-	"isgc/internal/placement"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden wire fixtures in testdata/")
@@ -283,12 +274,12 @@ func TestConnBinaryUpgradeRoundTrip(t *testing.T) {
 		done <- b.send(&Envelope{Kind: MsgStep, Step: 1, Params: []float64{9, 8}})
 	}()
 
-	wire, _, err := clientHello(a, 4, 0, WireBinary, 1)
+	ack, err := clientHello(a, 4, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wire != WireBinary {
-		t.Fatalf("negotiated %q", wire)
+	if ack.Wire != WireBinary {
+		t.Fatalf("negotiated %q", ack.Wire)
 	}
 	if err := a.send(&Envelope{Kind: MsgGradient, Worker: 4, Step: 0, Coded: []float64{1, 2, -0.5}}); err != nil {
 		t.Fatal(err)
@@ -302,124 +293,5 @@ func TestConnBinaryUpgradeRoundTrip(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
-	}
-}
-
-// runWireCluster trains a small IS-GC cluster where the master and each
-// worker are pinned to the given codecs, and returns the result plus the
-// master's wire-connection counts per codec.
-func runWireCluster(t *testing.T, masterWire string, workerWires []string) (*engine.Result, map[string]uint64) {
-	t.Helper()
-	p, err := placement.CR(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := engine.NewISGC(isgc.New(p, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdl := model.SoftmaxRegression{Features: 6, Classes: 3}
-	data := testData(t)
-
-	reg := metrics.NewRegistry()
-	mm := NewMasterMetrics(reg)
-	master, err := NewMaster(MasterConfig{
-		Addr: "127.0.0.1:0", Strategy: st, Model: mdl, Data: data,
-		LearningRate: 0.3, W: 4, MaxSteps: 8, Seed: 42,
-		AcceptTimeout: 10 * time.Second, Wire: masterWire, Metrics: mm,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := data.Partition(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pids := st.Partitions(i)
-			loaders := make([]*dataset.Loader, len(pids))
-			for j, d := range pids {
-				var err error
-				loaders[j], err = dataset.NewLoader(parts[d], 16, 42+int64(d)*7919)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			wk, err := NewWorker(WorkerConfig{
-				Addr: master.Addr(), ID: i, Partitions: pids, Loaders: loaders,
-				Model: mdl, Encode: SumEncoder(), Wire: workerWires[i],
-				DelaySeed: int64(i) + 1,
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := wk.Run(); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	res, err := master.Run()
-	if err != nil {
-		t.Fatalf("master: %v", err)
-	}
-	wg.Wait()
-
-	counts := map[string]uint64{
-		WireGob:    mm.WireConnections.With(WireGob).Value(),
-		WireBinary: mm.WireConnections.With(WireBinary).Value(),
-	}
-	return res, counts
-}
-
-// TestBinaryMasterAcceptsGobWorker is the interop satellite: a binary-
-// default master must train a gob-pinned worker fleet end to end on the
-// legacy stream — a gob worker sends exactly the pre-negotiation hello, so
-// this also covers old binaries joining a new master.
-func TestBinaryMasterAcceptsGobWorker(t *testing.T) {
-	res, counts := runWireCluster(t, WireBinary,
-		[]string{WireGob, WireGob, WireGob, WireGob})
-	if res.Run.Steps() != 8 {
-		t.Fatalf("steps = %d", res.Run.Steps())
-	}
-	if counts[WireGob] != 4 || counts[WireBinary] != 0 {
-		t.Fatalf("wire counts = %v, want 4 gob connections", counts)
-	}
-}
-
-// TestMixedWireFleet: gob and binary workers coexist on one master, each
-// connection on its negotiated codec, and training is unaffected.
-func TestMixedWireFleet(t *testing.T) {
-	res, counts := runWireCluster(t, WireBinary,
-		[]string{WireGob, WireBinary, WireGob, WireBinary})
-	if res.Run.Steps() != 8 {
-		t.Fatalf("steps = %d", res.Run.Steps())
-	}
-	if counts[WireGob] != 2 || counts[WireBinary] != 2 {
-		t.Fatalf("wire counts = %v, want 2 gob + 2 binary", counts)
-	}
-	for _, rec := range res.Run.Records {
-		if rec.RecoveredFraction != 1.0 {
-			t.Fatalf("step %d recovered %v with full fleet", rec.Step, rec.RecoveredFraction)
-		}
-	}
-}
-
-// TestGobMasterRefusesUpgrade: a gob-pinned master (-wire=gob) answers the
-// upgrade proposal with gob, and binary-preferring workers fall back.
-func TestGobMasterRefusesUpgrade(t *testing.T) {
-	res, counts := runWireCluster(t, WireGob,
-		[]string{WireBinary, WireBinary, WireBinary, WireBinary})
-	if res.Run.Steps() != 8 {
-		t.Fatalf("steps = %d", res.Run.Steps())
-	}
-	if counts[WireGob] != 4 || counts[WireBinary] != 0 {
-		t.Fatalf("wire counts = %v, want 4 gob after refusal", counts)
 	}
 }

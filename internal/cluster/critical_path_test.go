@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/gob"
 	"net"
 	"reflect"
 	"testing"
@@ -124,11 +123,11 @@ func (s *sinkConn) SetWriteDeadline(time.Time) error { return nil }
 func (s *sinkConn) Close() error                     { return nil }
 
 // TestBroadcastEncodesOncePerFlavour drives Master.broadcast over a mixed
-// fleet — two gob, two binaryv1 and two binaryv2 connections. Every
-// connection must receive exactly the bytes its codec's reference encoder
-// produces for the envelope; the header is built once per binary flavour,
-// not once per worker (the payload is never encoded at all); and a
-// steady-state broadcast allocates nothing.
+// fleet — two binaryv1 and two binaryv2 connections. Every connection must
+// receive exactly the bytes its flavour's reference encoder produces for the
+// envelope; the header is built once per flavour, not once per worker (the
+// payload is never encoded at all); and a steady-state broadcast allocates
+// nothing.
 func TestBroadcastEncodesOncePerFlavour(t *testing.T) {
 	m, err := NewMaster(MasterConfig{Addr: "127.0.0.1:0", Strategy: freshISGC(t, 6, 2, 7),
 		Model: model.SoftmaxRegression{Features: 6, Classes: 3}, Data: testData(t), LearningRate: 0.3, MaxSteps: 1})
@@ -137,25 +136,16 @@ func TestBroadcastEncodesOncePerFlavour(t *testing.T) {
 	}
 	defer m.ln.Close()
 
-	wires := []string{WireGob, WireBinary, WireBinary2, WireGob, WireBinary, WireBinary2}
+	wires := []string{WireBinary, WireBinary2, WireBinary, WireBinary2}
 	sinks := make([]*sinkConn, len(wires))
 	m.workers = make([]*workerState, len(wires))
 	for i, wire := range wires {
 		sinks[i] = &sinkConn{}
 		c := newConn(sinks[i], defaultWriteTimeout, nil)
-		switch wire {
-		case WireBinary:
-			c.upgrade(false)
-		case WireBinary2:
-			c.upgrade(true)
-		}
+		c.upgrade(wire == WireBinary2)
 		m.workers[i] = &workerState{c: c, alive: true}
 	}
 
-	// One gob encoder plays the reference for both gob connections: each
-	// saw the same message sequence, so each holds the same stream.
-	var gobRef bytes.Buffer
-	gobEnc := gob.NewEncoder(&gobRef)
 	params := make([]float64, 257)
 	for i := range params {
 		params[i] = float64(i) * 0.25
@@ -173,16 +163,12 @@ func TestBroadcastEncodesOncePerFlavour(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gobRef.Reset()
-		if err := gobEnc.Encode(e); err != nil {
-			t.Fatal(err)
-		}
-		want := map[string][]byte{WireGob: gobRef.Bytes(), WireBinary: v1, WireBinary2: v2}
+		want := map[string][]byte{WireBinary: v1, WireBinary2: v2}
 
 		before := m.bcastFrames.encodes
 		m.broadcast(e)
 		if got := m.bcastFrames.encodes - before; got != 2 {
-			t.Errorf("%s step %d: %d header builds for 2+2 binary connections, want one per flavour", e.Kind, e.Step, got)
+			t.Errorf("%s step %d: %d header builds for 2+2 connections, want one per flavour", e.Kind, e.Step, got)
 		}
 		for i, wire := range wires {
 			if !bytes.Equal(sinks[i].buf.Bytes(), want[wire]) {
@@ -196,15 +182,9 @@ func TestBroadcastEncodesOncePerFlavour(t *testing.T) {
 	if raceEnabled {
 		return // allocation counts are not meaningful under -race
 	}
-	// gob allocates per message by design; the binary fleet must not.
-	var binary []*workerState
-	for i, wire := range wires {
-		if wire != WireGob {
-			sinks[i].discard = true
-			binary = append(binary, m.workers[i])
-		}
+	for _, s := range sinks {
+		s.discard = true
 	}
-	m.workers = binary
 	e := &Envelope{Kind: MsgStep, Step: 5, Params: params}
 	m.broadcast(e) // warm the connection snapshot
 	if avg := testing.AllocsPerRun(100, func() { m.broadcast(e) }); avg != 0 {

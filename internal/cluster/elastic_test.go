@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"net"
 	"reflect"
 	"sync"
@@ -123,10 +122,9 @@ func TestJobGoneEndsReconnectEarly(t *testing.T) {
 	}
 	defer ln.Close()
 
-	// Fake master: the first connection completes the handshake (gob is
-	// chosen, so no upgrade framing is needed) and is then dropped, as if
-	// the master died; every later connection is answered with MsgJobGone,
-	// exactly what a control-plane tombstone does.
+	// Fake master: the first connection completes the handshake and is then
+	// dropped, as if the master died; every later hello is answered with
+	// MsgJobGone, exactly what a control-plane tombstone does.
 	var conns atomic.Int64
 	go func() {
 		for {
@@ -136,20 +134,18 @@ func TestJobGoneEndsReconnectEarly(t *testing.T) {
 			}
 			n := conns.Add(1)
 			go func(raw net.Conn, n int64) {
-				defer raw.Close()
-				dec := gob.NewDecoder(raw)
-				var hello Envelope
-				if dec.Decode(&hello) != nil || hello.Kind != MsgHello {
+				c := newConn(raw, 0, nil)
+				defer c.close()
+				if hello, err := c.recv(); err != nil || hello.Kind != MsgHello {
 					return
 				}
-				enc := gob.NewEncoder(raw)
 				if n == 1 {
-					// Choose gob (empty Wire in the ack), serve nothing, die.
-					_ = enc.Encode(&Envelope{Kind: MsgHello})
+					// Ack binaryv1, serve nothing, die.
+					_ = c.send(&Envelope{Kind: MsgHello, Wire: WireBinary})
 					time.Sleep(50 * time.Millisecond)
 					return
 				}
-				_ = enc.Encode(&Envelope{Kind: MsgJobGone})
+				_ = c.send(&Envelope{Kind: MsgJobGone})
 			}(raw, n)
 		}
 	}()

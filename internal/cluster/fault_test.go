@@ -374,17 +374,6 @@ func TestLivenessTimeoutReapsSilentWorker(t *testing.T) {
 		_, _ = wk.Run()
 	}()
 
-	// Worker 1 registers and then hangs: open socket, no traffic at all.
-	raw, err := net.Dial("tcp", master.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	silent := newConn(raw, 0, nil)
-	if err := silent.send(&Envelope{Kind: MsgHello, Worker: 1}); err != nil {
-		t.Fatal(err)
-	}
-
 	done := make(chan struct{})
 	var res *engine.Result
 	var runErr error
@@ -392,6 +381,16 @@ func TestLivenessTimeoutReapsSilentWorker(t *testing.T) {
 		defer close(done)
 		res, runErr = master.Run()
 	}()
+
+	// Worker 1 registers and then hangs: open socket, no traffic at all.
+	raw, err := net.Dial("tcp", master.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := clientHello(newConn(raw, 0, nil), 1, 0, 1); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
@@ -446,7 +445,7 @@ func TestMasterRejectsMalformedGradient(t *testing.T) {
 	}
 	defer raw.Close()
 	c := newConn(raw, 0, nil)
-	if err := c.send(&Envelope{Kind: MsgHello, Worker: 0}); err != nil {
+	if _, err := clientHello(c, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	step, err := c.recv()

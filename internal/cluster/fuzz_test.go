@@ -1,24 +1,27 @@
 package cluster
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// FuzzDecodeMessage hammers the wire-decode choke point with adversarial
-// bytes: whatever arrives on a socket, decoding must return an envelope or
-// an error — never panic the master. Seeds cover every message kind plus
-// truncations and flipped bytes of valid encodings.
+// FuzzDecodeMessage hammers the gob decode choke point with adversarial
+// bytes: whatever arrives on a socket during registration, decoding must
+// return an envelope or an error — never panic the master. Seeds are the gob
+// traffic that exists — hello proposals (v1, v2 with lanes, a lane attach,
+// the refused bare and gob ones), hello acks, job-gone — plus truncations and
+// flipped bytes of each.
 func FuzzDecodeMessage(f *testing.F) {
 	seeds := []*Envelope{
-		{Kind: MsgHello, Worker: 3},
-		{Kind: MsgHello, Worker: 2, Step: 17},
-		{Kind: MsgStep, Step: 5, Params: []float64{1.5, -2.25, 0}},
-		{Kind: MsgGradient, Worker: 1, Step: 9, Coded: []float64{0.25, 3}},
-		{Kind: MsgGradient, Worker: 4, Step: 2, Coded: []float64{1},
-			ComputeStartUnixNano: 1_700_000_000_000_000_000, ComputeDurNanos: 12_345_678},
-		{Kind: MsgHeartbeat, Worker: 0},
-		{Kind: MsgStop},
+		{Kind: MsgHello, Worker: 3, Wire: WireBinary},
+		{Kind: MsgHello, Worker: 2, Step: 17, Wire: WireBinary2, Shards: 4},
+		{Kind: MsgHello, Worker: 2, Wire: WireBinary2, Shard: 3, Gen: 1},
+		{Kind: MsgHello, Worker: 1},
+		{Kind: MsgHello, Worker: 1, Wire: "gob"},
+		{Kind: MsgHello, Worker: 3, Wire: WireBinary, Gen: 2, Staleness: 1},
+		{Kind: MsgHello, Worker: 2, Wire: WireBinary2, Shards: 4, Gen: 1, Staleness: 2},
+		{Kind: MsgJobGone},
 	}
 	for _, e := range seeds {
 		data, err := EncodeMessage(e)
@@ -29,7 +32,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		// Truncations exercise mid-stream EOF handling.
 		f.Add(data[:len(data)/2])
 		f.Add(data[:1])
-		// A flipped byte in the gob type descriptor or payload.
+		// A flipped byte in the gob type descriptor or value.
 		corrupt := append([]byte(nil), data...)
 		corrupt[len(corrupt)/2] ^= 0xff
 		f.Add(corrupt)
@@ -45,7 +48,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		// Whatever decodes successfully must satisfy the structural
 		// invariants the runtime relies on downstream.
 		switch e.Kind {
-		case MsgHello, MsgStep, MsgGradient, MsgHeartbeat, MsgStop:
+		case MsgHello, MsgStep, MsgGradient, MsgHeartbeat, MsgStop, MsgJobGone:
 		default:
 			t.Fatalf("decoded envelope with unvalidated kind %q", e.Kind)
 		}
@@ -57,6 +60,10 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		if e.ComputeStartUnixNano < 0 || e.ComputeDurNanos < 0 {
 			t.Fatalf("decoded envelope with negative compute timing: %+v", e)
+		}
+		if len(e.Wire) > maxWireNameLen || e.Gen < 0 || e.Staleness < 0 ||
+			e.Shards < 0 || e.Shards > maxGatherShards || e.Shard < 0 || e.Shard >= maxGatherShards {
+			t.Fatalf("decoded envelope with out-of-range negotiation fields: %+v", e)
 		}
 	})
 }
@@ -191,8 +198,7 @@ func FuzzDecodeSubFrame(f *testing.F) {
 }
 
 func TestDecodeMessageRoundTrip(t *testing.T) {
-	want := &Envelope{Kind: MsgGradient, Worker: 2, Step: 11, Coded: []float64{1, 2, 3},
-		ComputeStartUnixNano: 1_700_000_000_000_000_000, ComputeDurNanos: 42_000_000}
+	want := &Envelope{Kind: MsgHello, Worker: 2, Wire: WireBinary2, Gen: 3, Shards: 4, Staleness: 1}
 	data, err := EncodeMessage(want)
 	if err != nil {
 		t.Fatal(err)
@@ -201,11 +207,8 @@ func TestDecodeMessageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Kind != want.Kind || got.Worker != want.Worker || got.Step != want.Step || len(got.Coded) != 3 {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if got.ComputeStartUnixNano != want.ComputeStartUnixNano || got.ComputeDurNanos != want.ComputeDurNanos {
-		t.Fatalf("compute timing lost in round trip: %+v", got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -19,10 +19,9 @@ type endKind int
 
 const (
 	endNone endKind = iota
-	// endStop and endJobGone are the master's word that the run is over:
-	// every step still queued or in progress is abandoned.
+	// endStop is the master's word that the run is over: every step still
+	// queued or in progress is abandoned.
 	endStop
-	endJobGone
 	// endCrash and endDisconnect are injected faults rolled on a received
 	// step; endConnLost is a failed recv (remote close, Stop(), a genuine
 	// error). None of the three abandons anything: the worker dies, or the
@@ -46,8 +45,8 @@ const (
 // superseded once a step s > t+staleness has arrived on the same connection,
 // and the mailbox keeps only steps that are not — one slot in sync mode
 // (staleness 0), at most staleness+1 when the master folds late gradients.
-// The reader's exit reason rides the same mailbox so stop, job-gone, faults
-// and connection loss interrupt a wait exactly as a newer step does.
+// The reader's exit reason rides the same mailbox so stop, faults and
+// connection loss interrupt a wait exactly as a newer step does.
 //
 // A mailbox lives as long as its connection: step numbers are only monotone
 // per connection (a restored master replays earlier steps), so a rejoin
@@ -71,16 +70,12 @@ type mailbox struct {
 }
 
 // newMailbox returns the mailbox of a connection whose steps carry dim-long
-// params; dim 0 (gob allocates per message) recycles nothing.
+// params.
 func newMailbox(staleness, dim int) *mailbox {
-	mb := &mailbox{staleness: staleness, newest: -1,
-		wake: make(chan struct{}, 1), done: make(chan struct{})}
-	mb.vecs.dim = dim
-	if dim > 0 {
+	return &mailbox{staleness: staleness, newest: -1,
+		wake: make(chan struct{}, 1), done: make(chan struct{}),
 		// One being read into, ≤ staleness+1 queued, one computed on.
-		mb.vecs.free = make(chan []float64, staleness+2)
-	}
-	return mb
+		vecs: vecPool{dim: dim, free: make(chan []float64, staleness+2)}}
 }
 
 func (mb *mailbox) poke() {
@@ -117,13 +112,13 @@ func (mb *mailbox) put(st stepWork) []int {
 	return evicted
 }
 
-// finish records why the reader stopped. A stop or job-gone abandons what is
-// still queued and returns those step numbers.
+// finish records why the reader stopped. A stop abandons what is still
+// queued and returns those step numbers.
 func (mb *mailbox) finish(kind endKind, step int) []int {
 	mb.mu.Lock()
 	mb.end, mb.endStep = kind, step
 	var evicted []int
-	if kind == endStop || kind == endJobGone {
+	if kind == endStop {
 		for _, q := range mb.steps {
 			evicted = append(evicted, q.step)
 		}
@@ -158,13 +153,13 @@ func (mb *mailbox) next() (st stepWork, end endKind, endStep int) {
 }
 
 // check reports whether an in-progress step is still worth finishing, and —
-// when it is not — whether that counts as an abandonment (a newer step, stop
-// or job-gone) rather than an interruption the master will re-deliver.
+// when it is not — whether that counts as an abandonment (a newer step or
+// stop) rather than an interruption the master will re-deliver.
 func (mb *mailbox) check(step int) (live, abandoned bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	switch {
-	case mb.end == endStop || mb.end == endJobGone:
+	case mb.end == endStop:
 		return false, true
 	case mb.end != endNone:
 		return false, false

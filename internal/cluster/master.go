@@ -86,11 +86,6 @@ type MasterConfig struct {
 	// Repairs and fallbacks land on the isgc_master_decode_repairs/
 	// fallbacks counters.
 	IncrementalDecode bool
-	// Wire selects the wire codec policy: WireBinary (or empty, the
-	// default) upgrades every worker that proposes the binary codec in
-	// its hello and keeps gob for the rest; WireGob pins every connection
-	// to gob (the ack then tells upgrading workers to stay on gob).
-	Wire string
 	// GatherShards caps how many parallel gather lanes a worker proposing
 	// the binaryv2 codec may open (1..16). 0 accepts the worker's proposal
 	// up to the protocol maximum; 1 negotiates sharding workers down to a
@@ -369,11 +364,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 			cfg.PermanentAfter = 30 * time.Second
 		}
 	}
-	wire, err := ParseWire(cfg.Wire)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Wire = wire
 	if cfg.GatherShards < 0 || cfg.GatherShards > maxGatherShards {
 		return nil, fmt.Errorf("cluster: need 0 ≤ GatherShards ≤ %d, got %d", maxGatherShards, cfg.GatherShards)
 	}
@@ -632,15 +622,17 @@ func (m *Master) acceptLoop(readers *sync.WaitGroup) {
 }
 
 // handshake validates a MsgHello and registers (or re-registers) the
-// worker. Invalid or duplicate registrations close the connection but keep
-// the cluster running — a reborn worker must not be able to kill the
-// master, and neither must a stranger.
+// worker. Invalid or duplicate registrations, and hellos that propose no
+// frame flavour, close the connection but keep the cluster running — a
+// reborn worker must not be able to kill the master, and neither must a
+// stranger.
 func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 	n := m.cfg.Strategy.N()
 	c := newConn(raw, m.cfg.WriteTimeout, m.cfg.Metrics.sentCounter())
 	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
 	hello, err := c.recv()
-	if err != nil || hello.Kind != MsgHello || hello.Worker < 0 || hello.Worker >= n {
+	if err != nil || hello.Kind != MsgHello || hello.Worker < 0 || hello.Worker >= n ||
+		(hello.Wire != WireBinary && hello.Wire != WireBinary2) {
 		_ = c.close()
 		return
 	}
@@ -669,62 +661,49 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 	}
 
 	// Codec negotiation, completed before the connection becomes visible
-	// to broadcasts and readers so no message can straddle the switch. A
-	// worker that proposed an upgrade gets a gob hello ack naming the
-	// chosen codec; a pre-negotiation hello (empty Wire) gets no ack and
-	// stays on gob — exactly the legacy exchange. A binaryv2 proposal
+	// to broadcasts and readers so no message can straddle the switch: a
+	// gob hello ack names the chosen frame flavour. A binaryv2 proposal
 	// carries the worker's desired lane count; the ack answers with the
 	// granted one (possibly negotiated down to a single binaryv1 stream).
-	wire := WireGob
+	wire := WireBinary
 	shards := 1
-	var asm *shardAssembler
-	if hello.Wire != "" {
-		switch {
-		case hello.Wire == WireBinary2 && m.cfg.Wire != WireGob:
-			shards = grantShards(hello.Shards, m.cfg.GatherShards)
-			if shards > 1 {
-				wire = WireBinary2
-			} else {
-				wire = WireBinary
-			}
-		case hello.Wire == WireBinary && m.cfg.Wire != WireGob:
-			wire = WireBinary
-		}
-		m.mu.Lock()
-		masterGen := m.generation
-		m.mu.Unlock()
-		// The ack carries the master's run generation so a resuming worker
-		// learns it is talking to a restored (or failed-over) master, and the
-		// staleness window so the worker knows how long a step stays usable.
-		ack := &Envelope{Kind: MsgHello, Worker: id, Wire: wire, Gen: masterGen, Staleness: m.cfg.Staleness}
-		if wire == WireBinary2 {
-			ack.Shards = shards
-		}
-		if err := c.send(ack); err != nil {
-			_ = c.close()
-			return
-		}
-		switch wire {
-		case WireBinary2:
-			// Every gradient on a v2 connection is a sub-frame: its payload
-			// is read straight into the shard assembler's gather buffer.
-			asm = m.newShardAssembler(id)
-			c.sink = asm.reserve
-			c.upgrade(true)
-		case WireBinary:
-			c.sink = m.gradientSink(id)
-			c.upgrade(false)
+	if hello.Wire == WireBinary2 {
+		if shards = grantShards(hello.Shards, m.cfg.GatherShards); shards > 1 {
+			wire = WireBinary2
 		}
 	}
+	m.mu.Lock()
+	masterGen := m.generation
+	m.mu.Unlock()
+	// The ack carries the master's run generation so a resuming worker
+	// learns it is talking to a restored (or failed-over) master, and the
+	// staleness window so the worker knows how long a step stays usable.
+	ack := &Envelope{Kind: MsgHello, Worker: id, Wire: wire, Gen: masterGen, Staleness: m.cfg.Staleness}
+	if wire == WireBinary2 {
+		ack.Shards = shards
+	}
+	if err := c.send(ack); err != nil {
+		_ = c.close()
+		return
+	}
+	var asm *shardAssembler
+	if wire == WireBinary2 {
+		// Every gradient on a v2 connection is a sub-frame: its payload is
+		// read straight into the shard assembler's gather buffer.
+		asm = m.newShardAssembler(id)
+		c.sink = asm.reserve
+	} else {
+		c.sink = m.gradientSink(id)
+	}
+	c.upgrade(wire == WireBinary2)
 	m.cfg.Metrics.markWire(wire)
 
 	m.mu.Lock()
 	if m.done {
+		// The master finished during the exchange and the connection speaks
+		// frames now, which have no job-gone type: close it. The worker's
+		// redial meets the pre-negotiation reject above.
 		m.mu.Unlock()
-		// Terminal reject: this master will never run another step, so a
-		// reconnecting worker must stop burning its redial budget. Sent
-		// best-effort in gob (the connection never upgraded).
-		_ = c.send(&Envelope{Kind: MsgJobGone})
 		_ = c.close()
 		return
 	}
@@ -842,13 +821,7 @@ func (m *Master) readFrom(id, gen int, c *conn, asm *shardAssembler, lane bool, 
 // registration's shard assembler (nil when unsharded) and forward with the
 // last span. Returns false when the master is shutting down.
 func (m *Master) deliverGradient(id int, asm *shardAssembler, e *Envelope) bool {
-	if e.Total > 0 {
-		if asm == nil {
-			// Sub-frame geometry on an unsharded registration: only a gob
-			// peer can send it, and nothing reserved a span for it.
-			m.malformedGradient(e.Step, id, len(e.Coded))
-			return true
-		}
+	if asm != nil { // every gradient of a sharded registration is a sub-frame
 		m.cfg.Metrics.markSubFrames(1)
 		full, ok := asm.commit(e)
 		if !ok {
@@ -1508,8 +1481,8 @@ type bcastTarget struct {
 // its connection's own send lock and write timeout, so one stalled socket
 // can neither wedge registration/shutdown paths nor stall the other workers;
 // a failed send evicts the connection (its reader marks the worker dead).
-// Binary connections all write the same bytes: e is encoded once per frame
-// flavour, not once per worker.
+// Connections of one frame flavour all write the same bytes: e is encoded
+// once per flavour, not once per worker.
 func (m *Master) broadcast(e *Envelope) {
 	m.mu.Lock()
 	conns := m.bcastConns[:0]

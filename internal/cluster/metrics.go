@@ -49,8 +49,8 @@ type MasterMetrics struct {
 	AcceptedGradients *metrics.CounterVec
 	// WorkerAlive is 1/0 per worker id.
 	WorkerAlive *metrics.GaugeVec
-	// WireConnections counts accepted registrations per negotiated codec
-	// — the operator's view of which workers still speak legacy gob.
+	// WireConnections counts accepted registrations per negotiated frame
+	// flavour — the operator's view of which workers upload over lanes.
 	WireConnections *metrics.CounterVec
 	// DecodeCacheHits and DecodeCacheMisses count availability-mask LRU
 	// outcomes (zero unless MasterConfig.DecodeCache is enabled).
@@ -294,7 +294,7 @@ type WorkerMetrics struct {
 	// ComputeShards is the size of the worker's gradient compute pool.
 	ComputeShards *metrics.Gauge
 	// GatherLanes is the number of parallel gather streams negotiated on
-	// the current registration (1 on v1/gob connections).
+	// the current registration (1 on binaryv1 connections).
 	GatherLanes *metrics.Gauge
 	// SubFrames counts gradient sub-frames sent across all lanes (zero
 	// on unsharded connections).

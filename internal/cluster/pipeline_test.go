@@ -48,7 +48,7 @@ func runStrategyCluster(t *testing.T, st engine.Strategy, shapeMaster func(*Mast
 	mcfg := MasterConfig{
 		Addr: "127.0.0.1:0", Strategy: st, Model: mdl, Data: data,
 		LearningRate: 0.3, W: 4, MaxSteps: 8, Seed: 42,
-		AcceptTimeout: 10 * time.Second, Wire: WireBinary, Metrics: mm,
+		AcceptTimeout: 10 * time.Second, Metrics: mm,
 	}
 	if shapeMaster != nil {
 		shapeMaster(&mcfg)
@@ -80,7 +80,7 @@ func runStrategyCluster(t *testing.T, st engine.Strategy, shapeMaster func(*Mast
 			}
 			wcfg := WorkerConfig{
 				Addr: master.Addr(), ID: i, Partitions: pids, Loaders: loaders,
-				Model: mdl, Encode: SumEncoder(), Wire: WireBinary,
+				Model: mdl, Encode: SumEncoder(),
 				DelaySeed: int64(i) + 1, Events: wlog,
 			}
 			if shapeWorker != nil {
@@ -182,9 +182,9 @@ func TestShardedGatherEquivalence(t *testing.T) {
 }
 
 // TestMixedFleetShardInterop runs a deliberately heterogeneous fleet
-// against one binaryv2-capable master: a 4-lane binaryv2 worker, a plain
-// binaryv1 worker, and a legacy gob worker must train together and land on
-// the same math as a uniform fleet.
+// against one binaryv2-capable master: 4-lane and 2-lane binaryv2 workers
+// and plain binaryv1 workers must train together and land on the same math
+// as a uniform fleet.
 func TestMixedFleetShardInterop(t *testing.T) {
 	base, _ := runShapedCluster(t, nil, nil)
 	normalizeRun(base)
@@ -194,10 +194,8 @@ func TestMixedFleetShardInterop(t *testing.T) {
 			c.GatherShards = 4 // binaryv2, 4 lanes
 		case 1:
 			c.GatherShards = 2 // binaryv2, 2 lanes
-		case 2:
-			c.Wire = WireGob // legacy stream
 		default:
-			// worker 3: plain binaryv1, single stream
+			// workers 2 and 3: plain binaryv1, single stream
 		}
 	})
 	normalizeRun(res)
@@ -207,8 +205,8 @@ func TestMixedFleetShardInterop(t *testing.T) {
 	if !reflect.DeepEqual(base.Params, res.Params) {
 		t.Fatal("mixed fleet produced different final parameters")
 	}
-	if got := mm.WireConnections.With(WireGob).Value(); got != 1 {
-		t.Fatalf("gob connections = %d, want 1", got)
+	if v1, v2 := mm.WireConnections.With(WireBinary).Value(), mm.WireConnections.With(WireBinary2).Value(); v1 != 2 || v2 != 2 {
+		t.Fatalf("binaryv1/binaryv2 connections = %d/%d, want 2/2", v1, v2)
 	}
 	if lanes := mm.ShardLanes.Value(); lanes != 3+1 {
 		t.Fatalf("shard lanes = %d, want 4 (3 from worker 0, 1 from worker 1)", lanes)

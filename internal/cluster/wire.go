@@ -5,13 +5,12 @@
 // gathers the fastest w (the ray.wait(w) equivalent), decodes with the
 // configured strategy, updates the parameters, and broadcasts them.
 //
-// Two codecs share one connection model. Registration always speaks gob —
-// the low-rate control exchange where self-describing encoding is cheap and
-// backward compatibility matters — and the hello exchange negotiates the
-// codec for everything after it: by default both sides upgrade to the
-// compact binary frame format of binary.go for the params/gradient hot
-// path, and a gob-only peer (an old worker, or -wire=gob) simply never
-// proposes the upgrade and keeps the legacy gob stream end to end.
+// Registration speaks gob — the low-rate control exchange where
+// self-describing encoding is cheap and backward compatibility matters: the
+// worker's hello proposes a binary frame flavour (binary.go, or subframe.go
+// for sharded uploads), the master's ack names the one chosen, and both
+// sides switch. After the hello, every registered connection speaks frames
+// only; a hello without a proposal is refused.
 //
 // Unlike the in-process engine, real workers do not just slow down — they
 // die. The runtime therefore layers fault tolerance on top of the paper's
@@ -65,28 +64,24 @@ const (
 	// this worker belongs to. A worker that receives it stops its
 	// reconnect loop immediately instead of burning the redial budget —
 	// fleet workers return to the control plane's pool. Rides only in gob
-	// messages (the registration phase), like the hello exchange.
+	// messages (the registration phase), like the hello exchange: frames
+	// have no type for it.
 	MsgJobGone = "job_gone"
 )
 
-// Wire codec names, as negotiated in the hello exchange and accepted by the
-// -wire CLI flag (and the Wire fields of MasterConfig/WorkerConfig).
+// Wire codec names, as negotiated in the hello exchange.
 const (
-	// WireGob keeps the legacy gob stream for every message.
-	WireGob = "gob"
 	// WireBinary upgrades the connection to the binary frame codec of
 	// binary.go after the hello exchange. The version suffix is part of
-	// the negotiated name: a v2 peer negotiates "binaryv2" and a v1
-	// peer falls back to gob instead of misparsing frames.
+	// the negotiated name, so a peer never misparses another version's
+	// frames.
 	WireBinary = "binaryv1"
 	// WireBinary2 is the dim-sharded extension of the binary codec: the
 	// same frame grammar with a 44-byte header carrying an (offset, total)
 	// sub-frame geometry, so one step's gradient may arrive split across
 	// several parallel lane connections (see subframe.go). A worker
-	// proposes it only when it wants more than one gather lane; a master
-	// that does not speak it falls back to gob per the versioning rule
-	// above, and a v2-capable master may still negotiate down to v1 when
-	// sharding is disabled on its side.
+	// proposes it only when it wants more than one gather lane; the master
+	// may negotiate down to v1 when sharding is capped on its side.
 	WireBinary2 = "binaryv2"
 )
 
@@ -98,19 +93,6 @@ const maxGatherShards = 16
 
 // maxWireNameLen caps the negotiation string a peer may claim in a hello.
 const maxWireNameLen = 64
-
-// ParseWire canonicalizes a -wire flag value ("" and "binary" mean the
-// current binary version; "gob" forces the legacy codec).
-func ParseWire(s string) (string, error) {
-	switch s {
-	case "", "binary", WireBinary:
-		return WireBinary, nil
-	case WireGob:
-		return WireGob, nil
-	default:
-		return "", fmt.Errorf("cluster: unknown wire codec %q (want gob or binary)", s)
-	}
-}
 
 // maxVectorLen caps the Params/Coded length a peer may claim: a malformed
 // or hostile envelope must not be able to commit the receiver to an absurd
@@ -140,11 +122,10 @@ type Envelope struct {
 	// (Gradient; 0 = not reported).
 	ComputeDurNanos int64
 	// Wire is the codec negotiation field of the hello exchange: on a
-	// worker's MsgHello it names the codec the worker proposes to upgrade
-	// to (empty = stay on gob, which is what pre-negotiation workers
-	// send); on the master's MsgHello ack it names the codec chosen for
-	// the rest of the connection. It rides only in gob messages — binary
-	// frames cannot carry it, by construction.
+	// worker's MsgHello it names the frame flavour the worker proposes (a
+	// hello without one is refused); on the master's MsgHello ack it names
+	// the flavour chosen for the rest of the connection. It rides only in
+	// gob messages — binary frames cannot carry it, by construction.
 	Wire string
 	// Gen is the master's run generation on a MsgHello ack: 0 for a
 	// first-life master, +1 per checkpoint restore or standby failover. A
@@ -356,8 +337,8 @@ func (c *conn) send(e *Envelope) error {
 // send lock and write deadline. A binary connection takes the header from fc
 // — built by whichever connection of its flavour asked first — and writes it
 // and the envelope's own vector with one vectored write (one syscall, and
-// sent-bytes sees the exact framed byte count); a gob connection encodes
-// through its own stateful encoder.
+// sent-bytes sees the exact framed byte count); a connection still in its
+// hello exchange encodes gob.
 func (c *conn) sendShared(fc *frameCache) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -417,52 +398,39 @@ func (c *conn) close() error { return c.raw.Close() }
 
 // clientHello runs the worker side of the registration exchange on a fresh
 // connection: send the gob hello (carrying the last completed step on a
-// rejoin and, unless the worker is pinned to gob, the proposed codec), and
-// — only when an upgrade was proposed — wait for the master's ack naming
-// the chosen codec and switch to it. A gob-pinned worker sends exactly the
-// pre-negotiation hello and expects no ack, which is what keeps old
-// workers and new masters interoperable in both pairings.
+// rejoin and the proposed frame flavour), wait for the master's ack naming
+// the chosen one, and switch to it.
 //
 // shards > 1 raises the proposal to binaryv2 with that many gather lanes;
-// the returned ack (nil on the no-ack gob path) carries the granted lane
-// count and the master's generation, which the caller needs to attach the
-// extra lane connections. A master that only speaks v1 answers the unknown
-// "binaryv2" proposal with a gob ack (the documented fallback), and a
-// v2-capable master may negotiate down to v1 when sharding is off on its
-// side — the worker then runs a single lane either way.
-func clientHello(c *conn, id, step int, wire string, shards int) (string, *Envelope, error) {
-	hello := &Envelope{Kind: MsgHello, Worker: id, Step: step}
-	if wire != WireGob {
-		if shards > 1 {
-			hello.Wire = WireBinary2
-			hello.Shards = shards
-		} else {
-			hello.Wire = WireBinary
-		}
+// the returned ack carries the negotiated flavour, the granted lane count
+// and the master's generation, which the caller needs to attach the extra
+// lane connections. The master may negotiate down to v1 when sharding is
+// capped on its side — the worker then runs a single lane. An ack naming
+// any other codec is an error.
+func clientHello(c *conn, id, step, shards int) (*Envelope, error) {
+	hello := &Envelope{Kind: MsgHello, Worker: id, Step: step, Wire: WireBinary}
+	if shards > 1 {
+		hello.Wire, hello.Shards = WireBinary2, shards
 	}
 	if err := c.send(hello); err != nil {
-		return "", nil, err
-	}
-	if hello.Wire == "" {
-		return WireGob, nil, nil
+		return nil, err
 	}
 	_ = c.raw.SetReadDeadline(time.Now().Add(wireAckTimeout))
 	ack, err := c.recv()
 	if err != nil {
-		return "", nil, fmt.Errorf("cluster: wire negotiation: %w", err)
+		return nil, fmt.Errorf("cluster: wire negotiation: %w", err)
 	}
 	_ = c.raw.SetReadDeadline(time.Time{})
-	if ack.Kind == MsgJobGone {
-		return "", nil, ErrJobGone
+	switch {
+	case ack.Kind == MsgJobGone:
+		return nil, ErrJobGone
+	case ack.Kind != MsgHello:
+		return nil, fmt.Errorf("cluster: wire negotiation: got %s before hello ack", ack.Kind)
+	case ack.Wire != WireBinary && ack.Wire != WireBinary2:
+		return nil, fmt.Errorf("cluster: wire negotiation: master chose codec %q", ack.Wire)
 	}
-	if ack.Kind != MsgHello {
-		return "", nil, fmt.Errorf("cluster: wire negotiation: got %s before hello ack", ack.Kind)
-	}
-	if ack.Wire == WireBinary2 || ack.Wire == WireBinary {
-		c.upgrade(ack.Wire == WireBinary2)
-		return ack.Wire, ack, nil
-	}
-	return WireGob, ack, nil
+	c.upgrade(ack.Wire == WireBinary2)
+	return ack, nil
 }
 
 // laneHello attaches one extra gather-lane connection to an already
@@ -491,9 +459,8 @@ func laneHello(c *conn, id, lane, gen int) error {
 	return nil
 }
 
-// wireAckTimeout bounds the wait for the master's hello ack: a peer that
-// accepted the hello but never answers the negotiation is indistinguishable
-// from a pre-negotiation master, and hanging on it would be worse than the
+// wireAckTimeout bounds the wait for the master's hello ack: hanging on a
+// peer that accepted the hello but never answers it would be worse than the
 // explicit error.
 const wireAckTimeout = 5 * time.Second
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -29,27 +28,12 @@ func benchGradient() *Envelope {
 		ComputeStartUnixNano: 1_700_000_000_000_000_000, ComputeDurNanos: 5_000_000}
 }
 
-// BenchmarkWireCodec compares the two negotiated codecs on the hot-path
-// message (a 2^16-dim coded gradient) in the steady state each achieves on
-// a long-lived connection: a persistent gob encoder/decoder pair (type
-// descriptor amortized away), versus binary frames with the pooled send
-// buffer and the receiver's reusable payload/vector scratch.
+// BenchmarkWireCodec measures the frame codec on the hot-path message (a
+// 2^16-dim coded gradient) in the steady state of a long-lived connection:
+// the standalone encoder into a reused buffer, and a round trip through the
+// receiver's reusable payload/vector scratch.
 func BenchmarkWireCodec(b *testing.B) {
 	e := benchGradient()
-
-	b.Run("gob/encode", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := enc.Encode(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(buf.Len()))
-	})
 
 	b.Run("binary/encode", func(b *testing.B) {
 		buf := make([]byte, 0, frameHeaderSize+8*benchDim)
@@ -63,26 +47,6 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 		}
 		b.SetBytes(int64(len(buf)))
-	})
-
-	b.Run("gob/roundtrip", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		dec := gob.NewDecoder(&buf)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(e); err != nil {
-				b.Fatal(err)
-			}
-			got, err := decodeEnvelope(dec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(got.Coded) != benchDim {
-				b.Fatal("bad decode")
-			}
-		}
 	})
 
 	b.Run("binary/roundtrip", func(b *testing.B) {
@@ -277,69 +241,66 @@ func (m benchModel) GradInto(g, params []float64, batch []dataset.Sample) {
 
 func (m benchModel) String() string { return fmt.Sprintf("bench(dim=%d)", m.dim) }
 
-// BenchmarkGatherLatency is the end-to-end number behind the codec choice:
+// BenchmarkGatherLatency is the end-to-end number behind the frame codec:
 // one full training step — params broadcast to 4 workers, 4 coded-gradient
-// uploads, decode, update — over real loopback TCP, per codec, with a
-// 2^16-dim parameter vector. b.N steps run inside one cluster so
-// connection setup and negotiation are amortized away.
+// uploads, decode, update — over real loopback TCP with a 2^16-dim
+// parameter vector. b.N steps run inside one cluster so connection setup
+// and negotiation are amortized away.
 func BenchmarkGatherLatency(b *testing.B) {
-	for _, wire := range []string{WireGob, WireBinary} {
-		wire := wire
-		b.Run(wire, func(b *testing.B) {
-			st, err := engine.NewSyncSGD(4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mdl := benchModel{dim: benchDim}
-			data, _, err := dataset.SyntheticLinear(64, 2, 0.1, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			master, err := NewMaster(MasterConfig{
-				Addr: "127.0.0.1:0", Strategy: st, Model: mdl, Data: data,
-				LearningRate: 0.1, W: 4, MaxSteps: b.N, Seed: 42,
-				AcceptTimeout: 10 * time.Second, Wire: wire,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			parts, err := data.Partition(4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for i := 0; i < 4; i++ {
-				i := i
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					pids := st.Partitions(i)
-					loaders := make([]*dataset.Loader, len(pids))
-					for j, d := range pids {
-						var err error
-						loaders[j], err = dataset.NewLoader(parts[d], 16, 42)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-					}
-					wk, err := NewWorker(WorkerConfig{
-						Addr: master.Addr(), ID: i, Partitions: pids, Loaders: loaders,
-						Model: mdl, Encode: SumEncoder(), Wire: wire,
-					})
+	b.Run(WireBinary, func(b *testing.B) {
+		st, err := engine.NewSyncSGD(4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mdl := benchModel{dim: benchDim}
+		data, _, err := dataset.SyntheticLinear(64, 2, 0.1, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		master, err := NewMaster(MasterConfig{
+			Addr: "127.0.0.1:0", Strategy: st, Model: mdl, Data: data,
+			LearningRate: 0.1, W: 4, MaxSteps: b.N, Seed: 42,
+			AcceptTimeout: 10 * time.Second,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		parts, err := data.Partition(4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			i := i
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pids := st.Partitions(i)
+				loaders := make([]*dataset.Loader, len(pids))
+				for j, d := range pids {
+					var err error
+					loaders[j], err = dataset.NewLoader(parts[d], 16, 42)
 					if err != nil {
 						b.Error(err)
 						return
 					}
-					_, _ = wk.Run()
-				}()
-			}
-			b.ResetTimer()
-			if _, err := master.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			wg.Wait()
-		})
-	}
+				}
+				wk, err := NewWorker(WorkerConfig{
+					Addr: master.Addr(), ID: i, Partitions: pids, Loaders: loaders,
+					Model: mdl, Encode: SumEncoder(),
+				})
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				_, _ = wk.Run()
+			}()
+		}
+		b.ResetTimer()
+		if _, err := master.Run(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		wg.Wait()
+	})
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,14 +12,23 @@ import (
 	"isgc/internal/model"
 )
 
-// pipePair returns two connected conns over an in-memory duplex pipe.
+// pipePair returns two connected conns over an in-memory duplex pipe, both
+// still in the gob registration phase.
 func pipePair() (*conn, *conn) {
 	a, b := net.Pipe()
 	return newConn(a, 0, nil), newConn(b, 0, nil)
 }
 
-func TestEnvelopeRoundTrip(t *testing.T) {
+// framePair is pipePair past the hello: both ends speak binaryv1 frames.
+func framePair() (*conn, *conn) {
 	a, b := pipePair()
+	a.upgrade(false)
+	b.upgrade(false)
+	return a, b
+}
+
+func TestEnvelopeRoundTrip(t *testing.T) {
+	a, b := framePair()
 	defer a.close()
 	defer b.close()
 
@@ -50,7 +60,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestEnvelopeParamsRoundTrip(t *testing.T) {
-	a, b := pipePair()
+	a, b := framePair()
 	defer a.close()
 	defer b.close()
 
@@ -93,6 +103,9 @@ func TestDialWithRetryTimesOut(t *testing.T) {
 	}
 }
 
+// TestMasterRejectsBadHello: a hello the master cannot register — an
+// out-of-range worker id, no codec proposal, or a proposal of the retired
+// gob data path — is closed without an ack, and nothing registers.
 func TestMasterRejectsBadHello(t *testing.T) {
 	st, err := engine.NewSyncSGD(2)
 	if err != nil {
@@ -115,24 +128,80 @@ func TestMasterRejectsBadHello(t *testing.T) {
 		_, err := m.Run()
 		done <- err
 	}()
-	// Connect and send an out-of-range worker id: the master drops the
-	// connection (it must survive strangers mid-run) and, with no valid
-	// workers ever registering, fails the accept phase on its timeout.
-	raw, err := net.Dial("tcp", m.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newConn(raw, 0, nil)
-	if err := c.send(&Envelope{Kind: MsgHello, Worker: 99}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.recv(); err == nil {
-		t.Fatal("master must close the connection of an out-of-range worker id")
+	// The master drops each connection (it must survive strangers mid-run)
+	// and, with no valid workers ever registering, fails the accept phase
+	// on its timeout.
+	for name, hello := range map[string]*Envelope{
+		"out-of-range worker id": {Kind: MsgHello, Worker: 99, Wire: WireBinary},
+		"no codec proposal":      {Kind: MsgHello, Worker: 0},
+		"gob proposal":           {Kind: MsgHello, Worker: 0, Wire: "gob"},
+	} {
+		raw, err := net.Dial("tcp", m.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newConn(raw, 0, nil)
+		if err := c.send(hello); err != nil {
+			t.Fatal(err)
+		}
+		if ack, err := c.recv(); err == nil {
+			t.Errorf("%s: master answered %+v, want the connection closed", name, ack)
+		}
+		c.close()
 	}
 	if err := <-done; err == nil {
 		t.Fatal("master must not start training without valid workers")
 	}
-	c.close()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for id, ws := range m.workers {
+		if ws != nil {
+			t.Errorf("worker %d registered from a bad hello", id)
+		}
+	}
+}
+
+// TestWorkerRefusesGobAck: a master that acks the hello with any codec but
+// a frame flavour — here the retired gob data path — fails NewWorker with a
+// negotiation error instead of leaving a worker on an unknown codec.
+func TestWorkerRefusesGobAck(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		raw, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		c := newConn(raw, 0, nil)
+		defer c.close()
+		if _, err := c.recv(); err == nil {
+			_ = c.send(&Envelope{Kind: MsgHello, Wire: "gob"})
+		}
+		_, _ = c.recv() // hold the connection until the worker drops it
+	}()
+	parts, err := testData(t).Partition(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader, err := dataset.NewLoader(parts[0], 16, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerConfig{
+		Addr: ln.Addr().String(), ID: 0, Partitions: []int{0},
+		Loaders: []*dataset.Loader{loader}, Model: model.SoftmaxRegression{Features: 6, Classes: 3},
+		Encode: SumEncoder(), HeartbeatInterval: -1,
+	})
+	if err == nil {
+		w.Stop()
+		t.Fatal("NewWorker accepted a gob ack")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "wire negotiation") || !strings.Contains(msg, `"gob"`) {
+		t.Fatalf("NewWorker error %q, want a wire negotiation error naming the codec", msg)
+	}
 }
 
 func TestMasterRejectsDuplicateWorker(t *testing.T) {
@@ -162,21 +231,20 @@ func TestMasterRejectsDuplicateWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return newConn(raw, 0, nil)
+		c := newConn(raw, 0, nil)
+		if _, err := clientHello(c, 0, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 	c1 := dial()
 	defer c1.close()
-	if err := c1.send(&Envelope{Kind: MsgHello, Worker: 0}); err != nil {
-		t.Fatal(err)
-	}
 	c2 := dial()
 	defer c2.close()
-	if err := c2.send(&Envelope{Kind: MsgHello, Worker: 0}); err != nil {
-		t.Fatal(err)
-	}
 	// The duplicate registration for the live worker 0 is refused (its
-	// connection closes) while the first one stays registered; the master
-	// then times out waiting for the still-missing worker 1.
+	// connection closes after the ack) while the first one stays
+	// registered; the master then times out waiting for the still-missing
+	// worker 1.
 	if _, err := c2.recv(); err == nil {
 		t.Fatal("master must close the duplicate's connection")
 	}

@@ -80,17 +80,11 @@ type WorkerConfig struct {
 	// registering, so delay/fault sampling resumes bit-identically and the
 	// hello reports the pre-restart step count.
 	Restore bool
-	// Wire selects the wire codec the worker proposes in its hello:
-	// WireBinary (or empty, the default) upgrades to binary frames when
-	// the master agrees; WireGob pins the connection to the legacy gob
-	// stream and skips the negotiation entirely.
-	Wire string
 	// GatherShards, when > 1, proposes the binaryv2 dim-sharded upload:
 	// the worker opens that many parallel lane connections and splits
 	// every gradient into contiguous sub-frames sent concurrently, one
-	// per lane. The master may grant fewer lanes; a master that does not
-	// speak binaryv2 falls back per the negotiation rules and the worker
-	// runs a single lane. 0 or 1 keeps the classic single-stream upload
+	// per lane. The master may grant fewer lanes, down to a single
+	// binaryv1 stream. 0 or 1 keeps the classic single-stream upload
 	// (the default, bit-identical to the pre-sharding wire).
 	GatherShards int
 	// Metrics, when non-nil, receives live instrumentation (compute time,
@@ -118,9 +112,8 @@ type Worker struct {
 	lanes  []*conn
 	shards int
 	// staleness is the master's fold window from the current connection's
-	// hello ack (0 in sync mode, from old masters and on gob-pinned
-	// connections): a step stays live until a step more than staleness
-	// newer arrives.
+	// hello ack (0 in sync mode and from old masters): a step stays live
+	// until a step more than staleness newer arrives.
 	staleness int
 	// delaySrc/faultSrc are the counting sources behind rng/frng, kept so
 	// Stop can serialize the stream positions and a restored worker can
@@ -156,9 +149,10 @@ type Worker struct {
 	abandoned  atomic.Int64
 	reconnects atomic.Int64
 	connected  atomic.Bool
-	// jobGone latches a MsgJobGone terminal reject: the job this worker
-	// was serving no longer exists, so reconnection stopped early. Fleet
-	// agents read it via JobGone() to return the worker to the pool.
+	// jobGone latches a MsgJobGone terminal reject of a redial: the job
+	// this worker was serving no longer exists, so reconnection stopped
+	// early. Fleet agents read it via JobGone() to return the worker to the
+	// pool.
 	jobGone atomic.Bool
 }
 
@@ -202,11 +196,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
-	wireCfg, err := ParseWire(cfg.Wire)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Wire = wireCfg
 	if cfg.GatherShards < 0 || cfg.GatherShards > maxGatherShards {
 		return nil, fmt.Errorf("cluster: worker %d: gather shards %d outside [0, %d]", cfg.ID, cfg.GatherShards, maxGatherShards)
 	}
@@ -241,24 +230,24 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, err
 	}
 	c := newConn(raw, defaultWriteTimeout, cfg.Metrics.sentCounter())
-	wire, ack, err := clientHello(c, cfg.ID, startSteps, cfg.Wire, cfg.GatherShards)
+	ack, err := clientHello(c, cfg.ID, startSteps, cfg.GatherShards)
 	if err != nil {
 		_ = c.close()
 		return nil, err
 	}
-	lanes, shards, err := dialLanes(wire, ack, cfg)
+	lanes, shards, err := dialLanes(ack, cfg)
 	if err != nil {
 		_ = c.close()
 		return nil, err
 	}
-	cfg.Metrics.markWire(wire)
+	cfg.Metrics.markWire(ack.Wire)
 	cfg.Metrics.setGatherLanes(shards)
 	w := &Worker{
 		cfg:            cfg,
 		c:              c,
 		lanes:          lanes,
 		shards:         shards,
-		staleness:      ackStaleness(ack),
+		staleness:      ack.Staleness,
 		delaySrc:       randsrc.New(cfg.DelaySeed),
 		faultSrc:       randsrc.New(cfg.FaultSeed),
 		faultedThrough: -1,
@@ -283,7 +272,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	w.setConnected(true)
 	w.startHeartbeat()
 	cfg.Events.Info("worker.connected", "registered with master", events.NoStep, cfg.ID,
-		events.Fields{"addr": cfg.Addr, "wire": wire})
+		events.Fields{"addr": cfg.Addr, "wire": ack.Wire})
 	if resumed != nil {
 		cfg.Events.Info("worker.restored", "resumed from checkpoint", events.NoStep, cfg.ID,
 			events.Fields{"steps": resumed.Steps, "delay_draws": resumed.DelayDraws, "fault_draws": resumed.FaultDraws})
@@ -295,9 +284,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 // dialLanes opens the extra gather-lane connections a binaryv2 negotiation
 // granted — lanes 1..shards-1, each attached via laneHello under the
 // master's generation — and returns them with the effective lane count
-// (primary included). A v1 or gob negotiation has no lanes.
-func dialLanes(wire string, ack *Envelope, cfg WorkerConfig) ([]*conn, int, error) {
-	if wire != WireBinary2 || ack == nil {
+// (primary included). A v1 negotiation has no lanes.
+func dialLanes(ack *Envelope, cfg WorkerConfig) ([]*conn, int, error) {
+	if ack.Wire != WireBinary2 {
 		return nil, 1, nil
 	}
 	shards := ack.Shards
@@ -323,15 +312,6 @@ func dialLanes(wire string, ack *Envelope, cfg WorkerConfig) ([]*conn, int, erro
 		lanes = append(lanes, lc)
 	}
 	return lanes, shards, nil
-}
-
-// ackStaleness is the fold window a hello ack carries; a gob-pinned
-// connection has no ack and runs with 0.
-func ackStaleness(ack *Envelope) int {
-	if ack == nil {
-		return 0
-	}
-	return ack.Staleness
 }
 
 // closeConns closes every connection in cs, tolerating nils.
@@ -434,14 +414,6 @@ func (w *Worker) Run() (int, error) {
 			// The upload failed: the master is gone or the link dropped.
 		case endStop:
 			return int(w.steps.Load()), nil
-		case endJobGone:
-			// Terminal reject from a done master (a gob-pinned worker gets
-			// it as a regular message rather than a hello-ack): the job is
-			// gone for good, so leave without redialing.
-			w.jobGone.Store(true)
-			w.cfg.Events.Info("worker.job_gone", "master rejected registration: job no longer exists",
-				events.NoStep, w.cfg.ID, nil)
-			return int(w.steps.Load()), nil
 		case endCrash:
 			// Die abruptly — no farewell message, exactly like a killed
 			// process; the master learns via the closed socket.
@@ -470,15 +442,12 @@ func (w *Worker) Run() (int, error) {
 // arrives — so a sleeping or computing worker never leaves broadcast bytes
 // in its kernel buffer for the master's send to block on — rolls the seeded
 // fault schedule for every received step in order (served or skipped), and
-// exits on stop, job-gone, an injected crash or disconnect, or a failed
-// recv; mb.done closes when it has.
+// exits on stop, an injected crash or disconnect, or a failed recv; mb.done
+// closes when it has. Params are read straight into buffers the mailbox
+// recycles.
 func (w *Worker) startReader() *mailbox {
 	c := w.c
-	dim := 0
-	if c.binary { // params are read straight into buffers the mailbox recycles
-		dim = w.cfg.Model.Dim()
-	}
-	mb := newMailbox(w.staleness, dim)
+	mb := newMailbox(w.staleness, w.cfg.Model.Dim())
 	c.sink = mb.reserve
 	go func() {
 		defer close(mb.done)
@@ -491,9 +460,6 @@ func (w *Worker) startReader() *mailbox {
 			switch e.Kind {
 			case MsgStop:
 				w.abandon(phaseQueued, mb.finish(endStop, events.NoStep)...)
-				return
-			case MsgJobGone:
-				w.abandon(phaseQueued, mb.finish(endJobGone, events.NoStep)...)
 				return
 			case MsgStep:
 				action := straggler.FaultNone
@@ -648,7 +614,7 @@ func (w *Worker) reconnect() bool {
 			// A rejoin renegotiates the codec from scratch: the fresh
 			// connection starts in gob like any other registration, and a
 			// sharded worker re-dials its lanes under the new generation.
-			wire, ack, helloErr := clientHello(c, w.cfg.ID, int(w.steps.Load()), w.cfg.Wire, w.cfg.GatherShards)
+			ack, helloErr := clientHello(c, w.cfg.ID, int(w.steps.Load()), w.cfg.GatherShards)
 			if errors.Is(helloErr, ErrJobGone) {
 				// Terminal reject: whoever answers this address says the job
 				// no longer exists. Burning the rest of the redial budget
@@ -660,15 +626,15 @@ func (w *Worker) reconnect() bool {
 				return false
 			}
 			if helloErr == nil {
-				lanes, shards, laneErr := dialLanes(wire, ack, w.cfg)
+				lanes, shards, laneErr := dialLanes(ack, w.cfg)
 				if laneErr == nil {
-					w.cfg.Metrics.markWire(wire)
+					w.cfg.Metrics.markWire(ack.Wire)
 					w.cfg.Metrics.setGatherLanes(shards)
 					w.connMu.Lock()
 					w.c = c
 					w.lanes = lanes
 					w.shards = shards
-					w.staleness = ackStaleness(ack)
+					w.staleness = ack.Staleness
 					stopped := w.stopping.Load()
 					w.connMu.Unlock()
 					if stopped {
@@ -684,7 +650,7 @@ func (w *Worker) reconnect() bool {
 					w.setConnected(true)
 					w.startHeartbeat()
 					w.cfg.Events.Info("worker.reconnected", "re-registered after connection loss",
-						events.NoStep, w.cfg.ID, events.Fields{"completed_steps": w.steps.Load(), "wire": wire, "lanes": shards})
+						events.NoStep, w.cfg.ID, events.Fields{"completed_steps": w.steps.Load(), "wire": ack.Wire, "lanes": shards})
 					return true
 				}
 			}

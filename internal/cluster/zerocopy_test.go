@@ -328,16 +328,16 @@ func dialHand(addr string, id, shards int, wrap func(lane int, c net.Conn) net.C
 	if err != nil {
 		return nil, err
 	}
-	wire, ack, err := clientHello(c, id, 0, WireBinary, shards)
+	ack, err := clientHello(c, id, 0, shards)
 	if err != nil {
 		c.close()
 		return nil, err
 	}
 	w := &handWorker{id: id, c: c}
 	if shards > 1 {
-		if wire != WireBinary2 || ack.Shards != shards {
+		if ack.Wire != WireBinary2 || ack.Shards != shards {
 			w.close()
-			return nil, fmt.Errorf("negotiated %s with %d lanes, want %d binaryv2 lanes", wire, ack.Shards, shards)
+			return nil, fmt.Errorf("negotiated %s with %d lanes, want %d binaryv2 lanes", ack.Wire, ack.Shards, shards)
 		}
 		for lane := 1; lane < shards; lane++ {
 			lc, err := dial(lane)
@@ -617,60 +617,6 @@ func TestWrongDimensionGradientIsDrainedNotAllocated(t *testing.T) {
 	if !bytes.Contains(log.Bytes(), []byte(`"type":"master.malformed_gradient"`)) ||
 		!bytes.Contains(log.Bytes(), []byte(fmt.Sprintf(`"got_dim":%d`, claimed))) {
 		t.Errorf("no master.malformed_gradient event with the claimed got_dim %d in:\n%s", claimed, log.Bytes())
-	}
-}
-
-// TestSubFrameGeometryOnUnshardedRegistrationIsCounted: only a gob peer can
-// put sub-frame geometry on an unsharded registration (binaryv1 has no words
-// for it). No assembler reserved a span for it, so it is counted as malformed
-// and dropped, and the connection stays in service.
-func TestSubFrameGeometryOnUnshardedRegistrationIsCounted(t *testing.T) {
-	const dim = 64
-	st, err := engine.NewSyncSGD(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	master, err := NewMaster(MasterConfig{Addr: "127.0.0.1:0", Strategy: st, Model: benchModel{dim: dim},
-		Data: testData(t), LearningRate: 0.5, W: 1, MaxSteps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res *engine.Result
-	var runErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		res, runErr = master.Run()
-	}()
-	raw, err := net.Dial("tcp", master.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &handWorker{c: newConn(raw, defaultWriteTimeout, nil)}
-	defer w.close()
-	if wire, _, err := clientHello(w.c, 0, 0, WireGob, 1); err != nil || wire != WireGob {
-		t.Fatalf("gob registration: wire %q, err %v", wire, err)
-	}
-	w.step(t)
-	if err := w.c.send(&Envelope{Kind: MsgGradient, Step: 0, Coded: constVec(dim, 7), Total: dim}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.upload(0, constVec(dim, 2)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("master hung behind the sub-frame")
-	}
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if err := sameBits(res.Params, constVec(dim, -1)); err != nil {
-		t.Errorf("final parameters (the sub-frame must not be gathered): %v", err)
-	}
-	if got := master.MalformedGradients(); got != 1 {
-		t.Errorf("malformed count = %d, want exactly 1", got)
 	}
 }
 

@@ -285,7 +285,6 @@ func buildWorker(as *Assignment, ev *events.Log) (*cluster.Worker, error) {
 		ComputePar:        as.ComputePar,
 		HeartbeatInterval: as.HeartbeatInterval,
 		ReconnectTimeout:  as.ReconnectTimeout,
-		Wire:              as.Wire,
 		Events:            ev,
 	})
 }

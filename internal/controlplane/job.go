@@ -94,8 +94,6 @@ type JobSpec struct {
 	// ComputePar sizes master and worker compute pools (0 = GOMAXPROCS;
 	// 1 makes the loss bits independent of the host's core count).
 	ComputePar int `json:"compute_par,omitempty"`
-	// Wire selects the wire codec ("" = binary).
-	Wire string `json:"wire,omitempty"`
 	// CheckpointEvery is the durable checkpoint period in steps when the
 	// plane has a state dir (0 → 10).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
@@ -149,9 +147,6 @@ func (s *JobSpec) Normalize() error {
 	}
 	if s.ReconnectTimeout == 0 {
 		s.ReconnectTimeout = 10 * time.Second
-	}
-	if _, err := cluster.ParseWire(s.Wire); err != nil {
-		return err
 	}
 	for _, f := range s.Faults {
 		if f.Worker < 0 || f.Worker >= s.Scheme.N {

@@ -567,7 +567,6 @@ func (s *scheduler) runGeneration(j *job, firstRun bool) (*engine.Result, error)
 		StepTimeout:     spec.StepTimeout,
 		LivenessTimeout: spec.LivenessTimeout,
 		ComputePar:      spec.ComputePar,
-		Wire:            spec.Wire,
 		Checkpoint:      j.store,
 		CheckpointEvery: spec.CheckpointEvery,
 		Restore:         resume,
@@ -610,7 +609,6 @@ func (s *scheduler) runGeneration(j *job, firstRun bool) (*engine.Result, error)
 			MasterAddr:        m.Addr(),
 			Scheme:            scheme,
 			Data:              spec.Data,
-			Wire:              spec.Wire,
 			ComputePar:        spec.ComputePar,
 			HeartbeatInterval: spec.HeartbeatInterval,
 			ReconnectTimeout:  spec.ReconnectTimeout,

@@ -1,8 +1,12 @@
 package controlplane
 
 import (
+	"encoding/json"
+	"path/filepath"
 	"testing"
 	"time"
+
+	"isgc/internal/checkpoint"
 )
 
 // TestPlaneStateCheckpointRestore covers the scheduler's own durability: a
@@ -116,6 +120,72 @@ func TestRestoredTerminalJobsAreRecords(t *testing.T) {
 	if st := mustJob(t, p2, id); st.State != JobCompleted {
 		t.Fatalf("restored completed job was re-admitted into %s", st.State)
 	}
+}
+
+// Durable state from binaries that still had the -wire knob: each spec
+// carries "wire", which JobSpec no longer has. Byte-for-byte what those
+// binaries wrote (job-001 finished, job-002 was mid-run when the plane
+// stopped).
+const (
+	preWireRemovalSpec = `{"name":"old-gob","scheme":{"Scheme":"cr","N":3,"C":2,"C1":0,"G":0},` +
+		`"data":{"Samples":240,"Features":6,"Classes":3,"Separation":1.5,"Seed":42,"Batch":8},` +
+		`"learning_rate":0.2,"max_steps":20,"compute_par":1,"wire":"gob","checkpoint_every":10,` +
+		`"liveness_timeout":2000000000,"permanent_after":4000000000,"reconnect_timeout":10000000000}`
+	preWireRemovalState = `{"version":1,"seq":2,"jobs":[` +
+		`{"id":"job-001","spec":{"name":"old-binary","scheme":{"Scheme":"cr","N":3,"C":2,"C1":0,"G":0},` +
+		`"data":{"Samples":240,"Features":6,"Classes":3,"Separation":1.5,"Seed":42,"Batch":8},` +
+		`"learning_rate":0.2,"max_steps":20,"compute_par":1,"wire":"binary","checkpoint_every":10,` +
+		`"liveness_timeout":2000000000,"permanent_after":4000000000,"reconnect_timeout":10000000000},` +
+		`"state":"completed","n":3,"next_step":20,"replacements":0,"converged":false,` +
+		`"submitted_unix_nano":1760000000000000000,"finished_unix_nano":1760000001000000000},` +
+		`{"id":"job-002","spec":` + preWireRemovalSpec + `,` +
+		`"state":"running","n":3,"next_step":0,"replacements":0,"converged":false,` +
+		`"submitted_unix_nano":1760000002000000000}]}`
+)
+
+// TestPreWireRemovalStateRestores: the -restore promise covers state
+// directories from older binaries. A plane state whose specs carry the
+// removed "wire" field restores — the finished job as a record, the
+// unfinished one re-admitted and run to completion — and a spec file from
+// the same era still submits.
+func TestPreWireRemovalStateRestores(t *testing.T) {
+	dir := t.TempDir()
+	st, err := checkpoint.NewStore(filepath.Join(dir, "plane"), checkpoint.DefaultRetain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Save(1, json.RawMessage(preWireRemovalState)); err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{FleetAddr: "127.0.0.1:0", StateDir: dir, Restore: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	if got := mustJob(t, p, "job-001").State; got != JobCompleted {
+		t.Fatalf("restored finished job is %s, want completed", got)
+	}
+	if got := mustJob(t, p, "job-002").State; got != JobPending {
+		t.Fatalf("restored unfinished job is %s, want pending", got)
+	}
+	agents := startAgents(t, p, 3)
+	defer stopAgents(agents)
+	if st := waitForState(t, p, "job-002", JobCompleted); st.Step != 20 {
+		t.Fatalf("re-admitted job finished at step %d, want 20", st.Step)
+	}
+
+	var spec JobSpec
+	if err := json.Unmarshal([]byte(preWireRemovalSpec), &spec); err != nil {
+		t.Fatal(err)
+	}
+	id, err := p.Submit(spec)
+	if err != nil {
+		t.Fatalf("old spec refused: %v", err)
+	}
+	waitForState(t, p, id, JobCompleted)
 }
 
 // startAgents/stopAgents are the non-Cleanup variants for tests that cycle

@@ -81,8 +81,6 @@ type Assignment struct {
 	Scheme cliconfig.SchemeSpec
 	// Data is the job's shared dataset/loader spec.
 	Data cliconfig.DataSpec
-	// Wire selects the worker's wire codec proposal ("" = binary).
-	Wire string
 	// ComputePar sizes the worker's gradient pool (0 = GOMAXPROCS).
 	ComputePar int
 	// HeartbeatInterval is the worker's liveness ping period (0 = 1s).
