@@ -258,15 +258,65 @@ func (s *Set) rangeWords(lo, hi int, fn func(i int, w uint64) bool) {
 // AnyInRange reports whether s contains an element in [lo, hi).
 // O((hi-lo)/64) words, independent of the population.
 func (s *Set) AnyInRange(lo, hi int) bool {
-	found := false
-	s.rangeWords(lo, hi, func(_ int, w uint64) bool {
-		if w != 0 {
-			found = true
-			return false
-		}
+	if lo < 0 {
+		lo = 0
+	}
+	if max := len(s.words) * wordBits; hi > max {
+		hi = max
+	}
+	return lo < hi && s.anyIn(lo, hi)
+}
+
+// anyIn is AnyInRange for a non-empty range inside the stored words
+// (0 ≤ lo < hi ≤ 64·len(words)): the two end words masked, the rest whole.
+func (s *Set) anyIn(lo, hi int) bool {
+	first, last := lo/wordBits, (hi-1)/wordBits
+	head := ^uint64(0) << uint(lo%wordBits)
+	tail := ^uint64(0) >> uint(wordBits-1-(hi-1)%wordBits)
+	if first == last {
+		return s.words[first]&head&tail != 0
+	}
+	if s.words[first]&head != 0 || s.words[last]&tail != 0 {
 		return true
-	})
-	return found
+	}
+	for _, w := range s.words[first+1 : last] {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// OccupiedBlocks returns how many of the aligned blocks
+// [k·size, (k+1)·size) hold an element of s, in one pass over the words.
+// When size divides 64 no block straddles a word: OR-folding every block
+// onto its lowest bit leaves one bit per occupied block, and a popcount per
+// word counts them. Other sizes test each block on the words it spans.
+func (s *Set) OccupiedBlocks(size int) int {
+	if size <= 0 {
+		panic(fmt.Sprintf("bitset: OccupiedBlocks(%d): block size must be positive", size))
+	}
+	n := 0
+	if wordBits%size == 0 {
+		lead := uint64(1) // bit 0 of every block
+		if size < wordBits {
+			lead = ^uint64(0) / (1<<uint(size) - 1)
+		}
+		for _, w := range s.words {
+			for sh := 1; sh < size; sh <<= 1 {
+				w |= w >> uint(sh)
+			}
+			n += bits.OnesCount64(w & lead)
+		}
+		return n
+	}
+	end := len(s.words) * wordBits
+	for lo := 0; lo < end; lo += size {
+		if s.anyIn(lo, min(lo+size, end)) {
+			n++
+		}
+	}
+	return n
 }
 
 // CountInRange returns |s ∩ [lo, hi)| via per-word popcounts.

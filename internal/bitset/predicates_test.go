@@ -152,6 +152,39 @@ func TestWordParallelPredicatesVsNaive(t *testing.T) {
 	}
 }
 
+func naiveOccupiedBlocks(s *Set, size, universe int) int {
+	n := 0
+	for lo := 0; lo < universe; lo += size {
+		for v := lo; v < lo+size && v < universe; v++ {
+			if s.Contains(v) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// TestOccupiedBlocksVsNaive covers both passes — the in-word fold for block
+// sizes dividing 64 and the direct test of blocks straddling words — on
+// sparse, dense and single-element sets whose sizes straddle word edges.
+func TestOccupiedBlocksVsNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, u := range []int{0, 1, 7, 63, 64, 65, 127, 129, 300, 1000} {
+		for trial := 0; trial < 20; trial++ {
+			s := randomSet(rng, u, []float64{0, 0.01, 0.1, 0.5, 1}[trial%5])
+			if trial%5 == 0 && u > 0 {
+				s.Add(rng.Intn(u)) // a lone element, anywhere
+			}
+			for _, size := range []int{1, 2, 3, 4, 5, 7, 8, 10, 16, 31, 32, 63, 64, 65, 100, 128, 200} {
+				if g, w := s.OccupiedBlocks(size), naiveOccupiedBlocks(s, size, u+wordBits); g != w {
+					t.Fatalf("u=%d size=%d set=%v: OccupiedBlocks %d, naive %d", u, size, s, g, w)
+				}
+			}
+		}
+	}
+}
+
 // TestCloneCappedVsNaive checks the word-parallel clamp against an
 // element-by-element rebuild, across word-boundary cap values.
 func TestCloneCappedVsNaive(t *testing.T) {

@@ -46,18 +46,25 @@ func (s *Scheme) decodeFR(avail *bitset.Set) *bitset.Set {
 // among the ≤ c starts in the window W' ∩ {u, …, u+c-1} for any available
 // u, at least one walk yields a maximum independent set. The anchor u is
 // random so gradients on each worker join ĝ with equal probability.
+//
+// The walks stop at the first one whose size reaches freshBound, an upper
+// bound on α: a later walk replaces the best only when strictly larger, so
+// none could, and u is drawn before the first walk. The result and the RNG
+// position are those of running all ≤ c walks; on a dense mask it usually
+// takes one (TestDecodeMatchesEveryWalk pins the equivalence).
 func (s *Scheme) decodeCR(avail *bitset.Set) *bitset.Set {
 	n, c := s.p.N(), s.p.C()
 	u := s.randomAvailable(avail)
-	best := bitset.New(n)
-	for off := 0; off < c; off++ {
+	bound := s.freshBound(avail)
+	var best *bitset.Set // set by the walk from u itself, which is available
+	bestLen := 0
+	for off := 0; off < c && bestLen < bound; off++ {
 		start := (u + off) % n
 		if !avail.Contains(start) {
 			continue
 		}
-		cur := s.greedyWalkCR(avail, start)
-		if cur.Len() > best.Len() {
-			best = cur
+		if cur := s.greedyWalkCR(avail, start); cur.Len() > bestLen {
+			best, bestLen = cur, cur.Len()
 		}
 	}
 	return best
@@ -143,30 +150,38 @@ func nextAvailOffset(avail *bitset.Set, n, start, lo, hi int) int {
 // other group's available workers, so some start lands inside a maximum
 // set. Escalation is rare — on dense masks the anchor walks reach the
 // bound — so the expected cost stays the paper's O(c·|W'| + c²).
+//
+// The same bound ends the anchor group's walks early: once one reaches it
+// no later walk can be strictly larger, so, as in decodeCR, the result is
+// that of walking from every start, usually after the first.
 func (s *Scheme) decodeHR(avail *bitset.Set) *bitset.Set {
 	n := s.p.N()
 	n0 := s.p.GroupSize()
 	u := s.randomAvailable(avail)
 	anchorBase := (u / n0) * n0
-	best := s.walkHRGroup(avail, anchorBase, bitset.New(n))
-	if bound := s.freshBound(avail); best.Len() < bound {
-		for base := 0; base < n && best.Len() < bound; base += n0 {
-			if base != anchorBase {
-				best = s.walkHRGroup(avail, base, best)
-			}
+	bound := s.freshBound(avail)
+	best := s.walkHRGroup(avail, anchorBase, nil, bound) // u's group: never nil
+	for base := 0; base < n && best.Len() < bound; base += n0 {
+		if base != anchorBase {
+			best = s.walkHRGroup(avail, base, best, bound)
 		}
 	}
 	return best
 }
 
-// walkHRGroup runs the Alg. 3 greedy walk from every available worker of
-// the group starting at base, returning the largest of those walks and
-// best.
-func (s *Scheme) walkHRGroup(avail *bitset.Set, base int, best *bitset.Set) *bitset.Set {
+// walkHRGroup runs the Alg. 3 greedy walk from the available workers of the
+// group starting at base, in order, returning the largest of those walks
+// and best (nil counts as empty). It stops once the best reaches bound, an
+// upper bound on α that no later walk can exceed.
+func (s *Scheme) walkHRGroup(avail *bitset.Set, base int, best *bitset.Set, bound int) *bitset.Set {
 	n0 := s.p.GroupSize()
-	for start := avail.NextInRange(base, base+n0); start >= 0; start = avail.NextInRange(start+1, base+n0) {
-		if cur := s.greedyWalkConflict(avail, start); cur.Len() > best.Len() {
-			best = cur
+	bestLen := 0
+	if best != nil {
+		bestLen = best.Len()
+	}
+	for start := avail.NextInRange(base, base+n0); start >= 0 && bestLen < bound; start = avail.NextInRange(start+1, base+n0) {
+		if cur := s.greedyWalkConflict(avail, start); cur.Len() > bestLen {
+			best, bestLen = cur, cur.Len()
 		}
 	}
 	return best

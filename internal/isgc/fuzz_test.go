@@ -11,7 +11,8 @@ import (
 // FuzzDecodeCR drives the CR decoder with arbitrary parameters and
 // availability masks, asserting the full decoder contract: the chosen set
 // is an available independent set whose size matches the exact
-// independence number.
+// independence number, and it and the RNG position equal those of the
+// every-walk reference decoder on a twin scheme.
 func FuzzDecodeCR(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(0b1010), int64(1))
 	f.Add(uint8(7), uint8(3), uint16(0b1011011), int64(2))
@@ -23,14 +24,13 @@ func FuzzDecodeCR(f *testing.F) {
 		if err != nil {
 			t.Fatalf("CR(%d,%d) must be constructible: %v", n, c, err)
 		}
-		s := New(p, seed)
 		avail := bitset.New(n)
 		for v := 0; v < n; v++ {
 			if mask&(1<<v) != 0 {
 				avail.Add(v)
 			}
 		}
-		chosen := s.Decode(avail)
+		chosen := decodeTwins(t, New(p, seed), New(p, seed), avail)
 		if !chosen.SubsetOf(avail) {
 			t.Fatalf("chosen %v ⊄ available %v", chosen, avail)
 		}
@@ -45,7 +45,7 @@ func FuzzDecodeCR(f *testing.F) {
 
 // FuzzDecodeHR does the same for HR over fuzzer-chosen (possibly invalid)
 // parameters: invalid combinations must be rejected by the constructor,
-// valid ones must decode optimally.
+// valid ones must decode optimally and as the every-walk reference does.
 func FuzzDecodeHR(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint8(2), uint8(2), uint16(0xAB), int64(1))
 	f.Add(uint8(3), uint8(2), uint8(2), uint8(2), uint16(0x5D), int64(2))
@@ -63,14 +63,13 @@ func FuzzDecodeHR(f *testing.F) {
 		if err != nil {
 			return // invalid parameters: rejection is the correct behavior
 		}
-		s := New(p, seed)
 		avail := bitset.New(n)
 		for v := 0; v < n; v++ {
 			if mask&(1<<v) != 0 {
 				avail.Add(v)
 			}
 		}
-		chosen := s.Decode(avail)
+		chosen := decodeTwins(t, New(p, seed), New(p, seed), avail)
 		if !chosen.SubsetOf(avail) || !p.ConflictGraph().IsIndependent(chosen) {
 			t.Fatalf("%v: bad decode %v for W'=%v", p, chosen, avail)
 		}

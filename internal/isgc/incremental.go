@@ -48,15 +48,11 @@ type incrementalState struct {
 	prev   *bitset.Set // previous clamped availability mask
 	chosen *bitset.Set // maximum independent set for prev
 
-	// Incrementally maintained structural bound on α: per-range available
-	// worker counts (ranges are the length-c windows for CR, the groups
-	// for FR/HR) and the number of nonempty ranges. Updating it costs
-	// O(|mask delta|) per step, where recomputing from scratch would cost
-	// O(n/c) probes — the difference between the repair path being O(n/64)
-	// and it being dominated by its own acceptance check at n = 50k.
-	rangeSize int
-	occupied  []int32
-	nonempty  int
+	// Incrementally maintained structural bound on α: the number of
+	// nonempty ranges of prev (ranges are the length-c windows for CR, the
+	// groups for FR/HR). A mask delta updates it with one range probe per
+	// touched range, where recomputing it is a pass over all n/64 words.
+	nonempty int
 
 	repairs    atomic.Uint64
 	fallbacks  atomic.Uint64
@@ -122,27 +118,30 @@ func (s *Scheme) SetIncrementalHooks(onRepair, onFallback func()) {
 func (st *incrementalState) invalidate() {
 	st.valid = false
 	st.prev, st.chosen = nil, nil
-	st.occupied, st.nonempty = nil, 0
+	st.nonempty = 0
 }
 
-// applyBoundDelta folds a mask delta into the maintained per-range counts.
-func (st *incrementalState) applyBoundDelta(departed, returned *bitset.Set) {
-	departed.Range(func(w int) bool {
-		i := w / st.rangeSize
-		st.occupied[i]--
-		if st.occupied[i] == 0 {
-			st.nonempty--
-		}
-		return true
-	})
-	returned.Range(func(w int) bool {
-		i := w / st.rangeSize
-		if st.occupied[i] == 0 {
-			st.nonempty++
-		}
-		st.occupied[i]++
-		return true
-	})
+// applyBoundDelta folds the delta from st.prev to avail into the maintained
+// count of nonempty ranges: a range empties when avail has nothing left in
+// a range a departure touched, and fills when st.prev had nothing in a
+// range a return touched. Delta elements come in ascending order, so each
+// touched range is probed once.
+func (s *Scheme) applyBoundDelta(avail, departed, returned *bitset.Set) {
+	size := s.boundRange()
+	flips := func(delta, other *bitset.Set) int {
+		k, last := 0, -1
+		delta.Range(func(w int) bool {
+			if r := w / size; r != last {
+				last = r
+				if !other.AnyInRange(r*size, (r+1)*size) {
+					k++
+				}
+			}
+			return true
+		})
+		return k
+	}
+	s.inc.nonempty += flips(returned, s.inc.prev) - flips(departed, avail)
 }
 
 // sync overwrites the baseline from a decode-cache hit so the next repair
@@ -175,7 +174,7 @@ func (s *Scheme) tryRepair(avail *bitset.Set) (*bitset.Set, bool) {
 	}
 	departed := st.prev.AndNot(avail)
 	returned := avail.AndNot(st.prev)
-	st.applyBoundDelta(departed, returned)
+	s.applyBoundDelta(avail, departed, returned)
 	oldLen := st.chosen.Len()
 
 	var repaired *bitset.Set
@@ -217,81 +216,42 @@ func (s *Scheme) tryRepair(avail *bitset.Set) (*bitset.Set, bool) {
 
 // incBound returns the maintained structural upper bound on α(G[prev]) in
 // O(1). It equals freshBound(st.prev) by construction: rebuildIncBound
-// seeds the per-range counts on every adopt/sync and applyBoundDelta keeps
-// them current across repairs.
-func (s *Scheme) incBound() int {
-	b := s.inc.nonempty
-	if s.p.Kind() == placement.KindCR {
-		if m := s.p.N() / s.p.C(); m < b {
-			b = m
-		}
-	}
-	return b
-}
+// seeds the count on every adopt/sync and applyBoundDelta keeps it current
+// across repairs.
+func (s *Scheme) incBound() int { return s.capBound(s.inc.nonempty) }
 
-// rebuildIncBound recomputes the per-range availability counts from
-// scratch — used whenever the baseline is replaced wholesale (fresh solve
-// or decode-cache sync) rather than delta-repaired.
+// rebuildIncBound recounts the nonempty ranges from scratch — used
+// whenever the baseline is replaced wholesale (fresh solve or decode-cache
+// sync) rather than delta-repaired.
 func (s *Scheme) rebuildIncBound(avail *bitset.Set) {
-	st := s.inc
-	size := s.p.C()
-	if k := s.p.Kind(); k == placement.KindFR || k == placement.KindHR {
-		size = s.p.GroupSize()
-	}
-	n := s.p.N()
-	nr := (n + size - 1) / size
-	if st.rangeSize != size || len(st.occupied) != nr {
-		st.occupied = make([]int32, nr)
-		st.rangeSize = size
-	}
-	st.nonempty = 0
-	for i := 0; i < nr; i++ {
-		lo, hi := i*size, (i+1)*size
-		if hi > n {
-			hi = n
-		}
-		cnt := avail.CountInRange(lo, hi)
-		st.occupied[i] = int32(cnt)
-		if cnt > 0 {
-			st.nonempty++
-		}
-	}
+	s.inc.nonempty = avail.OccupiedBlocks(s.boundRange())
 }
 
-// freshBound returns a structural upper bound on α(G[avail]) computable in
-// O(n/64): FR/HR count groups with at least one available worker (each
-// group is a clique); CR takes min(⌊n/c⌋, number of length-c windows
-// holding an available worker) — two chosen in one window would sit at
-// circular distance < c.
+// freshBound returns a structural upper bound on α(G[avail]) in one
+// word-parallel pass (avail must hold no id ≥ n): FR/HR count groups with
+// at least one available worker (each group is a clique); CR takes
+// min(⌊n/c⌋, number of aligned length-c windows holding an available
+// worker) — two chosen in one window would sit at circular distance < c.
 func (s *Scheme) freshBound(avail *bitset.Set) int {
-	n, c := s.p.N(), s.p.C()
-	switch s.p.Kind() {
-	case placement.KindFR, placement.KindHR:
-		n0 := s.p.GroupSize()
-		b := 0
-		for lo := 0; lo < n; lo += n0 {
-			if avail.AnyInRange(lo, lo+n0) {
-				b++
-			}
-		}
-		return b
-	case placement.KindCR:
-		windows := 0
-		for lo := 0; lo < n; lo += c {
-			hi := lo + c
-			if hi > n {
-				hi = n
-			}
-			if avail.AnyInRange(lo, hi) {
-				windows++
-			}
-		}
-		if m := n / c; m < windows {
-			return m
-		}
-		return windows
+	return s.capBound(avail.OccupiedBlocks(s.boundRange()))
+}
+
+// boundRange is the width of the aligned ranges the structural bound
+// counts: a length-c window for CR, a group for FR/HR.
+func (s *Scheme) boundRange() int {
+	if s.p.Kind() == placement.KindCR {
+		return s.p.C()
 	}
-	return n
+	return s.p.GroupSize()
+}
+
+// capBound turns a count of nonempty ranges into the structural bound:
+// for CR at most ⌊n/c⌋ workers fit at pairwise circular distance ≥ c.
+func (s *Scheme) capBound(nonempty int) int {
+	if s.p.Kind() == placement.KindCR {
+		return min(nonempty, s.p.N()/s.p.C())
+	}
+	return nonempty
 }
 
 // repairFR rebuilds "one chosen worker per group with availability": drop

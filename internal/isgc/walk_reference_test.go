@@ -46,6 +46,275 @@ func referenceRandomAvailable(avail *bitset.Set, k int) int {
 	return picked
 }
 
+// referenceDecode is the fresh solve as it was before the walks stopped at
+// the structural bound: decodeCR and decodeHR run every walk, with the bound
+// counted window by window. Decode must return the same set and leave the
+// RNG where this does, for any mask and any draw history.
+func referenceDecode(s *Scheme, avail *bitset.Set) *bitset.Set {
+	if avail.Empty() {
+		return bitset.New(s.p.N()) // Decode returns before any draw
+	}
+	switch s.p.Kind() {
+	case placement.KindCR:
+		return referenceDecodeCR(s, avail)
+	case placement.KindHR:
+		return referenceDecodeHR(s, avail)
+	}
+	return s.decodeFR(avail)
+}
+
+func referenceDecodeCR(s *Scheme, avail *bitset.Set) *bitset.Set {
+	n, c := s.p.N(), s.p.C()
+	u := s.randomAvailable(avail)
+	best := bitset.New(n)
+	for off := 0; off < c; off++ {
+		start := (u + off) % n
+		if !avail.Contains(start) {
+			continue
+		}
+		cur := s.greedyWalkCR(avail, start)
+		if cur.Len() > best.Len() {
+			best = cur
+		}
+	}
+	return best
+}
+
+func referenceDecodeHR(s *Scheme, avail *bitset.Set) *bitset.Set {
+	n := s.p.N()
+	n0 := s.p.GroupSize()
+	u := s.randomAvailable(avail)
+	anchorBase := (u / n0) * n0
+	best := referenceWalkHRGroup(s, avail, anchorBase, bitset.New(n))
+	if bound := referenceFreshBound(s, avail); best.Len() < bound {
+		for base := 0; base < n && best.Len() < bound; base += n0 {
+			if base != anchorBase {
+				best = referenceWalkHRGroup(s, avail, base, best)
+			}
+		}
+	}
+	return best
+}
+
+func referenceWalkHRGroup(s *Scheme, avail *bitset.Set, base int, best *bitset.Set) *bitset.Set {
+	n0 := s.p.GroupSize()
+	for start := avail.NextInRange(base, base+n0); start >= 0; start = avail.NextInRange(start+1, base+n0) {
+		if cur := s.greedyWalkConflict(avail, start); cur.Len() > best.Len() {
+			best = cur
+		}
+	}
+	return best
+}
+
+// referenceFreshBound counts the structural bound one range probe at a
+// time, sharing no code with bitset.OccupiedBlocks.
+func referenceFreshBound(s *Scheme, avail *bitset.Set) int {
+	n, c := s.p.N(), s.p.C()
+	size := s.p.GroupSize()
+	if s.p.Kind() == placement.KindCR {
+		size = c
+	}
+	b := 0
+	for lo := 0; lo < n; lo += size {
+		if avail.CountInRange(lo, min(lo+size, n)) > 0 {
+			b++
+		}
+	}
+	if s.p.Kind() == placement.KindCR {
+		return min(b, n/c)
+	}
+	return b
+}
+
+// decodeTwins runs Decode on one scheme and referenceDecode on its
+// twin (same placement, same seed, same draw history) and fails unless the
+// chosen sets and the RNG positions agree — and, on the way, the structural
+// bound agrees with its probe-by-probe reference. It returns Decode's set.
+func decodeTwins(t testing.TB, s, ref *Scheme, avail *bitset.Set) *bitset.Set {
+	t.Helper()
+	clamped := avail.CloneCapped(s.p.N())
+	if got, want := s.freshBound(clamped), referenceFreshBound(ref, clamped); got != want {
+		t.Fatalf("%v W'=%v: freshBound %d, reference %d", s.p, avail, got, want)
+	}
+	got := s.Decode(avail)
+	want := referenceDecode(ref, clamped)
+	if !got.Equal(want) {
+		t.Fatalf("%v W'=%v: Decode chose %v, every-walk reference %v", s.p, avail, got, want)
+	}
+	gs, gd := s.RandState()
+	ws, wd := ref.RandState()
+	if gs != ws || gd != wd {
+		t.Fatalf("%v W'=%v: RNG at (%d, %d) after Decode, (%d, %d) after the reference", s.p, avail, gs, gd, ws, wd)
+	}
+	return got
+}
+
+// TestDecodeMatchesEveryWalk is the differential suite for the early stop:
+// Decode against the every-walk reference on twin-seeded schemes, over
+// every mask of the exhaustive placements (n ≤ 12), then random masks and
+// drift and burst mask walks at n ∈ {16, 33, 64, 2048}.
+func TestDecodeMatchesEveryWalk(t *testing.T) {
+	t.Run("exhaustive", func(t *testing.T) {
+		for _, p := range exhaustivePlacements(t) {
+			s, ref := New(p, 1), New(p, 1)
+			n := p.N()
+			for mask := 0; mask < 1<<n; mask++ {
+				avail := bitset.New(n)
+				for v := 0; v < n; v++ {
+					if mask&(1<<v) != 0 {
+						avail.Add(v)
+					}
+				}
+				decodeTwins(t, s, ref, avail)
+			}
+		}
+	})
+	for _, p := range walkDifferentialPlacements(t) {
+		p := p
+		t.Run(p.String(), func(t *testing.T) {
+			n := p.N()
+			rng := rand.New(rand.NewSource(int64(n)))
+			s, ref := New(p, int64(n)+3), New(p, int64(n)+3)
+			for trial := 0; trial < 10; trial++ {
+				density := []float64{0.05, 0.3, 0.7, 0.95, 1}[trial%5]
+				avail := bitset.New(n)
+				for v := 0; v < n; v++ {
+					if rng.Float64() < density {
+						avail.Add(v)
+					}
+				}
+				decodeTwins(t, s, ref, avail)
+			}
+			for _, burst := range []bool{false, true} {
+				w := newMaskWalk(rng, n, burst)
+				for step := 0; step < 100; step++ {
+					w.step(step)
+					decodeTwins(t, s, ref, w.avail)
+				}
+			}
+		})
+	}
+}
+
+// walkDifferentialPlacements are CR and HR at n ∈ {16, 33, 64, 2048}, with
+// window and group widths on both of OccupiedBlocks' passes (dividing 64
+// or not).
+func walkDifferentialPlacements(t *testing.T) []*placement.Placement {
+	t.Helper()
+	var ps []*placement.Placement
+	for _, n := range []int{16, 33, 64, 2048} {
+		for _, c := range []int{2, 3, 7, 8} {
+			p, err := placement.CR(n, c)
+			if err != nil {
+				t.Fatalf("CR(%d,%d): %v", n, c, err)
+			}
+			ps = append(ps, p)
+		}
+	}
+	for _, hr := range [][4]int{{16, 2, 2, 4}, {33, 5, 3, 3}, {64, 2, 2, 16}, {64, 3, 3, 8}, {2048, 8, 8, 128}} {
+		p, err := placement.HR(hr[0], hr[1], hr[2], hr[3])
+		if err != nil {
+			t.Fatalf("HR%v: %v", hr, err)
+		}
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+// maskWalk is a long-running fleet's availability in miniature: one
+// departure per step that returns five steps later, and with burst set,
+// every 16th step a contiguous block of max(2, n/64) workers leaving together, as
+// fleet-churn bursts n/64.
+type maskWalk struct {
+	rng     *rand.Rand
+	n       int
+	burst   bool
+	avail   *bitset.Set
+	returns [6][]int // returns[t%6] come back at step t
+}
+
+func newMaskWalk(rng *rand.Rand, n int, burst bool) *maskWalk {
+	w := &maskWalk{rng: rng, n: n, burst: burst, avail: bitset.New(n)}
+	w.avail.AddRange(0, n)
+	return w
+}
+
+func (w *maskWalk) leave(t, v int) {
+	if w.avail.Contains(v) {
+		w.avail.Remove(v)
+		w.returns[(t+5)%6] = append(w.returns[(t+5)%6], v)
+	}
+}
+
+func (w *maskWalk) step(t int) {
+	for _, v := range w.returns[t%6] {
+		w.avail.Add(v)
+	}
+	w.returns[t%6] = w.returns[t%6][:0]
+	w.leave(t, w.rng.Intn(w.n))
+	if w.burst && t%16 == 0 {
+		lo := w.rng.Intn(w.n)
+		for v := lo; v < lo+max(2, w.n/64); v++ {
+			w.leave(t, v%w.n)
+		}
+	}
+}
+
+// TestDecodeMatchesEveryWalkAtFleetScale runs the twins on CR(50000, 8)
+// and HR(50000, 4, 4, 5000) over three masks: the first 16 workers away
+// (the first CR walk meets the bound), that hole plus every 97th worker
+// (no CR walk does: all c run), and the hole plus a fleet-churn burst of
+// n/64 contiguous workers and a few single departures. On the first, a CR
+// Decode allocates one walk's sets, not c.
+func TestDecodeMatchesEveryWalkAtFleetScale(t *testing.T) {
+	const n = 50000
+	hole := bitset.New(n)
+	hole.AddRange(16, n)
+	sparse := hole.Clone()
+	for w := 16; w < n; w += 97 {
+		sparse.Remove(w)
+	}
+	burst := hole.Clone()
+	for w := 20000; w < 20000+n/64; w++ {
+		burst.Remove(w)
+	}
+	for _, w := range []int{101, 7777, 31337, 49999} {
+		burst.Remove(w)
+	}
+	masks := []struct {
+		name  string
+		avail *bitset.Set
+	}{{"hole", hole}, {"hole+every-97th", sparse}, {"hole+burst", burst}}
+
+	cr, err := placement.CR(n, 8, placement.Structural())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := placement.HR(n, 4, 4, 5000, placement.Structural())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*placement.Placement{cr, hr} {
+		s, ref := New(p, 7), New(p, 7)
+		for _, m := range masks {
+			for rep := 0; rep < 3; rep++ {
+				decodeTwins(t, s, ref, m.avail)
+			}
+		}
+	}
+
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	s := New(cr, 7)
+	walk := testing.AllocsPerRun(5, func() { s.greedyWalkCR(hole, 16) })
+	clamp := testing.AllocsPerRun(5, func() { s.clampAvailable(hole) })
+	if got := testing.AllocsPerRun(5, func() { s.Decode(hole) }); got > clamp+walk {
+		t.Fatalf("CR Decode on the hole mask made %.0f allocations; the mask clamp and one walk make %.0f",
+			got, clamp+walk)
+	}
+}
+
 // TestGreedyWalkCRMatchesLinearReference sweeps n, c, densities, and start
 // vertices, asserting the interval-scan walk equals the frozen linear walk
 // element-for-element.
