@@ -483,13 +483,55 @@ func (s *Set) Range(fn func(v int) bool) {
 	}
 }
 
-// Slice returns the elements in ascending order.
+// Cursor enumerates a set's elements in ascending order a word at a time:
+// no callback per element, no allocation, one word load per 64 values. Its
+// zero value is exhausted; Set.Cursor starts one. The set must not change
+// while a cursor walks it.
+type Cursor struct {
+	words []uint64
+	k     int    // index of the word w came from
+	w     uint64 // the bits of words[k] not yet returned
+}
+
+// Cursor returns a cursor positioned before the smallest element.
+func (s *Set) Cursor() Cursor { return Cursor{words: s.words, k: -1} }
+
+// Next returns the next element, or -1 once every element was returned.
+func (c *Cursor) Next() int {
+	for c.w == 0 {
+		if c.k+1 >= len(c.words) {
+			return -1
+		}
+		c.k++
+		c.w = c.words[c.k]
+	}
+	b := bits.TrailingZeros64(c.w)
+	c.w &= c.w - 1
+	return c.k*wordBits + b
+}
+
+// Slice returns the elements in ascending order. It is written a word at a
+// time into a slice of exactly Len() values, a full word as a run of 64:
+// the master's partition list is tens of thousands of elements, mostly full
+// words, every step.
 func (s *Set) Slice() []int {
-	out := make([]int, 0, s.Len())
-	s.Range(func(v int) bool {
-		out = append(out, v)
-		return true
-	})
+	out := make([]int, s.Len())
+	k := 0
+	for i, w := range s.words {
+		base := i * wordBits
+		if w == ^uint64(0) {
+			run := out[k : k+wordBits]
+			for b := range run {
+				run[b] = base + b
+			}
+			k += wordBits
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			out[k] = base + bits.TrailingZeros64(w)
+			k++
+		}
+	}
 	return out
 }
 

@@ -1,8 +1,10 @@
 package bitset
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -96,5 +98,68 @@ func TestNextInRangeMatchesRangeWordsReference(t *testing.T) {
 	var zero Set
 	if got := zero.NextInRange(0, 10); got != -1 {
 		t.Fatalf("NextInRange on the zero Set = %d", got)
+	}
+}
+
+// TestSliceMatchesRange: the word-at-a-time list is the Range enumeration,
+// exactly Len() long (length and capacity), and so is a Cursor's walk, on
+// empty and full sets, all-ones words beside partial ones, single bits at
+// word edges, sets grown past New(n), and random densities.
+func TestSliceMatchesRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	full := func(n int) *Set { s := New(n); s.AddRange(0, n); return s }
+	cases := map[string]*Set{
+		"zero value":    {},
+		"empty":         New(200),
+		"full 64":       full(64),
+		"full 200":      full(200),
+		"bit 0":         FromSlice([]int{0}),
+		"bit 63":        FromSlice([]int{63}),
+		"bit 64":        FromSlice([]int{64}),
+		"bits 0 63 64":  FromSlice([]int{0, 63, 64}),
+		"runs":          FromSlice([]int{5, 127, 300}),
+		"grown past":    New(10),
+		"ones and part": New(256),
+	}
+	cases["runs"].AddRange(64, 128)
+	cases["runs"].AddRange(192, 256)
+	cases["grown past"].Add(4)
+	cases["grown past"].AddRange(70, 200)
+	cases["grown past"].Add(1000)
+	cases["ones and part"].AddRange(0, 64)
+	cases["ones and part"].AddRange(130, 256)
+	for _, universe := range []int{1, 63, 64, 65, 200, 1000} {
+		for _, density := range []float64{0.01, 0.2, 0.5, 0.99} {
+			s := New(universe)
+			for v := 0; v < universe; v++ {
+				if rng.Float64() < density {
+					s.Add(v)
+				}
+			}
+			cases[fmt.Sprintf("universe %d density %v", universe, density)] = s
+		}
+	}
+	for name, s := range cases {
+		var want []int
+		s.Range(func(v int) bool {
+			want = append(want, v)
+			return true
+		})
+		got := s.Slice()
+		if !slices.Equal(got, want) || len(got) != s.Len() || cap(got) != s.Len() {
+			t.Fatalf("%s: Slice() = %v (len %d, cap %d), Range gives %v", name, got, len(got), cap(got), want)
+		}
+		got = got[:0]
+		it := s.Cursor()
+		for v := it.Next(); v >= 0; v = it.Next() {
+			got = append(got, v)
+		}
+		if !slices.Equal(got, want) || it.Next() != -1 {
+			t.Fatalf("%s: Cursor gives %v, Range %v", name, got, want)
+		}
+	}
+	var done Cursor
+	if v := done.Next(); v != -1 {
+		t.Fatalf("the zero Cursor returned %d", v)
 	}
 }

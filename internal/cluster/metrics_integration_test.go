@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -207,18 +208,26 @@ func TestMasterMetricsMatchTrace(t *testing.T) {
 		}
 	}
 
-	// Worker-side instruments moved for a surviving worker.
-	wm := workerMetrics[0]
+	// Worker-side instruments moved for the survivor the master accepted
+	// most from. Any fixed survivor can lose every fastest-2 race of a short
+	// run and legitimately serve nothing.
+	top := 0
+	for i := 1; i < 3; i++ {
+		if counts[i] > counts[top] {
+			top = i
+		}
+	}
+	wm := workerMetrics[top]
 	if wm.Steps.Value() == 0 || wm.ComputeTime.Count() == 0 || wm.SentBytes.Value() == 0 {
-		t.Errorf("worker 0 instruments did not move: steps=%d compute=%d bytes=%d",
-			wm.Steps.Value(), wm.ComputeTime.Count(), wm.SentBytes.Value())
+		t.Errorf("worker %d instruments did not move: steps=%d compute=%d bytes=%d",
+			top, wm.Steps.Value(), wm.ComputeTime.Count(), wm.SentBytes.Value())
 	}
 	// Every computed step was either served or given up after its compute
 	// (a degraded step closes without its slower survivors).
 	gaveUp := wm.StepsAbandoned.With(phaseDelay).Value() + wm.StepsAbandoned.With(phasePresend).Value()
 	if wm.Steps.Value()+gaveUp != wm.ComputeTime.Count() {
-		t.Errorf("worker 0 steps (%d) + abandoned after compute (%d) != compute observations (%d)",
-			wm.Steps.Value(), gaveUp, wm.ComputeTime.Count())
+		t.Errorf("worker %d steps (%d) + abandoned after compute (%d) != compute observations (%d)",
+			top, wm.Steps.Value(), gaveUp, wm.ComputeTime.Count())
 	}
 
 	// The exposition carries the per-worker families with real values.
@@ -244,7 +253,7 @@ func TestMasterMetricsMatchTrace(t *testing.T) {
 		"isgc_master_alive_workers",
 		"isgc_master_max_heartbeat_age_seconds",
 		`isgc_master_worker_alive{worker="3"} 0`,
-		`isgc_master_accepted_gradients_total{worker="0"}`,
+		fmt.Sprintf(`isgc_master_accepted_gradients_total{worker="%d"}`, top),
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("exposition missing %q", want)

@@ -2,10 +2,12 @@ package isgc
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"isgc/internal/bitset"
+	"isgc/internal/linalg/kerneltest"
 	"isgc/internal/placement"
 )
 
@@ -26,59 +28,75 @@ func referenceAggregate(chosen *bitset.Set, coded [][]float64) []float64 {
 }
 
 // TestAggregateFusedMatchesSequential: ĝ from the four-rows-per-pass sum
-// has the bits of the row-at-a-time sum for every α in 0..9, on values
-// where the order of additions decides the result (1e16 absorbs a lone 1;
-// −1e16 then cancels it).
+// has the bits of the row-at-a-time sum for every α in 0..13 — no pass, one,
+// two and three passes with and without a look-ahead hand-off, and every
+// tail of 1–3 rows — at dimensions around the lane group and the line of
+// eight, under both kernel paths, on values where the order of additions
+// decides the result (1e16 absorbs a lone 1; −1e16 then cancels it).
 func TestAggregateFusedMatchesSequential(t *testing.T) {
-	const n, dim = 10, 7
+	const n = 14
 	p, err := placement.CR(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(p, 1)
 	pool := []float64{1e16, 1, -1e16, 1, 3, -1, 1e-3, -1e16, 1e16, 0.1}
-	coded := make([][]float64, n)
-	for i := range coded {
-		coded[i] = make([]float64, dim)
-		for k := range coded[i] {
-			coded[i][k] = pool[(i*3+k*7+i*k)%len(pool)]
-		}
-	}
-	orderMatters := false
-	for alpha := 0; alpha < n; alpha++ {
-		// Two spreads of α workers: the first α, and α taken from the top.
-		for _, from := range []int{0, n - alpha} {
-			chosen := bitset.New(n)
-			chosen.AddRange(from, from+alpha)
-			ghat, parts, err := s.Aggregate(chosen, coded)
-			if err != nil {
-				t.Fatalf("α=%d from %d: %v", alpha, from, err)
-			}
-			if parts.Len() != alpha {
-				t.Fatalf("α=%d from %d: %d partitions", alpha, from, parts.Len())
-			}
-			want := referenceAggregate(chosen, coded)
-			if len(ghat) != len(want) {
-				t.Fatalf("α=%d from %d: len(ĝ) = %d, want %d", alpha, from, len(ghat), len(want))
-			}
-			for k := range want {
-				if math.Float64bits(ghat[k]) != math.Float64bits(want[k]) {
-					t.Fatalf("α=%d from %d: ĝ[%d] = %v, sequential sum %v", alpha, from, k, ghat[k], want[k])
+	kerneltest.EachPath(t, func(path string) {
+		orderMatters := false
+		for _, dim := range []int{1, 3, 4, 5, 7, 64, 67} {
+			coded := make([][]float64, n)
+			for i := range coded {
+				coded[i] = make([]float64, dim)
+				for k := range coded[i] {
+					coded[i][k] = pool[(i*3+k*7+i*k)%len(pool)]
 				}
-				// A pairwise (tree) sum of the same rows differs somewhere,
-				// or the values would not be testing the association.
-				if alpha == 4 {
-					r := chosen.Slice()
-					if tree := (coded[r[0]][k] + coded[r[1]][k]) + (coded[r[2]][k] + coded[r[3]][k]); tree != want[k] {
-						orderMatters = true
+			}
+			for alpha := 0; alpha < n; alpha++ {
+				// Three spreads of α workers: the first α, α taken from the
+				// top, and every other worker up to α of them.
+				spread := bitset.New(n)
+				for i := 0; i < n && spread.Len() < alpha; i += 2 {
+					spread.Add(i)
+				}
+				for i := 1; spread.Len() < alpha; i += 2 {
+					spread.Add(i)
+				}
+				first, top := bitset.New(n), bitset.New(n)
+				first.AddRange(0, alpha)
+				top.AddRange(n-alpha, n)
+				for _, chosen := range []*bitset.Set{first, top, spread} {
+					ghat, parts, err := s.Aggregate(chosen, coded)
+					if err != nil {
+						t.Fatalf("%s dim=%d α=%d %v: %v", path, dim, alpha, chosen, err)
+					}
+					if parts.Len() != alpha {
+						t.Fatalf("%s dim=%d α=%d %v: %d partitions", path, dim, alpha, chosen, parts.Len())
+					}
+					want := referenceAggregate(chosen, coded)
+					if len(ghat) != len(want) {
+						t.Fatalf("%s dim=%d α=%d %v: len(ĝ) = %d, want %d", path, dim, alpha, chosen, len(ghat), len(want))
+					}
+					for k := range want {
+						if math.Float64bits(ghat[k]) != math.Float64bits(want[k]) {
+							t.Fatalf("%s dim=%d α=%d %v: ĝ[%d] = %v, sequential sum %v", path, dim, alpha, chosen, k, ghat[k], want[k])
+						}
+						// A pairwise (tree) sum of the same rows differs
+						// somewhere, or the values would not be testing the
+						// association.
+						if alpha == 4 {
+							r := chosen.Slice()
+							if tree := (coded[r[0]][k] + coded[r[1]][k]) + (coded[r[2]][k] + coded[r[3]][k]); tree != want[k] {
+								orderMatters = true
+							}
+						}
 					}
 				}
 			}
 		}
-	}
-	if !orderMatters {
-		t.Fatal("test values do not distinguish left-to-right from pairwise association")
-	}
+		if !orderMatters {
+			t.Fatal("test values do not distinguish left-to-right from pairwise association")
+		}
+	})
 }
 
 // TestAggregateFusedRejectsBadRows: a missing or wrong-sized row is reported
@@ -124,6 +142,62 @@ func TestAggregateFusedRejectsBadRows(t *testing.T) {
 	if _, _, err := s.Aggregate(chosen, make([][]float64, n-1)); err == nil {
 		t.Fatal("coded shorter than the chosen ids accepted")
 	}
+
+	// An id ≥ n with a row behind it: Recovered ignores the id, so summing the
+	// row would put a gradient into ĝ that the partition list does not count.
+	cr, err := placement.CR(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coded := make([][]float64, 10)
+	for i := range coded {
+		coded[i] = []float64{float64(i)}
+	}
+	for _, ids := range [][]int{{0, 9}, {9}, {0, 1, 2, 3, 4, 5, 6, 7, 8}} {
+		ghat, parts, err := New(cr, 1).Aggregate(bitset.FromSlice(ids), coded)
+		want := "chosen worker " + strconv.Itoa(ids[len(ids)-1]) + " out of range [0,8)"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("chosen %v over 10 rows of CR(8,2): ĝ = %v, parts %v, err = %v; want an error mentioning %q", ids, ghat, parts, err, want)
+		}
+		if ghat != nil || parts != nil {
+			t.Fatalf("chosen %v: got ĝ or parts beside the error", ids)
+		}
+	}
+}
+
+// BenchmarkAggregateFleet is the master's recovery pass after decode at the
+// fleet-churn workload's shape — Aggregate, then the partition list — for
+// the chosen set of a CR(50000, 8) decode on the bound-met mask (the first 16
+// workers away), with 64-value rows sliced from one backing array, under
+// both kernel paths.
+func BenchmarkAggregateFleet(b *testing.B) {
+	const n, dim = 50000, 64
+	p, err := placement.CR(n, 8, placement.Structural())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(p, 7)
+	avail := bitset.New(n)
+	avail.AddRange(16, n)
+	chosen := s.Decode(avail)
+	flat := make([]float64, n*dim)
+	coded := make([][]float64, n)
+	for i := range coded {
+		coded[i] = flat[i*dim : (i+1)*dim]
+		coded[i][0] = float64(i%7) - 3
+	}
+	kerneltest.EachPath(b, func(path string) {
+		b.Run(path, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, parts, err := s.Aggregate(chosen, coded)
+				if err != nil {
+					b.Fatal(err)
+				}
+				parts.Slice()
+			}
+		})
+	})
 }
 
 // TestRecoveredPartitionsIgnoresOutOfRangeIDs: Recovered on a chosen set

@@ -7,22 +7,23 @@ import (
 
 // Vector kernels -----------------------------------------------------------
 //
-// Two kernels have an assembly body (kernels_amd64.s, AVX2): MatVecT4, the
-// model forward pass over four samples, and AXPY4/AXPY4Zero, the backward
-// row update. Both vectorise across *independent outputs* — four samples of
-// one row in the forward pass, four columns of one row in the backward — so
+// Three kernels have an assembly body (kernels_amd64.s, AVX2): MatVecT4, the
+// model forward pass over four samples, AXPY4/AXPY4Zero, the backward row
+// update, and AddTo4 (linalg.go), the master's sum of four decoded rows. All
+// vectorise across *independent outputs* — four samples of one row in the
+// forward pass, four columns of one row in the backward and the row sum — so
 // every output element is still its own left-to-right chain of one multiply
-// and one add per term, rounded where the Go loops round: the result is
-// bit-identical to them. A fused multiply-add would round once per term
-// instead of twice, and a sum spread over lanes and folded at the end would
-// reassociate; the assembly uses neither.
+// and one add per term (one add, in the row sum), rounded where the Go loops
+// round: the result is bit-identical to them. A fused multiply-add would
+// round once per term instead of twice, and a sum spread over lanes and
+// folded at the end would reassociate; the assembly uses neither.
 //
 // Which body runs is decided once, at package init, from what the CPU and
 // the operating system report (AVX2, and YMM state saved on context switch).
-// Without both — and on every other architecture — the Go loops below run;
-// they are also the reference the tests compare the assembly against.
+// Without both — and on every other architecture — the Go loops run; they
+// are also the reference the tests compare the assembly against.
 //
-// A third kernel, TanhBias4 at the end of this file, is a different kind of
+// A fourth kernel, TanhBias4 at the end of this file, is a different kind of
 // equal: its assembly is package math's own tanh, four lanes at a time.
 
 // useAVX2 selects the assembly bodies. It is written at init and, after

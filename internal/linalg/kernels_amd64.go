@@ -53,6 +53,12 @@ func matVecT4AVX2(dstT, w *float64, stride, rows, n int, xT *float64)
 //go:noescape
 func axpy4AVX2(dst *float64, n int, a0 float64, x0 *float64, a1 float64, x1 *float64, a2 float64, x2 *float64, a3 float64, x3 *float64, zero bool)
 
+// addTo4AVX2 is AddTo4's body for n ≥ 1 words of dst and of a, b, c, d. p0–p3
+// are only prefetched, never read or written.
+//
+//go:noescape
+func addTo4AVX2(dst *float64, n int, a, b, c, d, p0, p1, p2, p3 *float64)
+
 // tanhBias4AVX2 is TanhBias4's body for rows ≥ 1: 4·rows words of hT, rows
 // words of b. Only for a host with hasFMA.
 //

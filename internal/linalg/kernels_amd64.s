@@ -1,11 +1,12 @@
-// The package's only assembly: the AVX2 bodies of MatVecT4, AXPY4/AXPY4Zero
-// and TanhBias4, and the two probes that decide whether they may run.
+// The package's only assembly: the AVX2 bodies of MatVecT4, AXPY4/AXPY4Zero,
+// AddTo4 and TanhBias4, and the two probes that decide whether they may run.
 // kernels.go holds the Go loops they must equal bit for bit, the operand
 // checks that run before every call, and the reasons for the shape.
 //
 // In the mat-vec and the row update every product is a VMULPD and every sum
 // a separate VADDPD, rounded where the Go loops round; there is no FMA and no
-// horizontal add, a lane is one output element from start to finish. The
+// horizontal add, a lane is one output element from start to finish. The row
+// sum is the adds alone, in the same order. The
 // accumulator is the first source of each add and the matrix word / scale
 // factor the first source of each multiply (the middle operand in this
 // syntax), which is the operand a NaN result is copied from when both are
@@ -178,6 +179,88 @@ onesum:
 	JLT    one
 
 axpydone:
+	VZEROUPPER
+	RET
+
+// func addTo4AVX2(dst *float64, n int, a, b, c, d, p0, p1, p2, p3 *float64)
+//
+// n ≥ 1. dst[i] = (((dst[i]+a[i])+b[i])+c[i])+d[i], eight columns (one cache
+// line of each row) per pass as two independent lane groups, then at most
+// one more group of four, then the last n mod 4 columns one at a time with
+// VADDSD. p0–p3 are the rows of the caller's next pass: each pass issues a
+// PREFETCHT0 at its own offset in each of them, so the next four rows are
+// in cache by the time they are summed. A prefetch never faults and writes
+// nothing; the pointers are only hints.
+TEXT ·addTo4AVX2(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ a+16(FP), SI
+	MOVQ b+24(FP), R8
+	MOVQ c+32(FP), R9
+	MOVQ d+40(FP), R10
+	MOVQ p0+48(FP), R11
+	MOVQ p1+56(FP), R12
+	MOVQ p2+64(FP), R13
+	MOVQ p3+72(FP), R14
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-8, BX // columns covered by whole lines
+	JZ   addquad
+
+addline:
+	PREFETCHT0 (R11)(AX*8)
+	PREFETCHT0 (R12)(AX*8)
+	PREFETCHT0 (R13)(AX*8)
+	PREFETCHT0 (R14)(AX*8)
+	VMOVUPD    (DI)(AX*8), Y0
+	VMOVUPD    32(DI)(AX*8), Y1
+	VADDPD     (SI)(AX*8), Y0, Y0
+	VADDPD     32(SI)(AX*8), Y1, Y1
+	VADDPD     (R8)(AX*8), Y0, Y0
+	VADDPD     32(R8)(AX*8), Y1, Y1
+	VADDPD     (R9)(AX*8), Y0, Y0
+	VADDPD     32(R9)(AX*8), Y1, Y1
+	VADDPD     (R10)(AX*8), Y0, Y0
+	VADDPD     32(R10)(AX*8), Y1, Y1
+	VMOVUPD    Y0, (DI)(AX*8)
+	VMOVUPD    Y1, 32(DI)(AX*8)
+	ADDQ       $8, AX
+	CMPQ       AX, BX
+	JLT        addline
+
+addquad:
+	MOVQ       CX, BX
+	SUBQ       AX, BX
+	CMPQ       BX, $4
+	JLT        addtail
+	PREFETCHT0 (R11)(AX*8)
+	PREFETCHT0 (R12)(AX*8)
+	PREFETCHT0 (R13)(AX*8)
+	PREFETCHT0 (R14)(AX*8)
+	VMOVUPD    (DI)(AX*8), Y0
+	VADDPD     (SI)(AX*8), Y0, Y0
+	VADDPD     (R8)(AX*8), Y0, Y0
+	VADDPD     (R9)(AX*8), Y0, Y0
+	VADDPD     (R10)(AX*8), Y0, Y0
+	VMOVUPD    Y0, (DI)(AX*8)
+	ADDQ       $4, AX
+
+addtail:
+	CMPQ AX, CX
+	JGE  adddone
+
+addone:
+	VMOVSD (DI)(AX*8), X0
+	VADDSD (SI)(AX*8), X0, X0
+	VADDSD (R8)(AX*8), X0, X0
+	VADDSD (R9)(AX*8), X0, X0
+	VADDSD (R10)(AX*8), X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    addone
+
+adddone:
 	VZEROUPPER
 	RET
 

@@ -14,6 +14,10 @@ func axpy4AVX2(dst *float64, n int, a0 float64, x0 *float64, a1 float64, x1 *flo
 	panic("linalg: no vector kernels on this architecture")
 }
 
+func addTo4AVX2(dst *float64, n int, a, b, c, d, p0, p1, p2, p3 *float64) {
+	panic("linalg: no vector kernels on this architecture")
+}
+
 func tanhBias4AVX2(hT, b *float64, rows int) {
 	panic("linalg: no vector kernels on this architecture")
 }

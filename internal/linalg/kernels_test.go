@@ -244,6 +244,28 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 				}
 			}
 		}
+		for _, n := range []int{1, 3, 4, 5, 8, 9, 12, 16, 67} {
+			reset()
+			// Four prefetch hints: full rows, one longer and one shorter than
+			// dst (skipped for dst).
+			a, dst, b, c, d := carve(n), carve(n), carve(n), carve(n), carve(n)
+			next := [][]float64{carve(n), carve(n + 2), carve(n), carve(n - 1)}
+			srcs := append([][]float64{a, b, c, d}, next...)
+			for _, v := range append(srcs, dst) {
+				copy(v, unitVec(rng, len(v)))
+			}
+			was := make([][]float64, len(srcs))
+			for q, v := range srcs {
+				was[q] = CloneVec(v)
+			}
+			AddTo4(dst, a, b, c, d, next...)
+			untouched("AddTo4")
+			for q, v := range srcs {
+				if !slices.Equal(v, was[q]) {
+					t.Fatalf("AddTo4 n=%d changed operand %d", n, q)
+				}
+			}
+		}
 	})
 }
 
@@ -259,6 +281,10 @@ func TestVectorKernelsPanicOnMisfit(t *testing.T) {
 		"AXPY4Zero short x0":        func() { AXPY4Zero(v(5), 1, v(4), 1, v(5), 1, v(5), 1, v(5)) },
 		"AXPY4Zero long x3":         func() { AXPY4Zero(v(5), 1, v(5), 1, v(5), 1, v(5), 1, v(9)) },
 		"AXPY4Zero empty dst":       func() { AXPY4Zero(nil, 1, v(5), 1, v(5), 1, v(5), 1, v(5)) },
+		"AddTo4 short a":            func() { AddTo4(v(5), v(4), v(5), v(5), v(5)) },
+		"AddTo4 long b":             func() { AddTo4(v(5), v(5), v(6), v(5), v(5)) },
+		"AddTo4 empty d":            func() { AddTo4(v(5), v(5), v(5), v(5), nil) },
+		"AddTo4 empty dst":          func() { AddTo4(nil, v(5), v(5), v(5), v(5), v(5)) },
 		"xT not a multiple of four": func() { MatVecT4(v(8), v(6), 3, 2, v(11)) },
 		"dstT shorter than 4·rows":  func() { MatVecT4(v(7), v(6), 3, 2, v(12)) },
 		"last row runs past w":      func() { MatVecT4(v(8), v(5), 3, 2, v(12)) },
@@ -287,7 +313,10 @@ func TestVectorKernelsPanicOnMisfit(t *testing.T) {
 				fn()
 			}()
 		}
-		// The empty shapes are not misfits and never reach the assembly.
+		// The empty shapes are not misfits and never reach the assembly, and
+		// a prefetch hint of any length is not a misfit either.
+		AddTo4(nil, nil, nil, nil, nil, v(3))
+		AddTo4(v(5), v(5), v(5), v(5), v(5), nil, v(2), v(9), v(5), v(5))
 		AXPY4(nil, 1, nil, 1, nil, 1, nil, 1, nil)
 		AXPY4Zero(nil, 1, nil, 1, nil, 1, nil, 1, nil)
 		MatVecT4(nil, nil, 0, 0, nil)
@@ -326,6 +355,11 @@ func BenchmarkVectorKernels(b *testing.B) {
 		b.Run("AXPY4/64/"+path, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				AXPY4(row, 0.5, x, -0.5, x, 0.25, x, -0.25, x)
+			}
+		})
+		b.Run("AddTo4/64/"+path, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				AddTo4(row, x, x, x, x, x, x, x, x)
 			}
 		})
 		for _, H := range []int{64, 128} {

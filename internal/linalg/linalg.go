@@ -52,15 +52,52 @@ func AddTo(dst, src []float64) {
 // dst[i] = (((dst[i]+a[i])+b[i])+c[i])+d[i]. Every intermediate is the one
 // four successive AddTo calls would round to, so the result is bit-identical
 // to them, while dst is read and written once and the four sources stream
-// independently. Panics on length mismatch, as AddTo does.
-func AddTo4(dst, a, b, c, d []float64) {
+// independently. dst may alias a source. Panics on length mismatch, as AddTo
+// does.
+//
+// This is the master's row sum (isgc's Aggregate). On a host with the vector
+// kernels (kernels.go) four columns go per lane, each the same chain of
+// adds. next, when given, names the rows of the caller's next pass: that
+// body prefetches the first four as it streams, because the rows a decode
+// chooses sit far apart in memory and the hardware prefetcher does not
+// follow them. It is a hint only — next is never read as data, a row of it
+// shorter than dst is skipped, rows longer than prefetchMax are not
+// prefetched, and the portable loop ignores it.
+func AddTo4(dst, a, b, c, d []float64, next ...[]float64) {
 	n := len(dst)
 	if len(a) != n || len(b) != n || len(c) != n || len(d) != n {
 		panic(fmt.Sprintf("linalg: AddTo4 length mismatch %d vs %d, %d, %d, %d", n, len(a), len(b), len(c), len(d)))
 	}
+	if useAVX2 && n > 0 {
+		if n > prefetchMax {
+			next = nil
+		}
+		addTo4AVX2(&dst[0], n, &a[0], &b[0], &c[0], &d[0], ahead(next, 0, dst), ahead(next, 1, dst), ahead(next, 2, dst), ahead(next, 3, dst))
+		return
+	}
 	for i := range dst {
 		dst[i] = (((dst[i] + a[i]) + b[i]) + c[i]) + d[i]
 	}
+}
+
+// prefetchMax is the longest row AddTo4 prefetches. A line fetched for the
+// next pass is only worth its bandwidth if it is still cached when that pass
+// reaches it, after this pass has streamed ĝ, four sources and the four
+// prefetched rows. Measured on rows eight rows' length apart, 4 MiB of rows
+// per sum (Xeon, 2 vCPUs, AVX2 body), the prefetch cut the time per value by
+// 25–40% at 64 values and 10–20% at 256 and 512, was even at 1024, and cost
+// 10% at 2048, 10–30% at 16,384 and 50% at 131,072 (1 MiB gradients), where
+// the lines were evicted before use and every row was fetched twice.
+const prefetchMax = 512
+
+// ahead is the address AddTo4's body prefetches for next[k]: that row when
+// it is at least as long as dst (so every prefetched line is the row's
+// own), else dst, which is in cache already. dst is not empty.
+func ahead(next [][]float64, k int, dst []float64) *float64 {
+	if k < len(next) && len(next[k]) >= len(dst) {
+		return &next[k][0]
+	}
+	return &dst[0]
 }
 
 // AXPY computes dst += a*src element-wise.

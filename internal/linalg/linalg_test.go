@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -75,25 +76,141 @@ func TestVectorOps(t *testing.T) {
 	}
 }
 
-// AddTo4 must round exactly as four successive AddTo calls do.
+// AddTo4 must round exactly as four successive AddTo calls do, on both
+// kernel paths, and the AVX2 body must give every bit of accumulator-first
+// adds (accFirstAdd), NaN payloads included — the rule the Go loop follows
+// as the compiler emits it today (ADDSD into the accumulator). The loops
+// themselves are held to "a NaN for a NaN" only: which operand the compiler
+// puts first is its choice per function and per build (-race commutes
+// AddTo4's last add). Every length across the lane group, the line of eight
+// and their tails, and a row too long to prefetch; operands starting 0–3
+// words off 32-byte alignment; dst aliasing a; and prefetch hints that are
+// absent, full rows, short or nil, none of which may change a bit or be
+// written.
 func TestAddTo4MatchesFourAddTo(t *testing.T) {
-	rows := [][]float64{
-		{1e16, 1, 0.1, -1e16},
-		{1, -1e16, 0.2, 1},
-		{-1e16, 1e16, 0.3, 1e16},
-		{1, 1, -0.6, 1},
+	eachPath(t, func(t *testing.T) {
+		rows := [][]float64{
+			{1e16, 1, 0.1, -1e16},
+			{1, -1e16, 0.2, 1},
+			{-1e16, 1e16, 0.3, 1e16},
+			{1, 1, -0.6, 1},
+		}
+		got, want := []float64{1, 1e16, 0.7, 3}, []float64{1, 1e16, 0.7, 3}
+		AddTo4(got, rows[0], rows[1], rows[2], rows[3])
+		for _, r := range rows {
+			AddTo(want, r)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("AddTo4[%d] = %v, four AddTo calls give %v", i, got[i], want[i])
+			}
+		}
+
+		rng := rand.New(rand.NewSource(28))
+		draws := append(kernelDraws[:len(kernelDraws):len(kernelDraws)], struct {
+			name string
+			draw func(*rand.Rand, int) []float64
+		}{"payload", payloadVec})
+		for _, in := range draws {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 67, prefetchMax + 3} {
+				for off := 0; off < 4; off++ {
+					for hint := 0; hint < 3; hint++ {
+						for _, alias := range []bool{false, true} {
+							orig := in.draw(rng, n)
+							var src [4][]float64
+							for q := range src {
+								src[q] = in.draw(rng, n)
+							}
+							var next [][]float64
+							switch hint {
+							case 1:
+								next = [][]float64{in.draw(rng, n), in.draw(rng, n+3), in.draw(rng, n), in.draw(rng, n)}
+							case 2:
+								next = [][]float64{nil, in.draw(rng, n/2)}
+							}
+							nextWas := make([][]float64, len(next))
+							for q := range next {
+								nextWas[q] = CloneVec(next[q])
+							}
+							terms := src
+							if alias {
+								terms[0] = orig
+							}
+							want, spec := CloneVec(orig), CloneVec(orig)
+							for _, r := range terms {
+								AddTo(want, r)
+								for i, x := range r {
+									spec[i] = accFirstAdd(spec[i], x)
+								}
+							}
+							got := offAligned(orig, off)
+							var ops [4][]float64
+							for q := range ops {
+								ops[q] = offAligned(src[q], (off+q+1)%4)
+							}
+							if alias {
+								ops[0] = got
+							}
+							AddTo4(got, ops[0], ops[1], ops[2], ops[3], next...)
+							for i := range want {
+								if !sameResult(got[i], want[i]) {
+									t.Fatalf("%s n=%d off=%d hint=%d alias=%v: AddTo4[%d] = %v, four AddTo calls give %v", in.name, n, off, hint, alias, i, got[i], want[i])
+								}
+								if useAVX2 && math.Float64bits(got[i]) != math.Float64bits(spec[i]) {
+									t.Fatalf("%s n=%d off=%d hint=%d alias=%v: AddTo4[%d] = %#x, accumulator-first adds give %#x", in.name, n, off, hint, alias, i, math.Float64bits(got[i]), math.Float64bits(spec[i]))
+								}
+							}
+							for q := range next {
+								if !slices.Equal(bitsOf(next[q]), bitsOf(nextWas[q])) {
+									t.Fatalf("%s n=%d: AddTo4 changed hint row %d", in.name, n, q)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// accFirstAdd is acc + x with the one choice IEEE 754 leaves to the
+// implementation spelled out the way AddTo4's AVX2 body makes it: when an
+// operand is a NaN the result is the accumulator's NaN if it is one, else
+// x's, quieted. Only non-NaN operands reach the +, where operand order does
+// not matter (∞ − ∞ is the CPU's default NaN either way).
+func accFirstAdd(acc, x float64) float64 {
+	const quiet = 1 << 51
+	switch {
+	case math.IsNaN(acc):
+		return math.Float64frombits(math.Float64bits(acc) | quiet)
+	case math.IsNaN(x):
+		return math.Float64frombits(math.Float64bits(x) | quiet)
 	}
-	got := []float64{1, 1e16, 0.7, 3}
-	want := CloneVec(got)
-	AddTo4(got, rows[0], rows[1], rows[2], rows[3])
-	for _, r := range rows {
-		AddTo(want, r)
+	return acc + x
+}
+
+// bitsOf is v's bit patterns, for comparisons in which a NaN must equal
+// itself.
+func bitsOf(v []float64) []uint64 {
+	out := make([]uint64, len(v))
+	for i, x := range v {
+		out[i] = math.Float64bits(x)
 	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("AddTo4[%d] = %v, four AddTo calls give %v", i, got[i], want[i])
+	return out
+}
+
+// payloadVec is edgeVec with NaNs that differ in sign and payload, quiet and
+// signalling, so that when two meet the payload that survives shows which
+// operand an add took it from.
+func payloadVec(rng *rand.Rand, n int) []float64 {
+	nans := [...]uint64{0x7ff8000000000abc, 0xfff8000000000123, 0x7ff0000000000001, 0xfff4000000000777}
+	v := edgeVec(rng, n)
+	for i := range v {
+		if rng.Intn(3) == 0 {
+			v[i] = math.Float64frombits(nans[rng.Intn(len(nans))])
 		}
 	}
+	return v
 }
 
 // AXPY4 must round exactly as four successive AXPY calls do (AXPY has one

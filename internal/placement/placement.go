@@ -414,7 +414,8 @@ func (p *Placement) Conflicts(u, v int) bool {
 // placements alike; no partition row is generated.
 func (p *Placement) RecoveredPartitions(chosen *bitset.Set) *bitset.Set {
 	out := bitset.New(p.n)
-	for w := chosen.NextInRange(0, p.n); w >= 0; w = chosen.NextInRange(w+1, p.n) {
+	it := chosen.Cursor()
+	for w := it.Next(); w >= 0 && w < p.n; w = it.Next() {
 		p.addRow(out, w)
 	}
 	return out
