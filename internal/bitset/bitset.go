@@ -359,6 +359,101 @@ func (s *Set) NextInRange(lo, hi int) int {
 	return -1
 }
 
+// NextAbsent returns the smallest value in [lo, hi) that is not in s, or -1
+// when s holds every value of the range; values past the stored words count
+// as absent and a negative lo counts from 0. It is NextInRange on the
+// complement, with the same direct word scan: the CR walk uses it to find
+// where a run of available workers ends.
+func (s *Set) NextAbsent(lo, hi int) int {
+	if lo < 0 {
+		lo = 0
+	}
+	if lo >= hi {
+		return -1
+	}
+	i := lo / wordBits
+	if i >= len(s.words) {
+		return lo
+	}
+	w := ^s.words[i] & (^uint64(0) << uint(lo%wordBits))
+	for w == 0 {
+		i++
+		if i*wordBits >= hi {
+			return -1
+		}
+		if i == len(s.words) {
+			return i * wordBits
+		}
+		w = ^s.words[i]
+	}
+	if v := i*wordBits + bits.TrailingZeros64(w); v < hi {
+		return v
+	}
+	return -1
+}
+
+// SpreadCircular returns {(v + k) mod n : v ∈ s, v < n, 0 ≤ k < width} for
+// 1 ≤ width ≤ n: every element of s below n widened into the circular run
+// of width values it starts. It works on words, not elements. s masked to
+// [0, n) is OR-ed with shifted copies of itself, doubling the covered width
+// each pass (⌈log₂ width⌉ passes) over n+width−1 bits, and the spill past
+// n is folded back onto [0, width−1). One allocation of words holds the
+// spill; the result is resliced to n bits.
+func (s *Set) SpreadCircular(n, width int) *Set {
+	if width < 1 || width > n {
+		panic(fmt.Sprintf("bitset: SpreadCircular(%d, %d): width must be in [1, n]", n, width))
+	}
+	nw := (n + wordBits - 1) / wordBits
+	tail := ^uint64(0) // the bits of word nw−1 below n
+	if r := n % wordBits; r != 0 {
+		tail = 1<<uint(r) - 1
+	}
+	w := make([]uint64, (n+width-1+wordBits-1)/wordBits)
+	copy(w[:nw], s.words)
+	w[nw-1] &= tail
+	for have := 1; have < width; {
+		k := min(have, width-have)
+		orShiftedUp(w, k)
+		have += k
+	}
+	// Fold the spill [n, n+width−1) onto [0, width−1). Target word t reads
+	// the 64 bits from n+64t, which sit in later words unless n < 64, where
+	// it reads word 0 before writing it.
+	for t := 0; t*wordBits < width-1; t++ {
+		w[t] |= wordAt(w, n+t*wordBits)
+	}
+	w[nw-1] &= tail
+	clear(w[nw:])
+	return &Set{words: w[:nw]}
+}
+
+// orShiftedUp sets w |= w << k over the whole slice, dropping bits shifted
+// past its end. Words are visited from the top so every source word is read
+// before it is written.
+func orShiftedUp(w []uint64, k int) {
+	q, r := k/wordBits, uint(k%wordBits)
+	for i := len(w) - 1; i >= q; i-- {
+		v := w[i-q] << r
+		if r != 0 && i-q > 0 {
+			v |= w[i-q-1] >> (wordBits - r)
+		}
+		w[i] |= v
+	}
+}
+
+// wordAt returns the 64 bits of w starting at bit pos, zeros past its end.
+func wordAt(w []uint64, pos int) uint64 {
+	i, r := pos/wordBits, uint(pos%wordBits)
+	var v uint64
+	if i < len(w) {
+		v = w[i] >> r
+	}
+	if r != 0 && i+1 < len(w) {
+		v |= w[i+1] << (wordBits - r)
+	}
+	return v
+}
+
 // IntersectsRange reports whether s ∩ o has an element in [lo, hi) — the
 // word-parallel conflict probe: "does any chosen worker sit inside this
 // conflict window?" without materializing the intersection.

@@ -163,3 +163,129 @@ func TestSliceMatchesRange(t *testing.T) {
 		t.Fatalf("the zero Cursor returned %d", v)
 	}
 }
+
+// naiveNextAbsent is NextAbsent one Contains at a time.
+func naiveNextAbsent(s *Set, lo, hi int) int {
+	for v := max(lo, 0); v < hi; v++ {
+		if !s.Contains(v) {
+			return v
+		}
+	}
+	return -1
+}
+
+// TestNextAbsentMatchesPerBitReference: the complement scan agrees with the
+// per-bit reference on all-zeros and all-ones sets and random densities,
+// over ranges that start and end on and beside word edges, empty and
+// inverted ones, a negative lo, and a hi past the stored words (where every
+// value is absent).
+func TestNextAbsentMatchesPerBitReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for _, universe := range []int{1, 63, 64, 65, 128, 200, 1000} {
+		for _, density := range []float64{0, 0.5, 0.99, 1} {
+			s := New(universe)
+			for v := 0; v < universe; v++ {
+				if rng.Float64() < density {
+					s.Add(v)
+				}
+			}
+			cases := rangeCases(rng, universe)
+			for _, lo := range []int{-3, 0, 1, 62, 63, 64, 65, 127, 128, universe - 1, universe} {
+				for _, hi := range []int{lo, lo + 1, 64, 128, 129, universe, universe + 1, universe + 200} {
+					cases = append(cases, [2]int{lo, hi})
+				}
+			}
+			for _, r := range cases {
+				lo, hi := r[0], r[1]
+				if got, want := s.NextAbsent(lo, hi), naiveNextAbsent(s, lo, hi); got != want {
+					t.Fatalf("universe %d density %v NextAbsent(%d,%d) = %d, bit-by-bit %d", universe, density, lo, hi, got, want)
+				}
+			}
+		}
+	}
+	var zero Set
+	if got := zero.NextAbsent(-2, 10); got != 0 {
+		t.Fatalf("NextAbsent(-2, 10) on the zero Set = %d, want 0", got)
+	}
+	full := New(128)
+	full.AddRange(0, 128)
+	if got := full.NextAbsent(0, 128); got != -1 {
+		t.Fatalf("NextAbsent(0, 128) on [0, 128) = %d, want -1", got)
+	}
+	if got := full.NextAbsent(5, 300); got != 128 {
+		t.Fatalf("NextAbsent(5, 300) on [0, 128) = %d, want 128", got)
+	}
+}
+
+// naiveSpreadCircular is SpreadCircular one element and one offset at a time.
+func naiveSpreadCircular(s *Set, n, width int) *Set {
+	out := New(n)
+	s.Range(func(v int) bool {
+		if v < n {
+			for k := 0; k < width; k++ {
+				out.Add((v + k) % n)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// TestSpreadCircularMatchesPerBitReference: the shift-and-fold spread equals
+// the per-element circular runs for n on and beside word edges, widths 1,
+// 2, 63, 64, 65, n−1 and n (shifts of a whole word and more, spills longer
+// than a word), on empty, single-element, full and random sets, sets with
+// elements ≥ n and sets stored in fewer words than n needs. The result has
+// exactly n bits of words.
+func TestSpreadCircularMatchesPerBitReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 130, 200, 300} {
+		widths := []int{1, 2, 3, 7, 8, 63, 64, 65, 100, n - 1, n}
+		for _, width := range widths {
+			if width < 1 || width > n {
+				continue
+			}
+			full := New(n)
+			full.AddRange(0, n)
+			sets := []*Set{{}, New(n), full, FromSlice([]int{0}), FromSlice([]int{n - 1}), FromSlice([]int{n, n + 5, 3*n + 64})}
+			for _, density := range []float64{0.01, 0.1, 0.5, 0.9} {
+				s := New(n)
+				for v := 0; v < n; v++ {
+					if rng.Float64() < density {
+						s.Add(v)
+					}
+				}
+				stray := s.Clone()
+				stray.Add(n)
+				stray.Add(n + width)
+				sets = append(sets, s, stray)
+			}
+			short := New(0)
+			short.Add(0)
+			sets = append(sets, short)
+			for _, s := range sets {
+				before := s.Clone()
+				got := s.SpreadCircular(n, width)
+				if want := naiveSpreadCircular(s, n, width); !got.Equal(want) {
+					t.Fatalf("n=%d width=%d: SpreadCircular(%v) = %v, per-element runs %v", n, width, s, got, want)
+				}
+				if len(got.words) != (n+wordBits-1)/wordBits {
+					t.Fatalf("n=%d width=%d: result holds %d words", n, width, len(got.words))
+				}
+				if !s.Equal(before) {
+					t.Fatalf("n=%d width=%d: SpreadCircular changed its receiver", n, width)
+				}
+			}
+		}
+	}
+	for _, bad := range [][2]int{{10, 0}, {10, 11}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("SpreadCircular(%d, %d) did not panic", bad[0], bad[1])
+				}
+			}()
+			New(10).SpreadCircular(bad[0], bad[1])
+		}()
+	}
+}

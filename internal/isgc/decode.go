@@ -72,32 +72,39 @@ func (s *Scheme) decodeCR(avail *bitset.Set) *bitset.Set {
 
 // greedyWalkCR performs one greedy pass of Algorithm 2 from start.
 //
-// Rather than test every vertex, it jumps between accepted vertices with
-// word-parallel bit scans. Working in offset space relative to start (the
-// accepted offsets o satisfy CircDist(o, offlast) ≥ c and
+// Rather than test every vertex, it jumps over runs of available vertices
+// with word-parallel bit scans. Working in offset space relative to start
+// (the accepted offsets o satisfy CircDist(o, offlast) ≥ c and
 // CircDist(o, 0) ≥ c), the admissible region after accepting offlast is the
 // single contiguous interval [offlast+c, n−c]: the lower end comes from the
 // distance to the last accepted vertex, the upper end from the wrap-around
-// distance back to start. The linear scan it replaces visits skipped
-// vertices without accepting them, so jumping straight to the earliest
-// available offset in that interval produces the identical set
-// (TestGreedyWalkCRMatchesLinearReference pins this bit-for-bit).
+// distance back to start. The earliest available offset o in that interval
+// is accepted, and so, while the run of available offsets [o, e) lasts, is
+// every c-th offset after it: each is the earliest admissible one after its
+// predecessor. So one pair of scans — NextInRange for o, NextAbsent for e —
+// accepts o, o+c, o+2c, … < e, and the walk costs O(runs + n/64) words, not
+// a probe per accepted vertex. It is the linear scan's set bit for bit
+// (TestGreedyWalkCRMatchesLinearReference, against it and the
+// probe-per-accept walk this replaced).
 func (s *Scheme) greedyWalkCR(avail *bitset.Set, start int) *bitset.Set {
 	n, c := s.p.N(), s.p.C()
 	cur := bitset.New(n)
 	cur.Add(start)
-	offlast := 0
-	for {
-		lo, hi := offlast+c, n-c // inclusive offset bounds
-		if lo > hi {
-			break
-		}
-		o := nextAvailOffset(avail, n, start, lo, hi+1)
+	hi := n - c + 1 // exclusive offset bound
+	for lo := c; lo < hi; {
+		o := nextAvailOffset(avail, n, start, lo, hi)
 		if o < 0 {
 			break
 		}
-		cur.Add((start + o) % n)
-		offlast = o
+		e := nextAbsentOffset(avail, n, start, o+1, hi)
+		for ; o < e; o += c {
+			v := start + o
+			if v >= n {
+				v -= n
+			}
+			cur.Add(v)
+		}
+		lo = o // the last accepted offset + c
 	}
 	return cur
 }
@@ -124,6 +131,25 @@ func nextAvailOffset(avail *bitset.Set, n, start, lo, hi int) int {
 		return v - start + n
 	}
 	return -1
+}
+
+// nextAbsentOffset is nextAvailOffset's complement: the smallest offset in
+// [lo, hi) whose vertex is unavailable, or hi when every one is available,
+// in at most two linear NextAbsent probes (0 < lo ≤ hi ≤ n).
+func nextAbsentOffset(avail *bitset.Set, n, start, lo, hi int) int {
+	a, b := start+lo, start+hi
+	if a < n {
+		if v := avail.NextAbsent(a, min(b, n)); v >= 0 {
+			return v - start
+		}
+		a = n
+	}
+	if b > n {
+		if v := avail.NextAbsent(a-n, b-n); v >= 0 {
+			return v - start + n
+		}
+	}
+	return hi
 }
 
 // decodeHR implements Algorithm 3 (+ the CONFLICT predicate of Algorithm 4,

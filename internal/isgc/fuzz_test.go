@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzDecodeCR drives the CR decoder with arbitrary parameters and
-// availability masks, asserting the full decoder contract: the chosen set
+// availability masks (the seeds include long runs of available workers), asserting the full decoder contract: the chosen set
 // is an available independent set whose size matches the exact
 // independence number, and it and the RNG position equal those of the
 // every-walk reference decoder on a twin scheme.
@@ -17,6 +17,14 @@ func FuzzDecodeCR(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(0b1010), int64(1))
 	f.Add(uint8(7), uint8(3), uint16(0b1011011), int64(2))
 	f.Add(uint8(12), uint8(5), uint16(0xFFF), int64(3))
+	// Long runs of available workers, at n = 15 unless noted: the full
+	// circle (c = 2); one run 9…14, 0…5 wrapping past n−1 (c = 3); runs
+	// longer than c on either side of a hole (c = 4); and at n = 14, c = 13,
+	// every worker but 0.
+	f.Add(uint8(13), uint8(1), uint16(0x7FFF), int64(4))
+	f.Add(uint8(13), uint8(2), uint16(0x7E3F), int64(5))
+	f.Add(uint8(13), uint8(3), uint16(0x7F7F), int64(6))
+	f.Add(uint8(12), uint8(12), uint16(0x3FFE), int64(7))
 	f.Fuzz(func(t *testing.T, nRaw, cRaw uint8, mask uint16, seed int64) {
 		n := int(nRaw%14) + 2 // 2..15, keeps the oracle fast
 		c := int(cRaw)%n + 1  // 1..n

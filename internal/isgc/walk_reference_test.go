@@ -30,6 +30,28 @@ func referenceGreedyWalkCR(avail *bitset.Set, n, c, start int) *bitset.Set {
 	return cur
 }
 
+// probeGreedyWalkCR is greedyWalkCR as it was before it took whole runs:
+// one nextAvailOffset probe and one Add per accepted vertex. Kept as the
+// second oracle, cheap enough to run from many starts at n = 50,000.
+func probeGreedyWalkCR(avail *bitset.Set, n, c, start int) *bitset.Set {
+	cur := bitset.New(n)
+	cur.Add(start)
+	offlast := 0
+	for {
+		lo, hi := offlast+c, n-c // inclusive offset bounds
+		if lo > hi {
+			break
+		}
+		o := nextAvailOffset(avail, n, start, lo, hi+1)
+		if o < 0 {
+			break
+		}
+		cur.Add((start + o) % n)
+		offlast = o
+	}
+	return cur
+}
+
 // referenceRandomAvailable is the original per-bit uniform pick. It must
 // consume exactly one rng.Intn(len) draw and return the same element as the
 // Select-based replacement for any fixed draw value.
@@ -315,37 +337,115 @@ func TestDecodeMatchesEveryWalkAtFleetScale(t *testing.T) {
 	}
 }
 
-// TestGreedyWalkCRMatchesLinearReference sweeps n, c, densities, and start
-// vertices, asserting the interval-scan walk equals the frozen linear walk
-// element-for-element.
+// TestGreedyWalkCRMatchesLinearReference sweeps n up to 300 (runs that
+// cross word boundaries), c ∈ {1, …, 8, 63, 64, 65, n−1}, random densities
+// and every available start, asserting the run-at-a-time walk equals the
+// frozen linear walk and the probe-per-accept walk element for element.
+// Beside the random masks it walks the full mask and the full mask less
+// one worker or one block, from every start: there one run of available
+// workers crosses both the wrap back to 0 and the walk's n−c cap. One full
+// mask, less worker 1, also holds ids n…n+69, which the walk must not
+// take for workers.
 func TestGreedyWalkCRMatchesLinearReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{3, 4, 5, 8, 13, 16, 31, 64, 65, 100, 129} {
-		for _, c := range []int{1, 2, 3, 5, 8} {
-			if c >= n {
+	for _, n := range []int{2, 3, 4, 5, 8, 13, 16, 31, 64, 65, 100, 129, 191, 256, 300} {
+		for _, c := range []int{1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, n - 1} {
+			if c < 1 || c >= n {
 				continue
 			}
-			p, err := placement.CR(n, c)
+			p, err := placement.CR(n, c, placement.Structural())
 			if err != nil {
 				t.Fatalf("CR(%d,%d): %v", n, c, err)
 			}
 			s := New(p, 1)
-			for trial := 0; trial < 25; trial++ {
+			var masks []*bitset.Set
+			full := bitset.New(n)
+			full.AddRange(0, n)
+			stray := full.Clone() // ids ≥ n are not workers: the walk must not read them
+			stray.Remove(1)
+			stray.AddRange(n, n+70)
+			masks = append(masks, full, stray)
+			for _, gap := range [][2]int{{n / 2, n/2 + 1}, {n / 3, n/3 + c}, {n - 1, n}} {
+				m := full.Clone()
+				for v := gap[0]; v < gap[1]; v++ {
+					m.Remove(v)
+				}
+				masks = append(masks, m)
+			}
+			for trial := 0; trial < 12; trial++ {
 				avail := bitset.New(n)
 				for v := 0; v < n; v++ {
-					if rng.Float64() < []float64{0.1, 0.5, 0.9, 1.0}[trial%4] {
+					if rng.Float64() < []float64{0.1, 0.5, 0.9, 0.99}[trial%4] {
 						avail.Add(v)
 					}
 				}
+				masks = append(masks, avail)
+			}
+			for _, avail := range masks {
 				avail.Range(func(start int) bool {
+					if start >= n {
+						return false
+					}
 					got := s.greedyWalkCR(avail, start)
-					want := referenceGreedyWalkCR(avail, n, c, start)
-					if !got.Equal(want) {
-						t.Fatalf("n=%d c=%d start=%d avail=%v: walk %v, reference %v",
+					if want := referenceGreedyWalkCR(avail, n, c, start); !got.Equal(want) {
+						t.Fatalf("n=%d c=%d start=%d avail=%v: walk %v, linear reference %v",
+							n, c, start, avail, got, want)
+					}
+					if want := probeGreedyWalkCR(avail, n, c, start); !got.Equal(want) {
+						t.Fatalf("n=%d c=%d start=%d avail=%v: walk %v, probe-per-accept walk %v",
 							n, c, start, avail, got, want)
 					}
 					return true
 				})
+			}
+		}
+	}
+}
+
+// TestGreedyWalkCRAtFleetScale compares the run-at-a-time walk with the
+// probe-per-accept walk on CR(50000, 8) from every available start in
+// windows at 0, at the hole's edge, at both edges of the burst, and at the
+// wrap. The masks are the fleet tests' two (the first 16 workers away, and
+// that hole plus every 97th worker), the hole plus an n/64 burst and worker
+// n−1, and a churned mask: a burst mask walk 194 steps on, with its last
+// burst and its last five steps' single departures away.
+func TestGreedyWalkCRAtFleetScale(t *testing.T) {
+	const n, c = 50000, 8
+	p, err := placement.CR(n, c, placement.Structural())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p, 1)
+	hole := bitset.New(n)
+	hole.AddRange(16, n)
+	sparse := hole.Clone()
+	for w := 16; w < n; w += 97 {
+		sparse.Remove(w)
+	}
+	burst := hole.Clone()
+	for w := 20000; w < 20000+n/64; w++ {
+		burst.Remove(w)
+	}
+	burst.Remove(n - 1)
+	churn := newMaskWalk(rand.New(rand.NewSource(30)), n, true)
+	for step := 0; step < 194; step++ { // step 192's burst is still away
+		churn.step(step)
+	}
+	masks := []struct {
+		name  string
+		avail *bitset.Set
+	}{{"bound-met", hole}, {"every-97th", sparse}, {"burst", burst}, {"churned", churn.avail}}
+	for _, m := range masks {
+		for _, lo := range []int{0, 10, 20000 - 2*c, 20000 + n/64 - 2*c, n - 3*c} {
+			for start := lo; start < lo+3*c; start++ {
+				if !m.avail.Contains(start) {
+					continue
+				}
+				got := s.greedyWalkCR(m.avail, start)
+				if want := probeGreedyWalkCR(m.avail, n, c, start); !got.Equal(want) {
+					t.Fatalf("%s start=%d: walk chose %d workers, probe-per-accept walk %d (first difference at %d)",
+						m.name, start, got.Len(), want.Len(), got.AndNot(want).Min())
+				}
 			}
 		}
 	}

@@ -10,8 +10,10 @@ import (
 
 // closedFormShapes is every shape in the package's tables, dense and
 // structural: the structuralPairs spread, every valid HR up to n = 16 (rows
-// that wrap inside a group and rows that cross a group boundary), and CR
-// with c == n, where every row is the whole circle.
+// that wrap inside a group and rows that cross a group boundary), CR with
+// c == n, where every row is the whole circle, and CR at n ∈ {1, 63, 64,
+// 65, 130} with c ∈ {1, 63, 64, 65, n−1, n}, where CR's spread shifts by a
+// word or more and its spill past n is longer than a word.
 func closedFormShapes(t *testing.T) []*Placement {
 	t.Helper()
 	var out []*Placement
@@ -27,6 +29,14 @@ func closedFormShapes(t *testing.T) []*Placement {
 	for _, n := range []int{1, 6, 7} {
 		add(CR(n, n))
 		add(CR(n, n, Structural()))
+	}
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		for _, c := range []int{1, 63, 64, 65, n - 1, n} {
+			if c >= 1 && c <= n {
+				add(CR(n, c))
+				add(CR(n, c, Structural()))
+			}
+		}
 	}
 	for _, q := range hrParams(16) {
 		add(HR(q[0], q[1], q[2], q[3]))

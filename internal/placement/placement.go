@@ -409,10 +409,16 @@ func (p *Placement) Conflicts(u, v int) bool {
 // set). The caller is responsible for chosen being an independent set; if it
 // is, |result| = |chosen|·c exactly. Ids outside [0, n) are ignored.
 //
-// Each worker contributes its closed-form ranges (addRow), so the cost is
-// O(|chosen|) word fills and O(1) allocations on dense and structural
-// placements alike; no partition row is generated.
+// No partition row is generated, on dense and structural placements alike.
+// CR's union is the chosen set spread c wide: partition p is recovered iff
+// a chosen worker lies in {p−c+1, …, p} mod n, so bitset.SpreadCircular
+// builds it in O(n/64 · log c) word operations. FR and HR add each chosen
+// worker's closed-form ranges (addRow), O(|chosen|) word fills. Either way
+// the only allocation is the n-bit result.
 func (p *Placement) RecoveredPartitions(chosen *bitset.Set) *bitset.Set {
+	if p.kind == KindCR {
+		return chosen.SpreadCircular(p.n, p.c)
+	}
 	out := bitset.New(p.n)
 	it := chosen.Cursor()
 	for w := it.Next(); w >= 0 && w < p.n; w = it.Next() {
