@@ -121,32 +121,44 @@ func TestTimelineWriteFile(t *testing.T) {
 	}
 }
 
-// Concurrent adds while exporting: run with -race.
+// Concurrent adds while exporting: run with -race. The repeated exports run
+// on a small cap, so each one is cheap; one more export, with the adders
+// still running, takes a default-cap timeline that they have filled.
 func TestTimelineConcurrentAddExport(t *testing.T) {
-	tl := NewTimeline(0)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					tl.Add(Span{Name: "s", Start: time.Now(), Dur: time.Microsecond})
+	for _, c := range []struct{ max, exports int }{{256, 50}, {0, 1}} {
+		tl := NewTimeline(c.max)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						tl.Add(Span{Name: "s", Start: time.Now(), Dur: time.Microsecond})
+					}
 				}
-			}
-		}()
-	}
-	for i := 0; i < 50; i++ {
-		var buf bytes.Buffer
-		if err := tl.WriteChromeTrace(&buf); err != nil {
-			t.Fatal(err)
+			}()
 		}
-		decodeTrace(t, buf.Bytes())
+		if c.max == 0 {
+			for tl.Dropped() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		for i := 0; i < c.exports; i++ {
+			var buf bytes.Buffer
+			if err := tl.WriteChromeTrace(&buf); err != nil {
+				t.Fatal(err)
+			}
+			tr := decodeTrace(t, buf.Bytes())
+			if c.max == 0 && len(tr.TraceEvents) < defaultTimelineSpans {
+				t.Fatalf("full default-cap timeline exported %d events, want at least %d", len(tr.TraceEvents), defaultTimelineSpans)
+			}
+		}
+		close(stop)
+		wg.Wait()
 	}
-	close(stop)
-	wg.Wait()
 }

@@ -35,19 +35,93 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 
 // func matVecT4AVX2(dstT, w *float64, stride, rows, n int, xT *float64)
 //
-// rows ≥ 1, n ≥ 1. Rows go four per pass: one 32-byte load of xT (column j
-// of the four samples) meets the broadcast word of each row, four
-// independent accumulators. A last pass of 1–3 rows points the spare row
-// registers at the pass's last real row, so the inner loop is the same and
-// never leaves w; the spare sums are computed and not stored.
+// rows ≥ 1, n ≥ 1. Rows go eight per pass while eight remain: one 32-byte
+// load of xT (column j of the four samples) meets the broadcast word of each
+// row, eight independent accumulators, enough to keep the adds' latency off
+// the critical path. The last rows mod 8 go four per pass the same way. A
+// last pass of 1–3 rows points the spare row registers at the pass's last
+// real row, so the inner loop is the same and never leaves w; the spare sums
+// are computed and not stored. Every lane's chain is the same whichever pass
+// its row falls in.
 TEXT ·matVecT4AVX2(SB), NOSPLIT, $0-48
 	MOVQ dstT+0(FP), DI
 	MOVQ w+8(FP), SI
 	MOVQ stride+16(FP), R8
 	MOVQ rows+24(FP), R9
 	MOVQ n+32(FP), CX
-	MOVQ xT+40(FP), DX
 	SHLQ $3, R8 // row stride in bytes
+	CMPQ R9, $8
+	JLT  rest
+
+	// Eight row pointers: SI, R10–R15 and DX, so the pass reloads xT's base
+	// from the argument instead of keeping it in DX.
+pass8:
+	LEAQ   (SI)(R8*1), R10
+	LEAQ   (R10)(R8*1), R11
+	LEAQ   (R11)(R8*1), R12
+	LEAQ   (R12)(R8*1), R13
+	LEAQ   (R13)(R8*1), R14
+	LEAQ   (R14)(R8*1), R15
+	LEAQ   (R15)(R8*1), DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   xT+40(FP), BX
+	XORQ   AX, AX
+
+column8:
+	VMOVUPD      (BX), Y8
+	VBROADCASTSD (SI)(AX*8), Y9
+	VBROADCASTSD (R10)(AX*8), Y10
+	VBROADCASTSD (R11)(AX*8), Y11
+	VBROADCASTSD (R12)(AX*8), Y12
+	VMULPD       Y8, Y9, Y9
+	VMULPD       Y8, Y10, Y10
+	VMULPD       Y8, Y11, Y11
+	VMULPD       Y8, Y12, Y12
+	VADDPD       Y9, Y0, Y0
+	VADDPD       Y10, Y1, Y1
+	VADDPD       Y11, Y2, Y2
+	VADDPD       Y12, Y3, Y3
+	VBROADCASTSD (R13)(AX*8), Y9
+	VBROADCASTSD (R14)(AX*8), Y10
+	VBROADCASTSD (R15)(AX*8), Y11
+	VBROADCASTSD (DX)(AX*8), Y12
+	VMULPD       Y8, Y9, Y9
+	VMULPD       Y8, Y10, Y10
+	VMULPD       Y8, Y11, Y11
+	VMULPD       Y8, Y12, Y12
+	VADDPD       Y9, Y4, Y4
+	VADDPD       Y10, Y5, Y5
+	VADDPD       Y11, Y6, Y6
+	VADDPD       Y12, Y7, Y7
+	ADDQ         $32, BX
+	INCQ         AX
+	CMPQ         AX, CX
+	JLT          column8
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ    $256, DI
+	LEAQ    (DX)(R8*1), SI
+	SUBQ    $8, R9
+	JZ      done
+	CMPQ    R9, $8
+	JGE     pass8
+
+rest:
+	MOVQ xT+40(FP), DX
 
 pass:
 	MOVQ SI, R10

@@ -83,13 +83,14 @@ func offAligned(v []float64, off int) []float64 {
 }
 
 // MatVecT4 must give every (row, sample) the bits of that sample's own
-// MatVecInto, on both paths: every rows mod 4 and the benchmark's row
-// counts, every n mod 4 around the lane width, strides wider than the row,
-// operands starting 0–3 words off 32-byte alignment.
+// MatVecInto, on both paths: every rows mod 8 below and above one eight-row
+// pass (so every eight-row pass meets every four-row and 1–3-row rest) and
+// the benchmark's row counts, every n mod 4 around the lane width, strides
+// wider than the row, operands starting 0–3 words off 32-byte alignment.
 func TestMatVecT4BitIdentical(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
-		rowCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 64, 128}
+		rowCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23, 24, 25, 64, 128}
 		for _, in := range kernelDraws {
 			for _, rows := range rowCounts {
 				for n := 0; n <= 67; n++ {
@@ -192,7 +193,10 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 				}
 			}
 		}
-		for _, shape := range [][3]int{{1, 1, 1}, {3, 5, 5}, {4, 4, 7}, {5, 7, 7}, {6, 67, 70}, {13, 16, 16}} {
+		for _, shape := range [][3]int{
+			{1, 1, 1}, {3, 5, 5}, {4, 4, 7}, {5, 7, 7}, {6, 67, 70}, {13, 16, 16},
+			{14, 5, 5}, {15, 9, 11}, {16, 4, 4}, {17, 3, 6}, {23, 8, 8}, {24, 1, 2}, {25, 6, 9}, {64, 16, 16},
+		} {
 			rows, n, stride := shape[0], shape[1], shape[2]
 			reset()
 			w, xT, dstT := carve((rows-1)*stride+n), carve(4*n), carve(4*rows)
@@ -339,19 +343,24 @@ func TestVectorKernelsPanicOnMisfit(t *testing.T) {
 }
 
 // BenchmarkVectorKernels times the kernels alone on both paths, at the
-// compute-mlp layer shapes: four 128×64 mat-vecs, one 64-column row update,
-// and the activation of four samples' hidden layers (H = 64 and 128, with
-// ns per activation beside ns per call).
+// compute-mlp layer shapes: four 128×64 mat-vecs (layer 1: eight-row passes
+// only) and four 10×128 (layer 2: one eight-row pass and a two-row rest),
+// one 64-column row update, and the activation of four samples' hidden
+// layers (H = 64 and 128, with ns per activation beside ns per call); and
+// four 64×2048 mat-vecs, the wide-gather master's loss.
 func BenchmarkVectorKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	w, xT, dstT := unitVec(rng, 128*64), unitVec(rng, 4*64), make([]float64, 4*128)
 	row, x := make([]float64, 64), unitVec(rng, 64)
 	eachPathInPlace(b, func(path string) {
-		b.Run("MatVecT4/128x64/"+path, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MatVecT4(dstT, w, 64, 128, xT)
-			}
-		})
+		for _, sh := range [][2]int{{128, 64}, {10, 128}, {64, 2048}} {
+			rows, n := sh[0], sh[1]
+			w, xT, dstT := unitVec(rng, rows*n), unitVec(rng, 4*n), make([]float64, 4*rows)
+			b.Run(fmt.Sprintf("MatVecT4/%dx%d/%s", rows, n, path), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MatVecT4(dstT, w, n, rows, xT)
+				}
+			})
+		}
 		b.Run("AXPY4/64/"+path, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				AXPY4(row, 0.5, x, -0.5, x, 0.25, x, -0.25, x)

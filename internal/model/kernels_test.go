@@ -114,9 +114,12 @@ func checkBitIdentical(t *testing.T, rng *rand.Rand, m Model, features, classes 
 // TestBlockedKernelsBitIdentical: the register-blocked and the vector
 // kernels keep every output's own summation order, so Loss and GradInto of
 // all four models equal the scalar one-sample-at-a-time reference
-// (oracle_test.go) in every bit — across every rows mod 4 and batch mod 4,
-// widths around the unroll and the lane width, inputs built to expose any
-// reassociated or fused sum, and both kernel paths.
+// (oracle_test.go) in every bit — across every rows mod 4 and mod 8 and
+// batch mod 4, widths around the unroll and the lane width, inputs built to
+// expose any reassociated or fused sum, and both kernel paths. The MLP's dh
+// sums whole W2 rows four classes at a time, so class counts past two such
+// groups (10, 12, 13) run at a few hidden widths too, and the benchmark's
+// two MLP shapes are pinned as they run.
 func TestBlockedKernelsBitIdentical(t *testing.T) {
 	features := []int{1, 2, 3, 4, 5, 63, 64, 65}
 	batches := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64}
@@ -131,7 +134,14 @@ func TestBlockedKernelsBitIdentical(t *testing.T) {
 					checkBitIdentical(t, rng, MLP{Features: f, Hidden: h, Classes: k}, f, k, batches)
 				}
 			}
+			for _, k := range []int{10, 12, 13} {
+				for _, h := range []int{1, 6, 8} {
+					checkBitIdentical(t, rng, MLP{Features: f, Hidden: h, Classes: k}, f, k, batches)
+				}
+			}
 		}
+		checkBitIdentical(t, rng, MLP{Features: 64, Hidden: 128, Classes: 10}, 64, 10, batches) // compute-mlp
+		checkBitIdentical(t, rng, MLP{Features: 32, Hidden: 64, Classes: 10}, 32, 10, batches)  // straggler-mlp
 	})
 }
 
@@ -191,9 +201,10 @@ func TestPredictSharesTheForwardPass(t *testing.T) {
 // they cannot pass vacuously. Forward: with the reference's dot split over
 // two accumulators — the cheapest reassociation a faster kernel could make —
 // the MLP loss changes bits. Backward: the same mean gradient accumulated in
-// the reverse sample order changes bits too. Write-first: a softmax row
+// the reverse sample order changes bits too, and so does one whose dh = W2ᵀ
+// dz sums the classes from the last to the first. Write-first: a softmax row
 // stored as a·x (linalg.ScaleInto) instead of 0 + a·x keeps the −0 products
-// that a zero-filled accumulator turned into +0. All three on both kernel
+// that a zero-filled accumulator turned into +0. All of them on both kernel
 // paths.
 func TestBitIdentityHasTeeth(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
@@ -220,7 +231,7 @@ func TestBitIdentityHasTeeth(t *testing.T) {
 		m := MLP{Features: 64, Hidden: 8, Classes: 5}
 		for _, in := range kernelInputs {
 			rng := rand.New(rand.NewSource(29))
-			lossDiffers, gradDiffers := 0, 0
+			lossDiffers, gradDiffers, dhDiffers := 0, 0, 0
 			for trial := 0; trial < 10; trial++ {
 				params, batch := drawInputs(rng, m, 64, 5, 16, in)
 				w1, b1, w2, b2 := m.slices(params)
@@ -244,11 +255,11 @@ func TestBitIdentityHasTeeth(t *testing.T) {
 				}
 				got, rev := m.Grad(params, batch), make([]float64, m.Dim())
 				refMLPGradInto(m, rev, params, reversed)
-				for j := range got {
-					if math.Float64bits(got[j]) != math.Float64bits(rev[j]) {
-						gradDiffers++
-						break
-					}
+				if !sameBits(got, rev) {
+					gradDiffers++
+				}
+				if !sameBits(got, classReversedDHGrad(m, params, batch)) {
+					dhDiffers++
 				}
 			}
 			if in.forward && lossDiffers < 5 {
@@ -257,8 +268,54 @@ func TestBitIdentityHasTeeth(t *testing.T) {
 			if in.backward && gradDiffers < 5 {
 				t.Errorf("%s: reversing the sample order left the gradient bit-identical on %d of 10 inputs", in.name, 10-gradDiffers)
 			}
+			if in.backward && dhDiffers < 5 {
+				t.Errorf("%s: summing dh over the classes in reverse left the gradient bit-identical on %d of 10 inputs", in.name, 10-dhDiffers)
+			}
 		}
 	})
+}
+
+func sameBits(a, b []float64) bool {
+	for j := range a {
+		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// classReversedDHGrad is refMLPGradInto with one change: every dh[i] =
+// Σ_k W2[k,i]·dz[k] runs over the classes from the last to the first, the
+// order a kernel walking W2's rows backwards would pick.
+func classReversedDHGrad(m MLP, params []float64, batch []dataset.Sample) []float64 {
+	F, H, K := m.Features, m.Hidden, m.Classes
+	g := make([]float64, m.Dim())
+	gW1, gB1, gW2, gB2 := m.slices(g)
+	_, _, w2, _ := m.slices(params)
+	h, dz := make([]float64, H), make([]float64, K)
+	for _, s := range batch {
+		refMLPForward(m, h, dz, params, s.X)
+		dzInPlace(dz, s.Y)
+		for k, d := range dz {
+			for i, hi := range h {
+				gW2[k*H+i] += d * hi
+			}
+			gB2[k] += d
+		}
+		for i, hi := range h {
+			dh := 0.0
+			for k := K - 1; k >= 0; k-- {
+				dh += w2[k*H+i] * dz[k]
+			}
+			da := dh * (1 - hi*hi)
+			for j, x := range s.X {
+				gW1[i*F+j] += da * x
+			}
+			gB1[i] += da
+		}
+	}
+	refScale(g, len(batch))
+	return g
 }
 
 func twoAccumulatorDot(w, x []float64) float64 {

@@ -418,21 +418,23 @@ func (m MLP) forwardInto(h, z, params []float64, x []float64) {
 // vector: the interleaved inputs xT (4·Features), hidden activations hT
 // (4·Hidden) and logits zT (4·Classes), and the per-sample views the
 // one-sample code reads — z, whose four quarters hold one sample's logits
-// each, and h, the same for the hidden activations.
+// each, h, the same for the hidden activations, and dh, the same for the
+// backward pass's hidden gradients.
 type mlpScratch struct {
 	pooled     *[]float64
 	xT, hT, zT []float64
-	z, h       []float64
+	z, h, dh   []float64
 }
 
 func (m MLP) groupScratch() mlpScratch {
 	F, H, K := m.Features, m.Hidden, m.Classes
-	sc := mlpScratch{pooled: getVec(4*F + 8*H + 8*K)}
+	sc := mlpScratch{pooled: getVec(4*F + 12*H + 8*K)}
 	v := *sc.pooled
 	sc.xT, v = v[:4*F], v[4*F:]
 	sc.hT, v = v[:4*H], v[4*H:]
 	sc.zT, v = v[:4*K], v[4*K:]
-	sc.z, sc.h = v[:4*K], v[4*K:]
+	sc.z, v = v[:4*K], v[4*K:]
+	sc.h, sc.dh = v[:4*H], v[4*H:]
 	return sc
 }
 
@@ -511,9 +513,10 @@ func (m MLP) Grad(params []float64, batch []dataset.Sample) []float64 {
 
 // GradInto implements Model. Samples are taken four at a time: one grouped
 // forward pass (forward4) and dz for each into pooled scratch, then every
-// gradient row is updated once per group (linalg.AXPY4) and dh = W2ᵀ dz runs
-// as four independent chains. Bias terms and the batch mod 4 tail go one
-// sample at a time; every element accumulates its samples in batch order.
+// gradient row is updated once per group (linalg.AXPY4) and each sample's dh
+// is a sum of whole W2 rows (hiddenGrad). Bias terms and the batch mod 4
+// tail go one sample at a time; every element accumulates its samples in
+// batch order.
 func (m MLP) GradInto(g, params []float64, batch []dataset.Sample) {
 	checkGradDim(len(g), m.Dim())
 	linalg.ZeroVec(g)
@@ -527,6 +530,7 @@ func (m MLP) GradInto(g, params []float64, batch []dataset.Sample) {
 	defer putVec(sc.pooled)
 	h0, h1, h2, h3 := quarters(sc.h)
 	d0, d1, d2, d3 := quarters(sc.z)
+	a0, a1, a2, a3 := quarters(sc.dh)
 	b := batch
 	for ; len(b) >= 4; b = b[4:] {
 		m.forward4(sc, params, b)
@@ -539,22 +543,14 @@ func (m MLP) GradInto(g, params []float64, batch []dataset.Sample) {
 			linalg.AXPY4(gW2[k*H:(k+1)*H], d0[k], h0, d1[k], h1, d2[k], h2, d3[k], h3)
 			gB2[k] = (((gB2[k] + d0[k]) + d1[k]) + d2[k]) + d3[k]
 		}
-		// Hidden layer: dh = W2ᵀ dz, through tanh'.
+		// Hidden layer.
+		m.hiddenGrad(a0, w2, d0, h0)
+		m.hiddenGrad(a1, w2, d1, h1)
+		m.hiddenGrad(a2, w2, d2, h2)
+		m.hiddenGrad(a3, w2, d3, h3)
 		for i := 0; i < H; i++ {
-			var a0, a1, a2, a3 float64
-			for k := 0; k < K; k++ {
-				w := w2[k*H+i]
-				a0 += w * d0[k]
-				a1 += w * d1[k]
-				a2 += w * d2[k]
-				a3 += w * d3[k]
-			}
-			a0 *= 1 - h0[i]*h0[i]
-			a1 *= 1 - h1[i]*h1[i]
-			a2 *= 1 - h2[i]*h2[i]
-			a3 *= 1 - h3[i]*h3[i]
-			linalg.AXPY4(gW1[i*F:(i+1)*F], a0, b[0].X, a1, b[1].X, a2, b[2].X, a3, b[3].X)
-			gB1[i] = (((gB1[i] + a0) + a1) + a2) + a3
+			linalg.AXPY4(gW1[i*F:(i+1)*F], a0[i], b[0].X, a1[i], b[1].X, a2[i], b[2].X, a3[i], b[3].X)
+			gB1[i] = (((gB1[i] + a0[i]) + a1[i]) + a2[i]) + a3[i]
 		}
 	}
 	for _, s := range b {
@@ -564,17 +560,41 @@ func (m MLP) GradInto(g, params []float64, batch []dataset.Sample) {
 			linalg.AXPY(gW2[k*H:(k+1)*H], d0[k], h0)
 			gB2[k] += d0[k]
 		}
-		for i := 0; i < H; i++ {
-			dh := 0.0
-			for k := 0; k < K; k++ {
-				dh += w2[k*H+i] * d0[k]
-			}
-			da := dh * (1 - h0[i]*h0[i])
+		m.hiddenGrad(a0, w2, d0, h0)
+		for i, da := range a0 {
 			linalg.AXPY(gW1[i*F:(i+1)*F], da, s.X)
 			gB1[i] += da
 		}
 	}
 	linalg.Scale(g, 1/float64(len(batch)))
+}
+
+// hiddenGrad writes one sample's gradient at the hidden pre-activations,
+// dh = W2ᵀ dz through tanh′: dh[i] = (Σ_k dz[k]·W2[k,i])·(1 − h[i]·h[i]).
+// The sum runs over whole rows of W2 — AXPY4Zero over the first four
+// classes, AXPY4 over each further four, AXPY for the rest — so every
+// element is still its own chain from +0 over k in class order, one rounding
+// per multiply and one per add: the bits of the scalar loop that reads W2
+// down a column, without its stride.
+func (m MLP) hiddenGrad(dh, w2, dz, h []float64) {
+	H, K := m.Hidden, m.Classes
+	row := func(k int) []float64 { return w2[k*H : (k+1)*H] }
+	k := 1
+	if K >= 4 {
+		linalg.AXPY4Zero(dh, dz[0], row(0), dz[1], row(1), dz[2], row(2), dz[3], row(3))
+		k = 4
+	} else {
+		linalg.AXPYZero(dh, dz[0], row(0))
+	}
+	for ; k+4 <= K; k += 4 {
+		linalg.AXPY4(dh, dz[k], row(k), dz[k+1], row(k+1), dz[k+2], row(k+2), dz[k+3], row(k+3))
+	}
+	for ; k < K; k++ {
+		linalg.AXPY(dh, dz[k], row(k))
+	}
+	for i, hi := range h {
+		dh[i] *= 1 - hi*hi
+	}
 }
 
 // Predict implements Classifier: the argmax output logit.
