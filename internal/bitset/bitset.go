@@ -605,13 +605,22 @@ func (c *Cursor) Next() int {
 	return c.k*wordBits + b
 }
 
-// Slice returns the elements in ascending order. It is written a word at a
-// time into a slice of exactly Len() values, a full word as a run of 64:
-// the master's partition list is tens of thousands of elements, mostly full
-// words, every step.
-func (s *Set) Slice() []int {
-	out := make([]int, s.Len())
-	k := 0
+// Slice returns the elements in ascending order, in a slice of exactly
+// Len() values.
+func (s *Set) Slice() []int { return s.AppendSlice(make([]int, 0, s.Len())) }
+
+// AppendSlice appends the elements in ascending order to dst and returns
+// the extended slice. It is written a word at a time, a full word as a run
+// of 64: the master's partition list is tens of thousands of elements,
+// mostly full words, every step, and a caller that keeps dst across steps
+// allocates nothing once it has grown to the list's length. A dst without
+// room is copied into one of exactly the length needed.
+func (s *Set) AppendSlice(dst []int) []int {
+	k := len(dst)
+	if need := k + s.Len(); need > cap(dst) {
+		dst = append(make([]int, 0, need), dst...)
+	}
+	out := dst[:cap(dst)]
 	for i, w := range s.words {
 		base := i * wordBits
 		if w == ^uint64(0) {
@@ -627,7 +636,7 @@ func (s *Set) Slice() []int {
 			k++
 		}
 	}
-	return out
+	return out[:k]
 }
 
 // AppendKey appends a canonical byte encoding of the set to dst and

@@ -149,6 +149,12 @@ func TestSliceMatchesRange(t *testing.T) {
 		if !slices.Equal(got, want) || len(got) != s.Len() || cap(got) != s.Len() {
 			t.Fatalf("%s: Slice() = %v (len %d, cap %d), Range gives %v", name, got, len(got), cap(got), want)
 		}
+		if app := s.AppendSlice([]int{-1}); app[0] != -1 || !slices.Equal(app[1:], want) {
+			t.Fatalf("%s: AppendSlice after a prefix = %v, Range gives %v", name, app, want)
+		}
+		if reused := s.AppendSlice(got[:0]); !slices.Equal(reused, want) || (len(got) > 0 && &reused[0] != &got[0]) {
+			t.Fatalf("%s: AppendSlice into a slice of room = %v, not written in place", name, reused)
+		}
 		got = got[:0]
 		it := s.Cursor()
 		for v := it.Next(); v >= 0; v = it.Next() {

@@ -18,6 +18,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -56,7 +57,7 @@ type envelope struct {
 }
 
 // envelopeHead is the envelope's scalar fields, which precede the payload
-// in the file. Save marshals only these and splices the payload in.
+// in the file. Save marshals only these and writes the payload after them.
 type envelopeHead struct {
 	Version         int    `json:"version"`
 	Step            int    `json:"step"`
@@ -94,6 +95,10 @@ type Info struct {
 // master restores before its loop starts and keeps at most one Save in
 // flight behind it, joined before the next and before Run returns). The
 // lease methods touch only the LEASE file and may run alongside.
+//
+// Save encodes each payload into a buffer the Store keeps, so a run that
+// checkpoints every few steps reuses one payload-sized buffer rather than
+// allocating one per write.
 type Store struct {
 	dir    string
 	retain int
@@ -101,6 +106,7 @@ type Store struct {
 	// manifest encountered during restore. Wired to the
 	// checkpoint_restore_skipped metric by the cluster master.
 	skip func(file string, reason error)
+	buf  bytes.Buffer // Save's payload encoding, rewritten by the next Save
 }
 
 // NewStore opens (creating if needed) a checkpoint directory. retain <= 0
@@ -138,11 +144,21 @@ func checkpointFileName(step int) string {
 // Save durably writes payload as the checkpoint for step. The file lands
 // first, then the manifest is updated to point at it; old checkpoints
 // beyond the retention count are pruned afterwards.
+//
+// The file is the bytes json.Marshal gives for the whole envelope, written
+// as the marshalled head, the payload and the closing brace: the payload is
+// encoded once, into the Store's buffer, and never handed to the encoder
+// again (marshalling it as a RawMessage would re-validate and re-compact it
+// a byte at a time, and an encoder's output is already valid, compact and
+// HTML-escaped, so that pass is the identity). Byte-identical files keep
+// Version, old readers and the CRC's coverage as they are.
 func (s *Store) Save(step int, payload any) (Info, error) {
-	raw, err := json.Marshal(payload)
-	if err != nil {
+	s.buf.Reset()
+	if err := json.NewEncoder(&s.buf).Encode(payload); err != nil {
 		return Info{}, fmt.Errorf("checkpoint: marshal payload: %w", err)
 	}
+	raw := s.buf.Bytes()
+	raw = raw[:len(raw)-1] // Encode ends the value with a newline
 	now := time.Now()
 	env := envelopeHead{
 		Version:         Version,
@@ -150,12 +166,14 @@ func (s *Store) Save(step int, payload any) (Info, error) {
 		SavedAtUnixNano: now.UnixNano(),
 		CRC32:           crc32.ChecksumIEEE(raw),
 	}
-	data, err := spliceEnvelope(env, raw)
+	head, err := json.Marshal(env)
 	if err != nil {
-		return Info{}, err
+		return Info{}, fmt.Errorf("checkpoint: marshal envelope: %w", err)
 	}
+	head = append(head[:len(head)-1], `,"payload":`...) // reopen the object
+	size := int64(len(head) + len(raw) + 1)
 	name := checkpointFileName(step)
-	if err := writeFileAtomic(filepath.Join(s.dir, name), data); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.dir, name), head, raw, []byte{'}'}); err != nil {
 		return Info{}, err
 	}
 
@@ -172,7 +190,7 @@ func (s *Store) Save(step int, payload any) (Info, error) {
 		File:            name,
 		Step:            step,
 		CRC32:           env.CRC32,
-		Size:            int64(len(data)),
+		Size:            size,
 		SavedAtUnixNano: env.SavedAtUnixNano,
 	})
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Step < entries[j].Step })
@@ -195,27 +213,7 @@ func (s *Store) Save(step int, payload any) (Info, error) {
 	for _, e := range pruned {
 		os.Remove(filepath.Join(s.dir, e.File))
 	}
-	return Info{File: name, Step: step, Size: int64(len(data)), SavedAt: now}, nil
-}
-
-// spliceEnvelope returns the bytes json.Marshal would produce for an
-// envelope of head and raw, without handing raw to the encoder again:
-// marshalling a RawMessage re-validates and re-compacts it one byte at a
-// time, and raw — the output of json.Marshal — is already valid, compact
-// and HTML-escaped, so that pass is the identity. Byte-identical files
-// keep Version, old readers and the CRC's coverage as they are.
-func spliceEnvelope(head envelopeHead, raw []byte) ([]byte, error) {
-	h, err := json.Marshal(head)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: marshal envelope: %w", err)
-	}
-	h = h[:len(h)-1] // reopen the object
-	const payloadKey = `,"payload":`
-	data := make([]byte, 0, len(h)+len(payloadKey)+len(raw)+1)
-	data = append(data, h...)
-	data = append(data, payloadKey...)
-	data = append(data, raw...)
-	return append(data, '}'), nil
+	return Info{File: name, Step: step, Size: size, SavedAt: now}, nil
 }
 
 // Latest loads the newest valid checkpoint into payload (a pointer).
@@ -334,10 +332,10 @@ func (s *Store) readManifest() (manifest, error) {
 	return m, nil
 }
 
-// writeFileAtomic writes data at path via a temp file in the same
-// directory: write → fsync file → close → rename → fsync directory. After
-// it returns nil the file is durable under the final name.
-func writeFileAtomic(path string, data []byte) error {
+// writeFileAtomic writes the concatenation of parts at path via a temp
+// file in the same directory: write → fsync file → close → rename → fsync
+// directory. After it returns nil the file is durable under the final name.
+func writeFileAtomic(path string, parts ...[]byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -345,9 +343,11 @@ func writeFileAtomic(path string, data []byte) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: write temp: %w", err)
+	for _, data := range parts {
+		if _, err := tmp.Write(data); err != nil {
+			tmp.Close()
+			return fmt.Errorf("checkpoint: write temp: %w", err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -88,5 +89,66 @@ func TestEnvelopeSpliceByteIdentical(t *testing.T) {
 				t.Errorf("round trip = %+v, want %+v", tc.into, tc.payload)
 			}
 		})
+	}
+}
+
+// TestSaveReusesItsBuffer: one Store saving a large payload, then smaller
+// ones, then the large one again writes each file as a fresh Store would —
+// nothing of an earlier payload survives in the buffer Save encodes into.
+func TestSaveReusesItsBuffer(t *testing.T) {
+	reused := newTestStore(t, 10)
+	for i, payload := range []any{stateWithParams(1 << 12), stateWithParams(8), nil, stateWithParams(1 << 12)} {
+		step := i + 1
+		info, err := reused.Save(step, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(reused.Dir(), info.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := newTestStore(t, 0)
+		finfo, err := fresh.Save(step, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(fresh.Dir(), finfo.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The two files differ only in saved_at_unix_nano.
+		stamp := func(b []byte, at int64) []byte {
+			return bytes.Replace(b, []byte(strconv.FormatInt(at, 10)), []byte("T"), 1)
+		}
+		if !bytes.Equal(stamp(got, info.SavedAt.UnixNano()), stamp(want, finfo.SavedAt.UnixNano())) {
+			t.Fatalf("save %d: %d bytes from a reused Store, %d from a fresh one", step, len(got), len(want))
+		}
+		if info.Size != int64(len(got)) {
+			t.Errorf("save %d: Info.Size = %d, file has %d bytes", step, info.Size, len(got))
+		}
+	}
+}
+
+// TestAppendFloat64s: appending after a prefix keeps the prefix and encodes
+// as Float64sToBytes does; a dst with room is written in place.
+func TestAppendFloat64s(t *testing.T) {
+	xs := []float64{0, math.Copysign(0, -1), 1.5, math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64}
+	want := Float64sToBytes(xs)
+	if len(want) != 8*len(xs) || cap(want) != len(want) {
+		t.Fatalf("Float64sToBytes: len %d cap %d, want %d", len(want), cap(want), 8*len(xs))
+	}
+	got := AppendFloat64s([]byte{0xAB}, xs)
+	if got[0] != 0xAB || !bytes.Equal(got[1:], want) {
+		t.Fatalf("AppendFloat64s after a prefix = %x, want ab%x", got, want)
+	}
+	buf := make([]byte, 0, len(want))
+	if got := AppendFloat64s(buf, xs); &got[0] != &buf[:1][0] || !bytes.Equal(got, want) {
+		t.Fatal("AppendFloat64s into a slice with room did not write in place")
+	}
+	back := BytesToFloat64s(want)
+	for i := range xs {
+		if math.Float64bits(back[i]) != math.Float64bits(xs[i]) {
+			t.Fatalf("round trip of %v gave %v", xs[i], back[i])
+		}
 	}
 }

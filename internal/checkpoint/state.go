@@ -7,6 +7,7 @@ package checkpoint
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // State is one durable snapshot of a training run, taken at a step
@@ -76,11 +77,19 @@ type WorkerState struct {
 // params/velocity so checkpoints are bit-exact by construction (and JSON
 // base64-encodes []byte, keeping files compact).
 func Float64sToBytes(xs []float64) []byte {
-	out := make([]byte, 8*len(xs))
+	return AppendFloat64s(make([]byte, 0, 8*len(xs)), xs)
+}
+
+// AppendFloat64s appends the Float64sToBytes encoding of xs to dst and
+// returns the extended slice; a dst with room is written in place.
+func AppendFloat64s(dst []byte, xs []float64) []byte {
+	k := len(dst)
+	dst = slices.Grow(dst, 8*len(xs))[:k+8*len(xs)]
+	out := dst[k:]
 	for i, x := range xs {
 		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
 	}
-	return out
+	return dst
 }
 
 // BytesToFloat64s is the inverse of Float64sToBytes. Trailing bytes that

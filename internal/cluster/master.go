@@ -1282,10 +1282,12 @@ steps:
 	return core.Result(), nil
 }
 
-// checkpointWriter takes Store.Save off the step loop. The snapshot — a
-// value holding its own copy of the parameters — is taken on the loop at the
-// step boundary; the marshal and the fsyncs run behind it, at most one write
-// in flight, so the loop blocks only when the next write comes due first.
+// checkpointWriter takes Store.Save off the step loop. The snapshot — the
+// parameter bits copied into buffers the core rewrites at its next Snapshot,
+// which is why snapshot joins the write in flight first — is taken on the
+// loop at the step boundary; the marshal and the fsyncs run behind it, at
+// most one write in flight, so the loop blocks only when the next write
+// comes due first.
 // Failures are counted and logged but do not stop training — losing
 // durability is better than losing the run. The step loop alone calls its
 // methods.

@@ -42,7 +42,7 @@ type PlaneState struct {
 
 // planeStore wraps the scheduler's checkpoint.Store with a save counter
 // (each save gets a fresh "step" so retention rolls correctly) and a lock
-// serializing concurrent transition saves.
+// serializing concurrent transition saves, from snapshot to durable file.
 type planeStore struct {
 	mu    sync.Mutex
 	store *checkpoint.Store
@@ -88,6 +88,10 @@ func (s *scheduler) saveState() {
 	if s.state == nil {
 		return
 	}
+	// One save at a time, its snapshot included: the Store takes one
+	// writer at a time, and the newest file must hold the newest table.
+	s.state.mu.Lock()
+	defer s.state.mu.Unlock()
 	st := PlaneState{Version: PlaneStateVersion}
 	s.mu.Lock()
 	st.Seq = s.seq
@@ -113,10 +117,8 @@ func (s *scheduler) saveState() {
 	}
 	s.mu.Unlock()
 
-	s.state.mu.Lock()
 	s.state.saves++
 	save := s.state.saves
-	s.state.mu.Unlock()
 	if _, err := s.state.store.Save(save, &st); err != nil {
 		s.events.Error("plane.state_save_failed", "scheduler state checkpoint failed", events.NoStep,
 			events.NoWorker, events.Fields{"error": err.Error()})

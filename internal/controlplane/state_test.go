@@ -3,6 +3,7 @@ package controlplane
 import (
 	"encoding/json"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -219,4 +220,43 @@ func mustJob(t *testing.T, p *Plane, id string) JobStatus {
 		t.Fatalf("job %s is unknown", id)
 	}
 	return st
+}
+
+// TestConcurrentSubmitsSaveOneAtATime: submissions racing from several
+// goroutines save the plane's state one at a time — the Store takes one
+// writer at a time — and, since each save's snapshot is taken under the
+// lock that numbers it, the newest checkpoint holds every job.
+func TestConcurrentSubmitsSaveOneAtATime(t *testing.T) {
+	dir := t.TempDir()
+	p, err := New(Config{FleetAddr: "127.0.0.1:0", StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	const jobs = 8
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.Submit(steadySpec()); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	store, err := checkpoint.NewStore(filepath.Join(dir, "plane"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st PlaneState
+	if _, err := store.Latest(&st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Jobs) != jobs || st.Seq != jobs {
+		t.Fatalf("newest plane checkpoint holds %d jobs at seq %d, want %d and %d", len(st.Jobs), st.Seq, jobs, jobs)
+	}
 }

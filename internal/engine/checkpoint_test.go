@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,8 +89,8 @@ func TestTrainCheckpointResumeEquivalence(t *testing.T) {
 }
 
 // TestTrainRestoreRejectsMismatchedConfig pins the fingerprint check: a
-// checkpoint from one (scheme, seed) must not silently seed a different
-// run.
+// checkpoint from one (scheme, n, c, seed) or of one parameter dimension
+// must not silently seed a different run, and the refusal names the file.
 func TestTrainRestoreRejectsMismatchedConfig(t *testing.T) {
 	dir := t.TempDir()
 	store, err := checkpoint.NewStore(dir, 3)
@@ -103,13 +104,41 @@ func TestTrainRestoreRejectsMismatchedConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bad := ckptConfig(t)
-	bad.Seed = 999 // different init/batches — restore must refuse
-	bad.Checkpoint = store
-	bad.Restore = true
-	if _, err := Train(bad); err == nil {
-		t.Fatal("restore accepted a checkpoint with a mismatched seed")
+	refused := func(name string, bad Config) {
+		t.Helper()
+		bad.Checkpoint = store
+		bad.Restore = true
+		_, err := Train(bad)
+		if err == nil {
+			t.Fatalf("restore accepted a checkpoint with a mismatched %s", name)
+		}
+		if !strings.Contains(err.Error(), "ckpt-") {
+			t.Fatalf("mismatched %s: error %q does not name the checkpoint file", name, err)
+		}
+		t.Logf("mismatched %s: %v", name, err)
 	}
+	seed := ckptConfig(t)
+	seed.Seed = 999 // different init/batches
+	refused("seed", seed)
+	c3 := ckptConfig(t)
+	p, err := placement.CR(8, 3) // the same name, IS-GC-CR, for every c
+	c3.Strategy = isgcStrategy(t, p, err, 42)
+	refused("c", c3)
+	wider := ckptConfig(t)
+	wider.Model = model.SoftmaxRegression{Features: 6, Classes: 4}
+	refused("parameter dimension", wider)
+
+	// A checkpoint whose velocity is not one value per parameter.
+	var cst checkpoint.State
+	info, err := store.Latest(&cst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cst.Velocity = cst.Velocity[:len(cst.Velocity)-8]
+	if _, err := store.Save(info.Step, &cst); err != nil {
+		t.Fatal(err)
+	}
+	refused("velocity length", ckptConfig(t))
 }
 
 // TestTrainRestoreCompletedRun asserts a final (Completed) checkpoint

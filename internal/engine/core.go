@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"isgc/internal/bitset"
@@ -35,6 +36,10 @@ type StepCore struct {
 
 	open   []foldableStep // decoded steps still inside the staleness window, oldest first
 	folded int            // folds landed since the last Update
+
+	// The last Snapshot's Params and Velocity bytes, rewritten in place by
+	// the next one.
+	snapParams, snapVelocity []byte
 }
 
 // foldableStep is a decoded-but-still-correctable step: its decoded sum, its
@@ -96,9 +101,10 @@ func (c *StepCore) Resume(params []float64, step int) {
 // Restore resumes from the newest valid snapshot of cfg.Checkpoint when
 // cfg.Restore asks for it. It returns nil state on a cold start (restore
 // off, or a fresh directory); otherwise the snapshot, so the driver can
-// pick up its own fields. A snapshot of a different scheme shape or seed is
-// refused; a Completed one leaves nothing to run (StartStep == MaxSteps)
-// and fills the result's convergence fields.
+// pick up its own fields. A snapshot of a different scheme shape (name, n,
+// c) or seed, or of another parameter dimension, is refused; a Completed
+// one leaves nothing to run (StartStep == MaxSteps) and fills the result's
+// convergence fields.
 func (c *StepCore) Restore() (*checkpoint.State, checkpoint.Info, error) {
 	if !c.cfg.Restore || c.cfg.Checkpoint == nil {
 		return nil, checkpoint.Info{}, nil
@@ -111,9 +117,13 @@ func (c *StepCore) Restore() (*checkpoint.State, checkpoint.Info, error) {
 	if err != nil {
 		return nil, info, fmt.Errorf("restore: %w", err)
 	}
-	if cst.Scheme != c.st.Name() || cst.N != c.n || cst.Seed != c.cfg.Seed {
-		return nil, info, fmt.Errorf("checkpoint %s is for scheme=%q n=%d seed=%d, config says scheme=%q n=%d seed=%d",
-			info.File, cst.Scheme, cst.N, cst.Seed, c.st.Name(), c.n, c.cfg.Seed)
+	if cst.Scheme != c.st.Name() || cst.N != c.n || cst.C != c.st.C() || cst.Seed != c.cfg.Seed {
+		return nil, info, fmt.Errorf("checkpoint %s is for scheme=%q n=%d c=%d seed=%d, config says scheme=%q n=%d c=%d seed=%d",
+			info.File, cst.Scheme, cst.N, cst.C, cst.Seed, c.st.Name(), c.n, c.st.C(), c.cfg.Seed)
+	}
+	if want := 8 * len(c.params); len(cst.Params) != want || (len(cst.Velocity) > 0 && len(cst.Velocity) != want) {
+		return nil, info, fmt.Errorf("checkpoint %s holds %d parameter bytes and %d velocity bytes, the model has %d parameters (%d bytes)",
+			info.File, len(cst.Params), len(cst.Velocity), len(c.params), want)
 	}
 	c.Resume(checkpoint.BytesToFloat64s(cst.Params), cst.Step)
 	if len(cst.Velocity) > 0 {
@@ -136,8 +146,11 @@ func (c *StepCore) Completed() bool { return c.complete }
 
 // Snapshot fills the checkpoint fields every driver shares; the driver adds
 // its own (run identity, eval cache, straggler RNG) and saves it under
-// nextStep.
+// nextStep. Params and Velocity are byte buffers the core owns: they stay
+// valid until its next Snapshot, which writes them again, so a driver saves
+// (or copies) one snapshot before taking the next.
 func (c *StepCore) Snapshot(nextStep int, completed bool, savedAt time.Time) checkpoint.State {
+	c.snapParams = checkpoint.AppendFloat64s(c.snapParams[:0], c.params)
 	cst := checkpoint.State{
 		Version:         checkpoint.Version,
 		Scheme:          c.st.Name(),
@@ -146,14 +159,15 @@ func (c *StepCore) Snapshot(nextStep int, completed bool, savedAt time.Time) che
 		Seed:            c.cfg.Seed,
 		W:               c.cfg.W,
 		Step:            nextStep,
-		Params:          checkpoint.Float64sToBytes(c.params),
+		Params:          c.snapParams,
 		EventCursor:     c.cfg.Events.Total(),
 		RecordCursor:    c.res.Run.Steps(),
 		Completed:       completed,
 		SavedAtUnixNano: savedAt.UnixNano(),
 	}
 	if c.velocity != nil {
-		cst.Velocity = checkpoint.Float64sToBytes(c.velocity)
+		c.snapVelocity = checkpoint.AppendFloat64s(c.snapVelocity[:0], c.velocity)
+		cst.Velocity = c.snapVelocity
 	}
 	if rs, ok := c.st.(RandStateful); ok {
 		cst.DecoderSeed, cst.DecoderDraws = rs.RandState()
@@ -217,13 +231,15 @@ type Decoded struct {
 }
 
 // Decode recovers the step's gradient sum from the gathered uploads
-// (coded[i] is nil for workers outside avail). The core keeps avail.
+// (coded[i] is nil for workers outside avail). The core keeps avail. Parts
+// is a copy, since the step's record keeps it; ĝ is the strategy's until
+// its next Recover, so d must reach Update before the next Decode.
 func (c *StepCore) Decode(step int, avail *bitset.Set, coded [][]float64) (Decoded, error) {
 	ghat, parts, err := c.st.Recover(avail, coded)
 	if err != nil {
 		return Decoded{}, fmt.Errorf("step %d: %w", step, err)
 	}
-	return Decoded{Parts: parts, step: step, avail: avail, ghat: ghat}, nil
+	return Decoded{Parts: slices.Clone(parts), step: step, avail: avail, ghat: ghat}, nil
 }
 
 // Update applies the decoded step — the mean over exactly the recovered
@@ -271,14 +287,15 @@ func (c *StepCore) Update(d Decoded) (trace.StepRecord, error) {
 	c.folded = 0
 	if cfg.Staleness > 0 {
 		// An upload for step s can fold while steps s+1..s+k gather, so
-		// the window is the k newest decoded steps.
+		// the window is the k newest decoded steps. The step keeps its own
+		// copy of ĝ, which is the strategy's only until the next Recover.
 		keep := c.open[:0]
 		for _, p := range c.open {
 			if p.step > d.step-cfg.Staleness {
 				keep = append(keep, p)
 			}
 		}
-		g := d.ghat
+		g := slices.Clone(d.ghat)
 		if g == nil {
 			g = make([]float64, len(c.params))
 		}

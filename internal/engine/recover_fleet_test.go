@@ -63,8 +63,9 @@ func fleetRecoverInputs(tb testing.TB, p *placement.Placement, dim int) (Strateg
 }
 
 // TestRecoverAllocsAtFleetScale pins the recovery path's allocation shape
-// at n = 50,000: a handful of n-bit sets, ĝ and the partition list — not
-// one row, bitset or closure per chosen worker. CR and HR are pinned
+// at n = 50,000: a handful of n-bit sets — not one row, bitset or closure
+// per chosen worker, and not ĝ or the partition list, which the strategy
+// rewrites in place from one Recover to the next. CR and HR are pinned
 // exactly, because a fresh decode allocates one set per greedy walk and
 // stops walking at the structural α bound: on "bound-met" one walk, on
 // "every-97th" every CR start (the HR anchor group meets the bound).
@@ -72,10 +73,10 @@ func TestRecoverAllocsAtFleetScale(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates; counts are not meaningful")
 	}
-	const maxAllocs, maxBytes = 40, 1 << 20
+	const maxAllocs, maxBytes = 40, 256 << 10
 	pinned := map[string]float64{
-		"CR/every-97th": 22, "CR/bound-met": 8,
-		"HR/every-97th": 8, "HR/bound-met": 8,
+		"CR/every-97th": 20, "CR/bound-met": 6,
+		"HR/every-97th": 6, "HR/bound-met": 6,
 	}
 	for _, fp := range fleetPlacements {
 		p, err := fp.build()
@@ -104,7 +105,9 @@ func TestRecoverAllocsAtFleetScale(t *testing.T) {
 				recoverOnce()
 			}
 			runtime.ReadMemStats(&after)
-			if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall >= maxBytes {
+			perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("%s: %.0f allocations, %d bytes per Recover", name, allocs, perCall)
+			if perCall >= maxBytes {
 				t.Errorf("%s: Recover allocated %d bytes per call, want < %d", name, perCall, maxBytes)
 			}
 		}

@@ -46,6 +46,13 @@ type Strategy interface {
 	// receive free list once the step's update is applied, and a reader
 	// may be filling them again while ĝ is still held for late folds.
 	// Every strategy in this package sums into a vector of its own.
+	//
+	// ĝ and the list belong to the strategy and stay valid until its next
+	// Recover, which may write the same arrays again (IS-GC does, so a
+	// caller that keeps neither allocates nothing for them); a caller that
+	// keeps either past that copies it. A fresh pair per call meets this contract too.
+	// A strategy serves one driver at a time — its decoder RNG is not safe
+	// for concurrent use either.
 	Recover(avail *bitset.Set, coded [][]float64) (ghat []float64, parts []int, err error)
 	// Encode computes worker i's coded upload from the per-partition mean
 	// gradients (only the worker's own partitions are read).
@@ -179,9 +186,12 @@ func (s *classicGC) Recover(avail *bitset.Set, coded [][]float64) ([]float64, []
 	return ghat, allPartitions(s.N()), nil
 }
 
-// isGC wraps the paper's scheme.
+// isGC wraps the paper's scheme. Recover sums into ghat and lists into
+// parts, both kept from one call to the next.
 type isGC struct {
 	scheme *isgc.Scheme
+	ghat   []float64
+	parts  []int
 }
 
 // NewISGC returns the IS-GC strategy over any placement (FR, CR, or HR).
@@ -234,14 +244,15 @@ func (s *isGC) Encode(worker int, grads [][]float64) ([]float64, error) {
 }
 
 func (s *isGC) Recover(avail *bitset.Set, coded [][]float64) ([]float64, []int, error) {
-	ghat, parts, _, err := s.scheme.DecodeAndAggregate(avail, coded)
+	ghat, parts, err := s.scheme.AggregateInto(s.ghat, s.scheme.Decode(avail), coded)
 	if err != nil {
 		return nil, nil, err
 	}
 	if ghat == nil {
 		return nil, nil, fmt.Errorf("engine: IS-GC recovered nothing (no available workers)")
 	}
-	return ghat, parts.Slice(), nil
+	s.ghat, s.parts = ghat, parts.AppendSlice(s.parts[:0])
+	return s.ghat, s.parts, nil
 }
 
 func allPartitions(n int) []int {

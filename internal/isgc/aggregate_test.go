@@ -165,6 +165,69 @@ func TestAggregateFusedRejectsBadRows(t *testing.T) {
 	}
 }
 
+// TestAggregateIntoReusesDst: a dst of the coded dimension is summed into in
+// place, whatever it held, with the bits of Aggregate's fresh ĝ; a dst of
+// any other length is left alone and ĝ is allocated; an empty chosen set
+// returns no ĝ and leaves dst alone.
+func TestAggregateIntoReusesDst(t *testing.T) {
+	const n, dim = 9, 13
+	p, err := placement.CR(n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p, 1)
+	coded := make([][]float64, n)
+	for i := range coded {
+		coded[i] = make([]float64, dim)
+		for k := range coded[i] {
+			coded[i][k] = math.Ldexp(float64(i*dim+k)-50, i-k)
+		}
+	}
+	chosen := bitset.FromSlice([]int{0, 2, 3, 5, 6, 7, 8})
+	want, wantParts, err := s.Aggregate(chosen, coded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := func(m int) []float64 {
+		v := make([]float64, m)
+		for k := range v {
+			v[k] = math.NaN()
+		}
+		return v
+	}
+	same := func(got []float64) bool {
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				return false
+			}
+		}
+		return len(got) == len(want)
+	}
+
+	dst := dirty(dim)
+	ghat, parts, err := s.AggregateInto(dst, chosen, coded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &ghat[0] != &dst[0] || !same(ghat) || !parts.Equal(wantParts) {
+		t.Fatalf("into a dst of dim %d: ĝ = %v (in place: %v), want %v", dim, ghat, &ghat[0] == &dst[0], want)
+	}
+	for _, m := range []int{0, dim - 1, dim + 1} {
+		dst := dirty(m)
+		ghat, _, err := s.AggregateInto(dst, chosen, coded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(ghat) || (m > 0 && (&ghat[0] == &dst[0] || !math.IsNaN(dst[0]))) {
+			t.Fatalf("into a dst of dim %d: ĝ = %v, dst = %v; want a fresh %v and dst untouched", m, ghat, dst, want)
+		}
+	}
+	dst = dirty(dim)
+	if ghat, _, err := s.AggregateInto(dst, bitset.New(n), coded); err != nil || ghat != nil || !math.IsNaN(dst[0]) {
+		t.Fatalf("empty chosen set: ĝ = %v, err = %v, dst[0] = %v; want nil, nil, untouched", ghat, err, dst[0])
+	}
+}
+
 // BenchmarkAggregateFleet is the master's recovery pass after decode at the
 // fleet-churn workload's shape — Aggregate, then the partition list — for
 // the chosen set of a CR(50000, 8) decode on the bound-met mask (the first 16

@@ -65,8 +65,17 @@ func (s *Scheme) EncodePartial(worker int, local [][]float64) ([]float64, error)
 // the row-at-a-time sum. The set is walked word by word (bitset.Cursor) with
 // one pass of look-ahead: each pass is handed the next pass's four rows to
 // prefetch, since chosen rows sit a stride of c or more rows apart, where
-// the hardware prefetcher does not follow.
+// the hardware prefetcher does not follow. ĝ is a fresh vector; see
+// AggregateInto to sum into one the caller keeps.
 func (s *Scheme) Aggregate(chosen *bitset.Set, coded [][]float64) ([]float64, *bitset.Set, error) {
+	return s.AggregateInto(nil, chosen, coded)
+}
+
+// AggregateInto is Aggregate summing into dst when dst holds exactly the
+// coded dimension: dst is zeroed and returned as ĝ, with the bits a fresh
+// vector would have. Any other dst (nil included) is left alone and ĝ is
+// allocated. On an error dst may hold a partial sum.
+func (s *Scheme) AggregateInto(dst []float64, chosen *bitset.Set, coded [][]float64) ([]float64, *bitset.Set, error) {
 	n := s.p.N()
 	var ghat []float64
 	var rows [8][]float64 // the pass being summed, then the next one
@@ -80,7 +89,11 @@ func (s *Scheme) Aggregate(chosen *bitset.Set, coded [][]float64) ([]float64, *b
 			return nil, nil, fmt.Errorf("isgc: chosen worker %d has no coded gradient", i)
 		}
 		if ghat == nil {
-			ghat = make([]float64, len(coded[i]))
+			if ghat = dst; ghat == nil || len(ghat) != len(coded[i]) {
+				ghat = make([]float64, len(coded[i]))
+			} else {
+				linalg.ZeroVec(ghat)
+			}
 		}
 		if len(coded[i]) != len(ghat) {
 			return nil, nil, fmt.Errorf("isgc: worker %d coded gradient dim %d ≠ %d", i, len(coded[i]), len(ghat))
