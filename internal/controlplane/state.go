@@ -140,7 +140,7 @@ func (s *scheduler) restoreState() error {
 		return nil
 	}
 	var st PlaneState
-	_, err := s.state.store.Latest(&st)
+	info, err := s.state.store.Latest(&st)
 	switch {
 	case errors.Is(err, checkpoint.ErrNoCheckpoint):
 		return nil // fresh state dir
@@ -150,6 +150,11 @@ func (s *scheduler) restoreState() error {
 	if st.Version != PlaneStateVersion {
 		return fmt.Errorf("controlplane: scheduler state version %d, want %d", st.Version, PlaneStateVersion)
 	}
+	// Number this life's saves on from the restored one: the Store keeps the
+	// highest-numbered saves, so a counter restarted at 0 would have every
+	// save of this life pruned as it lands once an earlier life saved
+	// DefaultRetain times.
+	s.state.saves = info.Step
 	restored, resumed := 0, 0
 	s.mu.Lock()
 	s.seq = st.Seq

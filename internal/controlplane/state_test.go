@@ -260,3 +260,38 @@ func TestConcurrentSubmitsSaveOneAtATime(t *testing.T) {
 		t.Fatalf("newest plane checkpoint holds %d jobs at seq %d, want %d and %d", len(st.Jobs), st.Seq, jobs, jobs)
 	}
 }
+
+// TestThirdLifeRestoresSecondLifesTable: a restored plane numbers its saves
+// on from the checkpoint it restored, so a job the second life admitted is
+// in the table the third life restores — even after the first life saved
+// more often than the store retains, where a save counter restarted at 0
+// would have had every second-life save pruned as it landed.
+func TestThirdLifeRestoresSecondLifesTable(t *testing.T) {
+	dir := t.TempDir()
+	life := func(restore bool, submit int) (*Plane, []string) {
+		t.Helper()
+		p, err := New(Config{FleetAddr: "127.0.0.1:0", StateDir: dir, Restore: restore})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for i := 0; i < submit; i++ {
+			id, err := p.Submit(steadySpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		p.Stop()
+		return p, ids
+	}
+	_, first := life(false, checkpoint.DefaultRetain+2)
+	_, second := life(true, 1)
+	p3, _ := life(true, 0)
+	for _, id := range append(first, second...) {
+		mustJob(t, p3, id)
+	}
+}

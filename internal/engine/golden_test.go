@@ -83,11 +83,14 @@ func goldenConfig(t *testing.T, scheme string) Config {
 // captured at the commit before the step loops were merged into one core;
 // a refactor of the step loop must leave them unchanged — and so must the
 // model kernels under it, so every configuration trains once per kernel path
-// (portable Go loops, AVX2 assembly) against the same constant. IS-GC-CR/mlp
-// is the one trajectory through tanh; its constant was captured at the commit
-// before linalg.TanhBias4 replaced forward4's math.Tanh calls. Floating-point
-// contraction differs across architectures, so the pins hold on amd64 (and,
-// through math.Exp's two paths there, on a CPU with AVX and FMA).
+// the host has (portable Go loops, AVX2 and AVX-512 assembly) against the
+// same constant. IS-GC-CR/mlp is the one trajectory through tanh; its
+// constant was captured with one math.Tanh call per activation, before the
+// lane-wide tanh (now linalg.TanhBias8) and before the model's grouped
+// passes went from four samples to eight, and it holds through both.
+// Floating-point contraction differs across architectures, so the pins hold
+// on amd64 (and, through math.Exp's two paths there, on a CPU with AVX and
+// FMA).
 func TestGoldenStepLoopDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests were captured on amd64, running on %s", runtime.GOARCH)

@@ -31,7 +31,7 @@ func referenceAggregate(chosen *bitset.Set, coded [][]float64) []float64 {
 // has the bits of the row-at-a-time sum for every α in 0..13 — no pass, one,
 // two and three passes with and without a look-ahead hand-off, and every
 // tail of 1–3 rows — at dimensions around the lane group and the line of
-// eight, under both kernel paths, on values where the order of additions
+// eight, under every kernel path, on values where the order of additions
 // decides the result (1e16 absorbs a lone 1; −1e16 then cancels it).
 func TestAggregateFusedMatchesSequential(t *testing.T) {
 	const n = 14
@@ -232,7 +232,7 @@ func TestAggregateIntoReusesDst(t *testing.T) {
 // fleet-churn workload's shape — Aggregate, then the partition list — for
 // the chosen set of a CR(50000, 8) decode on the bound-met mask (the first 16
 // workers away), with 64-value rows sliced from one backing array, under
-// both kernel paths.
+// every kernel path (AddTo4's AVX2 body serves the avx512 path too).
 func BenchmarkAggregateFleet(b *testing.B) {
 	const n, dim = 50000, 64
 	p, err := placement.CR(n, 8, placement.Structural())

@@ -2,11 +2,15 @@
 
 package linalg
 
-// No assembly off amd64: the probe's verdict is a constant and the bodies
+// No assembly off amd64: the probe's verdicts are constants and the bodies
 // are never reached.
-const hasAVX2, hasFMA = false, false
+const hasAVX2, hasFMA, hasAVX512 = false, false, false
 
-func matVecT4AVX2(dstT, w *float64, stride, rows, n int, xT *float64) {
+func matVecT8AVX2(dstT, w *float64, stride, rows, n int, xT *float64) {
+	panic("linalg: no vector kernels on this architecture")
+}
+
+func matVecT8AVX512(dstT, w *float64, stride, rows, n int, xT *float64) {
 	panic("linalg: no vector kernels on this architecture")
 }
 
@@ -14,10 +18,18 @@ func axpy4AVX2(dst *float64, n int, a0 float64, x0 *float64, a1 float64, x1 *flo
 	panic("linalg: no vector kernels on this architecture")
 }
 
+func axpy4AVX512(dst *float64, n int, a0 float64, x0 *float64, a1 float64, x1 *float64, a2 float64, x2 *float64, a3 float64, x3 *float64, zero bool) {
+	panic("linalg: no vector kernels on this architecture")
+}
+
 func addTo4AVX2(dst *float64, n int, a, b, c, d, p0, p1, p2, p3 *float64) {
 	panic("linalg: no vector kernels on this architecture")
 }
 
-func tanhBias4AVX2(hT, b *float64, rows int) {
+func tanhBias8AVX2(hT, b *float64, rows int) {
+	panic("linalg: no vector kernels on this architecture")
+}
+
+func tanhBias8AVX512(hT, b *float64, rows int) {
 	panic("linalg: no vector kernels on this architecture")
 }

@@ -9,20 +9,22 @@ import (
 	"unsafe"
 )
 
-// eachPathInPlace calls fn with the portable Go loops selected and then with
-// the assembly, restoring the host's choice afterwards. A host that failed
-// the probe runs the portable half only and says so. (kerneltest.EachPath is
-// this function for the packages above; importing it here would be a cycle.)
+// eachPathInPlace calls fn once per body of the vector kernels — the
+// portable Go loops, then the AVX2 and the AVX-512 assembly — and restores
+// the host's choice afterwards. A body the host failed the probe for is
+// skipped with a NOT RUN line. (kerneltest.EachPath is this function for the
+// packages above; importing it here would be a cycle.)
 func eachPathInPlace(tb testing.TB, fn func(path string)) {
 	tb.Helper()
-	defer SetVectorKernels(SetVectorKernels(false))
-	fn("portable")
-	if !HasVectorKernels() {
-		tb.Log("NOT RUN under avx2: this host has no AVX2 (or its OS does not save YMM state), so the assembly kernels were not exercised")
-		return
+	defer SetPath(SetPath(Portable))
+	for p := Portable; p <= AVX512; p++ {
+		if p > HostPath() {
+			tb.Logf("NOT RUN under %v: this host (or its OS) does not support it, so that body was not exercised", p)
+			continue
+		}
+		SetPath(p)
+		fn(p.String())
 	}
-	SetVectorKernels(true)
-	fn("avx2")
 }
 
 // eachPath runs fn as one subtest per path.
@@ -30,23 +32,40 @@ func eachPath(t *testing.T, fn func(t *testing.T)) {
 	eachPathInPlace(t, func(path string) { t.Run(path, fn) })
 }
 
-// TestVectorKernelsProbed is the loud half of that log line: CI runs it with
-// -v and requires a PASS, so a runner that silently tests one path only fails.
+// mustRefuse checks that SetPath panics for a body the host cannot run.
+func mustRefuse(t *testing.T, p Path) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("SetPath(%v) accepted on a host whose widest body is %v", p, HostPath())
+		}
+	}()
+	SetPath(p)
+}
+
+// TestVectorKernelsProbed is the loud half of the NOT RUN line for AVX2: CI
+// runs it with -v and requires a PASS, so a runner that silently tests the
+// portable path only fails.
 func TestVectorKernelsProbed(t *testing.T) {
-	if !HasVectorKernels() {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("SetVectorKernels(true) accepted on a host that failed the probe")
-				}
-			}()
-			SetVectorKernels(true)
-		}()
+	if HostPath() < AVX2 {
+		mustRefuse(t, AVX2)
 		t.Skip("NOT RUN: no AVX2 on this host; every kernel test covered the portable path only")
 	}
-	if !useAVX2 {
-		t.Error("the host passed the probe but the portable path is selected")
+	if path != HostPath() {
+		t.Errorf("the host's widest body is %v but %v is selected", HostPath(), path)
 	}
+}
+
+// TestWideKernelsProbed says whether this run exercised the AVX-512 bodies.
+// It does not fail on a host without them — CI runners vary — but it does
+// hold the switch to the probe's verdict.
+func TestWideKernelsProbed(t *testing.T) {
+	if HostPath() < AVX512 {
+		mustRefuse(t, AVX512)
+		t.Logf("NOT RUN under avx512: this host's widest body is %v", HostPath())
+		return
+	}
+	t.Log("avx512: every kernel test ran the AVX-512 bodies too")
 }
 
 // unitVec is ordinary data: almost any reassociation, or a fused
@@ -70,11 +89,11 @@ var kernelDraws = []struct {
 
 func uintptrOf(v []float64) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(v))) }
 
-// offAligned returns a copy of v that starts off words past a 32-byte
+// offAligned returns a copy of v that starts off (0–7) words past a 64-byte
 // boundary, with room behind it.
 func offAligned(v []float64, off int) []float64 {
-	buf := make([]float64, len(v)+8)
-	for uintptrOf(buf)%32 != 0 {
+	buf := make([]float64, len(v)+16)
+	for uintptrOf(buf)%64 != 0 {
 		buf = buf[1:]
 	}
 	buf = buf[off : off+len(v) : off+len(v)]
@@ -82,44 +101,53 @@ func offAligned(v []float64, off int) []float64 {
 	return buf
 }
 
-// MatVecT4 must give every (row, sample) the bits of that sample's own
-// MatVecInto, on both paths: every rows mod 8 below and above one eight-row
+// MatVecT8 must give every (row, sample) the bits of that sample's own
+// MatVecInto, on every path: every rows mod 8 below and above one eight-row
 // pass (so every eight-row pass meets every four-row and 1–3-row rest) and
-// the benchmark's row counts, every n mod 4 around the lane width, strides
-// wider than the row, operands starting 0–3 words off 32-byte alignment.
-func TestMatVecT4BitIdentical(t *testing.T) {
+// the benchmark's row counts, every n mod 8 around the lane width, strides
+// wider than the row, operands starting 0–7 words off 64-byte alignment, and
+// batches of 1–9, 16 and 64 samples cut into groups of eight with a padded
+// last group whose spare lanes are not compared.
+func TestMatVecT8BitIdentical(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
 		rowCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23, 24, 25, 64, 128}
+		sampleCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64}
+		combo := 0
 		for _, in := range kernelDraws {
 			for _, rows := range rowCounts {
 				for n := 0; n <= 67; n++ {
 					if rows > 13 && n%16 > 1 {
 						continue
 					}
+					combo++
+					samples := sampleCounts[combo%len(sampleCounts)]
 					stride := n + 3*(n%2)
-					off := (rows + n) % 4
+					off := (rows + n) % 8
 					w := offAligned(in.draw(rng, rows*stride+n), off)
-					var xs [4][]float64
+					xs := make([][]float64, samples)
 					for s := range xs {
 						xs[s] = in.draw(rng, n)
 					}
-					xT := offAligned(make([]float64, 4*n), (off+1)%4)
-					Interleave4(xT, xs[0], xs[1], xs[2], xs[3])
-					gotT := offAligned(nanVec(4*rows+2), (off+2)%4)
-					MatVecT4(gotT, w, stride, rows, xT)
+					xT := offAligned(make([]float64, 8*n), (off+1)%8)
+					gotT := offAligned(nanVec(8*rows+2), (off+2)%8)
 					want := make([]float64, rows)
-					for s, x := range xs {
-						MatVecInto(want, w, stride, x)
-						for r := range want {
-							if !sameResult(gotT[4*r+s], want[r]) {
-								t.Fatalf("%s rows=%d n=%d stride=%d: row %d sample %d = %v, MatVecInto gives %v", in.name, rows, n, stride, r, s, gotT[4*r+s], want[r])
+					for g := 0; g < samples; g += 8 {
+						group := xs[g:min(g+8, samples)]
+						Interleave8(xT, group)
+						MatVecT8(gotT, w, stride, rows, xT)
+						for s, x := range group {
+							MatVecInto(want, w, stride, x)
+							for r := range want {
+								if !sameResult(gotT[8*r+s], want[r]) {
+									t.Fatalf("%s rows=%d n=%d stride=%d: row %d sample %d = %v, MatVecInto gives %v", in.name, rows, n, stride, r, g+s, gotT[8*r+s], want[r])
+								}
 							}
 						}
-					}
-					for _, v := range gotT[4*rows:] {
-						if !math.IsNaN(v) {
-							t.Fatalf("%s rows=%d n=%d: wrote past the 4·rows outputs", in.name, rows, n)
+						for _, v := range gotT[8*rows:] {
+							if !math.IsNaN(v) {
+								t.Fatalf("%s rows=%d n=%d: wrote past the 8·rows outputs", in.name, rows, n)
+							}
 						}
 					}
 				}
@@ -128,29 +156,36 @@ func TestMatVecT4BitIdentical(t *testing.T) {
 	})
 }
 
-// Interleave4 and Deinterleave4 are inverses and move bits, not values.
-func TestInterleave4RoundTrips(t *testing.T) {
+// Interleave8 and Deinterleave8 are inverses over the lanes in use and move
+// bits, not values; a spare lane repeats the last vector.
+func TestInterleave8RoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	for n := 0; n <= 9; n++ {
-		var xs, ds [4][]float64
-		for s := range xs {
-			xs[s], ds[s] = edgeVec(rng, n), nanVec(n)
-		}
-		xT := nanVec(4 * n)
-		Interleave4(xT, xs[0], xs[1], xs[2], xs[3])
-		for j := 0; j < n; j++ {
+	for g := 1; g <= 8; g++ {
+		for n := 0; n <= 9; n++ {
+			xs := make([][]float64, g)
 			for s := range xs {
-				if math.Float64bits(xT[4*j+s]) != math.Float64bits(xs[s][j]) {
-					t.Fatalf("n=%d: xT[4·%d+%d] = %v, want %v", n, j, s, xT[4*j+s], xs[s][j])
+				xs[s] = edgeVec(rng, n)
+			}
+			xT := nanVec(8 * n)
+			Interleave8(xT, xs)
+			for j := 0; j < n; j++ {
+				for s := 0; s < 8; s++ {
+					if want := xs[min(s, g-1)][j]; math.Float64bits(xT[8*j+s]) != math.Float64bits(want) {
+						t.Fatalf("g=%d n=%d: xT[8·%d+%d] = %v, want %v", g, n, j, s, xT[8*j+s], want)
+					}
 				}
 			}
-		}
-		Deinterleave4(ds[0], ds[1], ds[2], ds[3], xT)
-		for s := range xs {
-			for j := range xs[s] {
-				if math.Float64bits(ds[s][j]) != math.Float64bits(xs[s][j]) {
-					t.Fatalf("n=%d: round trip of sample %d[%d] = %v, want %v", n, s, j, ds[s][j], xs[s][j])
+			ds := nanVec(g*n + 1)
+			Deinterleave8(ds[:g*n], xT)
+			for s, x := range xs {
+				for j := range x {
+					if math.Float64bits(ds[s*n+j]) != math.Float64bits(x[j]) {
+						t.Fatalf("g=%d n=%d: round trip of sample %d[%d] = %v, want %v", g, n, s, j, ds[s*n+j], x[j])
+					}
 				}
+			}
+			if !math.IsNaN(ds[g*n]) {
+				t.Fatalf("g=%d n=%d: Deinterleave8 wrote past its %d vectors", g, n, g)
 			}
 		}
 	}
@@ -194,44 +229,44 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 			}
 		}
 		for _, shape := range [][3]int{
-			{1, 1, 1}, {3, 5, 5}, {4, 4, 7}, {5, 7, 7}, {6, 67, 70}, {13, 16, 16},
+			{1, 1, 1}, {3, 5, 5}, {4, 4, 7}, {5, 7, 7}, {6, 67, 70}, {7, 2, 2}, {8, 3, 3}, {9, 9, 9}, {13, 16, 16},
 			{14, 5, 5}, {15, 9, 11}, {16, 4, 4}, {17, 3, 6}, {23, 8, 8}, {24, 1, 2}, {25, 6, 9}, {64, 16, 16},
 		} {
 			rows, n, stride := shape[0], shape[1], shape[2]
 			reset()
-			w, xT, dstT := carve((rows-1)*stride+n), carve(4*n), carve(4*rows)
+			w, xT, dstT := carve((rows-1)*stride+n), carve(8*n), carve(8*rows)
 			copy(w, unitVec(rng, len(w)))
 			copy(xT, unitVec(rng, len(xT)))
 			wWas, xWas := CloneVec(w), CloneVec(xT)
-			MatVecT4(dstT, w, stride, rows, xT)
-			untouched("MatVecT4")
+			MatVecT8(dstT, w, stride, rows, xT)
+			untouched("MatVecT8")
 			if !slices.Equal(w, wWas) || !slices.Equal(xT, xWas) {
-				t.Fatalf("MatVecT4 rows=%d n=%d changed a source", rows, n)
+				t.Fatalf("MatVecT8 rows=%d n=%d changed a source", rows, n)
 			}
 			for i, v := range dstT {
 				if math.Float64bits(v) == sentinel {
-					t.Fatalf("MatVecT4 rows=%d n=%d left dstT[%d] unwritten", rows, n, i)
+					t.Fatalf("MatVecT8 rows=%d n=%d left dstT[%d] unwritten", rows, n, i)
 				}
 			}
 		}
 		for _, rows := range []int{1, 2, 3, 5, 64} {
 			reset()
-			b, hT := carve(rows), carve(4*rows)
+			b, hT := carve(rows), carve(8*rows)
 			copy(b, unitVec(rng, rows))
-			copy(hT, unitVec(rng, 4*rows))
+			copy(hT, unitVec(rng, 8*rows))
 			bWas := CloneVec(b)
-			TanhBias4(hT, b)
-			untouched("TanhBias4")
+			TanhBias8(hT, b)
+			untouched("TanhBias8")
 			if !slices.Equal(b, bWas) {
-				t.Fatalf("TanhBias4 rows=%d changed b", rows)
+				t.Fatalf("TanhBias8 rows=%d changed b", rows)
 			}
 			for i, v := range hT {
 				if math.Abs(v) >= 1 { // a tanh of unit data, not the sentinel (≈ 1.6e11)
-					t.Fatalf("TanhBias4 rows=%d left hT[%d] = %v", rows, i, v)
+					t.Fatalf("TanhBias8 rows=%d left hT[%d] = %v", rows, i, v)
 				}
 			}
 		}
-		for _, n := range []int{1, 3, 4, 5, 8, 67} {
+		for _, n := range []int{1, 3, 4, 5, 8, 9, 12, 13, 16, 20, 67} {
 			for _, axpy4 := range []func([]float64, float64, []float64, float64, []float64, float64, []float64, float64, []float64){AXPY4, AXPY4Zero} {
 				reset()
 				x0, dst, x1, x2, x3 := carve(n), carve(n), carve(n), carve(n), carve(n)
@@ -278,30 +313,34 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 func TestVectorKernelsPanicOnMisfit(t *testing.T) {
 	v := func(n int) []float64 { return make([]float64, n) }
 	cases := map[string]func(){
-		"AXPY4 short x0":            func() { AXPY4(v(5), 1, v(4), 1, v(5), 1, v(5), 1, v(5)) },
-		"AXPY4 long x1":             func() { AXPY4(v(5), 1, v(5), 1, v(6), 1, v(5), 1, v(5)) },
-		"AXPY4 short x2":            func() { AXPY4(v(5), 1, v(5), 1, v(5), 1, v(1), 1, v(5)) },
-		"AXPY4 empty x3":            func() { AXPY4(v(5), 1, v(5), 1, v(5), 1, v(5), 1, nil) },
-		"AXPY4Zero short x0":        func() { AXPY4Zero(v(5), 1, v(4), 1, v(5), 1, v(5), 1, v(5)) },
-		"AXPY4Zero long x3":         func() { AXPY4Zero(v(5), 1, v(5), 1, v(5), 1, v(5), 1, v(9)) },
-		"AXPY4Zero empty dst":       func() { AXPY4Zero(nil, 1, v(5), 1, v(5), 1, v(5), 1, v(5)) },
-		"AddTo4 short a":            func() { AddTo4(v(5), v(4), v(5), v(5), v(5)) },
-		"AddTo4 long b":             func() { AddTo4(v(5), v(5), v(6), v(5), v(5)) },
-		"AddTo4 empty d":            func() { AddTo4(v(5), v(5), v(5), v(5), nil) },
-		"AddTo4 empty dst":          func() { AddTo4(nil, v(5), v(5), v(5), v(5), v(5)) },
-		"xT not a multiple of four": func() { MatVecT4(v(8), v(6), 3, 2, v(11)) },
-		"dstT shorter than 4·rows":  func() { MatVecT4(v(7), v(6), 3, 2, v(12)) },
-		"last row runs past w":      func() { MatVecT4(v(8), v(5), 3, 2, v(12)) },
-		"stride runs past w":        func() { MatVecT4(v(8), v(6), 4, 2, v(12)) },
-		"negative rows":             func() { MatVecT4(v(8), v(6), 3, -1, v(12)) },
-		"negative stride":           func() { MatVecT4(v(8), v(6), -3, 2, v(12)) },
-		"TanhBias4 short hT":        func() { TanhBias4(v(11), v(3)) },
-		"TanhBias4 long hT":         func() { TanhBias4(v(13), v(3)) },
-		"TanhBias4 empty b":         func() { TanhBias4(v(4), nil) },
-		"Interleave4 ragged":        func() { Interleave4(v(8), v(2), v(2), v(3), v(2)) },
-		"Interleave4 short dst":     func() { Interleave4(v(7), v(2), v(2), v(2), v(2)) },
-		"Deinterleave4 ragged":      func() { Deinterleave4(v(2), v(2), v(1), v(2), v(8)) },
-		"Deinterleave4 short src":   func() { Deinterleave4(v(2), v(2), v(2), v(2), v(7)) },
+		"AXPY4 short x0":              func() { AXPY4(v(5), 1, v(4), 1, v(5), 1, v(5), 1, v(5)) },
+		"AXPY4 long x1":               func() { AXPY4(v(5), 1, v(5), 1, v(6), 1, v(5), 1, v(5)) },
+		"AXPY4 short x2":              func() { AXPY4(v(5), 1, v(5), 1, v(5), 1, v(1), 1, v(5)) },
+		"AXPY4 empty x3":              func() { AXPY4(v(5), 1, v(5), 1, v(5), 1, v(5), 1, nil) },
+		"AXPY4Zero short x0":          func() { AXPY4Zero(v(5), 1, v(4), 1, v(5), 1, v(5), 1, v(5)) },
+		"AXPY4Zero long x3":           func() { AXPY4Zero(v(5), 1, v(5), 1, v(5), 1, v(5), 1, v(9)) },
+		"AXPY4Zero empty dst":         func() { AXPY4Zero(nil, 1, v(5), 1, v(5), 1, v(5), 1, v(5)) },
+		"AddTo4 short a":              func() { AddTo4(v(5), v(4), v(5), v(5), v(5)) },
+		"AddTo4 long b":               func() { AddTo4(v(5), v(5), v(6), v(5), v(5)) },
+		"AddTo4 empty d":              func() { AddTo4(v(5), v(5), v(5), v(5), nil) },
+		"AddTo4 empty dst":            func() { AddTo4(nil, v(5), v(5), v(5), v(5), v(5)) },
+		"xT not a multiple of eight":  func() { MatVecT8(v(16), v(6), 3, 2, v(23)) },
+		"dstT shorter than 8·rows":    func() { MatVecT8(v(15), v(6), 3, 2, v(24)) },
+		"last row runs past w":        func() { MatVecT8(v(16), v(5), 3, 2, v(24)) },
+		"stride runs past w":          func() { MatVecT8(v(16), v(6), 4, 2, v(24)) },
+		"negative rows":               func() { MatVecT8(v(16), v(6), 3, -1, v(24)) },
+		"negative stride":             func() { MatVecT8(v(16), v(6), -3, 2, v(24)) },
+		"TanhBias8 short hT":          func() { TanhBias8(v(23), v(3)) },
+		"TanhBias8 long hT":           func() { TanhBias8(v(25), v(3)) },
+		"TanhBias8 empty b":           func() { TanhBias8(v(8), nil) },
+		"Interleave8 ragged":          func() { Interleave8(v(16), [][]float64{v(2), v(2), v(3)}) },
+		"Interleave8 short dst":       func() { Interleave8(v(15), [][]float64{v(2), v(2)}) },
+		"Interleave8 no vectors":      func() { Interleave8(nil, nil) },
+		"Interleave8 nine vectors":    func() { Interleave8(v(8), make([][]float64, 9)) },
+		"Deinterleave8 partial lane":  func() { Deinterleave8(v(3), v(16)) },
+		"Deinterleave8 nine lanes":    func() { Deinterleave8(v(18), v(16)) },
+		"Deinterleave8 short src":     func() { Deinterleave8(v(2), v(15)) },
+		"Deinterleave8 from no lanes": func() { Deinterleave8(v(2), nil) },
 	}
 	messages := map[string]map[string]any{}
 	eachPath(t, func(t *testing.T) {
@@ -323,49 +362,60 @@ func TestVectorKernelsPanicOnMisfit(t *testing.T) {
 		AddTo4(v(5), v(5), v(5), v(5), v(5), nil, v(2), v(9), v(5), v(5))
 		AXPY4(nil, 1, nil, 1, nil, 1, nil, 1, nil)
 		AXPY4Zero(nil, 1, nil, 1, nil, 1, nil, 1, nil)
-		MatVecT4(nil, nil, 0, 0, nil)
-		MatVecT4(nil, nil, 5, 0, v(8))
-		TanhBias4(nil, nil)
-		dst := nanVec(8)
-		MatVecT4(dst, nil, 0, 2, nil)
+		MatVecT8(nil, nil, 0, 0, nil)
+		MatVecT8(nil, nil, 5, 0, v(16))
+		TanhBias8(nil, nil)
+		Interleave8(nil, [][]float64{nil, nil})
+		Deinterleave8(nil, nil)
+		dst := nanVec(16)
+		MatVecT8(dst, nil, 0, 2, nil)
 		for i, x := range dst {
 			if math.Float64bits(x) != 0 {
 				t.Errorf("n = 0: dstT[%d] = %v, want the empty sum +0", i, x)
 			}
 		}
 	})
-	portable, avx2 := messages[t.Name()+"/portable"], messages[t.Name()+"/avx2"]
-	for name := range avx2 {
-		if portable[name] != avx2[name] {
-			t.Errorf("%s: portable path panics with %v, avx2 path with %v", name, portable[name], avx2[name])
+	portable := messages[t.Name()+"/portable"]
+	for _, p := range []Path{AVX2, AVX512} {
+		for name, msg := range messages[t.Name()+"/"+p.String()] {
+			if portable[name] != msg {
+				t.Errorf("%s: portable path panics with %v, %v path with %v", name, portable[name], p, msg)
+			}
 		}
 	}
 }
 
-// BenchmarkVectorKernels times the kernels alone on both paths, at the
-// compute-mlp layer shapes: four 128×64 mat-vecs (layer 1: eight-row passes
-// only) and four 10×128 (layer 2: one eight-row pass and a two-row rest),
-// one 64-column row update, and the activation of four samples' hidden
-// layers (H = 64 and 128, with ns per activation beside ns per call); and
-// four 64×2048 mat-vecs, the wide-gather master's loss.
+// BenchmarkVectorKernels times the kernels alone on every path the host
+// has, at the workloads' shapes: eight-sample mat-vecs at compute-mlp's
+// layers (128×64: eight-row passes only; 10×128: one eight-row pass and a
+// two-row rest) and straggler-mlp's (64×32, 10×64), and 64×2048, the
+// wide-gather master's loss; the row update at the compute-mlp rows (64 and
+// 128 columns) and wide-gather's softmax rows (2048); AddTo4 at fleet-churn's
+// dimension 64; and the activation of eight samples' hidden layers (H = 64
+// and 128). ns/sample and ns/activation sit beside ns/op so that a
+// four-sample kernel's numbers compare directly.
 func BenchmarkVectorKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	row, x := make([]float64, 64), unitVec(rng, 64)
 	eachPathInPlace(b, func(path string) {
-		for _, sh := range [][2]int{{128, 64}, {10, 128}, {64, 2048}} {
+		for _, sh := range [][2]int{{128, 64}, {10, 128}, {64, 32}, {10, 64}, {64, 2048}} {
 			rows, n := sh[0], sh[1]
-			w, xT, dstT := unitVec(rng, rows*n), unitVec(rng, 4*n), make([]float64, 4*rows)
-			b.Run(fmt.Sprintf("MatVecT4/%dx%d/%s", rows, n, path), func(b *testing.B) {
+			w, xT, dstT := unitVec(rng, rows*n), unitVec(rng, 8*n), make([]float64, 8*rows)
+			b.Run(fmt.Sprintf("MatVecT8/%dx%d/%s", rows, n, path), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					MatVecT4(dstT, w, n, rows, xT)
+					MatVecT8(dstT, w, n, rows, xT)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/8, "ns/sample")
+			})
+		}
+		for _, n := range []int{64, 128, 2048} {
+			row, x := make([]float64, n), unitVec(rng, n)
+			b.Run(fmt.Sprintf("AXPY4/%d/%s", n, path), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					AXPY4(row, 0.5, x, -0.5, x, 0.25, x, -0.25, x)
 				}
 			})
 		}
-		b.Run("AXPY4/64/"+path, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				AXPY4(row, 0.5, x, -0.5, x, 0.25, x, -0.25, x)
-			}
-		})
+		row, x := make([]float64, 64), unitVec(rng, 64)
 		b.Run("AddTo4/64/"+path, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				AddTo4(row, x, x, x, x, x, x, x, x)
@@ -374,13 +424,13 @@ func BenchmarkVectorKernels(b *testing.B) {
 		for _, H := range []int{64, 128} {
 			// Pre-activations of unit scale: about half the lanes take the
 			// rational branch and half the exp one, as in training.
-			pre, bias, hT := unitVec(rng, 4*H), unitVec(rng, H), make([]float64, 4*H)
-			b.Run(fmt.Sprintf("TanhBias4/%d/%s", H, path), func(b *testing.B) {
+			pre, bias, hT := unitVec(rng, 8*H), unitVec(rng, H), make([]float64, 8*H)
+			b.Run(fmt.Sprintf("TanhBias8/%d/%s", H, path), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					copy(hT, pre)
-					TanhBias4(hT, bias)
+					TanhBias8(hT, bias)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(4*H), "ns/activation")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(8*H), "ns/activation")
 			})
 		}
 	})

@@ -1,6 +1,6 @@
 // Package kerneltest lets the tests of packages built on linalg run under
-// both bodies of its vector kernels — the portable Go loops and the AVX2
-// assembly — on one host. Only test files import it.
+// every body of its vector kernels — the portable Go loops, the AVX2 and the
+// AVX-512 assembly — on one host. Only test files import it.
 package kerneltest
 
 import (
@@ -9,21 +9,23 @@ import (
 	"isgc/internal/linalg"
 )
 
-// EachPath calls fn once with the portable kernels selected ("portable") and
-// once with the assembly ("avx2"), then restores the host's own choice. fn
-// runs in place, so a test's subtest names do not change; callers that want
-// one subtest per path wrap tb.Run themselves. On a host that failed the
-// probe only the portable half runs and the log says so (linalg's
-// TestVectorKernelsProbed is the test that fails CI over it). Not for
-// parallel tests: the selection is process-wide.
+// EachPath calls fn once per body ("portable", "avx2", "avx512"), then
+// restores the host's own choice. fn runs in place, so a test's subtest
+// names do not change; callers that want one subtest per path wrap tb.Run
+// themselves. A body the host failed the probe for is skipped and the log
+// says NOT RUN (linalg's TestVectorKernelsProbed is the test that fails CI
+// over a missing AVX2 body; TestWideKernelsProbed only reports on AVX-512,
+// which runners may lack). Not for parallel tests: the selection is
+// process-wide.
 func EachPath(tb testing.TB, fn func(path string)) {
 	tb.Helper()
-	defer linalg.SetVectorKernels(linalg.SetVectorKernels(false))
-	fn("portable")
-	if !linalg.HasVectorKernels() {
-		tb.Log("NOT RUN under avx2: this host has no AVX2 (or its OS does not save YMM state); only the portable kernels were exercised")
-		return
+	defer linalg.SetPath(linalg.SetPath(linalg.Portable))
+	for p := linalg.Portable; p <= linalg.AVX512; p++ {
+		if p > linalg.HostPath() {
+			tb.Logf("NOT RUN under %v: this host (or its OS) does not support it; only the bodies before it were exercised", p)
+			continue
+		}
+		linalg.SetPath(p)
+		fn(p.String())
 	}
-	linalg.SetVectorKernels(true)
-	fn("avx2")
 }

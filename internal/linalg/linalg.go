@@ -68,7 +68,7 @@ func AddTo4(dst, a, b, c, d []float64, next ...[]float64) {
 	if len(a) != n || len(b) != n || len(c) != n || len(d) != n {
 		panic(fmt.Sprintf("linalg: AddTo4 length mismatch %d vs %d, %d, %d, %d", n, len(a), len(b), len(c), len(d)))
 	}
-	if useAVX2 && n > 0 {
+	if path >= AVX2 && n > 0 {
 		if n > prefetchMax {
 			next = nil
 		}
@@ -115,15 +115,22 @@ func AXPY(dst []float64, a float64, src []float64) {
 // intermediate is the one four successive AXPY calls would round to (each
 // term keeps AXPY's acc + a*x shape, so a platform that fuses one fuses the
 // other): bit-identical to them, with a quarter of the dst loads and stores.
-// This is the model kernels' backward step over a group of four samples. On
-// a host with the vector kernels (kernels.go) four columns go per lane, each
-// column the same multiply-then-add chain.
+// This is the model kernels' backward step, four samples of a group at a
+// time. On a host with the vector kernels (kernels.go) four columns (AVX2)
+// or eight (AVX-512) go per lane group, each column the same
+// multiply-then-add chain.
 func AXPY4(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x3 []float64) {
 	n := len(dst)
 	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
 		panic(fmt.Sprintf("linalg: AXPY4 length mismatch %d vs %d, %d, %d, %d", n, len(x0), len(x1), len(x2), len(x3)))
 	}
-	if useAVX2 && n > 0 {
+	switch {
+	case n == 0:
+		return
+	case path == AVX512:
+		axpy4AVX512(&dst[0], n, a0, &x0[0], a1, &x1[0], a2, &x2[0], a3, &x3[0], false)
+		return
+	case path == AVX2:
 		axpy4AVX2(&dst[0], n, a0, &x0[0], a1, &x1[0], a2, &x2[0], a3, &x3[0], false)
 		return
 	}
@@ -158,7 +165,13 @@ func AXPY4Zero(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64
 	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
 		panic(fmt.Sprintf("linalg: AXPY4Zero length mismatch %d vs %d, %d, %d, %d", n, len(x0), len(x1), len(x2), len(x3)))
 	}
-	if useAVX2 && n > 0 {
+	switch {
+	case n == 0:
+		return
+	case path == AVX512:
+		axpy4AVX512(&dst[0], n, a0, &x0[0], a1, &x1[0], a2, &x2[0], a3, &x3[0], true)
+		return
+	case path == AVX2:
 		axpy4AVX2(&dst[0], n, a0, &x0[0], a1, &x1[0], a2, &x2[0], a3, &x3[0], true)
 		return
 	}

@@ -6,18 +6,18 @@ import (
 	"testing"
 )
 
-// TanhBias4's assembly body mirrors two files of the Go standard library as
+// TanhBias8's assembly bodies mirror two files of the Go standard library as
 // they stand in go1.24, step for step:
 //
 //	math/tanh.go       tanh: the three branches by |x|, the Cephes rational
 //	                   x + x·s·P(s)/Q(s), and 1 − 2/(Exp(2|x|)+1)
 //	math/exp_amd64.s   archExp, its avxfma path (taken when the CPU has AVX
-//	                   and FMA, which the body's selection requires too)
+//	                   and FMA, which the bodies' selection requires too)
 //
 // The tests below hold it to math.Tanh in every bit. If a toolchain bump makes
-// them fail on the avx2 path only, math.Tanh changed its operation sequence:
-// diff those two files against go1.24's and bring tanhBias4AVX2 in
-// kernels_amd64.s (or its selection in TanhBias4) along. A build with
+// them fail on the assembly paths only, math.Tanh changed its operation
+// sequence: diff those two files against go1.24's and bring tanhBias8AVX2 and
+// tanhBias8AVX512 in kernels_amd64.s (or their selection in TanhBias8) along. A build with
 // GOAMD64=v3 lets the compiler fuse the rational's multiply-adds and fails
 // the same way.
 
@@ -40,7 +40,7 @@ func tanhEdges() []float64 {
 	return append(edges, math.NaN())
 }
 
-// tanhEdgeRows is the edge table as TanhBias4 operands: one block of rows per
+// tanhEdgeRows is the edge table as TanhBias8 operands: one block of rows per
 // bias c, holding v − c for every edge v, so that wherever the subtraction is
 // exact the kernel's own sum lands on v again (every edge but ±0 must be
 // reached that way under some non-zero bias). Under the negative-zero bias h
@@ -60,17 +60,18 @@ func tanhEdgeRows(t testing.TB) (hT, b []float64) {
 			}
 			hs = append(hs, h)
 		}
-		for len(hs)%4 != 0 {
+		for len(hs)%8 != 0 {
 			hs = append(hs, 0)
 		}
 		hT = append(hT, hs...)
-		for range len(hs) / 4 {
+		for range len(hs) / 8 {
 			b = append(b, c)
 		}
 	}
-	// Every edge is also its own bias under h = −0, two other edges beside it.
+	// Every edge is also its own bias under h = −0, other edges beside it.
 	for i, v := range edges {
-		hT = append(hT, negZero, edges[(i+1)%len(edges)]-v, negZero, edges[(i+5)%len(edges)]-v)
+		other := func(k int) float64 { return edges[(i+k)%len(edges)] - v }
+		hT = append(hT, negZero, other(1), negZero, other(5), other(2), negZero, other(7), other(3))
 		b = append(b, v)
 	}
 	for _, v := range edges {
@@ -81,46 +82,46 @@ func tanhEdgeRows(t testing.TB) (hT, b []float64) {
 	return hT, b
 }
 
-// checkTanhBias4 runs TanhBias4 on a copy of hT and compares every word with
+// checkTanhBias8 runs TanhBias8 on a copy of hT and compares every word with
 // math.Tanh of the same sum (any NaN for a NaN). It reports the first
 // mismatch.
-func checkTanhBias4(t testing.TB, what string, hT, b []float64) {
+func checkTanhBias8(t testing.TB, what string, hT, b []float64) {
 	t.Helper()
 	got := CloneVec(hT)
-	TanhBias4(got, b)
+	TanhBias8(got, b)
 	for i, bi := range b {
-		for s := 0; s < 4; s++ {
-			h := hT[4*i+s]
-			if want := math.Tanh(h + bi); !sameResult(got[4*i+s], want) {
+		for s := 0; s < 8; s++ {
+			h := hT[8*i+s]
+			if want := math.Tanh(h + bi); !sameResult(got[8*i+s], want) {
 				t.Fatalf("%s: row %d sample %d: tanh(%v + %v = %#016x) = %v (%#016x), math.Tanh gives %v (%#016x)",
-					what, i, s, h, bi, math.Float64bits(h+bi), got[4*i+s], math.Float64bits(got[4*i+s]), want, math.Float64bits(want))
+					what, i, s, h, bi, math.Float64bits(h+bi), got[8*i+s], math.Float64bits(got[8*i+s]), want, math.Float64bits(want))
 			}
 		}
 	}
 }
 
-// TestTanhBias4MatchesMathTanh is the pin that lets an assembly tanh run under
-// the bit-identical model kernels: on both paths TanhBias4 equals
+// TestTanhBias8MatchesMathTanh is the pin that lets an assembly tanh run under
+// the bit-identical model kernels: on every path TanhBias8 equals
 // math.Tanh(h+b) in every bit on the edge table, on 18M seeded values at
 // scales 1e-5 … 100 (all three branches, mixed within a row; 0.3 and 0.5 are
 // there because a rounding moved inside the rational shows in the result
 // almost only for sums just under 0.625) and on 2M raw bit patterns
 // (denormals, huge magnitudes, NaN payloads).
-func TestTanhBias4MatchesMathTanh(t *testing.T) {
-	const rows = 2048 // per chunk: the operands stay in cache and memory small
+func TestTanhBias8MatchesMathTanh(t *testing.T) {
+	const rows = 1024 // per chunk: the operands stay in cache and memory small
 	seeded, raw := 250, 124
 	if testing.Short() {
 		seeded, raw = 10, 4
 	}
 	eachPath(t, func(t *testing.T) {
 		hT, b := tanhEdgeRows(t)
-		checkTanhBias4(t, "edge table", hT, b)
-		for n := 0; n <= 9; n++ { // every row count around the lane width, unaligned
-			checkTanhBias4(t, "short", offAligned(hT[:4*n], n%4), offAligned(b[:n], (n+1)%4))
+		checkTanhBias8(t, "edge table", hT, b)
+		for n := 0; n <= 9; n++ { // every short row count, unaligned
+			checkTanhBias8(t, "short", offAligned(hT[:8*n], n%8), offAligned(b[:n], (n+1)%8))
 		}
 
 		rng := rand.New(rand.NewSource(24))
-		hT, b = make([]float64, 4*rows), make([]float64, rows)
+		hT, b = make([]float64, 8*rows), make([]float64, rows)
 		scales := []float64{1e-5, 1e-3, 0.1, 0.3, 0.5, 0.625, 1, 10, 100}
 		for chunk := 0; chunk < seeded; chunk++ {
 			for _, scale := range scales {
@@ -130,12 +131,12 @@ func TestTanhBias4MatchesMathTanh(t *testing.T) {
 				for i := range hT {
 					// Every fourth row mixes the scales across its lanes.
 					sc := scale
-					if i/4%4 == 0 {
+					if i/8%4 == 0 {
 						sc = scales[rng.Intn(len(scales))]
 					}
 					hT[i] = sc * rng.NormFloat64()
 				}
-				checkTanhBias4(t, "seeded", hT, b)
+				checkTanhBias8(t, "seeded", hT, b)
 			}
 		}
 		for chunk := 0; chunk < raw; chunk++ {
@@ -149,22 +150,47 @@ func TestTanhBias4MatchesMathTanh(t *testing.T) {
 						b[i] = math.Float64frombits(rng.Uint64())
 					}
 				}
-				checkTanhBias4(t, "raw bits", hT, b)
+				checkTanhBias8(t, "raw bits", hT, b)
 			}
 		}
 	})
 }
 
-// FuzzTanhBias4 lets the fuzzer look for a row that math.Tanh and either
-// body disagree on, starting from the edge table.
+// FuzzTanhBias8 lets the fuzzer look for a row that math.Tanh and any body
+// disagree on, starting from the edge table.
+func FuzzTanhBias8(f *testing.F) {
+	hT, b := tanhEdgeRows(f)
+	for i, bi := range b {
+		q := hT[8*i : 8*i+8]
+		f.Add(q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7], bi)
+	}
+	f.Fuzz(func(t *testing.T, h0, h1, h2, h3, h4, h5, h6, h7, bias float64) {
+		eachPathInPlace(t, func(path string) {
+			checkTanhBias8(t, path, []float64{
+				h0, h1, h2, h3, h4, h5, h6, h7,
+				h7, h0, h5, h2, h3, h6, h1, h4,
+			}, []float64{bias, -bias})
+		})
+	})
+}
+
+// FuzzTanhBias4 fuzzes one four-lane half of a row — the AVX2 body's lane
+// group — in fewer dimensions than FuzzTanhBias8, seeded from the halves of
+// the edge table. The four values fill the first half of one row and the
+// second half of another, so either half can be the one that disagrees.
 func FuzzTanhBias4(f *testing.F) {
 	hT, b := tanhEdgeRows(f)
 	for i, bi := range b {
-		f.Add(hT[4*i], hT[4*i+1], hT[4*i+2], hT[4*i+3], bi)
+		for _, q := range [][]float64{hT[8*i : 8*i+4], hT[8*i+4 : 8*i+8]} {
+			f.Add(q[0], q[1], q[2], q[3], bi)
+		}
 	}
 	f.Fuzz(func(t *testing.T, h0, h1, h2, h3, bias float64) {
 		eachPathInPlace(t, func(path string) {
-			checkTanhBias4(t, path, []float64{h0, h1, h2, h3, h3, h0, h2, h1}, []float64{bias, -bias})
+			checkTanhBias8(t, path, []float64{
+				h0, h1, h2, h3, h3, h2, h1, h0,
+				-h0, -h1, -h2, -h3, h0, h1, h2, h3,
+			}, []float64{bias, bias})
 		})
 	})
 }

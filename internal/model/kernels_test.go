@@ -13,7 +13,7 @@ import (
 
 // eachKernelPath runs fn as one subtest per body of linalg's vector kernels:
 // every bit-identity and allocation pin below holds under the portable Go
-// loops and under the assembly.
+// loops and under each assembly body the host has (AVX2, AVX-512).
 func eachKernelPath(t *testing.T, fn func(t *testing.T)) {
 	kerneltest.EachPath(t, func(path string) { t.Run(path, fn) })
 }
@@ -114,15 +114,17 @@ func checkBitIdentical(t *testing.T, rng *rand.Rand, m Model, features, classes 
 // TestBlockedKernelsBitIdentical: the register-blocked and the vector
 // kernels keep every output's own summation order, so Loss and GradInto of
 // all four models equal the scalar one-sample-at-a-time reference
-// (oracle_test.go) in every bit — across every rows mod 4 and mod 8 and
-// batch mod 4, widths around the unroll and the lane width, inputs built to
-// expose any reassociated or fused sum, and both kernel paths. The MLP's dh
+// (oracle_test.go) in every bit — across every rows mod 4 and mod 8, every
+// batch mod 8 (a padded last group of 2–7, a lone last sample, whole groups
+// of eight before either), widths around the unroll and the lane width,
+// inputs built to expose any reassociated or fused sum, and every kernel
+// path. The MLP's dh
 // sums whole W2 rows four classes at a time, so class counts past two such
 // groups (10, 12, 13) run at a few hidden widths too, and the benchmark's
 // two MLP shapes are pinned as they run.
 func TestBlockedKernelsBitIdentical(t *testing.T) {
 	features := []int{1, 2, 3, 4, 5, 63, 64, 65}
-	batches := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64}
+	batches := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 16, 17, 64}
 	eachKernelPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(19))
 		for _, f := range features {
@@ -146,9 +148,9 @@ func TestBlockedKernelsBitIdentical(t *testing.T) {
 }
 
 // TestPredictSharesTheForwardPass: Predict is the argmax of the same
-// logits Loss scores, and Accuracy — which labels four samples per grouped
+// logits Loss scores, and Accuracy — which labels eight samples per grouped
 // forward pass instead of calling Predict — is the mean of Predict == y on
-// every batch length across the group size, on both kernel paths.
+// every batch length across two group sizes, on every kernel path.
 func TestPredictSharesTheForwardPass(t *testing.T) {
 	sm := SoftmaxRegression{Features: 65, Classes: 7}
 	mlp := MLP{Features: 65, Hidden: 7, Classes: 7}
@@ -174,7 +176,7 @@ func TestPredictSharesTheForwardPass(t *testing.T) {
 			}{{sm, sp}, {mlp, mp}} {
 				// Relabel so that every third sample is a miss and the rest are
 				// hits: a logit row scored against the wrong sample shows.
-				for n := 0; n <= 9; n++ {
+				for n := 0; n <= 17; n++ {
 					batch, hits, want := make([]dataset.Sample, n), 0, 0.0
 					for i, s := range samples[:n] {
 						y := c.c.Predict(c.params, s.X)
@@ -204,14 +206,15 @@ func TestPredictSharesTheForwardPass(t *testing.T) {
 // the reverse sample order changes bits too, and so does one whose dh = W2ᵀ
 // dz sums the classes from the last to the first. Write-first: a softmax row
 // stored as a·x (linalg.ScaleInto) instead of 0 + a·x keeps the −0 products
-// that a zero-filled accumulator turned into +0. All of them on both kernel
-// paths.
+// that a zero-filled accumulator turned into +0. All of them on every kernel
+// path.
 func TestBitIdentityHasTeeth(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
 		sm := SoftmaxRegression{Features: 64, Classes: 5}
 		params, one := drawInputs(rand.New(rand.NewSource(31)), sm, 64, 5, 1, signedZeroInput)
 		got, dz, row := sm.Grad(params, one), make([]float64, 5), make([]float64, 64)
-		sm.dzInto(dz, params, one[0])
+		refSoftmaxLogits(sm, dz, params, one[0].X)
+		dzInPlace(dz, one[0].Y)
 		negZeros := 0
 		for k, a := range dz {
 			linalg.ScaleInto(row, a, one[0].X)
@@ -346,9 +349,9 @@ var kernelShapes = []struct {
 }
 
 // BenchmarkKernels times one sequential GradInto and one Loss per shape and
-// kernel path (portable Go loops, AVX2 assembly) and reports ns/sample, the
-// unit a worker's c-partition step and the master's full-set loss are both
-// made of.
+// kernel path (portable Go loops, AVX2 and AVX-512 assembly) and reports
+// ns/sample, the unit a worker's c-partition step and the master's full-set
+// loss are both made of.
 func BenchmarkKernels(b *testing.B) {
 	for _, sh := range kernelShapes {
 		params := sh.m.InitParams(1)

@@ -58,8 +58,8 @@ type Classifier interface {
 }
 
 // batchClassifier is a Classifier that labels a whole batch through its
-// grouped forward pass — four samples per pass over the weights — instead of
-// one Predict per sample.
+// grouped forward pass — eight samples per pass over the weights — instead
+// of one Predict per sample.
 type batchClassifier interface {
 	// correct counts the samples whose argmax logit is their label; it
 	// agrees with Predict on every sample.
@@ -214,51 +214,46 @@ func (m SoftmaxRegression) InitParams(seed int64) []float64 {
 	return gaussianInit(m.Dim(), 0.01, seed)
 }
 
-// dzInto fills z (length Classes) with the loss gradient at the logits of
-// one sample: softmax(W·x) minus the one-hot target.
-func (m SoftmaxRegression) dzInto(z, params []float64, s dataset.Sample) {
-	linalg.MatVecInto(z, params, m.Features, s.X)
-	dzInPlace(z, s.Y)
-}
-
-// logits4 fills the four quarters of z (length 4·Classes) with the logits of
-// the four samples of b, from one pass over the weights: the inputs are
-// interleaved into xT (length 4·Features), linalg.MatVecT4 leaves the logits
-// interleaved in zT (length 4·Classes), and only those are de-interleaved.
-func (m SoftmaxRegression) logits4(xT, zT, z, params []float64, b []dataset.Sample) {
-	linalg.Interleave4(xT, b[0].X, b[1].X, b[2].X, b[3].X)
-	linalg.MatVecT4(zT, params, m.Features, m.Classes, xT)
-	z0, z1, z2, z3 := quarters(z)
-	linalg.Deinterleave4(z0, z1, z2, z3, zT)
+// logits8 fills the first len(b) K-word blocks of z with the logits of the
+// 2–8 samples of b, from one pass over the weights: the inputs are
+// interleaved into xT (length 8·Features, spare lanes padded), linalg.MatVecT8
+// leaves the logits interleaved in zT (length 8·Classes), and only the lanes
+// of b are de-interleaved.
+func (m SoftmaxRegression) logits8(xT, zT, z, params []float64, b []dataset.Sample) {
+	var xs [groupSize][]float64
+	linalg.Interleave8(xT, inputs(&xs, b))
+	linalg.MatVecT8(zT, params, m.Features, m.Classes, xT)
+	linalg.Deinterleave8(z[:len(b)*m.Classes], zT)
 }
 
 // groupScratch borrows the scratch of a grouped pass in one pooled vector:
-// the interleaved inputs xT and logits zT, and z, whose four quarters hold
-// one sample's logits each.
+// the interleaved inputs xT and logits zT, and z, whose eight K-word blocks
+// hold one sample's logits each.
 func (m SoftmaxRegression) groupScratch() (sp *[]float64, xT, zT, z []float64) {
 	F, K := m.Features, m.Classes
-	sp = getVec(4*F + 8*K)
+	sp = getVec(groupSize * (F + 2*K))
 	v := *sp
-	return sp, v[:4*F], v[4*F : 4*F+4*K], v[4*F+4*K:]
+	return sp, v[:groupSize*F], v[groupSize*F : groupSize*(F+K)], v[groupSize*(F+K):]
 }
 
 // eachLogits calls visit with every sample of the batch, in batch order, and
-// its logits (valid during the call): whole groups of four through logits4,
-// the batch mod 4 tail one sample at a time.
+// its logits (valid during the call): each group of 2–8 through logits8, a
+// lone last sample through the one-sample mat-vec.
 func (m SoftmaxRegression) eachLogits(params []float64, batch []dataset.Sample, visit func(s dataset.Sample, z []float64)) {
 	K := m.Classes
 	sp, xT, zT, z := m.groupScratch()
 	defer putVec(sp)
-	b := batch
-	for ; len(b) >= 4; b = b[4:] {
-		m.logits4(xT, zT, z, params, b)
-		for i, s := range b[:4] {
+	for b := batch; len(b) > 0; {
+		var group []dataset.Sample
+		group, b = nextGroup(b)
+		if len(group) == 1 {
+			linalg.MatVecInto(z[:K], params, m.Features, group[0].X)
+		} else {
+			m.logits8(xT, zT, z, params, group)
+		}
+		for i, s := range group {
 			visit(s, z[i*K:(i+1)*K])
 		}
-	}
-	for _, s := range b {
-		linalg.MatVecInto(z[:K], params, m.Features, s.X)
-		visit(s, z[:K])
 	}
 }
 
@@ -292,14 +287,14 @@ func (m SoftmaxRegression) Grad(params []float64, batch []dataset.Sample) []floa
 	return g
 }
 
-// GradInto implements Model. Samples are taken four at a time: one grouped
-// forward pass (logits4), then each gradient row is loaded and stored once
-// per group (linalg.AXPY4); the batch mod 4 tail goes one sample at a time —
-// a one-sample batch runs none of the grouped code. Either way every element
+// GradInto implements Model. Samples are taken in groups of up to eight:
+// one grouped forward pass (logits8, or the one-sample mat-vec for a lone
+// last sample), then each gradient row folds in the group's samples in
+// order (foldRows: AXPY4 per four, AXPY per rest), so every element
 // accumulates its samples in batch order. There is no zero fill: the first
-// group (or first tail sample) writes every row as 0 + its terms
-// (linalg.AXPY4Zero / AXPYZero) — at Features×Classes = 2^17 the fill and
-// the re-read of the row it zeroed were a third of a one-sample gradient.
+// group writes every row as 0 + its terms (linalg.AXPY4Zero / AXPYZero) — at
+// Features×Classes = 2^17 the fill and the re-read of the row it zeroed were
+// a third of a one-sample gradient.
 func (m SoftmaxRegression) GradInto(g, params []float64, batch []dataset.Sample) {
 	checkGradDim(len(g), m.Dim())
 	if len(batch) == 0 {
@@ -309,31 +304,22 @@ func (m SoftmaxRegression) GradInto(g, params []float64, batch []dataset.Sample)
 	F, K := m.Features, m.Classes
 	sp, xT, zT, z := m.groupScratch()
 	defer putVec(sp)
-	z0, z1, z2, z3 := quarters(z)
-	b := batch
 	first := true // no row of g has been written yet
-	for ; len(b) >= 4; b = b[4:] {
-		m.logits4(xT, zT, z, params, b)
-		for i, s := range b[:4] {
+	for b := batch; len(b) > 0; {
+		var group []dataset.Sample
+		group, b = nextGroup(b)
+		if len(group) == 1 {
+			linalg.MatVecInto(z[:K], params, F, group[0].X)
+		} else {
+			m.logits8(xT, zT, z, params, group)
+		}
+		for i, s := range group {
 			dzInPlace(z[i*K:(i+1)*K], s.Y)
 		}
-		axpy4 := linalg.AXPY4
-		if first {
-			axpy4, first = linalg.AXPY4Zero, false
-		}
-		for k := 0; k < K; k++ {
-			axpy4(g[k*F:(k+1)*F], z0[k], b[0].X, z1[k], b[1].X, z2[k], b[2].X, z3[k], b[3].X)
-		}
-	}
-	for _, s := range b {
-		m.dzInto(z0, params, s)
-		axpy := linalg.AXPY
-		if first {
-			axpy, first = linalg.AXPYZero, false
-		}
-		for k := 0; k < K; k++ {
-			axpy(g[k*F:(k+1)*F], z0[k], s.X)
-		}
+		var xs [groupSize][]float64
+		x := inputs(&xs, group)
+		foldRows(g, K, F, x, z, K, first)
+		first = false
 	}
 	linalg.Scale(g, 1/float64(len(batch)))
 }
@@ -415,11 +401,13 @@ func (m MLP) forwardInto(h, z, params []float64, x []float64) {
 }
 
 // mlpScratch is the scratch of a grouped pass, carved from one pooled
-// vector: the interleaved inputs xT (4·Features), hidden activations hT
-// (4·Hidden) and logits zT (4·Classes), and the per-sample views the
-// one-sample code reads — z, whose four quarters hold one sample's logits
-// each, h, the same for the hidden activations, and dh, the same for the
-// backward pass's hidden gradients.
+// vector: the interleaved inputs xT (8·Features), hidden activations hT
+// (8·Hidden) and logits zT (8·Classes), and the per-sample views the
+// one-sample code reads — z, whose eight K-word blocks hold one sample's
+// logits each, h, the same for the hidden activations, and dh, the same for
+// the backward pass's hidden gradients. h shares its words with xT and dh
+// with hT: layer 1 has read xT before GradInto de-interleaves h, and h has
+// left hT before hiddenGrad writes dh.
 type mlpScratch struct {
 	pooled     *[]float64
 	xT, hT, zT []float64
@@ -428,56 +416,58 @@ type mlpScratch struct {
 
 func (m MLP) groupScratch() mlpScratch {
 	F, H, K := m.Features, m.Hidden, m.Classes
-	sc := mlpScratch{pooled: getVec(4*F + 12*H + 8*K)}
+	xh := groupSize * max(F, H)
+	sc := mlpScratch{pooled: getVec(xh + groupSize*(H+2*K))}
 	v := *sc.pooled
-	sc.xT, v = v[:4*F], v[4*F:]
-	sc.hT, v = v[:4*H], v[4*H:]
-	sc.zT, v = v[:4*K], v[4*K:]
-	sc.z, v = v[:4*K], v[4*K:]
-	sc.h, sc.dh = v[:4*H], v[4*H:]
+	sc.xT, sc.h, v = v[:groupSize*F], v[:groupSize*H], v[xh:]
+	sc.hT, sc.dh, v = v[:groupSize*H], v[:groupSize*H], v[groupSize*H:]
+	sc.zT, sc.z = v[:groupSize*K], v[groupSize*K:]
 	return sc
 }
 
-// forward4 runs the forward pass of the four samples of b as one: the
-// inputs are interleaved once, layer 1's output stays interleaved through
-// bias and tanh (linalg.TanhBias4, math.Tanh in every bit) into layer 2
-// (linalg.MatVecT4 both times), and only the logits are de-interleaved, into
-// the quarters of sc.z. The hidden
+// forward8 runs the forward pass of the 2–8 samples of b as one: the inputs
+// are interleaved once (spare lanes padded), layer 1's output stays
+// interleaved through bias and tanh (linalg.TanhBias8, math.Tanh in every
+// bit) into layer 2 (linalg.MatVecT8 both times), and only the logits of b's
+// lanes are de-interleaved, into the K-word blocks of sc.z. The hidden
 // activations stay interleaved in sc.hT; the backward pass de-interleaves
 // them itself.
-func (m MLP) forward4(sc mlpScratch, params []float64, b []dataset.Sample) {
+func (m MLP) forward8(sc mlpScratch, params []float64, b []dataset.Sample) {
 	w1, b1, w2, b2 := m.slices(params)
-	linalg.Interleave4(sc.xT, b[0].X, b[1].X, b[2].X, b[3].X)
-	linalg.MatVecT4(sc.hT, w1, m.Features, m.Hidden, sc.xT)
-	linalg.TanhBias4(sc.hT, b1)
-	linalg.MatVecT4(sc.zT, w2, m.Hidden, m.Classes, sc.hT)
-	z0, z1, z2, z3 := quarters(sc.z)
-	linalg.Deinterleave4(z0, z1, z2, z3, sc.zT)
-	for k, bk := range b2 {
-		z0[k] += bk
-		z1[k] += bk
-		z2[k] += bk
-		z3[k] += bk
+	K := m.Classes
+	var xs [groupSize][]float64
+	linalg.Interleave8(sc.xT, inputs(&xs, b))
+	linalg.MatVecT8(sc.hT, w1, m.Features, m.Hidden, sc.xT)
+	linalg.TanhBias8(sc.hT, b1)
+	linalg.MatVecT8(sc.zT, w2, m.Hidden, K, sc.hT)
+	z := sc.z[:len(b)*K]
+	linalg.Deinterleave8(z, sc.zT)
+	for i := range b {
+		zi := z[i*K : (i+1)*K]
+		for k, bk := range b2 {
+			zi[k] += bk
+		}
 	}
 }
 
 // eachLogits calls visit with every sample of the batch, in batch order, and
-// its logits (valid during the call): whole groups of four through
-// forward4, the batch mod 4 tail one sample at a time.
+// its logits (valid during the call): each group of 2–8 through forward8, a
+// lone last sample through the one-sample forward pass.
 func (m MLP) eachLogits(params []float64, batch []dataset.Sample, visit func(s dataset.Sample, z []float64)) {
 	H, K := m.Hidden, m.Classes
 	sc := m.groupScratch()
 	defer putVec(sc.pooled)
-	b := batch
-	for ; len(b) >= 4; b = b[4:] {
-		m.forward4(sc, params, b)
-		for i, s := range b[:4] {
+	for b := batch; len(b) > 0; {
+		var group []dataset.Sample
+		group, b = nextGroup(b)
+		if len(group) == 1 {
+			m.forwardInto(sc.h[:H], sc.z[:K], params, group[0].X)
+		} else {
+			m.forward8(sc, params, group)
+		}
+		for i, s := range group {
 			visit(s, sc.z[i*K:(i+1)*K])
 		}
-	}
-	for _, s := range b {
-		m.forwardInto(sc.h[:H], sc.z[:K], params, s.X)
-		visit(s, sc.z[:K])
 	}
 }
 
@@ -511,12 +501,13 @@ func (m MLP) Grad(params []float64, batch []dataset.Sample) []float64 {
 	return g
 }
 
-// GradInto implements Model. Samples are taken four at a time: one grouped
-// forward pass (forward4) and dz for each into pooled scratch, then every
-// gradient row is updated once per group (linalg.AXPY4) and each sample's dh
-// is a sum of whole W2 rows (hiddenGrad). Bias terms and the batch mod 4
-// tail go one sample at a time; every element accumulates its samples in
-// batch order.
+// GradInto implements Model. Samples are taken in groups of up to eight: one
+// grouped forward pass (forward8, or the one-sample forward pass for a lone
+// last sample) and dz for each into pooled scratch, then every gradient row
+// folds in the group's samples in order (foldRows: AXPY4 per four, AXPY per
+// rest) and each sample's dh is a sum of whole W2 rows (hiddenGrad). The
+// bias gradients add the group's dz and dh vectors whole, in sample order
+// (addBlocks); every element accumulates its samples in batch order.
 func (m MLP) GradInto(g, params []float64, batch []dataset.Sample) {
 	checkGradDim(len(g), m.Dim())
 	linalg.ZeroVec(g)
@@ -528,43 +519,31 @@ func (m MLP) GradInto(g, params []float64, batch []dataset.Sample) {
 	_, _, w2, _ := m.slices(params)
 	sc := m.groupScratch()
 	defer putVec(sc.pooled)
-	h0, h1, h2, h3 := quarters(sc.h)
-	d0, d1, d2, d3 := quarters(sc.z)
-	a0, a1, a2, a3 := quarters(sc.dh)
-	b := batch
-	for ; len(b) >= 4; b = b[4:] {
-		m.forward4(sc, params, b)
-		linalg.Deinterleave4(h0, h1, h2, h3, sc.hT)
-		for i, s := range b[:4] {
+	for b := batch; len(b) > 0; {
+		var group []dataset.Sample
+		group, b = nextGroup(b)
+		n := len(group)
+		if n == 1 {
+			m.forwardInto(sc.h[:H], sc.z[:K], params, group[0].X)
+		} else {
+			m.forward8(sc, params, group)
+			linalg.Deinterleave8(sc.h[:n*H], sc.hT)
+		}
+		var hs, xs [groupSize][]float64
+		for i, s := range group {
 			dzInPlace(sc.z[i*K:(i+1)*K], s.Y)
+			hs[i] = sc.h[i*H : (i+1)*H]
+			xs[i] = s.X
 		}
 		// Output layer.
-		for k := 0; k < K; k++ {
-			linalg.AXPY4(gW2[k*H:(k+1)*H], d0[k], h0, d1[k], h1, d2[k], h2, d3[k], h3)
-			gB2[k] = (((gB2[k] + d0[k]) + d1[k]) + d2[k]) + d3[k]
-		}
+		foldRows(gW2, K, H, hs[:n], sc.z, K, false)
+		addBlocks(gB2, sc.z[:n*K])
 		// Hidden layer.
-		m.hiddenGrad(a0, w2, d0, h0)
-		m.hiddenGrad(a1, w2, d1, h1)
-		m.hiddenGrad(a2, w2, d2, h2)
-		m.hiddenGrad(a3, w2, d3, h3)
-		for i := 0; i < H; i++ {
-			linalg.AXPY4(gW1[i*F:(i+1)*F], a0[i], b[0].X, a1[i], b[1].X, a2[i], b[2].X, a3[i], b[3].X)
-			gB1[i] = (((gB1[i] + a0[i]) + a1[i]) + a2[i]) + a3[i]
+		for i := range group {
+			m.hiddenGrad(sc.dh[i*H:(i+1)*H], w2, sc.z[i*K:(i+1)*K], hs[i])
 		}
-	}
-	for _, s := range b {
-		m.forwardInto(h0, d0, params, s.X)
-		dzInPlace(d0, s.Y)
-		for k := 0; k < K; k++ {
-			linalg.AXPY(gW2[k*H:(k+1)*H], d0[k], h0)
-			gB2[k] += d0[k]
-		}
-		m.hiddenGrad(a0, w2, d0, h0)
-		for i, da := range a0 {
-			linalg.AXPY(gW1[i*F:(i+1)*F], da, s.X)
-			gB1[i] += da
-		}
+		foldRows(gW1, H, F, xs[:n], sc.dh, H, false)
+		addBlocks(gB1, sc.dh[:n*H])
 	}
 	linalg.Scale(g, 1/float64(len(batch)))
 }
@@ -614,11 +593,67 @@ func (m MLP) String() string {
 
 // Helpers ----------------------------------------------------------------
 
-// quarters splits v into four consecutive parts of equal length: the
-// per-sample scratch of a four-sample group.
-func quarters(v []float64) (a, b, c, d []float64) {
-	n := len(v) / 4
-	return v[:n], v[n : 2*n], v[2*n : 3*n], v[3*n:]
+// groupSize is the number of samples a grouped pass takes: the lanes of
+// linalg.MatVecT8.
+const groupSize = 8
+
+// nextGroup splits the next group off a batch: eight samples, or all that
+// are left when fewer remain. Only a batch's last group is short, and a
+// short group of 2–7 still runs the grouped pass with its spare lanes
+// padded; a group of one takes the one-sample path.
+func nextGroup(b []dataset.Sample) (group, rest []dataset.Sample) {
+	n := min(groupSize, len(b))
+	return b[:n], b[n:]
+}
+
+// inputs lists the feature vectors of a group's samples in xs.
+func inputs(xs *[groupSize][]float64, group []dataset.Sample) [][]float64 {
+	for i, s := range group {
+		xs[i] = s.X
+	}
+	return xs[:len(group)]
+}
+
+// foldRows adds c[r + s·stride]·x[s] into row r of the rows × width
+// row-major matrix g, for every row and the samples s of a group, in
+// sample order: linalg.AXPY4 over each whole four, AXPY over the rest, so
+// every element is the chain one AXPY per sample would give. Sample s's
+// factors are the block c[s·stride:] of a per-sample scratch vector, read in
+// place. With first set each row's first term is written rather than added
+// (AXPY4Zero, AXPYZero), and g is never read.
+func foldRows(g []float64, rows, width int, x [][]float64, c []float64, stride int, first bool) {
+	for r := 0; r < rows; r++ {
+		row, c := g[r*width:(r+1)*width], c[r:]
+		s := 0
+		if first {
+			if len(x) >= 4 {
+				linalg.AXPY4Zero(row, c[0], x[0], c[stride], x[1], c[2*stride], x[2], c[3*stride], x[3])
+				s = 4
+			} else {
+				linalg.AXPYZero(row, c[0], x[0])
+				s = 1
+			}
+		}
+		for ; s+4 <= len(x); s += 4 {
+			linalg.AXPY4(row, c[s*stride], x[s], c[(s+1)*stride], x[s+1], c[(s+2)*stride], x[s+2], c[(s+3)*stride], x[s+3])
+		}
+		for ; s < len(x); s++ {
+			linalg.AXPY(row, c[s*stride], x[s])
+		}
+	}
+}
+
+// addBlocks adds the consecutive len(dst)-word blocks of v into dst in
+// order: linalg.AddTo4 per four, AddTo per rest — every element the chain
+// one AddTo per block would give.
+func addBlocks(dst, v []float64) {
+	n := len(dst)
+	for ; len(v) >= 4*n; v = v[4*n:] {
+		linalg.AddTo4(dst, v[:n], v[n:2*n], v[2*n:3*n], v[3*n:4*n])
+	}
+	for ; len(v) > 0; v = v[n:] {
+		linalg.AddTo(dst, v[:n])
+	}
 }
 
 func gaussianInit(n int, scale float64, seed int64) []float64 {

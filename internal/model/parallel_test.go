@@ -168,10 +168,10 @@ func TestNilParallelGrad(t *testing.T) {
 }
 
 // TestGradIntoAllocationFree: after warm-up the sequential GradInto
-// kernel must not allocate — on a batch of whole four-sample groups, on one
-// with a tail, and at the benchmark's own shapes — and neither do Loss and
-// Accuracy, whose grouped forward pass borrows the same pooled scratch. On
-// both kernel paths.
+// kernel must not allocate — on a batch of whole eight-sample groups, on one
+// with a padded last group, on one with a lone last sample, and at the
+// benchmark's own shapes — and neither do Loss and Accuracy, whose grouped
+// forward pass borrows the same pooled scratch. On every kernel path.
 func TestGradIntoAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under -race")
@@ -197,6 +197,7 @@ func TestGradIntoAllocationFree(t *testing.T) {
 		for _, m := range testModels() {
 			check(m, 5, 3, 16)
 			check(m, 5, 3, 7)
+			check(m, 5, 3, 9)
 		}
 		for _, sh := range kernelShapes {
 			check(sh.m, sh.features, sh.classes, sh.batch)
