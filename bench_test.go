@@ -11,14 +11,10 @@ package isgc
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"isgc/internal/bitset"
-	"isgc/internal/cluster"
 	"isgc/internal/dataset"
-	"isgc/internal/engine"
 	"isgc/internal/experiments"
 	"isgc/internal/gc"
 	"isgc/internal/graph"
@@ -431,11 +427,17 @@ func BenchmarkMLPGradInto(b *testing.B) {
 	}
 }
 
+// BenchmarkMLPGradIntoSharded runs the pooled gradient at fixed shard
+// counts and at par=auto (GOMAXPROCS), which is named for the setting rather
+// than its value so that it never repeats a fixed row's name.
 func BenchmarkMLPGradIntoSharded(b *testing.B) {
 	m, params, batch := benchMLPWorkload()
-	for _, par := range []int{2, 4, 0} {
-		pool := model.NewParallelGrad(par)
-		b.Run("par="+itoa(pool.Par())[len("n="):], func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		par  int
+	}{{"par=2", 2}, {"par=4", 4}, {"par=auto", 0}} {
+		pool := model.NewParallelGrad(c.par)
+		b.Run(c.name, func(b *testing.B) {
 			dst := make([]float64, m.Dim())
 			pool.GradInto(dst, params, m, batch) // warm the scratch pool
 			b.ReportAllocs()
@@ -475,108 +477,6 @@ func BenchmarkDecodeCached(b *testing.B) {
 	}
 }
 
-// --- Cluster gather benchmarks ---------------------------------------------
-// The dim-sharded-gather headline numbers: one full training step over real
-// loopback TCP at large-model scale — dim = 2^20 (8 MiB of gradient payload
-// per worker), 16 workers, wait-all. Elapsed in
-// the master's step records covers the gather phase alone (broadcast
-// excluded), so the reported gather-p95-ns is the tail metric
-// BENCH_PR10.json archives and `isgc-bench diff -fail-over` gates in CI.
-
-const gatherBenchDim = 1 << 20
-
-const gatherBenchWorkers = 16
-
-func benchClusterGather(b *testing.B, shards int) {
-	st, err := engine.NewSyncSGD(gatherBenchWorkers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mdl := model.Constant{D: gatherBenchDim}
-	data, _, err := dataset.SyntheticLinear(64, 2, 0.1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	master, err := cluster.NewMaster(cluster.MasterConfig{
-		Addr: "127.0.0.1:0", Strategy: st, Model: mdl, Data: data,
-		LearningRate: 0.01, W: gatherBenchWorkers, MaxSteps: b.N, Seed: 42,
-		AcceptTimeout: 60 * time.Second,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	parts, err := data.Partition(gatherBenchWorkers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < gatherBenchWorkers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pids := st.Partitions(i)
-			loaders := make([]*dataset.Loader, len(pids))
-			for j, d := range pids {
-				var err error
-				loaders[j], err = dataset.NewLoader(parts[d], 4, 42)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-			}
-			wk, err := cluster.NewWorker(cluster.WorkerConfig{
-				Addr: master.Addr(), ID: i, Partitions: pids, Loaders: loaders,
-				Model: mdl, Encode: cluster.SumEncoder(),
-				GatherShards: shards,
-			})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			_, _ = wk.Run()
-		}()
-	}
-	b.SetBytes(int64(gatherBenchWorkers * 8 * gatherBenchDim))
-	b.ResetTimer()
-	res, err := master.Run()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	wg.Wait()
-	ls := res.Run.LatencySummary()
-	b.ReportMetric(float64(ls.P50), "gather-p50-ns")
-	b.ReportMetric(float64(ls.P95), "gather-p95-ns")
-}
-
-// BenchmarkClusterGather compares the single-stream binaryv1 gather with
-// the dim-sharded binaryv2 gather at 2 and 4 lanes per worker. Heavy (each
-// step moves 256 MiB over loopback), so the -short CI smoke skips it;
-// BENCH_PR10.json carries the committed numbers.
-func BenchmarkClusterGather(b *testing.B) {
-	if testing.Short() {
-		b.Skip("heavy loopback benchmark: 16 workers at dim 2^20; skipped under -short")
-	}
-	cases := []struct {
-		name   string
-		shards int
-	}{
-		// Subtest names avoid a trailing "-<digits>", which the isgc-bench
-		// parser would strip as a GOMAXPROCS suffix. The unsharded row keeps
-		// the name BENCH_PR10.json measured the deferred-finalize schedule
-		// under — the only schedule there is now — so the CI diff compares
-		// like with like.
-		{"pipelined", 1},
-		{"shards=2", 2},
-		{"shards=4", 4},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) { benchClusterGather(b, c.shards) })
-	}
-}
-
 // BenchmarkStragglerSampling measures the per-step cost of the delay
 // simulation at Fig. 11 scale.
 func BenchmarkStragglerSampling(b *testing.B) {
@@ -588,5 +488,4 @@ func BenchmarkStragglerSampling(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	_ = time.Now // keep time import for metric conversions above
 }

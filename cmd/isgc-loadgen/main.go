@@ -2,10 +2,10 @@
 // (up to 50k virtual workers) under configurable availability churn, and
 // reports per-step decode latency (mean/p50/p95), decode throughput and the
 // latency of mapping the chosen set to its recovered partitions (p50/p95),
-// in the benchmark line grammar that `isgc-bench` ingests:
+// in the `go test` benchmark line grammar:
 //
 //	isgc-loadgen -scheme cr -n 50000 -c 8 -steps 2000 -churn drift \
-//	    -mode both | isgc-bench > BENCH_PR9.json
+//	    -mode both
 //
 // Churn models (all maintain the availability mask in place — the mask is
 // never rebuilt, matching how a long-running master observes the fleet):
@@ -448,9 +448,9 @@ func benchName(opts options, p *placement.Placement) string {
 	return name
 }
 
-// emit prints one benchmark-grammar line for the pass. Custom units flow
-// into isgc-bench's Metrics map; names never end in "-<digits>" after the
-// last '/', so splitProcs keeps them intact.
+// emit prints one line in the `go test` benchmark line grammar for the pass:
+// the name, the step count, then value-unit pairs. Names never end in
+// "-<digits>" after the last '/', so no reader takes a suffix for GOMAXPROCS.
 func emit(out io.Writer, opts options, p *placement.Placement, res *passResult) {
 	fmt.Fprintf(out, "%s/mode=%s %d %d ns/op %d p50-ns %d p95-ns %.1f steps/sec %d repairs %d fallbacks %d full-solves %.3f sim-ms-per-step %d chosen %d recovered-p50-ns %d recovered-p95-ns\n",
 		benchName(opts, p), res.label, opts.steps,

@@ -9,7 +9,7 @@ import (
 // TestRunSmoke drives the full pipeline — structural placement, churn,
 // timed decode passes, verification — at a small n for each scheme and
 // churn model, asserting the incremental pass actually repairs and that
-// the emitted lines follow the isgc-bench grammar.
+// the emitted lines follow the `go test` benchmark line grammar.
 func TestRunSmoke(t *testing.T) {
 	for _, scheme := range []string{"fr", "cr", "hr"} {
 		for _, churn := range []string{"drift", "bernoulli", "bursty", "adversarial"} {
