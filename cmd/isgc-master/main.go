@@ -59,7 +59,6 @@ type options struct {
 	w             int
 	deadline      time.Duration
 	staleness     int // bounded staleness k
-	gatherShards  int // cap on per-worker gather lanes (0 = protocol max)
 	lr            float64
 	maxSteps      int
 	threshold     float64
@@ -96,7 +95,6 @@ func main() {
 		w         = flag.Int("w", 0, "workers to wait for per step (0 = all)")
 		deadline  = flag.Duration("deadline", 0, "per-step gather deadline (overrides -w when > 0)")
 		staleness = flag.Int("staleness", 0, "bounded staleness: wait for this many fewer workers per step and fold late gradients in as exact corrections (flexible schemes only; excludes -deadline)")
-		shards    = flag.Int("gather-shards", 0, "cap the gather lanes granted to binaryv2 workers (0 = accept proposals up to the protocol max, 1 = negotiate down to single-stream binaryv1)")
 		lr        = flag.Float64("lr", 0.2, "learning rate")
 		batch     = flag.Int("batch", 8, "per-partition batch size (must match workers)")
 		maxSteps  = flag.Int("steps", 200, "maximum steps")
@@ -185,7 +183,6 @@ func main() {
 		w:             *w,
 		deadline:      *deadline,
 		staleness:     *staleness,
-		gatherShards:  *shards,
 		lr:            *lr,
 		maxSteps:      *maxSteps,
 		threshold:     *threshold,
@@ -318,7 +315,6 @@ func run(opts options) error {
 		W:                 w,
 		Deadline:          opts.deadline,
 		Staleness:         opts.staleness,
-		GatherShards:      opts.gatherShards,
 		MaxSteps:          opts.maxSteps,
 		LossThreshold:     opts.threshold,
 		Seed:              opts.data.Seed,

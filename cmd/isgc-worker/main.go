@@ -48,7 +48,6 @@ func main() {
 		samples    = flag.Int("samples", 240, "synthetic dataset size (must match master)")
 		delay      = flag.Duration("delay", 0, "mean of an exponential straggler delay before each upload (0 = none)")
 		computePar = flag.Int("compute-par", 0, "gradient compute shards (0 = auto/GOMAXPROCS, 1 = sequential)")
-		shards     = flag.Int("gather-shards", 1, "split each gradient upload across this many parallel lanes (proposes the binaryv2 codec; the master may grant fewer; 1 = single stream)")
 
 		crashAt      = flag.Int("crash-at", -1, "crash (die permanently) at this step (-1 = never)")
 		dropProb     = flag.Float64("drop-prob", 0, "probability of losing each step's gradient upload")
@@ -86,7 +85,7 @@ func main() {
 	dspec.Samples = *samples
 	dspec.Batch = *batch
 	fault := buildFault(*crashAt, *dropProb, *disconnectAt)
-	if err := run(*addr, *id, spec, dspec, *delay, *computePar, *shards, fault, *reconnect, *heartbeat, *metricsAddr, *profileDir, *eventsPath, *logLevel, *checkpointDir, *restore); err != nil {
+	if err := run(*addr, *id, spec, dspec, *delay, *computePar, fault, *reconnect, *heartbeat, *metricsAddr, *profileDir, *eventsPath, *logLevel, *checkpointDir, *restore); err != nil {
 		fmt.Fprintln(os.Stderr, "isgc-worker:", err)
 		os.Exit(1)
 	}
@@ -111,7 +110,7 @@ func buildFault(crashAt int, dropProb float64, disconnectAt int) straggler.Fault
 	return fs
 }
 
-func run(addr string, id int, spec cliconfig.SchemeSpec, dspec cliconfig.DataSpec, delay time.Duration, computePar, gatherShards int, fault straggler.Fault, reconnect, heartbeat time.Duration, metricsAddr, profileDir, eventsPath, logLevel, checkpointDir string, restore bool) error {
+func run(addr string, id int, spec cliconfig.SchemeSpec, dspec cliconfig.DataSpec, delay time.Duration, computePar int, fault straggler.Fault, reconnect, heartbeat time.Duration, metricsAddr, profileDir, eventsPath, logLevel, checkpointDir string, restore bool) error {
 	p, err := spec.Build()
 	if err != nil {
 		return err
@@ -167,7 +166,6 @@ func run(addr string, id int, spec cliconfig.SchemeSpec, dspec cliconfig.DataSpe
 		Encode:            cluster.SumEncoder(),
 		Delay:             delayModel,
 		ComputePar:        computePar,
-		GatherShards:      gatherShards,
 		DelaySeed:         dspec.Seed + int64(id),
 		Fault:             fault,
 		FaultSeed:         dspec.Seed + int64(id),

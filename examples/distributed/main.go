@@ -57,7 +57,6 @@ func main() {
 	eventsPath := flag.String("events", "", `write a JSONL structured event log to this path ("-" = stderr)`)
 	timelinePath := flag.String("timeline", "", "write a Chrome trace-event file of the run to this path")
 	staleness := flag.Int("staleness", 0, "bounded staleness: wait for this many fewer workers and fold late gradients in as corrections")
-	gatherShards := flag.Int("gather-shards", 1, "split each worker's gradient upload across this many parallel lanes (binaryv2)")
 	checkpointDir := flag.String("checkpoint-dir", "", "persist durable run snapshots in this directory (empty disables; restart the example with -restore to resume)")
 	restore := flag.Bool("restore", false, "resume from the newest checkpoint in -checkpoint-dir")
 	flag.Parse()
@@ -245,7 +244,6 @@ func main() {
 				Model:             mdl,
 				Encode:            cluster.SumEncoder(),
 				Delay:             delay,
-				GatherShards:      *gatherShards,
 				DelaySeed:         int64(i),
 				Fault:             fault,
 				FaultSeed:         int64(i),
@@ -254,7 +252,7 @@ func main() {
 				Timeline:          tl,
 			})
 			if err != nil {
-				// A gather lane dialled after the master finished meets a
+				// A registration dialled after the master finished meets a
 				// job-gone reply, or — once the master has closed its
 				// listener — a refused or reset connection: nothing left to
 				// serve.

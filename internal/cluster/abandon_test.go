@@ -172,7 +172,7 @@ func newFakeMaster(t *testing.T, staleness int) *fakeMaster {
 				raw.Close()
 				continue
 			}
-			c.c.upgrade(false)
+			c.c.upgrade()
 			f.conns <- c
 		}
 	}()
@@ -814,7 +814,7 @@ func TestHelloAckCarriesStaleness(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := newConn(raw, 0, nil)
-		ack, err := clientHello(c, 0, 0, 1)
+		ack, err := clientHello(c, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -167,33 +167,23 @@ func getU64(b []byte) uint64 {
 // AppendFrame appends the canonical binaryv1 encoding of e to dst and
 // returns the extended slice. It refuses envelopes the frame format cannot
 // represent faithfully: invalid envelopes, negotiation fields (Wire rides
-// only in the gob hello exchange), sub-frame geometry (binaryv2 only),
-// out-of-range ids, and payloads on payload-free kinds.
+// only in the gob hello exchange), out-of-range ids, and payloads on
+// payload-free kinds.
 func AppendFrame(dst []byte, e *Envelope) ([]byte, error) {
-	return appendFrame(dst, e, false, true)
+	return appendFrame(dst, e, true)
 }
 
-// appendFrame encodes e in either flavour of the frame grammar: binaryv1,
-// or binaryv2 with its version byte and the two geometry words behind the
-// shared header (see subframe.go for who may carry geometry); without body,
-// the header only, for a send that writes the vector's own memory behind it.
-func appendFrame(dst []byte, e *Envelope, v2, body bool) ([]byte, error) {
+// appendFrame encodes e as a frame; without body, the header only, for a
+// send that writes the vector's own memory behind it.
+func appendFrame(dst []byte, e *Envelope, body bool) ([]byte, error) {
 	if err := validateEnvelope(e); err != nil {
 		return nil, err
 	}
 	if e.Wire != "" {
 		return nil, fmt.Errorf("cluster: %s frame cannot carry wire negotiation %q", e.Kind, e.Wire)
 	}
-	if e.Shards != 0 || e.Shard != 0 || e.Staleness != 0 {
-		return nil, fmt.Errorf("cluster: %s frame cannot carry lane or staleness negotiation", e.Kind)
-	}
-	switch {
-	case v2 && e.Kind == MsgGradient:
-		if e.Total < 1 {
-			return nil, fmt.Errorf("cluster: gradient sub-frame needs a positive total, got %d", e.Total)
-		}
-	case e.Offset != 0 || e.Total != 0:
-		return nil, fmt.Errorf("cluster: %s frame cannot carry sub-frame geometry (%d, %d)", e.Kind, e.Offset, e.Total)
+	if e.Staleness != 0 {
+		return nil, fmt.Errorf("cluster: %s frame cannot carry staleness negotiation", e.Kind)
 	}
 	t := frameTypeOf(e.Kind)
 	if t == 0 {
@@ -210,9 +200,8 @@ func appendFrame(dst []byte, e *Envelope, v2, body bool) ([]byte, error) {
 		return nil, err
 	}
 
-	version, header := frameVersionAndSize(v2)
 	off := len(dst)
-	need := header
+	need := frameHeaderSize
 	if body {
 		need += 8 * len(vec)
 	}
@@ -224,7 +213,7 @@ func appendFrame(dst []byte, e *Envelope, v2, body bool) ([]byte, error) {
 	dst = dst[:off+need]
 	h := dst[off:]
 	h[0], h[1], h[2], h[3] = frameMagic0, frameMagic1, frameMagic2, frameMagic3
-	h[4] = version
+	h[4] = frameVersion
 	h[5] = t
 	h[6], h[7] = 0, 0
 	putU32(h[8:], uint32(e.Worker))
@@ -232,12 +221,8 @@ func appendFrame(dst []byte, e *Envelope, v2, body bool) ([]byte, error) {
 	putU64(h[16:], uint64(e.ComputeStartUnixNano))
 	putU64(h[24:], uint64(e.ComputeDurNanos))
 	putU32(h[32:], uint32(len(vec)))
-	if v2 {
-		putU32(h[36:], uint32(e.Offset))
-		putU32(h[40:], uint32(e.Total))
-	}
 	if body {
-		encodePayload(h[header:], vec)
+		encodePayload(h[frameHeaderSize:], vec)
 	}
 	return dst, nil
 }
@@ -249,14 +234,6 @@ func encodePayload(p []byte, vec []float64) {
 	}
 }
 
-// frameVersionAndSize returns a flavour's version byte and header size.
-func frameVersionAndSize(v2 bool) (version byte, header int) {
-	if v2 {
-		return frameVersion2, frameHeaderSizeV2
-	}
-	return frameVersion, frameHeaderSize
-}
-
 // EncodeFrame renders one envelope as a standalone binary frame — the
 // binary counterpart of EncodeMessage, used by tests, fuzz seeds, and the
 // golden vectors.
@@ -264,39 +241,35 @@ func EncodeFrame(e *Envelope) ([]byte, error) {
 	return AppendFrame(nil, e)
 }
 
-// frameHeader is the parsed fixed header of one binary frame; offset and
-// total stay zero on binaryv1, whose header has no geometry words.
+// frameHeader is the parsed fixed header of one binary frame.
 type frameHeader struct {
-	kind          string
-	worker, step  int
-	computeStart  int64
-	computeDur    int64
-	dim           int
-	offset, total int
+	kind         string
+	worker, step int
+	computeStart int64
+	computeDur   int64
+	dim          int
 }
 
-// parseFrameHeader validates and parses a header of the given flavour (36
-// bytes, or 44 for binaryv2). Every rejection is an error, never a panic:
-// this parser fronts adversarial bytes and is hammered by FuzzDecodeFrame and
-// FuzzDecodeSubFrame.
-func parseFrameHeader(h []byte, v2 bool) (frameHeader, error) {
+// parseFrameHeader validates and parses a 36-byte header. Every rejection is
+// an error, never a panic: this parser fronts adversarial bytes and is
+// hammered by FuzzDecodeFrame.
+func parseFrameHeader(h []byte) (frameHeader, error) {
 	var fh frameHeader
-	version, size := frameVersionAndSize(v2)
-	if len(h) < size {
-		return fh, fmt.Errorf("cluster: v%d frame header truncated: %d of %d bytes", version, len(h), size)
+	if len(h) < frameHeaderSize {
+		return fh, fmt.Errorf("cluster: frame header truncated: %d of %d bytes", len(h), frameHeaderSize)
 	}
 	if h[0] != frameMagic0 || h[1] != frameMagic1 || h[2] != frameMagic2 || h[3] != frameMagic3 {
 		return fh, fmt.Errorf("cluster: bad frame magic % x", h[:4])
 	}
-	if h[4] != version {
-		return fh, fmt.Errorf("cluster: unsupported frame version %d (speak %d)", h[4], version)
+	if h[4] != frameVersion {
+		return fh, fmt.Errorf("cluster: unsupported frame version %d (speak %d)", h[4], frameVersion)
 	}
 	fh.kind = frameKindOf(h[5])
 	if fh.kind == "" {
 		return fh, fmt.Errorf("cluster: unknown frame type %d", h[5])
 	}
 	if h[6] != 0 || h[7] != 0 {
-		return fh, fmt.Errorf("cluster: nonzero reserved bytes % x in v%d frame", h[6:8], version)
+		return fh, fmt.Errorf("cluster: nonzero reserved bytes % x in frame", h[6:8])
 	}
 	worker := getU32(h[8:])
 	step := getU32(h[12:])
@@ -312,26 +285,6 @@ func parseFrameHeader(h []byte, v2 bool) (frameHeader, error) {
 		return fh, fmt.Errorf("cluster: frame dim %d exceeds limit %d", dim, maxVectorLen)
 	}
 	fh.dim = int(dim)
-	if !v2 {
-		return fh, nil
-	}
-	offset := getU32(h[36:])
-	total := getU32(h[40:])
-	if offset > maxVectorLen || total > maxVectorLen {
-		return fh, fmt.Errorf("cluster: sub-frame geometry (%d, %d) exceeds limit %d", offset, total, maxVectorLen)
-	}
-	fh.offset = int(offset)
-	fh.total = int(total)
-	if fh.kind == MsgGradient {
-		if fh.total < 1 {
-			return fh, fmt.Errorf("cluster: gradient sub-frame with zero total")
-		}
-		if fh.offset+fh.dim > fh.total {
-			return fh, fmt.Errorf("cluster: sub-frame [%d, %d) exceeds total %d", fh.offset, fh.offset+fh.dim, fh.total)
-		}
-	} else if fh.offset != 0 || fh.total != 0 {
-		return fh, fmt.Errorf("cluster: %s frame carries sub-frame geometry (%d, %d)", fh.kind, fh.offset, fh.total)
-	}
 	return fh, nil
 }
 
@@ -344,8 +297,6 @@ func frameEnvelope(fh frameHeader, vec []float64) (*Envelope, error) {
 		Step:                 fh.step,
 		ComputeStartUnixNano: fh.computeStart,
 		ComputeDurNanos:      fh.computeDur,
-		Offset:               fh.offset,
-		Total:                fh.total,
 	}
 	switch fh.kind {
 	case MsgStep:
@@ -368,21 +319,16 @@ func frameEnvelope(fh frameHeader, vec []float64) (*Envelope, error) {
 // over-limit dims all error; nothing panics. It is the binary counterpart
 // of DecodeMessage and the target of FuzzDecodeFrame.
 func DecodeFrame(data []byte) (*Envelope, error) {
-	return decodeFrame(data, false)
-}
-
-func decodeFrame(data []byte, v2 bool) (*Envelope, error) {
-	fh, err := parseFrameHeader(data, v2)
+	fh, err := parseFrameHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	version, header := frameVersionAndSize(v2)
-	if want := header + 8*fh.dim; len(data) != want {
-		return nil, fmt.Errorf("cluster: v%d frame length %d, want %d for dim %d", version, len(data), want, fh.dim)
+	if want := frameHeaderSize + 8*fh.dim; len(data) != want {
+		return nil, fmt.Errorf("cluster: frame length %d, want %d for dim %d", len(data), want, fh.dim)
 	}
 	var vec []float64
 	if fh.dim > 0 {
-		vec = decodePayload(data[header:], make([]float64, fh.dim))
+		vec = decodePayload(data[frameHeaderSize:], make([]float64, fh.dim))
 	}
 	return frameEnvelope(fh, vec)
 }
@@ -408,39 +354,33 @@ func float64Bytes(v []float64) []byte {
 // payload. Tests clear it to drive the per-word path of the other byte order.
 var payloadIsMemory = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// frameCache holds the headers of one outgoing envelope, binaryv1 and
-// binaryv2, each built at most once; the payload is never encoded. A
-// broadcast hands one cache to every connection, so a fleet costs one header
-// per flavour. Not safe for concurrent use.
+// frameCache holds the header of one outgoing envelope, built at most once;
+// the payload is never encoded. A broadcast hands one cache to every
+// connection, so a fleet costs one header. Not safe for concurrent use.
 type frameCache struct {
 	e     *Envelope
-	hdrs  [2][frameHeaderSizeV2]byte
-	built [2]bool // binaryv1, binaryv2
+	hdr   [frameHeaderSize]byte
+	built bool
 	// encodes counts the headers built — what the encode-once test pins.
 	encodes int
 }
 
-// frame returns the header in the given flavour, built on first use, and the
-// payload vector that follows it on the wire.
-func (fc *frameCache) frame(v2 bool) (hdr []byte, vec []float64, err error) {
-	i := 0
-	if v2 {
-		i = 1
-	}
-	if !fc.built[i] {
-		if _, err = appendFrame(fc.hdrs[i][:0], fc.e, v2, false); err != nil {
+// frame returns the header, built on first use, and the payload vector that
+// follows it on the wire.
+func (fc *frameCache) frame() (hdr []byte, vec []float64, err error) {
+	if !fc.built {
+		if _, err = appendFrame(fc.hdr[:0], fc.e, false); err != nil {
 			return nil, nil, err
 		}
-		fc.built[i] = true
+		fc.built = true
 		fc.encodes++
 	}
-	_, size := frameVersionAndSize(v2)
 	vec, _ = framePayload(fc.e) // appendFrame accepted it
-	return fc.hdrs[i][:size], vec, nil
+	return fc.hdr[:], vec, nil
 }
 
 // reset empties the cache for envelope e.
-func (fc *frameCache) reset(e *Envelope) { fc.e, fc.built = e, [2]bool{} }
+func (fc *frameCache) reset(e *Envelope) { fc.e, fc.built = e, false }
 
 // payloadSink is a binary connection's one destination hook: recvFrame asks
 // it where a frame's payload goes before reading it, and reads the socket
@@ -477,16 +417,15 @@ func (p *vecPool) put(v []float64) {
 	}
 }
 
-// recvFrame reads one binary frame of the connection's flavour: the header
-// into a per-connection array, then the payload straight into the vector the
-// sink reserves for it (a fresh one without a sink). A frame the sink
-// declines surfaces without its payload, marked declined.
+// recvFrame reads one binary frame: the header into a per-connection array,
+// then the payload straight into the vector the sink reserves for it (a
+// fresh one without a sink). A frame the sink declines surfaces without its
+// payload, marked declined.
 func (c *conn) recvFrame() (*Envelope, error) {
-	_, header := frameVersionAndSize(c.wireV2)
-	if _, err := io.ReadFull(c.r, c.hdrScratch[:header]); err != nil {
+	if _, err := io.ReadFull(c.r, c.hdrScratch[:]); err != nil {
 		return nil, fmt.Errorf("cluster: recv frame header: %w", err)
 	}
-	fh, err := parseFrameHeader(c.hdrScratch[:header], c.wireV2)
+	fh, err := parseFrameHeader(c.hdrScratch[:])
 	if err != nil {
 		return nil, err
 	}

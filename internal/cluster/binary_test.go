@@ -261,7 +261,7 @@ func TestConnBinaryUpgradeRoundTrip(t *testing.T) {
 			done <- err
 			return
 		}
-		b.upgrade(false)
+		b.upgrade()
 		g, err := b.recv() // first binary frame
 		if err != nil {
 			done <- err
@@ -274,7 +274,7 @@ func TestConnBinaryUpgradeRoundTrip(t *testing.T) {
 		done <- b.send(&Envelope{Kind: MsgStep, Step: 1, Params: []float64{9, 8}})
 	}()
 
-	ack, err := clientHello(a, 4, 0, 1)
+	ack, err := clientHello(a, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,12 +122,11 @@ func (s *sinkConn) Write(p []byte) (int, error) {
 func (s *sinkConn) SetWriteDeadline(time.Time) error { return nil }
 func (s *sinkConn) Close() error                     { return nil }
 
-// TestBroadcastEncodesOncePerFlavour drives Master.broadcast over a mixed
-// fleet — two binaryv1 and two binaryv2 connections. Every connection must
-// receive exactly the bytes its flavour's reference encoder produces for the
-// envelope; the header is built once per flavour, not once per worker (the
-// payload is never encoded at all); and a steady-state broadcast allocates
-// nothing.
+// TestBroadcastEncodesOncePerFlavour drives Master.broadcast over four
+// binaryv1 connections. Every connection must receive exactly the bytes the
+// reference encoder produces for the envelope; the header is built once per
+// broadcast, not once per worker (the payload is never encoded at all); and a
+// steady-state broadcast allocates nothing.
 func TestBroadcastEncodesOncePerFlavour(t *testing.T) {
 	m, err := NewMaster(MasterConfig{Addr: "127.0.0.1:0", Strategy: freshISGC(t, 6, 2, 7),
 		Model: model.SoftmaxRegression{Features: 6, Classes: 3}, Data: testData(t), LearningRate: 0.3, MaxSteps: 1})
@@ -136,13 +135,12 @@ func TestBroadcastEncodesOncePerFlavour(t *testing.T) {
 	}
 	defer m.ln.Close()
 
-	wires := []string{WireBinary, WireBinary2, WireBinary, WireBinary2}
-	sinks := make([]*sinkConn, len(wires))
-	m.workers = make([]*workerState, len(wires))
-	for i, wire := range wires {
+	sinks := make([]*sinkConn, 4)
+	m.workers = make([]*workerState, len(sinks))
+	for i := range sinks {
 		sinks[i] = &sinkConn{}
 		c := newConn(sinks[i], defaultWriteTimeout, nil)
-		c.upgrade(wire == WireBinary2)
+		c.upgrade()
 		m.workers[i] = &workerState{c: c, alive: true}
 	}
 
@@ -155,25 +153,20 @@ func TestBroadcastEncodesOncePerFlavour(t *testing.T) {
 		{Kind: MsgStep, Step: 4, Params: params[:100]},
 		{Kind: MsgStop},
 	} {
-		v1, err := EncodeFrame(e)
+		want, err := EncodeFrame(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, err := EncodeSubFrame(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[string][]byte{WireBinary: v1, WireBinary2: v2}
 
 		before := m.bcastFrames.encodes
 		m.broadcast(e)
-		if got := m.bcastFrames.encodes - before; got != 2 {
-			t.Errorf("%s step %d: %d header builds for 2+2 connections, want one per flavour", e.Kind, e.Step, got)
+		if got := m.bcastFrames.encodes - before; got != 1 {
+			t.Errorf("%s step %d: %d header builds for 4 connections, want one per broadcast", e.Kind, e.Step, got)
 		}
-		for i, wire := range wires {
-			if !bytes.Equal(sinks[i].buf.Bytes(), want[wire]) {
-				t.Errorf("%s step %d: connection %d (%s) received %d bytes that differ from its reference encoding (%d bytes)",
-					e.Kind, e.Step, i, wire, sinks[i].buf.Len(), len(want[wire]))
+		for i := range sinks {
+			if !bytes.Equal(sinks[i].buf.Bytes(), want) {
+				t.Errorf("%s step %d: connection %d received %d bytes that differ from its reference encoding (%d bytes)",
+					e.Kind, e.Step, i, sinks[i].buf.Len(), len(want))
 			}
 			sinks[i].buf.Reset()
 		}

@@ -86,12 +86,6 @@ type MasterConfig struct {
 	// Repairs and fallbacks land on the isgc_master_decode_repairs/
 	// fallbacks counters.
 	IncrementalDecode bool
-	// GatherShards caps how many parallel gather lanes a worker proposing
-	// the binaryv2 codec may open (1..16). 0 accepts the worker's proposal
-	// up to the protocol maximum; 1 negotiates sharding workers down to a
-	// single binaryv1 stream. Workers that never propose sharding are
-	// untouched either way — the default path stays bit-identical.
-	GatherShards int
 	// Staleness, when positive, is the bounded-staleness window k: the
 	// gather target drops to max(1, waitFor−k) and a decoded step stays
 	// correctable for k more steps — a straggler gradient arriving while
@@ -172,13 +166,7 @@ type WarmState struct {
 // every (re-)registration so a stale reader goroutine cannot mark a
 // reborn worker's fresh connection dead.
 type workerState struct {
-	c *conn
-	// lanes are the extra binaryv2 gather-lane connections a sharding
-	// worker attached (nil on unsharded registrations). They carry
-	// gradient sub-frames only; control traffic stays on c.
-	lanes []*conn
-	// asm reassembles this registration's sub-frames (nil when unsharded).
-	asm      *shardAssembler
+	c        *conn
 	alive    bool
 	lastSeen time.Time
 	gen      int
@@ -282,7 +270,7 @@ func (m *Master) AttributionReport() trace.AttributionReport {
 	return m.attribution.Report()
 }
 
-// gradientSink is worker id's unsharded binary connection's payloadSink: a
+// gradientSink is worker id's binary connection's payloadSink: a
 // gradient of the model's dimension lands in a free-list vector; any other
 // kind or length is declined — drained, not allocated.
 func (m *Master) gradientSink(id int) payloadSink {
@@ -363,9 +351,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		} else {
 			cfg.PermanentAfter = 30 * time.Second
 		}
-	}
-	if cfg.GatherShards < 0 || cfg.GatherShards > maxGatherShards {
-		return nil, fmt.Errorf("cluster: need 0 ≤ GatherShards ≤ %d, got %d", maxGatherShards, cfg.GatherShards)
 	}
 	if err := engine.CheckStaleness(cfg.Strategy, cfg.Staleness, true, cfg.Deadline); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -623,7 +608,7 @@ func (m *Master) acceptLoop(readers *sync.WaitGroup) {
 
 // handshake validates a MsgHello and registers (or re-registers) the
 // worker. Invalid or duplicate registrations, and hellos that propose no
-// frame flavour, close the connection but keep the cluster running — a
+// frame codec, close the connection but keep the cluster running — a
 // reborn worker must not be able to kill the master, and neither must a
 // stranger.
 func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
@@ -632,7 +617,7 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
 	hello, err := c.recv()
 	if err != nil || hello.Kind != MsgHello || hello.Worker < 0 || hello.Worker >= n ||
-		(hello.Wire != WireBinary && hello.Wire != WireBinary2) {
+		(hello.Wire != WireBinary && hello.Wire != wireBinaryLegacy) {
 		_ = c.close()
 		return
 	}
@@ -644,59 +629,28 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 	// run another step, and the worker must stop burning its redial budget
 	// (fleet workers return to the control plane's pool on this signal).
 	m.mu.Lock()
-	if m.done {
-		m.mu.Unlock()
+	done, masterGen := m.done, m.generation
+	m.mu.Unlock()
+	if done {
 		_ = c.send(&Envelope{Kind: MsgJobGone})
 		_ = c.close()
 		return
 	}
-	m.mu.Unlock()
-
-	// Extra gather lanes attach through the same listener: a binaryv2
-	// hello tagged with a lane index joins an existing registration
-	// instead of creating one.
-	if hello.Wire == WireBinary2 && hello.Shard > 0 {
-		m.attachLane(c, hello, readers)
-		return
-	}
 
 	// Codec negotiation, completed before the connection becomes visible
-	// to broadcasts and readers so no message can straddle the switch: a
-	// gob hello ack names the chosen frame flavour. A binaryv2 proposal
-	// carries the worker's desired lane count; the ack answers with the
-	// granted one (possibly negotiated down to a single binaryv1 stream).
-	wire := WireBinary
-	shards := 1
-	if hello.Wire == WireBinary2 {
-		if shards = grantShards(hello.Shards, m.cfg.GatherShards); shards > 1 {
-			wire = WireBinary2
-		}
-	}
-	m.mu.Lock()
-	masterGen := m.generation
-	m.mu.Unlock()
+	// to broadcasts and readers so no message can straddle the switch: the
+	// gob hello ack names binaryv1, whichever codec the worker proposed.
 	// The ack carries the master's run generation so a resuming worker
 	// learns it is talking to a restored (or failed-over) master, and the
 	// staleness window so the worker knows how long a step stays usable.
-	ack := &Envelope{Kind: MsgHello, Worker: id, Wire: wire, Gen: masterGen, Staleness: m.cfg.Staleness}
-	if wire == WireBinary2 {
-		ack.Shards = shards
-	}
+	ack := &Envelope{Kind: MsgHello, Worker: id, Wire: WireBinary, Gen: masterGen, Staleness: m.cfg.Staleness}
 	if err := c.send(ack); err != nil {
 		_ = c.close()
 		return
 	}
-	var asm *shardAssembler
-	if wire == WireBinary2 {
-		// Every gradient on a v2 connection is a sub-frame: its payload is
-		// read straight into the shard assembler's gather buffer.
-		asm = m.newShardAssembler(id)
-		c.sink = asm.reserve
-	} else {
-		c.sink = m.gradientSink(id)
-	}
-	c.upgrade(wire == WireBinary2)
-	m.cfg.Metrics.markWire(wire)
+	c.sink = m.gradientSink(id)
+	c.upgrade()
+	m.cfg.Metrics.markWire(WireBinary)
 
 	m.mu.Lock()
 	if m.done {
@@ -720,7 +674,7 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 		m.rejoins++
 		m.cfg.Metrics.markRejoin()
 	}
-	m.workers[id] = &workerState{c: c, asm: asm, alive: true, lastSeen: time.Now(), gen: gen}
+	m.workers[id] = &workerState{c: c, alive: true, lastSeen: time.Now(), gen: gen}
 	m.cfg.Metrics.setWorkerAlive(id, true)
 	step := events.NoStep
 	if m.running {
@@ -735,10 +689,10 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 
 	if gen > 0 {
 		m.cfg.Events.Info("master.worker_rejoined", "worker re-registered mid-run", step, id,
-			events.Fields{"generation": gen, "wire": wire})
+			events.Fields{"generation": gen, "wire": WireBinary})
 	} else {
 		m.cfg.Events.Info("master.worker_registered", "worker registered", step, id,
-			events.Fields{"wire": wire})
+			events.Fields{"wire": WireBinary})
 	}
 
 	m.pokeLiveness()
@@ -750,15 +704,14 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 		}
 	}
 	readers.Add(1)
-	go m.readFrom(id, gen, c, asm, false, readers)
+	go m.readFrom(id, gen, c, readers)
 }
 
 // readFrom pumps one worker connection: heartbeats refresh lastSeen,
 // gradients are forwarded to the gather loop, and connection loss marks the
 // worker dead and wakes the gather loop — the "reader-exit notification"
-// that keeps the step loop from blocking forever on a dead fleet. A broken
-// lane breaks the worker's gather pipe: it closes the primary, which evicts.
-func (m *Master) readFrom(id, gen int, c *conn, asm *shardAssembler, lane bool, readers *sync.WaitGroup) {
+// that keeps the step loop from blocking forever on a dead fleet.
+func (m *Master) readFrom(id, gen int, c *conn, readers *sync.WaitGroup) {
 	defer readers.Done()
 	for {
 		e, err := c.recv()
@@ -771,7 +724,7 @@ func (m *Master) readFrom(id, gen int, c *conn, asm *shardAssembler, lane bool, 
 		}
 		m.mu.Unlock()
 		if e.Kind == MsgGradient && !e.declined { // a declined one was counted by the sink
-			if !m.deliverGradient(id, asm, e) {
+			if !m.deliverGradient(id, e) {
 				return
 			}
 		}
@@ -779,19 +732,9 @@ func (m *Master) readFrom(id, gen int, c *conn, asm *shardAssembler, lane bool, 
 	m.mu.Lock()
 	ws := m.workers[id]
 	current := ws != nil && ws.gen == gen
-	if lane {
-		if current && ws.alive {
-			_ = ws.c.close()
-		}
-		m.mu.Unlock()
-		_ = c.close()
-		return
-	}
-	var lanes []*conn
 	if current {
 		ws.alive = false
 		ws.deadSince = time.Now()
-		lanes = ws.lanes
 	}
 	step := events.NoStep
 	if m.running {
@@ -809,26 +752,13 @@ func (m *Master) readFrom(id, gen int, c *conn, asm *shardAssembler, lane bool, 
 				events.Fields{"generation": gen, "reason": "connection_lost"})
 		}
 		_ = c.close()
-		for _, lc := range lanes {
-			_ = lc.close()
-		}
 		m.pokeLiveness()
 	}
 }
 
-// deliverGradient routes one authenticated gradient envelope to the gather
-// loop: whole-vector gradients forward directly, sub-frames commit to the
-// registration's shard assembler (nil when unsharded) and forward with the
-// last span. Returns false when the master is shutting down.
-func (m *Master) deliverGradient(id int, asm *shardAssembler, e *Envelope) bool {
-	if asm != nil { // every gradient of a sharded registration is a sub-frame
-		m.cfg.Metrics.markSubFrames(1)
-		full, ok := asm.commit(e)
-		if !ok {
-			return true // more spans outstanding, or the step was evicted
-		}
-		e.Coded = full
-	}
+// deliverGradient forwards one authenticated gradient envelope to the gather
+// loop. Returns false when the master is shutting down.
+func (m *Master) deliverGradient(id int, e *Envelope) bool {
 	a := arrival{worker: id, step: e.Step, coded: e.Coded, recvAt: time.Now(),
 		computeDur: time.Duration(e.ComputeDurNanos)}
 	if e.ComputeStartUnixNano > 0 {
@@ -1483,8 +1413,8 @@ type bcastTarget struct {
 // its connection's own send lock and write timeout, so one stalled socket
 // can neither wedge registration/shutdown paths nor stall the other workers;
 // a failed send evicts the connection (its reader marks the worker dead).
-// Connections of one frame flavour all write the same bytes: e is encoded
-// once per flavour, not once per worker.
+// Every connection writes the same bytes: e's header is encoded once, not
+// once per worker.
 func (m *Master) broadcast(e *Envelope) {
 	m.mu.Lock()
 	conns := m.bcastConns[:0]
@@ -1515,9 +1445,6 @@ func (m *Master) closeAll() {
 	for _, ws := range m.workers {
 		if ws != nil {
 			_ = ws.c.close()
-			for _, lc := range ws.lanes {
-				_ = lc.close()
-			}
 		}
 	}
 }

@@ -49,8 +49,8 @@ type MasterMetrics struct {
 	AcceptedGradients *metrics.CounterVec
 	// WorkerAlive is 1/0 per worker id.
 	WorkerAlive *metrics.GaugeVec
-	// WireConnections counts accepted registrations per negotiated frame
-	// flavour — the operator's view of which workers upload over lanes.
+	// WireConnections counts accepted registrations per negotiated wire
+	// codec.
 	WireConnections *metrics.CounterVec
 	// DecodeCacheHits and DecodeCacheMisses count availability-mask LRU
 	// outcomes (zero unless MasterConfig.DecodeCache is enabled).
@@ -73,12 +73,6 @@ type MasterMetrics struct {
 	// LastCheckpointStep is the step of the newest durable checkpoint
 	// (-1 until the first write).
 	LastCheckpointStep *metrics.Gauge
-	// ShardLanes counts extra gather-lane connections accepted from
-	// binaryv2 workers (zero on an unsharded fleet).
-	ShardLanes *metrics.Counter
-	// SubFrames counts gradient sub-frames reassembled into full
-	// gradients (zero on an unsharded fleet).
-	SubFrames *metrics.Counter
 	// FoldedGradients counts straggler gradients folded into a later
 	// step's parameters as a staleness correction (zero unless the master
 	// runs with -staleness > 0).
@@ -133,10 +127,6 @@ func NewMasterMetrics(reg *metrics.Registry) *MasterMetrics {
 			"Corrupt or unreadable checkpoint files skipped during restore."),
 		LastCheckpointStep: reg.NewGauge("isgc_master_last_checkpoint_step",
 			"Step of the newest durable checkpoint (-1 before the first)."),
-		ShardLanes: reg.NewCounter("isgc_master_shard_lanes_total",
-			"Extra gather-lane connections accepted from binaryv2 workers."),
-		SubFrames: reg.NewCounter("isgc_master_subframes_total",
-			"Gradient sub-frames reassembled into full gradients."),
 		FoldedGradients: reg.NewCounter("isgc_master_folded_gradients_total",
 			"Straggler gradients folded into a later step as a staleness correction."),
 	}
@@ -206,18 +196,6 @@ func (mm *MasterMetrics) markEviction() {
 func (mm *MasterMetrics) markPermanentEviction() {
 	if mm != nil {
 		mm.PermanentEvictions.Inc()
-	}
-}
-
-func (mm *MasterMetrics) markShardLane() {
-	if mm != nil {
-		mm.ShardLanes.Inc()
-	}
-}
-
-func (mm *MasterMetrics) markSubFrames(n int) {
-	if mm != nil && n > 0 {
-		mm.SubFrames.Add(uint64(n))
 	}
 }
 
@@ -293,11 +271,9 @@ type WorkerMetrics struct {
 	WireConnections *metrics.CounterVec
 	// ComputeShards is the size of the worker's gradient compute pool.
 	ComputeShards *metrics.Gauge
-	// GatherLanes is the number of parallel gather streams negotiated on
-	// the current registration (1 on binaryv1 connections).
-	GatherLanes *metrics.Gauge
-	// SubFrames counts gradient sub-frames sent across all lanes (zero
-	// on unsharded connections).
+	// SubFrames is never set and reads zero: every upload is one whole
+	// frame. It stays only for readers that still add it to the frame
+	// count; delete it with the last of them.
 	SubFrames *metrics.Counter
 }
 
@@ -348,22 +324,6 @@ func NewWorkerMetrics(reg *metrics.Registry) *WorkerMetrics {
 			"Completed registrations per negotiated wire codec.", "codec"),
 		ComputeShards: reg.NewGauge("isgc_worker_compute_shards",
 			"Size of the worker's gradient compute pool."),
-		GatherLanes: reg.NewGauge("isgc_worker_gather_lanes",
-			"Parallel gather streams negotiated on the current registration."),
-		SubFrames: reg.NewCounter("isgc_worker_subframes_sent_total",
-			"Gradient sub-frames sent across all gather lanes."),
-	}
-}
-
-func (wm *WorkerMetrics) setGatherLanes(n int) {
-	if wm != nil {
-		wm.GatherLanes.Set(float64(n))
-	}
-}
-
-func (wm *WorkerMetrics) markSubFrames(n int) {
-	if wm != nil && n > 0 {
-		wm.SubFrames.Add(uint64(n))
 	}
 }
 

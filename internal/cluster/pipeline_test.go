@@ -19,7 +19,7 @@ import (
 
 // runShapedCluster runs one CR(4,2) IS-GC cluster with arbitrary tweaks to
 // the master and per-worker configs, returning the result and the master's
-// metrics for wire/shard assertions. With no delays and W = 4 the full
+// metrics for wire assertions. With no delays and W = 4 the full
 // fleet arrives every step, so two runs differing only in transport or
 // scheduling knobs must produce bit-identical records and parameters.
 func runShapedCluster(t *testing.T, shapeMaster func(*MasterConfig), shapeWorker func(i int, c *WorkerConfig)) (*engine.Result, *MasterMetrics) {
@@ -142,98 +142,6 @@ func TestDeadlineGatherEquivalentToFastestW(t *testing.T) {
 	}
 }
 
-// TestShardedGatherEquivalence pins the other half of the tentpole: the
-// sharded wire must change only how gradient bytes travel. Runs with 1, 2,
-// and 4 gather lanes per worker must match the unsharded baseline exactly,
-// and the sharded runs must actually have moved sub-frames over extra
-// lanes.
-func TestShardedGatherEquivalence(t *testing.T) {
-	base, _ := runShapedCluster(t, nil, nil)
-	normalizeRun(base)
-	if len(base.Run.Records) == 0 {
-		t.Fatal("empty baseline run")
-	}
-	for _, shards := range []int{1, 2, 4} {
-		shards := shards
-		res, mm := runShapedCluster(t, nil, func(i int, c *WorkerConfig) { c.GatherShards = shards })
-		normalizeRun(res)
-		if !reflect.DeepEqual(base.Run.Records, res.Run.Records) {
-			t.Fatalf("shards=%d: records diverged from unsharded baseline", shards)
-		}
-		if !reflect.DeepEqual(base.Params, res.Params) {
-			t.Fatalf("shards=%d: final parameters diverged from unsharded baseline", shards)
-		}
-		lanes := mm.ShardLanes.Value()
-		subFrames := mm.SubFrames.Value()
-		if shards == 1 {
-			if lanes != 0 || subFrames != 0 {
-				t.Fatalf("shards=1 must stay on the single-stream path, got lanes=%d subframes=%d", lanes, subFrames)
-			}
-			continue
-		}
-		if lanes != uint64(4*(shards-1)) {
-			t.Fatalf("shards=%d: %d lanes attached, want %d", shards, lanes, 4*(shards-1))
-		}
-		// 8 steps × 4 workers × shards sub-frames each.
-		if want := uint64(8 * 4 * shards); subFrames != want {
-			t.Fatalf("shards=%d: %d sub-frames, want %d", shards, subFrames, want)
-		}
-	}
-}
-
-// TestMixedFleetShardInterop runs a deliberately heterogeneous fleet
-// against one binaryv2-capable master: 4-lane and 2-lane binaryv2 workers
-// and plain binaryv1 workers must train together and land on the same math
-// as a uniform fleet.
-func TestMixedFleetShardInterop(t *testing.T) {
-	base, _ := runShapedCluster(t, nil, nil)
-	normalizeRun(base)
-	res, mm := runShapedCluster(t, nil, func(i int, c *WorkerConfig) {
-		switch i {
-		case 0:
-			c.GatherShards = 4 // binaryv2, 4 lanes
-		case 1:
-			c.GatherShards = 2 // binaryv2, 2 lanes
-		default:
-			// workers 2 and 3: plain binaryv1, single stream
-		}
-	})
-	normalizeRun(res)
-	if !reflect.DeepEqual(base.Run.Records, res.Run.Records) {
-		t.Fatal("mixed fleet diverged from the uniform baseline")
-	}
-	if !reflect.DeepEqual(base.Params, res.Params) {
-		t.Fatal("mixed fleet produced different final parameters")
-	}
-	if v1, v2 := mm.WireConnections.With(WireBinary).Value(), mm.WireConnections.With(WireBinary2).Value(); v1 != 2 || v2 != 2 {
-		t.Fatalf("binaryv1/binaryv2 connections = %d/%d, want 2/2", v1, v2)
-	}
-	if lanes := mm.ShardLanes.Value(); lanes != 3+1 {
-		t.Fatalf("shard lanes = %d, want 4 (3 from worker 0, 1 from worker 1)", lanes)
-	}
-	if mm.SubFrames.Value() == 0 {
-		t.Fatal("no sub-frames counted despite binaryv2 workers")
-	}
-}
-
-// TestMasterGatherShardsCapNegotiatesDown: a master pinned to
-// GatherShards = 1 must answer a binaryv2 proposal with binaryv1, keeping
-// mixed-version fleets on the proven single-stream path.
-func TestMasterGatherShardsCapNegotiatesDown(t *testing.T) {
-	_, mm := runShapedCluster(t,
-		func(c *MasterConfig) { c.GatherShards = 1 },
-		func(i int, c *WorkerConfig) { c.GatherShards = 4 })
-	if lanes := mm.ShardLanes.Value(); lanes != 0 {
-		t.Fatalf("lanes = %d, want 0 (master capped shards at 1)", lanes)
-	}
-	if sf := mm.SubFrames.Value(); sf != 0 {
-		t.Fatalf("sub-frames = %d, want 0", sf)
-	}
-	if got := mm.WireConnections.With(WireBinary).Value(); got != 4 {
-		t.Fatalf("binaryv1 connections = %d, want 4", got)
-	}
-}
-
 // TestPipelinedStalenessFoldsLateGradients runs the bounded-staleness mode
 // over real sockets with a persistent straggler tuned so its uploads land
 // during the NEXT step's gather: the master must wait for only 3 workers,
@@ -291,9 +199,8 @@ func TestPipelinedStalenessFoldsLateGradients(t *testing.T) {
 
 // TestPipelinedCrashMidOverlap is the -race satellite: a worker dies right
 // in the overlap zone — after serving step t's gather but around step
-// t+1's broadcast — while the master runs the pipelined loop with sharded
-// lanes attached. The master must evict it (primary and lanes together)
-// and finish on the survivors.
+// t+1's broadcast — while the master runs the pipelined loop. The master
+// must evict it and finish on the survivors.
 func TestPipelinedCrashMidOverlap(t *testing.T) {
 	res, _ := runShapedCluster(t,
 		func(c *MasterConfig) {
@@ -302,7 +209,6 @@ func TestPipelinedCrashMidOverlap(t *testing.T) {
 			c.LivenessTimeout = time.Second
 		},
 		func(i int, c *WorkerConfig) {
-			c.GatherShards = 2
 			// A few ms per step, so the run outlasts the scheduling noise
 			// between the crash and the master noticing the closed socket.
 			c.Delay = straggler.Constant{D: 3 * time.Millisecond}
@@ -350,8 +256,6 @@ func TestMasterConfigStalenessValidation(t *testing.T) {
 		{"negative staleness", func(c *MasterConfig) { c.Staleness = -1 }},
 		{"staleness on rigid scheme", func(c *MasterConfig) { c.Strategy = st; c.Staleness = 1 }},
 		{"staleness with deadline", func(c *MasterConfig) { c.Staleness = 1; c.Deadline = time.Second }},
-		{"negative shards", func(c *MasterConfig) { c.GatherShards = -1 }},
-		{"shards beyond protocol max", func(c *MasterConfig) { c.GatherShards = maxGatherShards + 1 }},
 	}
 	for _, tc := range cases {
 		bad := good

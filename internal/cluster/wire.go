@@ -7,10 +7,10 @@
 //
 // Registration speaks gob — the low-rate control exchange where
 // self-describing encoding is cheap and backward compatibility matters: the
-// worker's hello proposes a binary frame flavour (binary.go, or subframe.go
-// for sharded uploads), the master's ack names the one chosen, and both
-// sides switch. After the hello, every registered connection speaks frames
-// only; a hello without a proposal is refused.
+// worker's hello proposes the binary frame codec (binary.go), the master's
+// ack names it, and both sides switch. After the hello, every registered
+// connection speaks frames only, one connection per worker; a hello without
+// a proposal is refused.
 //
 // Unlike the in-process engine, real workers do not just slow down — they
 // die. The runtime therefore layers fault tolerance on top of the paper's
@@ -69,27 +69,16 @@ const (
 	MsgJobGone = "job_gone"
 )
 
-// Wire codec names, as negotiated in the hello exchange.
-const (
-	// WireBinary upgrades the connection to the binary frame codec of
-	// binary.go after the hello exchange. The version suffix is part of
-	// the negotiated name, so a peer never misparses another version's
-	// frames.
-	WireBinary = "binaryv1"
-	// WireBinary2 is the dim-sharded extension of the binary codec: the
-	// same frame grammar with a 44-byte header carrying an (offset, total)
-	// sub-frame geometry, so one step's gradient may arrive split across
-	// several parallel lane connections (see subframe.go). A worker
-	// proposes it only when it wants more than one gather lane; the master
-	// may negotiate down to v1 when sharding is capped on its side.
-	WireBinary2 = "binaryv2"
-)
+// WireBinary is the one codec name negotiated in the hello exchange: the
+// connection upgrades to the binary frame codec of binary.go after it. The
+// version suffix is part of the negotiated name, so a peer never misparses
+// another version's frames.
+const WireBinary = "binaryv1"
 
-// maxGatherShards caps how many parallel gather lanes one worker may
-// negotiate. The win saturates with the memory bandwidth of a handful of
-// decode goroutines; a hostile hello must not be able to open hundreds of
-// sockets.
-const maxGatherShards = 16
+// wireBinaryLegacy is the sharded-upload codec older workers may still
+// propose. The master registers such a hello like a WireBinary one and acks
+// WireBinary, which those workers accept as a single-connection upload.
+const wireBinaryLegacy = "binaryv2"
 
 // maxWireNameLen caps the negotiation string a peer may claim in a hello.
 const maxWireNameLen = 64
@@ -122,9 +111,9 @@ type Envelope struct {
 	// (Gradient; 0 = not reported).
 	ComputeDurNanos int64
 	// Wire is the codec negotiation field of the hello exchange: on a
-	// worker's MsgHello it names the frame flavour the worker proposes (a
-	// hello without one is refused); on the master's MsgHello ack it names
-	// the flavour chosen for the rest of the connection. It rides only in
+	// worker's MsgHello it names the codec the worker proposes (a hello
+	// without one is refused); on the master's MsgHello ack it names the
+	// codec chosen for the rest of the connection. It rides only in
 	// gob messages — binary frames cannot carry it, by construction.
 	Wire string
 	// Gen is the master's run generation on a MsgHello ack: 0 for a
@@ -133,29 +122,12 @@ type Envelope struct {
 	// from a durable checkpoint. Rides only in gob hello messages, like
 	// Wire.
 	Gen int
-	// Shards is the gather-lane negotiation field of the binaryv2 hello
-	// exchange: on a worker's MsgHello it proposes how many parallel lane
-	// connections the worker wants for its gradient uploads; on the
-	// master's ack it names the granted count. Rides only in gob hello
-	// messages, like Wire.
-	Shards int
 	// Staleness is the master's bounded-staleness window k on a MsgHello
 	// ack (0 in sync mode and from masters that predate the field): a
 	// gradient for step t can still be used until step t+k+1 is broadcast,
 	// so a worker abandons step t only once a step newer than t+k arrives.
 	// Rides only in gob hello messages, like Wire.
 	Staleness int
-	// Shard tags a lane-attach MsgHello with the lane index (1..Shards-1)
-	// it registers; the primary connection is lane 0 and never sets it.
-	// Rides only in gob hello messages.
-	Shard int
-	// Offset is the first gradient element a binaryv2 sub-frame carries
-	// (Gradient only; whole uploads use 0).
-	Offset int
-	// Total is the full gradient dimension a binaryv2 sub-frame belongs
-	// to (Gradient only; 0 on v1 envelopes, which always carry whole
-	// vectors).
-	Total int
 
 	// declined marks a received frame whose payload the connection's sink
 	// refused: it was drained unread, and the reader skips the envelope.
@@ -198,27 +170,8 @@ func validateEnvelope(e *Envelope) error {
 	if e.Gen < 0 {
 		return fmt.Errorf("cluster: negative generation %d in %s", e.Gen, e.Kind)
 	}
-	if e.Shards < 0 || e.Shards > maxGatherShards {
-		return fmt.Errorf("cluster: shard count %d outside [0, %d] in %s", e.Shards, maxGatherShards, e.Kind)
-	}
 	if e.Staleness < 0 {
 		return fmt.Errorf("cluster: negative staleness %d in %s", e.Staleness, e.Kind)
-	}
-	if e.Shard < 0 || e.Shard >= maxGatherShards {
-		return fmt.Errorf("cluster: lane index %d outside [0, %d) in %s", e.Shard, maxGatherShards, e.Kind)
-	}
-	if e.Offset < 0 || e.Offset > maxVectorLen {
-		return fmt.Errorf("cluster: sub-frame offset %d outside [0, %d] in %s", e.Offset, maxVectorLen, e.Kind)
-	}
-	if e.Total < 0 || e.Total > maxVectorLen {
-		return fmt.Errorf("cluster: sub-frame total %d outside [0, %d] in %s", e.Total, maxVectorLen, e.Kind)
-	}
-	if e.Total == 0 && e.Offset != 0 {
-		return fmt.Errorf("cluster: sub-frame offset %d without a total in %s", e.Offset, e.Kind)
-	}
-	if e.Total > 0 && e.Offset+len(e.Coded) > e.Total {
-		return fmt.Errorf("cluster: sub-frame [%d, %d) exceeds total %d in %s",
-			e.Offset, e.Offset+len(e.Coded), e.Total, e.Kind)
 	}
 	return nil
 }
@@ -280,15 +233,11 @@ type conn struct {
 	dec *gob.Decoder
 	// binary is set by upgrade: all subsequent messages are frames.
 	binary bool
-	// wireV2 selects the 44-byte binaryv2 header (sub-frame geometry) for
-	// both directions; set together with binary by upgrade.
-	wireV2 bool
 	// sink says where a received frame's payload is read into; nil gives
 	// each a fresh vector. Set before the connection's reader starts.
 	sink payloadSink
-	// hdrScratch is sized for the larger v2 header; v1 frames use the
-	// first frameHeaderSize bytes.
-	hdrScratch [frameHeaderSizeV2]byte
+	// hdrScratch receives each frame header.
+	hdrScratch [frameHeaderSize]byte
 
 	sendMu sync.Mutex
 	enc    *gob.Encoder
@@ -296,7 +245,7 @@ type conn struct {
 	sent *metrics.Counter
 	// sendHdr, iov and wv are a frame send's header copy, its two segments
 	// and the vectored write over them: a send allocates nothing.
-	sendHdr [frameHeaderSizeV2]byte
+	sendHdr [frameHeaderSize]byte
 	iov     [2][]byte
 	wv      net.Buffers
 	// writeTimeout bounds each send so one stalled socket cannot wedge a
@@ -319,13 +268,13 @@ func (c *conn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// upgrade switches both directions to the binary frame codec, binaryv1 or
-// the binaryv2 sub-frame flavour. It must be called at a protocol quiet point
-// — after the hello exchange, before the connection is visible to broadcasts
-// or readers — on both peers of the connection.
-func (c *conn) upgrade(v2 bool) {
+// upgrade switches both directions to the binary frame codec. It must be
+// called at a protocol quiet point — after the hello exchange, before the
+// connection is visible to broadcasts or readers — on both peers of the
+// connection.
+func (c *conn) upgrade() {
 	c.sendMu.Lock()
-	c.binary, c.wireV2 = true, v2
+	c.binary = true
 	c.sendMu.Unlock()
 }
 
@@ -335,10 +284,10 @@ func (c *conn) send(e *Envelope) error {
 
 // sendShared writes fc's envelope in this connection's codec under its own
 // send lock and write deadline. A binary connection takes the header from fc
-// — built by whichever connection of its flavour asked first — and writes it
-// and the envelope's own vector with one vectored write (one syscall, and
-// sent-bytes sees the exact framed byte count); a connection still in its
-// hello exchange encodes gob.
+// — built by whichever connection asked first — and writes it and the
+// envelope's own vector with one vectored write (one syscall, and sent-bytes
+// sees the exact framed byte count); a connection still in its hello
+// exchange encodes gob.
 func (c *conn) sendShared(fc *frameCache) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -363,10 +312,10 @@ func (c *conn) sendShared(fc *frameCache) error {
 	return nil
 }
 
-// writeFrame writes fc's frame: the header of the connection's flavour, then
-// the payload vector's words. The caller holds sendMu.
+// writeFrame writes fc's frame: the header, then the payload vector's words.
+// The caller holds sendMu.
 func (c *conn) writeFrame(fc *frameCache) error {
-	hdr, vec, err := fc.frame(c.wireV2)
+	hdr, vec, err := fc.frame()
 	if err != nil {
 		return err
 	}
@@ -398,20 +347,11 @@ func (c *conn) close() error { return c.raw.Close() }
 
 // clientHello runs the worker side of the registration exchange on a fresh
 // connection: send the gob hello (carrying the last completed step on a
-// rejoin and the proposed frame flavour), wait for the master's ack naming
-// the chosen one, and switch to it.
-//
-// shards > 1 raises the proposal to binaryv2 with that many gather lanes;
-// the returned ack carries the negotiated flavour, the granted lane count
-// and the master's generation, which the caller needs to attach the extra
-// lane connections. The master may negotiate down to v1 when sharding is
-// capped on its side — the worker then runs a single lane. An ack naming
-// any other codec is an error.
-func clientHello(c *conn, id, step, shards int) (*Envelope, error) {
+// rejoin and the binaryv1 proposal), wait for the master's ack naming it,
+// and switch to frames. The returned ack carries the master's generation
+// and staleness window. An ack naming any other codec is an error.
+func clientHello(c *conn, id, step int) (*Envelope, error) {
 	hello := &Envelope{Kind: MsgHello, Worker: id, Step: step, Wire: WireBinary}
-	if shards > 1 {
-		hello.Wire, hello.Shards = WireBinary2, shards
-	}
 	if err := c.send(hello); err != nil {
 		return nil, err
 	}
@@ -426,37 +366,11 @@ func clientHello(c *conn, id, step, shards int) (*Envelope, error) {
 		return nil, ErrJobGone
 	case ack.Kind != MsgHello:
 		return nil, fmt.Errorf("cluster: wire negotiation: got %s before hello ack", ack.Kind)
-	case ack.Wire != WireBinary && ack.Wire != WireBinary2:
+	case ack.Wire != WireBinary:
 		return nil, fmt.Errorf("cluster: wire negotiation: master chose codec %q", ack.Wire)
 	}
-	c.upgrade(ack.Wire == WireBinary2)
+	c.upgrade()
 	return ack, nil
-}
-
-// laneHello attaches one extra gather-lane connection to an already
-// registered binaryv2 worker: a gob hello tagged with the lane index and
-// the master's generation (so a lane from a previous life cannot attach to
-// a reborn master), answered by a binaryv2 ack, after which the lane
-// speaks sub-frames only.
-func laneHello(c *conn, id, lane, gen int) error {
-	hello := &Envelope{Kind: MsgHello, Worker: id, Wire: WireBinary2, Shard: lane, Gen: gen}
-	if err := c.send(hello); err != nil {
-		return err
-	}
-	_ = c.raw.SetReadDeadline(time.Now().Add(wireAckTimeout))
-	ack, err := c.recv()
-	if err != nil {
-		return fmt.Errorf("cluster: lane %d negotiation: %w", lane, err)
-	}
-	_ = c.raw.SetReadDeadline(time.Time{})
-	if ack.Kind == MsgJobGone {
-		return ErrJobGone
-	}
-	if ack.Kind != MsgHello || ack.Wire != WireBinary2 {
-		return fmt.Errorf("cluster: lane %d negotiation: got %s wire %q", lane, ack.Kind, ack.Wire)
-	}
-	c.upgrade(true)
-	return nil
 }
 
 // wireAckTimeout bounds the wait for the master's hello ack: hanging on a

@@ -82,74 +82,23 @@ func BenchmarkWireCodec(b *testing.B) {
 	})
 }
 
-// discardConn returns a binaryv2 connection whose far end swallows what is
-// written.
-func discardConn() *conn {
-	c := newConn(&sinkConn{discard: true}, 0, nil)
-	c.upgrade(true)
-	return c
-}
-
-// subFrameEnvelopes splits the benchmark gradient into per-lane sub-frame
-// envelopes the way the worker's sharded upload does.
-func subFrameEnvelopes(e *Envelope, shards int) []*Envelope {
-	spans := shardSpans(len(e.Coded), shards)
-	subs := make([]*Envelope, 0, len(spans))
-	for _, sp := range spans {
-		if sp[1] == 0 {
-			continue
-		}
-		sub := *e
-		sub.Offset, sub.Total = sp[0], len(e.Coded)
-		sub.Coded = e.Coded[sp[0] : sp[0]+sp[1]]
-		subs = append(subs, &sub)
-	}
-	return subs
-}
-
-// BenchmarkSubFrameSend measures the binaryv2 lane-send path: one full
-// 2^16-dim gradient written as S sub-frames, a header and the span's own
-// memory each. Total payload bytes are constant across S, so ns/op isolates the
-// per-lane framing overhead the sharded gather pays for its parallelism.
-func BenchmarkSubFrameSend(b *testing.B) {
-	e := benchGradient()
-	for _, shards := range []int{1, 2, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			subs := subFrameEnvelopes(e, shards)
-			c := discardConn()
-			b.ReportAllocs()
-			b.SetBytes(int64(len(subs)*frameHeaderSizeV2 + 8*benchDim))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, sub := range subs {
-					if err := c.send(sub); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSubFrameSendSteadyStateAllocs pins the send path's allocation
-// contract: a binaryv2 send builds its header in place and writes the span's
-// own memory behind it, so a sharded upload allocates nothing per step.
-func TestSubFrameSendSteadyStateAllocs(t *testing.T) {
+// TestGradientSendSteadyStateAllocs pins the send path's allocation
+// contract: a gradient send builds its header in place and writes the
+// vector's own memory behind it, so it allocates nothing.
+func TestGradientSendSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	subs := subFrameEnvelopes(benchGradient(), 4)
-	c := discardConn()
+	c := newConn(&sinkConn{discard: true}, 0, nil)
+	c.upgrade()
+	e := benchGradient()
 	send := func() {
-		for _, sub := range subs {
-			if err := c.send(sub); err != nil {
-				t.Fatal(err)
-			}
+		if err := c.send(e); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if avg := testing.AllocsPerRun(50, send); avg != 0 {
-		t.Errorf("sharded upload allocates %.1f objects/step in steady state, want 0", avg)
+		t.Errorf("a gradient send allocates %.1f objects in steady state, want 0", avg)
 	}
 }
 

@@ -22,8 +22,8 @@ func pipePair() (*conn, *conn) {
 // framePair is pipePair past the hello: both ends speak binaryv1 frames.
 func framePair() (*conn, *conn) {
 	a, b := pipePair()
-	a.upgrade(false)
-	b.upgrade(false)
+	a.upgrade()
+	b.upgrade()
 	return a, b
 }
 
@@ -162,7 +162,7 @@ func TestMasterRejectsBadHello(t *testing.T) {
 }
 
 // TestWorkerRefusesGobAck: a master that acks the hello with any codec but
-// a frame flavour — here the retired gob data path — fails NewWorker with a
+// binaryv1 — here the retired gob data path — fails NewWorker with a
 // negotiation error instead of leaving a worker on an unknown codec.
 func TestWorkerRefusesGobAck(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -232,7 +232,7 @@ func TestMasterRejectsDuplicateWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := newConn(raw, 0, nil)
-		if _, err := clientHello(c, 0, 0, 1); err != nil {
+		if _, err := clientHello(c, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		return c

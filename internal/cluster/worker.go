@@ -80,13 +80,6 @@ type WorkerConfig struct {
 	// registering, so delay/fault sampling resumes bit-identically and the
 	// hello reports the pre-restart step count.
 	Restore bool
-	// GatherShards, when > 1, proposes the binaryv2 dim-sharded upload:
-	// the worker opens that many parallel lane connections and splits
-	// every gradient into contiguous sub-frames sent concurrently, one
-	// per lane. The master may grant fewer lanes, down to a single
-	// binaryv1 stream. 0 or 1 keeps the classic single-stream upload
-	// (the default, bit-identical to the pre-sharding wire).
-	GatherShards int
 	// Metrics, when non-nil, receives live instrumentation (compute time,
 	// upload bytes, reconnects); serve it via the admin package.
 	Metrics *WorkerMetrics
@@ -104,13 +97,8 @@ type Worker struct {
 	cfg WorkerConfig
 	// connMu guards the w.c pointer itself: reconnect (Run's goroutine)
 	// replaces it while Stop (signal-handler goroutine) reads it to close.
-	// It also guards lanes, the extra binaryv2 gather-lane connections
-	// (empty on a single-stream negotiation); shards is the negotiated
-	// lane count including the primary (1 = unsharded).
 	connMu sync.Mutex
 	c      *conn
-	lanes  []*conn
-	shards int
 	// staleness is the master's fold window from the current connection's
 	// hello ack (0 in sync mode and from old masters): a step stays live
 	// until a step more than staleness newer arrives.
@@ -196,12 +184,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
-	if cfg.GatherShards < 0 || cfg.GatherShards > maxGatherShards {
-		return nil, fmt.Errorf("cluster: worker %d: gather shards %d outside [0, %d]", cfg.ID, cfg.GatherShards, maxGatherShards)
-	}
-	if cfg.GatherShards == 0 {
-		cfg.GatherShards = 1
-	}
 
 	// Load any resumable state before registering, so the hello reports the
 	// restored step count and the master's rejoin path skips completed work.
@@ -230,23 +212,15 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, err
 	}
 	c := newConn(raw, defaultWriteTimeout, cfg.Metrics.sentCounter())
-	ack, err := clientHello(c, cfg.ID, startSteps, cfg.GatherShards)
-	if err != nil {
-		_ = c.close()
-		return nil, err
-	}
-	lanes, shards, err := dialLanes(ack, cfg)
+	ack, err := clientHello(c, cfg.ID, startSteps)
 	if err != nil {
 		_ = c.close()
 		return nil, err
 	}
 	cfg.Metrics.markWire(ack.Wire)
-	cfg.Metrics.setGatherLanes(shards)
 	w := &Worker{
 		cfg:            cfg,
 		c:              c,
-		lanes:          lanes,
-		shards:         shards,
 		staleness:      ack.Staleness,
 		delaySrc:       randsrc.New(cfg.DelaySeed),
 		faultSrc:       randsrc.New(cfg.FaultSeed),
@@ -281,48 +255,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return w, nil
 }
 
-// dialLanes opens the extra gather-lane connections a binaryv2 negotiation
-// granted — lanes 1..shards-1, each attached via laneHello under the
-// master's generation — and returns them with the effective lane count
-// (primary included). A v1 negotiation has no lanes.
-func dialLanes(ack *Envelope, cfg WorkerConfig) ([]*conn, int, error) {
-	if ack.Wire != WireBinary2 {
-		return nil, 1, nil
-	}
-	shards := ack.Shards
-	if shards > cfg.GatherShards {
-		shards = cfg.GatherShards // never open more lanes than configured
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	lanes := make([]*conn, 0, shards-1)
-	for lane := 1; lane < shards; lane++ {
-		raw, err := dialWithRetry(cfg.Addr, cfg.DialTimeout)
-		if err != nil {
-			closeConns(lanes)
-			return nil, 0, fmt.Errorf("cluster: worker %d lane %d: %w", cfg.ID, lane, err)
-		}
-		lc := newConn(raw, defaultWriteTimeout, cfg.Metrics.sentCounter())
-		if err := laneHello(lc, cfg.ID, lane, ack.Gen); err != nil {
-			_ = lc.close()
-			closeConns(lanes)
-			return nil, 0, fmt.Errorf("cluster: worker %d: %w", cfg.ID, err)
-		}
-		lanes = append(lanes, lc)
-	}
-	return lanes, shards, nil
-}
-
-// closeConns closes every connection in cs, tolerating nils.
-func closeConns(cs []*conn) {
-	for _, c := range cs {
-		if c != nil {
-			_ = c.close()
-		}
-	}
-}
-
 // Stop makes the worker leave the fleet gracefully: reconnection is
 // suppressed, the blocked recv is unstuck by closing the connection, and —
 // when a checkpoint store is configured — Run persists the worker's RNG
@@ -333,10 +265,8 @@ func (w *Worker) Stop() {
 		w.stopping.Store(true)
 		w.connMu.Lock()
 		c := w.c
-		lanes := w.lanes
 		w.connMu.Unlock()
 		_ = c.close()
-		closeConns(lanes)
 	})
 }
 
@@ -388,10 +318,9 @@ func (w *Worker) Run() (int, error) {
 	defer func() {
 		w.stopHeartbeat()
 		w.connMu.Lock()
-		c, lanes := w.c, w.lanes
+		c := w.c
 		w.connMu.Unlock()
 		_ = c.close()
-		closeConns(lanes)
 		<-mb.done
 		w.setConnected(false)
 		w.pool.Close()
@@ -525,7 +454,7 @@ func (w *Worker) serve(mb *mailbox, st stepWork) (linkUp bool, err error) {
 		}
 	}
 	// Last look before the upload; past this point the gradient goes out
-	// whole, so the master never reassembles half of an abandoned one.
+	// whole, so an abandoned step never leaves half an upload behind.
 	if live, abandoned := mb.check(st.step); !live {
 		if abandoned {
 			w.abandon(phasePresend, st.step)
@@ -548,45 +477,15 @@ func (w *Worker) serve(mb *mailbox, st stepWork) (linkUp bool, err error) {
 	return true, nil
 }
 
-// sendGradient uploads one step's coded gradient: a single whole envelope
-// on a classic connection, or — when binaryv2 lanes were negotiated —
-// contiguous sub-frames encoded and sent concurrently, one per lane. The
-// sends complete before sendGradient returns, so the encoder's reusable
+// sendGradient uploads one step's coded gradient as a single whole frame.
+// The send completes before sendGradient returns, so the encoder's reusable
 // buffer (SumEncoder's contract) is never read after the next encode.
 func (w *Worker) sendGradient(step int, coded []float64, computeStart time.Time, computeDur time.Duration) error {
 	w.connMu.Lock()
-	c, lanes, shards := w.c, w.lanes, w.shards
+	c := w.c
 	w.connMu.Unlock()
-	if !c.wireV2 {
-		return c.send(&Envelope{Kind: MsgGradient, Worker: w.cfg.ID, Step: step, Coded: coded,
-			ComputeStartUnixNano: computeStart.UnixNano(), ComputeDurNanos: int64(computeDur)})
-	}
-	spans := shardSpans(len(coded), shards)
-	conns := make([]*conn, 0, len(spans))
-	conns = append(conns, c)
-	conns = append(conns, lanes...)
-	var wg sync.WaitGroup
-	errs := make([]error, len(spans))
-	for i, sp := range spans {
-		if sp[1] == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, cc *conn, off, ln int) {
-			defer wg.Done()
-			errs[i] = cc.send(&Envelope{Kind: MsgGradient, Worker: w.cfg.ID, Step: step,
-				Coded: coded[off : off+ln], Offset: off, Total: len(coded),
-				ComputeStartUnixNano: computeStart.UnixNano(), ComputeDurNanos: int64(computeDur)})
-		}(i, conns[i], sp[0], sp[1])
-	}
-	wg.Wait()
-	w.cfg.Metrics.markSubFrames(len(spans))
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.send(&Envelope{Kind: MsgGradient, Worker: w.cfg.ID, Step: step, Coded: coded,
+		ComputeStartUnixNano: computeStart.UnixNano(), ComputeDurNanos: int64(computeDur)})
 }
 
 // reconnect redials the master with exponential backoff and re-registers
@@ -612,9 +511,8 @@ func (w *Worker) reconnect() bool {
 		if err == nil {
 			c := newConn(raw, defaultWriteTimeout, w.cfg.Metrics.sentCounter())
 			// A rejoin renegotiates the codec from scratch: the fresh
-			// connection starts in gob like any other registration, and a
-			// sharded worker re-dials its lanes under the new generation.
-			ack, helloErr := clientHello(c, w.cfg.ID, int(w.steps.Load()), w.cfg.GatherShards)
+			// connection starts in gob like any other registration.
+			ack, helloErr := clientHello(c, w.cfg.ID, int(w.steps.Load()))
 			if errors.Is(helloErr, ErrJobGone) {
 				// Terminal reject: whoever answers this address says the job
 				// no longer exists. Burning the rest of the redial budget
@@ -626,33 +524,26 @@ func (w *Worker) reconnect() bool {
 				return false
 			}
 			if helloErr == nil {
-				lanes, shards, laneErr := dialLanes(ack, w.cfg)
-				if laneErr == nil {
-					w.cfg.Metrics.markWire(ack.Wire)
-					w.cfg.Metrics.setGatherLanes(shards)
-					w.connMu.Lock()
-					w.c = c
-					w.lanes = lanes
-					w.shards = shards
-					w.staleness = ack.Staleness
-					stopped := w.stopping.Load()
-					w.connMu.Unlock()
-					if stopped {
-						// Stop raced the redial: it closed the old conn just
-						// before we swapped in the new one. Tear the fresh
-						// connections down too and bow out.
-						_ = c.close()
-						closeConns(lanes)
-						return false
-					}
-					w.reconnects.Add(1)
-					w.cfg.Metrics.markReconnect()
-					w.setConnected(true)
-					w.startHeartbeat()
-					w.cfg.Events.Info("worker.reconnected", "re-registered after connection loss",
-						events.NoStep, w.cfg.ID, events.Fields{"completed_steps": w.steps.Load(), "wire": ack.Wire, "lanes": shards})
-					return true
+				w.cfg.Metrics.markWire(ack.Wire)
+				w.connMu.Lock()
+				w.c = c
+				w.staleness = ack.Staleness
+				stopped := w.stopping.Load()
+				w.connMu.Unlock()
+				if stopped {
+					// Stop raced the redial: it closed the old conn just
+					// before we swapped in the new one. Tear the fresh
+					// connection down too and bow out.
+					_ = c.close()
+					return false
 				}
+				w.reconnects.Add(1)
+				w.cfg.Metrics.markReconnect()
+				w.setConnected(true)
+				w.startHeartbeat()
+				w.cfg.Events.Info("worker.reconnected", "re-registered after connection loss",
+					events.NoStep, w.cfg.ID, events.Fields{"completed_steps": w.steps.Load(), "wire": ack.Wire})
+				return true
 			}
 			_ = c.close()
 		}
