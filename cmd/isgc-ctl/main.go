@@ -6,14 +6,16 @@
 //	isgc-ctl -addr ... status                        # all jobs
 //	isgc-ctl -addr ... status job-001                # one job (full JSON)
 //	isgc-ctl -addr ... fleet                         # agent pool
-//	isgc-ctl -addr ... alerts                        # SLO rule states
-//	isgc-ctl -addr ... alerts -firing                # firing alerts only (exit 1 if any)
 //	isgc-ctl -addr ... drain job-001                 # quiesce + keep resumable
 //	isgc-ctl -addr ... kill job-001                  # terminate
 //	isgc-ctl -addr ... wait job-001 job-002          # block until terminal
 //
 // wait exits 0 only when every awaited job completes; a failed, killed, or
 // drained job (or the -timeout) makes it exit 1, which is what CI asserts.
+//
+// Metrics are not a CLI concern: the plane serves its own on /metrics and
+// each job's master metrics on /jobs/{id}/metrics, both Prometheus text
+// for a scraper, which is also where alerting rules live.
 package main
 
 import (
@@ -24,14 +26,12 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"isgc/internal/buildinfo"
 	"isgc/internal/cliconfig"
 	"isgc/internal/controlplane"
-	"isgc/internal/obs"
 )
 
 func main() {
@@ -42,7 +42,7 @@ func main() {
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: isgc-ctl [-addr URL] <submit|status|fleet|alerts|drain|kill|wait> [args]\n")
+			"usage: isgc-ctl [-addr URL] <submit|status|fleet|drain|kill|wait> [args]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -64,8 +64,6 @@ func main() {
 		err = cmdStatus(c, args[1:])
 	case "fleet":
 		err = cmdFleet(c)
-	case "alerts":
-		err = cmdAlerts(c, args[1:])
 	case "drain":
 		err = cmdLifecycle(c, "drain", args[1:])
 	case "kill":
@@ -232,52 +230,6 @@ func cmdFleet(c *client) error {
 			job = "-"
 		}
 		fmt.Printf("%-20s %-6v %-10s %-7d %.1fs ago\n", a.Name, a.Alive, job, a.WorkerID, a.LastSeenAgeSeconds)
-	}
-	return nil
-}
-
-// cmdAlerts prints the SLO rule engine's alert table from /api/alerts.
-// With -firing it lists only firing alerts and exits non-zero when any
-// exist, so a deploy script can gate on `isgc-ctl alerts -firing`.
-func cmdAlerts(c *client, args []string) error {
-	fs := flag.NewFlagSet("alerts", flag.ExitOnError)
-	firingOnly := fs.Bool("firing", false, "list only firing alerts; exit 1 when any are firing")
-	_ = fs.Parse(args)
-	var out struct {
-		Summary obs.Summary `json:"summary"`
-		Alerts  []obs.Alert `json:"alerts"`
-	}
-	if err := c.do(http.MethodGet, "/api/alerts", nil, &out); err != nil {
-		return err
-	}
-	alerts := out.Alerts
-	if *firingOnly {
-		alerts = alerts[:0]
-		for _, a := range out.Alerts {
-			if a.State == obs.StateFiring {
-				alerts = append(alerts, a)
-			}
-		}
-	}
-	fmt.Printf("%-28s %-8s %-8s %-20s %10s %10s %s\n",
-		"RULE", "STATE", "SEV", "LABELS", "VALUE", "BOUND", "SINCE")
-	for _, a := range alerts {
-		labels := "-"
-		if len(a.Labels) > 0 {
-			parts := make([]string, 0, len(a.Labels))
-			for k, v := range a.Labels {
-				parts = append(parts, k+"="+v)
-			}
-			sort.Strings(parts)
-			labels = strings.Join(parts, ",")
-		}
-		fmt.Printf("%-28s %-8s %-8s %-20s %10.4g %10.4g %s\n",
-			a.Rule, a.State, a.Severity, labels, a.Value, a.Bound, a.Since.Format(time.RFC3339))
-	}
-	fmt.Printf("rules=%d firing=%d pending=%d\n",
-		out.Summary.Rules, out.Summary.Firing, out.Summary.Pending)
-	if *firingOnly && len(alerts) > 0 {
-		return fmt.Errorf("%d alert(s) firing", len(alerts))
 	}
 	return nil
 }

@@ -29,7 +29,6 @@ import (
 	"isgc/internal/events"
 	"isgc/internal/experiments"
 	"isgc/internal/metrics"
-	"isgc/internal/obs"
 	"isgc/internal/placement"
 	"isgc/internal/trace"
 )
@@ -44,7 +43,6 @@ func main() {
 	workload := flag.String("workload", "", `Fig. 12 training workload: "softmax" (default) or "mlp"`)
 	computePar := flag.Int("compute-par", 0, "engine gradient compute shards (0 = sequential default, >1 concurrent partitions; results are bit-identical)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /debug/pprof and /metrics on this address while experiments run (empty disables)")
-	profileDir := flag.String("profile-dir", "", "continuous profiling: periodically capture CPU+heap pprof profiles into this directory (empty disables)")
 	eventsPath := flag.String("events", "", "write a JSONL structured event log to this path (\"-\" = stderr)")
 	logLevel := flag.String("log-level", "info", "minimum event level: debug, info, warn, or error")
 	version := flag.Bool("version", false, "print build information and exit")
@@ -54,27 +52,12 @@ func main() {
 		return
 	}
 
-	// Paper-scale runs (-trials 10) take minutes; continuous profiling
-	// leaves a capture trail even when nobody was watching live.
-	var profiler *obs.Profiler
-	if *profileDir != "" {
-		p, err := obs.NewProfiler(obs.ProfilerConfig{Dir: *profileDir})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "isgc-experiments: profiling:", err)
-			os.Exit(1)
-		}
-		p.Start()
-		defer p.Stop()
-		profiler = p
-		fmt.Fprintf(os.Stderr, "profiling: capturing cpu+heap to %s\n", p.Dir())
-	}
 	if *metricsAddr != "" {
-		// A live pprof endpoint makes long runs inspectable without
-		// restarting.
+		// Paper-scale runs (-trials 10) take minutes; a live pprof
+		// endpoint makes them inspectable without restarting.
 		adm := admin.New(admin.Config{
 			Addr:     *metricsAddr,
 			Registry: metrics.NewRegistry(),
-			Profiles: profiler,
 		})
 		if err := adm.Start(); err != nil {
 			fmt.Fprintln(os.Stderr, "isgc-experiments: metrics endpoint:", err)

@@ -31,7 +31,6 @@ type cpOptions struct {
 	metricsAddr  string
 	eventsPath   string
 	logLevel     string
-	obs          obsOptions
 }
 
 func runControlPlane(opts cpOptions) error {
@@ -51,16 +50,6 @@ func runControlPlane(opts cpOptions) error {
 		ev = log
 	}
 
-	// The federated store samples the plane registry plus every per-job
-	// master registry the scheduler registers (labeled job=<id>), so one
-	// dashboard covers the whole fleet.
-	tsStore, sloRules, profiler, stopObs, err := buildObs(opts.obs, ev, opts.metricsAddr != "")
-	if err != nil {
-		return err
-	}
-	defer stopObs()
-	tsStore.AddSource("plane", reg, nil)
-
 	plane, err := controlplane.New(controlplane.Config{
 		FleetAddr:    opts.fleetAddr,
 		StateDir:     opts.stateDir,
@@ -68,7 +57,6 @@ func runControlPlane(opts cpOptions) error {
 		AgentTimeout: opts.agentTimeout,
 		Registry:     reg,
 		Events:       ev,
-		Obs:          tsStore,
 	})
 	if err != nil {
 		return err
@@ -85,10 +73,7 @@ func runControlPlane(opts cpOptions) error {
 			Health: func() any {
 				return map[string]any{"jobs": plane.Jobs(), "fleet": plane.FleetSnapshot()}
 			},
-			Events:     ev,
-			TimeSeries: tsStore,
-			Alerts:     sloRules,
-			Profiles:   profiler,
+			Events: ev,
 			Extra: map[string]http.Handler{
 				"/jobs":  h,
 				"/jobs/": h,
@@ -104,8 +89,7 @@ func runControlPlane(opts cpOptions) error {
 			defer cancel()
 			_ = adm.Shutdown(ctx)
 		}()
-		fmt.Printf("controlplane: admin on %s (/jobs, /fleet, /metrics)\n", adm.URL())
-		fmt.Printf("controlplane: dashboard on %s/debug/dash (timeseries: /api/timeseries, alerts: /api/alerts)\n", adm.URL())
+		fmt.Printf("controlplane: admin on %s (/jobs, /fleet, /metrics; per-job /jobs/{id}/metrics)\n", adm.URL())
 	}
 	fmt.Printf("controlplane: fleet on %s, state-dir=%q restore=%v\n",
 		plane.FleetAddr(), opts.stateDir, opts.restore)

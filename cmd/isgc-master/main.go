@@ -72,7 +72,6 @@ type options struct {
 	eventsPath    string        // JSONL event log path ("-" = stderr; empty disables)
 	logLevel      string        // minimum event level
 	timelinePath  string        // Chrome trace output path (empty disables)
-	obs           obsOptions    // time-series store, SLO rules, continuous profiling
 
 	checkpointDir   string        // durable run snapshots + liveness lease (empty disables)
 	checkpointEvery int           // checkpoint period in steps (0 = default)
@@ -115,17 +114,6 @@ func main() {
 		logLevel     = flag.String("log-level", "info", "minimum event level: debug, info, warn, or error")
 		timelinePath = flag.String("timeline", "", "write a Chrome trace-event file of the run to this path (load in ui.perfetto.dev)")
 
-		obsInterval  = flag.Duration("obs-interval", time.Second, "time-series sampling period for /api/timeseries and /debug/dash")
-		obsRetention = flag.Int("obs-retention", 0, "samples retained per series (0 = 600)")
-
-		profileDir      = flag.String("profile-dir", "", "continuous profiling: periodically capture CPU+heap pprof profiles into this directory (empty disables)")
-		profileInterval = flag.Duration("profile-interval", time.Minute, "continuous profiling capture period")
-		profileKeep     = flag.Int("profile-keep", 0, "retained captures per profile kind (0 = 20)")
-
-		sloRecoveredFloor = flag.Float64("slo-recovered-floor", 0, "SLO: fire when the recovered fraction sits below this floor (0 disables)")
-		sloGatherP95      = flag.Duration("slo-gather-p95", 0, "SLO: fire when the windowed gather p95 exceeds this (0 disables)")
-		sloWindow         = flag.Duration("slo-window", 30*time.Second, "SLO evaluation window")
-
 		checkpointDir   = flag.String("checkpoint-dir", "", "persist durable run snapshots (and the liveness lease) in this directory (empty disables)")
 		checkpointEvery = flag.Int("checkpoint-every", 10, "checkpoint period in steps")
 		restore         = flag.Bool("restore", false, "resume from the newest valid checkpoint in -checkpoint-dir (cold-starts when the directory is empty)")
@@ -145,16 +133,6 @@ func main() {
 		fmt.Println(buildinfo.Get())
 		return
 	}
-	obsOpts := obsOptions{
-		sampleInterval:    *obsInterval,
-		retention:         *obsRetention,
-		profileDir:        *profileDir,
-		profileInterval:   *profileInterval,
-		profileKeep:       *profileKeep,
-		sloRecoveredFloor: *sloRecoveredFloor,
-		sloGatherP95:      *sloGatherP95,
-		sloWindow:         *sloWindow,
-	}
 	if *controlplane {
 		err := runControlPlane(cpOptions{
 			fleetAddr:    *fleetAddr,
@@ -164,7 +142,6 @@ func main() {
 			metricsAddr:  *metricsAddr,
 			eventsPath:   *eventsPath,
 			logLevel:     *logLevel,
-			obs:          obsOpts,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "isgc-master:", err)
@@ -196,7 +173,6 @@ func main() {
 		eventsPath:    *eventsPath,
 		logLevel:      *logLevel,
 		timelinePath:  *timelinePath,
-		obs:           obsOpts,
 
 		checkpointDir:   *checkpointDir,
 		checkpointEvery: *checkpointEvery,
@@ -258,18 +234,9 @@ func run(opts options) error {
 		tl = events.NewTimeline(0)
 	}
 
-	// The time-series store and SLO engine only make sense with an admin
-	// endpoint to serve them; the profiler runs regardless — a headless
-	// run can still leave profiles on disk.
-	tsStore, sloRules, profiler, stopObs, err := buildObs(opts.obs, ev, opts.metricsAddr != "")
-	if err != nil {
-		return err
-	}
-	defer stopObs()
-	tsStore.AddSource("master", reg, nil)
-
 	var store *checkpoint.Store
 	if opts.checkpointDir != "" {
+		var err error
 		store, err = checkpoint.NewStore(opts.checkpointDir, checkpoint.DefaultRetain)
 		if err != nil {
 			return err
@@ -340,14 +307,11 @@ func run(opts options) error {
 	}()
 	if opts.metricsAddr != "" {
 		adm := admin.New(admin.Config{
-			Addr:       opts.metricsAddr,
-			Registry:   reg,
-			Health:     func() any { return master.Health() },
-			Events:     ev,
-			Timeline:   tl,
-			TimeSeries: tsStore,
-			Alerts:     sloRules,
-			Profiles:   profiler,
+			Addr:     opts.metricsAddr,
+			Registry: reg,
+			Health:   func() any { return master.Health() },
+			Events:   ev,
+			Timeline: tl,
 		})
 		if err := adm.Start(); err != nil {
 			return fmt.Errorf("metrics endpoint: %w", err)
@@ -362,10 +326,6 @@ func run(opts options) error {
 			_ = adm.Shutdown(ctx)
 		}()
 		fmt.Fprintf(out, "metrics: %s/metrics (healthz, debug/pprof alongside)\n", adm.URL())
-		fmt.Fprintf(out, "dashboard: %s/debug/dash (timeseries: /api/timeseries, alerts: /api/alerts)\n", adm.URL())
-	}
-	if profiler != nil {
-		fmt.Fprintf(out, "profiling: capturing cpu+heap to %s every %v\n", profiler.Dir(), opts.obs.profileInterval)
 	}
 
 	fmt.Fprintf(out, "master: %s on %s, waiting for %d workers (w=%d per step, deadline=%v, liveness=%v)\n",
@@ -402,8 +362,8 @@ func run(opts options) error {
 		return nil
 	}
 	// The latency line prefers the histogram estimate when metrics are on
-	// — the same digest /healthz and the dashboard serve — and falls back
-	// to exact order statistics over the retained trace records.
+	// — the same digest /healthz serves — and falls back to exact order
+	// statistics over the retained trace records.
 	lat := res.Run.LatencySummary()
 	if hl, ok := mm.LatencySummary(); ok {
 		lat = hl

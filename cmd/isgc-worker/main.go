@@ -30,7 +30,6 @@ import (
 	"isgc/internal/events"
 	"isgc/internal/metrics"
 	"isgc/internal/model"
-	"isgc/internal/obs"
 	"isgc/internal/straggler"
 )
 
@@ -55,7 +54,6 @@ func main() {
 		reconnect    = flag.Duration("reconnect", 10*time.Second, "redial budget after a lost connection (0 disables rejoin)")
 		heartbeat    = flag.Duration("heartbeat", time.Second, "liveness ping interval (negative disables)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof on this address (empty disables)")
-		profileDir   = flag.String("profile-dir", "", "continuous profiling: periodically capture CPU+heap pprof profiles into this directory (empty disables)")
 
 		eventsPath = flag.String("events", "", "write a JSONL structured event log to this path (\"-\" = stderr)")
 		logLevel   = flag.String("log-level", "info", "minimum event level: debug, info, warn, or error")
@@ -85,7 +83,7 @@ func main() {
 	dspec.Samples = *samples
 	dspec.Batch = *batch
 	fault := buildFault(*crashAt, *dropProb, *disconnectAt)
-	if err := run(*addr, *id, spec, dspec, *delay, *computePar, fault, *reconnect, *heartbeat, *metricsAddr, *profileDir, *eventsPath, *logLevel, *checkpointDir, *restore); err != nil {
+	if err := run(*addr, *id, spec, dspec, *delay, *computePar, fault, *reconnect, *heartbeat, *metricsAddr, *eventsPath, *logLevel, *checkpointDir, *restore); err != nil {
 		fmt.Fprintln(os.Stderr, "isgc-worker:", err)
 		os.Exit(1)
 	}
@@ -110,7 +108,7 @@ func buildFault(crashAt int, dropProb float64, disconnectAt int) straggler.Fault
 	return fs
 }
 
-func run(addr string, id int, spec cliconfig.SchemeSpec, dspec cliconfig.DataSpec, delay time.Duration, computePar int, fault straggler.Fault, reconnect, heartbeat time.Duration, metricsAddr, profileDir, eventsPath, logLevel, checkpointDir string, restore bool) error {
+func run(addr string, id int, spec cliconfig.SchemeSpec, dspec cliconfig.DataSpec, delay time.Duration, computePar int, fault straggler.Fault, reconnect, heartbeat time.Duration, metricsAddr, eventsPath, logLevel, checkpointDir string, restore bool) error {
 	p, err := spec.Build()
 	if err != nil {
 		return err
@@ -189,33 +187,12 @@ func run(addr string, id int, spec cliconfig.SchemeSpec, dspec cliconfig.DataSpe
 		<-sigCh
 		w.Stop()
 	}()
-	// The worker's own observability surface mirrors the master's: the
-	// admin endpoint gains /api/timeseries and /debug/dash over the local
-	// registry, and -profile-dir captures pprof profiles continuously.
-	var tsStore *obs.Store
-	if metricsAddr != "" {
-		tsStore = obs.NewStore(obs.StoreConfig{})
-		tsStore.AddSource("worker", reg, nil)
-		tsStore.Start()
-		defer tsStore.Stop()
-	}
-	var profiler *obs.Profiler
-	if profileDir != "" {
-		profiler, err = obs.NewProfiler(obs.ProfilerConfig{Dir: profileDir})
-		if err != nil {
-			return fmt.Errorf("profiling: %w", err)
-		}
-		profiler.Start()
-		defer profiler.Stop()
-	}
 	if metricsAddr != "" {
 		adm := admin.New(admin.Config{
-			Addr:       metricsAddr,
-			Registry:   reg,
-			Health:     func() any { return w.Health() },
-			Events:     ev,
-			TimeSeries: tsStore,
-			Profiles:   profiler,
+			Addr:     metricsAddr,
+			Registry: reg,
+			Health:   func() any { return w.Health() },
+			Events:   ev,
 		})
 		if err := adm.Start(); err != nil {
 			return fmt.Errorf("metrics endpoint: %w", err)

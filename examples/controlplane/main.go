@@ -14,10 +14,10 @@
 //
 // Run with: go run ./examples/controlplane
 //
-// With -admin ADDR the example also serves the observability surface —
-// /debug/dash, /api/timeseries, /api/alerts — federated over both jobs,
-// with a recovered-fraction SLO armed; -linger keeps the process (and the
-// dashboard) up after the drill so CI can curl it.
+// With -admin ADDR the example also serves the admin surface: the plane's
+// /metrics, each job's master metrics on /jobs/{id}/metrics, /healthz and
+// /debug/pprof; -linger keeps the process up after the drill so CI can
+// curl it.
 package main
 
 import (
@@ -32,30 +32,22 @@ import (
 	"isgc/internal/controlplane"
 	"isgc/internal/events"
 	"isgc/internal/metrics"
-	"isgc/internal/obs"
 )
 
 func main() {
-	adminAddr := flag.String("admin", "", "serve the admin + dashboard surface on this address (empty disables)")
+	adminAddr := flag.String("admin", "", "serve /metrics, /jobs/{id}/metrics, /healthz and /debug/pprof on this address (empty disables)")
 	linger := flag.Duration("linger", 0, "keep the process up this long after the drill (for smoke tests)")
 	flag.Parse()
 
 	ev := events.New(events.Config{MinLevel: events.LevelInfo, RingSize: 256})
-	var (
-		reg     *metrics.Registry
-		tsStore *obs.Store
-	)
+	var reg *metrics.Registry
 	if *adminAddr != "" {
 		reg = metrics.NewRegistry()
-		tsStore = obs.NewStore(obs.StoreConfig{Interval: 250 * time.Millisecond})
-		tsStore.Start()
-		defer tsStore.Stop()
 	}
 	plane, err := controlplane.New(controlplane.Config{
 		FleetAddr: "127.0.0.1:0",
 		Events:    ev,
 		Registry:  reg,
-		Obs:       tsStore,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -67,28 +59,11 @@ func main() {
 	fmt.Printf("plane: fleet on %s\n", plane.FleetAddr())
 
 	if *adminAddr != "" {
-		tsStore.AddSource("plane", reg, nil)
-		rules := obs.NewRules(obs.RulesConfig{
-			Store:  tsStore,
-			Events: ev,
-			Rules: []obs.Rule{{
-				Name:   "recovered-fraction-floor",
-				Series: "isgc_master_recovered_fraction",
-				Agg:    obs.AggLast,
-				Window: 2 * time.Second,
-				Op:     obs.OpBelow,
-				Bound:  0.9,
-			}},
-		})
-		rules.Start()
-		defer rules.Stop()
 		h := plane.Handler()
 		adm := admin.New(admin.Config{
-			Addr:       *adminAddr,
-			Registry:   reg,
-			Events:     ev,
-			TimeSeries: tsStore,
-			Alerts:     rules,
+			Addr:     *adminAddr,
+			Registry: reg,
+			Events:   ev,
 			Health: func() any {
 				return map[string]any{"jobs": plane.Jobs(), "fleet": plane.FleetSnapshot()}
 			},
@@ -99,11 +74,11 @@ func main() {
 		}
 		defer func() {
 			if *linger > 0 {
-				fmt.Printf("lingering %v — dashboard stays on %s/debug/dash\n", *linger, adm.URL())
+				fmt.Printf("lingering %v — admin stays on %s\n", *linger, adm.URL())
 				time.Sleep(*linger)
 			}
 		}()
-		fmt.Printf("dashboard: %s/debug/dash\n", adm.URL())
+		fmt.Printf("admin: %s/metrics (per job: /jobs/{id}/metrics)\n", adm.URL())
 	}
 
 	// Six agents join the shared pool.

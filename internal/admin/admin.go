@@ -5,7 +5,8 @@
 // standard Go profiling endpoints under /debug/pprof/. It is stdlib-only
 // and deliberately decoupled from the cluster packages — any process
 // hands it a metrics registry, an optional health snapshot function, and
-// optional event/timeline sinks.
+// optional event/timeline sinks. It keeps no history: time series,
+// dashboards and alerting belong to whatever scrapes /metrics.
 //
 // Lifecycle: New → Start (binds the listener, serves in the background) →
 // Shutdown (graceful, bounded by the caller's context). Start with
@@ -22,12 +23,12 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"isgc/internal/buildinfo"
 	"isgc/internal/events"
 	"isgc/internal/metrics"
-	"isgc/internal/obs"
 )
 
 // Config configures the admin server.
@@ -45,16 +46,6 @@ type Config struct {
 	// Timeline backs /debug/timeline with a Chrome trace of the spans
 	// recorded so far; nil serves an empty trace.
 	Timeline *events.Timeline
-	// TimeSeries backs /api/timeseries and the /debug/dash dashboard with
-	// the process's (or the control plane's federated) time-series store;
-	// nil serves an empty catalog and a dashboard with no data.
-	TimeSeries *obs.Store
-	// Alerts backs /api/alerts with the SLO rule engine's state and adds
-	// an "alerts" summary to /healthz; nil serves an empty list.
-	Alerts *obs.Rules
-	// Profiles backs /debug/profiles with the continuous profiler's
-	// retained captures; nil serves an empty list.
-	Profiles *obs.Profiler
 	// Extra mounts additional routes (pattern → handler) into the admin
 	// mux — how the control plane exposes /jobs and /fleet without this
 	// package importing it. Extra patterns must not collide with the
@@ -68,16 +59,43 @@ type Server struct {
 	cfg Config
 	ln  net.Listener
 	srv *http.Server
+
+	mu    sync.Mutex
+	fresh map[net.Conn]bool // accepted connections with no request read yet
 }
 
 // New builds a server; nothing listens until Start.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg}
+	s := &Server{cfg: cfg, fresh: map[net.Conn]bool{}}
 	s.srv = &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
+		ConnState:         s.trackFresh,
 	}
+	// Shutdown waits up to 5 s for a connection that never sent a request
+	// (an HTTP client's spare keep-alive dial). Nothing is in flight on
+	// one, so close it once the listener is closed.
+	s.srv.RegisterOnShutdown(s.closeFresh)
 	return s
+}
+
+// trackFresh keeps the set of connections that have sent no request yet.
+func (s *Server) trackFresh(c net.Conn, st http.ConnState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st == http.StateNew {
+		s.fresh[c] = true
+	} else {
+		delete(s.fresh, c)
+	}
+}
+
+func (s *Server) closeFresh() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for c := range s.fresh {
+		_ = c.Close()
+	}
 }
 
 // Handler returns the route table (also used directly by tests).
@@ -88,10 +106,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/debug/events", s.handleEvents)
 	mux.HandleFunc("/debug/timeline", s.handleTimeline)
-	mux.Handle("/api/timeseries", obs.HandleTimeseries(s.cfg.TimeSeries))
-	mux.Handle("/api/alerts", obs.HandleAlerts(s.cfg.Alerts))
-	mux.Handle("/debug/dash", obs.HandleDash(s.cfg.TimeSeries))
-	mux.Handle("/debug/profiles", obs.HandleProfiles(s.cfg.Profiles))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -156,12 +170,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, "isgc admin endpoints:\n"+
 		"  /metrics         Prometheus exposition\n"+
 		"  /healthz         liveness + degradation summary (JSON)\n"+
-		"  /api/timeseries  windowed time-series query API (JSON; ?name=&window=&step=&agg=&label.K=V)\n"+
-		"  /api/alerts      SLO rule states (JSON)\n"+
-		"  /debug/dash      live dashboard (HTML)\n"+
 		"  /debug/events    recent structured events (JSON; ?n=K limits)\n"+
 		"  /debug/timeline  Chrome trace of the run so far (load in ui.perfetto.dev)\n"+
-		"  /debug/profiles  continuous-profiling captures (JSON; ?download=NAME)\n"+
 		"  /debug/pprof/    Go profiling\n")
 	if len(s.cfg.Extra) > 0 {
 		patterns := make([]string, 0, len(s.cfg.Extra))
@@ -193,7 +203,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		payload = s.cfg.Health()
 	}
 	payload = withBuildInfo(payload)
-	payload = withAlerts(payload, s.cfg.Alerts)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(payload); err != nil {
@@ -215,37 +224,6 @@ func withBuildInfo(payload any) any {
 		return payload
 	}
 	obj["build"] = buildinfo.Get()
-	return obj
-}
-
-// withAlerts injects the SLO engine's summary — and the firing alerts
-// themselves, so /healthz alone tells an operator what is wrong — into a
-// JSON-object health payload. Same pass-through contract as
-// withBuildInfo; a nil engine adds nothing.
-func withAlerts(payload any, ru *obs.Rules) any {
-	if ru == nil {
-		return payload
-	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return payload
-	}
-	var obj map[string]any
-	if err := json.Unmarshal(raw, &obj); err != nil || obj == nil {
-		return payload
-	}
-	summary := ru.Summarize()
-	a := map[string]any{"summary": summary}
-	if summary.Firing > 0 {
-		var firing []obs.Alert
-		for _, al := range ru.Alerts() {
-			if al.State == obs.StateFiring {
-				firing = append(firing, al)
-			}
-		}
-		a["firing"] = firing
-	}
-	obj["alerts"] = a
 	return obj
 }
 

@@ -15,7 +15,6 @@ import (
 
 	"isgc/internal/events"
 	"isgc/internal/metrics"
-	"isgc/internal/obs"
 )
 
 // TestMetricsGolden pins the /metrics response: status, content type, and
@@ -469,89 +468,5 @@ func TestDebugEventsParamTable(t *testing.T) {
 				t.Errorf("%s: 400 body %q has no error field", tc.url, rec.Body.String())
 			}
 		})
-	}
-}
-
-// TestObsRoutes exercises the observability surface mounted by the admin
-// server: time-series queries, alerts, the dashboard page, and profiles.
-func TestObsRoutes(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.NewGauge("isgc_master_recovered_fraction", "").Set(0.4)
-	store := obs.NewStore(obs.StoreConfig{Retention: 16})
-	store.AddSource("job/a", reg, map[string]string{"job": "a"})
-	store.SampleNow()
-	rules := obs.NewRules(obs.RulesConfig{
-		Store: store,
-		Rules: []obs.Rule{{
-			Name: "recovered-floor", Series: "isgc_master_recovered_fraction",
-			Agg: obs.AggLast, Window: time.Minute, Op: obs.OpBelow, Bound: 0.9,
-			For: time.Nanosecond,
-		}},
-	})
-	rules.EvalNow()
-	time.Sleep(time.Millisecond)
-	store.SampleNow()
-	rules.EvalNow() // breach held past For → firing
-
-	s := New(Config{
-		Registry:   reg,
-		TimeSeries: store,
-		Alerts:     rules,
-	})
-	get := func(path string) *httptest.ResponseRecorder {
-		t.Helper()
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		return rec
-	}
-
-	rec := get("/api/timeseries?name=isgc_master_recovered_fraction&label.job=a")
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"points"`) {
-		t.Fatalf("/api/timeseries: %d %s", rec.Code, rec.Body.String())
-	}
-	rec = get("/api/timeseries?name=x&window=junk")
-	if rec.Code != 400 || !strings.Contains(rec.Body.String(), `"error"`) {
-		t.Fatalf("malformed window: %d %s", rec.Code, rec.Body.String())
-	}
-
-	rec = get("/api/alerts")
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"firing"`) {
-		t.Fatalf("/api/alerts: %d %s", rec.Code, rec.Body.String())
-	}
-
-	rec = get("/debug/dash")
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "/api/timeseries") {
-		t.Fatalf("/debug/dash: %d", rec.Code)
-	}
-
-	rec = get("/debug/profiles")
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"profiles"`) {
-		t.Fatalf("/debug/profiles: %d %s", rec.Code, rec.Body.String())
-	}
-
-	// /healthz carries the alerts summary plus the firing alerts.
-	rec = get("/healthz")
-	var health struct {
-		Alerts struct {
-			Summary obs.Summary `json:"summary"`
-			Firing  []obs.Alert `json:"firing"`
-		} `json:"alerts"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
-		t.Fatalf("healthz: %v\n%s", err, rec.Body.String())
-	}
-	if health.Alerts.Summary.Firing != 1 || len(health.Alerts.Firing) != 1 {
-		t.Fatalf("healthz alerts = %+v, want one firing", health.Alerts)
-	}
-	if health.Alerts.Firing[0].Rule != "recovered-floor" {
-		t.Errorf("firing rule = %q", health.Alerts.Firing[0].Rule)
-	}
-
-	// The index advertises the new routes.
-	rec = get("/")
-	for _, want := range []string{"/api/timeseries", "/api/alerts", "/debug/dash", "/debug/profiles"} {
-		if !strings.Contains(rec.Body.String(), want) {
-			t.Errorf("index missing %s", want)
-		}
 	}
 }

@@ -427,8 +427,8 @@ type MasterHealth struct {
 	LastCheckpointAgeSeconds float64 `json:"last_checkpoint_age_seconds"`
 	// GatherP50Seconds / GatherP95Seconds are bucket-estimated quantiles
 	// of the lifetime gather-latency histogram (0 when metrics are
-	// disabled or before the first step) — the same estimator the
-	// time-series store and the CLI's printed latency line use.
+	// disabled or before the first step) — the estimator the CLI's
+	// printed latency line and Prometheus's histogram_quantile use.
 	GatherP50Seconds float64            `json:"gather_p50_seconds"`
 	GatherP95Seconds float64            `json:"gather_p95_seconds"`
 	Workers          []WorkerHealthView `json:"workers"`

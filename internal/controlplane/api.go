@@ -2,18 +2,22 @@
 // /jobs, fleet membership under /fleet. The handler is plain http.Handler
 // so it mounts equally under the admin server or a bare mux in tests.
 //
-//	POST   /jobs             submit a JobSpec, returns {"id": "job-001"}
-//	GET    /jobs             list all jobs (submission order)
-//	GET    /jobs/{id}        one job's status
-//	DELETE /jobs/{id}        kill the job
-//	POST   /jobs/{id}/drain  quiesce the job at a step boundary
-//	GET    /fleet            per-agent assignment and liveness
+//	POST   /jobs               submit a JobSpec, returns {"id": "job-001"}
+//	GET    /jobs               list all jobs (submission order)
+//	GET    /jobs/{id}          one job's status
+//	DELETE /jobs/{id}          kill the job
+//	POST   /jobs/{id}/drain    quiesce the job at a step boundary
+//	GET    /jobs/{id}/metrics  the job's master metrics (Prometheus text;
+//	                           the last generation's after the job ends)
+//	GET    /fleet              per-agent assignment and liveness
 package controlplane
 
 import (
 	"encoding/json"
 	"net/http"
 	"strings"
+
+	"isgc/internal/metrics"
 )
 
 // apiError is the JSON error envelope.
@@ -93,6 +97,13 @@ func apiHandler(p *Plane) http.Handler {
 				return
 			}
 			writeJSON(w, http.StatusOK, map[string]string{"id": id, "state": string(JobDrained)})
+		case verb == "metrics" && r.Method == http.MethodGet:
+			w.Header().Set("Content-Type", metrics.TextContentType)
+			// Past the first byte an error cannot change the status; the
+			// scraper sees a truncated body and retries.
+			if ok, _ := p.sched.WriteJobMetrics(w, id); !ok {
+				writeJSON(w, http.StatusNotFound, apiError{"no job " + id})
+			}
 		default:
 			writeJSON(w, http.StatusNotFound, apiError{"unknown route"})
 		}

@@ -29,7 +29,7 @@ func BenchmarkReplacementSet(b *testing.B) {
 	for _, fleetSize := range []int{8, 64, 256} {
 		b.Run(fmt.Sprintf("fleet=%d", fleetSize), func(b *testing.B) {
 			fl := benchFleet(fleetSize)
-			s := newScheduler(fl, nil, nil, "", nil)
+			s := newScheduler(fl, nil, nil, "")
 			j := &job{id: "job-bench", spec: JobSpec{Scheme: cliconfig.SchemeSpec{Scheme: "cr", N: 8, C: 4}}}
 			prev := fl.idle()[:8]
 			for _, name := range prev {
@@ -58,7 +58,7 @@ func BenchmarkAdmissionClaim(b *testing.B) {
 	for _, fleetSize := range []int{8, 64, 256} {
 		b.Run(fmt.Sprintf("fleet=%d", fleetSize), func(b *testing.B) {
 			fl := benchFleet(fleetSize)
-			s := newScheduler(fl, nil, nil, "", nil)
+			s := newScheduler(fl, nil, nil, "")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -11,7 +11,9 @@
 // replacing them: each job generation is an ordinary cluster.Master on an
 // ephemeral port, each fleet agent wraps an ordinary cluster.Worker, and
 // durability reuses checkpoint.Store — for per-job run state and for the
-// scheduler's own job table.
+// scheduler's own job table. Observability is the same: a metered plane
+// exports its own families plus one ordinary cluster.MasterMetrics
+// registry per job, scraped on /jobs/{id}/metrics.
 package controlplane
 
 import (
@@ -21,7 +23,6 @@ import (
 
 	"isgc/internal/events"
 	"isgc/internal/metrics"
-	"isgc/internal/obs"
 	"isgc/internal/trace"
 )
 
@@ -38,17 +39,12 @@ type Config struct {
 	Restore bool
 	// AgentTimeout declares a silent agent dead (0 → 5s).
 	AgentTimeout time.Duration
-	// Registry, when non-nil, receives the plane's metric families.
+	// Registry, when non-nil, receives the plane's metric families, and
+	// every job master then gets a registry of its own, served on
+	// GET /jobs/{id}/metrics.
 	Registry *metrics.Registry
 	// Events, when non-nil, receives the plane's structured event stream.
 	Events *events.Log
-	// Obs, when non-nil, federates every job master's metrics into the
-	// plane-level time-series store: each generation's registry is
-	// registered under the job's id with a {job: <id>} label, so
-	// /api/timeseries answers fleet-wide and per-job queries from one
-	// place. Counter resets across generations are handled by the store's
-	// rate clamp.
-	Obs *obs.Store
 }
 
 // Plane is the assembled control plane: fleet manager + job scheduler.
@@ -68,7 +64,7 @@ func New(cfg Config) (*Plane, error) {
 	}
 	pm := NewPlaneMetrics(cfg.Registry)
 	fl := newFleet(cfg.AgentTimeout, cfg.Events, pm)
-	sched := newScheduler(fl, cfg.Events, pm, cfg.StateDir, cfg.Obs)
+	sched := newScheduler(fl, cfg.Events, pm, cfg.StateDir)
 	return &Plane{cfg: cfg, fl: fl, sched: sched}, nil
 }
 
@@ -128,6 +124,7 @@ func (p *Plane) Drain(id string) error { return p.sched.Drain(id) }
 // FleetSnapshot is the per-agent view (assignment, liveness) for /fleet.
 func (p *Plane) FleetSnapshot() []AgentView { return p.fl.snapshot() }
 
-// Handler returns the plane's HTTP API (the /jobs and /fleet routes),
+// Handler returns the plane's HTTP API (the /jobs and /fleet routes,
+// including each job's master metrics on /jobs/{id}/metrics),
 // ready to mount under an admin server.
 func (p *Plane) Handler() http.Handler { return apiHandler(p) }

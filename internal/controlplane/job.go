@@ -1,14 +1,17 @@
 package controlplane
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
 	"isgc/internal/checkpoint"
 	"isgc/internal/cliconfig"
 	"isgc/internal/cluster"
+	"isgc/internal/metrics"
 	"isgc/internal/trace"
 )
 
@@ -179,6 +182,12 @@ type job struct {
 	// master is the live master (nil between generations / when not
 	// running).
 	master *cluster.Master
+	// reg is the live master's metrics registry (nil on an unmetered
+	// plane and between generations); lastExposition is the previous
+	// generation's final render, so a finished job still answers without
+	// its registry keeping the master reachable.
+	reg            *metrics.Registry
+	lastExposition []byte
 	// lastMasterAddr remembers the previous master's listen address so a
 	// kill/drain can leave a MsgJobGone tombstone on it.
 	lastMasterAddr string
@@ -293,6 +302,30 @@ func (j *job) status() JobStatus {
 		st.FinishedAt = &t
 	}
 	return st
+}
+
+// writeMetrics renders the job's master metrics: the live registry, else
+// the last generation's final exposition (empty before the first).
+func (j *job) writeMetrics(w io.Writer) error {
+	j.mu.Lock()
+	reg, last := j.reg, j.lastExposition
+	j.mu.Unlock()
+	if reg != nil {
+		return reg.WritePrometheus(w)
+	}
+	_, err := w.Write(last)
+	return err
+}
+
+// retireMetrics freezes the ended generation's registry into its final
+// exposition. Caller holds j.mu.
+func (j *job) retireMetrics() {
+	if j.reg == nil {
+		return
+	}
+	var b bytes.Buffer
+	_ = j.reg.WritePrometheus(&b)
+	j.reg, j.lastExposition = nil, b.Bytes()
 }
 
 // result returns a copy of the job's accumulated records and final params

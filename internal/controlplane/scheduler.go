@@ -3,6 +3,7 @@ package controlplane
 import (
 	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"time"
@@ -13,7 +14,6 @@ import (
 	"isgc/internal/isgc"
 	"isgc/internal/metrics"
 	"isgc/internal/model"
-	"isgc/internal/obs"
 	"isgc/internal/trace"
 
 	"sync"
@@ -32,7 +32,6 @@ type scheduler struct {
 	events   *events.Log
 	metrics  *PlaneMetrics
 	stateDir string
-	obs      *obs.Store
 	state    *planeStore
 
 	mu    sync.Mutex
@@ -52,13 +51,12 @@ type scheduler struct {
 	jobWG    sync.WaitGroup // one runJob goroutine per admitted job
 }
 
-func newScheduler(fl *fleet, ev *events.Log, pm *PlaneMetrics, stateDir string, store *obs.Store) *scheduler {
+func newScheduler(fl *fleet, ev *events.Log, pm *PlaneMetrics, stateDir string) *scheduler {
 	s := &scheduler{
 		fl:       fl,
 		events:   ev,
 		metrics:  pm,
 		stateDir: stateDir,
-		obs:      store,
 		jobs:     make(map[string]*job),
 		pokeCh:   make(chan struct{}, 1),
 		quit:     make(chan struct{}),
@@ -162,6 +160,18 @@ func (s *scheduler) Job(id string) (JobStatus, bool) {
 		return JobStatus{}, false
 	}
 	return j.status(), true
+}
+
+// WriteJobMetrics writes one job's master metrics in the Prometheus text
+// exposition; ok is false for an unknown id.
+func (s *scheduler) WriteJobMetrics(w io.Writer, id string) (ok bool, err error) {
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if j == nil {
+		return false, nil
+	}
+	return true, j.writeMetrics(w)
 }
 
 // Jobs returns every job's status in submission order.
@@ -396,6 +406,7 @@ func (s *scheduler) runJob(j *job) {
 		reason := j.stopReason
 		j.stopReason = stopNone
 		j.master = nil
+		j.retireMetrics()
 		if res != nil {
 			j.run.Records = append(j.run.Records, res.Run.Records...)
 			if len(res.Params) > 0 {
@@ -485,9 +496,6 @@ func (s *scheduler) finishJob(j *job, state JobState, errMsg string, agents []st
 	for _, a := range agents {
 		s.fl.release(a, j.id)
 	}
-	// Stop sampling the finished job; its recorded series stay queryable
-	// until they age out of every window.
-	s.obs.RemoveSource("job/" + j.id)
 	if tombstoneAddr != "" {
 		s.startTombstone(tombstoneAddr, j.id)
 	}
@@ -543,15 +551,15 @@ func (s *scheduler) runGeneration(j *job, firstRun bool) (*engine.Result, error)
 	if gen > 0 {
 		warm = &cluster.WarmState{Params: warmParams, StartStep: warmStep, Generation: gen}
 	}
-	// Federate this master life into the plane's time-series store: a
-	// fresh registry per generation (GaugeFuncs bind to this master), the
-	// same source id and {job} label across generations so the job keeps
-	// one continuous set of series.
-	var mm *cluster.MasterMetrics
-	if s.obs != nil {
-		jreg := metrics.NewRegistry()
+	// A metered plane (PlaneMetrics non-nil) gives each master life a
+	// fresh registry: its gauge functions bind to this master.
+	var (
+		jreg *metrics.Registry
+		mm   *cluster.MasterMetrics
+	)
+	if s.metrics != nil {
+		jreg = metrics.NewRegistry()
 		mm = cluster.NewMasterMetrics(jreg)
-		s.obs.AddSource("job/"+j.id, jreg, map[string]string{"job": j.id})
 	}
 	m, err := cluster.NewMaster(cluster.MasterConfig{
 		Metrics:         mm,
@@ -581,6 +589,7 @@ func (s *scheduler) runGeneration(j *job, firstRun bool) (*engine.Result, error)
 	}
 	j.mu.Lock()
 	j.master = m
+	j.reg = jreg
 	j.lastMasterAddr = m.Addr()
 	// A terminate that raced the master's construction found nothing to
 	// Stop; honor it now that the master exists.

@@ -18,6 +18,10 @@
 //   - A scrape taken concurrently with updates is not a point-in-time
 //     snapshot across metrics (each value is individually atomic); this
 //     matches the guarantees of the standard Prometheus client.
+//   - The text exposition is the read side. Storage over time, rates,
+//     windowed quantiles and alerting belong to the scraper; the one
+//     in-process reading is Histogram.Quantile, the bucket estimate behind
+//     /healthz's gather percentiles and the master's latency line.
 package metrics
 
 import (
@@ -63,13 +67,11 @@ func ExponentialBuckets(start, factor float64, count int) []float64 {
 	return out
 }
 
-// family is one registered metric family: name, metadata, a collector
-// that appends the family's sample lines at scrape time, and a gatherer
-// that appends typed Samples for in-process consumers.
+// family is one registered metric family: name, metadata, and a collector
+// that appends the family's sample lines at scrape time.
 type family struct {
 	name, help, typ string
 	collect         func(b *lineWriter)
-	gather          func(out []Sample) []Sample
 }
 
 // Registry holds metric families and renders them. The zero value is not
@@ -87,7 +89,7 @@ func NewRegistry() *Registry {
 
 // register adds a family, panicking on invalid or duplicate names —
 // metric names are source-code constants, so this is a programmer error.
-func (r *Registry) register(name, help, typ string, collect func(*lineWriter), gather func([]Sample) []Sample) {
+func (r *Registry) register(name, help, typ string, collect func(*lineWriter)) {
 	if !nameRE.MatchString(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
@@ -96,7 +98,7 @@ func (r *Registry) register(name, help, typ string, collect func(*lineWriter), g
 	if _, dup := r.byName[name]; dup {
 		panic(fmt.Sprintf("metrics: duplicate registration of %q", name))
 	}
-	f := &family{name: name, help: help, typ: typ, collect: collect, gather: gather}
+	f := &family{name: name, help: help, typ: typ, collect: collect}
 	r.byName[name] = f
 	r.fams = append(r.fams, f)
 }
@@ -159,8 +161,6 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	c := &Counter{}
 	r.register(name, help, "counter", func(b *lineWriter) {
 		b.sample(name, "", formatUint(c.Value()))
-	}, func(out []Sample) []Sample {
-		return append(out, Sample{Name: name, Kind: KindCounter, Value: float64(c.Value())})
 	})
 	return c
 }
@@ -207,8 +207,6 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 	g := &Gauge{}
 	r.register(name, help, "gauge", func(b *lineWriter) {
 		b.sample(name, "", formatFloat(g.Value()))
-	}, func(out []Sample) []Sample {
-		return append(out, Sample{Name: name, Kind: KindGauge, Value: g.Value()})
 	})
 	return g
 }
@@ -223,8 +221,6 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 	}
 	r.register(name, help, "gauge", func(b *lineWriter) {
 		b.sample(name, "", formatFloat(fn()))
-	}, func(out []Sample) []Sample {
-		return append(out, Sample{Name: name, Kind: KindGauge, Value: fn()})
 	})
 }
 
@@ -308,15 +304,91 @@ func (h *Histogram) write(b *lineWriter, name, labels string) {
 	b.sample(name+"_count", labels, formatUint(total))
 }
 
+// HistogramSnapshot is a point-in-time copy of a histogram's buckets,
+// the raw material for estimated quantiles.
+type HistogramSnapshot struct {
+	// Upper are the finite bucket upper bounds, strictly increasing. The
+	// slice is shared with the histogram; do not mutate it.
+	Upper []float64
+	// Counts are per-bucket (non-cumulative) observation counts;
+	// len(Counts) == len(Upper)+1, the last entry being the +Inf bucket.
+	Counts []uint64
+	// Count is the total observation count (sum of Counts — internally
+	// consistent with the buckets even under concurrent observes).
+	Count uint64
+}
+
+// Snapshot copies the histogram's current bucket counts. The total Count
+// is derived from the bucket reads so the pair stays consistent. Safe on
+// a nil receiver (zero snapshot).
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{}
+	}
+	s := HistogramSnapshot{
+		Upper:  h.upper,
+		Counts: make([]uint64, len(h.counts)),
+	}
+	for i := range h.counts {
+		c := h.counts[i].Load()
+		s.Counts[i] = c
+		s.Count += c
+	}
+	return s
+}
+
+// Quantile estimates the p-quantile (p in [0, 1]) of the observed
+// distribution by linear interpolation within the bucket that contains the
+// target rank — the same estimator as Prometheus's histogram_quantile.
+// Values landing in the +Inf bucket clamp to the highest finite bound.
+// Returns NaN for an empty snapshot or p outside [0, 1].
+func (s HistogramSnapshot) Quantile(p float64) float64 {
+	if s.Count == 0 || len(s.Upper) == 0 || math.IsNaN(p) || p < 0 || p > 1 {
+		return math.NaN()
+	}
+	target := p * float64(s.Count)
+	var cum uint64
+	for i, c := range s.Counts {
+		if c == 0 {
+			continue
+		}
+		if float64(cum+c) >= target {
+			if i >= len(s.Upper) {
+				// +Inf bucket: no finite upper edge to interpolate toward.
+				return s.Upper[len(s.Upper)-1]
+			}
+			upper := s.Upper[i]
+			lower := 0.0
+			if i > 0 {
+				lower = s.Upper[i-1]
+			} else if upper <= 0 {
+				// All-negative first bucket: no zero floor to lean on.
+				return upper
+			}
+			pos := (target - float64(cum)) / float64(c)
+			if pos < 0 {
+				pos = 0
+			}
+			return lower + (upper-lower)*pos
+		}
+		cum += c
+	}
+	return s.Upper[len(s.Upper)-1]
+}
+
+// Quantile is shorthand for Snapshot().Quantile(p) — one estimated
+// quantile off the live histogram. Returns NaN on a nil or empty
+// histogram.
+func (h *Histogram) Quantile(p float64) float64 {
+	return h.Snapshot().Quantile(p)
+}
+
 // NewHistogram registers and returns a histogram with the given bucket
 // upper bounds (strictly increasing; +Inf is implicit).
 func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
 	h := newHistogram(name, buckets)
 	r.register(name, help, "histogram", func(b *lineWriter) {
 		h.write(b, name, "")
-	}, func(out []Sample) []Sample {
-		snap := h.Snapshot()
-		return append(out, Sample{Name: name, Kind: KindHistogram, Value: float64(snap.Count), Hist: &snap})
 	})
 	return h
 }
@@ -329,8 +401,7 @@ type vec[T any] struct {
 	labels   []string
 	mu       sync.Mutex
 	children map[string]*T
-	keys     []string            // insertion order; sorted at collect time
-	vals     map[string][]string // key → the raw label values (for Gather)
+	keys     []string // insertion order; sorted at collect time
 }
 
 func (v *vec[T]) with(name string, values []string, make func() *T) *T {
@@ -346,10 +417,6 @@ func (v *vec[T]) with(name string, values []string, make func() *T) *T {
 	c := make()
 	v.children[key] = c
 	v.keys = append(v.keys, key)
-	if v.vals == nil {
-		v.vals = map[string][]string{}
-	}
-	v.vals[key] = append([]string(nil), values...)
 	return c
 }
 
@@ -364,28 +431,6 @@ func (v *vec[T]) collect(b *lineWriter, write func(b *lineWriter, labels string,
 	v.mu.Unlock()
 	for i, k := range keys {
 		write(b, k, children[i])
-	}
-}
-
-// gatherChildren visits every child with its structured labels, sorted by
-// rendered label key — the typed counterpart of collect.
-func (v *vec[T]) gatherChildren(visit func(labels []Label, child *T)) {
-	v.mu.Lock()
-	keys := append([]string(nil), v.keys...)
-	sort.Strings(keys)
-	children := make([]*T, len(keys))
-	values := make([][]string, len(keys))
-	for i, k := range keys {
-		children[i] = v.children[k]
-		values[i] = v.vals[k]
-	}
-	v.mu.Unlock()
-	for i := range keys {
-		labels := make([]Label, len(v.labels))
-		for j, l := range v.labels {
-			labels[j] = Label{Name: l, Value: values[i][j]}
-		}
-		visit(labels, children[i])
 	}
 }
 
@@ -415,11 +460,6 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 		cv.vec.collect(b, func(b *lineWriter, lbls string, c *Counter) {
 			b.sample(name, lbls, formatUint(c.Value()))
 		})
-	}, func(out []Sample) []Sample {
-		cv.vec.gatherChildren(func(labels []Label, c *Counter) {
-			out = append(out, Sample{Name: name, Labels: labels, Kind: KindCounter, Value: float64(c.Value())})
-		})
-		return out
 	})
 	return cv
 }
@@ -447,11 +487,6 @@ func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
 		gv.vec.collect(b, func(b *lineWriter, lbls string, g *Gauge) {
 			b.sample(name, lbls, formatFloat(g.Value()))
 		})
-	}, func(out []Sample) []Sample {
-		gv.vec.gatherChildren(func(labels []Label, g *Gauge) {
-			out = append(out, Sample{Name: name, Labels: labels, Kind: KindGauge, Value: g.Value()})
-		})
-		return out
 	})
 	return gv
 }

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -255,5 +257,106 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i%100) / 100)
+	}
+}
+
+// exactPercentile is the linear-interpolation order statistic the trace
+// package uses — the ground truth the bucket estimator is judged against.
+func exactPercentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 1 {
+		return s[len(s)-1]
+	}
+	pos := p * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	frac := pos - float64(lo)
+	return s[lo]*(1-frac) + s[hi]*frac
+}
+
+// TestQuantileAgainstExactPercentiles drives random sample sets through a
+// finely bucketed histogram and asserts every estimated quantile lands
+// within one bucket width of the exact order statistic — the best any
+// bucket interpolator can promise.
+func TestQuantileAgainstExactPercentiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	buckets := LinearBuckets(0.01, 0.01, 100) // 10ms-wide buckets over (0, 1]
+	const width = 0.01
+	for trial := 0; trial < 25; trial++ {
+		r := NewRegistry()
+		h := r.NewHistogram("h", "", buckets)
+		n := 1 + rng.Intn(400)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.Float64() // uniform in [0,1)
+			h.Observe(xs[i])
+		}
+		snap := h.Snapshot()
+		if snap.Count != uint64(n) {
+			t.Fatalf("trial %d: snapshot count %d, want %d", trial, snap.Count, n)
+		}
+		for _, p := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1} {
+			got := snap.Quantile(p)
+			// The estimator's rank convention (p·n) and the exact order
+			// statistic's (p·(n−1) interpolated) legitimately differ by up
+			// to ~one sample rank, so the honest bound is the exact
+			// percentile envelope at p ± 1.5/n, widened by one bucket.
+			slack := 1.5 / float64(n)
+			lo := exactPercentile(xs, math.Max(0, p-slack)) - width - 1e-12
+			hi := exactPercentile(xs, math.Min(1, p+slack)) + width + 1e-12
+			if got < lo || got > hi {
+				t.Errorf("trial %d n=%d: Quantile(%v) = %v, outside exact envelope [%v, %v]",
+					trial, n, p, got, lo, hi)
+			}
+		}
+	}
+}
+
+func TestQuantileEdgeCases(t *testing.T) {
+	var nilH *Histogram
+	if v := nilH.Quantile(0.5); !math.IsNaN(v) {
+		t.Errorf("nil histogram quantile = %v, want NaN", v)
+	}
+	r := NewRegistry()
+	h := r.NewHistogram("h", "", []float64{1, 2, 4})
+	if v := h.Quantile(0.5); !math.IsNaN(v) {
+		t.Errorf("empty histogram quantile = %v, want NaN", v)
+	}
+	h.Observe(0.5)
+	h.Observe(1.5)
+	h.Observe(3)
+	for _, p := range []float64{-0.1, 1.1, math.NaN()} {
+		if v := h.Quantile(p); !math.IsNaN(v) {
+			t.Errorf("Quantile(%v) = %v, want NaN", p, v)
+		}
+	}
+	// Observations past the last finite bound clamp to it.
+	h.Observe(100)
+	if v := h.Quantile(1); v != 4 {
+		t.Errorf("p=1 with +Inf-bucket sample = %v, want clamp to 4", v)
+	}
+	// Exactly one bucket occupied: answer stays inside that bucket.
+	r2 := NewRegistry()
+	h2 := r2.NewHistogram("h2", "", []float64{1, 2, 4})
+	h2.Observe(1.5)
+	h2.Observe(1.6)
+	for _, p := range []float64{0, 0.5, 1} {
+		if v := h2.Quantile(p); v < 1 || v > 2 {
+			t.Errorf("single-bucket Quantile(%v) = %v, want within (1,2]", p, v)
+		}
+	}
+	// All-negative first bucket has no zero floor to interpolate from.
+	r3 := NewRegistry()
+	h3 := r3.NewHistogram("h3", "", []float64{-1, 0, 1})
+	h3.Observe(-5)
+	if v := h3.Quantile(0.5); v != -1 {
+		t.Errorf("negative-bucket quantile = %v, want -1", v)
 	}
 }
