@@ -591,6 +591,17 @@ type Cursor struct {
 // Cursor returns a cursor positioned before the smallest element.
 func (s *Set) Cursor() Cursor { return Cursor{words: s.words, k: -1} }
 
+// CursorRange returns a cursor over the elements in [lo, hi). Both bounds
+// must be multiples of 64, so the cursor walks whole words; bounds past the
+// set's last word are clamped to it.
+func (s *Set) CursorRange(lo, hi int) Cursor {
+	if lo < 0 || lo%wordBits != 0 || hi%wordBits != 0 {
+		panic(fmt.Sprintf("bitset: CursorRange(%d, %d) bounds are not non-negative multiples of %d", lo, hi, wordBits))
+	}
+	w1 := min(max(hi/wordBits, 0), len(s.words))
+	return Cursor{words: s.words[:w1], k: min(lo/wordBits, w1) - 1}
+}
+
 // Next returns the next element, or -1 once every element was returned.
 func (c *Cursor) Next() int {
 	for c.w == 0 {

@@ -170,6 +170,46 @@ func TestSliceMatchesRange(t *testing.T) {
 	}
 }
 
+// TestCursorRangeMatchesRange: a cursor over [lo, hi) yields the elements
+// Range yields in that interval, for word-aligned bounds inside, at and past
+// the set's words, and an unaligned bound panics.
+func TestCursorRangeMatchesRange(t *testing.T) {
+	s := New(1100)
+	s.AddRange(0, 64)
+	s.AddRange(130, 700)
+	for _, v := range []int{63, 64, 127, 128, 1023, 1024, 1099} {
+		s.Add(v)
+	}
+	for lo := 0; lo <= 1280; lo += 64 {
+		for hi := lo; hi <= 1280; hi += 64 {
+			var want, got []int
+			s.Range(func(v int) bool {
+				if v >= lo && v < hi {
+					want = append(want, v)
+				}
+				return true
+			})
+			it := s.CursorRange(lo, hi)
+			for v := it.Next(); v >= 0; v = it.Next() {
+				got = append(got, v)
+			}
+			if !slices.Equal(got, want) || it.Next() != -1 {
+				t.Fatalf("CursorRange(%d, %d) gives %v, Range %v", lo, hi, got, want)
+			}
+		}
+	}
+	for _, b := range [][2]int{{1, 64}, {0, 65}, {-64, 64}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CursorRange(%d, %d) did not panic", b[0], b[1])
+				}
+			}()
+			s.CursorRange(b[0], b[1])
+		}()
+	}
+}
+
 // naiveNextAbsent is NextAbsent one Contains at a time.
 func naiveNextAbsent(s *Set, lo, hi int) int {
 	for v := max(lo, 0); v < hi; v++ {

@@ -2,6 +2,7 @@ package isgc
 
 import (
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -228,11 +229,238 @@ func TestAggregateIntoReusesDst(t *testing.T) {
 	}
 }
 
+// blockedReference is ĝ by its definition at any n, written out: the
+// row-at-a-time sum of each block of 2048 worker ids from zero, then those
+// partials added from zero in block order, empty blocks included.
+func blockedReference(chosen *bitset.Set, coded [][]float64, n, dim int) []float64 {
+	const block = 2048
+	parts := make([][]float64, (n+block-1)/block)
+	for b := range parts {
+		parts[b] = make([]float64, dim)
+	}
+	chosen.Range(func(i int) bool {
+		for k, x := range coded[i] {
+			parts[i/block][k] += x
+		}
+		return true
+	})
+	ghat := make([]float64, dim)
+	for _, part := range parts {
+		for k, x := range part {
+			ghat[k] += x
+		}
+	}
+	return ghat
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAggregateBlockedDeterministic: above 2048 workers ĝ is summed per
+// block of 2048 ids, the blocks spread over the calling goroutine and the
+// helpers. Its bits must not depend on how many there are: at GOMAXPROCS 1,
+// 2 and 4, under every kernel path, ĝ equals the written-out blocked sum
+// for FR, CR and HR at n from 5,000 to 50,000, on a decoded set, every id,
+// and a sparse set that leaves whole blocks empty — summed fresh and into a
+// kept dst. At n = 2048 (one block) it is the row-at-a-time sum. The values
+// make the association visible (1e16 absorbs a lone 1), and the test checks
+// that the blocked and the row-at-a-time sums differ somewhere, so a block
+// boundary that moved would show.
+func TestAggregateBlockedDeterministic(t *testing.T) {
+	fr, err := placement.FR(5000, 4, placement.Structural())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := placement.CR(50000, 8, placement.Structural())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := placement.HR(20000, 2, 2, 4000, placement.Structural())
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := placement.CR(2048, 2, placement.Structural())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	pool := []float64{1e16, 1, -1e16, 1, 3, -1, 1e-3, -1e16, 1e16, 0.1}
+	orderMatters := false
+	for _, p := range []*placement.Placement{fr, cr, hr, one} {
+		n := p.N()
+		s := New(p, 3)
+		avail := bitset.New(n)
+		avail.AddRange(16, n)
+		for w := 16; w < n; w += 97 {
+			avail.Remove(w)
+		}
+		all, sparse := bitset.New(n), bitset.New(n)
+		all.AddRange(0, n)
+		for i := 0; i < n; i += 5 {
+			if (i/2048)%3 == 0 {
+				sparse.Add(i)
+			}
+		}
+		sets := map[string]*bitset.Set{"decoded": s.Decode(avail), "all": all, "sparse": sparse}
+		for _, dim := range []int{1, 4, 64, 67} {
+			coded := make([][]float64, n)
+			for i := range coded {
+				coded[i] = make([]float64, dim)
+				for k := range coded[i] {
+					coded[i][k] = pool[(i*3+k*7+i*k)%len(pool)]
+				}
+			}
+			for name, chosen := range sets {
+				want := blockedReference(chosen, coded, n, dim)
+				rows := referenceAggregate(chosen, coded)
+				if n <= 2048 && !sameBits(want, rows) {
+					t.Fatalf("%v dim=%d %s: one block's reference is not the row-at-a-time sum", p, dim, name)
+				}
+				orderMatters = orderMatters || !sameBits(want, rows)
+				kerneltest.EachPath(t, func(path string) {
+					for _, procs := range []int{1, 2, 4} {
+						runtime.GOMAXPROCS(procs)
+						ghat, parts, err := s.Aggregate(chosen, coded)
+						if err != nil {
+							t.Fatalf("%v dim=%d %s %s GOMAXPROCS=%d: %v", p, dim, name, path, procs, err)
+						}
+						if !sameBits(ghat, want) {
+							t.Fatalf("%v dim=%d %s %s GOMAXPROCS=%d: ĝ differs from the blocked sum", p, dim, name, path, procs)
+						}
+						if !parts.Equal(s.Recovered(chosen)) {
+							t.Fatalf("%v dim=%d %s %s GOMAXPROCS=%d: partitions %v", p, dim, name, path, procs, parts)
+						}
+						dst := make([]float64, dim)
+						for k := range dst {
+							dst[k] = math.NaN()
+						}
+						if ghat, _, err := s.AggregateInto(dst, chosen, coded); err != nil || &ghat[0] != &dst[0] || !sameBits(ghat, want) {
+							t.Fatalf("%v dim=%d %s %s GOMAXPROCS=%d: into a kept dst: err = %v, in place %v, bits equal %v", p, dim, name, path, procs, err, err == nil && &ghat[0] == &dst[0], err == nil && sameBits(ghat, want))
+						}
+					}
+				})
+			}
+		}
+	}
+	if !orderMatters {
+		t.Fatal("test values do not distinguish the blocked sum from the row-at-a-time sum")
+	}
+}
+
+// TestAggregateBlockedErrors: a bad row in any block — no row, a row of the
+// wrong length, an id ≥ n — is reported as GOMAXPROCS 1 reports it (the
+// lowest bad id, whichever goroutine summed its block), and a kept dst is
+// left as it was. The scheme's scratch survives the failure: the next good
+// sum has the blocked sum's bits.
+func TestAggregateBlockedErrors(t *testing.T) {
+	const n, dim = 9000, 5 // blocks 0–3 whole, block 4 holds 8192–8999
+	p, err := placement.CR(n, 2, placement.Structural())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	good := func() [][]float64 {
+		coded := make([][]float64, n+6000)
+		for i := range coded {
+			coded[i] = make([]float64, dim)
+			for k := range coded[i] {
+				coded[i][k] = float64((i*k)%11) - 5
+			}
+		}
+		return coded
+	}
+	all := bitset.New(n)
+	all.AddRange(0, n)
+	type tc struct {
+		name   string
+		chosen *bitset.Set
+		coded  [][]float64
+		want   string
+	}
+	var cases []tc
+	for _, x := range []int{0, 100, 2047, 2048, 4500, 8191, 8192, 8999} {
+		coded := good()
+		coded[x] = nil
+		cases = append(cases, tc{"nil row " + strconv.Itoa(x), all, coded, "chosen worker " + strconv.Itoa(x) + " has no coded gradient"})
+	}
+	for _, x := range []int{1, 2048, 4500, 8999} {
+		coded := good()
+		coded[x] = make([]float64, dim+1)
+		cases = append(cases, tc{"long row " + strconv.Itoa(x), all, coded, "worker " + strconv.Itoa(x) + " coded gradient dim 6 ≠ 5"})
+	}
+	coded := good()
+	coded[0] = make([]float64, dim+1)
+	cases = append(cases, tc{"long first row", all, coded, "worker 1 coded gradient dim 5 ≠ 6"})
+	for _, x := range []int{n, n + 5000} {
+		chosen := all.Clone()
+		chosen.Add(x)
+		cases = append(cases, tc{"id " + strconv.Itoa(x), chosen, good(), "chosen worker " + strconv.Itoa(x) + " out of range [0,9000)"})
+	}
+	coded = good()
+	coded[8999], coded[4500] = nil, make([]float64, dim-1)
+	cases = append(cases, tc{"two bad blocks", all, coded, "worker 4500 coded gradient dim 4 ≠ 5"})
+	coded = good()
+	coded[6000] = nil
+	chosen := all.Clone()
+	chosen.Add(n)
+	cases = append(cases, tc{"nil row before an id ≥ n", chosen, coded, "chosen worker 6000 has no coded gradient"})
+
+	for _, c := range cases {
+		var first string
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			dst := make([]float64, dim)
+			for k := range dst {
+				dst[k] = math.NaN()
+			}
+			ghat, parts, err := s.AggregateInto(dst, c.chosen, c.coded)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s GOMAXPROCS=%d: err = %v, want one mentioning %q", c.name, procs, err, c.want)
+			}
+			if procs == 1 {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Fatalf("%s GOMAXPROCS=%d: err = %q, GOMAXPROCS=1 said %q", c.name, procs, err, first)
+			}
+			if ghat != nil || parts != nil {
+				t.Fatalf("%s GOMAXPROCS=%d: got ĝ or parts beside the error", c.name, procs)
+			}
+			for k, x := range dst {
+				if !math.IsNaN(x) {
+					t.Fatalf("%s GOMAXPROCS=%d: dst[%d] = %v, want it untouched", c.name, procs, k, x)
+				}
+			}
+		}
+	}
+	coded = good()
+	want := blockedReference(all, coded, n, dim)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if ghat, _, err := s.Aggregate(all, coded); err != nil || !sameBits(ghat, want) {
+			t.Fatalf("GOMAXPROCS=%d after the errors: ĝ = %v, err = %v, want %v", procs, ghat, err, want)
+		}
+	}
+}
+
 // BenchmarkAggregateFleet is the master's recovery pass after decode at the
 // fleet-churn workload's shape — Aggregate, then the partition list — for
 // the chosen set of a CR(50000, 8) decode on the bound-met mask (the first 16
-// workers away), with 64-value rows sliced from one backing array, under
-// every kernel path (AddTo4's AVX2 body serves the avx512 path too).
+// workers away): 6,250 rows of 64 values sliced from one backing array, 25
+// blocks of sumBlock ids. It runs under every kernel path (AddTo4's AVX2 body
+// serves the avx512 path too), each at GOMAXPROCS 1 (every block on the
+// calling goroutine) and 2 (the caller and one helper claim blocks), so the
+// split shows without the bench harness; both give ĝ the same bits.
 func BenchmarkAggregateFleet(b *testing.B) {
 	const n, dim = 50000, 64
 	p, err := placement.CR(n, 8, placement.Structural())
@@ -250,16 +478,19 @@ func BenchmarkAggregateFleet(b *testing.B) {
 		coded[i][0] = float64(i%7) - 3
 	}
 	kerneltest.EachPath(b, func(path string) {
-		b.Run(path, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, parts, err := s.Aggregate(chosen, coded)
-				if err != nil {
-					b.Fatal(err)
+		for _, procs := range []int{1, 2} {
+			b.Run(path+"/gomaxprocs="+strconv.Itoa(procs), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_, parts, err := s.Aggregate(chosen, coded)
+					if err != nil {
+						b.Fatal(err)
+					}
+					parts.Slice()
 				}
-				parts.Slice()
-			}
-		})
+			})
+		}
 	})
 }
 

@@ -45,6 +45,10 @@ type Scheme struct {
 	// and the proof obligations on accepted repairs).
 	inc      *incrementalState
 	incHooks [2]func() // onRepair, onFallback — survive re-enables
+
+	// sum is the blocked row sum's scratch (see aggregate.go), allocated by
+	// the first Aggregate over more than one block.
+	sum *blockSum
 }
 
 // New returns an IS-GC scheme over the given placement. The seed fixes the

@@ -10,9 +10,11 @@ import (
 
 // ParallelGrad is a long-lived worker pool for sharded gradient and loss
 // kernels. A pool is created once (per engine run, per cluster worker) and
-// reused every step, so the steady state spawns no goroutines and — with
-// the package scratch pool supplying per-shard accumulators — allocates
-// nothing.
+// reused every step, so the steady state spawns no goroutines and
+// allocates nothing: Run's task slots and the per-call shard state of
+// GradInto and Loss (bounds, partial losses, the shard tasks themselves)
+// come from free lists the pool keeps, and the package scratch pool
+// supplies the per-shard gradient accumulators.
 //
 // Sharding splits a batch into contiguous ranges, computes each range's
 // gradient into its own scratch vector, and merges the shards in shard
@@ -29,9 +31,49 @@ import (
 // tasks inline and GradInto/Loss delegate to the plain kernels.
 type ParallelGrad struct {
 	par  int
-	jobs chan func()
-	wg   sync.WaitGroup
+	jobs chan *poolTask
 	once sync.Once
+
+	runs  freeList[runBatch]
+	calls freeList[shardCall]
+}
+
+// poolTask is one task of a Run, as a pool worker receives it.
+type poolTask struct {
+	fn   func()
+	done *sync.WaitGroup
+}
+
+// runBatch is one Run's tasks and the group it waits on. Nested and
+// concurrent Runs each take their own.
+type runBatch struct {
+	wg    sync.WaitGroup
+	tasks []poolTask
+}
+
+// freeList recycles the pool's per-call state. Unlike a sync.Pool it keeps
+// what it is given across garbage collections, so a warm pool allocates
+// nothing at all.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if last := len(l.free) - 1; last >= 0 {
+		x := l.free[last]
+		l.free = l.free[:last]
+		return x
+	}
+	return new(T)
+}
+
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	l.free = append(l.free, x)
+	l.mu.Unlock()
 }
 
 // NewParallelGrad creates a pool with par long-lived workers. par <= 0
@@ -45,11 +87,12 @@ func NewParallelGrad(par int) *ParallelGrad {
 	if par == 1 {
 		return nil
 	}
-	p := &ParallelGrad{par: par, jobs: make(chan func())}
+	p := &ParallelGrad{par: par, jobs: make(chan *poolTask)}
 	for i := 0; i < par; i++ {
 		go func() {
-			for fn := range p.jobs {
-				fn()
+			for t := range p.jobs {
+				t.fn()
+				t.done.Done()
 			}
 		}()
 	}
@@ -85,73 +128,117 @@ func (p *ParallelGrad) Run(fns ...func()) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	for _, fn := range fns {
-		fn := fn
-		wg.Add(1)
-		wrapped := func() {
-			defer wg.Done()
-			fn()
-		}
+	b := p.runs.get()
+	if len(b.tasks) < len(fns) {
+		b.tasks = make([]poolTask, len(fns))
+	}
+	for i, fn := range fns {
+		t := &b.tasks[i]
+		t.fn, t.done = fn, &b.wg
+		b.wg.Add(1)
 		select {
-		case p.jobs <- wrapped:
+		case p.jobs <- t:
 		default:
-			wrapped()
+			fn()
+			b.wg.Done()
 		}
 	}
-	wg.Wait()
+	b.wg.Wait()
+	for i := range fns {
+		b.tasks[i].fn = nil
+	}
+	p.runs.put(b)
 }
 
-// shardRanges splits n items into at most p contiguous ranges of
-// near-equal size, returning the boundary offsets (len = shards+1).
-func shardRanges(n, p int) []int {
+// shardBounds appends to dst the boundary offsets (shards+1 of them) that
+// split n items into at most p contiguous ranges of near-equal size.
+func shardBounds(dst []int, n, p int) []int {
 	if p > n {
 		p = n
 	}
-	bounds := make([]int, p+1)
 	for i := 0; i <= p; i++ {
-		bounds[i] = i * n / p
+		dst = append(dst, i*n/p)
 	}
-	return bounds
+	return dst
+}
+
+// shardCall is the state of one sharded GradInto or Loss: the call's
+// operands, the shard bounds, each shard's result, and one task per shard
+// slot, made the first time the slot is used and reused by every call
+// after.
+type shardCall struct {
+	m      Model
+	params []float64
+	batch  []dataset.Sample
+	bounds []int
+	grads  []*[]float64 // GradInto: shard i's mean gradient; nil for Loss
+	losses []float64    // Loss: shard i's mean loss
+	fns    []func()
+}
+
+// start takes the call's operands and returns the number of shards, with a
+// task and a result slot ready for each.
+func (c *shardCall) start(m Model, params []float64, batch []dataset.Sample, par int) int {
+	c.m, c.params, c.batch = m, params, batch
+	c.bounds = shardBounds(c.bounds[:0], len(batch), par)
+	shards := len(c.bounds) - 1
+	for i := len(c.fns); i < shards; i++ {
+		c.fns = append(c.fns, func() { c.shard(i) })
+	}
+	if len(c.grads) < shards {
+		c.grads = make([]*[]float64, shards)
+		c.losses = make([]float64, shards)
+	}
+	return shards
+}
+
+// shard computes shard i's result: its mean gradient into its scratch
+// vector (uncleared: Model.GradInto overwrites), or its mean loss.
+func (c *shardCall) shard(i int) {
+	part := c.batch[c.bounds[i]:c.bounds[i+1]]
+	if g := c.grads[i]; g != nil {
+		c.m.GradInto(*g, c.params, part)
+	} else {
+		c.losses[i] = c.m.Loss(c.params, part)
+	}
+}
+
+// finish drops the call's operands, so a pooled shardCall keeps no model,
+// parameters or batch alive.
+func (c *shardCall) finish() {
+	c.m, c.params, c.batch = nil, nil, nil
+	clear(c.grads)
 }
 
 // GradInto computes the mean gradient of the batch into dst by sharding
 // the batch across the pool: shard i computes the mean gradient of its
-// range into pooled scratch (uncleared: Model.GradInto overwrites), and the
-// shards are merged in shard order as dst = Σ_i (len_i/len) · g_i.
-// Deterministic for a fixed pool size; see the type comment for the
-// bit-identity caveat. The nil pool delegates to m.GradInto unchanged.
+// range into pooled scratch, and the shards are merged in shard order as
+// dst = Σ_i (len_i/len) · g_i. Deterministic for a fixed pool size; see
+// the type comment for the bit-identity caveat. The nil pool delegates to
+// m.GradInto unchanged.
 func (p *ParallelGrad) GradInto(dst, params []float64, m Model, batch []dataset.Sample) {
 	if p == nil || len(batch) < 2 {
 		m.GradInto(dst, params, batch)
 		return
 	}
-	bounds := shardRanges(len(batch), p.par)
-	shards := len(bounds) - 1
-	if shards == 1 {
-		m.GradInto(dst, params, batch)
-		return
-	}
-	scratch := make([]*[]float64, shards)
-	fns := make([]func(), shards)
+	c := p.calls.get()
+	shards := c.start(m, params, batch, p.par)
 	for i := 0; i < shards; i++ {
-		i := i
-		scratch[i] = getVec(len(dst))
-		fns[i] = func() {
-			m.GradInto(*scratch[i], params, batch[bounds[i]:bounds[i+1]])
-		}
+		c.grads[i] = getVec(len(dst))
 	}
-	p.Run(fns...)
+	p.Run(c.fns[:shards]...)
 	inv := 1 / float64(len(batch))
 	for i := 0; i < shards; i++ {
-		w := float64(bounds[i+1]-bounds[i]) * inv
+		w := float64(c.bounds[i+1]-c.bounds[i]) * inv
 		if i == 0 {
-			linalg.ScaleInto(dst, w, *scratch[i])
+			linalg.ScaleInto(dst, w, *c.grads[i])
 		} else {
-			linalg.AXPY(dst, w, *scratch[i])
+			linalg.AXPY(dst, w, *c.grads[i])
 		}
-		putVec(scratch[i])
+		putVec(c.grads[i])
 	}
+	c.finish()
+	p.calls.put(c)
 }
 
 // Loss computes the mean loss of the batch by sharding it across the
@@ -161,24 +248,15 @@ func (p *ParallelGrad) Loss(params []float64, m Model, batch []dataset.Sample) f
 	if p == nil || len(batch) < 2 {
 		return m.Loss(params, batch)
 	}
-	bounds := shardRanges(len(batch), p.par)
-	shards := len(bounds) - 1
-	if shards == 1 {
-		return m.Loss(params, batch)
-	}
-	partial := make([]float64, shards)
-	fns := make([]func(), shards)
-	for i := 0; i < shards; i++ {
-		i := i
-		fns[i] = func() {
-			partial[i] = m.Loss(params, batch[bounds[i]:bounds[i+1]])
-		}
-	}
-	p.Run(fns...)
+	c := p.calls.get()
+	shards := c.start(m, params, batch, p.par)
+	p.Run(c.fns[:shards]...)
 	sum := 0.0
 	inv := 1 / float64(len(batch))
-	for i, l := range partial {
-		sum += l * float64(bounds[i+1]-bounds[i]) * inv
+	for i, l := range c.losses[:shards] {
+		sum += l * float64(c.bounds[i+1]-c.bounds[i]) * inv
 	}
+	c.finish()
+	p.calls.put(c)
 	return sum
 }

@@ -83,7 +83,7 @@ func TestParallelGradIntoDirtyBuffers(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		params := m.InitParams(3)
 		batch := randomBatch(rng, n, 5, 3)
-		bounds := shardRanges(n, par)
+		bounds := shardBounds(nil, n, par)
 		want := make([]float64, m.Dim())
 		for i := 0; i+1 < len(bounds); i++ {
 			w := float64(bounds[i+1]-bounds[i]) * (1 / float64(n))
@@ -204,4 +204,50 @@ func TestGradIntoAllocationFree(t *testing.T) {
 			check(sh.m, sh.features, sh.classes, 7)
 		}
 	})
+}
+
+// TestParallelPoolAllocationFree: a warm pool's sharded Loss and GradInto
+// and a two-task Run allocate nothing — the master calls pool.Loss every
+// step and every worker calls Run every step. The sharded results keep the
+// bits of the pool's first call.
+func TestParallelPoolAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	p := NewParallelGrad(2)
+	defer p.Close()
+	for _, sh := range kernelShapes {
+		m := sh.m
+		params := m.InitParams(4)
+		batch := randomBatch(rand.New(rand.NewSource(2)), sh.batch, sh.features, sh.classes)
+		wantLoss := p.Loss(params, m, batch)
+		want := make([]float64, m.Dim())
+		p.GradInto(want, params, m, batch)
+		dst := make([]float64, m.Dim())
+		if allocs := testing.AllocsPerRun(20, func() { benchSink = p.Loss(params, m, batch) }); allocs != 0 {
+			t.Errorf("%v batch %d: pool.Loss makes %v allocations per call", m, len(batch), allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { p.GradInto(dst, params, m, batch) }); allocs != 0 {
+			t.Errorf("%v batch %d: pool.GradInto makes %v allocations per call", m, len(batch), allocs)
+		}
+		if l := p.Loss(params, m, batch); math.Float64bits(l) != math.Float64bits(wantLoss) {
+			t.Errorf("%v: loss %v, first call %v", m, l, wantLoss)
+		}
+		for j := range want {
+			if math.Float64bits(dst[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%v: grad[%d] = %v, first call %v", m, j, dst[j], want[j])
+			}
+		}
+	}
+	var a, b [64]float64
+	tasks := []func(){
+		func() { a[0]++ },
+		func() { b[0]++ },
+	}
+	if allocs := testing.AllocsPerRun(20, func() { p.Run(tasks...) }); allocs != 0 {
+		t.Errorf("Run with two tasks makes %v allocations per call", allocs)
+	}
+	if a[0] != 21 || b[0] != 21 {
+		t.Fatalf("tasks ran %v and %v times, want 21 each", a[0], b[0])
+	}
 }
