@@ -121,32 +121,11 @@ func main() {
 		leaseTTL        = flag.Duration("lease-ttl", 5*time.Second, "primary-liveness lease TTL; a standby takes over after the lease is this stale")
 		recordsOut      = flag.String("records-out", "", "write the run's step records and final params as JSON to this path (empty disables)")
 
-		controlplane = flag.Bool("controlplane", false, "run as a multi-job control plane instead of a single-run master (see -fleet-addr, -state-dir; jobs are submitted via the admin /jobs API or isgc-ctl)")
-		fleetAddr    = flag.String("fleet-addr", "127.0.0.1:7100", "control plane: fleet listener address for isgc-worker -fleet agents")
-		stateDir     = flag.String("state-dir", "", "control plane: durable state directory (per-job checkpoints + scheduler state; empty disables)")
-		agentTimeout = flag.Duration("agent-timeout", 0, "control plane: declare a silent fleet agent dead after this (0 = 5s)")
-
 		version = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.Get())
-		return
-	}
-	if *controlplane {
-		err := runControlPlane(cpOptions{
-			fleetAddr:    *fleetAddr,
-			stateDir:     *stateDir,
-			restore:      *restore,
-			agentTimeout: *agentTimeout,
-			metricsAddr:  *metricsAddr,
-			eventsPath:   *eventsPath,
-			logLevel:     *logLevel,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "isgc-master:", err)
-			os.Exit(1)
-		}
 		return
 	}
 	spec := cliconfig.SchemeSpec{Scheme: *scheme, N: *n, C: *c, C1: *c1, G: *g}

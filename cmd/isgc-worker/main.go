@@ -61,21 +61,11 @@ func main() {
 		checkpointDir = flag.String("checkpoint-dir", "", "persist this worker's resumable state under <dir>/worker-<id> on graceful shutdown (empty disables; may be shared with the master's -checkpoint-dir)")
 		restore       = flag.Bool("restore", false, "resume RNG streams and step counter from the checkpoint before registering")
 
-		fleet     = flag.String("fleet", "", "join a control plane's fleet at this address instead of serving one master (the plane pushes assignments; most other flags are then ignored)")
-		agentName = flag.String("agent-name", "", "fleet agent name (default: host-pid)")
-
 		version = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.Get())
-		return
-	}
-	if *fleet != "" {
-		if err := runAgent(*fleet, *agentName, *eventsPath, *logLevel); err != nil {
-			fmt.Fprintln(os.Stderr, "isgc-worker:", err)
-			os.Exit(1)
-		}
 		return
 	}
 	spec := cliconfig.SchemeSpec{Scheme: *scheme, N: *n, C: *c, C1: *c1, G: *g}

@@ -21,7 +21,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -46,12 +45,6 @@ type Config struct {
 	// Timeline backs /debug/timeline with a Chrome trace of the spans
 	// recorded so far; nil serves an empty trace.
 	Timeline *events.Timeline
-	// Extra mounts additional routes (pattern → handler) into the admin
-	// mux — how the control plane exposes /jobs and /fleet without this
-	// package importing it. Extra patterns must not collide with the
-	// built-in routes; a collision panics at Handler time, which is a
-	// configuration bug, not a runtime condition.
-	Extra map[string]http.Handler
 }
 
 // Server is one admin HTTP server.
@@ -111,9 +104,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	for pattern, h := range s.cfg.Extra {
-		mux.Handle(pattern, h)
-	}
 	return mux
 }
 
@@ -173,17 +163,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		"  /debug/events    recent structured events (JSON; ?n=K limits)\n"+
 		"  /debug/timeline  Chrome trace of the run so far (load in ui.perfetto.dev)\n"+
 		"  /debug/pprof/    Go profiling\n")
-	if len(s.cfg.Extra) > 0 {
-		patterns := make([]string, 0, len(s.cfg.Extra))
-		for p := range s.cfg.Extra {
-			patterns = append(patterns, p)
-		}
-		sort.Strings(patterns)
-		fmt.Fprint(w, "extra endpoints:\n")
-		for _, p := range patterns {
-			fmt.Fprintf(w, "  %s\n", p)
-		}
-	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -402,35 +402,6 @@ func ExampleServer() {
 	// example_total 2
 }
 
-// TestExtraRoutes covers Config.Extra: the handlers are mounted into the
-// mux and the index page advertises them.
-func TestExtraRoutes(t *testing.T) {
-	s := New(Config{Extra: map[string]http.Handler{
-		"/jobs": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprint(w, "jobs here")
-		}),
-		"/fleet": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprint(w, "fleet here")
-		}),
-	}})
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/jobs", nil))
-	if rec.Code != http.StatusOK || rec.Body.String() != "jobs here" {
-		t.Fatalf("GET /jobs = %d %q", rec.Code, rec.Body.String())
-	}
-	rec = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	body := rec.Body.String()
-	for _, want := range []string{"extra endpoints:", "/fleet", "/jobs"} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("index page does not list %q:\n%s", want, body)
-		}
-	}
-	if strings.Index(body, "/fleet") > strings.Index(body, "/jobs") {
-		t.Fatal("extra endpoints are not sorted on the index page")
-	}
-}
-
 // TestDebugEventsParamTable is the table-driven contract for ?n=
 // hardening: malformed and negative values return 400 with a JSON error
 // body and content type, valid values limit.

@@ -125,41 +125,6 @@ type MasterConfig struct {
 	// The master renews every TTL/3; a standby takes over when the lease
 	// lapses for a full TTL or is released on graceful exit.
 	LeaseTTL time.Duration
-	// Warm, when non-nil, starts the run from in-memory state instead of
-	// step 0 or a durable checkpoint — the control plane's live
-	// re-placement handoff: a quiesced job's params and next step move
-	// straight into a successor master (possibly with a different
-	// placement) without touching disk. Mutually exclusive with Restore.
-	Warm *WarmState
-	// OnPermanentEviction, when non-nil, is invoked (from a monitor
-	// goroutine, never under the master's lock) once per worker
-	// generation when a dead worker has stayed dead for PermanentAfter —
-	// i.e. it missed every heartbeat for a full liveness timeout and then
-	// failed to rejoin for PermanentAfter more. This is the control
-	// plane's re-placement trigger; a mere hiccup that rejoins in time
-	// never fires it.
-	OnPermanentEviction func(worker, gen int)
-	// PermanentAfter is how long a worker may stay dead (no rejoin)
-	// before OnPermanentEviction fires. Defaults to 2× LivenessTimeout
-	// when the hook is set.
-	PermanentAfter time.Duration
-}
-
-// WarmState is the in-memory resume point a control plane hands a
-// successor master during live re-placement. It is checkpoint-equivalent:
-// a run resumed warm is bit-identical to one resumed from a durable
-// checkpoint holding the same params and step (see the warm-handoff
-// equivalence test).
-type WarmState struct {
-	// Params is the post-update parameter vector the previous master
-	// generation stopped on (copied by NewMaster; the caller keeps
-	// ownership).
-	Params []float64
-	// StartStep is the next step to broadcast.
-	StartStep int
-	// Generation is this master life's generation number (the previous
-	// life's + 1), surfaced in hello acks and /healthz.
-	Generation int
 }
 
 // workerState is the master's per-worker liveness view. gen increments on
@@ -170,14 +135,6 @@ type workerState struct {
 	alive    bool
 	lastSeen time.Time
 	gen      int
-	// deadSince stamps the moment alive flipped false; the permanent-
-	// eviction monitor measures the no-rejoin window from it.
-	deadSince time.Time
-	// permFired latches OnPermanentEviction for this generation, so the
-	// hook fires exactly once per death no matter how often the monitor
-	// ticks. A rejoin installs a fresh workerState (new generation), which
-	// re-arms the hook naturally.
-	permFired bool
 }
 
 // Master orchestrates distributed training over TCP and survives worker
@@ -339,19 +296,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 5 * time.Second
 	}
-	if cfg.Warm != nil && cfg.Restore {
-		return nil, fmt.Errorf("cluster: Warm and Restore are mutually exclusive")
-	}
-	if cfg.Warm != nil && cfg.Warm.StartStep >= cfg.MaxSteps {
-		return nil, fmt.Errorf("cluster: warm start step %d is past MaxSteps %d", cfg.Warm.StartStep, cfg.MaxSteps)
-	}
-	if cfg.OnPermanentEviction != nil && cfg.PermanentAfter <= 0 {
-		if cfg.LivenessTimeout > 0 {
-			cfg.PermanentAfter = 2 * cfg.LivenessTimeout
-		} else {
-			cfg.PermanentAfter = 30 * time.Second
-		}
-	}
 	if err := engine.CheckStaleness(cfg.Strategy, cfg.Staleness, true, cfg.Deadline); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -384,9 +328,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		vecs: vecPool{dim: cfg.Model.Dim(), free: make(chan []float64, 2*n)}}
 	m.lastCkptStep.Store(-1)
 	m.runID = fmt.Sprintf("run-%d", time.Now().UnixNano())
-	if cfg.Warm != nil {
-		m.generation = cfg.Warm.Generation
-	}
 	if cfg.Checkpoint != nil {
 		cfg.Checkpoint.SetSkipHook(func(file string, reason error) {
 			m.cfg.Metrics.markRestoreSkipped()
@@ -510,9 +451,6 @@ func (m *Master) Run() (*engine.Result, error) {
 	if m.cfg.LivenessTimeout > 0 {
 		go m.monitorLiveness()
 	}
-	if m.cfg.OnPermanentEviction != nil {
-		go m.monitorPermanentEvictions()
-	}
 	leaseDone := make(chan struct{})
 	if m.cfg.Checkpoint != nil {
 		go func() {
@@ -626,8 +564,7 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 
 	// Terminal reject before any codec negotiation, so the reply is always
 	// a plain gob message the worker can parse: a done master will never
-	// run another step, and the worker must stop burning its redial budget
-	// (fleet workers return to the control plane's pool on this signal).
+	// run another step, and the worker must stop burning its redial budget.
 	m.mu.Lock()
 	done, masterGen := m.done, m.generation
 	m.mu.Unlock()
@@ -734,7 +671,6 @@ func (m *Master) readFrom(id, gen int, c *conn, readers *sync.WaitGroup) {
 	current := ws != nil && ws.gen == gen
 	if current {
 		ws.alive = false
-		ws.deadSince = time.Now()
 	}
 	step := events.NoStep
 	if m.running {
@@ -827,56 +763,6 @@ func (m *Master) monitorLiveness() {
 	}
 }
 
-// monitorPermanentEvictions watches for workers that died and then failed
-// to rejoin for PermanentAfter — the signal that a worker is gone for good
-// (machine loss) rather than hiccuping (network blip, master failover).
-// Each death fires OnPermanentEviction exactly once per worker generation:
-// the permFired latch sits on the workerState a rejoin replaces, so a
-// reborn worker re-arms the hook while repeated monitor ticks on the same
-// corpse do not re-fire it.
-func (m *Master) monitorPermanentEvictions() {
-	interval := m.cfg.PermanentAfter / 4
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.quit:
-			return
-		case <-t.C:
-			type death struct{ id, gen int }
-			var fired []death
-			now := time.Now()
-			m.mu.Lock()
-			if m.done {
-				m.mu.Unlock()
-				return
-			}
-			step := events.NoStep
-			if m.running {
-				step = m.curStep
-			}
-			for id, ws := range m.workers {
-				if ws != nil && !ws.alive && !ws.permFired && !ws.deadSince.IsZero() &&
-					now.Sub(ws.deadSince) > m.cfg.PermanentAfter {
-					ws.permFired = true
-					fired = append(fired, death{id: id, gen: ws.gen})
-				}
-			}
-			m.mu.Unlock()
-			for _, d := range fired {
-				m.cfg.Metrics.markPermanentEviction()
-				m.cfg.Events.Warn("master.worker_permanently_evicted",
-					"worker stayed dead past the permanent-eviction window", step, d.id,
-					events.Fields{"generation": d.gen, "window": m.cfg.PermanentAfter.String()})
-				m.cfg.OnPermanentEviction(d.id, d.gen)
-			}
-		}
-	}
-}
-
 // awaitFleet blocks until all n workers are registered and alive, or the
 // accept timeout expires.
 func (m *Master) awaitFleet(n int) error {
@@ -935,20 +821,9 @@ type stepSpans struct {
 	bcastStart, bcastEnd, gatherStart, gatherEnd, decodeEnd, updateEnd time.Time
 }
 
-// resume moves core off a cold start when the config asks for it: onto the
-// in-memory state of a live re-placement handoff, or onto the newest
-// durable checkpoint.
+// resume moves core off a cold start onto the newest durable checkpoint
+// when the config asks for it.
 func (m *Master) resume(core *engine.StepCore) error {
-	if w := m.cfg.Warm; w != nil {
-		// Checkpoint-equivalent — same params, same next step — just
-		// without the disk round trip.
-		if len(w.Params) != len(core.Params()) {
-			return fmt.Errorf("cluster: warm params dim %d, model dim %d", len(w.Params), len(core.Params()))
-		}
-		core.Resume(append([]float64(nil), w.Params...), w.StartStep)
-		m.cfg.Events.Info("master.warm_resumed", "resumed from in-memory handoff state", w.StartStep,
-			events.NoWorker, events.Fields{"generation": w.Generation})
-	}
 	cst, info, err := core.Restore()
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)

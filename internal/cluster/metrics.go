@@ -36,10 +36,6 @@ type MasterMetrics struct {
 	// Evictions counts connections the master closed on liveness timeout
 	// or send failure.
 	Evictions *metrics.Counter
-	// PermanentEvictions counts workers that stayed dead past the
-	// permanent-eviction window (the control plane's re-placement
-	// trigger); zero unless MasterConfig.OnPermanentEviction is set.
-	PermanentEvictions *metrics.Counter
 	// Malformed counts gradient envelopes rejected before decoding.
 	Malformed *metrics.Counter
 	// SentBytes counts every byte broadcast to workers.
@@ -95,8 +91,6 @@ func NewMasterMetrics(reg *metrics.Registry) *MasterMetrics {
 			"Mid-run worker re-registrations accepted."),
 		Evictions: reg.NewCounter("isgc_master_evicted_connections_total",
 			"Worker connections closed on liveness timeout or send failure."),
-		PermanentEvictions: reg.NewCounter("isgc_master_permanent_evictions_total",
-			"Workers declared permanently gone after the no-rejoin window."),
 		Malformed: reg.NewCounter("isgc_master_malformed_gradients_total",
 			"Gradient envelopes rejected before decoding."),
 		SentBytes: reg.NewCounter("isgc_master_sent_bytes_total",
@@ -190,12 +184,6 @@ func (mm *MasterMetrics) markRejoin() {
 func (mm *MasterMetrics) markEviction() {
 	if mm != nil {
 		mm.Evictions.Inc()
-	}
-}
-
-func (mm *MasterMetrics) markPermanentEviction() {
-	if mm != nil {
-		mm.PermanentEvictions.Inc()
 	}
 }
 

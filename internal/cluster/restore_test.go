@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -42,12 +43,14 @@ func freshISGC(t *testing.T, n, c int, seed int64) engine.Strategy {
 
 // startFleet launches the full worker fleet against addr and returns its
 // WaitGroup. With a positive reconnect budget the fleet survives master
-// restarts — the failover path the durable tests exercise. Every caller
-// runs a wait-all master, so the fleet must never abandon a step: a master
-// life that ends mid-step interrupts it (the successor re-delivers), which
-// is not an abandonment.
+// restarts — the failover path the durable tests exercise. The workers
+// listed in stalled delay every upload by an hour, so none of their uploads
+// lands within a run and the master's W' leaves them out on every step.
+// Every caller's master waits for all the other workers, so those must
+// never abandon a step: a master life that ends mid-step interrupts it (the
+// successor re-delivers), which is not an abandonment.
 func startFleet(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl model.Model,
-	addr string, reconnect time.Duration, delay straggler.Model) *sync.WaitGroup {
+	addr string, reconnect time.Duration, delay straggler.Model, stalled ...int) *sync.WaitGroup {
 	t.Helper()
 	n := st.N()
 	parts, err := data.Partition(n)
@@ -70,9 +73,13 @@ func startFleet(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl mod
 					return
 				}
 			}
+			d := delay
+			if slices.Contains(stalled, i) {
+				d = fixedDelay{time.Hour}
+			}
 			wk, err := NewWorker(WorkerConfig{
 				Addr: addr, ID: i, Partitions: pids, Loaders: loaders,
-				Model: mdl, Encode: SumEncoder(), Delay: delay, DelaySeed: int64(i) + 1,
+				Model: mdl, Encode: SumEncoder(), Delay: d, DelaySeed: int64(i) + 1,
 				ReconnectTimeout: reconnect,
 			})
 			if err != nil {
@@ -82,7 +89,7 @@ func startFleet(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl mod
 			if _, err := wk.Run(); err != nil {
 				t.Error(err)
 			}
-			if got := wk.Health().Abandoned; got != 0 {
+			if got := wk.Health().Abandoned; got != 0 && !slices.Contains(stalled, i) {
 				t.Errorf("worker %d abandoned %d steps under a wait-all master, want 0", i, got)
 			}
 		}()
@@ -145,100 +152,119 @@ func zeroElapsed(recs []trace.StepRecord) []trace.StepRecord {
 // on the same address — against the same still-running fleet — produces
 // step records and final params bit-identical to an uninterrupted run from
 // the checkpoint boundary on.
+//
+// It runs on two inputs. W = 4 gathers the whole CR(4,2) fleet. W = 2 with
+// workers 2 and 3 stalled makes W' = {0, 1} on every step:
+// its maximum independent sets {0} and {1} recover different partitions,
+// so a successor that does not continue the decoder RNG from the
+// checkpoint's position writes different records. The full gather cannot
+// show that: its two choices, {0, 2} and {1, 3}, recover every partition,
+// and here their sums happen to agree in every bit.
 func TestClusterCheckpointRestoreEquivalence(t *testing.T) {
 	mdl := model.SoftmaxRegression{Features: 6, Classes: 3}
 	data := testData(t)
-	base := func(st engine.Strategy, addr string) MasterConfig {
-		return MasterConfig{
-			Addr: addr, Strategy: st, Model: mdl, Data: data,
-			LearningRate: 0.3, W: 4, MaxSteps: 20, Seed: 42,
-			// Sequential loss eval: the sharded sum is pool-size dependent
-			// in its float bits, and this test compares bits.
-			ComputePar: 1,
-		}
-	}
+	for _, tc := range []struct {
+		name    string
+		w       int
+		stalled []int
+	}{
+		{name: "W=4", w: 4},
+		{name: "W=2,workers-2-3-stalled", w: 2, stalled: []int{2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := func(st engine.Strategy, addr string) MasterConfig {
+				return MasterConfig{
+					Addr: addr, Strategy: st, Model: mdl, Data: data,
+					LearningRate: 0.3, W: tc.w, MaxSteps: 20, Seed: 42,
+					// Sequential loss eval: the sharded sum is pool-size dependent
+					// in its float bits, and this test compares bits.
+					ComputePar: 1,
+				}
+			}
 
-	// Uninterrupted reference run.
-	refMaster, err := NewMaster(base(freshISGC(t, 4, 2, 7), "127.0.0.1:0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refFleet := startFleet(t, refMaster.cfg.Strategy, data, mdl, refMaster.Addr(), 0, nil)
-	ref, err := refMaster.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refFleet.Wait()
+			// Uninterrupted reference run.
+			refMaster, err := NewMaster(base(freshISGC(t, 4, 2, 7), "127.0.0.1:0"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			refFleet := startFleet(t, refMaster.cfg.Strategy, data, mdl, refMaster.Addr(), 0, nil, tc.stalled...)
+			ref, err := refMaster.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			refFleet.Wait()
 
-	// First life: fixed port, checkpoints on, stopped after step 8.
-	addr := freeLoopbackAddr(t)
-	dir := t.TempDir()
-	store1, err := checkpoint.NewStore(dir, checkpoint.DefaultRetain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg1 := base(freshISGC(t, 4, 2, 7), addr)
-	cfg1.Checkpoint = store1
-	cfg1.CheckpointEvery = 5
-	cfg1.LeaseTTL = time.Second
-	m1, err := NewMaster(cfg1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet := startFleet(t, cfg1.Strategy, data, mdl, addr, 30*time.Second, fixedDelay{8 * time.Millisecond})
-	res1Ch := make(chan *engine.Result, 1)
-	go func() {
-		res, err := m1.Run()
-		if err != nil {
-			t.Error(err)
-		}
-		res1Ch <- res
-	}()
-	waitForStep(t, m1, 8)
-	m1.Stop()
-	res1 := <-res1Ch
-	if res1 == nil || !res1.Interrupted {
-		t.Fatalf("first life did not report an interrupted run: %+v", res1)
-	}
-	if res1.Run.Steps() == 0 || res1.Run.Steps() >= 20 {
-		t.Fatalf("first life recorded %d steps; the stop must land mid-run", res1.Run.Steps())
-	}
+			// First life: fixed port, checkpoints on, stopped after step 8.
+			addr := freeLoopbackAddr(t)
+			dir := t.TempDir()
+			store1, err := checkpoint.NewStore(dir, checkpoint.DefaultRetain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg1 := base(freshISGC(t, 4, 2, 7), addr)
+			cfg1.Checkpoint = store1
+			cfg1.CheckpointEvery = 5
+			cfg1.LeaseTTL = time.Second
+			m1, err := NewMaster(cfg1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet := startFleet(t, cfg1.Strategy, data, mdl, addr, 30*time.Second, fixedDelay{8 * time.Millisecond}, tc.stalled...)
+			res1Ch := make(chan *engine.Result, 1)
+			go func() {
+				res, err := m1.Run()
+				if err != nil {
+					t.Error(err)
+				}
+				res1Ch <- res
+			}()
+			waitForStep(t, m1, 8)
+			m1.Stop()
+			res1 := <-res1Ch
+			if res1 == nil || !res1.Interrupted {
+				t.Fatalf("first life did not report an interrupted run: %+v", res1)
+			}
+			if res1.Run.Steps() == 0 || res1.Run.Steps() >= 20 {
+				t.Fatalf("first life recorded %d steps; the stop must land mid-run", res1.Run.Steps())
+			}
 
-	// Second life: a fresh master restores on the same address; the fleet's
-	// reconnect loops find it and the run completes.
-	store2, err := checkpoint.NewStore(dir, checkpoint.DefaultRetain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := base(freshISGC(t, 4, 2, 7), addr)
-	cfg2.Checkpoint = store2
-	cfg2.CheckpointEvery = 5
-	cfg2.Restore = true
-	m2, err := NewMaster(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := m2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet.Wait()
+			// Second life: a fresh master restores on the same address; the fleet's
+			// reconnect loops find it and the run completes.
+			store2, err := checkpoint.NewStore(dir, checkpoint.DefaultRetain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg2 := base(freshISGC(t, 4, 2, 7), addr)
+			cfg2.Checkpoint = store2
+			cfg2.CheckpointEvery = 5
+			cfg2.Restore = true
+			m2, err := NewMaster(cfg2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res2, err := m2.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet.Wait()
 
-	if gen := m2.Health().Generation; gen != 1 {
-		t.Fatalf("restored master generation = %d, want 1", gen)
-	}
-	combined := append(zeroElapsed(res1.Run.Records), zeroElapsed(res2.Run.Records)...)
-	refRecs := zeroElapsed(ref.Run.Records)
-	if len(combined) != len(refRecs) {
-		t.Fatalf("two lives recorded %d steps, reference %d", len(combined), len(refRecs))
-	}
-	for i := range combined {
-		if !reflect.DeepEqual(combined[i], refRecs[i]) {
-			t.Fatalf("record %d diverged across the restart:\n lives %+v\n   ref %+v", i, combined[i], refRecs[i])
-		}
-	}
-	if !reflect.DeepEqual(res2.Params, ref.Params) {
-		t.Fatal("final params are not bit-identical after kill/restore")
+			if gen := m2.Health().Generation; gen != 1 {
+				t.Fatalf("restored master generation = %d, want 1", gen)
+			}
+			combined := append(zeroElapsed(res1.Run.Records), zeroElapsed(res2.Run.Records)...)
+			refRecs := zeroElapsed(ref.Run.Records)
+			if len(combined) != len(refRecs) {
+				t.Fatalf("two lives recorded %d steps, reference %d", len(combined), len(refRecs))
+			}
+			for i := range combined {
+				if !reflect.DeepEqual(combined[i], refRecs[i]) {
+					t.Fatalf("record %d diverged across the restart:\n lives %+v\n   ref %+v", i, combined[i], refRecs[i])
+				}
+			}
+			if !reflect.DeepEqual(res2.Params, ref.Params) {
+				t.Fatal("final params are not bit-identical after kill/restore")
+			}
+		})
 	}
 }
 

@@ -39,9 +39,9 @@ import (
 )
 
 // ErrJobGone is the terminal registration error: the peer answered a hello
-// with MsgJobGone, meaning the job this worker was serving no longer exists
-// anywhere behind that address. Reconnection is pointless — callers must
-// stop redialing and (in fleet mode) return the worker to the pool.
+// with MsgJobGone, meaning the master behind that address has finished the
+// run and will never broadcast another step. Reconnection is pointless —
+// callers must stop redialing.
 var ErrJobGone = errors.New("cluster: job gone")
 
 // Message kinds exchanged between master and workers.
@@ -59,13 +59,12 @@ const (
 	MsgHeartbeat = "heartbeat"
 	// MsgStop tells workers to shut down cleanly.
 	MsgStop = "stop"
-	// MsgJobGone is a terminal registration reject: the master (or a
-	// control-plane tombstone standing in for one) no longer runs the job
-	// this worker belongs to. A worker that receives it stops its
-	// reconnect loop immediately instead of burning the redial budget —
-	// fleet workers return to the control plane's pool. Rides only in gob
-	// messages (the registration phase), like the hello exchange: frames
-	// have no type for it.
+	// MsgJobGone is a terminal registration reject: the master finished
+	// its run (converged, hit MaxSteps, or failed) and will run no further
+	// step. A worker that receives it stops its reconnect loop immediately
+	// instead of burning the redial budget. Rides only in gob messages (the
+	// registration phase), like the hello exchange: frames have no type
+	// for it.
 	MsgJobGone = "job_gone"
 )
 

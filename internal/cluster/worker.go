@@ -137,17 +137,15 @@ type Worker struct {
 	abandoned  atomic.Int64
 	reconnects atomic.Int64
 	connected  atomic.Bool
-	// jobGone latches a MsgJobGone terminal reject of a redial: the job
-	// this worker was serving no longer exists, so reconnection stopped
-	// early. Fleet agents read it via JobGone() to return the worker to the
-	// pool.
+	// jobGone latches a MsgJobGone terminal reject of a redial: the
+	// master this worker was serving has finished its run, so reconnection
+	// stopped early.
 	jobGone atomic.Bool
 }
 
 // JobGone reports whether the worker's run ended on a MsgJobGone terminal
-// reject — the master (or its tombstone) said the job no longer exists.
-// Valid after Run returns; a fleet agent uses it to return to the pool
-// instead of treating the exit as a completed run.
+// reject — a redial reached a master that had already finished the run.
+// Valid after Run returns; it tells that exit apart from one on MsgStop.
 func (w *Worker) JobGone() bool { return w.jobGone.Load() }
 
 // Health returns a point-in-time snapshot for the worker's /healthz
@@ -502,8 +500,8 @@ func (w *Worker) reconnect() bool {
 	backoff := 25 * time.Millisecond
 	for {
 		if w.stopping.Load() {
-			// Stop() arrived mid-backoff: a fleet agent re-assigning this
-			// worker must not wait out the rest of the redial budget.
+			// Stop() arrived mid-backoff: a stopped worker must not wait
+			// out the rest of the redial budget.
 			return false
 		}
 		w.cfg.Metrics.markReconnectAttempt()
@@ -514,12 +512,12 @@ func (w *Worker) reconnect() bool {
 			// connection starts in gob like any other registration.
 			ack, helloErr := clientHello(c, w.cfg.ID, int(w.steps.Load()))
 			if errors.Is(helloErr, ErrJobGone) {
-				// Terminal reject: whoever answers this address says the job
-				// no longer exists. Burning the rest of the redial budget
-				// cannot change that — bow out and report it.
+				// Terminal reject: the master at this address has finished
+				// the run. Burning the rest of the redial budget cannot
+				// change that — bow out and report it.
 				_ = c.close()
 				w.jobGone.Store(true)
-				w.cfg.Events.Info("worker.job_gone", "redial rejected: job no longer exists",
+				w.cfg.Events.Info("worker.job_gone", "redial rejected: the master finished the run",
 					events.NoStep, w.cfg.ID, nil)
 				return false
 			}

@@ -55,7 +55,7 @@ type foldableStep struct {
 }
 
 // NewStepCore starts a run at step 0 on params, which the core owns from
-// here on. Call Restore or Resume before the first step to start later.
+// here on. Call Restore before the first step to start later.
 func NewStepCore(cfg *Config, params []float64) *StepCore {
 	return &StepCore{cfg: cfg, st: cfg.Strategy, n: cfg.Strategy.N(), params: params}
 }
@@ -85,18 +85,12 @@ func CheckStaleness(st Strategy, k int, plainSGD bool, deadline time.Duration) e
 func (c *StepCore) Params() []float64 { return c.params }
 
 // StartStep is the first step this life runs: 0 on a cold start, the
-// resume point after Restore or Resume, MaxSteps when a Completed
-// checkpoint already answers the run.
+// resume point after Restore, MaxSteps when a Completed checkpoint already
+// answers the run.
 func (c *StepCore) StartStep() int { return c.start }
 
 // NextStep is the step a checkpoint taken now resumes at.
 func (c *StepCore) NextStep() int { return c.start + c.res.Run.Steps() }
-
-// Resume starts the run at step on params instead of at step 0 — the
-// in-memory equivalent of Restore.
-func (c *StepCore) Resume(params []float64, step int) {
-	c.params, c.start = params, step
-}
 
 // Restore resumes from the newest valid snapshot of cfg.Checkpoint when
 // cfg.Restore asks for it. It returns nil state on a cold start (restore
@@ -125,7 +119,7 @@ func (c *StepCore) Restore() (*checkpoint.State, checkpoint.Info, error) {
 		return nil, info, fmt.Errorf("checkpoint %s holds %d parameter bytes and %d velocity bytes, the model has %d parameters (%d bytes)",
 			info.File, len(cst.Params), len(cst.Velocity), len(c.params), want)
 	}
-	c.Resume(checkpoint.BytesToFloat64s(cst.Params), cst.Step)
+	c.params, c.start = checkpoint.BytesToFloat64s(cst.Params), cst.Step
 	if len(cst.Velocity) > 0 {
 		c.velocity = checkpoint.BytesToFloat64s(cst.Velocity)
 	}
