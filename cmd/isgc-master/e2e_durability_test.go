@@ -263,12 +263,19 @@ func TestE2EKillAndRestore(t *testing.T) {
 // SIGTERM'd worker persists its resumable state and exits 0; a SIGTERM'd
 // master writes a final non-Completed checkpoint, reports the run as
 // resumable, and exits 0; the orphaned workers drain their reconnect budget
-// and also exit 0.
+// and also exit 0. A master lingering on -metrics-linger after a finished
+// run also exits 0 on SIGTERM, at once.
 func TestE2EGracefulSignals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping binary e2e in -short mode")
 	}
 	masterBin, workerBin := buildClusterBinaries(t)
+	t.Run("mid-run", func(t *testing.T) { signalMidRun(t, masterBin, workerBin) })
+	t.Run("metrics-linger", func(t *testing.T) { signalDuringLinger(t, masterBin, workerBin) })
+}
+
+// signalMidRun SIGTERMs a worker and then the master of a running job.
+func signalMidRun(t *testing.T, masterBin, workerBin string) {
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
 
 	addr := e2etest.FreeAddr(t)
@@ -381,5 +388,48 @@ func TestE2EGracefulSignals(t *testing.T) {
 		case <-time.After(60 * time.Second):
 			t.Fatal("orphaned workers did not exit after the reconnect budget")
 		}
+	}
+}
+
+// signalDuringLinger SIGTERMs a master that finished its run and lingers on
+// -metrics-linger 60s: the signal ends the linger, so the process exits 0
+// within seconds instead of running the minute out.
+func signalDuringLinger(t *testing.T, masterBin, workerBin string) {
+	master, addrs := e2etest.StartListening(t, 2,
+		func(addrs []string) *exec.Cmd {
+			return exec.Command(masterBin,
+				"-addr", addrs[0], "-n", "4", "-c", "2", "-scheme", "cr", "-w", "0",
+				"-steps", "5", "-threshold", "0", "-seed", "42",
+				"-metrics-addr", addrs[1], "-metrics-linger", "60s")
+		},
+		func(c *e2etest.Child, _ []string) bool { return strings.Contains(c.Out.String(), "master: ") })
+	workerOuts := make([]*e2etest.Output, 4)
+	for i := range workerOuts {
+		workerOuts[i] = &e2etest.Output{}
+	}
+	workers, _ := startWorkerProcs(t, workerBin, 4, workerOuts, func(int) []string {
+		return []string{"-addr", addrs[0]}
+	})
+	defer func() {
+		for _, w := range workers {
+			_ = w.Process.Kill()
+		}
+	}()
+	master.Poll(t, 60*time.Second, "master never reached its linger", func() bool {
+		return strings.Contains(master.Out.String(), "metrics: lingering")
+	})
+	if err := master.Cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	const within = 5 * time.Second
+	deadline := time.Now().Add(within)
+	for !master.Exited() {
+		if time.Now().After(deadline) {
+			t.Fatalf("a lingering master was still running %v after SIGTERM\n%s", within, master.Out)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if code := master.Cmd.ProcessState.ExitCode(); code != 0 {
+		t.Fatalf("a lingering master SIGTERM'd after its run exited %d, want 0\n%s", code, master.Out)
 	}
 }

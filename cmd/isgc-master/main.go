@@ -108,7 +108,7 @@ func main() {
 		stepTimeout = flag.Duration("step-timeout", 0, "bound one step's gather even with live workers (0 disables)")
 
 		metricsAddr   = flag.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof on this address (empty disables)")
-		metricsLinger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after training ends")
+		metricsLinger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after training ends (SIGINT/SIGTERM end it early)")
 
 		eventsPath   = flag.String("events", "", "write a JSONL structured event log to this path (\"-\" = stderr)")
 		logLevel     = flag.String("log-level", "info", "minimum event level: debug, info, warn, or error")
@@ -297,8 +297,13 @@ func run(opts options) error {
 		}
 		defer func() {
 			if opts.metricsLinger > 0 {
+				// SIGINT/SIGTERM end the linger early: signal.Notify still
+				// holds both, so they would otherwise do nothing.
 				fmt.Fprintf(out, "metrics: lingering %v on %s\n", opts.metricsLinger, adm.URL())
-				time.Sleep(opts.metricsLinger)
+				select {
+				case <-time.After(opts.metricsLinger):
+				case <-stopCh:
+				}
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()

@@ -49,6 +49,7 @@ func TestEnvelopeSpliceByteIdentical(t *testing.T) {
 		{"state-1Ki", stateWithParams(1 << 10), &State{}},
 		{"state-128Ki", stateWithParams(1 << 17), &State{}},
 		{"worker-state", &WorkerState{Version: 1, ID: 3, Steps: 99, DelaySeed: -4, DelayDraws: 1 << 40}, &WorkerState{}},
+		{"worker-state-drop", &WorkerState{Version: 1, ID: 3, Steps: 99, FaultedThrough: 98, FaultedAction: 1}, &WorkerState{}},
 		{"escapes", &texty{S: "<b>&amp;</b> \u2028\u2029 \"q\" \\ \x00 é", M: map[string]string{"<k>": "&"}}, &texty{}},
 		{"null", nil, new(any)},
 	} {

@@ -71,6 +71,11 @@ type WorkerState struct {
 	FaultSeed      int64  `json:"fault_seed"`
 	FaultDraws     uint64 `json:"fault_draws"`
 	FaultedThrough int    `json:"faulted_through"`
+	// FaultedAction is the straggler.FaultAction drawn for step
+	// FaultedThrough, so a restored worker still drops a re-delivery of a
+	// step it drew a drop for. A file written before the field existed
+	// reads as 0, no fault.
+	FaultedAction int `json:"faulted_action,omitempty"`
 }
 
 // Float64sToBytes encodes xs as little-endian IEEE-754 bits. Used for

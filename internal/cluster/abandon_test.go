@@ -132,8 +132,8 @@ func TestMailboxCyclesParamsBuffers(t *testing.T) {
 
 // --- fake master -------------------------------------------------------------
 
-// fakeMaster is a scripted master: it completes the hello exchange choosing
-// binaryv1 with a staleness window in the ack, then hands each registered
+// fakeMaster is a scripted master: it completes the hello exchange with a
+// staleness window in the ack, then hands each registered
 // connection to the test, which decides exactly which steps arrive when.
 type fakeMaster struct {
 	ln        net.Listener
@@ -168,11 +168,10 @@ func newFakeMaster(t *testing.T, staleness int) *fakeMaster {
 				raw.Close()
 				continue
 			}
-			if c.c.send(&Envelope{Kind: MsgHello, Wire: WireBinary, Staleness: f.staleness}) != nil {
+			if c.c.send(&Envelope{Kind: MsgHello, Step: f.staleness}) != nil {
 				raw.Close()
 				continue
 			}
-			c.c.upgrade()
 			f.conns <- c
 		}
 	}()
@@ -788,9 +787,9 @@ func TestSlowWorkerDoesNotBlockBroadcast(t *testing.T) {
 	}
 }
 
-// TestHelloAckCarriesStaleness: the master tells every upgrading worker its
-// fold window in the hello ack (0 in sync mode), which is what lets a worker
-// keep a step the master can still fold.
+// TestHelloAckCarriesStaleness: the master tells every registering worker
+// its fold window in the hello ack (0 in sync mode), which is what lets a
+// worker keep a step the master can still fold.
 func TestHelloAckCarriesStaleness(t *testing.T) {
 	for _, k := range []int{0, 2} {
 		st, err := engine.NewISSGD(2)
@@ -814,12 +813,12 @@ func TestHelloAckCarriesStaleness(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := newConn(raw, 0, nil)
-		ack, err := clientHello(c, 0, 0)
+		staleness, err := clientHello(c, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ack.Staleness != k {
-			t.Errorf("hello ack carries staleness %d, master runs with %d", ack.Staleness, k)
+		if staleness != k {
+			t.Errorf("hello ack carries staleness %d, master runs with %d", staleness, k)
 		}
 		c.close()
 		<-done

@@ -1,6 +1,6 @@
 // The binary wire codec: a versioned, length-prefixed frame format, the one
-// codec every registered connection speaks after the hello. gob, which the
-// hello still uses, re-transmits type metadata, boxes every float64, and
+// codec every connection speaks, the hello exchange included. A
+// self-describing codec re-transmits type metadata, boxes every float64, and
 // allocates per message; at 2^16-dim gradients that overhead would dominate
 // the master's gather (the paper's per-iteration completion time, Fig. 12).
 // A frame here is a fixed 36-byte little-endian header followed by raw
@@ -23,10 +23,12 @@
 //	offset size field
 //	0      4    magic "ISGC"
 //	4      1    version (currently 1)
-//	5      1    message type (1 hello, 2 step, 3 gradient, 4 heartbeat, 5 stop)
+//	5      1    message type (1 hello, 2 step, 3 gradient, 4 heartbeat,
+//	            5 stop, 6 job gone): the MsgKind value
 //	6      2    reserved (must be zero in v1)
 //	8      4    worker id
-//	12     4    step
+//	12     4    step (a worker's hello: its last completed step; the
+//	            master's hello ack: the staleness window k)
 //	16     8    compute start (unix nanoseconds)
 //	24     8    compute duration (nanoseconds)
 //	32     4    dim — payload length in float64 words (the length prefix)
@@ -35,10 +37,8 @@
 // The encoding is canonical: for every envelope a frame can carry there is
 // exactly one valid byte representation, and DecodeFrame rejects anything
 // else (bad magic, version skew, nonzero reserved bytes, payload on a
-// payload-free kind, truncated or trailing bytes). The negotiation that
-// selects this codec per connection rides in the gob hello exchange — see
-// wire.go — so frames never appear on a connection whose peer did not opt
-// in.
+// payload-free kind, truncated or trailing bytes). The hello is a frame too,
+// so a connection opened in any other encoding fails at its first header.
 package cluster
 
 import (
@@ -57,9 +57,8 @@ const (
 	frameMagic3 = 'C'
 
 	// frameVersion is the current binary wire version. A decoder only
-	// accepts frames of the exact version it speaks: version skew is a
-	// negotiation bug, and silently misparsing a future layout would be
-	// far worse than an eviction.
+	// accepts frames of the exact version it speaks: silently misparsing
+	// another layout would be far worse than a refused connection.
 	frameVersion = 1
 
 	frameHeaderSize = 36
@@ -69,51 +68,6 @@ const (
 	// safe on every platform.
 	maxFrameID = math.MaxInt32
 )
-
-// Binary message type codes (header byte 5).
-const (
-	frameTypeHello     = 1
-	frameTypeStep      = 2
-	frameTypeGradient  = 3
-	frameTypeHeartbeat = 4
-	frameTypeStop      = 5
-)
-
-// frameTypeOf maps an envelope kind to its wire code (0 = unencodable).
-func frameTypeOf(kind string) byte {
-	switch kind {
-	case MsgHello:
-		return frameTypeHello
-	case MsgStep:
-		return frameTypeStep
-	case MsgGradient:
-		return frameTypeGradient
-	case MsgHeartbeat:
-		return frameTypeHeartbeat
-	case MsgStop:
-		return frameTypeStop
-	default:
-		return 0
-	}
-}
-
-// frameKindOf maps a wire code back to the envelope kind ("" = unknown).
-func frameKindOf(t byte) string {
-	switch t {
-	case frameTypeHello:
-		return MsgHello
-	case frameTypeStep:
-		return MsgStep
-	case frameTypeGradient:
-		return MsgGradient
-	case frameTypeHeartbeat:
-		return MsgHeartbeat
-	case frameTypeStop:
-		return MsgStop
-	default:
-		return ""
-	}
-}
 
 // framePayload returns the vector a frame of this kind carries. Only the
 // hot-path kinds carry one; every other kind must have dim == 0.
@@ -164,10 +118,9 @@ func getU64(b []byte) uint64 {
 	return uint64(getU32(b)) | uint64(getU32(b[4:]))<<32
 }
 
-// AppendFrame appends the canonical binaryv1 encoding of e to dst and
+// AppendFrame appends the canonical version-1 encoding of e to dst and
 // returns the extended slice. It refuses envelopes the frame format cannot
-// represent faithfully: invalid envelopes, negotiation fields (Wire rides
-// only in the gob hello exchange), out-of-range ids, and payloads on
+// represent faithfully: invalid envelopes, out-of-range ids, and payloads on
 // payload-free kinds.
 func AppendFrame(dst []byte, e *Envelope) ([]byte, error) {
 	return appendFrame(dst, e, true)
@@ -178,16 +131,6 @@ func AppendFrame(dst []byte, e *Envelope) ([]byte, error) {
 func appendFrame(dst []byte, e *Envelope, body bool) ([]byte, error) {
 	if err := validateEnvelope(e); err != nil {
 		return nil, err
-	}
-	if e.Wire != "" {
-		return nil, fmt.Errorf("cluster: %s frame cannot carry wire negotiation %q", e.Kind, e.Wire)
-	}
-	if e.Staleness != 0 {
-		return nil, fmt.Errorf("cluster: %s frame cannot carry staleness negotiation", e.Kind)
-	}
-	t := frameTypeOf(e.Kind)
-	if t == 0 {
-		return nil, fmt.Errorf("cluster: no binary frame type for kind %q", e.Kind)
 	}
 	if e.Worker > maxFrameID {
 		return nil, fmt.Errorf("cluster: worker id %d exceeds frame limit", e.Worker)
@@ -214,7 +157,7 @@ func appendFrame(dst []byte, e *Envelope, body bool) ([]byte, error) {
 	h := dst[off:]
 	h[0], h[1], h[2], h[3] = frameMagic0, frameMagic1, frameMagic2, frameMagic3
 	h[4] = frameVersion
-	h[5] = t
+	h[5] = byte(e.Kind)
 	h[6], h[7] = 0, 0
 	putU32(h[8:], uint32(e.Worker))
 	putU32(h[12:], uint32(e.Step))
@@ -234,16 +177,15 @@ func encodePayload(p []byte, vec []float64) {
 	}
 }
 
-// EncodeFrame renders one envelope as a standalone binary frame — the
-// binary counterpart of EncodeMessage, used by tests, fuzz seeds, and the
-// golden vectors.
+// EncodeFrame renders one envelope as a standalone binary frame, as used by
+// tests, fuzz seeds, and the golden vectors.
 func EncodeFrame(e *Envelope) ([]byte, error) {
 	return AppendFrame(nil, e)
 }
 
 // frameHeader is the parsed fixed header of one binary frame.
 type frameHeader struct {
-	kind         string
+	kind         MsgKind
 	worker, step int
 	computeStart int64
 	computeDur   int64
@@ -264,8 +206,8 @@ func parseFrameHeader(h []byte) (frameHeader, error) {
 	if h[4] != frameVersion {
 		return fh, fmt.Errorf("cluster: unsupported frame version %d (speak %d)", h[4], frameVersion)
 	}
-	fh.kind = frameKindOf(h[5])
-	if fh.kind == "" {
+	fh.kind = MsgKind(h[5])
+	if !fh.kind.known() {
 		return fh, fmt.Errorf("cluster: unknown frame type %d", h[5])
 	}
 	if h[6] != 0 || h[7] != 0 {
@@ -316,8 +258,8 @@ func frameEnvelope(fh frameHeader, vec []float64) (*Envelope, error) {
 
 // DecodeFrame decodes exactly one standalone binary frame. Truncated
 // headers, short or trailing payload bytes, bad magic, version skew, and
-// over-limit dims all error; nothing panics. It is the binary counterpart
-// of DecodeMessage and the target of FuzzDecodeFrame.
+// over-limit dims all error; nothing panics. It is the target of
+// FuzzDecodeFrame.
 func DecodeFrame(data []byte) (*Envelope, error) {
 	fh, err := parseFrameHeader(data)
 	if err != nil {
@@ -382,12 +324,16 @@ func (fc *frameCache) frame() (hdr []byte, vec []float64, err error) {
 // reset empties the cache for envelope e.
 func (fc *frameCache) reset(e *Envelope) { fc.e, fc.built = e, false }
 
-// payloadSink is a binary connection's one destination hook: recvFrame asks
+// payloadSink is a connection's one destination hook: recv asks
 // it where a frame's payload goes before reading it, and reads the socket
 // into the fh.dim-long vector it returns; nil declines, and the payload is
 // discarded unread. A read that fails mid-payload ends the connection, and
 // what was reserved dies with the registration (a lone vector: the GC's).
 type payloadSink func(fh frameHeader) []float64
+
+// declinePayload is the sink of a connection in its hello exchange, where no
+// message carries a payload: a frame that does is drained unread.
+func declinePayload(frameHeader) []float64 { return nil }
 
 // vecPool is a bounded free list of dim-long vectors, a payloadSink's stock:
 // a vector comes back once nothing reads or writes it; what does not fit, or
@@ -417,11 +363,11 @@ func (p *vecPool) put(v []float64) {
 	}
 }
 
-// recvFrame reads one binary frame: the header into a per-connection array,
-// then the payload straight into the vector the sink reserves for it (a
-// fresh one without a sink). A frame the sink declines surfaces without its
-// payload, marked declined.
-func (c *conn) recvFrame() (*Envelope, error) {
+// recv reads one frame: the header into a per-connection array, then the
+// payload straight into the vector the sink reserves for it (a fresh one
+// without a sink). A frame the sink declines surfaces without its payload,
+// marked declined.
+func (c *conn) recv() (*Envelope, error) {
 	if _, err := io.ReadFull(c.r, c.hdrScratch[:]); err != nil {
 		return nil, fmt.Errorf("cluster: recv frame header: %w", err)
 	}

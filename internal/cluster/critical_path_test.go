@@ -123,7 +123,7 @@ func (s *sinkConn) SetWriteDeadline(time.Time) error { return nil }
 func (s *sinkConn) Close() error                     { return nil }
 
 // TestBroadcastEncodesOncePerFlavour drives Master.broadcast over four
-// binaryv1 connections. Every connection must receive exactly the bytes the
+// frame connections. Every connection must receive exactly the bytes the
 // reference encoder produces for the envelope; the header is built once per
 // broadcast, not once per worker (the payload is never encoded at all); and a
 // steady-state broadcast allocates nothing.
@@ -140,7 +140,6 @@ func TestBroadcastEncodesOncePerFlavour(t *testing.T) {
 	for i := range sinks {
 		sinks[i] = &sinkConn{}
 		c := newConn(sinks[i], defaultWriteTimeout, nil)
-		c.upgrade()
 		m.workers[i] = &workerState{c: c, alive: true}
 	}
 

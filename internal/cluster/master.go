@@ -544,58 +544,48 @@ func (m *Master) acceptLoop(readers *sync.WaitGroup) {
 	}
 }
 
-// handshake validates a MsgHello and registers (or re-registers) the
-// worker. Invalid or duplicate registrations, and hellos that propose no
-// frame codec, close the connection but keep the cluster running — a
-// reborn worker must not be able to kill the master, and neither must a
-// stranger.
+// handshake validates the connection's first frame, a hello, and registers
+// (or re-registers) the worker. Anything else — bytes that are not a
+// version-1 frame, another kind, an out-of-range or duplicate id — closes the
+// connection without a reply but keeps the cluster running: a reborn worker
+// must not be able to kill the master, and neither must a stranger.
 func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 	n := m.cfg.Strategy.N()
 	c := newConn(raw, m.cfg.WriteTimeout, m.cfg.Metrics.sentCounter())
+	c.sink = declinePayload
 	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
 	hello, err := c.recv()
-	if err != nil || hello.Kind != MsgHello || hello.Worker < 0 || hello.Worker >= n ||
-		(hello.Wire != WireBinary && hello.Wire != wireBinaryLegacy) {
+	if err != nil || hello.Kind != MsgHello || hello.Worker >= n {
 		_ = c.close()
 		return
 	}
 	_ = raw.SetReadDeadline(time.Time{})
 	id := hello.Worker
 
-	// Terminal reject before any codec negotiation, so the reply is always
-	// a plain gob message the worker can parse: a done master will never
-	// run another step, and the worker must stop burning its redial budget.
+	// A done master will never run another step: the job-gone reply stops
+	// the worker burning its redial budget.
 	m.mu.Lock()
-	done, masterGen := m.done, m.generation
+	done := m.done
 	m.mu.Unlock()
 	if done {
-		_ = c.send(&Envelope{Kind: MsgJobGone})
-		_ = c.close()
+		refuseJobGone(c)
 		return
 	}
 
-	// Codec negotiation, completed before the connection becomes visible
-	// to broadcasts and readers so no message can straddle the switch: the
-	// gob hello ack names binaryv1, whichever codec the worker proposed.
-	// The ack carries the master's run generation so a resuming worker
-	// learns it is talking to a restored (or failed-over) master, and the
+	// The ack goes out before the connection becomes visible to broadcasts
+	// and readers, so it is the first frame the worker reads. It carries the
 	// staleness window so the worker knows how long a step stays usable.
-	ack := &Envelope{Kind: MsgHello, Worker: id, Wire: WireBinary, Gen: masterGen, Staleness: m.cfg.Staleness}
-	if err := c.send(ack); err != nil {
+	if err := c.send(&Envelope{Kind: MsgHello, Worker: id, Step: m.cfg.Staleness}); err != nil {
 		_ = c.close()
 		return
 	}
 	c.sink = m.gradientSink(id)
-	c.upgrade()
-	m.cfg.Metrics.markWire(WireBinary)
 
 	m.mu.Lock()
 	if m.done {
-		// The master finished during the exchange and the connection speaks
-		// frames now, which have no job-gone type: close it. The worker's
-		// redial meets the pre-negotiation reject above.
+		// The master finished during the exchange.
 		m.mu.Unlock()
-		_ = c.close()
+		refuseJobGone(c)
 		return
 	}
 	prev := m.workers[id]
@@ -626,10 +616,9 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 
 	if gen > 0 {
 		m.cfg.Events.Info("master.worker_rejoined", "worker re-registered mid-run", step, id,
-			events.Fields{"generation": gen, "wire": WireBinary})
+			events.Fields{"generation": gen})
 	} else {
-		m.cfg.Events.Info("master.worker_registered", "worker registered", step, id,
-			events.Fields{"wire": WireBinary})
+		m.cfg.Events.Info("master.worker_registered", "worker registered", step, id, nil)
 	}
 
 	m.pokeLiveness()
@@ -642,6 +631,13 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 	}
 	readers.Add(1)
 	go m.readFrom(id, gen, c, readers)
+}
+
+// refuseJobGone answers a hello to a finished master with MsgJobGone and
+// closes the connection.
+func refuseJobGone(c *conn) {
+	_ = c.send(&Envelope{Kind: MsgJobGone})
+	_ = c.close()
 }
 
 // readFrom pumps one worker connection: heartbeats refresh lastSeen,

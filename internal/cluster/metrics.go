@@ -45,9 +45,6 @@ type MasterMetrics struct {
 	AcceptedGradients *metrics.CounterVec
 	// WorkerAlive is 1/0 per worker id.
 	WorkerAlive *metrics.GaugeVec
-	// WireConnections counts accepted registrations per negotiated wire
-	// codec.
-	WireConnections *metrics.CounterVec
 	// DecodeCacheHits and DecodeCacheMisses count availability-mask LRU
 	// outcomes (zero unless MasterConfig.DecodeCache is enabled).
 	DecodeCacheHits   *metrics.Counter
@@ -99,8 +96,6 @@ func NewMasterMetrics(reg *metrics.Registry) *MasterMetrics {
 			"Gradients gathered before the per-step cut-off, per worker.", "worker"),
 		WorkerAlive: reg.NewGaugeVec("isgc_master_worker_alive",
 			"Per-worker liveness (1 = alive).", "worker"),
-		WireConnections: reg.NewCounterVec("isgc_master_wire_connections_total",
-			"Accepted registrations per negotiated wire codec.", "codec"),
 		DecodeRepairs: reg.NewCounter("isgc_master_decode_repairs_total",
 			"Decode results served by incrementally repairing the previous chosen set."),
 		DecodeFallbacks: reg.NewCounter("isgc_master_decode_fallbacks_total",
@@ -199,12 +194,6 @@ func (mm *MasterMetrics) markMalformed() {
 	}
 }
 
-func (mm *MasterMetrics) markWire(codec string) {
-	if mm != nil {
-		mm.WireConnections.With(codec).Inc()
-	}
-}
-
 func (mm *MasterMetrics) markAccepted(worker int) {
 	if mm != nil {
 		mm.AcceptedGradients.With(strconv.Itoa(worker)).Inc()
@@ -254,9 +243,6 @@ type WorkerMetrics struct {
 	DroppedUploads *metrics.Counter
 	// Connected is 1 while the worker holds a registered connection.
 	Connected *metrics.Gauge
-	// WireConnections counts completed registrations per negotiated
-	// codec (a reconnecting worker renegotiates, so rejoins count too).
-	WireConnections *metrics.CounterVec
 	// ComputeShards is the size of the worker's gradient compute pool.
 	ComputeShards *metrics.Gauge
 	// SubFrames is never set and reads zero: every upload is one whole
@@ -308,8 +294,6 @@ func NewWorkerMetrics(reg *metrics.Registry) *WorkerMetrics {
 			"Uploads lost to injected drop faults."),
 		Connected: reg.NewGauge("isgc_worker_connected",
 			"1 while registered with the master."),
-		WireConnections: reg.NewCounterVec("isgc_worker_wire_connections_total",
-			"Completed registrations per negotiated wire codec.", "codec"),
 		ComputeShards: reg.NewGauge("isgc_worker_compute_shards",
 			"Size of the worker's gradient compute pool."),
 	}
@@ -318,12 +302,6 @@ func NewWorkerMetrics(reg *metrics.Registry) *WorkerMetrics {
 func (wm *WorkerMetrics) setComputeShards(par int) {
 	if wm != nil {
 		wm.ComputeShards.Set(float64(par))
-	}
-}
-
-func (wm *WorkerMetrics) markWire(codec string) {
-	if wm != nil {
-		wm.WireConnections.With(codec).Inc()
 	}
 }
 

@@ -44,13 +44,12 @@ func freshISGC(t *testing.T, n, c int, seed int64) engine.Strategy {
 // startFleet launches the full worker fleet against addr and returns its
 // WaitGroup. With a positive reconnect budget the fleet survives master
 // restarts — the failover path the durable tests exercise. The workers
-// listed in stalled delay every upload by an hour, so none of their uploads
-// lands within a run and the master's W' leaves them out on every step.
-// Every caller's master waits for all the other workers, so those must
+// shape names lose every upload, so the master's W' leaves them out on every
+// step. Every caller's master waits for all the other workers, so those must
 // never abandon a step: a master life that ends mid-step interrupts it (the
 // successor re-delivers), which is not an abandonment.
 func startFleet(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl model.Model,
-	addr string, reconnect time.Duration, delay straggler.Model, stalled ...int) *sync.WaitGroup {
+	addr string, reconnect time.Duration, delay straggler.Model, shape fleetShape) *sync.WaitGroup {
 	t.Helper()
 	n := st.N()
 	parts, err := data.Partition(n)
@@ -73,15 +72,18 @@ func startFleet(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl mod
 					return
 				}
 			}
-			d := delay
-			if slices.Contains(stalled, i) {
-				d = fixedDelay{time.Hour}
-			}
-			wk, err := NewWorker(WorkerConfig{
+			cfg := WorkerConfig{
 				Addr: addr, ID: i, Partitions: pids, Loaders: loaders,
-				Model: mdl, Encode: SumEncoder(), Delay: d, DelaySeed: int64(i) + 1,
+				Model: mdl, Encode: SumEncoder(), Delay: delay, DelaySeed: int64(i) + 1,
 				ReconnectTimeout: reconnect,
-			})
+			}
+			if slices.Contains(shape.stalled, i) {
+				cfg.Delay = fixedDelay{time.Hour}
+			}
+			if slices.Contains(shape.dropped, i) {
+				cfg.Fault, cfg.FaultSeed = straggler.DropWithProb{P: 1}, int64(i)+1
+			}
+			wk, err := NewWorker(cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -89,12 +91,21 @@ func startFleet(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl mod
 			if _, err := wk.Run(); err != nil {
 				t.Error(err)
 			}
-			if got := wk.Health().Abandoned; got != 0 && !slices.Contains(stalled, i) {
+			if got := wk.Health().Abandoned; got != 0 && !shape.misbehaves(i) {
 				t.Errorf("worker %d abandoned %d steps under a wait-all master, want 0", i, got)
 			}
 		}()
 	}
 	return &wg
+}
+
+// fleetShape names the workers of a startFleet fleet whose uploads never
+// count: stalled ones delay every upload by an hour, so none lands within a
+// run; dropped ones draw straggler.DropWithProb{P: 1} and never send.
+type fleetShape struct{ stalled, dropped []int }
+
+func (s fleetShape) misbehaves(i int) bool {
+	return slices.Contains(s.stalled, i) || slices.Contains(s.dropped, i)
 }
 
 // fixedDelay pins every upload behind a constant pause, giving the
@@ -153,23 +164,27 @@ func zeroElapsed(recs []trace.StepRecord) []trace.StepRecord {
 // step records and final params bit-identical to an uninterrupted run from
 // the checkpoint boundary on.
 //
-// It runs on two inputs. W = 4 gathers the whole CR(4,2) fleet. W = 2 with
+// It runs on three inputs. W = 4 gathers the whole CR(4,2) fleet. W = 2 with
 // workers 2 and 3 stalled makes W' = {0, 1} on every step:
 // its maximum independent sets {0} and {1} recover different partitions,
 // so a successor that does not continue the decoder RNG from the
 // checkpoint's position writes different records. The full gather cannot
 // show that: its two choices, {0, 2} and {1, 3}, recover every partition,
-// and here their sums happen to agree in every bit.
+// and here their sums happen to agree in every bit. W = 2 with workers 2
+// and 3 dropping every upload is the same W' reached through the fault
+// model: the successor re-delivers the step in flight at the stop, and a
+// worker that serves that re-delivery without its drawn drop lands in W'.
 func TestClusterCheckpointRestoreEquivalence(t *testing.T) {
 	mdl := model.SoftmaxRegression{Features: 6, Classes: 3}
 	data := testData(t)
 	for _, tc := range []struct {
-		name    string
-		w       int
-		stalled []int
+		name  string
+		w     int
+		shape fleetShape
 	}{
 		{name: "W=4", w: 4},
-		{name: "W=2,workers-2-3-stalled", w: 2, stalled: []int{2, 3}},
+		{name: "W=2,workers-2-3-stalled", w: 2, shape: fleetShape{stalled: []int{2, 3}}},
+		{name: "W=2,workers-2-3-drop", w: 2, shape: fleetShape{dropped: []int{2, 3}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := func(st engine.Strategy, addr string) MasterConfig {
@@ -187,7 +202,7 @@ func TestClusterCheckpointRestoreEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refFleet := startFleet(t, refMaster.cfg.Strategy, data, mdl, refMaster.Addr(), 0, nil, tc.stalled...)
+			refFleet := startFleet(t, refMaster.cfg.Strategy, data, mdl, refMaster.Addr(), 0, nil, tc.shape)
 			ref, err := refMaster.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -209,7 +224,7 @@ func TestClusterCheckpointRestoreEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fleet := startFleet(t, cfg1.Strategy, data, mdl, addr, 30*time.Second, fixedDelay{8 * time.Millisecond}, tc.stalled...)
+			fleet := startFleet(t, cfg1.Strategy, data, mdl, addr, 30*time.Second, fixedDelay{8 * time.Millisecond}, tc.shape)
 			res1Ch := make(chan *engine.Result, 1)
 			go func() {
 				res, err := m1.Run()
@@ -448,7 +463,7 @@ func TestStopAtCheckpointBoundaryWritesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refFleet := startFleet(t, refMaster.cfg.Strategy, data, mdl, refMaster.Addr(), 0, nil)
+	refFleet := startFleet(t, refMaster.cfg.Strategy, data, mdl, refMaster.Addr(), 0, nil, fleetShape{})
 	ref, err := refMaster.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -476,7 +491,7 @@ func TestStopAtCheckpointBoundaryWritesOnce(t *testing.T) {
 
 	m1, mm1, st1 := life(false)
 	st1.at, st1.stop = 3, m1.Stop
-	fleet := startFleet(t, st1, data, mdl, addr, 30*time.Second, nil)
+	fleet := startFleet(t, st1, data, mdl, addr, 30*time.Second, nil, fleetShape{})
 	res1, err := m1.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -547,7 +562,7 @@ func TestUnwritableCheckpointDirDoesNotStallRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := startFleet(t, st, data, mdl, m.Addr(), 0, nil)
+	fleet := startFleet(t, st, data, mdl, m.Addr(), 0, nil, fleetShape{})
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -111,7 +111,7 @@ func TestClusterStandbyFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refFleet := startFleet(t, refMaster.cfg.Strategy, data, mdl, refMaster.Addr(), 0, nil)
+	refFleet := startFleet(t, refMaster.cfg.Strategy, data, mdl, refMaster.Addr(), 0, nil, fleetShape{})
 	ref, err := refMaster.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestClusterStandbyFailover(t *testing.T) {
 	// standby observation window below provably overlaps a live primary.
 	// (Without it the 12-step run finishes — and gracefully releases its
 	// lease — before the standby's first poll, a legitimate takeover.)
-	fleet := startFleet(t, cfg1.Strategy, data, mdl, addr, 30*time.Second, fixedDelay{60 * time.Millisecond})
+	fleet := startFleet(t, cfg1.Strategy, data, mdl, addr, 30*time.Second, fixedDelay{60 * time.Millisecond}, fleetShape{})
 	res1Ch := make(chan *engine.Result, 1)
 	go func() {
 		res, err := m1.Run()

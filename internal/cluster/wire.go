@@ -1,16 +1,15 @@
 // Package cluster is the real distributed runtime: a master and n workers
-// speaking a negotiated protocol over TCP (stdlib net only). It plays the
-// role Ray plays in the paper's implementation (Sec. VIII-A): workers train
-// on their partitions' mini-batches, upload coded gradients, and the master
-// gathers the fastest w (the ray.wait(w) equivalent), decodes with the
-// configured strategy, updates the parameters, and broadcasts them.
+// speaking one binary frame protocol over TCP (stdlib net only). It plays
+// the role Ray plays in the paper's implementation (Sec. VIII-A): workers
+// train on their partitions' mini-batches, upload coded gradients, and the
+// master gathers the fastest w (the ray.wait(w) equivalent), decodes with
+// the configured strategy, updates the parameters, and broadcasts them.
 //
-// Registration speaks gob — the low-rate control exchange where
-// self-describing encoding is cheap and backward compatibility matters: the
-// worker's hello proposes the binary frame codec (binary.go), the master's
-// ack names it, and both sides switch. After the hello, every registered
-// connection speaks frames only, one connection per worker; a hello without
-// a proposal is refused.
+// Every connection speaks frames (binary.go) from its first byte, one
+// connection per worker: the worker's hello is a hello frame, the master
+// answers with a hello frame of its own (the ack, carrying the staleness
+// window) or a job-gone frame, and the step loop's frames follow. Bytes that
+// do not open with a version-1 frame header are refused.
 //
 // Unlike the in-process engine, real workers do not just slow down — they
 // die. The runtime therefore layers fault tolerance on top of the paper's
@@ -27,8 +26,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -44,57 +41,71 @@ import (
 // callers must stop redialing.
 var ErrJobGone = errors.New("cluster: job gone")
 
+// MsgKind is a message's kind. Its value is the frame type code (header
+// byte 5), so a kind needs no mapping to go on the wire.
+type MsgKind byte
+
 // Message kinds exchanged between master and workers.
 const (
 	// MsgHello registers a worker with the master. A rejoining worker
-	// re-sends it with Step set to its last completed step.
-	MsgHello = "hello"
+	// re-sends it with Step set to its last completed step. The master's
+	// ack is a hello too, whose Step is the staleness window k.
+	MsgHello MsgKind = 1 + iota
 	// MsgStep carries parameters from master to workers for one step.
-	MsgStep = "step"
+	MsgStep
 	// MsgGradient carries a coded gradient from a worker to the master.
-	MsgGradient = "gradient"
+	MsgGradient
 	// MsgHeartbeat is a periodic worker→master liveness ping; it carries
 	// no payload and exists so the master can distinguish "slow" from
 	// "hung" on an otherwise idle connection.
-	MsgHeartbeat = "heartbeat"
+	MsgHeartbeat
 	// MsgStop tells workers to shut down cleanly.
-	MsgStop = "stop"
+	MsgStop
 	// MsgJobGone is a terminal registration reject: the master finished
 	// its run (converged, hit MaxSteps, or failed) and will run no further
 	// step. A worker that receives it stops its reconnect loop immediately
-	// instead of burning the redial budget. Rides only in gob messages (the
-	// registration phase), like the hello exchange: frames have no type
-	// for it.
-	MsgJobGone = "job_gone"
+	// instead of burning the redial budget.
+	MsgJobGone
 )
 
-// WireBinary is the one codec name negotiated in the hello exchange: the
-// connection upgrades to the binary frame codec of binary.go after it. The
-// version suffix is part of the negotiated name, so a peer never misparses
-// another version's frames.
-const WireBinary = "binaryv1"
+// known reports whether k is one of the kinds above.
+func (k MsgKind) known() bool { return k >= MsgHello && k <= MsgJobGone }
 
-// wireBinaryLegacy is the sharded-upload codec older workers may still
-// propose. The master registers such a hello like a WireBinary one and acks
-// WireBinary, which those workers accept as a single-connection upload.
-const wireBinaryLegacy = "binaryv2"
-
-// maxWireNameLen caps the negotiation string a peer may claim in a hello.
-const maxWireNameLen = 64
+func (k MsgKind) String() string {
+	switch k {
+	case MsgHello:
+		return "hello"
+	case MsgStep:
+		return "step"
+	case MsgGradient:
+		return "gradient"
+	case MsgHeartbeat:
+		return "heartbeat"
+	case MsgStop:
+		return "stop"
+	case MsgJobGone:
+		return "job_gone"
+	default:
+		return fmt.Sprintf("kind(%d)", byte(k))
+	}
+}
 
 // maxVectorLen caps the Params/Coded length a peer may claim: a malformed
-// or hostile envelope must not be able to commit the receiver to an absurd
+// or hostile frame must not be able to commit the receiver to an absurd
 // decode. 2^24 float64s is a 128 MiB vector — far beyond any model this
 // runtime trains, and far below anything that would hurt the process.
 const maxVectorLen = 1 << 24
 
 // Envelope is the single wire message type; unused fields stay zero.
 type Envelope struct {
-	Kind string
+	Kind MsgKind
 	// Worker is the sender's worker id (Hello, Gradient, Heartbeat).
 	Worker int
 	// Step is the training step the message belongs to (Step, Gradient),
-	// or the worker's last completed step on a rejoin Hello.
+	// the worker's last completed step on its Hello, or the staleness window
+	// k on the master's Hello ack (0 in sync mode): a gradient for step t
+	// can still be used until step t+k+1 is broadcast, so a worker abandons
+	// step t only once a step newer than t+k arrives.
 	Step int
 	// Params are the model parameters (Step).
 	Params []float64
@@ -109,25 +120,6 @@ type Envelope struct {
 	// ComputeDurNanos is how long the gradient computation took
 	// (Gradient; 0 = not reported).
 	ComputeDurNanos int64
-	// Wire is the codec negotiation field of the hello exchange: on a
-	// worker's MsgHello it names the codec the worker proposes (a hello
-	// without one is refused); on the master's MsgHello ack it names the
-	// codec chosen for the rest of the connection. It rides only in
-	// gob messages — binary frames cannot carry it, by construction.
-	Wire string
-	// Gen is the master's run generation on a MsgHello ack: 0 for a
-	// first-life master, +1 per checkpoint restore or standby failover. A
-	// worker that sees the generation change knows its master was reborn
-	// from a durable checkpoint. Rides only in gob hello messages, like
-	// Wire.
-	Gen int
-	// Staleness is the master's bounded-staleness window k on a MsgHello
-	// ack (0 in sync mode and from masters that predate the field): a
-	// gradient for step t can still be used until step t+k+1 is broadcast,
-	// so a worker abandons step t only once a step newer than t+k arrives.
-	// Rides only in gob hello messages, like Wire.
-	Staleness int
-
 	// declined marks a received frame whose payload the connection's sink
 	// refused: it was drained unread, and the reader skips the envelope.
 	// Never on the wire.
@@ -140,10 +132,8 @@ type Envelope struct {
 // range, step currency, gradient dimension) stay with the master, which
 // knows the cluster shape.
 func validateEnvelope(e *Envelope) error {
-	switch e.Kind {
-	case MsgHello, MsgStep, MsgGradient, MsgHeartbeat, MsgStop, MsgJobGone:
-	default:
-		return fmt.Errorf("cluster: unknown message kind %q", e.Kind)
+	if !e.Kind.known() {
+		return fmt.Errorf("cluster: unknown message kind %d", byte(e.Kind))
 	}
 	if e.Worker < 0 {
 		return fmt.Errorf("cluster: negative worker id %d in %s", e.Worker, e.Kind)
@@ -163,75 +153,17 @@ func validateEnvelope(e *Envelope) error {
 	if e.ComputeDurNanos < 0 {
 		return fmt.Errorf("cluster: negative compute duration %d in %s", e.ComputeDurNanos, e.Kind)
 	}
-	if len(e.Wire) > maxWireNameLen {
-		return fmt.Errorf("cluster: wire name length %d exceeds limit %d", len(e.Wire), maxWireNameLen)
-	}
-	if e.Gen < 0 {
-		return fmt.Errorf("cluster: negative generation %d in %s", e.Gen, e.Kind)
-	}
-	if e.Staleness < 0 {
-		return fmt.Errorf("cluster: negative staleness %d in %s", e.Staleness, e.Kind)
-	}
 	return nil
 }
 
-// decodeEnvelope decodes and validates one envelope from dec. A malformed
-// or truncated stream must yield an error, never a crash: gob's own error
-// paths are converted, any decoder panic is recovered, and the result is
-// validated before anyone trusts it. This is the single choke point every
-// received message passes through — the fuzz target FuzzDecodeMessage
-// hammers it with adversarial bytes.
-func decodeEnvelope(dec *gob.Decoder) (e *Envelope, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			e, err = nil, fmt.Errorf("cluster: decode panic: %v", r)
-		}
-	}()
-	var env Envelope
-	if err := dec.Decode(&env); err != nil {
-		return nil, fmt.Errorf("cluster: recv: %w", err)
-	}
-	if err := validateEnvelope(&env); err != nil {
-		return nil, err
-	}
-	return &env, nil
-}
-
-// DecodeMessage decodes a single envelope from a standalone gob stream
-// (type descriptor + one value), as produced by EncodeMessage or by the
-// first send on a fresh connection. It never panics on malformed input.
-func DecodeMessage(data []byte) (*Envelope, error) {
-	return decodeEnvelope(gob.NewDecoder(bytes.NewReader(data)))
-}
-
-// EncodeMessage renders one envelope as a standalone gob stream — the
-// inverse of DecodeMessage, used by tests and fuzz seeds.
-func EncodeMessage(e *Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, fmt.Errorf("cluster: encode %s: %w", e.Kind, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// conn wraps a net.Conn with the negotiated codec. Every connection starts
-// in gob mode (the registration exchange); upgrade switches both directions
-// to binary frames at a message boundary, which is safe because gob never
-// reads past the end of a message. recv is safe for a single goroutine;
-// send and sendShared are serialized internally so that heartbeat
+// conn wraps a net.Conn in the frame codec. recv is safe for a single
+// goroutine; send and sendShared are serialized internally so that heartbeat
 // goroutines, broadcasts, and rejoin replies may share one connection.
 type conn struct {
 	raw net.Conn
-	// r is the single buffered reader both codecs share. This is load-
-	// bearing for the upgrade: gob.NewDecoder silently wraps any non-
-	// ByteReader in its own bufio.Reader, whose readahead would swallow
-	// the first binary frames if the frame parser read from raw directly.
-	// Handing the decoder a bufio.Reader up front keeps every buffered
-	// byte visible to whichever codec reads next.
-	r   *bufio.Reader
-	dec *gob.Decoder
-	// binary is set by upgrade: all subsequent messages are frames.
-	binary bool
+	// r buffers reads, so a frame header and the start of its payload come
+	// in with one syscall.
+	r *bufio.Reader
 	// sink says where a received frame's payload is read into; nil gives
 	// each a fresh vector. Set before the connection's reader starts.
 	sink payloadSink
@@ -239,8 +171,7 @@ type conn struct {
 	hdrScratch [frameHeaderSize]byte
 
 	sendMu sync.Mutex
-	enc    *gob.Encoder
-	// sent counts every byte written, gob or frame (nil is off).
+	// sent counts every byte written (nil is off).
 	sent *metrics.Counter
 	// sendHdr, iov and wv are a frame send's header copy, its two segments
 	// and the vectored write over them: a send allocates nothing.
@@ -255,38 +186,18 @@ type conn struct {
 // newConn wraps c. sent, when non-nil, accumulates every byte written to
 // the connection (metrics instrumentation).
 func newConn(c net.Conn, writeTimeout time.Duration, sent *metrics.Counter) *conn {
-	cn := &conn{raw: c, r: bufio.NewReader(c), sent: sent, writeTimeout: writeTimeout}
-	cn.enc, cn.dec = gob.NewEncoder(cn), gob.NewDecoder(cn.r)
-	return cn
-}
-
-// Write is the counted write under the gob encoder.
-func (c *conn) Write(p []byte) (int, error) {
-	n, err := c.raw.Write(p)
-	c.sent.Add(uint64(n))
-	return n, err
-}
-
-// upgrade switches both directions to the binary frame codec. It must be
-// called at a protocol quiet point — after the hello exchange, before the
-// connection is visible to broadcasts or readers — on both peers of the
-// connection.
-func (c *conn) upgrade() {
-	c.sendMu.Lock()
-	c.binary = true
-	c.sendMu.Unlock()
+	return &conn{raw: c, r: bufio.NewReader(c), sent: sent, writeTimeout: writeTimeout}
 }
 
 func (c *conn) send(e *Envelope) error {
 	return c.sendShared(&frameCache{e: e})
 }
 
-// sendShared writes fc's envelope in this connection's codec under its own
-// send lock and write deadline. A binary connection takes the header from fc
-// — built by whichever connection asked first — and writes it and the
-// envelope's own vector with one vectored write (one syscall, and sent-bytes
-// sees the exact framed byte count); a connection still in its hello
-// exchange encodes gob.
+// sendShared writes fc's envelope under this connection's send lock and
+// write deadline. It takes the header from fc — built by whichever
+// connection asked first — and writes it and the envelope's own vector with
+// one vectored write (one syscall, and sent-bytes sees the exact framed byte
+// count).
 func (c *conn) sendShared(fc *frameCache) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -296,13 +207,7 @@ func (c *conn) sendShared(fc *frameCache) error {
 			return fmt.Errorf("cluster: send %s: %w", e.Kind, err)
 		}
 	}
-	var err error
-	if c.binary {
-		err = c.writeFrame(fc)
-	} else {
-		err = c.enc.Encode(e)
-	}
-	if err != nil {
+	if err := c.writeFrame(fc); err != nil {
 		return fmt.Errorf("cluster: send %s: %w", e.Kind, err)
 	}
 	if c.writeTimeout > 0 {
@@ -335,41 +240,30 @@ func (c *conn) writeFrame(fc *frameCache) error {
 	return err
 }
 
-func (c *conn) recv() (*Envelope, error) {
-	if c.binary {
-		return c.recvFrame()
-	}
-	return decodeEnvelope(c.dec)
-}
-
 func (c *conn) close() error { return c.raw.Close() }
 
-// clientHello runs the worker side of the registration exchange on a fresh
-// connection: send the gob hello (carrying the last completed step on a
-// rejoin and the binaryv1 proposal), wait for the master's ack naming it,
-// and switch to frames. The returned ack carries the master's generation
-// and staleness window. An ack naming any other codec is an error.
-func clientHello(c *conn, id, step int) (*Envelope, error) {
-	hello := &Envelope{Kind: MsgHello, Worker: id, Step: step, Wire: WireBinary}
-	if err := c.send(hello); err != nil {
-		return nil, err
+// clientHello runs the worker side of the hello exchange on a fresh
+// connection: send the hello frame (carrying the last completed step on a
+// rejoin) and wait for the master's ack, whose Step is the staleness window
+// it returns. A job-gone reply is ErrJobGone.
+func clientHello(c *conn, id, step int) (staleness int, err error) {
+	if err := c.send(&Envelope{Kind: MsgHello, Worker: id, Step: step}); err != nil {
+		return 0, err
 	}
 	_ = c.raw.SetReadDeadline(time.Now().Add(wireAckTimeout))
 	ack, err := c.recv()
 	if err != nil {
-		return nil, fmt.Errorf("cluster: wire negotiation: %w", err)
+		return 0, fmt.Errorf("cluster: hello: %w", err)
 	}
 	_ = c.raw.SetReadDeadline(time.Time{})
-	switch {
-	case ack.Kind == MsgJobGone:
-		return nil, ErrJobGone
-	case ack.Kind != MsgHello:
-		return nil, fmt.Errorf("cluster: wire negotiation: got %s before hello ack", ack.Kind)
-	case ack.Wire != WireBinary:
-		return nil, fmt.Errorf("cluster: wire negotiation: master chose codec %q", ack.Wire)
+	switch ack.Kind {
+	case MsgHello:
+		return ack.Step, nil
+	case MsgJobGone:
+		return 0, ErrJobGone
+	default:
+		return 0, fmt.Errorf("cluster: hello: got %s before the ack", ack.Kind)
 	}
-	c.upgrade()
-	return ack, nil
 }
 
 // wireAckTimeout bounds the wait for the master's hello ack: hanging on a

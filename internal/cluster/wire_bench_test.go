@@ -55,11 +55,11 @@ func BenchmarkWireCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 		rd := bytes.NewReader(frame)
-		// A receive-side conn as the master runs it after the upgrade:
-		// shared bufio reader, payload read into a free-list vector that
+		// A receive-side conn as the master runs it after the hello:
+		// buffered reader, payload read into a free-list vector that
 		// comes back once the gradient is used.
 		vecs := &vecPool{dim: benchDim, free: make(chan []float64, 1)}
-		c := &conn{r: bufio.NewReader(rd), binary: true, sink: func(frameHeader) []float64 { return vecs.get() }}
+		c := &conn{r: bufio.NewReader(rd), sink: func(frameHeader) []float64 { return vecs.get() }}
 		sendBuf := make([]byte, 0, len(frame))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -70,7 +70,7 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 			rd.Reset(sendBuf)
 			c.r.Reset(rd)
-			got, err := c.recvFrame()
+			got, err := c.recv()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -90,7 +90,6 @@ func TestGradientSendSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	c := newConn(&sinkConn{discard: true}, 0, nil)
-	c.upgrade()
 	e := benchGradient()
 	send := func() {
 		if err := c.send(e); err != nil {
@@ -194,9 +193,9 @@ func (m benchModel) String() string { return fmt.Sprintf("bench(dim=%d)", m.dim)
 // one full training step — params broadcast to 4 workers, 4 coded-gradient
 // uploads, decode, update — over real loopback TCP with a 2^16-dim
 // parameter vector. b.N steps run inside one cluster so connection setup
-// and negotiation are amortized away.
+// and the hello exchange are amortized away.
 func BenchmarkGatherLatency(b *testing.B) {
-	b.Run(WireBinary, func(b *testing.B) {
+	b.Run("binaryv1", func(b *testing.B) {
 		st, err := engine.NewSyncSGD(4)
 		if err != nil {
 			b.Fatal(err)

@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"errors"
+	"io"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,23 +13,14 @@ import (
 	"isgc/internal/model"
 )
 
-// pipePair returns two connected conns over an in-memory duplex pipe, both
-// still in the gob registration phase.
+// pipePair returns two connected conns over an in-memory duplex pipe.
 func pipePair() (*conn, *conn) {
 	a, b := net.Pipe()
 	return newConn(a, 0, nil), newConn(b, 0, nil)
 }
 
-// framePair is pipePair past the hello: both ends speak binaryv1 frames.
-func framePair() (*conn, *conn) {
-	a, b := pipePair()
-	a.upgrade()
-	b.upgrade()
-	return a, b
-}
-
 func TestEnvelopeRoundTrip(t *testing.T) {
-	a, b := framePair()
+	a, b := pipePair()
 	defer a.close()
 	defer b.close()
 
@@ -60,7 +52,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestEnvelopeParamsRoundTrip(t *testing.T) {
-	a, b := framePair()
+	a, b := pipePair()
 	defer a.close()
 	defer b.close()
 
@@ -103,9 +95,10 @@ func TestDialWithRetryTimesOut(t *testing.T) {
 	}
 }
 
-// TestMasterRejectsBadHello: a hello the master cannot register — an
-// out-of-range worker id, no codec proposal, or a proposal of the retired
-// gob data path — is closed without an ack, and nothing registers.
+// TestMasterRejectsBadHello: a first frame the master cannot register — an
+// out-of-range worker id, another kind than hello, a payload-carrying step,
+// bytes that are not a frame, a header cut short — is closed without a
+// reply, and nothing registers.
 func TestMasterRejectsBadHello(t *testing.T) {
 	st, err := engine.NewSyncSGD(2)
 	if err != nil {
@@ -128,26 +121,38 @@ func TestMasterRejectsBadHello(t *testing.T) {
 		_, err := m.Run()
 		done <- err
 	}()
+	frame := func(e *Envelope) []byte {
+		data, err := EncodeFrame(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	hello := frame(&Envelope{Kind: MsgHello, Worker: 0})
+	badMagic := append([]byte("GOB!"), hello[4:]...)
 	// The master drops each connection (it must survive strangers mid-run)
 	// and, with no valid workers ever registering, fails the accept phase
 	// on its timeout.
-	for name, hello := range map[string]*Envelope{
-		"out-of-range worker id": {Kind: MsgHello, Worker: 99, Wire: WireBinary},
-		"no codec proposal":      {Kind: MsgHello, Worker: 0},
-		"gob proposal":           {Kind: MsgHello, Worker: 0, Wire: "gob"},
+	for name, first := range map[string][]byte{
+		"out-of-range worker id": frame(&Envelope{Kind: MsgHello, Worker: 99}),
+		"heartbeat first":        frame(&Envelope{Kind: MsgHeartbeat, Worker: 0}),
+		"step first":             frame(&Envelope{Kind: MsgStep, Step: 1, Params: []float64{1, 2}}),
+		"job gone first":         frame(&Envelope{Kind: MsgJobGone}),
+		"not a frame":            badMagic,
+		"truncated header":       hello[:frameHeaderSize-1],
 	} {
 		raw, err := net.Dial("tcp", m.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := newConn(raw, 0, nil)
-		if err := c.send(hello); err != nil {
+		if _, err := raw.Write(first); err != nil {
 			t.Fatal(err)
 		}
-		if ack, err := c.recv(); err == nil {
-			t.Errorf("%s: master answered %+v, want the connection closed", name, ack)
+		if cw, ok := raw.(*net.TCPConn); ok {
+			_ = cw.CloseWrite() // a cut-short header ends at EOF, not the read deadline
 		}
-		c.close()
+		expectClosedUnanswered(t, name, raw)
+		raw.Close()
 	}
 	if err := <-done; err == nil {
 		t.Fatal("master must not start training without valid workers")
@@ -161,46 +166,16 @@ func TestMasterRejectsBadHello(t *testing.T) {
 	}
 }
 
-// TestWorkerRefusesGobAck: a master that acks the hello with any codec but
-// binaryv1 — here the retired gob data path — fails NewWorker with a
-// negotiation error instead of leaving a worker on an unknown codec.
-func TestWorkerRefusesGobAck(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		raw, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		c := newConn(raw, 0, nil)
-		defer c.close()
-		if _, err := c.recv(); err == nil {
-			_ = c.send(&Envelope{Kind: MsgHello, Wire: "gob"})
-		}
-		_, _ = c.recv() // hold the connection until the worker drops it
-	}()
-	parts, err := testData(t).Partition(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := dataset.NewLoader(parts[0], 16, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWorker(WorkerConfig{
-		Addr: ln.Addr().String(), ID: 0, Partitions: []int{0},
-		Loaders: []*dataset.Loader{loader}, Model: model.SoftmaxRegression{Features: 6, Classes: 3},
-		Encode: SumEncoder(), HeartbeatInterval: -1,
-	})
-	if err == nil {
-		w.Stop()
-		t.Fatal("NewWorker accepted a gob ack")
-	}
-	if msg := err.Error(); !strings.Contains(msg, "wire negotiation") || !strings.Contains(msg, `"gob"`) {
-		t.Fatalf("NewWorker error %q, want a wire negotiation error naming the codec", msg)
+// expectClosedUnanswered fails unless the peer closes raw without writing a
+// byte. A close with unread bytes in the peer's buffer may arrive as a reset
+// instead of EOF; only a timeout means the peer kept the connection.
+func expectClosedUnanswered(t *testing.T, name string, raw net.Conn) {
+	t.Helper()
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := io.ReadAll(raw)
+	var ne net.Error
+	if len(reply) != 0 || errors.As(err, &ne) && ne.Timeout() {
+		t.Errorf("%s: peer answered % x (err %v), want the connection closed unanswered", name, reply, err)
 	}
 }
 

@@ -123,13 +123,17 @@ type Worker struct {
 	tasks    []func()
 
 	// faultedThrough is the highest step the fault model has been
-	// consulted for. A rejoining worker is re-handed the in-flight step by
-	// the master; re-rolling the fault on that re-delivery would make
-	// DisconnectAt tear the fresh connection down again immediately — a
-	// rejoin storm that lasts until the master advances past the step.
-	// Like frng it belongs to the current connection's reader goroutine
-	// while one runs; Run joins the reader before anyone else looks.
+	// consulted for, and faultedAction what it drew for that step. A
+	// rejoining worker is re-handed the in-flight step by the master. A
+	// drawn drop applies to that re-delivery too, so a restored master sees
+	// what an uninterrupted one would; a crash or disconnect does not —
+	// re-firing DisconnectAt would tear the fresh connection down again
+	// immediately, a rejoin storm that lasts until the master advances past
+	// the step. Like frng they belong to the current connection's reader
+	// goroutine while one runs; Run joins the reader before anyone else
+	// looks.
 	faultedThrough int
+	faultedAction  straggler.FaultAction
 
 	// steps, abandoned, reconnects, and connected are atomics because the
 	// admin server's Health snapshot reads them while Run mutates.
@@ -137,15 +141,15 @@ type Worker struct {
 	abandoned  atomic.Int64
 	reconnects atomic.Int64
 	connected  atomic.Bool
-	// jobGone latches a MsgJobGone terminal reject of a redial: the
+	// jobGone latches a MsgJobGone terminal reject of a registration: the
 	// master this worker was serving has finished its run, so reconnection
 	// stopped early.
 	jobGone atomic.Bool
 }
 
 // JobGone reports whether the worker's run ended on a MsgJobGone terminal
-// reject — a redial reached a master that had already finished the run.
-// Valid after Run returns; it tells that exit apart from one on MsgStop.
+// reject — a registration reached a master that had already finished the
+// run. Valid after Run returns; it tells that exit apart from one on MsgStop.
 func (w *Worker) JobGone() bool { return w.jobGone.Load() }
 
 // Health returns a point-in-time snapshot for the worker's /healthz
@@ -210,16 +214,15 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, err
 	}
 	c := newConn(raw, defaultWriteTimeout, cfg.Metrics.sentCounter())
-	ack, err := clientHello(c, cfg.ID, startSteps)
+	staleness, err := clientHello(c, cfg.ID, startSteps)
 	if err != nil {
 		_ = c.close()
 		return nil, err
 	}
-	cfg.Metrics.markWire(ack.Wire)
 	w := &Worker{
 		cfg:            cfg,
 		c:              c,
-		staleness:      ack.Staleness,
+		staleness:      staleness,
 		delaySrc:       randsrc.New(cfg.DelaySeed),
 		faultSrc:       randsrc.New(cfg.FaultSeed),
 		faultedThrough: -1,
@@ -233,6 +236,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		w.delaySrc.Restore(resumed.DelaySeed, resumed.DelayDraws)
 		w.faultSrc.Restore(resumed.FaultSeed, resumed.FaultDraws)
 		w.faultedThrough = resumed.FaultedThrough
+		w.faultedAction = straggler.FaultAction(resumed.FaultedAction)
 		w.steps.Store(resumed.Steps)
 	}
 	w.rng = w.delaySrc.Rand()
@@ -244,7 +248,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	w.setConnected(true)
 	w.startHeartbeat()
 	cfg.Events.Info("worker.connected", "registered with master", events.NoStep, cfg.ID,
-		events.Fields{"addr": cfg.Addr, "wire": ack.Wire})
+		events.Fields{"addr": cfg.Addr})
 	if resumed != nil {
 		cfg.Events.Info("worker.restored", "resumed from checkpoint", events.NoStep, cfg.ID,
 			events.Fields{"steps": resumed.Steps, "delay_draws": resumed.DelayDraws, "fault_draws": resumed.FaultDraws})
@@ -285,6 +289,7 @@ func (w *Worker) saveState() {
 		FaultSeed:      fs,
 		FaultDraws:     fd,
 		FaultedThrough: w.faultedThrough,
+		FaultedAction:  int(w.faultedAction),
 	}
 	if _, err := w.cfg.Checkpoint.Save(int(st.Steps), st); err != nil {
 		w.cfg.Events.Warn("worker.checkpoint_error", err.Error(), events.NoStep, w.cfg.ID, nil)
@@ -388,11 +393,20 @@ func (w *Worker) startReader() *mailbox {
 			case MsgStop:
 				w.abandon(phaseQueued, mb.finish(endStop, events.NoStep)...)
 				return
+			case MsgJobGone:
+				// The master finished while this connection registered.
+				w.markJobGone()
+				w.abandon(phaseQueued, mb.finish(endStop, events.NoStep)...)
+				return
 			case MsgStep:
 				action := straggler.FaultNone
-				if w.cfg.Fault != nil && e.Step > w.faultedThrough {
+				switch {
+				case w.cfg.Fault == nil:
+				case e.Step > w.faultedThrough:
 					action = w.cfg.Fault.At(e.Step, w.frng)
-					w.faultedThrough = e.Step
+					w.faultedThrough, w.faultedAction = e.Step, action
+				case e.Step == w.faultedThrough && w.faultedAction == straggler.FaultDrop:
+					action = straggler.FaultDrop
 				}
 				switch action {
 				case straggler.FaultCrash:
@@ -508,24 +522,19 @@ func (w *Worker) reconnect() bool {
 		raw, err := net.DialTimeout("tcp", w.cfg.Addr, 500*time.Millisecond)
 		if err == nil {
 			c := newConn(raw, defaultWriteTimeout, w.cfg.Metrics.sentCounter())
-			// A rejoin renegotiates the codec from scratch: the fresh
-			// connection starts in gob like any other registration.
-			ack, helloErr := clientHello(c, w.cfg.ID, int(w.steps.Load()))
+			staleness, helloErr := clientHello(c, w.cfg.ID, int(w.steps.Load()))
 			if errors.Is(helloErr, ErrJobGone) {
 				// Terminal reject: the master at this address has finished
 				// the run. Burning the rest of the redial budget cannot
 				// change that — bow out and report it.
 				_ = c.close()
-				w.jobGone.Store(true)
-				w.cfg.Events.Info("worker.job_gone", "redial rejected: the master finished the run",
-					events.NoStep, w.cfg.ID, nil)
+				w.markJobGone()
 				return false
 			}
 			if helloErr == nil {
-				w.cfg.Metrics.markWire(ack.Wire)
 				w.connMu.Lock()
 				w.c = c
-				w.staleness = ack.Staleness
+				w.staleness = staleness
 				stopped := w.stopping.Load()
 				w.connMu.Unlock()
 				if stopped {
@@ -540,7 +549,7 @@ func (w *Worker) reconnect() bool {
 				w.setConnected(true)
 				w.startHeartbeat()
 				w.cfg.Events.Info("worker.reconnected", "re-registered after connection loss",
-					events.NoStep, w.cfg.ID, events.Fields{"completed_steps": w.steps.Load(), "wire": ack.Wire})
+					events.NoStep, w.cfg.ID, events.Fields{"completed_steps": w.steps.Load()})
 				return true
 			}
 			_ = c.close()
@@ -554,6 +563,12 @@ func (w *Worker) reconnect() bool {
 			backoff = time.Second
 		}
 	}
+}
+
+// markJobGone latches the master's MsgJobGone: the run is over.
+func (w *Worker) markJobGone() {
+	w.jobGone.Store(true)
+	w.cfg.Events.Info("worker.job_gone", "the master finished the run", events.NoStep, w.cfg.ID, nil)
 }
 
 // startHeartbeat launches the liveness pinger for the current connection;

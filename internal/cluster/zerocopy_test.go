@@ -105,7 +105,6 @@ func TestSendSharedWritesReferenceBytes(t *testing.T) {
 		client, server := tcpPair(t)
 		sent := metrics.NewRegistry().NewCounter("test_sent_bytes", "bytes written")
 		c := newConn(client, defaultWriteTimeout, sent)
-		c.upgrade()
 		var total uint64
 		for _, e := range envs {
 			want, err := EncodeFrame(e)
@@ -173,7 +172,6 @@ func TestRecvFrameReadsIntoDestination(t *testing.T) {
 			}
 			return dst
 		}
-		c.upgrade()
 
 		e, err := c.recv()
 		if err != nil {
@@ -253,7 +251,6 @@ func TestMasterReceiveSteadyStateAllocs(t *testing.T) {
 	}()
 	c := newConn(server, 0, nil)
 	c.sink = m.gradientSink(0)
-	c.upgrade()
 	var first *float64
 	recvOne := func() {
 		e, err := c.recv()
