@@ -10,7 +10,9 @@
 package isgc
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"isgc/internal/bitset"
@@ -388,15 +390,14 @@ func itoa(n int) string {
 // The compute pipeline's hot path: a dim≈2^16 MLP (128 features, 500
 // hidden units, 4 classes → 66,504 parameters), per-partition batches of
 // 64 samples. Grad is the legacy allocating kernel, GradInto the
-// scratch-pooled one, and the Sharded variants split the batch across the
-// compute pool — the multi-core speedup the PR's acceptance criterion
-// asks for.
+// scratch-pooled one, and the Blocked variant splits a larger batch into
+// fixed sample blocks over the compute helpers at several core counts.
 
-func benchMLPWorkload() (model.MLP, []float64, []dataset.Sample) {
+func benchMLPWorkload(samples int) (model.MLP, []float64, []dataset.Sample) {
 	m := model.MLP{Features: 128, Hidden: 500, Classes: 4}
 	params := m.InitParams(1)
 	rng := rand.New(rand.NewSource(2))
-	batch := make([]dataset.Sample, 64)
+	batch := make([]dataset.Sample, samples)
 	for i := range batch {
 		x := make([]float64, m.Features)
 		for j := range x {
@@ -408,7 +409,7 @@ func benchMLPWorkload() (model.MLP, []float64, []dataset.Sample) {
 }
 
 func BenchmarkMLPGrad(b *testing.B) {
-	m, params, batch := benchMLPWorkload()
+	m, params, batch := benchMLPWorkload(64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -417,7 +418,7 @@ func BenchmarkMLPGrad(b *testing.B) {
 }
 
 func BenchmarkMLPGradInto(b *testing.B) {
-	m, params, batch := benchMLPWorkload()
+	m, params, batch := benchMLPWorkload(64)
 	dst := make([]float64, m.Dim())
 	m.GradInto(dst, params, batch) // warm the scratch pool
 	b.ReportAllocs()
@@ -427,26 +428,23 @@ func BenchmarkMLPGradInto(b *testing.B) {
 	}
 }
 
-// BenchmarkMLPGradIntoSharded runs the pooled gradient at fixed shard
-// counts and at par=auto (GOMAXPROCS), which is named for the setting rather
-// than its value so that it never repeats a fixed row's name.
-func BenchmarkMLPGradIntoSharded(b *testing.B) {
-	m, params, batch := benchMLPWorkload()
-	for _, c := range []struct {
-		name string
-		par  int
-	}{{"par=2", 2}, {"par=4", 4}, {"par=auto", 0}} {
-		pool := model.NewParallelGrad(c.par)
-		b.Run(c.name, func(b *testing.B) {
+// BenchmarkMLPGradIntoBlocked runs the blocked gradient (model.Blocked) on
+// a batch of four sample blocks at GOMAXPROCS 1, 2 and 4.
+func BenchmarkMLPGradIntoBlocked(b *testing.B) {
+	mlp, params, batch := benchMLPWorkload(4 * model.SampleBlock)
+	var m model.Model = mlp // converted once: Blocked keeps the model while it runs
+	for _, procs := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var e model.Blocked
 			dst := make([]float64, m.Dim())
-			pool.GradInto(dst, params, m, batch) // warm the scratch pool
+			e.GradInto(dst, params, m, batch) // warm the scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pool.GradInto(dst, params, m, batch)
+				e.GradInto(dst, params, m, batch)
 			}
 		})
-		pool.Close()
 	}
 }
 

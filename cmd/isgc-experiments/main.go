@@ -41,7 +41,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "override the experiment seed (0 = default)")
 	show := flag.String("show", "", `print a placement and its conflict graph instead of running experiments; format "fr:n:c", "cr:n:c", or "hr:n:c1:c2:g", e.g. -show hr:8:2:2:2`)
 	workload := flag.String("workload", "", `Fig. 12 training workload: "softmax" (default) or "mlp"`)
-	computePar := flag.Int("compute-par", 0, "engine gradient compute shards (0 = sequential default, >1 concurrent partitions; results are bit-identical)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /debug/pprof and /metrics on this address while experiments run (empty disables)")
 	eventsPath := flag.String("events", "", "write a JSONL structured event log to this path (\"-\" = stderr)")
 	logLevel := flag.String("log-level", "info", "minimum event level: debug, info, warn, or error")
@@ -90,7 +89,7 @@ func main() {
 		}
 		ev = log
 	}
-	if err := run(*fig, *trials, *steps, *seed, *csv, *workload, *computePar, ev); err != nil {
+	if err := run(*fig, *trials, *steps, *seed, *csv, *workload, ev); err != nil {
 		fmt.Fprintln(os.Stderr, "isgc-experiments:", err)
 		os.Exit(1)
 	}
@@ -135,7 +134,7 @@ func runShow(spec string) error {
 	return nil
 }
 
-func run(fig string, trials, steps int, seed int64, csv bool, workload string, computePar int, ev *events.Log) error {
+func run(fig string, trials, steps int, seed int64, csv bool, workload string, ev *events.Log) error {
 	emit := func(tabs ...*trace.Table) {
 		for _, t := range tabs {
 			if csv {
@@ -178,7 +177,6 @@ func run(fig string, trials, steps int, seed int64, csv bool, workload string, c
 			cfg.Seed = seed
 		}
 		cfg.Workload = workload
-		cfg.ComputePar = computePar
 		_, tabs, err := experiments.Fig12(cfg)
 		if err != nil {
 			return err
@@ -194,7 +192,6 @@ func run(fig string, trials, steps int, seed int64, csv bool, workload string, c
 		if seed != 0 {
 			cfg.Seed = seed
 		}
-		cfg.ComputePar = computePar
 		_, _, tabs, err := experiments.Fig13(cfg)
 		if err != nil {
 			return err
@@ -225,7 +222,6 @@ func run(fig string, trials, steps int, seed int64, csv bool, workload string, c
 		if seed != 0 {
 			cfg.Seed = seed
 		}
-		cfg.ComputePar = computePar
 		_, gatherTab, err := experiments.GatherPolicies(cfg)
 		if err != nil {
 			return err
@@ -245,7 +241,6 @@ func run(fig string, trials, steps int, seed int64, csv bool, workload string, c
 		if seed != 0 {
 			biasCfg.Seed = seed
 		}
-		biasCfg.ComputePar = computePar
 		_, biasTab, err := experiments.Bias(biasCfg)
 		if err != nil {
 			return err
@@ -280,7 +275,6 @@ func run(fig string, trials, steps int, seed int64, csv bool, workload string, c
 		if seed != 0 {
 			cfg.Seed = seed
 		}
-		cfg.ComputePar = computePar
 		_, tab, err := experiments.Heterogeneity(cfg)
 		if err != nil {
 			return err
@@ -296,7 +290,6 @@ func run(fig string, trials, steps int, seed int64, csv bool, workload string, c
 		if seed != 0 {
 			cfg.Seed = seed
 		}
-		cfg.ComputePar = computePar
 		_, tab, err := experiments.Staleness(cfg)
 		if err != nil {
 			return err
@@ -313,7 +306,6 @@ func run(fig string, trials, steps int, seed int64, csv bool, workload string, c
 			cfg.Seed = seed
 		}
 		cfg.Events = ev
-		cfg.ComputePar = computePar
 		_, tab, err := experiments.Attribution(cfg)
 		if err != nil {
 			return err

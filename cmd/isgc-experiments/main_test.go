@@ -9,58 +9,56 @@ import (
 )
 
 func TestRunUnknownFig(t *testing.T) {
-	if err := run("nope", 0, 0, 0, false, "", 0, nil); err == nil {
+	if err := run("nope", 0, 0, 0, false, "", nil); err == nil {
 		t.Fatal("expected error for unknown -fig")
 	}
 }
 
 func TestRunBounds(t *testing.T) {
 	// bounds is the cheapest full runner; smoke the plumbing end to end.
-	if err := run("bounds", 10, 0, 0, false, "", 0, nil); err != nil {
+	if err := run("bounds", 10, 0, 0, false, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("bounds", 10, 0, 42, true, "", 0, nil); err != nil {
+	if err := run("bounds", 10, 0, 42, true, "", nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunFig11WithOverrides(t *testing.T) {
-	if err := run("11a", 0, 20, 9, false, "", 0, nil); err != nil {
+	if err := run("11a", 0, 20, 9, false, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("11b", 0, 20, 9, true, "", 0, nil); err != nil {
+	if err := run("11b", 0, 20, 9, true, "", nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunFig12(t *testing.T) {
-	if err := run("12", 1, 0, 3, true, "", 0, nil); err != nil {
+	if err := run("12", 1, 0, 3, true, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("12", 1, 0, 3, false, "bogus", 0, nil); err == nil {
+	if err := run("12", 1, 0, 3, false, "bogus", nil); err == nil {
 		t.Fatal("expected error for unknown workload")
 	}
 }
 
 func TestRunFig13(t *testing.T) {
-	// computePar 2 exercises the pooled gradient path end to end; the
-	// figure's numbers are bit-identical to the sequential default.
-	if err := run("13", 1, 0, 3, true, "", 2, nil); err != nil {
+	if err := run("13", 1, 0, 3, true, "", nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunTheoryAndHetero(t *testing.T) {
-	if err := run("theory", 30, 0, 0, false, "", 0, nil); err != nil {
+	if err := run("theory", 30, 0, 0, false, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("hetero", 1, 0, 0, true, "", 0, nil); err != nil {
+	if err := run("hetero", 1, 0, 0, true, "", nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunAblations(t *testing.T) {
-	if err := run("ablations", 1, 0, 0, false, "", 0, nil); err != nil {
+	if err := run("ablations", 1, 0, 0, false, "", nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -94,13 +92,13 @@ func TestApplyFig11Overrides(t *testing.T) {
 
 func TestRunAttribution(t *testing.T) {
 	ev := events.New(events.Config{RingSize: 64})
-	if err := run("attribution", 0, 30, 5, false, "", 0, ev); err != nil {
+	if err := run("attribution", 0, 30, 5, false, "", ev); err != nil {
 		t.Fatal(err)
 	}
 	if ev.Total() == 0 {
 		t.Fatal("attribution run emitted no events into the supplied log")
 	}
-	if err := run("attribution", 0, 30, 5, true, "", 0, nil); err != nil {
+	if err := run("attribution", 0, 30, 5, true, "", nil); err != nil {
 		t.Fatal(err)
 	}
 }

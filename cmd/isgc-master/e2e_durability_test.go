@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -38,8 +39,8 @@ func buildClusterBinaries(t *testing.T) (masterBin, workerBin string) {
 
 // startWorkerProcs launches n worker processes and returns the Cmds plus a
 // channel that receives each worker's exit error (nil = clean exit 0) as it
-// terminates.
-func startWorkerProcs(t *testing.T, workerBin string, n int, outs []*e2etest.Output, extra func(i int) []string) ([]*exec.Cmd, chan error) {
+// terminates. env, when not nil, is added to each worker's environment.
+func startWorkerProcs(t *testing.T, workerBin string, n int, outs []*e2etest.Output, env []string, extra func(i int) []string) ([]*exec.Cmd, chan error) {
 	t.Helper()
 	cmds := make([]*exec.Cmd, n)
 	exits := make(chan error, n)
@@ -49,6 +50,9 @@ func startWorkerProcs(t *testing.T, workerBin string, n int, outs []*e2etest.Out
 		}
 		args = append(args, extra(i)...)
 		w := exec.Command(workerBin, args...)
+		if env != nil {
+			w.Env = append(os.Environ(), env...)
+		}
 		w.Stdout = outs[i]
 		w.Stderr = outs[i]
 		if err := w.Start(); err != nil {
@@ -94,7 +98,9 @@ func waitProc(t *testing.T, what string, cmd *exec.Cmd, timeout time.Duration) e
 // final checkpoint — and a new master process restarted with -restore on the
 // same address finishes the run against the surviving worker fleet. The
 // completed run's step records and final params must be bit-identical to an
-// uninterrupted reference run from the checkpoint boundary on.
+// uninterrupted reference run from the checkpoint boundary on — with the
+// reference at GOMAXPROCS 1 and the two lives at GOMAXPROCS 4, since no bit
+// of a run may depend on the core count.
 func TestE2EKillAndRestore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping binary e2e in -short mode")
@@ -106,16 +112,19 @@ func TestE2EKillAndRestore(t *testing.T) {
 	outPath := filepath.Join(dir, "restored.json")
 
 	// Shared run shape: CR(4,2), wait for all 4 (bit-deterministic gather
-	// set), fixed step count, sequential loss eval (the sharded sum's float
-	// bits depend on the pool size, and this test compares bits).
-	common := []string{
+	// set), fixed step count, and a dataset of three sample blocks so the
+	// master's loss is split over the compute helpers at GOMAXPROCS 4.
+	samples := []string{"-samples", "600"}
+	common := append([]string{
 		"-n", "4", "-c", "2", "-scheme", "cr", "-w", "0",
-		"-steps", "12", "-threshold", "0", "-seed", "42", "-compute-par", "1",
-	}
+		"-steps", "12", "-threshold", "0", "-seed", "42",
+	}, samples...)
+	oneCore, fourCores := []string{"GOMAXPROCS=1"}, []string{"GOMAXPROCS=4"}
 
 	// Uninterrupted reference run (fast workers, no checkpoints).
 	refAddr := e2etest.FreeAddr(t)
 	refMaster := exec.Command(masterBin, append([]string{"-addr", refAddr, "-records-out", refPath}, common...)...)
+	refMaster.Env = append(os.Environ(), oneCore...)
 	refOut := &e2etest.Output{}
 	refMaster.Stdout = refOut
 	refMaster.Stderr = refOut
@@ -126,8 +135,8 @@ func TestE2EKillAndRestore(t *testing.T) {
 	for i := range refWorkerOuts {
 		refWorkerOuts[i] = &e2etest.Output{}
 	}
-	_, refExits := startWorkerProcs(t, workerBin, 4, refWorkerOuts, func(i int) []string {
-		return []string{"-addr", refAddr}
+	_, refExits := startWorkerProcs(t, workerBin, 4, refWorkerOuts, oneCore, func(i int) []string {
+		return append([]string{"-addr", refAddr}, samples...)
 	})
 	if err := waitProc(t, "reference master", refMaster, 90*time.Second); err != nil {
 		t.Fatalf("reference master: %v\n%s", err, refOut.String())
@@ -148,6 +157,7 @@ func TestE2EKillAndRestore(t *testing.T) {
 	m1 := exec.Command(masterBin, append([]string{
 		"-addr", addr, "-checkpoint-dir", ckptDir, "-checkpoint-every", "3", "-lease-ttl", "1s",
 	}, common...)...)
+	m1.Env = append(os.Environ(), fourCores...)
 	m1Out := &e2etest.Output{}
 	m1.Stdout = m1Out
 	m1.Stderr = m1Out
@@ -159,10 +169,10 @@ func TestE2EKillAndRestore(t *testing.T) {
 	for i := range workerOuts {
 		workerOuts[i] = &e2etest.Output{}
 	}
-	workers, exits := startWorkerProcs(t, workerBin, 4, workerOuts, func(i int) []string {
+	workers, exits := startWorkerProcs(t, workerBin, 4, workerOuts, fourCores, func(i int) []string {
 		// The reconnect budget is what lets the fleet survive the master's
 		// death and rejoin its successor on the same address.
-		return []string{"-addr", addr, "-delay", "40ms", "-reconnect", "60s"}
+		return append([]string{"-addr", addr, "-delay", "40ms", "-reconnect", "60s"}, samples...)
 	})
 	defer func() {
 		for _, w := range workers {
@@ -205,6 +215,7 @@ func TestE2EKillAndRestore(t *testing.T) {
 		"-addr", addr, "-checkpoint-dir", ckptDir, "-checkpoint-every", "3", "-restore",
 		"-records-out", outPath,
 	}, common...)...)
+	m2.Env = append(os.Environ(), fourCores...)
 	m2Out := &e2etest.Output{}
 	m2.Stdout = m2Out
 	m2.Stderr = m2Out
@@ -250,12 +261,17 @@ func TestE2EKillAndRestore(t *testing.T) {
 	for i := range out2.Records {
 		got, want := out2.Records[i], ref.Records[offset+i]
 		got.Elapsed, want.Elapsed = 0, 0
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(got, want) || math.Float64bits(got.Loss) != math.Float64bits(want.Loss) {
 			t.Fatalf("record %d diverged across the kill/restore:\n restored %+v\n      ref %+v", i, got, want)
 		}
 	}
-	if !reflect.DeepEqual(out2.Params, ref.Params) {
-		t.Fatal("final params are not bit-identical after kill/restore")
+	if len(out2.Params) != len(ref.Params) {
+		t.Fatalf("restored run has %d params, reference %d", len(out2.Params), len(ref.Params))
+	}
+	for j := range ref.Params {
+		if math.Float64bits(out2.Params[j]) != math.Float64bits(ref.Params[j]) {
+			t.Fatalf("param %d is %v after kill/restore, %v in the reference", j, out2.Params[j], ref.Params[j])
+		}
 	}
 }
 
@@ -295,7 +311,7 @@ func signalMidRun(t *testing.T, masterBin, workerBin string) {
 	for i := range workerOuts {
 		workerOuts[i] = &e2etest.Output{}
 	}
-	workers, exits := startWorkerProcs(t, workerBin, 4, workerOuts, func(i int) []string {
+	workers, exits := startWorkerProcs(t, workerBin, 4, workerOuts, nil, func(i int) []string {
 		// A short reconnect budget: once the master goes away for good the
 		// orphans must give up and exit cleanly, not hang the test.
 		return []string{"-addr", addr, "-delay", "30ms", "-reconnect", "2s", "-checkpoint-dir", ckptDir}
@@ -407,7 +423,7 @@ func signalDuringLinger(t *testing.T, masterBin, workerBin string) {
 	for i := range workerOuts {
 		workerOuts[i] = &e2etest.Output{}
 	}
-	workers, _ := startWorkerProcs(t, workerBin, 4, workerOuts, func(int) []string {
+	workers, _ := startWorkerProcs(t, workerBin, 4, workerOuts, nil, func(int) []string {
 		return []string{"-addr", addrs[0]}
 	})
 	defer func() {

@@ -64,7 +64,6 @@ type options struct {
 	threshold     float64
 	liveness      time.Duration
 	stepTimeout   time.Duration
-	computePar    int           // loss-evaluation pool size (0 = GOMAXPROCS)
 	decodeCache   int           // decode LRU capacity (0 disables memoization)
 	decodeIncr    bool          // repair chosen sets across steps instead of re-solving
 	metricsAddr   string        // empty disables the admin endpoint
@@ -101,7 +100,6 @@ func main() {
 		seed      = flag.Int64("seed", 42, "shared seed (must match workers)")
 		samples   = flag.Int("samples", 240, "synthetic dataset size (must match workers)")
 
-		computePar  = flag.Int("compute-par", 0, "loss-evaluation compute shards (0 = auto/GOMAXPROCS, 1 = sequential)")
 		decodeCache = flag.Int("decode-cache", 0, "memoize decode results in an LRU of this many availability masks (0 disables; trades decode fairness for speed)")
 		decodeIncr  = flag.Bool("decode-incremental", false, "repair the previous step's chosen set against availability deltas instead of re-solving (trades decode fairness for latency)")
 		liveness    = flag.Duration("liveness", 15*time.Second, "declare a worker dead after this much silence (negative disables)")
@@ -144,7 +142,6 @@ func main() {
 		threshold:     *threshold,
 		liveness:      *liveness,
 		stepTimeout:   *stepTimeout,
-		computePar:    *computePar,
 		decodeCache:   *decodeCache,
 		decodeIncr:    *decodeIncr,
 		metricsAddr:   *metricsAddr,
@@ -266,7 +263,6 @@ func run(opts options) error {
 		Seed:              opts.data.Seed,
 		LivenessTimeout:   opts.liveness,
 		StepTimeout:       opts.stepTimeout,
-		ComputePar:        opts.computePar,
 		DecodeCache:       opts.decodeCache,
 		IncrementalDecode: opts.decodeIncr,
 		Metrics:           mm,

@@ -35,18 +35,17 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", "127.0.0.1:7000", "master address")
-		id         = flag.Int("id", 0, "worker id in [0, n)")
-		n          = flag.Int("n", 4, "number of workers / partitions")
-		c          = flag.Int("c", 2, "partitions per worker")
-		scheme     = flag.String("scheme", "cr", "placement scheme: fr, cr, or hr")
-		c1         = flag.Int("c1", 1, "HR upper rows (scheme=hr)")
-		g          = flag.Int("g", 2, "HR group count (scheme=hr)")
-		batch      = flag.Int("batch", 8, "per-partition batch size (must match master)")
-		seed       = flag.Int64("seed", 42, "shared seed (must match master)")
-		samples    = flag.Int("samples", 240, "synthetic dataset size (must match master)")
-		delay      = flag.Duration("delay", 0, "mean of an exponential straggler delay before each upload (0 = none)")
-		computePar = flag.Int("compute-par", 0, "gradient compute shards (0 = auto/GOMAXPROCS, 1 = sequential)")
+		addr    = flag.String("addr", "127.0.0.1:7000", "master address")
+		id      = flag.Int("id", 0, "worker id in [0, n)")
+		n       = flag.Int("n", 4, "number of workers / partitions")
+		c       = flag.Int("c", 2, "partitions per worker")
+		scheme  = flag.String("scheme", "cr", "placement scheme: fr, cr, or hr")
+		c1      = flag.Int("c1", 1, "HR upper rows (scheme=hr)")
+		g       = flag.Int("g", 2, "HR group count (scheme=hr)")
+		batch   = flag.Int("batch", 8, "per-partition batch size (must match master)")
+		seed    = flag.Int64("seed", 42, "shared seed (must match master)")
+		samples = flag.Int("samples", 240, "synthetic dataset size (must match master)")
+		delay   = flag.Duration("delay", 0, "mean of an exponential straggler delay before each upload (0 = none)")
 
 		crashAt      = flag.Int("crash-at", -1, "crash (die permanently) at this step (-1 = never)")
 		dropProb     = flag.Float64("drop-prob", 0, "probability of losing each step's gradient upload")
@@ -73,7 +72,7 @@ func main() {
 	dspec.Samples = *samples
 	dspec.Batch = *batch
 	fault := buildFault(*crashAt, *dropProb, *disconnectAt)
-	if err := run(*addr, *id, spec, dspec, *delay, *computePar, fault, *reconnect, *heartbeat, *metricsAddr, *eventsPath, *logLevel, *checkpointDir, *restore); err != nil {
+	if err := run(*addr, *id, spec, dspec, *delay, fault, *reconnect, *heartbeat, *metricsAddr, *eventsPath, *logLevel, *checkpointDir, *restore); err != nil {
 		fmt.Fprintln(os.Stderr, "isgc-worker:", err)
 		os.Exit(1)
 	}
@@ -98,7 +97,7 @@ func buildFault(crashAt int, dropProb float64, disconnectAt int) straggler.Fault
 	return fs
 }
 
-func run(addr string, id int, spec cliconfig.SchemeSpec, dspec cliconfig.DataSpec, delay time.Duration, computePar int, fault straggler.Fault, reconnect, heartbeat time.Duration, metricsAddr, eventsPath, logLevel, checkpointDir string, restore bool) error {
+func run(addr string, id int, spec cliconfig.SchemeSpec, dspec cliconfig.DataSpec, delay time.Duration, fault straggler.Fault, reconnect, heartbeat time.Duration, metricsAddr, eventsPath, logLevel, checkpointDir string, restore bool) error {
 	p, err := spec.Build()
 	if err != nil {
 		return err
@@ -153,7 +152,6 @@ func run(addr string, id int, spec cliconfig.SchemeSpec, dspec cliconfig.DataSpe
 		Model:             model.SoftmaxRegression{Features: dspec.Features, Classes: dspec.Classes},
 		Encode:            cluster.SumEncoder(),
 		Delay:             delayModel,
-		ComputePar:        computePar,
 		DelaySeed:         dspec.Seed + int64(id),
 		Fault:             fault,
 		FaultSeed:         dspec.Seed + int64(id),

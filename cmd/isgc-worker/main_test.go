@@ -10,17 +10,17 @@ import (
 
 func TestRunRejectsBadScheme(t *testing.T) {
 	spec := cliconfig.SchemeSpec{Scheme: "bogus", N: 4, C: 2}
-	if err := run("127.0.0.1:1", 0, spec, cliconfig.DefaultData(1), 0, 0, nil, 0, 0, "", "", "info", "", false); err == nil {
+	if err := run("127.0.0.1:1", 0, spec, cliconfig.DefaultData(1), 0, nil, 0, 0, "", "", "info", "", false); err == nil {
 		t.Fatal("expected error for unknown scheme")
 	}
 }
 
 func TestRunRejectsBadWorkerID(t *testing.T) {
 	spec := cliconfig.SchemeSpec{Scheme: "cr", N: 4, C: 2}
-	if err := run("127.0.0.1:1", 7, spec, cliconfig.DefaultData(1), 0, 0, nil, 0, 0, "", "", "info", "", false); err == nil {
+	if err := run("127.0.0.1:1", 7, spec, cliconfig.DefaultData(1), 0, nil, 0, 0, "", "", "info", "", false); err == nil {
 		t.Fatal("expected error for out-of-range id")
 	}
-	if err := run("127.0.0.1:1", -1, spec, cliconfig.DefaultData(1), 0, 0, nil, 0, 0, "", "", "info", "", false); err == nil {
+	if err := run("127.0.0.1:1", -1, spec, cliconfig.DefaultData(1), 0, nil, 0, 0, "", "", "info", "", false); err == nil {
 		t.Fatal("expected error for negative id")
 	}
 }
@@ -29,7 +29,7 @@ func TestRunRejectsIndivisibleDataset(t *testing.T) {
 	spec := cliconfig.SchemeSpec{Scheme: "cr", N: 7, C: 2}
 	d := cliconfig.DefaultData(1)
 	d.Samples = 240 // 240 % 7 != 0
-	if err := run("127.0.0.1:1", 0, spec, d, 0, 0, nil, 0, 0, "", "", "info", "", false); err == nil {
+	if err := run("127.0.0.1:1", 0, spec, d, 0, nil, 0, 0, "", "", "info", "", false); err == nil {
 		t.Fatal("expected partitioning error")
 	}
 }
@@ -39,7 +39,7 @@ func TestRunFailsWithoutMaster(t *testing.T) {
 	// bounded by the worker's dial timeout).
 	spec := cliconfig.SchemeSpec{Scheme: "cr", N: 4, C: 2}
 	start := time.Now()
-	if err := run("127.0.0.1:1", 0, spec, cliconfig.DefaultData(1), 0, 0, nil, 0, 0, "", "", "info", "", false); err == nil {
+	if err := run("127.0.0.1:1", 0, spec, cliconfig.DefaultData(1), 0, nil, 0, 0, "", "", "info", "", false); err == nil {
 		t.Fatal("expected dial error")
 	}
 	if time.Since(start) > 30*time.Second {

@@ -296,48 +296,65 @@ func TestTCPLossThresholdStopsEarly(t *testing.T) {
 	}
 }
 
-// TCP and in-process engine must produce identical trajectories for a
-// deterministic full-recovery scheme (same seeds, same batches, no
-// stragglers): the transport must not change the math.
+// TestTCPMatchesInProcessEngine: a wait-all run over real sockets is the
+// in-process engine's run bit for bit — every step's loss and the final
+// params. The FR(4,2) input has each worker compute two partitions
+// concurrently; the IS-SGD(4) input has each worker compute one partition's
+// batch gradient. Neither may depend on how many cores the master or the
+// workers have (go test -cpu 1,2,4).
 func TestTCPMatchesInProcessEngine(t *testing.T) {
 	mdl := model.SoftmaxRegression{Features: 6, Classes: 3}
 	data := testData(t)
-
-	pTCP, err := placement.FR(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stTCP, err := engine.NewISGC(isgc.New(pTCP, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resTCP := launchCluster(t, stTCP, data, mdl, 4, 25, 0, nil)
-
-	pEng, err := placement.FR(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stEng, err := engine.NewISGC(isgc.New(pEng, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resEng, err := engine.Train(engine.Config{
-		Strategy:     stEng,
-		Model:        mdl,
-		Data:         data,
-		BatchSize:    16,
-		LearningRate: 0.3,
-		W:            4,
-		MaxSteps:     25,
-		Seed:         42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range resTCP.Params {
-		if math.Abs(resTCP.Params[j]-resEng.Params[j]) > 1e-9 {
-			t.Fatalf("param %d: TCP %v ≠ engine %v", j, resTCP.Params[j], resEng.Params[j])
-		}
+	for _, tc := range []struct {
+		name  string
+		build func() (engine.Strategy, error)
+	}{
+		{"IS-GC-FR(4,2)", func() (engine.Strategy, error) {
+			p, err := placement.FR(4, 2)
+			if err != nil {
+				return nil, err
+			}
+			return engine.NewISGC(isgc.New(p, 3))
+		}},
+		{"IS-SGD(4)", func() (engine.Strategy, error) { return engine.NewISSGD(4) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stTCP, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resTCP := launchCluster(t, stTCP, data, mdl, 4, 25, 0, nil)
+			stEng, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resEng, err := engine.Train(engine.Config{
+				Strategy:     stEng,
+				Model:        mdl,
+				Data:         data,
+				BatchSize:    16,
+				LearningRate: 0.3,
+				W:            4,
+				MaxSteps:     25,
+				Seed:         42,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resTCP.Run.Records) != len(resEng.Run.Records) {
+				t.Fatalf("TCP ran %d steps, engine %d", len(resTCP.Run.Records), len(resEng.Run.Records))
+			}
+			for s, rec := range resTCP.Run.Records {
+				if want := resEng.Run.Records[s].Loss; math.Float64bits(rec.Loss) != math.Float64bits(want) {
+					t.Errorf("step %d: TCP loss %v ≠ engine %v", rec.Step, rec.Loss, want)
+				}
+			}
+			for j := range resTCP.Params {
+				if math.Float64bits(resTCP.Params[j]) != math.Float64bits(resEng.Params[j]) {
+					t.Fatalf("param %d: TCP %v ≠ engine %v", j, resTCP.Params[j], resEng.Params[j])
+				}
+			}
+		})
 	}
 }
 

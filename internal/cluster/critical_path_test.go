@@ -39,7 +39,6 @@ func TestFinalizeStaysOffTheGatherClock(t *testing.T) {
 	tl := events.NewTimeline(1 << 12)
 	res, _ := runShapedCluster(t, func(c *MasterConfig) {
 		c.Model = slowLoss{c.Model, lossTime}
-		c.ComputePar = 1
 		c.Timeline = tl
 		c.Checkpoint, c.CheckpointEvery = store, 2
 	}, nil)

@@ -68,13 +68,6 @@ type MasterConfig struct {
 	// WriteTimeout bounds each outbound send (default 5s; negative
 	// disables).
 	WriteTimeout time.Duration
-	// ComputePar sizes the master's loss-evaluation compute pool: the
-	// full-dataset loss each step is sharded across this many goroutines.
-	// 0 picks GOMAXPROCS, 1 forces the sequential evaluation. Sharding
-	// reassociates the loss mean's floating-point sum, so runs with
-	// different settings may differ in loss bits (never in parameters —
-	// the master's update never touches the pool).
-	ComputePar int
 	// DecodeCache, when positive, memoizes decode results in an LRU of
 	// that many availability masks — strategies that implement
 	// engine.DecodeCacher (IS-GC) only. Hits and misses land on the
@@ -153,6 +146,15 @@ type Master struct {
 	curParams []float64
 	rejoins   int
 	degraded  int // degraded steps so far (live view for Health)
+	// hellos holds the connections whose hello is still being read, so
+	// closeAll can cut them short; once it has run (closed), a new one is
+	// closed at once.
+	hellos map[*conn]struct{}
+	closed bool
+	// regMu makes handshakes past their hello complete one at a time, so
+	// registrations happen in the order their acks went out: of two hellos
+	// for one id, the first one acked is the one kept.
+	regMu sync.Mutex
 
 	grads  chan arrival
 	wakeup chan struct{} // liveness-changed signal for the gather loop
@@ -306,9 +308,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen: %w", err)
 	}
-	if cfg.ComputePar < 0 {
-		return nil, fmt.Errorf("cluster: need ComputePar ≥ 0, got %d", cfg.ComputePar)
-	}
 	if cfg.DecodeCache > 0 {
 		if dc, ok := cfg.Strategy.(engine.DecodeCacher); ok {
 			dc.SetDecodeCacheHooks(cfg.Metrics.decodeCacheHooks())
@@ -440,6 +439,7 @@ func (m *Master) Run() (*engine.Result, error) {
 	m.mu.Lock()
 	m.workers = make([]*workerState, n)
 	m.accepted = make([]atomic.Int64, n)
+	m.hellos = make(map[*conn]struct{})
 	m.mu.Unlock()
 
 	var readers sync.WaitGroup
@@ -480,7 +480,8 @@ func (m *Master) Run() (*engine.Result, error) {
 	}
 
 	// Shutdown order matters: refuse further registrations, say goodbye,
-	// stop accepting, then close every connection so readers drain. An
+	// stop accepting, then close every connection, hellos still being read
+	// included, so readers and handshakes drain. An
 	// interrupted master says no goodbye — the workers' reconnect loops
 	// keep the fleet alive for a successor master.
 	m.mu.Lock()
@@ -540,7 +541,15 @@ func (m *Master) acceptLoop(readers *sync.WaitGroup) {
 		if err != nil {
 			return // listener closed: Run is shutting down
 		}
-		m.handshake(raw, readers)
+		// Each handshake runs on its own goroutine, so a connection that
+		// sends nothing holds up no other registration for the hello
+		// deadline. It counts as a reader until it returns, so Run's
+		// readers.Wait covers it.
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			m.handshake(raw, readers)
+		}()
 	}
 }
 
@@ -553,14 +562,27 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 	n := m.cfg.Strategy.N()
 	c := newConn(raw, m.cfg.WriteTimeout, m.cfg.Metrics.sentCounter())
 	c.sink = declinePayload
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		_ = c.close()
+		return
+	}
+	m.hellos[c] = struct{}{}
+	m.mu.Unlock()
 	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
 	hello, err := c.recv()
+	m.mu.Lock()
+	delete(m.hellos, c)
+	m.mu.Unlock()
 	if err != nil || hello.Kind != MsgHello || hello.Worker >= n {
 		_ = c.close()
 		return
 	}
 	_ = raw.SetReadDeadline(time.Time{})
 	id := hello.Worker
+	m.regMu.Lock()
+	defer m.regMu.Unlock()
 
 	// A done master will never run another step: the job-gone reply stops
 	// the worker burning its redial budget.
@@ -872,11 +894,11 @@ func (m *Master) run() (*engine.Result, error) {
 	for i := range all {
 		all[i] = m.cfg.Data.At(i)
 	}
-	// The per-step full-dataset loss is the master's only heavy compute;
-	// shard it across a long-lived pool.
-	pool := model.NewParallelGrad(m.cfg.ComputePar)
-	defer pool.Close()
-	m.cfg.Metrics.setComputeShards(pool.Par())
+	// The per-step full-dataset loss is the master's only heavy compute. It
+	// runs in fixed sample blocks on the shared compute helpers, through the
+	// evaluator engine.Train uses, so its bits match the engine's on any
+	// host.
+	var lossEval model.Blocked
 
 	// Deadline mode and graceful degradation apply only to flexible
 	// schemes: a rigid scheme reports the same WaitFor for every target
@@ -897,7 +919,7 @@ func (m *Master) run() (*engine.Result, error) {
 
 	finalize := func(d stepSpans) (converged bool) {
 		lossStart := time.Now()
-		loss := pool.Loss(params, m.cfg.Model, all)
+		loss := lossEval.Loss(m.cfg.Model, params, all)
 		rec := d.rec
 		if tl := m.cfg.Timeline; tl != nil {
 			lossEnd := time.Now()
@@ -1313,6 +1335,10 @@ func (m *Master) broadcast(e *Envelope) {
 func (m *Master) closeAll() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.closed = true
+	for c := range m.hellos {
+		_ = c.close()
+	}
 	for _, ws := range m.workers {
 		if ws != nil {
 			_ = ws.c.close()

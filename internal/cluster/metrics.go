@@ -53,8 +53,6 @@ type MasterMetrics struct {
 	// (zero unless MasterConfig.IncrementalDecode is enabled).
 	DecodeRepairs   *metrics.Counter
 	DecodeFallbacks *metrics.Counter
-	// ComputeShards is the size of the master's loss-evaluation pool.
-	ComputeShards *metrics.Gauge
 	// CheckpointWrites/CheckpointBytes/CheckpointErrors count durable
 	// checkpoint activity; RestoreSkipped counts corrupt files skipped
 	// during restore (a nonzero value means the directory has torn or
@@ -104,8 +102,6 @@ func NewMasterMetrics(reg *metrics.Registry) *MasterMetrics {
 			"Decode results served from the availability-mask LRU."),
 		DecodeCacheMisses: reg.NewCounter("isgc_master_decode_cache_misses_total",
 			"Decode results computed afresh and inserted into the LRU."),
-		ComputeShards: reg.NewGauge("isgc_master_compute_shards",
-			"Size of the master's loss-evaluation compute pool."),
 		CheckpointWrites: reg.NewCounter("isgc_master_checkpoint_writes_total",
 			"Durable checkpoints written."),
 		CheckpointBytes: reg.NewCounter("isgc_master_checkpoint_bytes_total",
@@ -243,8 +239,6 @@ type WorkerMetrics struct {
 	DroppedUploads *metrics.Counter
 	// Connected is 1 while the worker holds a registered connection.
 	Connected *metrics.Gauge
-	// ComputeShards is the size of the worker's gradient compute pool.
-	ComputeShards *metrics.Gauge
 	// SubFrames is never set and reads zero: every upload is one whole
 	// frame. It stays only for readers that still add it to the frame
 	// count; delete it with the last of them.
@@ -269,12 +263,6 @@ func (mm *MasterMetrics) incrementalDecodeHooks() (onRepair, onFallback func()) 
 	return mm.DecodeRepairs.Inc, mm.DecodeFallbacks.Inc
 }
 
-func (mm *MasterMetrics) setComputeShards(par int) {
-	if mm != nil {
-		mm.ComputeShards.Set(float64(par))
-	}
-}
-
 // NewWorkerMetrics registers the worker's metric families on reg.
 func NewWorkerMetrics(reg *metrics.Registry) *WorkerMetrics {
 	return &WorkerMetrics{
@@ -294,14 +282,6 @@ func NewWorkerMetrics(reg *metrics.Registry) *WorkerMetrics {
 			"Uploads lost to injected drop faults."),
 		Connected: reg.NewGauge("isgc_worker_connected",
 			"1 while registered with the master."),
-		ComputeShards: reg.NewGauge("isgc_worker_compute_shards",
-			"Size of the worker's gradient compute pool."),
-	}
-}
-
-func (wm *WorkerMetrics) setComputeShards(par int) {
-	if wm != nil {
-		wm.ComputeShards.Set(float64(par))
 	}
 }
 

@@ -66,7 +66,7 @@ func startFleet(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl mod
 			loaders := make([]*dataset.Loader, len(pids))
 			for j, d := range pids {
 				var err error
-				loaders[j], err = dataset.NewLoader(parts[d], 16, 42+int64(d)*7919)
+				loaders[j], err = dataset.NewLoader(parts[d], shape.batchSize(), 42+int64(d)*7919)
 				if err != nil {
 					t.Error(err)
 					return
@@ -101,8 +101,19 @@ func startFleet(t *testing.T, st engine.Strategy, data *dataset.Dataset, mdl mod
 
 // fleetShape names the workers of a startFleet fleet whose uploads never
 // count: stalled ones delay every upload by an hour, so none lands within a
-// run; dropped ones draw straggler.DropWithProb{P: 1} and never send.
-type fleetShape struct{ stalled, dropped []int }
+// run; dropped ones draw straggler.DropWithProb{P: 1} and never send. It
+// also sets the fleet's batch size.
+type fleetShape struct {
+	stalled, dropped []int
+	batch            int // per-partition batch size; 0 means 16
+}
+
+func (s fleetShape) batchSize() int {
+	if s.batch == 0 {
+		return 16
+	}
+	return s.batch
+}
 
 func (s fleetShape) misbehaves(i int) bool {
 	return slices.Contains(s.stalled, i) || slices.Contains(s.dropped, i)
@@ -191,9 +202,6 @@ func TestClusterCheckpointRestoreEquivalence(t *testing.T) {
 				return MasterConfig{
 					Addr: addr, Strategy: st, Model: mdl, Data: data,
 					LearningRate: 0.3, W: tc.w, MaxSteps: 20, Seed: 42,
-					// Sequential loss eval: the sharded sum is pool-size dependent
-					// in its float bits, and this test compares bits.
-					ComputePar: 1,
 				}
 			}
 
@@ -455,7 +463,6 @@ func TestStopAtCheckpointBoundaryWritesOnce(t *testing.T) {
 		return MasterConfig{
 			Addr: addr, Strategy: st, Model: mdl, Data: data,
 			LearningRate: 0.3, W: 4, MaxSteps: 8, Seed: 42,
-			ComputePar: 1, // the lives' losses are compared bit for bit
 		}
 	}
 

@@ -103,7 +103,6 @@ func TestClusterStandbyFailover(t *testing.T) {
 		return MasterConfig{
 			Addr: addr, Strategy: st, Model: mdl, Data: data,
 			LearningRate: 0.3, W: 4, MaxSteps: 12, Seed: 42,
-			ComputePar: 1,
 		}
 	}
 

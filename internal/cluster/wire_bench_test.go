@@ -105,7 +105,7 @@ func TestGradientSendSteadyStateAllocs(t *testing.T) {
 // a real dim≈2^16 MLP with c=4 partitions: the legacy allocating path
 // (Grad per partition, sequential, fresh buffers) versus the pooled path
 // computeStep now runs (GradInto into reusable buffers, partitions
-// concurrent on the compute pool, SumEncoder buffer reuse).
+// concurrent on the shared compute helpers, SumEncoder buffer reuse).
 func BenchmarkWorkerCompute(b *testing.B) {
 	m := model.MLP{Features: 128, Hidden: 500, Classes: 4}
 	params := m.InitParams(1)
@@ -140,24 +140,29 @@ func BenchmarkWorkerCompute(b *testing.B) {
 	})
 
 	b.Run("pooled-concurrent", func(b *testing.B) {
-		pool := model.NewParallelGrad(0)
-		defer pool.Close()
-		local := make([][]float64, c)
-		for j := range local {
-			local[j] = make([]float64, m.Dim())
+		loaders := make([]*dataset.Loader, c)
+		for j := range loaders {
+			part, err := dataset.New(batches[j])
+			if err == nil {
+				loaders[j], err = dataset.NewLoader(part, len(batches[j]), int64(j))
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
-		tasks := make([]func(), c)
-		for j := range tasks {
-			j := j
-			tasks[j] = func() { m.GradInto(local[j], params, batches[j]) }
+		g := &engine.PartitionGrads{Model: m, Loaders: loaders, Bufs: make([][]float64, c)}
+		local := make([]int, c)
+		for j := range local {
+			local[j] = j
+			g.Bufs[j] = make([]float64, m.Dim())
 		}
 		encode := SumEncoder()
-		pool.Run(tasks...) // warm the scratch pool
+		g.Run(local, params, 0, true) // warm the scratch pool
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			pool.Run(tasks...)
-			if _, err := encode(local); err != nil {
+			g.Run(local, params, i, true)
+			if _, err := encode(g.Bufs); err != nil {
 				b.Fatal(err)
 			}
 		}

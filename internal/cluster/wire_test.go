@@ -95,6 +95,46 @@ func TestDialWithRetryTimesOut(t *testing.T) {
 	}
 }
 
+// TestSilentConnectionDoesNotBlockRegistration: a connection that sends no
+// hello holds up no other registration for the master's 2 s hello deadline,
+// and Run does not wait that deadline out on shutdown either — the master
+// closes it, so the whole run, registration to return, takes well under 2 s.
+func TestSilentConnectionDoesNotBlockRegistration(t *testing.T) {
+	st := freshISGC(t, 4, 2, 7)
+	data := testData(t)
+	mdl := model.SoftmaxRegression{Features: 6, Classes: 3}
+	m, err := NewMaster(MasterConfig{
+		Addr: "127.0.0.1:0", Strategy: st, Model: mdl, Data: data,
+		LearningRate: 0.3, W: 4, MaxSteps: 5, Seed: 42, AcceptTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Run()
+		done <- err
+	}()
+	fleet := startFleet(t, st, data, mdl, m.Addr(), 0, nil, fleetShape{})
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	fleet.Wait()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("registration and a 5-step run took %v beside a silent connection, want well under the 2 s hello deadline", took)
+	}
+	_ = silent.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := silent.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("silent connection after Run: read err = %v, want EOF (closed by the master)", err)
+	}
+}
+
 // TestMasterRejectsBadHello: a first frame the master cannot register — an
 // out-of-range worker id, another kind than hello, a payload-carrying step,
 // bytes that are not a frame, a header cut short — is closed without a

@@ -11,6 +11,7 @@ import (
 
 	"isgc/internal/checkpoint"
 	"isgc/internal/dataset"
+	"isgc/internal/engine"
 	"isgc/internal/events"
 	"isgc/internal/linalg"
 	"isgc/internal/model"
@@ -45,14 +46,6 @@ type WorkerConfig struct {
 	Delay straggler.Model
 	// DelaySeed seeds the delay sampling.
 	DelaySeed int64
-	// ComputePar sizes the worker's gradient compute pool: 0 picks
-	// GOMAXPROCS, 1 forces sequential, >1 is explicit. With several
-	// partitions the pool computes them concurrently (bit-identical to
-	// sequential, so replicas on hosts with different settings still
-	// agree); with a single partition it shards the batch instead, which
-	// reassociates the mean's floating-point sum — safe because a
-	// single-partition placement has no replicas to disagree with.
-	ComputePar int
 	// Fault optionally injects crash/drop/disconnect faults per step
 	// (nil = none) — the deterministic worker-death counterpart of Delay,
 	// used by integration tests and examples to reproduce machine loss.
@@ -114,13 +107,12 @@ type Worker struct {
 	stopping atomic.Bool
 	stopOnce sync.Once
 
-	// pool and localBuf make computeStep allocation-free: one long-lived
-	// compute pool and one reusable gradient buffer per stored partition,
-	// handed to GradInto still holding the previous step's gradient (it
-	// overwrites; nothing here clears).
-	pool     *model.ParallelGrad
-	localBuf [][]float64
-	tasks    []func()
+	// grads makes computeStep allocation-free: one reusable gradient
+	// buffer per stored partition, handed to GradInto still holding the
+	// previous step's gradient (it overwrites; nothing here clears), and
+	// the partitions' indexes, the job computeStep runs each step.
+	grads *engine.PartitionGrads
+	local []int
 
 	// faultedThrough is the highest step the fault model has been
 	// consulted for, and faultedAction what it drew for that step. A
@@ -226,9 +218,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		delaySrc:       randsrc.New(cfg.DelaySeed),
 		faultSrc:       randsrc.New(cfg.FaultSeed),
 		faultedThrough: -1,
-		pool:           model.NewParallelGrad(cfg.ComputePar),
-		localBuf:       make([][]float64, len(cfg.Partitions)),
-		tasks:          make([]func(), len(cfg.Partitions)),
+		grads: &engine.PartitionGrads{Model: cfg.Model, Loaders: cfg.Loaders,
+			Bufs: make([][]float64, len(cfg.Partitions))},
+		local: make([]int, len(cfg.Partitions)),
 	}
 	if resumed != nil {
 		// Reposition the streams under the checkpointed seeds (which win
@@ -241,10 +233,10 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	w.rng = w.delaySrc.Rand()
 	w.frng = w.faultSrc.Rand()
-	for j := range w.localBuf {
-		w.localBuf[j] = make([]float64, cfg.Model.Dim())
+	for j := range w.local {
+		w.local[j] = j
+		w.grads.Bufs[j] = make([]float64, cfg.Model.Dim())
 	}
-	cfg.Metrics.setComputeShards(w.pool.Par())
 	w.setConnected(true)
 	w.startHeartbeat()
 	cfg.Events.Info("worker.connected", "registered with master", events.NoStep, cfg.ID,
@@ -326,7 +318,6 @@ func (w *Worker) Run() (int, error) {
 		_ = c.close()
 		<-mb.done
 		w.setConnected(false)
-		w.pool.Close()
 		if w.stopping.Load() {
 			// Graceful shutdown: leave a resumable snapshot behind.
 			w.saveState()
@@ -611,24 +602,13 @@ func (w *Worker) stopHeartbeat() {
 // upload plus its timing (start and duration), which the caller stamps
 // into the gradient envelope for master-side straggler attribution.
 //
-// With several partitions the pool computes them concurrently, each into
-// its own reusable buffer — bit-identical to sequential. With one
-// partition there are no replicas to stay bit-identical with, so the pool
-// shards the batch itself.
+// The partitions' gradients are computed concurrently on the shared compute
+// helpers, each into its own reusable buffer, with the bits engine.Train
+// gives the same partitions (engine.PartitionGrads).
 func (w *Worker) computeStep(step int, params []float64) ([]float64, time.Time, time.Duration, error) {
 	start := time.Now()
-	if len(w.cfg.Partitions) == 1 {
-		w.pool.GradInto(w.localBuf[0], params, w.cfg.Model, w.cfg.Loaders[0].Samples(step))
-	} else {
-		for j := range w.cfg.Loaders {
-			j := j
-			w.tasks[j] = func() {
-				w.cfg.Model.GradInto(w.localBuf[j], params, w.cfg.Loaders[j].Samples(step))
-			}
-		}
-		w.pool.Run(w.tasks...)
-	}
-	coded, err := w.cfg.Encode(w.localBuf)
+	w.grads.Run(w.local, params, step, true)
+	coded, err := w.cfg.Encode(w.grads.Bufs)
 	if err != nil {
 		return nil, start, 0, fmt.Errorf("cluster: worker %d step %d: %w", w.cfg.ID, step, err)
 	}

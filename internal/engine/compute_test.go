@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"isgc/internal/dataset"
@@ -8,11 +10,11 @@ import (
 	"isgc/internal/placement"
 )
 
-// runWithCompute trains a fixed MLP/CR(8,3) workload at seed 11 under the
-// given compute settings and returns the full result.
-func runWithCompute(t *testing.T, computePar int, parallel bool, decodeCache int) *Result {
+// runWithCompute trains a fixed MLP/CR(8,3) workload at seed 11 on the
+// given number of samples and batch size and returns the full result.
+func runWithCompute(t *testing.T, samples, batch int, parallel bool, decodeCache int) *Result {
 	t.Helper()
-	d, err := dataset.SyntheticClusters(240, 6, 3, 1.5, 41)
+	d, err := dataset.SyntheticClusters(samples, 6, 3, 1.5, 41)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,13 +27,12 @@ func runWithCompute(t *testing.T, computePar int, parallel bool, decodeCache int
 		Strategy:     st,
 		Model:        model.MLP{Features: 6, Hidden: 8, Classes: 3},
 		Data:         d,
-		BatchSize:    8,
+		BatchSize:    batch,
 		LearningRate: 0.1,
 		W:            5,
 		MaxSteps:     30,
 		Seed:         11,
 		Parallel:     parallel,
-		ComputePar:   computePar,
 		DecodeCache:  decodeCache,
 	})
 	if err != nil {
@@ -73,22 +74,27 @@ func requireBitIdentical(t *testing.T, name string, ref, got *Result) {
 	}
 }
 
-// TestComputeParSeedEquivalence: any pool size must leave the whole run —
-// per-step records and final params — bit-identical to the sequential
-// path, because parallelism never crosses a partition boundary.
-func TestComputeParSeedEquivalence(t *testing.T) {
-	ref := runWithCompute(t, 1, false, 0)
-	for _, tc := range []struct {
-		name       string
-		computePar int
-		parallel   bool
-	}{
-		{"compute-par-2", 2, false},
-		{"compute-par-4", 4, false},
-		{"compute-par-8", 8, false},
-		{"legacy-parallel-auto", 0, true},
-	} {
-		requireBitIdentical(t, tc.name, ref, runWithCompute(t, tc.computePar, tc.parallel, 0))
+// TestGOMAXPROCSSeedEquivalence: the whole run — per-step records and
+// final params — is bit-identical serial or parallel at GOMAXPROCS 1, 2 and
+// 4: partitions are the unit of the parallel step, and a batch or a loss
+// set larger than model.SampleBlock is split into fixed blocks whose
+// combine order never depends on the core count. The "blocked" shape takes
+// both past one block (300-sample batches, a 2,400-sample loss).
+func TestGOMAXPROCSSeedEquivalence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, shape := range []struct {
+		name           string
+		samples, batch int
+	}{{"small", 240, 8}, {"blocked", 8 * 300, 300}} {
+		runtime.GOMAXPROCS(1)
+		ref := runWithCompute(t, shape.samples, shape.batch, false, 0)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for _, parallel := range []bool{false, true} {
+				name := fmt.Sprintf("%s GOMAXPROCS=%d parallel=%v", shape.name, procs, parallel)
+				requireBitIdentical(t, name, ref, runWithCompute(t, shape.samples, shape.batch, parallel, 0))
+			}
+		}
 	}
 }
 
@@ -97,8 +103,8 @@ func TestComputeParSeedEquivalence(t *testing.T) {
 // independent set has the same size), and the cache must actually serve
 // hits once masks repeat.
 func TestDecodeCacheInEngine(t *testing.T) {
-	ref := runWithCompute(t, 1, false, 0)
-	cached := runWithCompute(t, 1, false, 64)
+	ref := runWithCompute(t, 240, 8, false, 0)
+	cached := runWithCompute(t, 240, 8, false, 64)
 	for s, rr := range ref.Run.Records {
 		cr := cached.Run.Records[s]
 		if rr.RecoveredFraction != cr.RecoveredFraction || rr.Chosen != cr.Chosen {

@@ -94,16 +94,11 @@ type Config struct {
 	// (every step if ≤ 1). Loss records between evaluations repeat the
 	// last value.
 	EvalEvery int
-	// Parallel computes the per-partition gradients of a step on separate
-	// goroutines. Results are bit-identical to the serial path (each
-	// partition writes its own slot); worth enabling for large models.
+	// Parallel computes the per-partition gradients of a step on the shared
+	// compute helpers (package par). Results are bit-identical to the
+	// serial path (each partition writes its own slot); worth enabling for
+	// large models.
 	Parallel bool
-	// ComputePar sets the compute pool size explicitly: 1 forces the
-	// sequential path, >1 uses that many long-lived workers, and 0 defers
-	// to Parallel (true = GOMAXPROCS, false = sequential). Whatever the
-	// value, parallelism stays at partition granularity, so results are
-	// bit-identical to the sequential path.
-	ComputePar int
 	// DecodeCache, when positive, memoizes decode results in an LRU of
 	// that many availability masks (isgc schemes only; see
 	// isgc.Scheme.EnableDecodeCache for the fairness tradeoff). Repeated
@@ -204,18 +199,6 @@ type IncrementalDecoder interface {
 	IncrementalDecodeCounts() (repairs, fallbacks, fullSolves, cacheSyncs uint64)
 }
 
-// computePar resolves the pool size: ComputePar wins when set, otherwise
-// the legacy Parallel bool picks between GOMAXPROCS and sequential.
-func (cfg *Config) computePar() int {
-	if cfg.ComputePar != 0 {
-		return cfg.ComputePar
-	}
-	if cfg.Parallel {
-		return -1 // NewParallelGrad: auto = GOMAXPROCS
-	}
-	return 1
-}
-
 // Train runs distributed SGD under the configured scheme and returns the
 // trace. The run is fully deterministic given Config.
 func Train(cfg Config) (*Result, error) {
@@ -256,13 +239,6 @@ func Train(cfg Config) (*Result, error) {
 	core := NewStepCore(&cfg, cfg.Model.InitParams(cfg.Seed))
 	all := materialize(cfg.Data)
 
-	// One long-lived compute pool per run; partitions are its unit of
-	// work, so any pool size yields bit-identical results.
-	pool := model.NewParallelGrad(cfg.computePar())
-	defer pool.Close()
-	if cfg.Metrics != nil {
-		cfg.Metrics.ComputeShards.Set(float64(pool.Par()))
-	}
 	if cfg.DecodeCache > 0 {
 		if dc, ok := st.(DecodeCacher); ok {
 			if cfg.Metrics != nil {
@@ -281,12 +257,15 @@ func Train(cfg Config) (*Result, error) {
 	}
 	// Per-partition gradient buffers, reused every step: after the first
 	// step the gradient stage allocates nothing.
-	gradBuf := make([][]float64, n)
+	pg := &PartitionGrads{Model: cfg.Model, Loaders: loaders, Bufs: make([][]float64, n)}
 	grads := make([][]float64, n)
-	tasks := make([]func(), 0, n)
+	needed := make([]int, 0, n)
+	// The full-set loss goes through the evaluator the cluster master uses,
+	// so both report the same bits.
+	var lossEval model.Blocked
 
 	classifier, isClassifier := cfg.Model.(model.Classifier)
-	lastLoss := cfg.Model.Loss(core.Params(), all)
+	lastLoss := lossEval.Loss(cfg.Model, core.Params(), all)
 	lastAcc := 0.0
 	if isClassifier {
 		lastAcc = model.Accuracy(classifier, core.Params(), all)
@@ -413,9 +392,7 @@ func Train(cfg Config) (*Result, error) {
 		// 2. Per-partition mean gradients for this step's batches. Thanks
 		// to the controlled seeds, a partition's gradient is identical on
 		// every worker replicating it, so we compute each once — each
-		// needed partition into its own reusable buffer, on the pool.
-		// Partition granularity keeps any pool size bit-identical to the
-		// sequential path.
+		// needed partition into its own reusable buffer.
 		// Under staleness every eligible worker computes and encodes this
 		// step — the stragglers' uploads stay in flight and may fold into a
 		// later step, so their coded vectors are needed too.
@@ -432,24 +409,21 @@ func Train(cfg Config) (*Result, error) {
 		for d := range grads {
 			grads[d] = nil
 		}
-		tasks = tasks[:0]
+		needed = needed[:0]
 		uploaders.Range(func(i int) bool {
 			for _, d := range st.Partitions(i) {
 				if grads[d] != nil {
 					continue
 				}
-				if gradBuf[d] == nil {
-					gradBuf[d] = make([]float64, cfg.Model.Dim())
+				if pg.Bufs[d] == nil {
+					pg.Bufs[d] = make([]float64, cfg.Model.Dim())
 				}
-				grads[d] = gradBuf[d]
-				d := d
-				tasks = append(tasks, func() {
-					cfg.Model.GradInto(gradBuf[d], params, loaders[d].Samples(step))
-				})
+				grads[d] = pg.Bufs[d]
+				needed = append(needed, d)
 			}
 			return true
 		})
-		pool.Run(tasks...)
+		pg.Run(needed, params, step, cfg.Parallel)
 
 		// 3. Worker-side encoding for available workers.
 		coded := make([][]float64, n)
@@ -514,7 +488,7 @@ func Train(cfg Config) (*Result, error) {
 
 		// 5. Bookkeeping.
 		if cfg.EvalEvery <= 1 || (step+1)%cfg.EvalEvery == 0 || step == cfg.MaxSteps-1 {
-			lastLoss = cfg.Model.Loss(params, all)
+			lastLoss = lossEval.Loss(cfg.Model, params, all)
 			if isClassifier {
 				lastAcc = model.Accuracy(classifier, params, all)
 			}
@@ -577,8 +551,6 @@ func validate(cfg *Config) error {
 		return fmt.Errorf("engine: need WeightDecay ≥ 0, got %v", cfg.WeightDecay)
 	case cfg.MaxSteps <= 0:
 		return fmt.Errorf("engine: need MaxSteps > 0, got %d", cfg.MaxSteps)
-	case cfg.ComputePar < 0:
-		return fmt.Errorf("engine: need ComputePar ≥ 0, got %d", cfg.ComputePar)
 	case cfg.DecodeCache < 0:
 		return fmt.Errorf("engine: need DecodeCache ≥ 0, got %d", cfg.DecodeCache)
 	}

@@ -24,8 +24,6 @@ type Metrics struct {
 	RecoveredFraction *metrics.Gauge
 	// Steps counts completed steps.
 	Steps *metrics.Counter
-	// ComputeShards is the size of the run's gradient compute pool.
-	ComputeShards *metrics.Gauge
 	// DecodeCacheHits and DecodeCacheMisses count decode memoization
 	// outcomes (always zero unless Config.DecodeCache is enabled).
 	DecodeCacheHits   *metrics.Counter
@@ -51,8 +49,6 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 			"Fraction of dataset partitions recovered in the last step."),
 		Steps: reg.NewCounter("isgc_engine_steps_total",
 			"Completed training steps."),
-		ComputeShards: reg.NewGauge("isgc_engine_compute_shards",
-			"Size of the gradient compute pool for the current run."),
 		DecodeCacheHits: reg.NewCounter("isgc_engine_decode_cache_hits_total",
 			"Decode results served from the availability-mask LRU."),
 		DecodeCacheMisses: reg.NewCounter("isgc_engine_decode_cache_misses_total",

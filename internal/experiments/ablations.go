@@ -39,9 +39,6 @@ type AblationConfig struct {
 	DelayMean time.Duration
 	// Seed drives everything.
 	Seed int64
-	// ComputePar sizes the engine's gradient compute pool (0 keeps the
-	// sequential default); bit-identical either way.
-	ComputePar int
 }
 
 // DefaultAblations returns a configuration sized for seconds.
@@ -92,7 +89,6 @@ func GatherPolicies(cfg AblationConfig) ([]GatherRow, *trace.Table, error) {
 			MaxSteps:            cfg.MaxSteps,
 			ComputePerPartition: 30 * time.Millisecond,
 			Upload:              250 * time.Millisecond,
-			ComputePar:          cfg.ComputePar,
 			Profile:             straggler.NewProfile(cfg.N, straggler.Exponential{Mean: cfg.DelayMean}, trialSeed+100),
 			Seed:                trialSeed,
 		}, nil
@@ -185,7 +181,6 @@ func EnduringStraggler(cfg AblationConfig) ([]EnduringStragglerRow, *trace.Table
 			LearningRate: 0.2,
 			W:            2,
 			MaxSteps:     cfg.MaxSteps,
-			ComputePar:   cfg.ComputePar,
 			Profile:      prof,
 			Seed:         trialSeed,
 		})

@@ -38,9 +38,6 @@ type AttributionConfig struct {
 	Seed              int64
 	// Events, when non-nil, receives the run's structured events.
 	Events *events.Log
-	// ComputePar sizes the engine's gradient compute pool (0 keeps the
-	// sequential default); bit-identical either way.
-	ComputePar int
 }
 
 // DefaultAttribution returns a configuration sized to finish in seconds:
@@ -93,7 +90,6 @@ func Attribution(cfg AttributionConfig) (trace.AttributionReport, *trace.Table, 
 		MaxSteps:            cfg.Steps,
 		ComputePerPartition: cfg.Compute,
 		Upload:              cfg.Upload,
-		ComputePar:          cfg.ComputePar,
 		Profile:             straggler.PartialProfile(cfg.N, cfg.SlowCount, straggler.Exponential{Mean: cfg.DelayMean}, cfg.Seed+900),
 		Seed:                cfg.Seed,
 		Events:              cfg.Events,

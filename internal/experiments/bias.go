@@ -37,9 +37,6 @@ type BiasConfig struct {
 	DelayMean time.Duration
 	// Seed drives everything.
 	Seed int64
-	// ComputePar sizes the engine's gradient compute pool (0 keeps the
-	// sequential default); bit-identical either way.
-	ComputePar int
 }
 
 // DefaultBias returns the n=4, c=2 bias study.
@@ -114,7 +111,6 @@ func Bias(cfg BiasConfig) ([]BiasRow, *trace.Table, error) {
 				LearningRate: 0.15,
 				W:            cfg.W,
 				MaxSteps:     cfg.Steps,
-				ComputePar:   cfg.ComputePar,
 				Profile:      prof,
 				Seed:         trialSeed,
 			})

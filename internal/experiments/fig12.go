@@ -51,11 +51,6 @@ type Fig12Config struct {
 	Workload string
 	// Hidden is the MLP hidden width (Workload == "mlp"; default 8).
 	Hidden int
-	// ComputePar sizes the engine's gradient compute pool (0 keeps the
-	// sequential default, >1 uses that many workers). Partition-level
-	// parallelism is bit-identical to sequential, so the figure's numbers
-	// do not change.
-	ComputePar int
 }
 
 // DefaultFig12 returns a configuration that reproduces the figure's shape
@@ -173,7 +168,6 @@ func Fig12(cfg Fig12Config) ([]Fig12Row, []*trace.Table, error) {
 					LossThreshold:       cfg.LossThreshold,
 					ComputePerPartition: cfg.Compute,
 					Upload:              cfg.Upload,
-					ComputePar:          cfg.ComputePar,
 					Profile:             straggler.NewProfile(cfg.N, straggler.Exponential{Mean: cfg.DelayMean}, trialSeed+500),
 					// The seed is shared across schemes within a trial, so
 					// every scheme starts from the same parameters and sees

@@ -35,9 +35,6 @@ type Fig13Config struct {
 	DelayMean                  time.Duration
 	Trials                     int
 	Seed                       int64
-	// ComputePar sizes the engine's gradient compute pool (0 keeps the
-	// sequential default); bit-identical either way.
-	ComputePar int
 }
 
 // DefaultFig13 returns the paper's configuration scaled to the synthetic
@@ -106,7 +103,6 @@ func Fig13(cfg Fig13Config) ([]Fig13Row, []Fig13LossCurve, []*trace.Table, error
 			LearningRate: cfg.LearningRate,
 			W:            w,
 			MaxSteps:     steps,
-			ComputePar:   cfg.ComputePar,
 			Profile:      straggler.NewProfile(cfg.N, straggler.Exponential{Mean: cfg.DelayMean}, trialSeed+900),
 			// Shared across c1 values within a trial so the sweep is a
 			// controlled comparison (paper methodology).

@@ -34,9 +34,6 @@ type HeterogeneityConfig struct {
 	DelayMean       time.Duration
 	// Seed drives everything.
 	Seed int64
-	// ComputePar sizes the engine's gradient compute pool (0 keeps the
-	// sequential default); bit-identical either way.
-	ComputePar int
 }
 
 // DefaultHeterogeneity returns an 8-worker fleet with a 3x speed spread.
@@ -102,7 +99,6 @@ func Heterogeneity(cfg HeterogeneityConfig) ([]HeterogeneityRow, *trace.Table, e
 			MaxSteps:            cfg.Steps,
 			ComputePerPartition: cfg.Compute,
 			Upload:              cfg.Upload,
-			ComputePar:          cfg.ComputePar,
 			Profile:             straggler.NewProfile(cfg.N, straggler.Exponential{Mean: cfg.DelayMean}, trialSeed+7),
 			Seed:                trialSeed,
 		}

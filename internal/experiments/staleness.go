@@ -48,9 +48,6 @@ type StalenessConfig struct {
 	Trials int
 	// Seed drives everything.
 	Seed int64
-	// ComputePar sizes the engine's gradient compute pool (bit-identical
-	// at any size).
-	ComputePar int
 }
 
 // DefaultStaleness returns a sweep over k = 0, 1, 2 at w = 3 under the
@@ -150,7 +147,6 @@ func Staleness(cfg StalenessConfig) ([]StalenessRow, *trace.Table, error) {
 					LossThreshold:       cfg.LossThreshold,
 					ComputePerPartition: cfg.Compute,
 					Upload:              cfg.Upload,
-					ComputePar:          cfg.ComputePar,
 					Profile:             straggler.NewProfile(cfg.N, straggler.Exponential{Mean: cfg.DelayMean}, trialSeed+500),
 					Seed:                trialSeed,
 				})

@@ -2,12 +2,11 @@ package isgc
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"isgc/internal/bitset"
 	"isgc/internal/linalg"
+	"isgc/internal/par"
 )
 
 // sumBlock is the number of worker ids whose rows form one partial sum of ĝ.
@@ -32,8 +31,8 @@ const sumBlock = 2048
 // (bitset.Cursor) with one pass of look-ahead: each pass is handed the next
 // pass's four rows to prefetch, since chosen rows sit a stride of c or more
 // rows apart, where the hardware prefetcher does not follow. With more than
-// one block the blocks are summed on the calling goroutine and up to
-// GOMAXPROCS−1 shared helpers; which goroutine sums a block never changes
+// one block the blocks are summed on the calling goroutine and the shared
+// compute helpers (package par); which goroutine sums a block never changes
 // its bits. ĝ is a fresh vector; see AggregateInto to sum into one the
 // caller keeps.
 func (s *Scheme) Aggregate(chosen *bitset.Set, coded [][]float64) ([]float64, *bitset.Set, error) {
@@ -135,134 +134,48 @@ func addRows(ghat []float64, it bitset.Cursor, n int, coded [][]float64) bool {
 	return true
 }
 
-// blockSum is a Scheme's scratch for a sum of more than one block: the
-// partials (blocks × dim values, block b at [b·dim, (b+1)·dim)) and the
-// state of the sum in flight, which helpers join. It is allocated on the
-// first such sum and regrown only when blocks × dim grows.
+// blockSum is a Scheme's scratch for a sum of more than one block, as a
+// par job: the partials (blocks × dim values, block b at [b·dim, (b+1)·dim))
+// and the operands of the sum in flight. It is allocated on the first such
+// sum and regrown only when blocks × dim grows.
 type blockSum struct {
-	// Set by the caller before state opens; read-only while it is open.
+	// Set by the caller before the job runs; read-only while it runs.
 	chosen   *bitset.Set
 	coded    [][]float64
 	n, dim   int
-	blocks   int
 	partials []float64
 
-	next   atomic.Int64 // the next block to claim
-	state  atomic.Int64 // sumClosed | the number of helpers inside
-	failed atomic.Bool  // some block holds a bad row
-	wake   chan struct{}
-}
-
-// sumClosed marks a blockSum no helper may join: between sums, and once
-// the caller has run out of blocks to claim.
-const sumClosed = 1 << 62
-
-// sumHelp carries open sums to the helpers. A sum is posted once per
-// helper it may use; a post that finds the sum closed is dropped, and one
-// that finds a later sum of the same Scheme open joins that one, which is
-// as good. The buffer holds the posts of many sums at once (each posts at
-// most GOMAXPROCS−1), so a post does not wait for a helper to take it; a
-// post that finds the buffer full is skipped, which costs parallelism but
-// never a result.
-//
-// The helpers are the process's, not a Scheme's: a Scheme has no Close and
-// is made per run, so helpers it owned would outlive it. There are at most
-// GOMAXPROCS−1 of them over the process's life (the most any sum asked
-// for), each parked on sumHelp between sums.
-var (
-	sumHelp      = make(chan *blockSum, 64)
-	helpersMu    sync.Mutex
-	helpersReady atomic.Int32
-)
-
-// startHelpers grows the package's helper goroutines to k.
-func startHelpers(k int) {
-	helpersMu.Lock()
-	defer helpersMu.Unlock()
-	for int(helpersReady.Load()) < k {
-		go func() {
-			for bs := range sumHelp {
-				bs.help()
-			}
-		}()
-		helpersReady.Add(1)
-	}
+	failed atomic.Bool // some block holds a bad row
+	fork   par.Fork
 }
 
 // sumBlocks computes every block's partial of the chosen rows into
-// s.sum.partials, on the calling goroutine and up to GOMAXPROCS−1 helpers,
+// s.sum.partials, on the calling goroutine and the shared compute helpers,
 // and reports whether every row was good. Every chosen id is below n and
 // the first chosen row has dim values.
 func (s *Scheme) sumBlocks(chosen *bitset.Set, coded [][]float64, n, dim, blocks int) bool {
 	bs := s.sum
 	if bs == nil {
-		bs = &blockSum{wake: make(chan struct{}, 1)}
-		bs.state.Store(sumClosed)
+		bs = &blockSum{}
 		s.sum = bs
 	}
 	if need := blocks * dim; cap(bs.partials) < need {
 		bs.partials = make([]float64, need)
 	}
-	bs.chosen, bs.coded, bs.n, bs.dim, bs.blocks = chosen, coded, n, dim, blocks
+	bs.chosen, bs.coded, bs.n, bs.dim = chosen, coded, n, dim
 	bs.partials = bs.partials[:blocks*dim]
-	bs.next.Store(0)
 	bs.failed.Store(false)
-	bs.state.Store(0)
-	if h := min(runtime.GOMAXPROCS(0), blocks) - 1; h > 0 {
-		if int(helpersReady.Load()) < h {
-			startHelpers(h)
-		}
-		for ; h > 0; h-- {
-			select {
-			case sumHelp <- bs:
-			default:
-			}
-		}
-	}
-	bs.claim()
-	for {
-		st := bs.state.Load()
-		if bs.state.CompareAndSwap(st, st|sumClosed) {
-			if st != 0 {
-				<-bs.wake // the last helper out sends
-			}
-			break
-		}
-	}
+	bs.fork.Run(bs, blocks)
 	bs.chosen, bs.coded = nil, nil
 	return !bs.failed.Load()
 }
 
-// help joins bs if it is open, claims blocks until none is left, and wakes
-// the caller if it was the last helper out of a closed sum.
-func (bs *blockSum) help() {
-	for {
-		st := bs.state.Load()
-		if st&sumClosed != 0 {
-			return
-		}
-		if bs.state.CompareAndSwap(st, st+1) {
-			break
-		}
-	}
-	bs.claim()
-	if bs.state.Add(-1) == sumClosed {
-		bs.wake <- struct{}{}
-	}
-}
-
-// claim sums blocks into their partials until every block is claimed. A
-// block with a bad row marks the sum failed.
-func (bs *blockSum) claim() {
-	for {
-		b := int(bs.next.Add(1) - 1)
-		if b >= bs.blocks {
-			return
-		}
-		part := bs.partials[b*bs.dim : (b+1)*bs.dim]
-		linalg.ZeroVec(part)
-		if !addRows(part, bs.chosen.CursorRange(b*sumBlock, (b+1)*sumBlock), bs.n, bs.coded) {
-			bs.failed.Store(true)
-		}
+// Block sums block b's chosen rows into its partial. A block with a bad row
+// marks the sum failed.
+func (bs *blockSum) Block(b int) {
+	part := bs.partials[b*bs.dim : (b+1)*bs.dim]
+	linalg.ZeroVec(part)
+	if !addRows(part, bs.chosen.CursorRange(b*sumBlock, (b+1)*sumBlock), bs.n, bs.coded) {
+		bs.failed.Store(true)
 	}
 }

@@ -3,9 +3,8 @@ package model
 import "sync"
 
 // vecPool recycles the per-call scratch vectors (logits, hidden
-// activations, per-shard gradient accumulators) so that the steady-state
-// compute path — GradInto, Loss, Predict — allocates nothing once the pool
-// is warm. Buffers are shared across models and goroutines; a buffer is
+// activations) so that the steady-state compute path — GradInto, Loss,
+// Predict — allocates nothing once the pool is warm. Buffers are shared across models and goroutines; a buffer is
 // reused at whatever capacity it was first grown to.
 var vecPool = sync.Pool{New: func() any { return new([]float64) }}
 
