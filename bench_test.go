@@ -286,29 +286,6 @@ func BenchmarkDecodeExactOracle(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamDecode measures the incremental decoder: cost of one
-// Add + Current refresh on a CR(96, 4) step with workers arriving one at
-// a time (the online regime of Sec. V-A).
-func BenchmarkStreamDecode(b *testing.B) {
-	p, err := placement.CR(96, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := core.New(p, 1)
-	rng := rand.New(rand.NewSource(5))
-	order := rng.Perm(96)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sd := core.NewStreamDecoder(s)
-		for _, w := range order[:48] {
-			if err := sd.Add(w); err != nil {
-				b.Fatal(err)
-			}
-			sd.RecoveredPartitions() // force the refresh after each arrival
-		}
-	}
-}
-
 // BenchmarkClassicGCDecode measures the baseline's decode solve
 // (aᵀB_{W'} = 1ᵀ by Gaussian elimination), which IS-GC replaces with the
 // independent-set selection.

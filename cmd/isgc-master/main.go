@@ -317,7 +317,8 @@ func run(opts options) error {
 		if werr := tl.WriteFile(opts.timelinePath); werr != nil {
 			fmt.Fprintf(out, "timeline: %v\n", werr)
 		} else {
-			fmt.Fprintf(out, "timeline: wrote %s (load in ui.perfetto.dev)\n", opts.timelinePath)
+			fmt.Fprintf(out, "timeline: wrote %s, %d spans dropped at the cap (load in ui.perfetto.dev)\n",
+				opts.timelinePath, tl.Dropped())
 		}
 	}
 	if err != nil {

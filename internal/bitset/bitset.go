@@ -209,22 +209,6 @@ func (s *Set) AndNot(o *Set) *Set {
 	return out
 }
 
-// PopcountAnd returns |s ∩ o| one word at a time — the same value as
-// IntersectionCount, named for the machine operation so conflict-probe
-// call sites read as what they cost.
-func (s *Set) PopcountAnd(o *Set) int { return s.IntersectionCount(o) }
-
-// IntersectsAny reports whether s shares an element with any of the given
-// sets, short-circuiting on the first word-level overlap.
-func (s *Set) IntersectsAny(os ...*Set) bool {
-	for _, o := range os {
-		if o != nil && s.Intersects(o) {
-			return true
-		}
-	}
-	return false
-}
-
 // rangeWords visits the words overlapping [lo, hi) with the partial first
 // and last words masked down to the range, calling fn(index, maskedWord).
 // Iteration stops early when fn returns false.
@@ -452,21 +436,6 @@ func wordAt(w []uint64, pos int) uint64 {
 		v |= w[i+1] << (wordBits - r)
 	}
 	return v
-}
-
-// IntersectsRange reports whether s ∩ o has an element in [lo, hi) — the
-// word-parallel conflict probe: "does any chosen worker sit inside this
-// conflict window?" without materializing the intersection.
-func (s *Set) IntersectsRange(o *Set, lo, hi int) bool {
-	found := false
-	s.rangeWords(lo, hi, func(i int, w uint64) bool {
-		if i < len(o.words) && w&o.words[i] != 0 {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // Select returns the k-th smallest element (0-based), or -1 when k is out

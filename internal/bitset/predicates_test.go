@@ -38,16 +38,7 @@ func naiveNextInRange(s *Set, lo, hi, universe int) int {
 	return -1
 }
 
-func naiveIntersectsRange(a, b *Set, lo, hi, universe int) bool {
-	for v := 0; v < universe; v++ {
-		if v >= lo && v < hi && a.Contains(v) && b.Contains(v) {
-			return true
-		}
-	}
-	return false
-}
-
-func naivePopcountAnd(a, b *Set, universe int) int {
+func naiveIntersectionCount(a, b *Set, universe int) int {
 	n := 0
 	for v := 0; v < universe; v++ {
 		if a.Contains(v) && b.Contains(v) {
@@ -104,11 +95,11 @@ func TestWordParallelPredicatesVsNaive(t *testing.T) {
 					t.Fatalf("u=%d AndNot: got %v want %v", u, got, want)
 				}
 			}
-			if g, w := a.PopcountAnd(b), naivePopcountAnd(a, b, probe); g != w {
-				t.Fatalf("u=%d PopcountAnd: got %d want %d", u, g, w)
+			if g, w := a.IntersectionCount(b), naiveIntersectionCount(a, b, probe); g != w {
+				t.Fatalf("u=%d IntersectionCount: got %d want %d", u, g, w)
 			}
-			if g, w := a.IntersectsAny(b), naivePopcountAnd(a, b, probe) > 0; g != w {
-				t.Fatalf("u=%d IntersectsAny: got %v want %v", u, g, w)
+			if g, w := a.Intersects(b), naiveIntersectionCount(a, b, probe) > 0; g != w {
+				t.Fatalf("u=%d Intersects: got %v want %v", u, g, w)
 			}
 
 			// Ranges: random plus handcrafted word-boundary cases.
@@ -134,9 +125,6 @@ func TestWordParallelPredicatesVsNaive(t *testing.T) {
 				}
 				if g, w := a.NextInRange(lo, hi), naiveNextInRange(a, cl, ch, probe); g != w {
 					t.Fatalf("u=%d NextInRange(%d,%d): got %d want %d", u, lo, hi, g, w)
-				}
-				if g, w := a.IntersectsRange(b, lo, hi), naiveIntersectsRange(a, b, cl, ch, probe); g != w {
-					t.Fatalf("u=%d IntersectsRange(%d,%d): got %v want %v", u, lo, hi, g, w)
 				}
 			}
 

@@ -113,10 +113,6 @@ type Config struct {
 	// cache, the repair path freezes the randomized tie-breaking while the
 	// mask drifts, so it is opt-in.
 	IncrementalDecode bool
-	// Metrics, when non-nil, receives live instrumentation (step wall
-	// time, decode MIS size, partitions recovered); serve it via the
-	// admin package. Nil costs one branch per step.
-	Metrics *Metrics
 	// Events, when non-nil, receives structured run/step events. Nil
 	// disables event logging.
 	Events *events.Log
@@ -241,17 +237,11 @@ func Train(cfg Config) (*Result, error) {
 
 	if cfg.DecodeCache > 0 {
 		if dc, ok := st.(DecodeCacher); ok {
-			if cfg.Metrics != nil {
-				dc.SetDecodeCacheHooks(cfg.Metrics.DecodeCacheHits.Inc, cfg.Metrics.DecodeCacheMisses.Inc)
-			}
 			dc.EnableDecodeCache(cfg.DecodeCache)
 		}
 	}
 	if cfg.IncrementalDecode {
 		if id, ok := st.(IncrementalDecoder); ok {
-			if cfg.Metrics != nil {
-				id.SetIncrementalHooks(cfg.Metrics.DecodeRepairs.Inc, cfg.Metrics.DecodeFallbacks.Inc)
-			}
 			id.EnableIncrementalDecode()
 		}
 	}
@@ -319,10 +309,6 @@ func Train(cfg Config) (*Result, error) {
 	}
 
 	for step := core.StartStep(); step < cfg.MaxSteps; step++ {
-		var wallStart time.Time
-		if cfg.Metrics != nil {
-			wallStart = time.Now()
-		}
 		// 1. Straggler simulation: who is available, and how long the
 		// master waited — fastest-w by default, optionally per-step
 		// adaptive w or a fixed deadline (Sec. IV policies).
@@ -492,10 +478,6 @@ func Train(cfg Config) (*Result, error) {
 			if isClassifier {
 				lastAcc = model.Accuracy(classifier, params, all)
 			}
-		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.observeStep(time.Since(wallStart), rec.Chosen,
-				recovered, rec.RecoveredFraction)
 		}
 		cfg.Events.Debug("engine.step_completed", "simulated step finished", step, events.NoWorker,
 			events.Fields{"available": rec.Available, "recovered": recovered,

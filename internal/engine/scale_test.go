@@ -68,61 +68,3 @@ func TestEngineAtFig11Scale(t *testing.T) {
 		t.Fatalf("loss %v → %v: no progress at scale", first, last)
 	}
 }
-
-// Bursty stragglers integrate with the engine: a two-state Markov fleet
-// still trains, and the step-time distribution shows both regimes.
-func TestEngineWithBurstyStragglers(t *testing.T) {
-	const n = 8
-	d, err := dataset.SyntheticClusters(240, 6, 3, 2.0, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := placement.CR(n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := NewISGC(isgc.New(p, 33))
-	if err != nil {
-		t.Fatal(err)
-	}
-	models := make([]straggler.Model, n)
-	for i := range models {
-		b, err := straggler.NewBursty(
-			straggler.None{},
-			straggler.Constant{D: 2 * time.Second},
-			0.05, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		models[i] = b
-	}
-	res, err := Train(Config{
-		Strategy:     st,
-		Model:        model.SoftmaxRegression{Features: 6, Classes: 3},
-		Data:         d,
-		BatchSize:    4,
-		LearningRate: 0.1,
-		// w=7 of 8: a step is slow whenever ≥2 workers are simultaneously
-		// in the slow Markov state (stationary P(slow) = 0.05/0.25 = 0.2,
-		// so P(≥2 of 8) ≈ 0.5 — both regimes appear over 120 steps).
-		W:                   7,
-		MaxSteps:            120,
-		ComputePerPartition: 10 * time.Millisecond,
-		Profile:             straggler.NewProfileFromModels(models, 9),
-		Seed:                33,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, slow := 0, 0
-	for _, rec := range res.Run.Records {
-		if rec.Elapsed < 100*time.Millisecond {
-			fast++
-		} else {
-			slow++
-		}
-	}
-	if fast == 0 || slow == 0 {
-		t.Fatalf("bursty fleet should produce both fast (%d) and slow (%d) steps", fast, slow)
-	}
-}

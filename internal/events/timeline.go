@@ -113,15 +113,19 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// chromeTrace is the top-level trace file object.
+// chromeTrace is the top-level trace file object. OtherData is the
+// format's free-form metadata; it holds dropped_spans when the cap was hit.
 type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
+	TraceEvents     []chromeEvent     `json:"traceEvents"`
+	DisplayTimeUnit string            `json:"displayTimeUnit"`
+	OtherData       map[string]uint64 `json:"otherData,omitempty"`
 }
 
 // WriteChromeTrace renders the timeline as a Chrome trace-event JSON
 // document. Timestamps are microseconds relative to the earliest span so
-// the viewer opens at t≈0.
+// the viewer opens at t≈0. A timeline that hit its cap says how many spans
+// it dropped in otherData.dropped_spans: the trace then covers only the
+// start of the run.
 func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ms"}`)
@@ -133,6 +137,7 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 	for k, v := range t.threads {
 		threads[k] = v
 	}
+	dropped := t.dropped
 	t.mu.Unlock()
 
 	var epoch time.Time
@@ -169,6 +174,9 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 			Dur: &d,
 			PID: 1, TID: s.TID, Args: s.Args,
 		})
+	}
+	if dropped > 0 {
+		out.OtherData = map[string]uint64{"dropped_spans": dropped}
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)

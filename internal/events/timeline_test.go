@@ -79,6 +79,29 @@ func TestTimelineCapCountsDropped(t *testing.T) {
 	if len(tl.Spans()) != 2 || tl.Dropped() != 3 {
 		t.Fatalf("spans=%d dropped=%d, want 2/3", len(tl.Spans()), tl.Dropped())
 	}
+
+	// The rendered trace says how many spans it lacks, and says nothing
+	// while the cap was not hit.
+	render := func(tl *Timeline) chromeTrace {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := tl.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return decodeTrace(t, buf.Bytes())
+	}
+	over := NewTimeline(2)
+	for i := 0; i < 3; i++ {
+		over.Add(Span{Name: "s", Start: time.Now()})
+	}
+	if got := render(over).OtherData; got["dropped_spans"] != 1 {
+		t.Fatalf("cap-2 timeline with 3 adds: otherData = %v, want dropped_spans 1", got)
+	}
+	under := NewTimeline(2)
+	under.Add(Span{Name: "s", Start: time.Now()})
+	if got := render(under).OtherData; got != nil {
+		t.Fatalf("timeline under its cap rendered otherData %v", got)
+	}
 }
 
 func TestNilTimelineIsSafe(t *testing.T) {

@@ -60,12 +60,6 @@ func (g *Graph) Degree(v int) int {
 	return g.adj[v].Len()
 }
 
-// Neighbors returns a copy of v's adjacency set.
-func (g *Graph) Neighbors(v int) *bitset.Set {
-	g.check(v)
-	return g.adj[v].Clone()
-}
-
 // EdgeCount returns the number of undirected edges.
 func (g *Graph) EdgeCount() int {
 	total := 0

@@ -95,9 +95,6 @@ func (s *Scheme) EnableDecodeCache(capacity int) {
 	s.cache = cache
 }
 
-// DisableDecodeCache turns memoization back off.
-func (s *Scheme) DisableDecodeCache() { s.cache = nil }
-
 // SetDecodeCacheHooks registers callbacks fired on every cache hit and
 // miss — the glue for external metrics counters. Either may be nil. The
 // hooks survive EnableDecodeCache resets.

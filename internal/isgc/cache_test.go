@@ -124,8 +124,4 @@ func TestDecodeCacheHooks(t *testing.T) {
 	if hits != 1 || misses != 1 {
 		t.Fatalf("hooks saw hits=%d misses=%d, want 1 and 1", hits, misses)
 	}
-	s.DisableDecodeCache()
-	if h, m := s.DecodeCacheStats(); h != 0 || m != 0 {
-		t.Fatalf("stats after disable = %d/%d, want zeros", h, m)
-	}
 }

@@ -88,9 +88,6 @@ func (s *Scheme) EnableIncrementalDecode() {
 	s.inc = st
 }
 
-// DisableIncrementalDecode turns the incremental path back off.
-func (s *Scheme) DisableIncrementalDecode() { s.inc = nil }
-
 // IncrementalDecodeStats returns the cumulative counters since the
 // incremental path was (last) enabled, or zeros when it is disabled.
 func (s *Scheme) IncrementalDecodeStats() IncrementalStats {

@@ -119,6 +119,48 @@ func TestCRNonGreedyBySequence(t *testing.T) {
 	}
 }
 
+// The online view of Sec. V-A is Decode over the arrivals so far: as
+// arrivals grow, an early pick may leave the chosen set (Fig. 3: W1 first,
+// then W2 and W4), and the recovered partition count never falls.
+func TestDecodeArrivalPrefixes(t *testing.T) {
+	s := crScheme(t, 4, 2, 1)
+	arrived := bitset.New(4)
+	arrived.Add(0)
+	if got := s.Decode(arrived); got.Len() != 1 || !got.Contains(0) {
+		t.Fatalf("after first arrival chosen = %v, want {0}", got)
+	}
+	arrived.Add(1)
+	arrived.Add(3)
+	if got := s.Decode(arrived); got.Len() != 2 || !got.Contains(1) || !got.Contains(3) {
+		t.Fatalf("after arrivals 0, 1, 3 chosen = %v, want {1, 3} (worker 0 discarded)", got)
+	}
+
+	rng := rand.New(rand.NewSource(8))
+	for _, s := range []*Scheme{
+		frScheme(t, 8, 2, 1),
+		crScheme(t, 9, 3, 2),
+		hrScheme(t, 8, 2, 2, 2, 3),
+	} {
+		p := s.Placement()
+		for trial := 0; trial < 30; trial++ {
+			arrived := bitset.New(p.N())
+			prev := 0
+			for _, w := range rng.Perm(p.N()) {
+				arrived.Add(w)
+				chosen := s.Decode(arrived)
+				recovered := p.RecoveredPartitions(chosen).Len()
+				if recovered < prev {
+					t.Fatalf("%v: recovered partitions fell %d → %d after arrivals %v", p, prev, recovered, arrived)
+				}
+				prev = recovered
+			}
+			if prev != p.N() {
+				t.Fatalf("%v: every worker arrived but %d of %d partitions recovered", p, prev, p.N())
+			}
+		}
+	}
+}
+
 // The Fig. 4(b) trap for Alg. 2's multi-start rule: with W' = {W1, W2, W3}
 // in CR(4, 2), starting at W2 alone yields only {W2}, but the maximum is
 // {W1, W3}. The c-start window must recover the maximum regardless of the

@@ -27,9 +27,6 @@ const pivotEps = 1e-12
 
 // Vector operations ----------------------------------------------------
 
-// Zeros returns an all-zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
-
 // CloneVec returns a copy of v.
 func CloneVec(v []float64) []float64 {
 	out := make([]float64, len(v))
@@ -244,19 +241,6 @@ func dot4(r0, r1, r2, r3, x []float64) (s0, s1, s2, s3 float64) {
 		s3 += r3[j] * xj
 	}
 	return s0, s1, s2, s3
-}
-
-// AXPYInto computes dst = y + a*x element-wise, overwriting dst. dst may
-// alias y (then it degenerates to AXPY) but must not partially overlap x.
-// This is the fused form the compute pipeline uses to combine a scratch
-// gradient into a pooled destination without an intermediate copy.
-func AXPYInto(dst []float64, a float64, x, y []float64) {
-	if len(dst) != len(x) || len(dst) != len(y) {
-		panic(fmt.Sprintf("linalg: AXPYInto length mismatch %d vs %d vs %d", len(dst), len(x), len(y)))
-	}
-	for i := range dst {
-		dst[i] = y[i] + a*x[i]
-	}
 }
 
 // ScaleInto computes dst = a*src element-wise, overwriting dst. dst may
@@ -572,51 +556,4 @@ func SolveAny(a *Matrix, b []float64) ([]float64, error) {
 		x[col] = s / rowv[col]
 	}
 	return x, nil
-}
-
-// Rank returns the numerical rank of a (Gaussian elimination with full row
-// pivoting and threshold pivotEps relative to the largest element).
-func Rank(a *Matrix) int {
-	m := a.Clone()
-	maxAbs := 0.0
-	for _, v := range m.Data {
-		if av := math.Abs(v); av > maxAbs {
-			maxAbs = av
-		}
-	}
-	if maxAbs == 0 {
-		return 0
-	}
-	tol := pivotEps * maxAbs * float64(max(m.Rows, m.Cols))
-	rank := 0
-	for col := 0; col < m.Cols && rank < m.Rows; col++ {
-		piv, pval := rank, math.Abs(m.At(rank, col))
-		for r := rank + 1; r < m.Rows; r++ {
-			if v := math.Abs(m.At(r, col)); v > pval {
-				piv, pval = r, v
-			}
-		}
-		if pval <= tol {
-			continue
-		}
-		if piv != rank {
-			swapRows(m, piv, rank)
-		}
-		inv := 1 / m.At(rank, col)
-		for r := rank + 1; r < m.Rows; r++ {
-			f := m.At(r, col) * inv
-			if f != 0 {
-				AXPY(m.Row(r), -f, m.Row(rank))
-			}
-		}
-		rank++
-	}
-	return rank
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

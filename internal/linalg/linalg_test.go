@@ -48,21 +48,6 @@ func TestVectorOps(t *testing.T) {
 	if got := MaxAbsDiff(a, b); got != 3 {
 		t.Fatalf("MaxAbsDiff = %v, want 3", got)
 	}
-	if len(Zeros(4)) != 4 {
-		t.Fatal("Zeros length")
-	}
-
-	g := []float64{0, 0, 0}
-	AXPYInto(g, 2, b, a)
-	if g[0] != 9 || g[1] != 12 || g[2] != 15 {
-		t.Fatalf("AXPYInto = %v", g)
-	}
-	// Aliasing dst with y degenerates to AXPY.
-	h := CloneVec(a)
-	AXPYInto(h, 2, b, h)
-	if h[0] != 9 || h[1] != 12 || h[2] != 15 {
-		t.Fatalf("aliased AXPYInto = %v", h)
-	}
 
 	s := []float64{7, 7, 7}
 	ScaleInto(s, 3, a)
@@ -461,7 +446,6 @@ func TestVectorOpsPanicOnMismatch(t *testing.T) {
 		"AXPY4Zero":  func() { AXPY4Zero([]float64{1}, 2, []float64{1}, 2, []float64{1}, 2, []float64{1}, 2, []float64{1, 2}) },
 		"SumInto":    func() { SumInto([]float64{1}, [][]float64{{1}, {1}, {1, 2}}) },
 		"MatVecInto": func() { MatVecInto([]float64{0, 0}, []float64{1, 2, 3}, 2, []float64{1, 2}) },
-		"AXPYInto":   func() { AXPYInto([]float64{1}, 2, []float64{1, 2}, []float64{1, 2}) },
 		"ScaleInto":  func() { ScaleInto([]float64{1}, 2, []float64{1, 2}) },
 		"Dot":        func() { Dot([]float64{1}, []float64{1, 2}) },
 		"MaxAbsDiff": func() { MaxAbsDiff([]float64{1}, []float64{1, 2}) },
@@ -771,28 +755,6 @@ func TestQuickSolveAnyConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRank(t *testing.T) {
-	cases := []struct {
-		rows, cols int
-		data       []float64
-		want       int
-	}{
-		{2, 2, []float64{1, 0, 0, 1}, 2},
-		{2, 2, []float64{1, 2, 2, 4}, 1},
-		{2, 2, []float64{0, 0, 0, 0}, 0},
-		{3, 2, []float64{1, 0, 0, 1, 1, 1}, 2},
-		{2, 3, []float64{1, 2, 3, 2, 4, 6}, 1},
-		{3, 3, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, 2},
-	}
-	for i, tc := range cases {
-		m := NewMatrix(tc.rows, tc.cols)
-		copy(m.Data, tc.data)
-		if got := Rank(m); got != tc.want {
-			t.Errorf("case %d: Rank = %d, want %d", i, got, tc.want)
-		}
 	}
 }
 

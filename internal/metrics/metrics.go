@@ -42,18 +42,6 @@ var (
 // Prometheus client defaults.
 var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
-// LinearBuckets returns count bucket upper bounds start, start+width, …
-func LinearBuckets(start, width float64, count int) []float64 {
-	if count < 1 || width <= 0 {
-		panic(fmt.Sprintf("metrics: LinearBuckets(%v, %v, %d): need count ≥ 1 and width > 0", start, width, count))
-	}
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns count bucket upper bounds start, start·factor, …
 func ExponentialBuckets(start, factor float64, count int) []float64 {
 	if count < 1 || start <= 0 || factor <= 1 {
@@ -270,9 +258,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(seconds float64) { h.Observe(seconds) }
 
 // Count returns the number of observations (0 on nil).
 func (h *Histogram) Count() uint64 {

@@ -137,17 +137,3 @@ func Deadline(times []time.Duration, d time.Duration) (*bitset.Set, time.Duratio
 	}
 	return avail, d
 }
-
-// WaitAll returns the full availability set and the max finish time —
-// synchronous SGD's gather.
-func WaitAll(times []time.Duration) (*bitset.Set, time.Duration) {
-	avail := bitset.New(len(times))
-	latest := time.Duration(0)
-	for i, t := range times {
-		avail.Add(i)
-		if t > latest {
-			latest = t
-		}
-	}
-	return avail, latest
-}

@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -167,16 +168,8 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
-func TestWaitAll(t *testing.T) {
-	times := []time.Duration{5, 50, 15}
-	avail, elapsed := WaitAll(times)
-	if avail.Len() != 3 || elapsed != 50 {
-		t.Fatalf("avail %v elapsed %v", avail, elapsed)
-	}
-}
-
 // Statistical sanity: with exponential stragglers on half the fleet, the
-// expected FastestW(w=n/2) step time must be far below WaitAll — the core
+// expected FastestW(w=n/2) step time must be far below wait-all's — the core
 // effect behind Fig. 11.
 func TestFastestWBeatsWaitAllUnderStragglers(t *testing.T) {
 	prof := straggler.PartialProfile(24, 12, straggler.Exponential{Mean: 1500 * time.Millisecond}, 3)
@@ -198,7 +191,7 @@ func TestFastestWBeatsWaitAllUnderStragglers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ea := WaitAll(times)
+		ea := slices.Max(times)
 		sumFast += float64(ef)
 		sumAll += float64(ea)
 	}
@@ -225,8 +218,7 @@ func TestExponentialMaxOrderStatistic(t *testing.T) {
 	const steps = 60000
 	var sum float64
 	for i := 0; i < steps; i++ {
-		_, e := WaitAll(s.Step())
-		sum += float64(e)
+		sum += float64(slices.Max(s.Step()))
 	}
 	mean := sum / steps
 	hn := 0.0

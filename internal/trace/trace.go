@@ -189,19 +189,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
 // interpolation between order statistics. Empty input yields NaN.
 func Percentile(xs []float64, p float64) float64 {
@@ -224,18 +211,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// MeanDuration averages durations (0 for empty input).
-func MeanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var s time.Duration
-	for _, d := range ds {
-		s += d
-	}
-	return s / time.Duration(len(ds))
 }
 
 // Table rendering ----------------------------------------------------------

@@ -59,18 +59,12 @@ func TestPartitionInclusion(t *testing.T) {
 	}
 }
 
-func TestMeanAndStddev(t *testing.T) {
+func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) must be 0")
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
-	}
-	if Stddev([]float64{5}) != 0 {
-		t.Error("Stddev of singleton must be 0")
-	}
-	if got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Stddev = %v, want 2", got)
 	}
 }
 
@@ -96,15 +90,6 @@ func TestPercentile(t *testing.T) {
 	Percentile(ys, 50)
 	if ys[0] != 3 {
 		t.Error("Percentile must not sort the input in place")
-	}
-}
-
-func TestMeanDuration(t *testing.T) {
-	if MeanDuration(nil) != 0 {
-		t.Error("MeanDuration(nil)")
-	}
-	if got := MeanDuration([]time.Duration{time.Second, 3 * time.Second}); got != 2*time.Second {
-		t.Errorf("MeanDuration = %v", got)
 	}
 }
 
@@ -171,8 +156,8 @@ func TestLatencySummary(t *testing.T) {
 }
 
 // TestEmptyInputGuards pins the documented behaviour of the summary
-// statistics on empty input: Percentile is NaN, Mean and Stddev are 0,
-// and none of them panic.
+// statistics on empty input: Percentile is NaN, Mean is 0, and neither
+// panics.
 func TestEmptyInputGuards(t *testing.T) {
 	if v := Percentile(nil, 50); !math.IsNaN(v) {
 		t.Errorf("Percentile(nil) = %v, want NaN", v)
@@ -182,15 +167,6 @@ func TestEmptyInputGuards(t *testing.T) {
 	}
 	if v := Mean(nil); v != 0 {
 		t.Errorf("Mean(nil) = %v, want 0", v)
-	}
-	if v := Stddev(nil); v != 0 {
-		t.Errorf("Stddev(nil) = %v, want 0", v)
-	}
-	if v := Stddev([]float64{7}); v != 0 {
-		t.Errorf("Stddev(single) = %v, want 0", v)
-	}
-	if v := MeanDuration(nil); v != 0 {
-		t.Errorf("MeanDuration(nil) = %v, want 0", v)
 	}
 	// Out-of-range percentiles clamp rather than index out of bounds.
 	xs := []float64{1, 2, 3}
