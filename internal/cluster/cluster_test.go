@@ -296,6 +296,49 @@ func TestTCPLossThresholdStopsEarly(t *testing.T) {
 	}
 }
 
+// TestTCPLossThresholdMatchesEngine: a wait-all run that converges on the
+// loss threshold stops where engine.Train with the same threshold stops,
+// with every loss and the final parameters bit-equal. The master learns of
+// step t's convergence inside step t+1's gather, so this pins that nothing
+// of step t+1 is decoded or applied.
+func TestTCPLossThresholdMatchesEngine(t *testing.T) {
+	const maxSteps, threshold = 500, 0.4
+	mdl := model.SoftmaxRegression{Features: 6, Classes: 3}
+	data := testData(t)
+	stTCP, err := engine.NewSyncSGD(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resTCP := launchCluster(t, stTCP, data, mdl, 4, maxSteps, threshold, nil)
+	stEng, err := engine.NewSyncSGD(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resEng, err := engine.Train(engine.Config{
+		Strategy: stEng, Model: mdl, Data: data, BatchSize: 16, LearningRate: 0.3,
+		W: 4, MaxSteps: maxSteps, LossThreshold: threshold, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resTCP.Converged || !resEng.Converged {
+		t.Fatalf("converged: TCP %v, engine %v; want both", resTCP.Converged, resEng.Converged)
+	}
+	if len(resTCP.Run.Records) != len(resEng.Run.Records) {
+		t.Fatalf("TCP stopped after %d steps, engine after %d", len(resTCP.Run.Records), len(resEng.Run.Records))
+	}
+	for s, rec := range resTCP.Run.Records {
+		if want := resEng.Run.Records[s].Loss; math.Float64bits(rec.Loss) != math.Float64bits(want) {
+			t.Errorf("step %d: TCP loss %v ≠ engine %v", rec.Step, rec.Loss, want)
+		}
+	}
+	for j := range resTCP.Params {
+		if math.Float64bits(resTCP.Params[j]) != math.Float64bits(resEng.Params[j]) {
+			t.Fatalf("param %d: TCP %v ≠ engine %v — a step past convergence was applied", j, resTCP.Params[j], resEng.Params[j])
+		}
+	}
+}
+
 // TestTCPMatchesInProcessEngine: a wait-all run over real sockets is the
 // in-process engine's run bit for bit — every step's loss and the final
 // params. The FR(4,2) input has each worker compute two partitions
