@@ -142,6 +142,35 @@ func TestDeadlineGatherEquivalentToFastestW(t *testing.T) {
 	}
 }
 
+// TestDeadlineAdmitsArrivalsByTheDeadline pins the deadline policy's
+// admission to the deadline itself, not to when the loop gets to a frame.
+// From step 1 on, worker 0 uploads at once, worker 1 20ms past the deadline
+// and the rest much later, while the previous step's loss takes longer
+// than all of that: worker 1's frame waits in the queue until the loss is
+// paid, and must not be gathered then.
+func TestDeadlineAdmitsArrivalsByTheDeadline(t *testing.T) {
+	const deadline, lossTime = 50 * time.Millisecond, 100 * time.Millisecond
+	res, _ := runShapedCluster(t, func(c *MasterConfig) {
+		c.Model = slowLoss{c.Model, lossTime}
+		c.Deadline = deadline
+		c.MaxSteps = 5
+	}, func(i int, c *WorkerConfig) {
+		switch i {
+		case 0:
+		case 1:
+			c.Delay = &slowAfterFirst{d: deadline + 20*time.Millisecond}
+		default:
+			c.Delay = &slowAfterFirst{d: 4 * lossTime}
+		}
+	})
+	for _, rec := range res.Run.Records[1:] {
+		if rec.Available != 1 {
+			t.Errorf("step %d gathered %d workers, want worker 0 alone: a frame that missed the %v deadline was admitted",
+				rec.Step, rec.Available, deadline)
+		}
+	}
+}
+
 // TestPipelinedStalenessFoldsLateGradients runs the bounded-staleness mode
 // over real sockets with a persistent straggler tuned so its uploads land
 // during the NEXT step's gather: the master must wait for only 3 workers,
