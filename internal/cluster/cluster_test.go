@@ -264,16 +264,16 @@ func TestMasterArrivalCounts(t *testing.T) {
 	}
 	wg.Wait()
 
-	counts := master.ArrivalCounts()
+	counts := master.Health().Workers
 	if len(counts) != 4 {
 		t.Fatalf("counts = %v", counts)
 	}
-	if counts[0] != 0 {
-		t.Fatalf("enduring straggler arrived %d times; w=3 gathers should always beat it", counts[0])
+	if counts[0].AcceptedSteps != 0 {
+		t.Fatalf("enduring straggler arrived %d times; w=3 gathers should always beat it", counts[0].AcceptedSteps)
 	}
 	for i := 1; i < 4; i++ {
-		if counts[i] != 10 {
-			t.Fatalf("worker %d arrived %d/10 times", i, counts[i])
+		if counts[i].AcceptedSteps != 10 {
+			t.Fatalf("worker %d arrived %d/10 times", i, counts[i].AcceptedSteps)
 		}
 	}
 }

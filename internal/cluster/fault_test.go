@@ -21,6 +21,7 @@ type faultyOpts struct {
 	w           int
 	maxSteps    int
 	stepTimeout time.Duration
+	deadline    time.Duration
 	liveness    time.Duration
 	heartbeat   time.Duration
 	reconnect   time.Duration
@@ -48,6 +49,7 @@ func runFaultyCluster(t *testing.T, st engine.Strategy, o faultyOpts) (*Master, 
 		MaxSteps:        o.maxSteps,
 		Seed:            42,
 		StepTimeout:     o.stepTimeout,
+		Deadline:        o.deadline,
 		LivenessTimeout: o.liveness,
 		Events:          o.events,
 	})
@@ -238,6 +240,48 @@ func TestRigidSchemeFailsFastOnWorkerLoss(t *testing.T) {
 	}
 }
 
+// TestGatherExits pins the gather's error exits under both policies: each
+// ends the run in bounded time with its own diagnostic. Every upload dropped
+// under a deadline outlasts the step timeout; a rigid scheme short of one
+// gradient times out; a fleet that dies mid-run is reported lost whichever
+// policy gathers.
+func TestGatherExits(t *testing.T) {
+	all := func(f straggler.Fault) []straggler.Fault { return []straggler.Fault{f, f, f, f} }
+	for _, tc := range []struct {
+		name    string
+		rigid   bool
+		opts    faultyOpts
+		wantErr string
+	}{
+		{"deadline, every upload dropped", false, faultyOpts{deadline: 20 * time.Millisecond,
+			stepTimeout: 150 * time.Millisecond, faults: all(straggler.DropWithProb{P: 1})},
+			"no gradient within step timeout"},
+		{"rigid, one worker drops", true, faultyOpts{stepTimeout: 150 * time.Millisecond,
+			faults: []straggler.Fault{nil, nil, nil, straggler.DropWithProb{P: 1}}},
+			"gathered 3 of 4 needed gradients within"},
+		{"deadline, fleet lost", false, faultyOpts{deadline: 20 * time.Millisecond,
+			faults: all(straggler.CrashAt{Step: 2})}, "all 4 workers lost"},
+		{"fastest-w, fleet lost", false, faultyOpts{faults: all(straggler.CrashAt{Step: 2})},
+			"all 4 workers lost"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newCRStrategy(t, 4)
+			if tc.rigid {
+				var err error
+				if st, err = engine.NewSyncSGD(4); err != nil {
+					t.Fatal(err)
+				}
+			}
+			o := tc.opts
+			o.w, o.maxSteps, o.heartbeat = 4, 20, 50*time.Millisecond
+			_, _, err := runFaultyCluster(t, st, o)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("run ended with %v, want an error carrying %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
 // Disconnect-then-rejoin round trip: the worker drops its connection
 // mid-run, redials with backoff, re-registers, and the master accepts the
 // rejoin instead of treating the reborn id as a fatal duplicate.
@@ -267,9 +311,8 @@ func TestWorkerDisconnectRejoin(t *testing.T) {
 		t.Fatalf("final step: available=%d alive=%d, want the full fleet back", last.Available, last.Alive)
 	}
 	// The wanderer missed at most a couple of steps around the disconnect.
-	counts := master.ArrivalCounts()
-	if counts[2] < 9 {
-		t.Fatalf("worker 2 arrived only %d/12 times; the rejoin must resume participation", counts[2])
+	if got := master.Health().Workers[2].AcceptedSteps; got < 9 {
+		t.Fatalf("worker 2 arrived only %d/12 times; the rejoin must resume participation", got)
 	}
 }
 

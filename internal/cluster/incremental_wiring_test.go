@@ -3,19 +3,17 @@ package cluster
 import (
 	"testing"
 
-	"isgc/internal/bitset"
-	"isgc/internal/dataset"
 	"isgc/internal/engine"
 	"isgc/internal/isgc"
-	"isgc/internal/metrics"
-	"isgc/internal/model"
 	"isgc/internal/placement"
 )
 
 // TestMasterWiresIncrementalDecode checks the IncrementalDecode config
-// plumbing end to end at the construction boundary: NewMaster must enable
-// the scheme's repair path and hook its repair/fallback callbacks to the
-// master's counters, without requiring DecodeCache.
+// plumbing end to end: a master run must switch the scheme's repair path on
+// (the step core does, from the config the master hands it) and hook its
+// repair/fallback callbacks to the master's counters, without requiring
+// DecodeCache. Every step of a wait-all run decodes the full mask: the first
+// is a fresh solve, each later one a repair.
 func TestMasterWiresIncrementalDecode(t *testing.T) {
 	p, err := placement.FR(4, 2)
 	if err != nil {
@@ -26,35 +24,14 @@ func TestMasterWiresIncrementalDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := dataset.SyntheticLinear(10, 2, 0.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mm := NewMasterMetrics(metrics.NewRegistry())
-	m, err := NewMaster(MasterConfig{
-		Addr: "127.0.0.1:0", Strategy: st, Model: model.LinearRegression{Features: 2},
-		Data: data, LearningRate: 0.1, MaxSteps: 1,
-		IncrementalDecode: true, Metrics: mm,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.ln.Close()
-
-	// Drive the shared scheme exactly as the gather loop would: a fresh
-	// solve, then a one-departure delta the repair path must absorb.
-	full := bitset.FromSlice([]int{0, 1, 2, 3})
-	scheme.Decode(full)
-	delta := full.Clone()
-	delta.Remove(1)
-	scheme.Decode(delta)
+	res, mm := runStrategyCluster(t, st, func(c *MasterConfig) { c.IncrementalDecode = true }, nil)
 
 	stats := scheme.IncrementalDecodeStats()
-	if stats.FullSolves != 1 || stats.Repairs != 1 {
-		t.Fatalf("stats = %+v, want 1 full solve + 1 repair (incremental path not enabled?)", stats)
+	if want := uint64(res.Run.Steps() - 1); stats.FullSolves != 1 || stats.Repairs != want {
+		t.Fatalf("stats = %+v, want 1 full solve + %d repairs (incremental path not enabled?)", stats, want)
 	}
-	if got := mm.DecodeRepairs.Value(); got != 1 {
-		t.Fatalf("isgc_master_decode_repairs_total = %d, want 1 (hooks not wired)", got)
+	if got := mm.DecodeRepairs.Value(); got != stats.Repairs {
+		t.Fatalf("isgc_master_decode_repairs_total = %d, want %d (hooks not wired)", got, stats.Repairs)
 	}
 	if got := mm.DecodeFallbacks.Value(); got != 0 {
 		t.Fatalf("isgc_master_decode_fallbacks_total = %d, want 0", got)

@@ -55,9 +55,11 @@ type MasterConfig struct {
 	AcceptTimeout time.Duration
 	// StepTimeout, when positive, bounds a single step's gather even when
 	// every worker is alive — the guard against workers that heartbeat
-	// but never upload (lossy links, FaultDrop). On expiry a flexible
-	// scheme proceeds with whatever arrived (marked degraded) and a rigid
-	// scheme fails with a diagnostic. 0 disables.
+	// but never upload (lossy links, FaultDrop). It counts from the
+	// broadcast's end plus Deadline under the deadline policy, else from
+	// the gather's start. On expiry a flexible scheme proceeds with
+	// whatever arrived (marked degraded), and a rigid scheme, or a gather
+	// with nothing, fails with a diagnostic. 0 disables.
 	StepTimeout time.Duration
 	// LivenessTimeout declares a worker dead when nothing (gradient or
 	// heartbeat) has been received from it for this long; its connection
@@ -200,16 +202,6 @@ type Master struct {
 	bcastFrames frameCache
 }
 
-// ArrivalCounts returns, per worker, how many steps gathered that worker's
-// gradient. Valid after Run returns.
-func (m *Master) ArrivalCounts() []int {
-	out := make([]int, len(m.accepted))
-	for i := range m.accepted {
-		out[i] = int(m.accepted[i].Load())
-	}
-	return out
-}
-
 // Rejoins returns how many mid-run re-registrations the master accepted.
 // Valid after Run returns.
 func (m *Master) Rejoins() int {
@@ -308,17 +300,12 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen: %w", err)
 	}
-	if cfg.DecodeCache > 0 {
-		if dc, ok := cfg.Strategy.(engine.DecodeCacher); ok {
-			dc.SetDecodeCacheHooks(cfg.Metrics.decodeCacheHooks())
-			dc.EnableDecodeCache(cfg.DecodeCache)
-		}
+	// The step core switches the decoder modes on; the hooks survive that.
+	if dc, ok := cfg.Strategy.(engine.DecodeCacher); ok && cfg.DecodeCache > 0 {
+		dc.SetDecodeCacheHooks(cfg.Metrics.decodeCacheHooks())
 	}
-	if cfg.IncrementalDecode {
-		if id, ok := cfg.Strategy.(engine.IncrementalDecoder); ok {
-			id.SetIncrementalHooks(cfg.Metrics.incrementalDecodeHooks())
-			id.EnableIncrementalDecode()
-		}
+	if id, ok := cfg.Strategy.(engine.IncrementalDecoder); ok && cfg.IncrementalDecode {
+		id.SetIncrementalHooks(cfg.Metrics.incrementalDecodeHooks())
 	}
 	n := cfg.Strategy.N()
 	m := &Master{cfg: cfg, ln: ln, attribution: trace.NewAttribution(n),
@@ -844,9 +831,9 @@ type stepSpans struct {
 // gather pays it when its first frame comes off the gradient channel,
 // before that frame is accepted or folded, so the loss reads exactly the
 // parameters step t+1 broadcast, and the woken fleet has started computing
-// before the master does. The deadline policy pays it earlier if, judging
-// by the last finalize, it would otherwise not end by the deadline. When no
-// frame arrives it is paid as the gather exits. Run's goroutine only.
+// before the master does. A gather with a cut ahead pays it earlier if,
+// judging by the last finalize, it would otherwise not end by the cut. When
+// no frame arrives it is paid as the gather exits. Run's goroutine only.
 type finalizeDebt struct {
 	finalize  func(stepSpans) (converged bool)
 	owed      bool
@@ -855,7 +842,7 @@ type finalizeDebt struct {
 	// paid is the wall time settle has spent since the current gather began;
 	// no gather clock counts it.
 	paid time.Duration
-	// last is how long the latest finalize took, the deadline policy's
+	// last is how long the latest finalize took, the pay-by instant's
 	// estimate of the next.
 	last time.Duration
 }
@@ -871,44 +858,6 @@ func (d *finalizeDebt) settle() bool {
 		d.paid += d.last
 	}
 	return d.converged
-}
-
-// stepTimer is a gather's StepTimeout. It runs from its start but not while
-// the gather pays a finalize: when it fires early on that account it rearms
-// for the rest, so only the fleet's own silence times a step out.
-type stepTimer struct {
-	C     <-chan time.Time // nil when StepTimeout is 0: it never fires
-	t     *time.Timer
-	d     time.Duration
-	start time.Time
-	paid0 time.Duration
-}
-
-// newStepTimer starts the StepTimeout of a gather that pays debt.
-func (m *Master) newStepTimer(debt *finalizeDebt) stepTimer {
-	s := stepTimer{d: m.cfg.StepTimeout, paid0: debt.paid}
-	if s.d > 0 {
-		s.start = time.Now()
-		s.t = time.NewTimer(s.d)
-		s.C = s.t.C
-	}
-	return s
-}
-
-// expired is called when C fires; it reports whether the timeout has run out
-// with the finalize paid since the start left out, rearming C if not.
-func (s *stepTimer) expired(debt *finalizeDebt) bool {
-	if rest := s.d - time.Since(s.start) + (debt.paid - s.paid0); rest > 0 {
-		s.t.Reset(rest)
-		return false
-	}
-	return true
-}
-
-func (s *stepTimer) stop() {
-	if s.t != nil {
-		s.t.Stop()
-	}
 }
 
 // errConverged ends a gather that paid a finalize which reached the loss
@@ -947,10 +896,12 @@ func (m *Master) resume(core *engine.StepCore) error {
 // starts to; it reads the parameter bits it would have seen inline (neither
 // a broadcast nor a wait writes them), and a periodic checkpoint is
 // snapshotted at its boundary and written behind the loop. The one policy
-// is the gather: fastest-w or, for a flexible scheme under Deadline, the
-// deadline policy. Staleness k lowers the gather target to max(1, waitFor−k)
-// and lets the core fold a late upload for any of the k newest decoded
-// steps.
+// is the gather's cut-off rule (gatherPolicy): fastest-w waits for the core's
+// GatherTarget — WaitFor(w), lowered by the staleness window k to
+// max(1, WaitFor(w)−k) — and, for a flexible scheme under Deadline, the
+// deadline policy waits for all n until the deadline and for one after it.
+// Staleness k also lets the core fold a late upload for any of the k newest
+// decoded steps.
 //
 // A run that converges on the loss threshold learns so from step t's loss,
 // inside step t+1's gather: that gather ends at once and nothing of step t+1
@@ -961,6 +912,7 @@ func (m *Master) run() (*engine.Result, error) {
 	core := engine.NewStepCore(&engine.Config{
 		Strategy: st, LearningRate: m.cfg.LearningRate, W: m.cfg.W, Staleness: m.cfg.Staleness,
 		MaxSteps: m.cfg.MaxSteps, LossThreshold: m.cfg.LossThreshold, Seed: m.cfg.Seed, Events: m.cfg.Events,
+		DecodeCache: m.cfg.DecodeCache, IncrementalDecode: m.cfg.IncrementalDecode,
 		Checkpoint: m.cfg.Checkpoint, CheckpointEvery: m.cfg.CheckpointEvery, Restore: m.cfg.Restore,
 	}, m.cfg.Model.InitParams(m.cfg.Seed))
 	if err := m.resume(core); err != nil || core.Completed() {
@@ -977,18 +929,6 @@ func (m *Master) run() (*engine.Result, error) {
 	// evaluator engine.Train uses, so its bits match the engine's on any
 	// host.
 	var lossEval model.Blocked
-
-	// Deadline mode and graceful degradation apply only to flexible
-	// schemes: a rigid scheme reports the same WaitFor for every target
-	// and cannot decode a smaller subset.
-	flexible := st.WaitFor(1) != st.WaitFor(n)
-	useDeadline := m.cfg.Deadline > 0 && flexible
-	target := st.WaitFor(m.cfg.W)
-	if m.cfg.Staleness > 0 {
-		if target -= m.cfg.Staleness; target < 1 {
-			target = 1
-		}
-	}
 
 	ckpt := checkpointWriter{m: m}
 	// Every return joins the writer: Run returning means nobody touches the
@@ -1113,13 +1053,14 @@ steps:
 			}
 		}
 
-		var degraded bool
-		var err error
-		if useDeadline {
-			err = m.gatherDeadline(step, n, bcastEnd, avail, accept, debt)
-		} else {
-			degraded, err = m.gatherFastest(step, n, target, flexible, avail, accept, debt)
+		// The deadline policy is a flexible scheme's: it waits for all n until
+		// the deadline, then for the first arrival.
+		target, flexible := core.GatherTarget(step)
+		policy := gatherPolicy{before: target, after: target}
+		if m.cfg.Deadline > 0 && flexible {
+			policy = gatherPolicy{cut: bcastEnd.Add(m.cfg.Deadline), before: n, after: 1}
 		}
+		degraded, err := m.gather(step, policy, flexible, bcastEnd, avail, accept, debt)
 		// A gather no frame reached still owes the finalize. A converged one
 		// ends the run however the gather ended, a Stop or a lost fleet
 		// included: the record that converged is the run's last, as in
@@ -1257,21 +1198,73 @@ func (w *checkpointWriter) writeNow(core *engine.StepCore, nextStep int, complet
 	w.snapshot(core, nextStep, completed)()
 }
 
-// gatherFastest implements the fastest-w gather with graceful degradation:
-// when fewer than waitFor gradients remain achievable, a flexible scheme
-// shrinks its target to the achievable set (IS-GC decodes any subset) and
-// the step is marked degraded; a rigid scheme fails fast with a diagnostic
-// instead of hanging forever.
-func (m *Master) gatherFastest(step, n, waitFor int, flexible bool, avail *bitset.Set, accept func(arrival), debt *finalizeDebt) (bool, error) {
-	timeout := m.newStepTimer(debt)
-	defer timeout.stop()
+// gatherPolicy is what a step's gather waits for: before gradients until
+// the cut-off instant cut, after gradients from it on (a zero cut has always
+// passed). Fastest-w has no cut and the gather target on both sides; the
+// deadline policy cuts at the broadcast's end plus Deadline and waits for all
+// n before it and for one after.
+type gatherPolicy struct {
+	cut           time.Time
+	before, after int
+}
+
+// gather collects step's gradients into avail under policy p, and reports
+// whether the step ended short of the after-cut target (degraded). One rule
+// covers both policies: a frame that reached the master after the cut is
+// admitted only while fewer than after have arrived, whenever the loop takes
+// it off the queue; queued frames are taken before any timer. When fewer
+// workers than the target remain reachable, a flexible scheme degrades to
+// them and a rigid one fails fast; with none left, every worker is lost.
+// The one timer fires at the pay-by instant (the cut less the last
+// finalize's length, while one is owed and the cut lies ahead), at the cut,
+// and at the StepTimeout, which counts from the cut — from the gather's start
+// when there is none — and leaves out the finalize paid inside the gather.
+func (m *Master) gather(step int, p gatherPolicy, flexible bool, bcastEnd time.Time, avail *bitset.Set, accept func(arrival), debt *finalizeDebt) (degraded bool, err error) {
+	n := m.cfg.Strategy.N()
+	pastCut, from := p.cut.IsZero(), p.cut
+	if pastCut {
+		from = time.Now()
+	}
+	var timer *time.Timer
+	var timerC <-chan time.Time
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	// arm sets the timer for its next instant, if any; it runs at the start
+	// and each time the timer has fired, so the channel is always drained.
+	arm := func() {
+		var at time.Time
+		switch {
+		case !pastCut && debt.owed:
+			at = p.cut.Add(-debt.last)
+		case !pastCut:
+			at = p.cut
+		case m.cfg.StepTimeout > 0:
+			at = from.Add(m.cfg.StepTimeout + debt.paid)
+		default:
+			timerC = nil
+			return
+		}
+		if timer == nil {
+			timer = time.NewTimer(time.Until(at))
+			timerC = timer.C
+		} else {
+			timer.Reset(time.Until(at))
+		}
+	}
+	arm()
 	for {
-		target := waitFor
-		if reachable := m.achievable(avail); reachable < waitFor {
+		target := p.before
+		if pastCut {
+			target = p.after
+		}
+		if reachable := m.achievable(avail); reachable < target {
 			if !flexible {
 				return false, fmt.Errorf(
 					"cluster: step %d: only %d of %d workers reachable; rigid scheme %s needs %d — failing fast",
-					step, m.countAlive(), n, m.cfg.Strategy.Name(), waitFor)
+					step, m.countAlive(), n, m.cfg.Strategy.Name(), target)
 			}
 			if reachable == 0 {
 				return false, fmt.Errorf("cluster: step %d: all %d workers lost", step, n)
@@ -1279,62 +1272,8 @@ func (m *Master) gatherFastest(step, n, waitFor int, flexible bool, avail *bitse
 			target = reachable
 		}
 		if avail.Len() >= target {
-			return avail.Len() < waitFor, nil
+			return avail.Len() < p.after, nil
 		}
-		select {
-		case a := <-m.grads:
-			if debt.settle() {
-				return false, errConverged
-			}
-			accept(a)
-		case <-m.wakeup:
-			// Liveness changed: recompute the target on the next pass.
-		case <-m.stop:
-			return false, errInterrupted
-		case <-timeout.C:
-			if !timeout.expired(debt) {
-				continue
-			}
-			// Alive workers exist but the gradients are not coming (lossy
-			// links, drop faults): proceed degraded rather than stall.
-			if flexible && !avail.Empty() {
-				return true, nil
-			}
-			return false, fmt.Errorf(
-				"cluster: step %d: gathered %d of %d needed gradients within %v (scheme %s)",
-				step, avail.Len(), waitFor, m.cfg.StepTimeout, m.cfg.Strategy.Name())
-		}
-	}
-}
-
-// gatherDeadline implements the Sec. IV deadline policy with liveness
-// awareness: accept every gradient that reached the master by the deadline,
-// stop early when no more gradients can arrive, and — when nobody beat the
-// deadline — block for the first arrival only while someone is alive to
-// produce it.
-func (m *Master) gatherDeadline(step, n int, bcastEnd time.Time, avail *bitset.Set, accept func(arrival), debt *finalizeDebt) error {
-	deadline := bcastEnd.Add(m.cfg.Deadline)
-	// Unless a frame asks for it first, the finalize is paid when, judging
-	// by the last one, it still ends by the deadline; the timer fires then,
-	// and again at the deadline.
-	payBy := deadline
-	if debt.owed {
-		payBy = deadline.Add(-debt.last)
-	}
-	timer := time.NewTimer(time.Until(payBy))
-	defer timer.Stop()
-	// late is a frame taken off the queue that reached the master after the
-	// deadline: it ends the first phase without being admitted there.
-	var late arrival
-	var haveLate bool
-gather:
-	for avail.Len() < n {
-		if m.achievable(avail) <= avail.Len() {
-			break // every remaining worker is dead; waiting is pointless
-		}
-		// What is already queued goes first: a frame that arrived while the
-		// loop was busy (paying the finalize, say) counts if it arrived by
-		// the deadline, whenever the loop takes it.
 		var a arrival
 		select {
 		case a = <-m.grads:
@@ -1342,68 +1281,49 @@ gather:
 			select {
 			case a = <-m.grads:
 			case <-m.wakeup:
+				// Liveness changed: recompute the target on the next pass.
 				continue
 			case <-m.stop:
-				return errInterrupted
-			case <-timer.C:
-				if !time.Now().Before(deadline) {
-					break gather
+				return false, errInterrupted
+			case now := <-timerC:
+				if !pastCut {
+					// The pay-by instant, or the cut: what is owed is paid
+					// now, by the cut where the last finalize's length says
+					// it can be.
+					if debt.settle() {
+						return false, errConverged
+					}
+					pastCut = !now.Before(p.cut)
+				} else if m.cfg.StepTimeout > 0 && !now.Before(from.Add(m.cfg.StepTimeout+debt.paid)) {
+					// Alive workers exist but the gradients are not coming
+					// (lossy links, drop faults): proceed degraded rather
+					// than stall, where the scheme can.
+					switch {
+					case avail.Empty():
+						return false, fmt.Errorf("cluster: step %d: no gradient within step timeout %v", step, m.cfg.StepTimeout)
+					case !flexible:
+						return false, fmt.Errorf(
+							"cluster: step %d: gathered %d of %d needed gradients within %v (scheme %s)",
+							step, avail.Len(), p.after, m.cfg.StepTimeout, m.cfg.Strategy.Name())
+					}
+					return true, nil
 				}
-				if debt.settle() {
-					return errConverged
-				}
-				timer.Reset(time.Until(deadline))
+				arm()
 				continue
 			}
 		}
-		if a.recvAt.After(deadline) {
-			late, haveLate = a, true
-			break
-		}
 		if debt.settle() {
-			return errConverged
+			return false, errConverged
+		}
+		if a.recvAt.After(p.cut) {
+			pastCut = true
+			if avail.Len() >= p.after {
+				m.ignore(a, step, bcastEnd)
+				continue
+			}
 		}
 		accept(a)
 	}
-	if !avail.Empty() {
-		if haveLate {
-			// Past the deadline and not the step's first arrival: the master
-			// cannot use it.
-			m.ignore(late, step, bcastEnd)
-		}
-		return nil
-	}
-	// The step must make progress: nobody beat the deadline, so the first
-	// arrival of this step ends it — but only while someone is alive to
-	// produce it, and never past the step timeout, which starts once the
-	// finalize is paid: nothing is left to overlap it.
-	if debt.settle() {
-		return errConverged
-	}
-	if haveLate {
-		accept(late)
-	}
-	var timeout <-chan time.Time
-	if m.cfg.StepTimeout > 0 {
-		t := time.NewTimer(m.cfg.StepTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	for avail.Empty() {
-		if m.countAlive() == 0 {
-			return fmt.Errorf("cluster: step %d: all %d workers lost", step, n)
-		}
-		select {
-		case a := <-m.grads:
-			accept(a)
-		case <-m.wakeup:
-		case <-m.stop:
-			return errInterrupted
-		case <-timeout:
-			return fmt.Errorf("cluster: step %d: no gradient within step timeout %v", step, m.cfg.StepTimeout)
-		}
-	}
-	return nil
 }
 
 // ignore drops a delivery the master cannot use — stale or duplicate

@@ -40,8 +40,8 @@ type MasterMetrics struct {
 	Malformed *metrics.Counter
 	// SentBytes counts every byte broadcast to workers.
 	SentBytes *metrics.Counter
-	// AcceptedGradients counts gathered gradients per worker — the live
-	// view of ArrivalCounts.
+	// AcceptedGradients counts gathered gradients per worker — the
+	// counters behind Health's per-worker AcceptedSteps.
 	AcceptedGradients *metrics.CounterVec
 	// WorkerAlive is 1/0 per worker id.
 	WorkerAlive *metrics.GaugeVec

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -201,10 +202,9 @@ func TestMasterMetricsMatchTrace(t *testing.T) {
 	if h.GatherP50Seconds > h.GatherP95Seconds {
 		t.Errorf("gather p50 %v > p95 %v", h.GatherP50Seconds, h.GatherP95Seconds)
 	}
-	counts := master.ArrivalCounts()
 	for i, v := range h.Workers {
-		if int(v.AcceptedSteps) != counts[i] {
-			t.Errorf("health accepted[%d] = %d, ArrivalCounts says %d", i, v.AcceptedSteps, counts[i])
+		if got := mm.AcceptedGradients.With(strconv.Itoa(i)).Value(); uint64(v.AcceptedSteps) != got {
+			t.Errorf("health accepted[%d] = %d, the accepted-gradients counter says %d", i, v.AcceptedSteps, got)
 		}
 	}
 
@@ -213,7 +213,7 @@ func TestMasterMetricsMatchTrace(t *testing.T) {
 	// run and legitimately serve nothing.
 	top := 0
 	for i := 1; i < 3; i++ {
-		if counts[i] > counts[top] {
+		if h.Workers[i].AcceptedSteps > h.Workers[top].AcceptedSteps {
 			top = i
 		}
 	}

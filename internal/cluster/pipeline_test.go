@@ -116,8 +116,9 @@ func normalizeRun(res *engine.Result) {
 
 // TestDeadlineGatherEquivalentToFastestW pins the gather policies against
 // each other: a deadline that every worker beats must produce the exact
-// records and final parameters of the fastest-w run, bit for bit —
-// gatherDeadline returns as soon as all n arrived. (That the one schedule
+// records and final parameters of the fastest-w run, bit for bit — before
+// its cut the deadline policy's target is all n, so the gather returns as
+// soon as all n arrived. (That the one schedule
 // itself is deterministic is pinned by engine ≡ cluster,
 // TestTCPMatchesInProcessEngine, and the engine's golden digests.)
 func TestDeadlineGatherEquivalentToFastestW(t *testing.T) {

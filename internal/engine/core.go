@@ -21,8 +21,9 @@ import (
 // reads no wall clock and no global RNG.
 //
 // Of Config it reads Strategy, LearningRate, LRSchedule, Momentum,
-// WeightDecay, Staleness, MaxSteps, LossThreshold, Seed, W, Events,
-// Checkpoint, CheckpointEvery and Restore.
+// WeightDecay, Staleness, MaxSteps, LossThreshold, Seed, W, WSchedule,
+// DecodeCache, IncrementalDecode, Events, Checkpoint, CheckpointEvery and
+// Restore.
 type StepCore struct {
 	cfg *Config
 	st  Strategy
@@ -55,10 +56,40 @@ type foldableStep struct {
 }
 
 // NewStepCore starts a run at step 0 on params, which the core owns from
-// here on. Call Restore before the first step to start later.
+// here on, and switches on the decoder modes cfg asks for (DecodeCache,
+// IncrementalDecode) where the strategy has them. Call Restore before the
+// first step to start later.
 func NewStepCore(cfg *Config, params []float64) *StepCore {
+	if dc, ok := cfg.Strategy.(DecodeCacher); ok && cfg.DecodeCache > 0 {
+		dc.EnableDecodeCache(cfg.DecodeCache)
+	}
+	if id, ok := cfg.Strategy.(IncrementalDecoder); ok && cfg.IncrementalDecode {
+		id.EnableIncrementalDecode()
+	}
 	return &StepCore{cfg: cfg, st: cfg.Strategy, n: cfg.Strategy.N(), params: params}
 }
+
+// GatherTarget is what step's gather waits for, the one rule both drivers
+// read: WaitFor of the step's w (W, or WSchedule(step)), lowered by the
+// staleness window k to max(1, WaitFor(w)−k). flexible reports that the
+// scheme decodes any subset, so its gather may end short of the target — at
+// a deadline, or degraded to the workers still reachable; a rigid one
+// (Sync-SGD, classic GC) needs every upload WaitFor names.
+func (c *StepCore) GatherTarget(step int) (target int, flexible bool) {
+	w := c.cfg.W
+	if c.cfg.WSchedule != nil {
+		w = c.cfg.WSchedule(step)
+	}
+	target = c.st.WaitFor(w)
+	if c.cfg.Staleness > 0 {
+		target = max(1, target-c.cfg.Staleness)
+	}
+	return target, isFlexible(c.st)
+}
+
+// isFlexible tells a flexible scheme by its WaitFor: a rigid one reports
+// the same count for every target.
+func isFlexible(st Strategy) bool { return st.WaitFor(1) != st.WaitFor(st.N()) }
 
 // CheckStaleness is the one validation of a bounded-staleness window k,
 // shared by Train and cluster.NewMaster: folds need a flexible scheme,
@@ -70,7 +101,7 @@ func CheckStaleness(st Strategy, k int, plainSGD bool, deadline time.Duration) e
 		return fmt.Errorf("need Staleness ≥ 0, got %d", k)
 	case k == 0:
 		return nil
-	case st.WaitFor(1) == st.WaitFor(st.N()):
+	case !isFlexible(st):
 		return fmt.Errorf("Staleness requires a flexible scheme; %s is rigid", st.Name())
 	case !plainSGD:
 		return fmt.Errorf("Staleness requires Momentum == 0 and WeightDecay == 0 (folds compose additively on plain SGD)")

@@ -234,17 +234,6 @@ func Train(cfg Config) (*Result, error) {
 
 	core := NewStepCore(&cfg, cfg.Model.InitParams(cfg.Seed))
 	all := materialize(cfg.Data)
-
-	if cfg.DecodeCache > 0 {
-		if dc, ok := st.(DecodeCacher); ok {
-			dc.EnableDecodeCache(cfg.DecodeCache)
-		}
-	}
-	if cfg.IncrementalDecode {
-		if id, ok := st.(IncrementalDecoder); ok {
-			id.EnableIncrementalDecode()
-		}
-	}
 	// Per-partition gradient buffers, reused every step: after the first
 	// step the gradient stage allocates nothing.
 	pg := &PartitionGrads{Model: cfg.Model, Loaders: loaders, Bufs: make([][]float64, n)}
@@ -260,7 +249,6 @@ func Train(cfg Config) (*Result, error) {
 	if isClassifier {
 		lastAcc = model.Accuracy(classifier, core.Params(), all)
 	}
-	rigid := st.WaitFor(1) == st.WaitFor(n) // Sync-SGD / classic GC
 
 	// Checkpoint/restore: a restored run resumes at core.StartStep() > 0;
 	// the earlier steps happened in a previous life and the result covers
@@ -302,54 +290,40 @@ func Train(cfg Config) (*Result, error) {
 	}
 	var lateQ []*lateUpload
 	var busy []bool
-	var maskedTimes []time.Duration
 	if cfg.Staleness > 0 {
 		busy = make([]bool, n)
-		maskedTimes = make([]time.Duration, n)
 	}
 
 	for step := core.StartStep(); step < cfg.MaxSteps; step++ {
 		// 1. Straggler simulation: who is available, and how long the
-		// master waited — fastest-w by default, optionally per-step
-		// adaptive w or a fixed deadline (Sec. IV policies).
+		// master waited — fastest-w by default (w per step under WSchedule),
+		// or a fixed deadline (Sec. IV policies).
 		times := sim.Step()
-		var avail *bitset.Set
+		target, flexible := core.GatherTarget(step)
+		var avail, uploaders *bitset.Set
 		var elapsed time.Duration
 		var err error
-		switch {
-		case cfg.Staleness > 0:
-			// Pipelined bounded-staleness gather: wait for Staleness fewer
-			// workers, among those not still uploading an earlier step.
-			w := cfg.W
-			if cfg.WSchedule != nil {
-				w = cfg.WSchedule(step)
-			}
-			target := st.WaitFor(w) - cfg.Staleness
-			if target < 1 {
-				target = 1
-			}
-			eligible := 0
-			copy(maskedTimes, times)
-			for i, b := range busy {
-				if b {
-					maskedTimes[i] = time.Duration(1) << 62 // never the fastest
-				} else {
-					eligible++
-				}
-			}
-			if target > eligible {
-				target = eligible
-			}
-			avail, elapsed, err = simclock.FastestW(maskedTimes, target)
-		case cfg.Deadline > 0 && !rigid:
+		if cfg.Deadline > 0 && flexible {
 			avail, elapsed = simclock.Deadline(times, cfg.Deadline)
 			if avail.Empty() {
 				avail, elapsed, err = simclock.FastestW(times, 1)
 			}
-		case cfg.WSchedule != nil:
-			avail, elapsed, err = simclock.FastestW(times, st.WaitFor(cfg.WSchedule(step)))
-		default:
-			avail, elapsed, err = simclock.FastestW(times, st.WaitFor(cfg.W))
+		} else {
+			if busy != nil {
+				// Under staleness the uploaders are the workers not still
+				// uploading an earlier step, and the target is met among
+				// them: a busy one is never the fastest.
+				uploaders = bitset.New(n)
+				for i, b := range busy {
+					if b {
+						times[i] = 1 << 62
+					} else {
+						uploaders.Add(i)
+					}
+				}
+				target = min(target, uploaders.Len())
+			}
+			avail, elapsed, err = simclock.FastestW(times, target)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("engine: step %d: %w", step, err)
@@ -382,15 +356,8 @@ func Train(cfg Config) (*Result, error) {
 		// Under staleness every eligible worker computes and encodes this
 		// step — the stragglers' uploads stay in flight and may fold into a
 		// later step, so their coded vectors are needed too.
-		uploaders := avail
-		if cfg.Staleness > 0 {
-			up := bitset.New(n)
-			for i, b := range busy {
-				if !b {
-					up.Add(i)
-				}
-			}
-			uploaders = up
+		if uploaders == nil {
+			uploaders = avail
 		}
 		for d := range grads {
 			grads[d] = nil
