@@ -3,11 +3,16 @@ package cluster
 import (
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"isgc/internal/bitset"
 	"isgc/internal/dataset"
 	"isgc/internal/engine"
+	"isgc/internal/events"
 	"isgc/internal/model"
+	"isgc/internal/straggler"
 )
 
 // TestComputeBitsIgnoreGOMAXPROCS: the master's full-set loss and a
@@ -108,4 +113,72 @@ func TestWorkerComputeStepAllocs(t *testing.T) {
 			t.Errorf("GOMAXPROCS=%d: a c = 2 computeStep makes %v allocations per step, want 0", procs, allocs)
 		}
 	}
+}
+
+// TestUntracedServeAndTakeAllocationFree pins the two per-arrival sites
+// that describe a step to the timeline: a worker's serve (compute and delay
+// spans) and the master's take of an arrival (the worker's compute span). A
+// span's args are a map, so without a Timeline neither may build one: an
+// untraced serve — compute, a zero injected delay, the upload — and an
+// untraced take allocate nothing. With a Timeline both still record their
+// spans.
+func TestUntracedServeAndTakeAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is unreliable under -race")
+	}
+	f := newFakeMaster(t, 0)
+	w, _, params := fakeWorker(t, f, func(cfg *WorkerConfig) { cfg.Delay = straggler.None{} })
+	defer w.c.close()
+	w.c = newConn(&sinkConn{discard: true}, 0, nil) // the upload goes nowhere
+	mb := newMailbox(0, len(params))
+	step := 0
+	serve := func() {
+		p := mb.vecs.get()
+		copy(p, params)
+		if linkUp, err := w.serve(mb, stepWork{step: step, params: p}); !linkUp || err != nil {
+			t.Fatalf("step %d: serve = %v, %v", step, linkUp, err)
+		}
+		step++
+	}
+	if allocs := testing.AllocsPerRun(50, serve); allocs != 0 {
+		t.Errorf("an untraced serve makes %v allocations per step, want 0", allocs)
+	}
+	w.cfg.Timeline = events.NewTimeline(64)
+	serve()
+	if got := spanNames(w.cfg.Timeline); got["compute"] != 1 || got["delay"] != 1 {
+		t.Errorf("a traced serve recorded spans %v, want one compute and one delay", got)
+	}
+
+	m, err := NewMaster(MasterConfig{Addr: "127.0.0.1:0", Strategy: freshISGC(t, 4, 2, 7),
+		Model: model.SoftmaxRegression{Features: 6, Classes: 3}, Data: testData(t), LearningRate: 0.3, MaxSteps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.ln.Close()
+	m.accepted = make([]atomic.Int64, 4) // Run sizes it
+	avail, coded := bitset.New(4), make([][]float64, 4)
+	now := time.Now()
+	a := arrival{worker: 2, step: 3, coded: make([]float64, 21), recvAt: now.Add(time.Millisecond),
+		computeStart: now, computeDur: time.Millisecond}
+	take := func() { m.take(a, 3, now, avail, coded) }
+	for range 8192 { // fill the attribution report's sample cap, so no append grows it
+		take()
+	}
+	if allocs := testing.AllocsPerRun(50, take); allocs != 0 {
+		t.Errorf("an untraced take makes %v allocations per arrival, want 0", allocs)
+	}
+	m.cfg.Timeline = events.NewTimeline(64)
+	take()
+	if got := spanNames(m.cfg.Timeline); got["compute"] != 1 || len(got) != 1 {
+		t.Errorf("a traced take recorded spans %v, want one compute", got)
+	}
+}
+
+// spanNames counts tl's spans by name.
+func spanNames(tl *events.Timeline) map[string]int {
+	names := map[string]int{}
+	for _, s := range tl.Spans() {
+		names[s.Name]++
+	}
+	return names
 }

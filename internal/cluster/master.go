@@ -1032,25 +1032,7 @@ steps:
 				m.malformedGradient(step, a.worker, len(a.coded))
 				return
 			}
-			avail.Add(a.worker)
-			coded[a.worker] = a.coded
-			m.accepted[a.worker].Add(1)
-			m.cfg.Metrics.markAccepted(a.worker)
-			m.attribution.ObserveAccepted(trace.ArrivalSample{
-				Worker: a.worker, Step: step,
-				Compute: a.computeDur, Arrival: a.recvAt.Sub(bcastEnd),
-			})
-			if a.computeDur > 0 && !a.computeStart.IsZero() {
-				// The worker's self-reported compute interval, rendered on
-				// its own track. The start stamp is the worker's clock —
-				// on one machine that is the same clock; across machines
-				// skew shifts the span without changing its length.
-				m.cfg.Timeline.Add(events.Span{
-					Name: "compute", Cat: "compute", TID: a.worker + 1,
-					Start: a.computeStart, Dur: a.computeDur,
-					Args: map[string]any{"step": step},
-				})
-			}
+			m.take(a, step, bcastEnd, avail, coded)
 		}
 
 		// The deadline policy is a flexible scheme's: it waits for all n until
@@ -1110,6 +1092,32 @@ steps:
 		ckpt.writeNow(core, core.NextStep(), true)
 	}
 	return core.Result(), nil
+}
+
+// take enters a's gradient, a well-formed upload for the step gathering
+// from a worker not yet in avail, into the gather: the worker becomes
+// available, coded holds its upload, and the arrival is counted and
+// attributed.
+func (m *Master) take(a arrival, step int, bcastEnd time.Time, avail *bitset.Set, coded [][]float64) {
+	avail.Add(a.worker)
+	coded[a.worker] = a.coded
+	m.accepted[a.worker].Add(1)
+	m.cfg.Metrics.markAccepted(a.worker)
+	m.attribution.ObserveAccepted(trace.ArrivalSample{
+		Worker: a.worker, Step: step,
+		Compute: a.computeDur, Arrival: a.recvAt.Sub(bcastEnd),
+	})
+	if tl := m.cfg.Timeline; tl != nil && a.computeDur > 0 && !a.computeStart.IsZero() {
+		// The worker's self-reported compute interval, rendered on its own
+		// track. The start stamp is the worker's clock — on one machine that
+		// is the same clock; across machines skew shifts the span without
+		// changing its length.
+		tl.Add(events.Span{
+			Name: "compute", Cat: "compute", TID: a.worker + 1,
+			Start: a.computeStart, Dur: a.computeDur,
+			Args: map[string]any{"step": step},
+		})
+	}
 }
 
 // checkpointWriter takes Store.Save off the step loop. The snapshot — the

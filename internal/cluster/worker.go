@@ -438,17 +438,23 @@ func (w *Worker) serve(mb *mailbox, st stepWork) (linkUp bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	w.cfg.Timeline.Add(events.Span{Name: "compute", Cat: "compute", TID: w.cfg.ID + 1,
-		Start: computeStart, Dur: computeDur, Args: map[string]any{"step": st.step}})
+	// A span's args are a map: build them only for a timeline that keeps them.
+	tl := w.cfg.Timeline
+	if tl != nil {
+		tl.Add(events.Span{Name: "compute", Cat: "compute", TID: w.cfg.ID + 1,
+			Start: computeStart, Dur: computeDur, Args: map[string]any{"step": st.step}})
+	}
 	if w.cfg.Delay != nil {
 		delayStart := time.Now()
 		live, abandoned := mb.sleep(st.step, w.cfg.Delay.Sample(w.rng))
-		args := map[string]any{"step": st.step}
-		if abandoned {
-			args["abandoned"] = true
+		if tl != nil {
+			args := map[string]any{"step": st.step}
+			if abandoned {
+				args["abandoned"] = true
+			}
+			tl.Add(events.Span{Name: "delay", Cat: "delay", TID: w.cfg.ID + 1,
+				Start: delayStart, Dur: time.Since(delayStart), Args: args})
 		}
-		w.cfg.Timeline.Add(events.Span{Name: "delay", Cat: "delay", TID: w.cfg.ID + 1,
-			Start: delayStart, Dur: time.Since(delayStart), Args: args})
 		if !live {
 			if abandoned {
 				w.abandon(phaseDelay, st.step)

@@ -9,16 +9,19 @@ import (
 //
 // Three kernels have assembly bodies (kernels_amd64.s), one for AVX2 and one
 // for AVX-512: MatVecT8, the model forward pass over eight samples,
-// AXPY4/AXPY4Zero, the backward row update, and TanhBias8 below. AddTo4
-// (linalg.go), the master's sum of four decoded rows, has an AVX2 body that
-// both assembly paths run. All vectorise across *independent outputs* —
+// AXPY4/AXPY4Zero, the backward row update, and TanhBias8 below. Two in
+// linalg.go have one AVX2 body that both assembly paths run: AddTo4, the
+// master's sum of four decoded rows, and AXPY/AXPYZero, the streaming row
+// update (the workers' batch-1 gradient rows, the master's parameter
+// update), which moves one multiply and one add per word loaded and is as
+// fast in ymm as in zmm. All vectorise across *independent outputs* —
 // eight samples of one row in the forward pass, four or eight columns of one
-// row in the backward and the row sum — so every output element is still its
-// own left-to-right chain of one multiply and one add per term (one add, in
-// the row sum), rounded where the Go loops round: the result is
-// bit-identical to them. A fused multiply-add would round once per term
-// instead of twice, and a sum spread over lanes and folded at the end would
-// reassociate; the assembly uses neither. The eight samples of the forward
+// row in the backward, the row updates and the row sum — so every output
+// element is still its own left-to-right chain of one multiply and one add
+// per term (one add, in the row sum), rounded where the Go loops round: the
+// result is bit-identical to them. A fused multiply-add would round once per
+// term instead of twice, and a sum spread over lanes and folded at the end
+// would reassociate; the assembly uses neither. The eight samples of the forward
 // layout are two 32-byte halves to the AVX2 body and one 64-byte register to
 // the AVX-512 body; the lanes hold the same chains either way.
 //

@@ -76,6 +76,12 @@ func axpy4AVX2(dst *float64, n int, a0 float64, x0 *float64, a1 float64, x1 *flo
 //go:noescape
 func axpy4AVX512(dst *float64, n int, a0 float64, x0 *float64, a1 float64, x1 *float64, a2 float64, x2 *float64, a3 float64, x3 *float64, zero bool)
 
+// axpy1AVX2 is the body of AXPY (zero false) and AXPYZero (zero true, dst
+// never read) for n ≥ 1 words of dst and of x, on both assembly paths.
+//
+//go:noescape
+func axpy1AVX2(dst *float64, n int, a float64, x *float64, zero bool)
+
 // addTo4AVX2 is AddTo4's body for n ≥ 1 words of dst and of a, b, c, d. p0–p3
 // are only prefetched, never read or written.
 //

@@ -1,10 +1,11 @@
 // The package's only assembly: the AVX2 bodies of MatVecT8, AXPY4/AXPY4Zero,
-// AddTo4 and TanhBias8, the AVX-512 bodies of MatVecT8, AXPY4/AXPY4Zero and
-// TanhBias8, and the two probes that decide which of them may run.
+// AXPY/AXPYZero, AddTo4 and TanhBias8, the AVX-512 bodies of MatVecT8,
+// AXPY4/AXPY4Zero and TanhBias8, and the two probes that decide which of
+// them may run.
 // kernels.go holds the Go loops they must equal bit for bit, the operand
 // checks that run before every call, and the reasons for the shape.
 //
-// In the mat-vec and the row update every product is a VMULPD and every sum
+// In the mat-vec and the row updates every product is a VMULPD and every sum
 // a separate VADDPD, rounded where the Go loops round; there is no FMA and no
 // horizontal add, a lane is one output element from start to finish. The row
 // sum is the adds alone, in the same order. The
@@ -440,6 +441,98 @@ zonesum:
 	JLT    zone
 
 zaxpydone:
+	VZEROUPPER
+	RET
+
+// func axpy1AVX2(dst *float64, n int, a float64, x *float64, zero bool)
+//
+// n ≥ 1. dst[i] = dst[i] + a·x[i], or +0 + a·x[i] with zero set (AXPYZero,
+// dst never loaded), as axpy4AVX2's zero flag. Sixteen columns (two cache
+// lines of each operand) per pass as four independent lane groups, then
+// whole groups of four, then the last n mod 4 columns one at a time with the
+// scalar forms of the same instructions. The AVX-512 path runs this body
+// too: at one multiply and one add per word loaded the loads and stores set
+// the pace, not the lane width, and a zmm body was measured no faster end to
+// end.
+TEXT ·axpy1AVX2(SB), NOSPLIT, $0-33
+	MOVQ         dst+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD a+16(FP), Y0
+	MOVQ         x+24(FP), SI
+	MOVBLZX      zero+32(FP), DX
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-16, BX // columns covered by whole passes
+	JZ           ax1quads
+
+ax1lines:
+	VXORPD  Y4, Y4, Y4
+	VXORPD  Y5, Y5, Y5
+	VXORPD  Y6, Y6, Y6
+	VXORPD  Y7, Y7, Y7
+	TESTL   DX, DX
+	JNZ     ax1linesum
+	VMOVUPD (DI)(AX*8), Y4
+	VMOVUPD 32(DI)(AX*8), Y5
+	VMOVUPD 64(DI)(AX*8), Y6
+	VMOVUPD 96(DI)(AX*8), Y7
+
+ax1linesum:
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VMULPD  32(SI)(AX*8), Y0, Y2
+	VMULPD  64(SI)(AX*8), Y0, Y3
+	VMULPD  96(SI)(AX*8), Y0, Y8
+	VADDPD  Y1, Y4, Y4
+	VADDPD  Y2, Y5, Y5
+	VADDPD  Y3, Y6, Y6
+	VADDPD  Y8, Y7, Y7
+	VMOVUPD Y4, (DI)(AX*8)
+	VMOVUPD Y5, 32(DI)(AX*8)
+	VMOVUPD Y6, 64(DI)(AX*8)
+	VMOVUPD Y7, 96(DI)(AX*8)
+	ADDQ    $16, AX
+	CMPQ    AX, BX
+	JLT     ax1lines
+
+ax1quads:
+	MOVQ CX, BX
+	ANDQ $-4, BX // columns covered by whole lane groups
+	CMPQ AX, BX
+	JGE  ax1tail
+
+ax1quad:
+	VXORPD  Y4, Y4, Y4
+	TESTL   DX, DX
+	JNZ     ax1quadsum
+	VMOVUPD (DI)(AX*8), Y4
+
+ax1quadsum:
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VADDPD  Y1, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     ax1quad
+
+ax1tail:
+	CMPQ AX, CX
+	JGE  ax1done
+
+ax1one:
+	VXORPD X4, X4, X4
+	TESTL  DX, DX
+	JNZ    ax1onesum
+	VMOVSD (DI)(AX*8), X4
+
+ax1onesum:
+	VMULSD (SI)(AX*8), X0, X1
+	VADDSD X1, X4, X4
+	VMOVSD X4, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    ax1one
+
+ax1done:
 	VZEROUPPER
 	RET
 

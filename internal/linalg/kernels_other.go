@@ -22,6 +22,10 @@ func axpy4AVX512(dst *float64, n int, a0 float64, x0 *float64, a1 float64, x1 *f
 	panic("linalg: no vector kernels on this architecture")
 }
 
+func axpy1AVX2(dst *float64, n int, a float64, x *float64, zero bool) {
+	panic("linalg: no vector kernels on this architecture")
+}
+
 func addTo4AVX2(dst *float64, n int, a, b, c, d, p0, p1, p2, p3 *float64) {
 	panic("linalg: no vector kernels on this architecture")
 }

@@ -283,6 +283,31 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 				}
 			}
 		}
+		// Every rest of the sixteen-column pass: whole groups of four, the
+		// scalar tail, both and neither.
+		for _, n := range []int{1, 3, 4, 5, 8, 12, 15, 16, 17, 20, 31, 32, 35, 67} {
+			for _, zero := range []bool{false, true} {
+				reset()
+				x, dst := carve(n), carve(n)
+				copy(x, unitVec(rng, n))
+				xWas := CloneVec(x)
+				if zero {
+					AXPYZero(dst, 3, x) // dst still holds the sentinel: every word must be written
+				} else {
+					copy(dst, unitVec(rng, n))
+					AXPY(dst, 3, x)
+				}
+				untouched("AXPY")
+				if !slices.Equal(x, xWas) {
+					t.Fatalf("AXPY zero=%v n=%d changed x", zero, n)
+				}
+				for i, v := range dst {
+					if math.Float64bits(v) == sentinel {
+						t.Fatalf("AXPY zero=%v n=%d left dst[%d] unwritten", zero, n, i)
+					}
+				}
+			}
+		}
 		for _, n := range []int{1, 3, 4, 5, 8, 9, 12, 16, 67} {
 			reset()
 			// Four prefetch hints: full rows, one longer and one shorter than
@@ -313,6 +338,11 @@ func TestKernelsStayInsideTheirSlices(t *testing.T) {
 func TestVectorKernelsPanicOnMisfit(t *testing.T) {
 	v := func(n int) []float64 { return make([]float64, n) }
 	cases := map[string]func(){
+		"AXPY short x":                func() { AXPY(v(5), 1, v(4)) },
+		"AXPY long x":                 func() { AXPY(v(17), 1, v(18)) },
+		"AXPY empty x":                func() { AXPY(v(5), 1, nil) },
+		"AXPYZero short x":            func() { AXPYZero(v(16), 1, v(15)) },
+		"AXPYZero empty dst":          func() { AXPYZero(nil, 1, v(5)) },
 		"AXPY4 short x0":              func() { AXPY4(v(5), 1, v(4), 1, v(5), 1, v(5), 1, v(5)) },
 		"AXPY4 long x1":               func() { AXPY4(v(5), 1, v(5), 1, v(6), 1, v(5), 1, v(5)) },
 		"AXPY4 short x2":              func() { AXPY4(v(5), 1, v(5), 1, v(5), 1, v(1), 1, v(5)) },
@@ -360,6 +390,8 @@ func TestVectorKernelsPanicOnMisfit(t *testing.T) {
 		// a prefetch hint of any length is not a misfit either.
 		AddTo4(nil, nil, nil, nil, nil, v(3))
 		AddTo4(v(5), v(5), v(5), v(5), v(5), nil, v(2), v(9), v(5), v(5))
+		AXPY(nil, 1, nil)
+		AXPYZero(nil, 1, nil)
 		AXPY4(nil, 1, nil, 1, nil, 1, nil, 1, nil)
 		AXPY4Zero(nil, 1, nil, 1, nil, 1, nil, 1, nil)
 		MatVecT8(nil, nil, 0, 0, nil)
@@ -390,7 +422,9 @@ func TestVectorKernelsPanicOnMisfit(t *testing.T) {
 // layers (128×64: eight-row passes only; 10×128: one eight-row pass and a
 // two-row rest) and straggler-mlp's (64×32, 10×64), and 64×2048, the
 // wide-gather master's loss; the row update at the compute-mlp rows (64 and
-// 128 columns) and wide-gather's softmax rows (2048); AddTo4 at fleet-churn's
+// 128 columns) and wide-gather's softmax rows (2048); the one-row update
+// (AXPY, and AXPYZero, which never reads its row) at a wide-gather gradient
+// row (2,048) and at its 1 MiB parameter update (131,072); AddTo4 at fleet-churn's
 // dimension 64; and the activation of eight samples' hidden layers (H = 64
 // and 128). ns/sample and ns/activation sit beside ns/op so that a
 // four-sample kernel's numbers compare directly.
@@ -412,6 +446,19 @@ func BenchmarkVectorKernels(b *testing.B) {
 			b.Run(fmt.Sprintf("AXPY4/%d/%s", n, path), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					AXPY4(row, 0.5, x, -0.5, x, 0.25, x, -0.25, x)
+				}
+			})
+		}
+		for _, n := range []int{2048, 131072} {
+			row, x := unitVec(rng, n), unitVec(rng, n)
+			b.Run(fmt.Sprintf("AXPY/%d/%s", n, path), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					AXPY(row, 0x1p-20, x)
+				}
+			})
+			b.Run(fmt.Sprintf("AXPYZero/%d/%s", n, path), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					AXPYZero(row, 0.5, x)
 				}
 			})
 		}

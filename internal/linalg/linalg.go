@@ -97,10 +97,18 @@ func ahead(next [][]float64, k int, dst []float64) *float64 {
 	return &dst[0]
 }
 
-// AXPY computes dst += a*src element-wise.
+// AXPY computes dst += a*src element-wise: dst[i] = dst[i] + a*src[i], one
+// rounding for the product and one for the sum. On a host with the vector
+// kernels (kernels.go) four columns go per lane group, each the same
+// multiply-then-add, so the bits are the Go loop's. It streams the workers'
+// batch gradient rows, the MLP's hidden gradient and the master's update.
 func AXPY(dst []float64, a float64, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("linalg: AXPY length mismatch %d vs %d", len(dst), len(src)))
+	}
+	if path >= AVX2 && len(dst) > 0 {
+		axpy1AVX2(&dst[0], len(dst), a, &src[0], false)
+		return
 	}
 	for i, x := range src {
 		dst[i] += a * x
@@ -143,10 +151,16 @@ func AXPY4(dst []float64, a0 float64, x0 []float64, a1 float64, x1 []float64, a2
 // −0 (a or src[i] a signed zero, or a·src[i] underflowing from below) sums
 // with +0 to +0 exactly as it did on a zero-filled row, where ScaleInto
 // would store −0. The term keeps AXPY's acc + a*x shape, so a platform that
-// fuses one fuses the other.
+// fuses one fuses the other. On a host with the vector kernels it runs
+// AXPY's body with the accumulator +0 instead of loaded: the first sample of
+// every batch gradient row is written through it.
 func AXPYZero(dst []float64, a float64, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("linalg: AXPYZero length mismatch %d vs %d", len(dst), len(src)))
+	}
+	if path >= AVX2 && len(dst) > 0 {
+		axpy1AVX2(&dst[0], len(dst), a, &src[0], true)
+		return
 	}
 	for i, x := range src {
 		dst[i] = 0 + a*x

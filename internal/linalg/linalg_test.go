@@ -174,6 +174,31 @@ func accFirstAdd(acc, x float64) float64 {
 	return acc + x
 }
 
+// aFirstMul is a·x with IEEE 754's NaN choice made as the assembly makes it
+// for every multiply: the scale factor is the first source, so its NaN wins
+// when both are NaN (accFirstAdd's rule). Non-NaN operands multiply as Go
+// multiplies them, 0·∞ giving the CPU's default NaN.
+func aFirstMul(a, x float64) float64 {
+	const quiet = 1 << 51
+	switch {
+	case math.IsNaN(a):
+		return math.Float64frombits(math.Float64bits(a) | quiet)
+	case math.IsNaN(x):
+		return math.Float64frombits(math.Float64bits(x) | quiet)
+	}
+	return a * x
+}
+
+// refAXPY is AXPY written out, dst[i] += a·x[i]: the reference the kernels
+// that stream rows (AXPY, AXPYZero, AXPY4, AXPY4Zero) are held to on every
+// path. It is a test's own loop so that a mistake shared by the package's
+// bodies — a fused multiply-add, say — cannot pass by agreeing with itself.
+func refAXPY(dst []float64, a float64, x []float64) {
+	for i := range dst {
+		dst[i] += a * x[i]
+	}
+}
+
 // bitsOf is v's bit patterns, for comparisons in which a NaN must equal
 // itself.
 func bitsOf(v []float64) []uint64 {
@@ -198,9 +223,11 @@ func payloadVec(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// AXPY4 must round exactly as four successive AXPY calls do (AXPY has one
-// body), on both kernel paths: every length across the lane width and its
-// scalar tail, operands starting 0–3 words off 32-byte alignment.
+// AXPY4 must round exactly as four successive AXPY calls do, on every
+// kernel path: every length across the lane width and its scalar tail,
+// operands starting 0–3 words off 32-byte alignment. The reference is the
+// loop written out (refAXPY), not the package's AXPY, whose assembly body a
+// shared mistake could bend the same way.
 func TestAXPY4MatchesFourAXPY(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(4))
@@ -215,11 +242,11 @@ func TestAXPY4MatchesFourAXPY(t *testing.T) {
 				got := offAligned(want, (n+1)%4)
 				AXPY4(got, as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3])
 				for q := range xs {
-					AXPY(want, as[q], xs[q])
+					refAXPY(want, as[q], xs[q])
 				}
 				for i := range want {
 					if !sameResult(got[i], want[i]) {
-						t.Fatalf("%s n=%d: AXPY4[%d] = %v, four AXPY calls give %v", in.name, n, i, got[i], want[i])
+						t.Fatalf("%s n=%d: AXPY4[%d] = %v, four AXPY loops give %v", in.name, n, i, got[i], want[i])
 					}
 				}
 			}
@@ -257,9 +284,9 @@ func nanVec(n int) []float64 {
 	return v
 }
 
-// The write-first kernels must store what a zero fill followed by
-// AXPY/AXPY4 stores — +0 where the product is −0 — and never read dst, on
-// both kernel paths.
+// The write-first kernels must store what a zero fill followed by the
+// written-out AXPY loop stores — +0 where the product is −0 — and never read
+// dst, on every kernel path.
 func TestWriteFirstKernelsMatchZeroFill(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(22))
@@ -278,20 +305,22 @@ func TestWriteFirstKernelsMatchZeroFill(t *testing.T) {
 				got, want := nanVec(n), nanVec(n)
 				AXPYZero(got, as[0], xs[0])
 				ZeroVec(want)
-				AXPY(want, as[0], xs[0])
+				refAXPY(want, as[0], xs[0])
 				for i := range want {
 					if !sameResult(got[i], want[i]) {
-						t.Fatalf("n=%d: AXPYZero[%d] = %v for %v·%v, zero fill + AXPY gives %v", n, i, got[i], as[0], xs[0][i], want[i])
+						t.Fatalf("n=%d: AXPYZero[%d] = %v for %v·%v, zero fill + AXPY loop gives %v", n, i, got[i], as[0], xs[0][i], want[i])
 					}
 				}
 
 				got, want = nanVec(n), nanVec(n)
 				AXPY4Zero(got, as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3])
 				ZeroVec(want)
-				AXPY4(want, as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3])
+				for q := range xs {
+					refAXPY(want, as[q], xs[q])
+				}
 				for i := range want {
 					if !sameResult(got[i], want[i]) {
-						t.Fatalf("n=%d: AXPY4Zero[%d] = %v, zero fill + AXPY4 gives %v", n, i, got[i], want[i])
+						t.Fatalf("n=%d: AXPY4Zero[%d] = %v, zero fill + four AXPY loops give %v", n, i, got[i], want[i])
 					}
 				}
 			}
@@ -314,37 +343,125 @@ func TestWriteFirstKernelsMatchZeroFill(t *testing.T) {
 	})
 }
 
-// SumInto must store what a zero fill followed by one AddTo per row stores,
-// for every row count around its two-row first pass, and never read dst.
-func TestSumIntoMatchesZeroFillAddTo(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, c := range []int{0, 1, 2, 3, 5} {
-		for _, n := range []int{0, 1, 2, 3, 4, 5, 63, 64, 65} {
-			srcs := make([][]float64, c)
-			for j := range srcs {
-				srcs[j] = edgeVec(rng, n)
-			}
-			got, want := nanVec(n), nanVec(n)
-			SumInto(got, srcs)
-			ZeroVec(want)
-			for _, s := range srcs {
-				AddTo(want, s)
-			}
-			for i := range want {
-				if !sameResult(got[i], want[i]) {
-					t.Fatalf("c=%d n=%d: SumInto[%d] = %v, zero fill + AddTo gives %v", c, n, i, got[i], want[i])
+// AXPY and AXPYZero share one assembly body, so neither can be the other's
+// reference: both are held to refAXPY, on every path, at every length across
+// the sixteen-column pass, the lane group and the scalar tail (0–67), at a
+// batch gradient row (2,048) and at a wide-gather update (131,072), with
+// operands 0–3 words off 32-byte alignment. The draws carry ±0, products
+// that underflow to −0, subnormals, ±Inf and NaNs of distinct payloads in the
+// factor, the row and the accumulator. On the assembly paths every bit must
+// equal the factor-first multiply and the accumulator-first add, NaN payloads
+// included; the Go loops are held to a NaN for a NaN (sameResult).
+func TestAXPYMatchesScalarLoop(t *testing.T) {
+	lengths := []int{2048, 131072}
+	for n := 67; n >= 0; n-- {
+		lengths = append([]int{n}, lengths...)
+	}
+	draws := append(kernelDraws[:len(kernelDraws):len(kernelDraws)], struct {
+		name string
+		draw func(*rand.Rand, int) []float64
+	}{"payload", payloadVec})
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(45))
+		for _, in := range draws {
+			for _, n := range lengths {
+				trials := 4
+				if n > 67 {
+					trials = 1
+				}
+				for trial := 0; trial < trials; trial++ {
+					a := payloadVec(rng, 1)[0]
+					if trial == 0 {
+						a = in.draw(rng, 1)[0]
+					}
+					off := (n + trial) % 4
+					x := offAligned(in.draw(rng, n), (off+1)%4)
+					orig := in.draw(rng, n)
+					for _, zero := range []bool{false, true} {
+						got, want := offAligned(orig, off), CloneVec(orig)
+						name := "AXPY"
+						if zero {
+							name = "AXPYZero"
+							got = offAligned(nanVec(n), off)
+							ZeroVec(want)
+							AXPYZero(got, a, x)
+						} else {
+							AXPY(got, a, x)
+						}
+						refAXPY(want, a, x)
+						for i := range want {
+							if !sameResult(got[i], want[i]) {
+								t.Fatalf("%s n=%d: %s[%d] = %v for %v + %v·%v, the written-out loop gives %v", in.name, n, name, i, got[i], orig[i], a, x[i], want[i])
+							}
+							acc := orig[i]
+							if zero {
+								acc = 0
+							}
+							if spec := accFirstAdd(acc, aFirstMul(a, x[i])); path >= AVX2 && math.Float64bits(got[i]) != math.Float64bits(spec) {
+								t.Fatalf("%s n=%d: %s[%d] = %#x, factor-first multiply and accumulator-first add give %#x", in.name, n, name, i, math.Float64bits(got[i]), math.Float64bits(spec))
+							}
+						}
+					}
 				}
 			}
 		}
-	}
-	negZero := math.Copysign(0, -1)
-	got := nanVec(1)
-	if SumInto(got, [][]float64{{negZero}}); math.Float64bits(got[0]) != 0 {
-		t.Errorf("SumInto of a lone −0 = %v (bits %#x), want +0", got[0], math.Float64bits(got[0]))
-	}
-	if SumInto(got, [][]float64{{negZero}, {negZero}}); math.Float64bits(got[0]) != 0 {
-		t.Errorf("SumInto of −0 and −0 = %v (bits %#x), want +0", got[0], math.Float64bits(got[0]))
-	}
+		// The −0 products spelled out, at every length class: AXPY keeps a −0
+		// row's sign (−0 + −0), AXPYZero stores +0.
+		for _, n := range []int{3, 4, 16, 19} {
+			x, row := make([]float64, n), make([]float64, n)
+			for i := range x {
+				x[i] = [...]float64{0, 1e-200, 5e-324}[i%3]
+				row[i] = math.Copysign(0, -1)
+			}
+			AXPY(row, -1e-200, x)
+			got := nanVec(n)
+			AXPYZero(got, -1e-200, x)
+			for i := range x {
+				if math.Float64bits(row[i]) != 1<<63 || math.Float64bits(got[i]) != 0 {
+					t.Errorf("n=%d [%d]: AXPY = %v (bits %#x), want −0; AXPYZero = %v (bits %#x), want +0", n, i, row[i], math.Float64bits(row[i]), got[i], math.Float64bits(got[i]))
+				}
+			}
+		}
+	})
+}
+
+// SumInto must store what a zero fill followed by one AddTo per row stores,
+// for every row count around its two-row first pass, and never read dst, on
+// every kernel path (it has no assembly of its own; this holds it there
+// should it ever reach a body that does).
+func TestSumIntoMatchesZeroFillAddTo(t *testing.T) {
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		for _, c := range []int{0, 1, 2, 3, 5} {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 63, 64, 65} {
+				srcs := make([][]float64, c)
+				for j := range srcs {
+					srcs[j] = edgeVec(rng, n)
+				}
+				got, want := nanVec(n), nanVec(n)
+				SumInto(got, srcs)
+				ZeroVec(want)
+				for _, s := range srcs {
+					for i, x := range s {
+						want[i] += x
+					}
+				}
+				for i := range want {
+					if !sameResult(got[i], want[i]) {
+						t.Fatalf("c=%d n=%d: SumInto[%d] = %v, zero fill + one add per row gives %v", c, n, i, got[i], want[i])
+					}
+				}
+			}
+		}
+		negZero := math.Copysign(0, -1)
+		got := nanVec(1)
+		if SumInto(got, [][]float64{{negZero}}); math.Float64bits(got[0]) != 0 {
+			t.Errorf("SumInto of a lone −0 = %v (bits %#x), want +0", got[0], math.Float64bits(got[0]))
+		}
+		if SumInto(got, [][]float64{{negZero}, {negZero}}); math.Float64bits(got[0]) != 0 {
+			t.Errorf("SumInto of −0 and −0 = %v (bits %#x), want +0", got[0], math.Float64bits(got[0]))
+		}
+	})
 }
 
 // Scale by exactly 1 is the identity on every bit pattern, so its early
