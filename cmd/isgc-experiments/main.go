@@ -34,7 +34,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 11a, 11b, 12, 13, bounds, ablations, theory, hetero, attribution, staleness, all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 11a, 11b, 12, 13, bounds, ablations, theory, hetero, attribution, all")
 	trials := flag.Int("trials", 0, "override the number of trials per data point (0 = default)")
 	steps := flag.Int("steps", 0, "override simulated steps for Fig. 11 (0 = default)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -281,21 +281,6 @@ func run(fig string, trials, steps int, seed int64, csv bool, workload string, e
 		}
 		emit(tab)
 	}
-	if want("staleness") {
-		matched = true
-		cfg := experiments.DefaultStaleness()
-		if trials > 0 {
-			cfg.Trials = trials
-		}
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		_, tab, err := experiments.Staleness(cfg)
-		if err != nil {
-			return err
-		}
-		emit(tab)
-	}
 	if want("attribution") {
 		matched = true
 		cfg := experiments.DefaultAttribution()
@@ -313,7 +298,7 @@ func run(fig string, trials, steps int, seed int64, csv bool, workload string, e
 		emit(tab)
 	}
 	if !matched {
-		return fmt.Errorf("unknown -fig %q (want 11a, 11b, 12, 13, bounds, ablations, theory, hetero, attribution, staleness, or all)", fig)
+		return fmt.Errorf("unknown -fig %q (want 11a, 11b, 12, 13, bounds, ablations, theory, hetero, attribution, or all)", fig)
 	}
 	return nil
 }

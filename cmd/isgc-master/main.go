@@ -58,7 +58,6 @@ type options struct {
 	data          cliconfig.DataSpec
 	w             int
 	deadline      time.Duration
-	staleness     int // bounded staleness k
 	lr            float64
 	maxSteps      int
 	threshold     float64
@@ -92,7 +91,6 @@ func main() {
 		g         = flag.Int("g", 2, "HR group count (scheme=hr)")
 		w         = flag.Int("w", 0, "workers to wait for per step (0 = all)")
 		deadline  = flag.Duration("deadline", 0, "per-step gather deadline (overrides -w when > 0)")
-		staleness = flag.Int("staleness", 0, "bounded staleness: wait for this many fewer workers per step and fold late gradients in as exact corrections (flexible schemes only; excludes -deadline)")
 		lr        = flag.Float64("lr", 0.2, "learning rate")
 		batch     = flag.Int("batch", 8, "per-partition batch size (must match workers)")
 		maxSteps  = flag.Int("steps", 200, "maximum steps")
@@ -136,7 +134,6 @@ func main() {
 		data:          data,
 		w:             *w,
 		deadline:      *deadline,
-		staleness:     *staleness,
 		lr:            *lr,
 		maxSteps:      *maxSteps,
 		threshold:     *threshold,
@@ -257,7 +254,6 @@ func run(opts options) error {
 		LearningRate:      opts.lr,
 		W:                 w,
 		Deadline:          opts.deadline,
-		Staleness:         opts.staleness,
 		MaxSteps:          opts.maxSteps,
 		LossThreshold:     opts.threshold,
 		Seed:              opts.data.Seed,

@@ -56,7 +56,6 @@ import (
 func main() {
 	eventsPath := flag.String("events", "", `write a JSONL structured event log to this path ("-" = stderr)`)
 	timelinePath := flag.String("timeline", "", "write a Chrome trace-event file of the run to this path")
-	staleness := flag.Int("staleness", 0, "bounded staleness: wait for this many fewer workers and fold late gradients in as corrections")
 	checkpointDir := flag.String("checkpoint-dir", "", "persist durable run snapshots in this directory (empty disables; restart the example with -restore to resume)")
 	restore := flag.Bool("restore", false, "resume from the newest checkpoint in -checkpoint-dir")
 	flag.Parse()
@@ -117,7 +116,6 @@ func main() {
 		MaxSteps:        30,
 		LossThreshold:   0.05,
 		Seed:            seed,
-		Staleness:       *staleness,
 		LivenessTimeout: 2 * time.Second,
 		Metrics:         mm,
 		Events:          ev,

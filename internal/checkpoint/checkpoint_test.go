@@ -134,7 +134,7 @@ func TestSameStepOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.LastLoss != 2 {
-		t.Fatalf("got stale payload: %+v", got)
+		t.Fatalf("got an outdated payload: %+v", got)
 	}
 }
 
@@ -208,14 +208,14 @@ func TestRestoreSkipsBadCRC(t *testing.T) {
 
 // TestRestoreTornManifest simulates a crash between writing a checkpoint
 // file and renaming the manifest: the temp manifest exists, the real one
-// is stale (or gone). Restore must still find the newest valid file via
+// is outdated (or gone). Restore must still find the newest valid file via
 // the directory scan.
 func TestRestoreTornManifest(t *testing.T) {
 	s := newTestStore(t, 5)
 	mustSave(t, s, 3)
 	mustSave(t, s, 7)
 
-	// Stale manifest: rewind it to mention only step 3, leave step 7's
+	// Outdated manifest: rewind it to mention only step 3, leave step 7's
 	// file on disk (as if the crash hit before the manifest rename).
 	manifestPath := filepath.Join(s.Dir(), manifestName)
 	if err := os.Remove(manifestPath); err != nil {

@@ -28,7 +28,7 @@
 //	6      2    reserved (must be zero in v1)
 //	8      4    worker id
 //	12     4    step (a worker's hello: its last completed step; the
-//	            master's hello ack: the staleness window k)
+//	            master's hello ack: 0, not read)
 //	16     8    compute start (unix nanoseconds)
 //	24     8    compute duration (nanoseconds)
 //	32     4    dim — payload length in float64 words (the length prefix)

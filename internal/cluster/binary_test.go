@@ -15,8 +15,10 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden wire fixtures in testdata/")
 
 // goldenEnvelopes are the committed wire fixtures: one envelope per message
-// kind, plus the master's hello ack (the staleness window k in the step
-// slot), exercising every header field. Changing the frame layout
+// kind, plus the master's hello ack (a master writes 0 in its step slot and
+// a worker does not read it; the fixture keeps the nonzero value older
+// masters wrote, which must still decode), exercising every header field.
+// Changing the frame layout
 // changes these bytes, which is exactly the point — the fixtures pin the
 // v1 format so an accidental encoding change fails loudly instead of
 // silently breaking cross-version clusters.

@@ -431,7 +431,7 @@ func TestLivenessTimeoutReapsSilentWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if _, err := clientHello(newConn(raw, 0, nil), 1, 0); err != nil {
+	if err := clientHello(newConn(raw, 0, nil), 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -488,7 +488,7 @@ func TestMasterRejectsMalformedGradient(t *testing.T) {
 	}
 	defer raw.Close()
 	c := newConn(raw, 0, nil)
-	if _, err := clientHello(c, 0, 0); err != nil {
+	if err := clientHello(c, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	step, err := c.recv()

@@ -42,9 +42,8 @@ const (
 // mailbox is the hand-off between one connection's reader goroutine and the
 // worker's compute loop. The reader always drains the socket, so the master's
 // next MsgStep doubles as the cancel signal for everything older: a step t is
-// superseded once a step s > t+staleness has arrived on the same connection,
-// and the mailbox keeps only steps that are not — one slot in sync mode
-// (staleness 0), at most staleness+1 when the master folds late gradients.
+// superseded once a step s > t has arrived on the same connection, and the
+// mailbox keeps only the newest step (twice, if the master re-delivered it).
 // The reader's exit reason rides the same mailbox so stop, faults and
 // connection loss interrupt a wait exactly as a newer step does.
 //
@@ -52,7 +51,6 @@ const (
 // per connection (a restored master replays earlier steps), so a rejoin
 // starts from a fresh one.
 type mailbox struct {
-	staleness int
 	// vecs recycles params vectors: reader → mailbox → compute → reader.
 	vecs vecPool
 	// wake holds one pending "state changed" signal for the compute loop;
@@ -71,11 +69,11 @@ type mailbox struct {
 
 // newMailbox returns the mailbox of a connection whose steps carry dim-long
 // params.
-func newMailbox(staleness, dim int) *mailbox {
-	return &mailbox{staleness: staleness, newest: -1,
+func newMailbox(dim int) *mailbox {
+	return &mailbox{newest: -1,
 		wake: make(chan struct{}, 1), done: make(chan struct{}),
-		// One being read into, ≤ staleness+1 queued, one computed on.
-		vecs: vecPool{dim: dim, free: make(chan []float64, staleness+2)}}
+		// One being read into, one queued or computed on.
+		vecs: vecPool{dim: dim, free: make(chan []float64, 2)}}
 }
 
 func (mb *mailbox) poke() {
@@ -86,7 +84,7 @@ func (mb *mailbox) poke() {
 }
 
 // supersededLocked reports whether a newer broadcast has made step moot.
-func (mb *mailbox) supersededLocked(step int) bool { return mb.newest > step+mb.staleness }
+func (mb *mailbox) supersededLocked(step int) bool { return mb.newest > step }
 
 // put queues a received step and evicts every queued step it supersedes (the
 // arrival itself when it came in behind a newer one). It returns the evicted

@@ -81,13 +81,6 @@ type MasterConfig struct {
 	// Repairs and fallbacks land on the isgc_master_decode_repairs/
 	// fallbacks counters.
 	IncrementalDecode bool
-	// Staleness, when positive, is the bounded-staleness window k: the
-	// gather target drops to max(1, waitFor−k) and a decoded step stays
-	// correctable for k more steps — a straggler gradient arriving while
-	// a later step gathers folds into the parameters as the exact
-	// correction that retroactively includes it in its own step's
-	// normalized update. Requires a flexible scheme and excludes Deadline.
-	Staleness int
 	// Metrics, when non-nil, receives live instrumentation (gather
 	// latency, recovered fraction, liveness, evictions); serve it via the
 	// admin package. One MasterMetrics per master.
@@ -192,7 +185,7 @@ type Master struct {
 	attribution *trace.Attribution
 
 	// vecs is the free list of received gradient vectors: each is its reader's
-	// until delivered, then the step loop's until Update, Fold or ignore.
+	// until delivered, then the step loop's until Update or ignore.
 	vecs vecPool
 
 	// bcastConns and bcastFrames are broadcast's scratch — the connection
@@ -290,9 +283,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 5 * time.Second
 	}
-	if err := engine.CheckStaleness(cfg.Strategy, cfg.Staleness, true, cfg.Deadline); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
 	if err := model.CheckData(cfg.Model, cfg.Data); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -309,7 +299,10 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	}
 	n := cfg.Strategy.N()
 	m := &Master{cfg: cfg, ln: ln, attribution: trace.NewAttribution(n),
-		stop: make(chan struct{}),
+		stop:     make(chan struct{}),
+		workers:  make([]*workerState, n),
+		accepted: make([]atomic.Int64, n),
+		hellos:   make(map[*conn]struct{}),
 		// Up to n vectors wait in coded while the readers fill the next n.
 		vecs: vecPool{dim: cfg.Model.Dim(), free: make(chan []float64, 2*n)}}
 	m.lastCkptStep.Store(-1)
@@ -343,7 +336,7 @@ var errInterrupted = errors.New("cluster: run interrupted")
 
 // Health returns a point-in-time snapshot of the master's liveness view —
 // the /healthz payload. Safe to call from any goroutine at any time
-// (before Run it reports an empty worker list).
+// (before Run it reports all n workers, none of them alive).
 func (m *Master) Health() MasterHealth {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -366,9 +359,7 @@ func (m *Master) Health() MasterHealth {
 	h.GatherP50Seconds, h.GatherP95Seconds = m.cfg.Metrics.gatherQuantiles()
 	for i, ws := range m.workers {
 		v := WorkerHealthView{ID: i, LastSeenAgeSeconds: -1, Generation: -1}
-		if i < len(m.accepted) {
-			v.AcceptedSteps = m.accepted[i].Load()
-		}
+		v.AcceptedSteps = m.accepted[i].Load()
 		if ws != nil {
 			v.Alive = ws.alive
 			v.LastSeenAgeSeconds = now.Sub(ws.lastSeen).Seconds()
@@ -421,13 +412,6 @@ func (m *Master) Run() (*engine.Result, error) {
 	m.grads = make(chan arrival, 8*n)
 	m.wakeup = make(chan struct{}, 1)
 	m.quit = make(chan struct{})
-	// The admin server may snapshot Health concurrently with Run's setup,
-	// so the shared slices appear under the lock.
-	m.mu.Lock()
-	m.workers = make([]*workerState, n)
-	m.accepted = make([]atomic.Int64, n)
-	m.hellos = make(map[*conn]struct{})
-	m.mu.Unlock()
 
 	var readers sync.WaitGroup
 	acceptDone := make(chan struct{})
@@ -582,9 +566,8 @@ func (m *Master) handshake(raw net.Conn, readers *sync.WaitGroup) {
 	}
 
 	// The ack goes out before the connection becomes visible to broadcasts
-	// and readers, so it is the first frame the worker reads. It carries the
-	// staleness window so the worker knows how long a step stays usable.
-	if err := c.send(&Envelope{Kind: MsgHello, Worker: id, Step: m.cfg.Staleness}); err != nil {
+	// and readers, so it is the first frame the worker reads.
+	if err := c.send(&Envelope{Kind: MsgHello, Worker: id}); err != nil {
 		_ = c.close()
 		return
 	}
@@ -829,9 +812,9 @@ type stepSpans struct {
 
 // finalizeDebt is the finalize step t owes while step t+1 gathers. The
 // gather pays it when its first frame comes off the gradient channel,
-// before that frame is accepted or folded, so the loss reads exactly the
-// parameters step t+1 broadcast, and the woken fleet has started computing
-// before the master does. A gather with a cut ahead pays it earlier if,
+// before that frame is accepted, so the loss reads exactly the parameters
+// step t+1 broadcast, and the woken fleet has started computing before the
+// master does. A gather with a cut ahead pays it earlier if,
 // judging by the last finalize, it would otherwise not end by the cut. When
 // no frame arrives it is paid as the gather exits. Run's goroutine only.
 type finalizeDebt struct {
@@ -888,20 +871,18 @@ func (m *Master) resume(core *engine.StepCore) error {
 }
 
 // run is the step loop: broadcast → gather → decode → update, with every
-// decision about the update, the staleness window, the record and the
-// checkpoint cadence made by the engine's step core. Nothing else stays on
-// the critical path. Step t's finalize — loss evaluation, record, checkpoint
-// cadence — is owed until step t+1's gather receives its first frame (see
-// finalizeDebt), so the master does not compute while the woken fleet
-// starts to; it reads the parameter bits it would have seen inline (neither
-// a broadcast nor a wait writes them), and a periodic checkpoint is
-// snapshotted at its boundary and written behind the loop. The one policy
-// is the gather's cut-off rule (gatherPolicy): fastest-w waits for the core's
-// GatherTarget — WaitFor(w), lowered by the staleness window k to
-// max(1, WaitFor(w)−k) — and, for a flexible scheme under Deadline, the
-// deadline policy waits for all n until the deadline and for one after it.
-// Staleness k also lets the core fold a late upload for any of the k newest
-// decoded steps.
+// decision about the update, the record and the checkpoint cadence made by
+// the engine's step core. Nothing else stays on the critical path. Step t's
+// finalize — loss evaluation, record, checkpoint cadence — is owed until
+// step t+1's gather receives its first frame (see finalizeDebt), so the
+// master does not compute while the woken fleet starts to; it reads the
+// parameter bits it would have seen inline (neither a broadcast nor a wait
+// writes them), and a periodic checkpoint is snapshotted at its boundary and
+// written behind the loop. The one policy is the gather's cut-off rule
+// (gatherPolicy): fastest-w waits for the core's GatherTarget, WaitFor(w),
+// and, for a flexible scheme under Deadline, the deadline policy waits for
+// all n until the deadline and for one after it. An upload that is not for
+// the step gathering is ignored.
 //
 // A run that converges on the loss threshold learns so from step t's loss,
 // inside step t+1's gather: that gather ends at once and nothing of step t+1
@@ -910,7 +891,7 @@ func (m *Master) run() (*engine.Result, error) {
 	st := m.cfg.Strategy
 	n := st.N()
 	core := engine.NewStepCore(&engine.Config{
-		Strategy: st, LearningRate: m.cfg.LearningRate, W: m.cfg.W, Staleness: m.cfg.Staleness,
+		Strategy: st, LearningRate: m.cfg.LearningRate, W: m.cfg.W,
 		MaxSteps: m.cfg.MaxSteps, LossThreshold: m.cfg.LossThreshold, Seed: m.cfg.Seed, Events: m.cfg.Events,
 		DecodeCache: m.cfg.DecodeCache, IncrementalDecode: m.cfg.IncrementalDecode,
 		Checkpoint: m.cfg.Checkpoint, CheckpointEvery: m.cfg.CheckpointEvery, Restore: m.cfg.Restore,
@@ -941,12 +922,9 @@ func (m *Master) run() (*engine.Result, error) {
 		rec := d.rec
 		if tl := m.cfg.Timeline; tl != nil {
 			lossEnd := time.Now()
-			stepArgs := map[string]any{"gathered": rec.Available, "recovered": len(rec.Partitions), "degraded": rec.Degraded}
-			if rec.Folded > 0 {
-				stepArgs["folded"] = rec.Folded
-			}
 			tl.Add(events.Span{Name: fmt.Sprintf("step %d", rec.Step), Cat: "step",
-				Start: d.bcastStart, Dur: d.updateEnd.Sub(d.bcastStart), Args: stepArgs})
+				Start: d.bcastStart, Dur: d.updateEnd.Sub(d.bcastStart),
+				Args: map[string]any{"gathered": rec.Available, "recovered": len(rec.Partitions), "degraded": rec.Degraded}})
 			tl.Add(events.Span{Name: "broadcast", Cat: "phase", Start: d.bcastStart, Dur: d.bcastEnd.Sub(d.bcastStart)})
 			tl.Add(events.Span{Name: "gather", Cat: "phase", Start: d.gatherStart, Dur: rec.Elapsed})
 			tl.Add(events.Span{Name: "decode", Cat: "phase", Start: d.gatherEnd, Dur: d.decodeEnd.Sub(d.gatherEnd)})
@@ -956,9 +934,11 @@ func (m *Master) run() (*engine.Result, error) {
 			tl.Add(events.Span{Name: "loss", Cat: "phase", Start: lossStart, Dur: lossEnd.Sub(lossStart),
 				Args: map[string]any{"step": rec.Step}})
 		}
-		m.cfg.Events.Debug("master.step_completed", "step finished", rec.Step, events.NoWorker,
-			events.Fields{"gathered": rec.Available, "recovered": len(rec.Partitions),
-				"degraded": rec.Degraded, "loss": loss, "elapsed": rec.Elapsed.String()})
+		if m.cfg.Events.Enabled(events.LevelDebug) {
+			m.cfg.Events.Debug("master.step_completed", "step finished", rec.Step, events.NoWorker,
+				events.Fields{"gathered": rec.Available, "recovered": len(rec.Partitions),
+					"degraded": rec.Degraded, "loss": loss, "elapsed": rec.Elapsed.String()})
+		}
 		rec.Loss = loss
 		converged, checkpointDue := core.Finish(rec)
 		if checkpointDue {
@@ -967,10 +947,9 @@ func (m *Master) run() (*engine.Result, error) {
 		return converged
 	}
 	// interrupted ends a stopped run before step: the parameters are the
-	// post-step-(step−1) state plus any landed folds, so the checkpoint
-	// resumes at step — unless the periodic checkpoint of this very
-	// boundary, joined first since it may still be in flight, already holds
-	// it.
+	// post-step-(step−1) state, so the checkpoint resumes at step — unless
+	// the periodic checkpoint of this very boundary, joined first since it
+	// may still be in flight, already holds it.
 	interrupted := func(step int) (*engine.Result, error) {
 		res := core.Result()
 		res.Interrupted = true
@@ -1014,17 +993,7 @@ steps:
 		avail := bitset.New(n)
 		accept := func(a arrival) {
 			if a.step != step || a.worker < 0 || a.worker >= n || avail.Contains(a.worker) {
-				if r, ok := core.Fold(a.step, a.worker, a.coded); ok {
-					m.accepted[a.worker].Add(1)
-					m.cfg.Metrics.markAccepted(a.worker)
-					m.cfg.Metrics.markFolded()
-					m.attribution.ObserveAccepted(trace.ArrivalSample{Worker: a.worker, Step: a.step, Compute: a.computeDur})
-					m.cfg.Events.Debug("master.gradient_folded", "late gradient folded into parameters",
-						a.step, a.worker, events.Fields{"partitions": len(st.Partitions(a.worker)), "normalizer": r})
-					m.vecs.put(a.coded)
-					return
-				}
-				// Stale or duplicate delivery outside the fold window.
+				// An earlier step's upload, or a duplicate.
 				m.ignore(a, step, bcastEnd)
 				return
 			}
@@ -1334,12 +1303,12 @@ func (m *Master) gather(step int, p gatherPolicy, flexible bool, bcastEnd time.T
 	}
 }
 
-// ignore drops a delivery the master cannot use — stale or duplicate
-// outside the fold window, or past the deadline of a step already
-// gathered: the work was done, and it lands in the "ignored" column of the
-// attribution report. An arrival for the step gathering is measured
-// against its broadcast; a stale gradient has no valid baseline, so its
-// latency stays unmeasured.
+// ignore drops a delivery the master cannot use — an earlier step's, a
+// duplicate, or one past the cut-off of a step already gathered: the work
+// was done, and it lands in the "ignored" column of the attribution report.
+// An arrival for the step gathering is measured against its broadcast; an
+// earlier step's gradient has no valid baseline, so its latency stays
+// unmeasured.
 func (m *Master) ignore(a arrival, step int, bcastEnd time.Time) {
 	if a.worker >= 0 && a.worker < len(m.accepted) {
 		s := trace.ArrivalSample{Worker: a.worker, Step: step, Compute: a.computeDur}

@@ -64,10 +64,6 @@ type MasterMetrics struct {
 	// LastCheckpointStep is the step of the newest durable checkpoint
 	// (-1 until the first write).
 	LastCheckpointStep *metrics.Gauge
-	// FoldedGradients counts straggler gradients folded into a later
-	// step's parameters as a staleness correction (zero unless the master
-	// runs with -staleness > 0).
-	FoldedGradients *metrics.Counter
 }
 
 // NewMasterMetrics registers the master's metric families on reg.
@@ -112,8 +108,6 @@ func NewMasterMetrics(reg *metrics.Registry) *MasterMetrics {
 			"Corrupt or unreadable checkpoint files skipped during restore."),
 		LastCheckpointStep: reg.NewGauge("isgc_master_last_checkpoint_step",
 			"Step of the newest durable checkpoint (-1 before the first)."),
-		FoldedGradients: reg.NewCounter("isgc_master_folded_gradients_total",
-			"Straggler gradients folded into a later step as a staleness correction."),
 	}
 }
 
@@ -175,12 +169,6 @@ func (mm *MasterMetrics) markRejoin() {
 func (mm *MasterMetrics) markEviction() {
 	if mm != nil {
 		mm.Evictions.Inc()
-	}
-}
-
-func (mm *MasterMetrics) markFolded() {
-	if mm != nil {
-		mm.FoldedGradients.Inc()
 	}
 }
 

@@ -56,6 +56,11 @@ func TestMasterMetricsMatchTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Before Run the master already knows its fleet: n workers, none alive.
+	// The scrape loop below may land before Run's first line.
+	if h := master.Health(); len(h.Workers) != 4 || h.AliveWorkers != 0 || h.Running {
+		t.Fatalf("Health before Run: %d workers, %d alive, running=%v; want 4, 0, false", len(h.Workers), h.AliveWorkers, h.Running)
+	}
 
 	adm := admin.New(admin.Config{
 		Addr:     "127.0.0.1:0",

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -36,8 +35,7 @@ func runShapedCluster(t *testing.T, shapeMaster func(*MasterConfig), shapeWorker
 }
 
 // runStrategyCluster is runShapedCluster with the scheme under the
-// caller's control (the staleness fold test needs IS-SGD's disjoint
-// partitions so a late gradient is always foldable).
+// caller's control.
 func runStrategyCluster(t *testing.T, st engine.Strategy, shapeMaster func(*MasterConfig), shapeWorker func(i int, c *WorkerConfig)) (*engine.Result, *MasterMetrics) {
 	t.Helper()
 	mdl := model.SoftmaxRegression{Features: 6, Classes: 3}
@@ -101,7 +99,7 @@ func runStrategyCluster(t *testing.T, st engine.Strategy, shapeMaster func(*Mast
 		t.Fatalf("master: %v", err)
 	}
 	wg.Wait()
-	if st.WaitFor(mcfg.W) == st.N() && mcfg.Staleness == 0 && mcfg.Deadline == 0 {
+	if st.WaitFor(mcfg.W) == st.N() && mcfg.Deadline == 0 {
 		checkWaitAllAbandons(t, res, wlog)
 	}
 	return res, mm
@@ -172,69 +170,13 @@ func TestDeadlineAdmitsArrivalsByTheDeadline(t *testing.T) {
 	}
 }
 
-// TestPipelinedStalenessFoldsLateGradients runs the bounded-staleness mode
-// over real sockets with a persistent straggler tuned so its uploads land
-// during the NEXT step's gather: the master must wait for only 3 workers,
-// fold the straggler's late gradients in as corrections, and keep the loss
-// moving.
-func TestPipelinedStalenessFoldsLateGradients(t *testing.T) {
-	for _, k := range []int{1, 2} {
-		k := k
-		t.Run(fmt.Sprintf("staleness=%d", k), func(t *testing.T) {
-			st, err := engine.NewISSGD(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, mm := runStrategyCluster(t, st,
-				func(c *MasterConfig) {
-					c.Staleness = k
-					c.MaxSteps = 12
-				},
-				func(i int, c *WorkerConfig) {
-					// Everyone sleeps 40ms; worker 3 sleeps 60ms. Each gather
-					// lasts ~40ms and worker 3 arrives ~20ms into the following
-					// one — well inside the fold window on any reasonable
-					// scheduler, and the worker, told the window in its hello
-					// ack, does not give the step up when the next broadcast
-					// arrives.
-					d := 40 * time.Millisecond
-					if i == 3 {
-						d = 60 * time.Millisecond
-					}
-					c.Delay = straggler.Constant{D: d}
-				})
-			if res.Run.Steps() != 12 {
-				t.Fatalf("steps = %d, want 12", res.Run.Steps())
-			}
-			for _, rec := range res.Run.Records {
-				if rec.Available != 4-k {
-					t.Fatalf("step %d waited for %d workers, want %d (W=4, staleness=%d)", rec.Step, rec.Available, 4-k, k)
-				}
-			}
-			if folded := res.Run.TotalFolded(); folded == 0 {
-				t.Fatal("no late gradients folded; the straggler's uploads should land mid-gather")
-			} else if got := mm.FoldedGradients.Value(); got != uint64(folded) {
-				t.Fatalf("folded counter = %d, records say %d", got, folded)
-			}
-			// With k = 2 the master waits for half the fleet and the loss of
-			// this nearly fitted model hovers around 3e-3 instead of falling
-			// monotonically; the descent check stays with k = 1.
-			first, last := res.Run.Records[0].Loss, res.Run.FinalLoss()
-			if k == 1 && !(last < first) {
-				t.Fatalf("loss %v → %v, expected decrease", first, last)
-			}
-		})
-	}
-}
-
 // TestPipelinedCrashMidOverlap is the -race satellite: a worker dies right
 // in the overlap zone — after serving step t's gather but around step
-// t+1's broadcast — while the master runs the pipelined loop. The master
-// must evict it and finish on the survivors.
+// t+1's broadcast, while step t's finalize is still owed. The master must
+// evict it and finish on the survivors.
 func TestPipelinedCrashMidOverlap(t *testing.T) {
 	res, _ := runShapedCluster(t,
 		func(c *MasterConfig) {
-			c.Staleness = 1
 			c.MaxSteps = 15
 			c.LivenessTimeout = time.Second
 		},
@@ -260,51 +202,5 @@ func TestPipelinedCrashMidOverlap(t *testing.T) {
 	first, final := res.Run.Records[0].Loss, res.Run.FinalLoss()
 	if !(final < first) {
 		t.Fatalf("loss %v → %v, expected decrease despite the crash", first, final)
-	}
-}
-
-func TestMasterConfigStalenessValidation(t *testing.T) {
-	st, err := engine.NewSyncSGD(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flex, err := engine.NewISSGD(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdl := model.LinearRegression{Features: 2}
-	data, _, err := dataset.SyntheticLinear(10, 2, 0.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := MasterConfig{Addr: "127.0.0.1:0", Strategy: flex, Model: mdl, Data: data,
-		LearningRate: 0.1, MaxSteps: 1}
-	cases := []struct {
-		name string
-		mut  func(*MasterConfig)
-	}{
-		{"negative staleness", func(c *MasterConfig) { c.Staleness = -1 }},
-		{"staleness on rigid scheme", func(c *MasterConfig) { c.Strategy = st; c.Staleness = 1 }},
-		{"staleness with deadline", func(c *MasterConfig) { c.Staleness = 1; c.Deadline = time.Second }},
-	}
-	for _, tc := range cases {
-		bad := good
-		tc.mut(&bad)
-		if _, err := NewMaster(bad); err == nil {
-			t.Errorf("%s: expected error", tc.name)
-		}
-	}
-	// A window alone, and a deadline alone, are both fine.
-	for name, mut := range map[string]func(*MasterConfig){
-		"staleness": func(c *MasterConfig) { c.Staleness = 1 },
-		"deadline":  func(c *MasterConfig) { c.Deadline = time.Second },
-	} {
-		okCfg := good
-		mut(&okCfg)
-		m, err := NewMaster(okCfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		m.ln.Close()
 	}
 }

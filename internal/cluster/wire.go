@@ -7,9 +7,9 @@
 //
 // Every connection speaks frames (binary.go) from its first byte, one
 // connection per worker: the worker's hello is a hello frame, the master
-// answers with a hello frame of its own (the ack, carrying the staleness
-// window) or a job-gone frame, and the step loop's frames follow. Bytes that
-// do not open with a version-1 frame header are refused.
+// answers with a hello frame of its own (the ack) or a job-gone frame, and
+// the step loop's frames follow. Bytes that do not open with a version-1
+// frame header are refused.
 //
 // Unlike the in-process engine, real workers do not just slow down — they
 // die. The runtime therefore layers fault tolerance on top of the paper's
@@ -49,7 +49,7 @@ type MsgKind byte
 const (
 	// MsgHello registers a worker with the master. A rejoining worker
 	// re-sends it with Step set to its last completed step. The master's
-	// ack is a hello too, whose Step is the staleness window k.
+	// ack is a hello too, whose Step is written 0 and not read.
 	MsgHello MsgKind = 1 + iota
 	// MsgStep carries parameters from master to workers for one step.
 	MsgStep
@@ -102,10 +102,8 @@ type Envelope struct {
 	// Worker is the sender's worker id (Hello, Gradient, Heartbeat).
 	Worker int
 	// Step is the training step the message belongs to (Step, Gradient),
-	// the worker's last completed step on its Hello, or the staleness window
-	// k on the master's Hello ack (0 in sync mode): a gradient for step t
-	// can still be used until step t+k+1 is broadcast, so a worker abandons
-	// step t only once a step newer than t+k arrives.
+	// or the worker's last completed step on its Hello; the master's Hello
+	// ack writes 0, which the worker does not read.
 	Step int
 	// Params are the model parameters (Step).
 	Params []float64
@@ -244,25 +242,24 @@ func (c *conn) close() error { return c.raw.Close() }
 
 // clientHello runs the worker side of the hello exchange on a fresh
 // connection: send the hello frame (carrying the last completed step on a
-// rejoin) and wait for the master's ack, whose Step is the staleness window
-// it returns. A job-gone reply is ErrJobGone.
-func clientHello(c *conn, id, step int) (staleness int, err error) {
+// rejoin) and wait for the master's ack. A job-gone reply is ErrJobGone.
+func clientHello(c *conn, id, step int) error {
 	if err := c.send(&Envelope{Kind: MsgHello, Worker: id, Step: step}); err != nil {
-		return 0, err
+		return err
 	}
 	_ = c.raw.SetReadDeadline(time.Now().Add(wireAckTimeout))
 	ack, err := c.recv()
 	if err != nil {
-		return 0, fmt.Errorf("cluster: hello: %w", err)
+		return fmt.Errorf("cluster: hello: %w", err)
 	}
 	_ = c.raw.SetReadDeadline(time.Time{})
 	switch ack.Kind {
 	case MsgHello:
-		return ack.Step, nil
+		return nil
 	case MsgJobGone:
-		return 0, ErrJobGone
+		return ErrJobGone
 	default:
-		return 0, fmt.Errorf("cluster: hello: got %s before the ack", ack.Kind)
+		return fmt.Errorf("cluster: hello: got %s before the ack", ack.Kind)
 	}
 }
 

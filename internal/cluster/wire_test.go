@@ -247,7 +247,7 @@ func TestMasterRejectsDuplicateWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := newConn(raw, 0, nil)
-		if _, err := clientHello(c, 0, 0); err != nil {
+		if err := clientHello(c, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		return c

@@ -92,10 +92,6 @@ type Worker struct {
 	// replaces it while Stop (signal-handler goroutine) reads it to close.
 	connMu sync.Mutex
 	c      *conn
-	// staleness is the master's fold window from the current connection's
-	// hello ack (0 in sync mode and from old masters): a step stays live
-	// until a step more than staleness newer arrives.
-	staleness int
 	// delaySrc/faultSrc are the counting sources behind rng/frng, kept so
 	// Stop can serialize the stream positions and a restored worker can
 	// land on the very next delay/fault draw.
@@ -206,15 +202,13 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, err
 	}
 	c := newConn(raw, defaultWriteTimeout, cfg.Metrics.sentCounter())
-	staleness, err := clientHello(c, cfg.ID, startSteps)
-	if err != nil {
+	if err := clientHello(c, cfg.ID, startSteps); err != nil {
 		_ = c.close()
 		return nil, err
 	}
 	w := &Worker{
 		cfg:            cfg,
 		c:              c,
-		staleness:      staleness,
 		delaySrc:       randsrc.New(cfg.DelaySeed),
 		faultSrc:       randsrc.New(cfg.FaultSeed),
 		faultedThrough: -1,
@@ -370,7 +364,7 @@ func (w *Worker) Run() (int, error) {
 // recycles.
 func (w *Worker) startReader() *mailbox {
 	c := w.c
-	mb := newMailbox(w.staleness, w.cfg.Model.Dim())
+	mb := newMailbox(w.cfg.Model.Dim())
 	c.sink = mb.reserve
 	go func() {
 		defer close(mb.done)
@@ -423,8 +417,10 @@ func (w *Worker) abandon(phase string, steps ...int) {
 	for _, step := range steps {
 		w.abandoned.Add(1)
 		w.cfg.Metrics.markAbandoned(phase)
-		w.cfg.Events.Debug("worker.step_abandoned", "step superseded before upload",
-			step, w.cfg.ID, events.Fields{"phase": phase})
+		if w.cfg.Events.Enabled(events.LevelDebug) {
+			w.cfg.Events.Debug("worker.step_abandoned", "step superseded before upload",
+				step, w.cfg.ID, events.Fields{"phase": phase})
+		}
 	}
 }
 
@@ -519,7 +515,7 @@ func (w *Worker) reconnect() bool {
 		raw, err := net.DialTimeout("tcp", w.cfg.Addr, 500*time.Millisecond)
 		if err == nil {
 			c := newConn(raw, defaultWriteTimeout, w.cfg.Metrics.sentCounter())
-			staleness, helloErr := clientHello(c, w.cfg.ID, int(w.steps.Load()))
+			helloErr := clientHello(c, w.cfg.ID, int(w.steps.Load()))
 			if errors.Is(helloErr, ErrJobGone) {
 				// Terminal reject: the master at this address has finished
 				// the run. Burning the rest of the redial budget cannot
@@ -531,7 +527,6 @@ func (w *Worker) reconnect() bool {
 			if helloErr == nil {
 				w.connMu.Lock()
 				w.c = c
-				w.staleness = staleness
 				stopped := w.stopping.Load()
 				w.connMu.Unlock()
 				if stopped {

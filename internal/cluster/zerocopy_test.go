@@ -302,7 +302,7 @@ func dialHand(addr string, id int, wrap func(c net.Conn) net.Conn) (*handWorker,
 		raw = wrap(raw)
 	}
 	c := newConn(raw, defaultWriteTimeout, nil)
-	if _, err := clientHello(c, id, 0); err != nil {
+	if err := clientHello(c, id, 0); err != nil {
 		c.close()
 		return nil, err
 	}
@@ -656,8 +656,7 @@ func TestRejoinResumesFromAnUntornBroadcast(t *testing.T) {
 	}
 }
 
-// ownershipProbe is a Strategy that watches the vectors Recover is handed
-// and, on the way into a Fold, the master's free list.
+// ownershipProbe is a Strategy that watches the vectors Recover is handed.
 type ownershipProbe struct {
 	engine.Strategy
 	t *testing.T
@@ -665,9 +664,6 @@ type ownershipProbe struct {
 	// it was gathered in.
 	seen  map[*float64]int
 	calls int
-	// onPartitions runs on every Partitions call — the first thing a Fold
-	// does with the strategy, before it reads the late upload.
-	onPartitions func()
 }
 
 func (p *ownershipProbe) Recover(avail *bitset.Set, coded [][]float64) ([]float64, []int, error) {
@@ -687,13 +683,6 @@ func (p *ownershipProbe) Recover(avail *bitset.Set, coded [][]float64) ([]float6
 		p.seen[&v[0]]++
 	}
 	return p.Strategy.Recover(avail, coded)
-}
-
-func (p *ownershipProbe) Partitions(i int) []int {
-	if p.onPartitions != nil {
-		p.onPartitions()
-	}
-	return p.Strategy.Partitions(i)
 }
 
 // TestGatheredVectorsAreRecycledNotShared runs a real fleet and watches the
@@ -730,21 +719,19 @@ func TestGatheredVectorsAreRecycledNotShared(t *testing.T) {
 	}
 }
 
-// TestFoldedUploadIsRecycledAfterFold drives a bounded-staleness master by
-// hand: worker 0's upload closes each step, worker 1's lands one step late
-// and is folded. While the Fold runs, the late upload's vector must not be in
-// the free list yet (a reader could be filling it); once the Fold is done it
-// must be. The parameters come out as if every step had waited for both.
-func TestFoldedUploadIsRecycledAfterFold(t *testing.T) {
+// TestIgnoredUploadIsRecycled drives a fastest-1 master by hand: worker 0's
+// upload closes each step, worker 1's lands one step late and is ignored.
+// Once the master has ignored it, the late upload's vector must be back in
+// the free list; the parameters come out as worker 0's uploads alone.
+func TestIgnoredUploadIsRecycled(t *testing.T) {
 	const dim, steps = 32, 4
 	inner, err := engine.NewISSGD(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	probe := &ownershipProbe{Strategy: inner, t: t, seen: map[*float64]int{}}
-	mm := NewMasterMetrics(metrics.NewRegistry())
 	master, err := NewMaster(MasterConfig{Addr: "127.0.0.1:0", Strategy: probe, Model: benchModel{dim: dim},
-		Data: testData(t), LearningRate: 0.5, W: 2, Staleness: 1, MaxSteps: steps, Metrics: mm})
+		Data: testData(t), LearningRate: 0.5, W: 1, MaxSteps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -758,12 +745,6 @@ func TestFoldedUploadIsRecycledAfterFold(t *testing.T) {
 			master.vecs.free <- v
 		}
 		return found
-	}
-	var late atomic.Int64 // marker of the late upload in flight; 0 = none
-	probe.onPartitions = func() {
-		if m := late.Load(); m != 0 && inFreeList(float64(m)) {
-			t.Errorf("the late upload marked %d was in the free list while its Fold ran", m)
-		}
 	}
 	var runErr error
 	var res *engine.Result
@@ -789,33 +770,31 @@ func TestFoldedUploadIsRecycledAfterFold(t *testing.T) {
 			t.Fatal(err)
 		}
 		if s == steps-1 {
-			break // the last step ends the run; nothing can fold behind it
+			break // the last step ends the run
 		}
 		// Step s+1's broadcast is out: step s is decoded, so worker 1's
-		// upload for it can only be folded.
+		// upload for it can only be ignored.
 		if e := w0.step(t); e.Step != s+1 {
 			t.Fatalf("worker 0 got step %d, want %d", e.Step, s+1)
 		}
-		marker := int64(1000 + 8*s)
-		late.Store(marker)
-		if err := w1.upload(s, constVec(dim, float64(marker))); err != nil {
+		marker := float64(1000 + 8*s)
+		if err := w1.upload(s, constVec(dim, marker)); err != nil {
 			t.Fatal(err)
 		}
-		for deadline := time.Now().Add(30 * time.Second); mm.FoldedGradients.Value() != uint64(s+1); {
+		for deadline := time.Now().Add(30 * time.Second); master.AttributionReport().Workers[1].Ignored != s+1; {
 			if time.Now().After(deadline) {
-				t.Fatalf("step %d's late upload was never folded", s)
+				t.Fatalf("step %d's late upload was never ignored", s)
 			}
 			time.Sleep(time.Millisecond)
 		}
-		// accept returns the vector right behind the Fold; nobody is sending,
-		// so it stays in the list until the next upload takes it.
-		for deadline := time.Now().Add(30 * time.Second); !inFreeList(float64(marker)); {
+		// ignore returns the vector right behind the count; nobody is
+		// sending, so it stays in the list until the next upload takes it.
+		for deadline := time.Now().Add(30 * time.Second); !inFreeList(marker); {
 			if time.Now().After(deadline) {
-				t.Fatalf("step %d's folded upload never came back to the free list", s)
+				t.Fatalf("step %d's ignored upload never came back to the free list", s)
 			}
 			time.Sleep(time.Millisecond)
 		}
-		late.Store(0)
 	}
 	select {
 	case <-done:
@@ -825,18 +804,12 @@ func TestFoldedUploadIsRecycledAfterFold(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	// Every folded step ends up normalized over both uploads, the last over
-	// worker 0's alone: −½·Σ (4(s+1) + 1000+8s)/2 − ½·4·steps.
 	want := 0.0
-	for s := 0; s < steps-1; s++ {
-		want -= 0.5 * (float64(4*(s+1)) + float64(1000+8*s)) / 2
+	for s := 0; s < steps; s++ {
+		want -= 0.5 * float64(4*(s+1))
 	}
-	want -= 0.5 * float64(4*steps)
 	if err := sameBits(res.Params, constVec(dim, want)); err != nil {
 		t.Errorf("final parameters: %v", err)
-	}
-	if res.Run.TotalFolded() != steps-1 {
-		t.Errorf("%d folds recorded, want %d", res.Run.TotalFolded(), steps-1)
 	}
 	if len(probe.seen) > 4 {
 		t.Errorf("%d gathered uploads went through %d distinct vectors, want at most 2n = 4", steps, len(probe.seen))

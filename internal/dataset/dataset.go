@@ -211,7 +211,7 @@ func (l *Loader) Batch(t int) []int {
 		l.rng.Seed(s) // the same stream NewSource(s) starts
 	}
 	// rand.Perm's inside-out shuffle, draw for draw; every entry is written
-	// before it is read, so the stale buffer needs no reset.
+	// before it is read, so the old contents need no reset.
 	m := l.perm
 	for i := range m {
 		j := l.rng.Intn(i + 1)

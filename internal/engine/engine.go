@@ -56,20 +56,6 @@ type Config struct {
 	// arrival time. Rigid schemes ignore it. Takes precedence over
 	// WSchedule.
 	Deadline time.Duration
-	// Staleness, when positive, simulates the cluster's pipelined
-	// bounded-staleness mode (cluster.MasterConfig.Staleness): the master
-	// waits for only max(1, WaitFor(W)−Staleness) workers each step, and
-	// every straggler keeps uploading in the background — its remaining
-	// simulated time carries across steps, and when it runs out the late
-	// gradient lands in that step's gather window and folds into the
-	// parameters as the exact correction that retroactively includes it
-	// in its own step's normalized update (conflicting partitions cannot
-	// fold and are dropped). Uploads still in flight after Staleness
-	// steps are abandoned. Flexible schemes only; requires Momentum == 0
-	// and WeightDecay == 0 (folds compose additively on plain SGD) and
-	// excludes Deadline. A checkpoint restore resumes with an empty
-	// in-flight queue: uploads pending at the snapshot are dropped.
-	Staleness int
 	// MaxSteps bounds the run.
 	MaxSteps int
 	// LossThreshold stops the run once the full-training-set loss drops
@@ -277,30 +263,13 @@ func Train(cfg Config) (*Result, error) {
 	}
 	params := core.Params()
 
-	// Bounded-staleness simulation (Config.Staleness): lateQ holds the
-	// stragglers' in-flight uploads with the simulated time left until they
-	// land, busy the workers mid-upload (they rejoin the fleet once their
-	// upload lands or is abandoned). Which steps are still open and how an
-	// upload folds is the core's.
-	type lateUpload struct {
-		step      int
-		worker    int
-		remaining time.Duration
-		coded     []float64
-	}
-	var lateQ []*lateUpload
-	var busy []bool
-	if cfg.Staleness > 0 {
-		busy = make([]bool, n)
-	}
-
 	for step := core.StartStep(); step < cfg.MaxSteps; step++ {
 		// 1. Straggler simulation: who is available, and how long the
 		// master waited — fastest-w by default (w per step under WSchedule),
 		// or a fixed deadline (Sec. IV policies).
 		times := sim.Step()
 		target, flexible := core.GatherTarget(step)
-		var avail, uploaders *bitset.Set
+		var avail *bitset.Set
 		var elapsed time.Duration
 		var err error
 		if cfg.Deadline > 0 && flexible {
@@ -309,20 +278,6 @@ func Train(cfg Config) (*Result, error) {
 				avail, elapsed, err = simclock.FastestW(times, 1)
 			}
 		} else {
-			if busy != nil {
-				// Under staleness the uploaders are the workers not still
-				// uploading an earlier step, and the target is met among
-				// them: a busy one is never the fastest.
-				uploaders = bitset.New(n)
-				for i, b := range busy {
-					if b {
-						times[i] = 1 << 62
-					} else {
-						uploaders.Add(i)
-					}
-				}
-				target = min(target, uploaders.Len())
-			}
 			avail, elapsed, err = simclock.FastestW(times, target)
 		}
 		if err != nil {
@@ -333,9 +288,6 @@ func Train(cfg Config) (*Result, error) {
 			// worker's total finish time, compute is its share before
 			// upload and injected delay.
 			for i := 0; i < n; i++ {
-				if busy != nil && busy[i] {
-					continue // mid-upload from an earlier step; no arrival here
-				}
 				compute := time.Duration(st.C()) * cfg.ComputePerPartition
 				if cfg.ComputeFactors != nil {
 					compute = time.Duration(float64(compute) * cfg.ComputeFactors[i])
@@ -353,17 +305,11 @@ func Train(cfg Config) (*Result, error) {
 		// to the controlled seeds, a partition's gradient is identical on
 		// every worker replicating it, so we compute each once — each
 		// needed partition into its own reusable buffer.
-		// Under staleness every eligible worker computes and encodes this
-		// step — the stragglers' uploads stay in flight and may fold into a
-		// later step, so their coded vectors are needed too.
-		if uploaders == nil {
-			uploaders = avail
-		}
 		for d := range grads {
 			grads[d] = nil
 		}
 		needed = needed[:0]
-		uploaders.Range(func(i int) bool {
+		avail.Range(func(i int) bool {
 			for _, d := range st.Partitions(i) {
 				if grads[d] != nil {
 					continue
@@ -381,36 +327,12 @@ func Train(cfg Config) (*Result, error) {
 		// 3. Worker-side encoding for available workers.
 		coded := make([][]float64, n)
 		var encodeErr error
-		uploaders.Range(func(i int) bool {
+		avail.Range(func(i int) bool {
 			coded[i], encodeErr = st.Encode(i, grads)
 			return encodeErr == nil
 		})
 		if encodeErr != nil {
 			return nil, fmt.Errorf("engine: step %d: %w", step, encodeErr)
-		}
-
-		// 3b. Land the in-flight uploads whose remaining time ran out during
-		// this step's gather window and abandon those that aged out of the
-		// staleness window. Folds mutate params alongside this step's
-		// update, mirroring the cluster master where late arrivals land
-		// mid-gather; either worker rejoins the eligible fleet next step.
-		if cfg.Staleness > 0 {
-			kept := lateQ[:0]
-			for _, lu := range lateQ {
-				lu.remaining -= elapsed
-				if lu.remaining > 0 && step-lu.step < cfg.Staleness {
-					kept = append(kept, lu)
-					continue
-				}
-				busy[lu.worker] = false
-				if lu.remaining > 0 {
-					continue
-				}
-				if _, ok := core.Fold(lu.step, lu.worker, lu.coded); ok && cfg.Attribution != nil {
-					cfg.Attribution.ObserveAccepted(trace.ArrivalSample{Worker: lu.worker, Step: lu.step})
-				}
-			}
-			lateQ = kept
 		}
 
 		// 4. Master-side recovery and parameter update.
@@ -423,21 +345,6 @@ func Train(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 		recovered := len(dec.Parts)
-
-		// 4b. Enqueue the remaining upload time of the stragglers this
-		// gather did not wait for.
-		if cfg.Staleness > 0 {
-			uploaders.Range(func(i int) bool {
-				if !avail.Contains(i) {
-					busy[i] = true
-					lateQ = append(lateQ, &lateUpload{
-						step: step, worker: i, remaining: times[i] - elapsed,
-						coded: append([]float64(nil), coded[i]...),
-					})
-				}
-				return true
-			})
-		}
 
 		// 5. Bookkeeping.
 		if cfg.EvalEvery <= 1 || (step+1)%cfg.EvalEvery == 0 || step == cfg.MaxSteps-1 {
@@ -502,9 +409,6 @@ func validate(cfg *Config) error {
 		return fmt.Errorf("engine: need MaxSteps > 0, got %d", cfg.MaxSteps)
 	case cfg.DecodeCache < 0:
 		return fmt.Errorf("engine: need DecodeCache ≥ 0, got %d", cfg.DecodeCache)
-	}
-	if err := CheckStaleness(cfg.Strategy, cfg.Staleness, cfg.Momentum == 0 && cfg.WeightDecay == 0, cfg.Deadline); err != nil {
-		return fmt.Errorf("engine: %w", err)
 	}
 	if err := model.CheckData(cfg.Model, cfg.Data); err != nil {
 		return fmt.Errorf("engine: %w", err)

@@ -380,7 +380,7 @@ func TestEvalEverySkipsEvaluations(t *testing.T) {
 	}
 	// Within an eval window the recorded loss is constant.
 	if res.Run.Records[0].Loss != res.Run.Records[3].Loss {
-		t.Fatal("losses within an eval window must repeat the stale value")
+		t.Fatal("losses within an eval window must repeat the last evaluated value")
 	}
 	if res.Run.Records[4].Loss == res.Run.Records[3].Loss {
 		t.Fatal("loss must refresh at the eval boundary")

@@ -144,3 +144,11 @@ func TestStepLoopSteadyStateAllocs(t *testing.T) {
 		t.Logf("%d bytes over %d steps at GOMAXPROCS %d", total, steps, procs)
 	}
 }
+
+func randVec(rng *rand.Rand, dim int) []float64 {
+	v := make([]float64, dim)
+	for j := range v {
+		v[j] = rng.NormFloat64()
+	}
+	return v
+}

@@ -44,7 +44,7 @@ type Strategy interface {
 	// coded (or any of its vectors) past the call nor return a ĝ that
 	// aliases one: the cluster master hands the vectors back to its
 	// receive free list once the step's update is applied, and a reader
-	// may be filling them again while ĝ is still held for late folds.
+	// may be filling them again while ĝ is still held.
 	// Every strategy in this package sums into a vector of its own.
 	//
 	// ĝ and the list belong to the strategy and stay valid until its next

@@ -131,6 +131,11 @@ func New(cfg Config) *Log {
 	return l
 }
 
+// Enabled reports whether an event at level would be recorded, so a call
+// site can skip building its fields when it would not. Nil-safe: a nil Log
+// records nothing.
+func (l *Log) Enabled(level Level) bool { return l != nil && level >= l.min }
+
 // Emit records one event. Safe for concurrent use and on a nil receiver.
 // fields may be nil; the map is stored as-is, so callers must not mutate
 // it afterwards.

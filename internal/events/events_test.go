@@ -66,6 +66,9 @@ func TestLogMinLevelFilters(t *testing.T) {
 	if len(l.Snapshot()) != 2 {
 		t.Fatalf("ring kept %d events, want 2", len(l.Snapshot()))
 	}
+	if l.Enabled(LevelInfo) || !l.Enabled(LevelWarn) || !l.Enabled(LevelError) {
+		t.Fatal("Enabled disagrees with the min level")
+	}
 }
 
 func TestNilLogIsSafe(t *testing.T) {
@@ -73,6 +76,9 @@ func TestNilLogIsSafe(t *testing.T) {
 	l.Info("x", "", NoStep, NoWorker, nil) // must not panic
 	if l.Snapshot() != nil || l.Count(LevelInfo) != 0 || l.Total() != 0 || l.WriteErrors() != 0 {
 		t.Fatal("nil log must report zeros")
+	}
+	if l.Enabled(LevelError) {
+		t.Fatal("a nil log records nothing, so no level is enabled")
 	}
 }
 

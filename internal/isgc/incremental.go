@@ -31,7 +31,7 @@ import (
 // with availability", which is exactly the maximum.
 //
 // Cache coherence: a decode-cache hit overwrites ("syncs") the incremental
-// state so a later repair never starts from a stale baseline, and an
+// state so a later repair never starts from an outdated baseline, and an
 // accepted repair is never stored in the LRU — only fresh solves, whose
 // randomized tie-breaking the cache is documented to freeze, get cached.
 //

@@ -90,7 +90,7 @@ func (s *Scheme) Decode(available *bitset.Set) *bitset.Set {
 //
 // Coherence rules between the two acceleration layers: a cache hit syncs
 // the incremental baseline (a later repair must start from the set the
-// caller actually received, not a stale one), and an accepted repair is
+// caller actually received, not an outdated one), and an accepted repair is
 // never stored in the cache (only fresh solves are; see incremental.go).
 func (s *Scheme) decodeMasked(avail *bitset.Set, wantRecovered bool) (*bitset.Set, *bitset.Set) {
 	n := s.p.N()

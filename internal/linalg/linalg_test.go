@@ -518,7 +518,7 @@ func TestMatVecIntoBitIdentical(t *testing.T) {
 			for _, pad := range []int{0, 3} {
 				stride := n + pad
 				w, x := mixedVec(rng, rows*stride), mixedVec(rng, n)
-				got := mixedVec(rng, rows) // stale contents must be overwritten
+				got := mixedVec(rng, rows) // old contents must be overwritten
 				MatVecInto(got, w, stride, x)
 				for i := range got {
 					want := scalarDot(w[i*stride:i*stride+n], x)

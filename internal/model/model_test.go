@@ -147,7 +147,7 @@ func TestEmptyBatch(t *testing.T) {
 		if len(g) != m.Dim() {
 			t.Errorf("%s: empty-batch grad must have full dim", m)
 		}
-		poison(g) // an empty batch still overwrites: stale contents become zeros
+		poison(g) // an empty batch still overwrites: old contents become zeros
 		m.GradInto(g, params, nil)
 		for _, v := range g {
 			if v != 0 {

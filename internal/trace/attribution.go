@@ -65,7 +65,7 @@ func (a *Attribution) ObserveAccepted(s ArrivalSample) {
 }
 
 // ObserveIgnored records a gradient that arrived but was not used —
-// stale (previous step), duplicate, or past the gather cut-off. The
+// for an earlier step, duplicate, or past the gather cut-off. The
 // sample is retained for the latency percentiles: a worker the gather
 // always skips is precisely the one whose arrival profile the report
 // must still show.
@@ -85,7 +85,7 @@ func (a *Attribution) ObserveIgnored(s ArrivalSample) {
 type WorkerAttribution struct {
 	Worker int
 	// Chosen counts gradients gathered before the cut-off; Ignored counts
-	// arrivals the master discarded (stale, duplicate, or late).
+	// arrivals the master discarded (an earlier step's, duplicate, or late).
 	Chosen  int
 	Ignored int
 	// Compute percentiles of the worker-reported gradient computation
@@ -126,8 +126,8 @@ func (a *Attribution) Report() AttributionReport {
 			overhead := make([]float64, 0, len(ss))
 			for _, s := range ss {
 				// Zero fields mean "unmeasured" (a worker that reported no
-				// timing, or a stale gradient with no current-step
-				// baseline); they count above but must not drag the
+				// timing, or an earlier step's gradient with no
+				// current-step baseline); they count above but must not drag the
 				// percentiles toward 0.
 				if s.Compute > 0 {
 					compute = append(compute, float64(s.Compute))

@@ -61,7 +61,7 @@ func TestAttributionIgnoredWorkerKeepsLatencyProfile(t *testing.T) {
 		a.ObserveIgnored(ArrivalSample{Worker: 0, Step: step,
 			Compute: 20 * time.Millisecond, Arrival: 500 * time.Millisecond})
 	}
-	// An unmeasurable (stale) arrival must not drag the percentiles to 0.
+	// An unmeasurable (earlier-step) arrival must not drag the percentiles to 0.
 	a.ObserveIgnored(ArrivalSample{Worker: 0, Step: 8, Compute: 20 * time.Millisecond})
 	w := a.Report().Workers[0]
 	if w.Chosen != 0 || w.Ignored != 9 {

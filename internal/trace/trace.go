@@ -33,10 +33,6 @@ type StepRecord struct {
 	// configured one because too few workers were alive — the graceful-
 	// degradation path of the fault-tolerant cluster runtime.
 	Degraded bool
-	// Folded counts straggler gradients from earlier steps that were
-	// folded into the parameters as a staleness correction while this
-	// step gathered (0 outside the bounded-staleness mode).
-	Folded int
 	// Loss is the training loss after the update.
 	Loss float64
 	// Accuracy is the training accuracy after the update (0 when the
@@ -105,16 +101,6 @@ func (r *Run) PartitionInclusion(n int) []float64 {
 		out[i] /= float64(len(r.Records))
 	}
 	return out
-}
-
-// TotalFolded sums the per-step counts of late straggler gradients folded
-// in as staleness corrections (0 outside bounded-staleness runs).
-func (r *Run) TotalFolded() int {
-	n := 0
-	for _, rec := range r.Records {
-		n += rec.Folded
-	}
-	return n
 }
 
 // DegradedSteps counts the steps whose gather ran in degraded mode
